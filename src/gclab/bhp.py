@@ -55,13 +55,15 @@ from .measure import (
     HorizonError,
     InducedEnsemble,
     SphericalEnsemble,
-    UniformEnsemble,
+    check_lower_bounds,
     fraction_str,
     induce,
+    invert_mu_star,
 )
+from .measure import size_inverse as guard_inverse
 from .genericity import Polynomial, parse_polynomial
 from .reductions import DistributionalProblem, Reduction
-from .words import BINARY, Word, unrank
+from .words import BINARY, Word
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -121,26 +123,7 @@ def bh_member(machine: Machine, u: Word) -> bool:
     if not is_code(u):
         return False
     n, w = decode_instance(u)
-    return _inner_min_steps(machine, w, n) is not None
-
-
-def _inner_min_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
-    found = _run_search(machine, w, budget)
-    return None if found is None else found[0]
-
-
-def _run_search(
-    machine: Machine, w: Word, budget: int
-) -> Optional[tuple[int, Optional[Configuration]]]:
-    """Minimal halting steps and final configuration within budget."""
-    if budget < 0:
-        return None
-    if isinstance(machine, VirtualMachine):
-        result = machine.evaluator(w, budget)
-        if result.is_halted and result.steps is not None and result.steps <= budget:
-            return result.steps, result.final
-        return None
-    return _search_halting(machine, w, budget)
+    return _search_halting(machine, w, n) is not None
 
 
 # --- longevity guards and the restricted code family ------------------------
@@ -185,20 +168,6 @@ def as_guard(g: GuardLike, form: str = "") -> LongevityGuard:
     if isinstance(g, Polynomial):
         return LongevityGuard(g, form or str(g))
     return LongevityGuard(g, form or "g")
-
-
-def guard_inverse(g: GuardLike, n: int) -> Optional[int]:
-    """The k with g(k) = n, if any; guards are strictly increasing."""
-    fn = g if callable(g) else g.fn
-    k = 0
-    while k <= n:
-        v = fn(k)
-        if v == n:
-            return k
-        if v > n:
-            return None
-        k += 1
-    return None
 
 
 def c_of_g(g: GuardLike) -> Callable[[Word], bool]:
@@ -394,26 +363,6 @@ def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:
     return BINARY.word("1" + x_prime(mu, x).text())
 
 
-def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:
-    """The lexicographically least x in sphere n with
-    mu_star(x) < t <= hat_mu(x); total for t in (0, 1]."""
-    if not 0 < t <= 1:
-        raise ValueError("t must lie in (0, 1]")
-    if isinstance(mu, UniformEnsemble):
-        size = mu.alphabet.sphere_size(n)
-        rank = -((-t.numerator * size) // t.denominator)  # ceil(t * size)
-        return unrank(mu.alphabet, n, rank)
-    ws, _, cum = mu._sphere_table(n)
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum[mid] >= t:
-            hi = mid
-        else:
-            lo = mid + 1
-    return ws[lo]
-
-
 # --- the decoding-protocol machines ------------------------------------------
 
 InnerSearch = Callable[[Word, int], Optional[tuple[int, Optional[Configuration]]]]
@@ -556,9 +505,6 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard) -> Reduction:
         target=BINARY,
         func=apply,
         size_growth=guard.fn,
-        size_growth_form=guard.form,
-        time_bound=None,
-        kind="red2bh",
     )
 
 
@@ -585,7 +531,7 @@ def red2bh(
     mu = problem.measure
 
     def inner(x: Word, cap: int) -> Optional[tuple[int, Optional[Configuration]]]:
-        return _run_search(decider, x, cap)
+        return _search_halting(decider, x, cap)
 
     def evaluator(v: Word, budget: int) -> RunResult:
         return _protocol_run(mu, inner, v.text(), budget)
@@ -640,37 +586,33 @@ def verify_measure_decrease(
     f = red2bh_map(mu, guard)
     report = CheckReport("measure-decrease", n_max)
     branch1_f8: list[dict] = []
-    branch2_f16: list[dict] = []
-    min_ratio: Optional[Fraction] = None
-    for n in range(1, n_max + 1):
-        g_n = guard(n)
-        threshold = Fraction(1, 2**n)
-        for x in mu.alphabet.sphere(n):
-            mass = mu.mass(x)
-            y = f.apply(x)
-            got = NU.mass(y)
-            bound = mass / (16 * n * n * g_n)
-            if got < bound:
-                report.add(x.text(), f">= {fraction_str(bound)}", fraction_str(got))
-            if mass > 0:
-                ratio = got / bound if bound else None
-                if ratio is not None and (min_ratio is None or ratio < min_ratio):
-                    min_ratio = ratio
-            verbatim = mass <= threshold
-            if verbatim:
-                sharper = mass / (8 * n * n * g_n)
-                if got < sharper:
-                    branch1_f8.append(
-                        {"witness": x.text(), "expected": fraction_str(sharper),
-                         "actual": fraction_str(got)}
-                    )
-            else:
-                sharper = mass / (16 * n * n * g_n)
-                if got < sharper:
-                    branch2_f16.append(
-                        {"witness": x.text(), "expected": fraction_str(sharper),
-                         "actual": fraction_str(got)}
-                    )
+
+    def points():
+        for n in range(1, n_max + 1):
+            g_n = guard(n)
+            threshold = Fraction(1, 2**n)
+            for x in mu.alphabet.sphere(n):
+                mass = mu.mass(x)
+                got = NU.mass(f.apply(x))
+                if mass <= threshold:
+                    sharper = mass / (8 * n * n * g_n)
+                    if got < sharper:
+                        branch1_f8.append(
+                            {"witness": x.text(), "expected": fraction_str(sharper),
+                             "actual": fraction_str(got)}
+                        )
+                yield x, got, mass / (16 * n * n * g_n)
+
+    min_ratio = check_lower_bounds(report, points())
+    # the address branch's sharper factor is the headline 16, so its
+    # violations are the headline ones on that branch
+    branch2_f16 = []
+    for v in report.violations:
+        x = mu.alphabet.word(v.witness)
+        if mu.mass(x) > Fraction(1, 2 ** len(x)):
+            branch2_f16.append({"witness": v.witness,
+                                "expected": v.expected.removeprefix(">= "),
+                                "actual": v.actual})
     report.details["skipped_spheres"] = [0]
     report.details["branch1_factor8_violations"] = branch1_f8
     report.details["branch2_factor16_violations"] = branch2_f16
@@ -760,7 +702,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
         if i < len(text) and text[i] == "0":
             machine = lookup(gamma)
             if machine is not None:
-                found = _run_search(machine, BINARY.word(text[i + 1 :]), budget)
+                found = _search_halting(machine, BINARY.word(text[i + 1 :]), budget)
                 if found is None:
                     return RunResult.budget_exhausted(budget)
                 steps, config = found
@@ -781,7 +723,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
             if not is_code(x):
                 return None
             n_x, w_x = decode_instance(x)
-            return _run_search(machine, w_x, min(n_x, cap))
+            return _search_halting(machine, w_x, min(n_x, cap))
 
         payload = numeral(n_claimed).text() + "0" + text[j + 1 :]
         return _protocol_run(NU, inner, payload, budget)
@@ -844,9 +786,6 @@ def red2bhu(
         target=BINARY,
         func=apply,
         size_growth=h_fn,
-        size_growth_form=h.form,
-        time_bound=None,
-        kind="red2bhu",
     )
     return Red2BHU(reduction=reduction, h=h, machine_code_text=code_text, slowdown=slowdown)
 
@@ -873,19 +812,15 @@ def verify_red2bhu_measure(stage: Red2BHU, n_max: int) -> CheckReport:
     report = CheckReport("measure-decrease-universal", n_max)
     code_len = len(stage.machine_code_text)
     shift = 2 ** (code_len + 1)
-    min_ratio: Optional[Fraction] = None
-    for n in range(1, n_max + 1):
-        g_s = stage.h(n)
-        for x in BINARY.sphere(n):
-            mass = NU.mass(x)
-            got = NU.mass(stage.reduction.apply(x))
-            bound = mass / (16 * n * n * g_s * shift)
-            if got < bound:
-                report.add(x.text(), f">= {fraction_str(bound)}", fraction_str(got))
-            if mass > 0 and bound > 0:
-                ratio = got / bound
-                if min_ratio is None or ratio < min_ratio:
-                    min_ratio = ratio
+    min_ratio = check_lower_bounds(
+        report,
+        (
+            (x, NU.mass(stage.reduction.apply(x)),
+             NU.mass(x) / (16 * n * n * stage.h(n) * shift))
+            for n in range(1, n_max + 1)
+            for x in BINARY.sphere(n)
+        ),
+    )
     report.details["machine_code_length"] = code_len
     report.details["skipped_spheres"] = [0]
     if min_ratio is not None:
@@ -960,15 +895,17 @@ def completeness_pipeline(
     restricted = nu_g(stage1.guard)
     d_general = Polynomial((1, 1))
     report2 = CheckReport("restriction-relaxation", stage1.guard(n_max))
-    for m in range(stage1.guard(n_max) + 1):
-        if m > NU.enumeration_cap:
-            report2.details["truncated_at"] = m
-            break
-        dk = d_general(m)
-        for y in BINARY.sphere(m):
-            if NU.mass(y) < restricted.mass(y) / dk:
-                report2.add(y.text(), f">= {fraction_str(restricted.mass(y) / dk)}",
-                            fraction_str(NU.mass(y)))
+
+    def relaxed_points():
+        for m in range(stage1.guard(n_max) + 1):
+            if m > NU.enumeration_cap:
+                report2.details["truncated_at"] = m
+                return
+            dk = d_general(m)
+            for y in BINARY.sphere(m):
+                yield y, NU.mass(y), restricted.mass(y) / dk
+
+    check_lower_bounds(report2, relaxed_points())
     chain.stages.append(("relax-restriction:measure", report2))
 
     # stage 3: embed the protocol machine into the universal machine
@@ -984,19 +921,23 @@ def completeness_pipeline(
     report3m = CheckReport("universal:membership", n_max)
     report3q = CheckReport("universal:measure", n_max)
     shift = 2 ** (code_len + 1)
+    images = []
     for n in range(n_max + 1):
         for x in problem.alphabet.sphere(n):
             y = f1.apply(x)
             z = stage3.reduction.apply(y)
+            images.append((y, z))
             lhs = bh_member(stage1.machine, y)
             rhs = bh_member(universal, z)
             if lhs != rhs:
                 report3m.add(y.text(), str(lhs), str(rhs))
-            mass_y = NU.mass(y)
-            bound = mass_y / (16 * len(y) * len(y) * stage3.h(len(y)) * shift)
-            if NU.mass(z) < bound:
-                report3q.add(y.text(), f">= {fraction_str(bound)}",
-                             fraction_str(NU.mass(z)))
+    check_lower_bounds(
+        report3q,
+        (
+            (y, NU.mass(z), NU.mass(y) / (16 * len(y) * len(y) * stage3.h(len(y)) * shift))
+            for y, z in images
+        ),
+    )
     chain.stages.append(("embed-in-universal:membership", report3m))
     chain.stages.append(("embed-in-universal:measure", report3q))
 
@@ -1004,18 +945,13 @@ def completeness_pipeline(
     # honest restricted codes
     restricted_u = nu_g(stage3.h)
     report4 = CheckReport("relax-universal-restriction", n_max)
-    for n in range(n_max + 1):
-        for x in problem.alphabet.sphere(n):
-            z = stage3.reduction.apply(f1.apply(x))
-            dk = d_general(len(z))
-            if NU.mass(z) < restricted_u.mass(z) / dk:
-                report4.add(z.text()[:40] + "...", "restriction bound", "violated")
-    for k in range(2):
-        for w in BINARY.sphere(k):
-            z = encode_instance(stage3.h(k), w)
-            dk = d_general(len(z))
-            if NU.mass(z) < restricted_u.mass(z) / dk:
-                report4.add(z.text()[:40] + "...", "restriction bound", "violated")
+    finals = [z for _, z in images] + [
+        encode_instance(stage3.h(k), w) for k in range(2) for w in BINARY.sphere(k)
+    ]
+    check_lower_bounds(
+        report4,
+        ((z, NU.mass(z), restricted_u.mass(z) / d_general(len(z))) for z in finals),
+    )
     chain.stages.append(("relax-universal-restriction:measure", report4))
     return chain
 

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 from .machine import Machine, min_deciding_steps
 from .measure import (
@@ -33,10 +33,10 @@ from .measure import (
     SphericalEnsemble,
     TableEnsemble,
     UniformEnsemble,
+    invert_mu_star,
+    subset_mass,
 )
 from .words import Word
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -60,36 +60,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * n + c
         return acc
-
-    @property
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
-    def is_strictly_increasing(self) -> bool:
-        return any(c > 0 for c in self.coeffs[1:])
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(n)) expanded; stays nonnegative-integer-coefficient."""
-        acc = Polynomial((0,))
-        for c in reversed(self.coeffs):
-            acc = acc._mul(inner) + Polynomial((c,))
-        return acc
-
-    def _mul(self, other: "Polynomial") -> "Polynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
 
     def __str__(self) -> str:
         parts = []
@@ -143,7 +113,9 @@ class SequenceEntry:
 
 @dataclass
 class DensitySequence:
-    """Exact per-sphere masses of a labelled subset, indexed by radius."""
+    """Per-sphere masses indexed by radius, under a label: the density
+    sequence of a subset, or the control sequence of a machine (the mass
+    of inputs on which it overruns its bound)."""
 
     label: str
     entries: list[SequenceEntry] = field(default_factory=list)
@@ -156,38 +128,18 @@ class DensitySequence:
         return [e.value for e in self.entries]
 
     def to_csv(self) -> str:
-        return _sequence_csv(self.entries)
+        out = io.StringIO()
+        out.write("n,numerator,denominator,float_value,mode,samples,seed\n")
+        for e in self.entries:
+            seed = "" if e.seed is None else str(e.seed)
+            out.write(
+                f"{e.n},{e.value.numerator},{e.value.denominator},"
+                f"{float(e.value)!r},{e.mode},{e.samples},{seed}\n"
+            )
+        return out.getvalue()
 
 
-@dataclass
-class ControlSequence:
-    """Per-sphere mass of inputs on which a machine overruns its bound."""
-
-    machine_label: str
-    bound: Polynomial
-    entries: list[SequenceEntry] = field(default_factory=list)
-
-    @property
-    def horizon(self) -> int:
-        return max((e.n for e in self.entries), default=-1)
-
-    def values(self) -> list[Fraction]:
-        return [e.value for e in self.entries]
-
-    def to_csv(self) -> str:
-        return _sequence_csv(self.entries)
-
-
-def _sequence_csv(entries: Sequence[SequenceEntry]) -> str:
-    out = io.StringIO()
-    out.write("n,numerator,denominator,float_value,mode,samples,seed\n")
-    for e in entries:
-        seed = "" if e.seed is None else str(e.seed)
-        out.write(
-            f"{e.n},{e.value.numerator},{e.value.denominator},"
-            f"{float(e.value)!r},{e.mode},{e.samples},{seed}\n"
-        )
-    return out.getvalue()
+ControlSequence = DensitySequence
 
 
 def density(
@@ -204,7 +156,7 @@ def density(
     if sphere_mass is not None:
         return Fraction(sphere_mass(n))
     mu._check_horizon(n)
-    return sum((mu.mass(x) for x in mu.alphabet.sphere(n) if subset(x)), ZERO)
+    return subset_mass(mu, n, subset)
 
 
 def density_sequence(
@@ -235,7 +187,7 @@ def control_sequence(
     seed: Optional[int] = None,
     samples: int = 10_000,
     label: str = "",
-) -> ControlSequence:
+) -> DensitySequence:
     """The control sequence of ``machine`` against the bound p under mu.
 
     Exact mode enumerates each sphere; sampled mode draws ``samples``
@@ -243,17 +195,12 @@ def control_sequence(
     reports the empirical overrun fraction (an exact rational with
     denominator ``samples``) plus a 3-sigma radius.
     """
-    label = label or getattr(machine, "name", "machine")
-    seq = ControlSequence(label, p)
+    seq = DensitySequence(label or getattr(machine, "name", "machine"))
     if mode == "exact":
         for n in range(n_max + 1):
             mu._check_horizon(n)
-            total = ZERO
             bound = p(n)
-            for x in mu.alphabet.sphere(n):
-                m = mu.mass(x)
-                if m != 0 and exceeds_bound(machine, x, bound):
-                    total += m
+            total = subset_mass(mu, n, lambda x: exceeds_bound(machine, x, bound))
             seq.entries.append(SequenceEntry(n, total))
         return seq
     if mode != "sampled":
@@ -306,7 +253,7 @@ def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float, floa
     return a, b, sse
 
 
-def classify_decay(seq: Union[DensitySequence, ControlSequence]) -> DecayReport:
+def classify_decay(seq: DensitySequence) -> DecayReport:
     """Least-squares fit of log-values against log n and against n.
 
     Needs at least 4 positive exact points with n >= 1.  Zero values are
@@ -388,21 +335,8 @@ def sample_sphere(mu: SphericalEnsemble, n: int, count: int, seed: int) -> list[
             out.append(alphabet.word("1" * m + "0" + w))
         return out
     if isinstance(mu, TableEnsemble):
-        ws, _, cum = mu._sphere_table(n)
-        out = []
-        for _ in range(count):
-            t = Fraction(rng.getrandbits(64) + 1, 1 << 64)  # in (0, 1]
-            out.append(ws[_bisect_cumulative(cum, t)])
-        return out
+        return [
+            invert_mu_star(mu, n, Fraction(rng.getrandbits(64) + 1, 1 << 64))  # t in (0, 1]
+            for _ in range(count)
+        ]
     raise HorizonError(f"no sampler for ensemble kind {mu.kind!r}")
-
-
-def _bisect_cumulative(cum: list[Fraction], t: Fraction) -> int:
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum[mid] >= t:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

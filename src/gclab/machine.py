@@ -283,21 +283,28 @@ def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult
 
 
 def _search_halting(
-    machine: TuringMachine,
+    machine: Machine,
     x: Word,
     budget: int,
     *,
     accept: Callable[[Configuration], bool] = lambda c: True,
-) -> Optional[tuple[int, Configuration]]:
-    """Breadth-first search of the configuration tree for an accepted halt.
+) -> Optional[tuple[int, Optional[Configuration]]]:
+    """Minimal halting steps and final configuration within ``budget``.
 
-    Returns (steps, final configuration) for the earliest accepted halting
-    configuration reachable within ``budget`` steps, or None.  A
-    configuration is re-expanded only if seen with a strictly larger
-    residual budget than before; BFS visits each configuration with its
-    maximal residual first, so a plain first-visit set is exact.
+    Virtual machines are asked once, through their evaluator; ``accept``
+    does not apply to them.  Table machines get a breadth-first search
+    of the configuration tree for the earliest accepted halting
+    configuration.  A configuration is re-expanded only if seen with a
+    strictly larger residual budget than before; BFS visits each
+    configuration with its maximal residual first, so a plain
+    first-visit set is exact.  Returns None when nothing halts in time.
     """
     if budget < 0:
+        return None
+    if isinstance(machine, VirtualMachine):
+        result = machine.evaluator(x, budget)
+        if result.is_halted and result.steps is not None and result.steps <= budget:
+            return result.steps, result.final
         return None
     start = initial_configuration(machine, x)
     seen = {start}
@@ -324,11 +331,6 @@ def _search_halting(
 
 def min_halting_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
     """Least n <= budget such that some computation halts within n steps."""
-    if isinstance(machine, VirtualMachine):
-        result = machine.evaluator(w, budget)
-        if result.is_halted and result.steps is not None and result.steps <= budget:
-            return result.steps
-        return None
     found = _search_halting(machine, w, budget)
     return None if found is None else found[0]
 
@@ -367,10 +369,6 @@ def min_deciding_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
     to DontKnow do not count (their time is infinite).  Machines without an
     answer convention decide by halting; undecodable halting tapes still
     count as stopping."""
-    if isinstance(machine, VirtualMachine):
-        return min_halting_steps(machine, w, budget)
-    if not machine.has_answer_convention:
-        return min_halting_steps(machine, w, budget)
 
     def accept(config: Configuration) -> bool:
         try:

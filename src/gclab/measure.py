@@ -22,9 +22,10 @@ nonzero and leaves the sphere untouched otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .words import (
     Alphabet,
@@ -33,6 +34,7 @@ from .words import (
     is_sphere_max,
     lex_successor_in_sphere,
     rank_in_sphere,
+    unrank,
 )
 
 DEFAULT_ENUMERATION_CAP = 16
@@ -53,8 +55,11 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def size_inverse(fn: Callable[[int], int], m: int) -> Optional[int]:
+    """The k with fn(k) = m, if any, for a strictly increasing size
+    function fn on the nonnegative integers (so fn(k) >= k)."""
+    k = bisect_left(range(m + 1), m, key=fn)
+    return k if k <= m and fn(k) == m else None
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,30 @@ class CheckReport:
     def summary(self) -> str:
         status = "pass" if self.passed else f"FAIL ({len(self.violations)} violations)"
         return f"{self.check} up to n={self.horizon}: {status}"
+
+
+def check_lower_bounds(
+    report: CheckReport, points: Iterable[tuple[object, Fraction, Fraction]]
+) -> Optional[Fraction]:
+    """Check got >= bound at every (witness, got, bound) point, in order.
+
+    Each failing point adds the violation (str(witness), ">= bound",
+    got) to the report.  Bounds are nonnegative.  Returns the minimum
+    exact ratio got/bound over the points with a nonzero bound, or None
+    when there are none.
+    """
+    # the running minimum is kept as an unreduced integer pair: exact,
+    # and without a gcd per point on sphere-wide checks
+    best: Optional[tuple[int, int]] = None
+    for witness, got, bound in points:
+        if got < bound:
+            report.add(str(witness), f">= {fraction_str(bound)}", fraction_str(got))
+        if bound:
+            num = got.numerator * bound.denominator
+            den = got.denominator * bound.numerator
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den)
+    return None if best is None else Fraction(*best)
 
 
 class SphericalEnsemble:
@@ -312,23 +341,9 @@ class TransferredEnsemble(SphericalEnsemble):
         self.base = base
         self._images: dict[int, dict[tuple, Fraction]] = {}
 
-    def achieved_source_radius(self, m: int) -> Optional[int]:
-        """The k with image size exactly m, if any."""
-        growth = self.reduction.size_growth
-        k = 0
-        while True:
-            s = growth(k)
-            if s == m:
-                return k
-            if s > m:
-                return None
-            k += 1
-            if k > m + 1:  # strictly increasing growth cannot stall this long
-                return None
-
     def _image_masses(self, m: int) -> dict[tuple, Fraction]:
         if m not in self._images:
-            k = self.achieved_source_radius(m)
+            k = size_inverse(self.reduction.size_growth, m)
             acc: dict[tuple, Fraction] = {}
             if k is not None:
                 self.base._check_horizon(k)
@@ -346,7 +361,7 @@ class TransferredEnsemble(SphericalEnsemble):
     def mass(self, y: Word) -> Fraction:
         self._check_word(y)
         m = len(y)
-        if self.achieved_source_radius(m) is None:
+        if size_inverse(self.reduction.size_growth, m) is None:
             return Fraction(1, self.alphabet.sphere_size(m))
         return self._image_masses(m).get(y.letters, ZERO)
 
@@ -392,10 +407,7 @@ class InducedEnsemble(SphericalEnsemble):
                 self._denominators[n] = Fraction(self.closed_form(n))
             else:
                 self._check_horizon(n)
-                self._denominators[n] = sum(
-                    (self.base.mass(x) for x in self.alphabet.sphere(n) if self.subset(x)),
-                    ZERO,
-                )
+                self._denominators[n] = subset_mass(self.base, n, self.subset)
         return self._denominators[n]
 
     def mass(self, x: Word) -> Fraction:
@@ -408,6 +420,29 @@ class InducedEnsemble(SphericalEnsemble):
 
     def spec(self) -> dict:
         return {"kind": "induced", "base": self.base.spec(), "subset": self.label}
+
+
+def subset_mass(mu: SphericalEnsemble, n: int, subset: Callable[[Word], bool]) -> Fraction:
+    """Total mu-mass of the radius-n words in the subset, enumerated in
+    lex order; the predicate is tested first, so only members are
+    weighed.  Callers own the horizon check."""
+    return sum((mu.mass(x) for x in mu.alphabet.sphere(n) if subset(x)), ZERO)
+
+
+def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:
+    """The lexicographically least x in sphere n with
+    mu_star(x) < t <= hat_mu(x); total for t in (0, 1].
+
+    Enumerated spheres whose masses sum to less than t resolve to their
+    last word."""
+    if not 0 < t <= 1:
+        raise ValueError("t must lie in (0, 1]")
+    if isinstance(mu, UniformEnsemble):
+        size = mu.alphabet.sphere_size(n)
+        rank = -((-t.numerator * size) // t.denominator)  # ceil(t * size)
+        return unrank(mu.alphabet, n, rank)
+    ws, _, cum = mu._sphere_table(n)
+    return ws[bisect_left(cum, t, 0, len(cum) - 1)]
 
 
 def transfer(reduction, mu: SphericalEnsemble) -> TransferredEnsemble:
@@ -431,8 +466,9 @@ def verify_transfer(reduction, mu: SphericalEnsemble, nu: SphericalEnsemble,
     up to n_max and compare with nu exactly."""
     report = CheckReport("transfer", n_max)
     target = nu.alphabet
+    growth = reduction.size_growth
     for m in range(n_max + 1):
-        k = _achieved_radius(reduction, m)
+        k = None if growth is None else size_inverse(growth, m)
         expected: dict[tuple, Fraction] = {}
         if k is not None:
             for x in mu.alphabet.sphere(k):
@@ -450,20 +486,6 @@ def verify_transfer(reduction, mu: SphericalEnsemble, nu: SphericalEnsemble,
     return report
 
 
-def _achieved_radius(reduction, m: int) -> Optional[int]:
-    growth = reduction.size_growth
-    if growth is None:
-        return None
-    k = 0
-    while True:
-        s = growth(k)
-        if s == m:
-            return k
-        if s > m or k > m + 1:
-            return None
-        k += 1
-
-
 def verify_induced(
     mu: SphericalEnsemble,
     subset: Callable[[Word], bool],
@@ -474,7 +496,7 @@ def verify_induced(
     word up to n_max and compare with mu_s exactly."""
     report = CheckReport("induced", n_max)
     for n in range(n_max + 1):
-        denom = sum((mu.mass(x) for x in mu.alphabet.sphere(n) if subset(x)), ZERO)
+        denom = subset_mass(mu, n, subset)
         for x in mu.alphabet.sphere(n):
             if denom == 0:
                 want = mu.mass(x)
@@ -501,7 +523,7 @@ def ensemble_from_spec(spec: dict) -> SphericalEnsemble:
         return DBHNuEnsemble()
     if kind == "table":
         alphabet = Alphabet(tuple(spec.get("alphabet", "01")))
-        entries = {k: parse_fraction(v) for k, v in spec["entries"].items()}
+        entries = {k: Fraction(v) for k, v in spec["entries"].items()}
         return TableEnsemble(alphabet, entries, n_max=spec.get("n_max"))
     if kind == "transferred":
         from .reductions import reduction_from_spec

@@ -1,10 +1,8 @@
 """Word-map reductions between distributional problems.
 
-A reduction here is a total word map with declared metadata: a
-size-growth function when the map is size-invariant (image length
-depends only on input length and is strictly increasing in it), a
-declared polynomial time bound standing in for the map's cost, and an
-optional density polynomial for measure-loss claims.
+A reduction here is a total word map with a size-growth function when
+the map is size-invariant (image length depends only on input length
+and is strictly increasing in it).
 
 Two verified flavours:
 
@@ -31,7 +29,9 @@ from .measure import (
     CheckReport,
     SphericalEnsemble,
     UniformEnsemble,
-    ZERO,
+    check_lower_bounds,
+    size_inverse,
+    subset_mass,
     transfer,
     verify_transfer,
 )
@@ -44,29 +44,17 @@ from .words import (
     unrank,
 )
 
-ReductionCheckReport = CheckReport
-
 
 @dataclass(frozen=True)
 class Reduction:
-    """A total word map with declared size/time/density metadata.
-
-    ``size_growth`` is None when the map is not size-invariant.
-    ``size_growth_poly`` carries the closed form when it happens to be a
-    polynomial.  ``time_bound`` is a declared stand-in for the map's
-    running time; reductions are host functions, not tape machines.
-    """
+    """A total word map; ``size_growth`` is None when the map is not
+    size-invariant."""
 
     name: str
     source: Alphabet
     target: Alphabet
     func: Callable[[Word], Word]
     size_growth: Optional[Callable[[int], int]] = None
-    size_growth_poly: Optional[Polynomial] = None
-    size_growth_form: str = ""
-    time_bound: Optional[Polynomial] = None
-    density_poly: Optional[Polynomial] = None
-    kind: str = "plain"
 
     def apply(self, x: Word) -> Word:
         if x.alphabet != self.source:
@@ -75,9 +63,6 @@ class Reduction:
         if y.alphabet != self.target:
             raise AlphabetMismatchError(f"{self.name}: image over wrong alphabet")
         return y
-
-    def time_at(self, n: int) -> int:
-        return self.time_bound(n) if self.time_bound is not None else 0
 
 
 @dataclass(frozen=True)
@@ -97,11 +82,6 @@ def identity_reduction(alphabet: Alphabet) -> Reduction:
         target=alphabet,
         func=lambda x: x,
         size_growth=lambda n: n,
-        size_growth_poly=Polynomial((0, 1)),
-        size_growth_form="n",
-        time_bound=Polynomial((0, 1)),
-        density_poly=Polynomial((1,)),
-        kind="CM",
     )
 
 
@@ -120,9 +100,6 @@ def example41_reduction() -> Reduction:
         source=BINARY,
         target=BINARY,
         func=apply,
-        size_growth=None,
-        time_bound=Polynomial((0, 2)),
-        kind="plain",
     )
 
 
@@ -205,46 +182,37 @@ def verify_cm(
     """Change-of-measure check: the map preserves length and the image
     keeps at least mass/d(|x|) of every source point, exactly."""
     report = CheckReport("change-of-measure", n_max)
-    for k in range(n_max + 1):
-        dk = d(k)
-        for x in mu.alphabet.sphere(k):
-            y = f.apply(x)
-            if len(y) != k:
-                report.add(x.text(), f"|f(x)| = {k}", str(len(y)), "not size-preserving")
-                continue
-            lhs = nu.mass(y)
-            rhs = mu.mass(x) / dk if dk else None
-            if rhs is None:
-                report.add(x.text(), "d(k) > 0", "0", "density polynomial vanishes")
-            elif lhs < rhs:
-                report.add(x.text(), f">= {rhs}", str(lhs))
+
+    def points():
+        for k in range(n_max + 1):
+            dk = d(k)
+            for x in mu.alphabet.sphere(k):
+                y = f.apply(x)
+                if len(y) != k:
+                    report.add(x.text(), f"|f(x)| = {k}", str(len(y)), "not size-preserving")
+                elif not dk:
+                    report.add(x.text(), "d(k) > 0", "0", "density polynomial vanishes")
+                else:
+                    yield x, nu.mass(y), mu.mass(x) / dk
+
+    check_lower_bounds(report, points())
     return report
 
 
 def compose(f: Reduction, g: Reduction) -> Reduction:
-    """g after f, with composed size growth and summed time bound."""
+    """g after f, with composed size growth."""
     if f.target != g.source:
         raise AlphabetMismatchError("compose: target of f differs from source of g")
     growth = None
-    growth_poly = None
     if f.size_growth is not None and g.size_growth is not None:
         fg, gg = f.size_growth, g.size_growth
         growth = lambda n: gg(fg(n))  # noqa: E731
-        if f.size_growth_poly is not None and g.size_growth_poly is not None:
-            growth_poly = g.size_growth_poly.compose(f.size_growth_poly)
-    time_bound = None
-    if f.time_bound is not None and g.time_bound is not None and f.size_growth_poly is not None:
-        time_bound = f.time_bound + g.time_bound.compose(f.size_growth_poly)
     return Reduction(
         name=f"{g.name}∘{f.name}",
         source=f.source,
         target=g.target,
         func=lambda x: g.apply(f.apply(x)),
         size_growth=growth,
-        size_growth_poly=growth_poly,
-        size_growth_form=f"{g.size_growth_form}∘{f.size_growth_form}",
-        time_bound=time_bound,
-        kind="composite",
     )
 
 
@@ -278,10 +246,6 @@ def to_binary(problem: DistributionalProblem) -> tuple[Reduction, Distributional
             target=BINARY,
             func=unary_map,
             size_growth=lambda n: n,
-            size_growth_poly=Polynomial((0, 1)),
-            size_growth_form="n",
-            time_bound=Polynomial((0, 1)),
-            kind="CS",
         )
 
         def member(y: Word) -> bool:
@@ -305,16 +269,13 @@ def to_binary(problem: DistributionalProblem) -> tuple[Reduction, Distributional
             target=BINARY,
             func=rank_map,
             size_growth=growth,
-            size_growth_form=f"ceil(n*log2({size}))",
-            time_bound=Polynomial((1, 2)),
-            kind="CS",
         )
 
         def member(y: Word) -> bool:
             m = len(y)
             if m == 0:
                 return problem.positive(sigma.empty)
-            k = _inverse_growth(growth, m)
+            k = size_inverse(growth, m)
             if k is None:
                 return False
             r = rank_in_sphere(y)
@@ -327,17 +288,6 @@ def to_binary(problem: DistributionalProblem) -> tuple[Reduction, Distributional
         name=f"{problem.name}@binary", alphabet=BINARY, positive=member, measure=nu
     )
     return f, image
-
-
-def _inverse_growth(growth: Callable[[int], int], m: int) -> Optional[int]:
-    k = 0
-    while True:
-        s = growth(k)
-        if s == m:
-            return k
-        if s > m or k > m + 1:
-            return None
-        k += 1
 
 
 def check_control_transfer(
@@ -364,16 +314,8 @@ def check_control_transfer(
     for k in range(n_max + 1):
         m = f.size_growth(k)
         bound = p(m)
-        lhs = ZERO
-        for x in mu.alphabet.sphere(k):
-            mass = mu.mass(x)
-            if mass != 0 and exceeds_bound(machine, f.apply(x), bound):
-                lhs += mass
-        rhs = ZERO
-        for y in nu.alphabet.sphere(m):
-            mass = nu.mass(y)
-            if mass != 0 and exceeds_bound(machine, y, bound):
-                rhs += mass
+        lhs = subset_mass(mu, k, lambda x: exceeds_bound(machine, f.apply(x), bound))
+        rhs = subset_mass(nu, m, lambda y: exceeds_bound(machine, y, bound))
         per_sphere.append(
             {"k": k, "image_sphere": m, "left": str(lhs), "right": str(rhs)}
         )
@@ -398,17 +340,8 @@ def check_control_transfer_cm(
     per_sphere = []
     for k in range(n_max + 1):
         bound = p(k)
-        lhs = ZERO
-        for x in mu.alphabet.sphere(k):
-            mass = mu.mass(x)
-            if mass != 0 and exceeds_bound(machine, f.apply(x), bound):
-                lhs += mass
-        control = ZERO
-        for y in nu.alphabet.sphere(k):
-            mass = nu.mass(y)
-            if mass != 0 and exceeds_bound(machine, y, bound):
-                control += mass
-        rhs = control * d(k)
+        lhs = subset_mass(mu, k, lambda x: exceeds_bound(machine, f.apply(x), bound))
+        rhs = subset_mass(nu, k, lambda y: exceeds_bound(machine, y, bound)) * d(k)
         per_sphere.append({"k": k, "left": str(lhs), "right": str(rhs)})
         if lhs > rhs:
             report.add(f"sphere {k}", f"<= {rhs}", str(lhs))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Optional
 
 
 class AlphabetMismatchError(ValueError):
@@ -148,12 +148,9 @@ def shortlex_cmp(a: Word, b: Word) -> int:
     return lex_cmp_equal_length(a, b)
 
 
-def shortlex_successor(x: Word) -> Word:
-    """The immediate successor of x in the shortlex order over all words.
-
-    Total: the lexicographic maximum of a sphere wraps to the minimum of
-    the next sphere, and the empty word maps to the one-letter minimum.
-    """
+def _next_in_sphere(x: Word) -> Optional[Word]:
+    """The next word of the same length in lexicographic order, or None
+    on the lexicographic maximum of the sphere."""
     alpha = x.alphabet
     b = alpha.size
     digits = [alpha.index(s) for s in x.letters]
@@ -163,7 +160,19 @@ def shortlex_successor(x: Word) -> Word:
             for j in range(i + 1, len(digits)):
                 digits[j] = 0
             return Word(alpha, tuple(alpha.symbols[d] for d in digits))
-    return Word(alpha, (alpha.symbols[0],) * (len(x) + 1))
+    return None
+
+
+def shortlex_successor(x: Word) -> Word:
+    """The immediate successor of x in the shortlex order over all words.
+
+    Total: the lexicographic maximum of a sphere wraps to the minimum of
+    the next sphere, and the empty word maps to the one-letter minimum.
+    """
+    nxt = _next_in_sphere(x)
+    if nxt is None:
+        return Word(x.alphabet, (x.alphabet.symbols[0],) * (len(x) + 1))
+    return nxt
 
 
 def lex_successor_in_sphere(x: Word) -> Word:
@@ -172,16 +181,10 @@ def lex_successor_in_sphere(x: Word) -> Word:
     Fails on the lexicographic maximum of the sphere; cumulative-measure
     code must take the mass-1 branch there instead.
     """
-    alpha = x.alphabet
-    b = alpha.size
-    digits = [alpha.index(s) for s in x.letters]
-    for i in range(len(digits) - 1, -1, -1):
-        if digits[i] < b - 1:
-            digits[i] += 1
-            for j in range(i + 1, len(digits)):
-                digits[j] = 0
-            return Word(alpha, tuple(alpha.symbols[d] for d in digits))
-    raise SphereRangeError(f"{x.text()!r} is the lexicographic maximum of its sphere")
+    nxt = _next_in_sphere(x)
+    if nxt is None:
+        raise SphereRangeError(f"{x.text()!r} is the lexicographic maximum of its sphere")
+    return nxt
 
 
 def is_sphere_max(x: Word) -> bool:

@@ -384,10 +384,10 @@ def test_universal_plain_simulation(halt1, loop, find_zero):
                 expected = halts_within(machine, w, 64)
                 assert halts_within(U, payload, 64 + len(payload)) == expected
                 if expected:
-                    from gclab.bhp import _run_search
+                    from gclab.machine import _search_halting
 
-                    steps_m = _run_search(machine, w, 64)
-                    steps_u = _run_search(U, payload, 64 + len(payload))
+                    steps_m = _search_halting(machine, w, 64)
+                    steps_u = _search_halting(U, payload, 64 + len(payload))
                     assert steps_u[0] == steps_m[0]  # slowdown exactly 1
                     assert steps_u[1] == steps_m[1]  # same final configuration
 

@@ -33,12 +33,6 @@ def test_polynomial_eval_and_parse():
     assert str(Polynomial((1, 0, 2))) == "1 + 2n^2"
 
 
-def test_polynomial_compose():
-    p, q = Polynomial((1, 2)), Polynomial((0, 0, 1))
-    assert p.compose(q)(3) == 2 * 9 + 1
-    assert q.compose(p)(3) == 49
-
-
 def test_polynomial_rejects_negative():
     with pytest.raises(ValueError):
         Polynomial((-1, 2))

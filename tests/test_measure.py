@@ -15,7 +15,7 @@ from gclab import (
     verify_induced,
     verify_transfer,
 )
-from gclab.measure import HorizonError, SizeInvarianceError
+from gclab.measure import HorizonError, SizeInvarianceError, size_inverse
 from gclab.reductions import DistributionalProblem, to_binary
 from gclab.words import AlphabetMismatchError, is_sphere_max
 
@@ -161,6 +161,43 @@ def test_transferred_sums_to_one_on_achieved_spheres():
     for k in range(6):
         m = f.size_growth(k)
         assert image.measure.sphere_sum(m) == 1
+
+
+def _scan_inverse(fn, m):
+    """The linear scan that size_inverse replaced, kept as its oracle."""
+    k = 0
+    while k <= m:
+        v = fn(k)
+        if v == m:
+            return k
+        if v > m:
+            return None
+        k += 1
+    return None
+
+
+def test_size_inverse_matches_linear_scan():
+    from gclab.bhp import adequate_guard, as_guard, guard_inverse
+    from gclab.genericity import Polynomial
+
+    assert guard_inverse is size_inverse
+    sizes = []
+    for size in (1, 3, 4, 5, 8):
+        sigma = Alphabet(tuple("abcdefgh"[:size]))
+        problem = DistributionalProblem("s", sigma, lambda x: True, UniformEnsemble(sigma))
+        sizes.append(to_binary(problem)[0].size_growth)
+    guards = [
+        as_guard(Polynomial((1, 2))),
+        as_guard(Polynomial((6, 1))),
+        as_guard(Polynomial((1, 0, 1))),
+        adequate_guard(Polynomial((6, 1))),
+        adequate_guard(Polynomial((6, 1)), Polynomial((1, 1))),
+        adequate_guard(Polynomial((1, 0, 1)), Polynomial((0, 3))),
+        adequate_guard(lambda n: 2 * n + 8, extra_payload=200, form="universal-stage"),
+    ]
+    for fn in sizes + guards:
+        for m in range(-2, 401):
+            assert size_inverse(fn, m) == _scan_inverse(fn, m), m
 
 
 def test_verify_transfer_catches_corruption(uniform):
