@@ -74,7 +74,6 @@ from .reductions import (
     verify_size_invariance,
 )
 from .bhp import (
-    DBHProblem,
     GuardError,
     LongevityGuard,
     NotACodeError,

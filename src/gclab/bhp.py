@@ -44,12 +44,15 @@ from typing import Callable, Optional, Union
 from .machine import (
     Configuration,
     Machine,
+    MachineFormatError,
     RunResult,
     TuringMachine,
     VirtualMachine,
     _search_halting,
+    load_machine,
 )
 from .measure import (
+    ENUMERATION_CAP,
     CheckReport,
     DBHNuEnsemble,
     HorizonError,
@@ -91,10 +94,18 @@ def encode_instance(n: int, w: Word) -> Word:
     """The code 1^(n-|w|-1) 0 w of the pair (n, w); its length is n."""
     if w.alphabet != BINARY:
         raise ValueError("instances are binary words")
-    m = n - len(w) - 1
+    return _wrap(n, w.text())
+
+
+def _wrap(n: int, payload: str) -> Word:
+    """The length-n code 1^m 0 payload: the one place codes are built.
+
+    The reduction maps pass payload text so that each image is validated
+    as a word once."""
+    m = n - len(payload) - 1
     if m < 0:
-        raise ValueError(f"n={n} is too small to wrap a word of length {len(w)}")
-    return BINARY.word("1" * m + "0" + w.text())
+        raise GuardError(f"n={n} is too small to wrap a {len(payload)}-symbol payload")
+    return BINARY.word("1" * m + "0" + payload)
 
 
 def decode_instance(u: Word) -> tuple[int, Word]:
@@ -209,27 +220,6 @@ def nu_g(g: GuardLike) -> InducedEnsemble:
     )
 
 
-@dataclass(frozen=True)
-class DBHProblem:
-    """A machine together with the (possibly restricted) input ensemble."""
-
-    machine: Machine
-    measure: SphericalEnsemble
-    guard: Optional[LongevityGuard] = None
-
-    def positive(self, u: Word) -> bool:
-        return bh_member(self.machine, u)
-
-    def as_problem(self) -> DistributionalProblem:
-        name = getattr(self.machine, "name", "machine") or "machine"
-        return DistributionalProblem(
-            name=f"bounded-halting[{name}]",
-            alphabet=BINARY,
-            positive=self.positive,
-            measure=self.measure,
-        )
-
-
 # --- interleaved numerals ----------------------------------------------------
 
 
@@ -271,6 +261,24 @@ def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     return int("".join(bits), 2), j
 
 
+def _read_fields(text: str, count: int) -> Optional[tuple[list[int], str]]:
+    """Read ``count`` fields "numeral 0" off the front of a code payload.
+
+    The inverse of the payloads the reduction maps wrap: returns the
+    numeral values and the rest of the text (possibly empty), or None
+    when a field is malformed or lacks its separator.
+    """
+    values = []
+    i = 0
+    for _ in range(count):
+        head = scan_numeral(text, i)
+        if head is None or head[1] >= len(text) or text[head[1]] != "0":
+            return None
+        values.append(head[0])
+        i = head[1] + 1
+    return values, text[i:]
+
+
 # --- dyadic interval compression --------------------------------------------
 
 
@@ -288,7 +296,7 @@ def _binary_digit(q: Fraction, i: int) -> int:
     return (q.numerator * (1 << i) // q.denominator) & 1
 
 
-def x_prime(mu: SphericalEnsemble, x: Word, method: str = "prefix") -> Word:
+def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
     """The shortest (shortlex-least) binary string whose dyadic value lands
     strictly above the cumulative mass of x and at most at the cumulative
     mass of its successor.
@@ -296,32 +304,18 @@ def x_prime(mu: SphericalEnsemble, x: Word, method: str = "prefix") -> Word:
     Needs a nonempty mass interval, i.e. mass(x) > 0.  When
     mass(x) > 2^-|x| (the only case the compression uses) the result is
     guaranteed no longer than x; at mass exactly 2^-|x| it can take one
-    extra symbol.
-
-    method "prefix" walks the common binary prefix of the two interval
-    endpoints; "scan" brute-forces candidates in shortlex order; "both"
-    runs the two and insists they agree.
+    extra symbol.  Computed from the common binary prefix of the two
+    interval endpoints.
     """
     lo, hi = mu.interval(x)
     if mu.mass(x) == 0:
         raise ValueError("x_prime needs mass(x) > 0 (nonempty interval)")
-    if method == "scan":
-        return _x_prime_scan(lo, hi, len(x))
-    if method == "prefix":
-        return _x_prime_prefix(lo, hi, len(x))
-    if method == "both":
-        a = _x_prime_prefix(lo, hi, len(x))
-        b = _x_prime_scan(lo, hi, len(x))
-        if a != b:
-            raise AssertionError(
-                f"x_prime implementations disagree on {x.text()!r}: "
-                f"{a.text()!r} vs {b.text()!r}"
-            )
-        return a
-    raise ValueError(f"unknown method {method!r}")
+    return _x_prime_prefix(lo, hi, len(x))
 
 
 def _x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:
+    """Reference for ``x_prime``: brute-force the candidates in shortlex
+    order (the tests check the prefix construction against it)."""
     for length in range(1, n + 2):
         for bits in itertools.product("01", repeat=length):
             text = "".join(bits)
@@ -368,38 +362,27 @@ def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:
 InnerSearch = Callable[[Word, int], Optional[tuple[int, Optional[Configuration]]]]
 
 
-def _parse_protocol_payload(text: str) -> Optional[tuple[int, str, str]]:
-    """Parse numeral 0 b w; returns (decoded length, branch bit, rest)."""
-    head = scan_numeral(text, 0)
-    if head is None:
-        return None
-    n, i = head
-    if i >= len(text) or text[i] != "0" or i + 1 >= len(text):
-        return None
-    return n, text[i + 1], text[i + 2 :]
-
-
 def _protocol_run(
     mu: SphericalEnsemble,
     inner: InnerSearch,
-    text: str,
+    n: int,
+    x2: str,
     budget: int,
 ) -> RunResult:
-    """The decoding protocol shared by the purpose-built machines.
+    """The decoding protocol shared by the purpose-built machines, on the
+    claimed length n and the compressed input x'' = b w read off the
+    payload.
 
     Declared accounting: decoding a claimed length n costs n steps, the
-    simulated decider then contributes its own steps.  Inputs that do
-    not parse, fail a mass test, or fail the round-trip check never
-    halt.  Branch 0 ships the candidate input verbatim; branch 1 carries
-    a dyadic address which is resolved against the cumulative masses and
-    must round-trip through the address construction.
+    simulated decider then contributes its own steps.  An empty x'', a
+    failed mass test or a failed round-trip check never halts.  Branch 0
+    ships the candidate input verbatim; branch 1 carries a dyadic address
+    which is resolved against the cumulative masses and must round-trip
+    through the address construction.
     """
-    parsed = _parse_protocol_payload(text)
-    if parsed is None:
+    if not x2 or budget < n:
         return RunResult.budget_exhausted(budget)
-    n, b, w = parsed
-    if budget < n:
-        return RunResult.budget_exhausted(budget)
+    b, w = x2[0], x2[1:]
     inner_budget = budget - n
     if b == "0":
         candidate = BINARY.word(w)
@@ -414,7 +397,7 @@ def _protocol_run(
         value = xprime_value(w)
         if not 0 < value <= 1:
             return RunResult.budget_exhausted(budget)
-        if n > mu.enumeration_cap:
+        if n > ENUMERATION_CAP:
             raise HorizonError(
                 f"protocol machine cannot search sphere {n} at desk scale"
             )
@@ -442,10 +425,6 @@ class Red2BH:
     reduction: Reduction
     machine: VirtualMachine
     guard: LongevityGuard
-
-    @property
-    def target(self) -> DBHProblem:
-        return DBHProblem(self.machine, nu_g(self.guard), self.guard)
 
 
 def adequate_guard(
@@ -490,14 +469,7 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard) -> Reduction:
 
     def apply(x: Word) -> Word:
         n = len(x)
-        body = "0" + numeral(n).text() + "0" + x_double_prime(mu, x).text()
-        pad = guard(n) - len(body)
-        if pad < 0:
-            raise GuardError(
-                f"guard {guard.form} too small for a length-{n} payload "
-                f"({guard(n)} < {len(body)})"
-            )
-        return BINARY.word("1" * pad + body)
+        return _wrap(guard(n), numeral(n).text() + "0" + x_double_prime(mu, x).text())
 
     return Reduction(
         name=f"to-bounded-halting[{guard.form}]",
@@ -534,13 +506,16 @@ def red2bh(
         return _search_halting(decider, x, cap)
 
     def evaluator(v: Word, budget: int) -> RunResult:
-        return _protocol_run(mu, inner, v.text(), budget)
+        fields = _read_fields(v.text(), 1)
+        if fields is None:
+            return RunResult.budget_exhausted(budget)
+        (n,), x2 = fields
+        return _protocol_run(mu, inner, n, x2, budget)
 
     machine = VirtualMachine(
         name=f"bh-protocol[{problem.name}]",
         evaluator=evaluator,
         alphabet=BINARY,
-        declared_guard=lambda n: n + decider_guard(n),
         definition={
             "protocol": "bounded-halting-decider",
             "problem": problem.name,
@@ -651,19 +626,29 @@ def decode_machine(
     code: Word, registry: Optional[dict[int, Machine]] = None
 ) -> Machine:
     """Invert ``machine_code``; registry hits win, then table decoding."""
-    index = decode_numeral(code)
-    if registry is not None and index in registry:
+    return _machine_at(decode_numeral(code), registry or {})
+
+
+def _machine_at(index: int, registry: dict[int, Machine]) -> Machine:
+    """The machine with this canonical index: a registry hit, else the
+    table machine it serializes.  Anything else, malformed tables
+    included, raises ``MachineDecodeError``."""
+    if index in registry:
         return registry[index]
     try:
         blob = index.to_bytes((index.bit_length() + 7) // 8, "big")
         payload = json.loads(blob.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise MachineDecodeError("not a machine encoding") from exc
-    if "table" in payload:
-        from .machine import load_machine
-
-        return load_machine(payload["table"])
-    raise MachineDecodeError("virtual machines decode via the registry only")
+    table = payload.get("table") if isinstance(payload, dict) else None
+    if not isinstance(table, dict):
+        raise MachineDecodeError(
+            "not a table encoding; virtual machines decode via the registry only"
+        )
+    try:
+        return load_machine(table)
+    except MachineFormatError as exc:
+        raise MachineDecodeError(f"malformed machine table: {exc}") from exc
 
 
 def universal_machine(registry: list[Machine]) -> VirtualMachine:
@@ -686,37 +671,33 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
     def lookup(gamma: int) -> Optional[Machine]:
-        if gamma in index:
-            return index[gamma]
         try:
-            return decode_machine(numeral(gamma), None)
+            machine = _machine_at(gamma, index)
         except MachineDecodeError:
             return None
+        if isinstance(machine, TuringMachine) and machine.tape_alphabet != BINARY:
+            return None  # cannot read binary inputs
+        return machine
 
     def evaluator(v: Word, budget: int) -> RunResult:
-        text = v.text()
-        head = scan_numeral(text, 0)
-        if head is None:
+        fields = _read_fields(v.text(), 1)
+        if fields is None:
             return RunResult.budget_exhausted(budget)
-        gamma, i = head
-        if i < len(text) and text[i] == "0":
-            machine = lookup(gamma)
-            if machine is not None:
-                found = _search_halting(machine, BINARY.word(text[i + 1 :]), budget)
-                if found is None:
-                    return RunResult.budget_exhausted(budget)
-                steps, config = found
-                return RunResult("halted", steps=steps, final=config)
-        # chained shape: numeral 0 machine-code 0 x''
-        n_claimed, i = head[0], head[1]
-        if i >= len(text) or text[i] != "0":
+        (gamma,), rest = fields
+        machine = lookup(gamma)
+        if machine is not None:  # plain shape: machine-code 0 w
+            found = _search_halting(machine, BINARY.word(rest), budget)
+            if found is None:
+                return RunResult.budget_exhausted(budget)
+            steps, config = found
+            return RunResult("halted", steps=steps, final=config)
+        # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
+        fields = _read_fields(rest, 1)
+        if fields is None:
             return RunResult.budget_exhausted(budget)
-        inner_head = scan_numeral(text, i + 1)
-        if inner_head is None:
-            return RunResult.budget_exhausted(budget)
-        gamma2, j = inner_head
-        machine = lookup(gamma2)
-        if machine is None or j >= len(text) or text[j] != "0" or j + 1 >= len(text):
+        (code_index,), x2 = fields
+        machine = lookup(code_index)
+        if machine is None:
             return RunResult.budget_exhausted(budget)
 
         def inner(x: Word, cap: int) -> Optional[tuple[int, Optional[Configuration]]]:
@@ -725,8 +706,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
             n_x, w_x = decode_instance(x)
             return _search_halting(machine, w_x, min(n_x, cap))
 
-        payload = numeral(n_claimed).text() + "0" + text[j + 1 :]
-        return _protocol_run(NU, inner, payload, budget)
+        return _protocol_run(NU, inner, gamma, x2, budget)
 
     return VirtualMachine(
         name="universal",
@@ -742,52 +722,38 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
 @dataclass(frozen=True)
 class Red2BHU:
     """Second reduction stage: bounded halting of a machine into bounded
-    halting of the universal machine, with the combined guard h = g * s."""
+    halting of the universal machine, with the combined guard h = g·s
+    with s = 1 (the universal machine's slowdown), so h is the guard."""
 
     reduction: Reduction
     h: LongevityGuard
     machine_code_text: str
-    slowdown: Polynomial
 
 
-def red2bhu(
-    machine: Machine, g: GuardLike, slowdown: Polynomial = Polynomial((1,))
-) -> Red2BHU:
+def red2bhu(machine: Machine, g: GuardLike) -> Red2BHU:
     """The map x -> 1^pad 0 numeral(|x|) 0 machine-code 0 x'' with image
-    length g(|x|) * s(|x|); x'' is computed against the input ensemble.
+    length h(|x|) = g(|x|)·s(|x|), s = 1; x'' is computed against the
+    input ensemble.
 
-    Raises when the guard/slowdown leave no room for the payload.
+    Raises when the guard leaves no room for the payload.
     """
-    guard = as_guard(g)
+    h = as_guard(g)
     code_text = machine_code(machine).text()
-
-    def h_fn(n: int) -> int:
-        return guard(n) * slowdown(n)
-
-    h = LongevityGuard(h_fn, form=f"{guard.form}*s")
 
     def apply(x: Word) -> Word:
         n = len(x)
-        body = (
-            "0" + numeral(n).text() + "0" + code_text + "0"
-            + x_double_prime(NU, x).text()
+        return _wrap(
+            h(n), numeral(n).text() + "0" + code_text + "0" + x_double_prime(NU, x).text()
         )
-        pad = h_fn(n) - len(body)
-        if pad < 0:
-            raise GuardError(
-                f"guard/slowdown too small: image length {h_fn(n)} cannot hold "
-                f"a {len(body)}-symbol payload"
-            )
-        return BINARY.word("1" * pad + body)
 
     reduction = Reduction(
-        name=f"to-universal[{guard.form}]",
+        name=f"to-universal[{h.form}]",
         source=BINARY,
         target=BINARY,
         func=apply,
-        size_growth=h_fn,
+        size_growth=h.fn,
     )
-    return Red2BHU(reduction=reduction, h=h, machine_code_text=code_text, slowdown=slowdown)
+    return Red2BHU(reduction=reduction, h=h, machine_code_text=code_text)
 
 
 def verify_red2bhu_membership(
@@ -796,7 +762,12 @@ def verify_red2bhu_membership(
     """Both directions of membership preservation between the machine's
     bounded halting problem and the universal one, on all words up to
     n_max."""
-    problem = DBHProblem(machine, NU).as_problem()
+    problem = DistributionalProblem(
+        name="bounded-halting",
+        alphabet=BINARY,
+        positive=lambda u: bh_member(machine, u),
+        measure=NU,
+    )
     return verify_membership(
         problem, stage.reduction, lambda u: bh_member(universal, u), n_max
     )
@@ -808,7 +779,7 @@ def verify_red2bhu_measure(stage: Red2BHU, n_max: int) -> CheckReport:
 
         mass(f(x)) >= mass(x) / (16 |x|^2 g(|x|) s(|x|) 2^(|code|+1))
 
-    with both masses under the input ensemble."""
+    with both masses under the input ensemble and h = g·s, s = 1."""
     report = CheckReport("measure-decrease-universal", n_max)
     code_len = len(stage.machine_code_text)
     shift = 2 ** (code_len + 1)
@@ -898,7 +869,7 @@ def completeness_pipeline(
 
     def relaxed_points():
         for m in range(stage1.guard(n_max) + 1):
-            if m > NU.enumeration_cap:
+            if m > ENUMERATION_CAP:
                 report2.details["truncated_at"] = m
                 return
             dk = d_general(m)

@@ -156,10 +156,8 @@ def cmd_tm(args) -> int:
 def cmd_density(args) -> int:
     _require_cap(args.n_max, SPHERE_CAP, "sphere")
     mu = ensemble_from_spec(_load_json(args.ensemble))
-    subset, label, closed = bhp.subset_from_spec(_load_json(args.subset), mu)
-    seq = genericity.density_sequence(
-        mu, subset, args.n_max, label=label, sphere_mass=closed
-    )
+    subset, _, closed = bhp.subset_from_spec(_load_json(args.subset), mu)
+    seq = genericity.density_sequence(mu, subset, args.n_max, sphere_mass=closed)
     if args.format == "svg":
         _write_output(_sequence_svg(seq.entries), args.out)
     else:

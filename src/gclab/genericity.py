@@ -113,11 +113,10 @@ class SequenceEntry:
 
 @dataclass
 class DensitySequence:
-    """Per-sphere masses indexed by radius, under a label: the density
-    sequence of a subset, or the control sequence of a machine (the mass
-    of inputs on which it overruns its bound)."""
+    """Per-sphere masses indexed by radius: the density sequence of a
+    subset, or the control sequence of a machine (the mass of inputs on
+    which it overruns its bound)."""
 
-    label: str
     entries: list[SequenceEntry] = field(default_factory=list)
 
     @property
@@ -163,10 +162,9 @@ def density_sequence(
     mu: SphericalEnsemble,
     subset: Callable[[Word], bool],
     n_max: int,
-    label: str = "S",
     sphere_mass: Optional[Callable[[int], Fraction]] = None,
 ) -> DensitySequence:
-    seq = DensitySequence(label)
+    seq = DensitySequence()
     for n in range(n_max + 1):
         seq.entries.append(SequenceEntry(n, density(mu, subset, n, sphere_mass)))
     return seq
@@ -186,7 +184,6 @@ def control_sequence(
     mode: str = "exact",
     seed: Optional[int] = None,
     samples: int = 10_000,
-    label: str = "",
 ) -> DensitySequence:
     """The control sequence of ``machine`` against the bound p under mu.
 
@@ -195,7 +192,7 @@ def control_sequence(
     reports the empirical overrun fraction (an exact rational with
     denominator ``samples``) plus a 3-sigma radius.
     """
-    seq = DensitySequence(label or getattr(machine, "name", "machine"))
+    seq = DensitySequence()
     if mode == "exact":
         for n in range(n_max + 1):
             mu._check_horizon(n)

@@ -204,14 +204,12 @@ class VirtualMachine:
     accounting is declared by the construction that builds the machine.
 
     ``definition`` is a JSON-able description sufficient to identify the
-    machine for encoding purposes; ``declared_guard`` (if set) bounds the
-    steps of every halting run as a function of input length.
+    machine for encoding purposes.
     """
 
     name: str
     evaluator: Callable[[Word, int], RunResult]
     alphabet: Alphabet
-    declared_guard: Optional[Callable[[int], int]] = None
     definition: dict = field(default_factory=dict)
 
     def word(self, text) -> Word:
@@ -390,12 +388,22 @@ def load_machine(source) -> TuringMachine:
          "delta": [["q0", "0", "q1", "1", "R"], ...]}
 
     The deterministic/partial/nondeterministic flag is inferred from delta.
+    Every malformed description raises ``MachineFormatError``.
     """
     if isinstance(source, dict):
         data = source
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        data = json.loads(text)
+        text = str(source)
+        try:
+            is_path = Path(text).exists()
+        except (OSError, ValueError):  # e.g. JSON text too long for a file name
+            is_path = False
+        try:
+            data = json.loads(Path(text).read_text() if is_path else text)
+        except json.JSONDecodeError as exc:
+            raise MachineFormatError(f"machine description is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MachineFormatError("a machine description is a JSON object")
     try:
         alphabet = Alphabet(tuple(data["tape_alphabet"]))
         return TuringMachine(
@@ -410,5 +418,9 @@ def load_machine(source) -> TuringMachine:
             no_symbol=data.get("no_symbol"),
             name=data.get("name", ""),
         )
+    except MachineFormatError:
+        raise
     except KeyError as exc:
         raise MachineFormatError(f"missing machine field: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # e.g. a non-list delta, a bad alphabet
+        raise MachineFormatError(f"malformed machine description: {exc}") from exc

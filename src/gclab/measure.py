@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .words import (
+    BINARY,
     Alphabet,
     AlphabetMismatchError,
     Word,
@@ -37,7 +38,8 @@ from .words import (
     unrank,
 )
 
-DEFAULT_ENUMERATION_CAP = 16
+#: The largest sphere radius that enumeration-backed operations visit.
+ENUMERATION_CAP = 16
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -145,14 +147,13 @@ class SphericalEnsemble:
 
     Subclasses implement ``mass``.  Enumeration-backed operations
     (cumulative masses, sphere sums without a closed form) respect
-    ``enumeration_cap``.
+    ``ENUMERATION_CAP``.
     """
 
     kind = "abstract"
 
-    def __init__(self, alphabet: Alphabet, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
+    def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self.enumeration_cap = enumeration_cap
         self._tables: dict[int, tuple[list[Word], dict[tuple, int], list[Fraction]]] = {}
 
     def mass(self, x: Word) -> Fraction:
@@ -163,10 +164,8 @@ class SphericalEnsemble:
             raise AlphabetMismatchError("word is over a different alphabet")
 
     def _check_horizon(self, n: int) -> None:
-        if n > self.enumeration_cap:
-            raise HorizonError(
-                f"sphere {n} exceeds enumeration cap {self.enumeration_cap}"
-            )
+        if n > ENUMERATION_CAP:
+            raise HorizonError(f"sphere {n} exceeds enumeration cap {ENUMERATION_CAP}")
 
     def sphere_sum(self, n: int) -> Fraction:
         """Exact total mass of the radius-n sphere (should be 1)."""
@@ -247,14 +246,9 @@ class TableEnsemble(SphericalEnsemble):
 
     kind = "table"
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        entries: dict[str, Fraction],
-        n_max: Optional[int] = None,
-        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    ):
-        super().__init__(alphabet, enumeration_cap)
+    def __init__(self, alphabet: Alphabet, entries: dict[str, Fraction],
+                 n_max: Optional[int] = None):
+        super().__init__(alphabet)
         self.entries = {k: Fraction(v) for k, v in entries.items()}
         for key, value in self.entries.items():
             alphabet.word(key)  # validates symbols
@@ -298,10 +292,8 @@ class DBHNuEnsemble(SphericalEnsemble):
 
     kind = "dbh_nu"
 
-    def __init__(self, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
-        from .words import BINARY
-
-        super().__init__(BINARY, enumeration_cap)
+    def __init__(self):
+        super().__init__(BINARY)
 
     def mass(self, x: Word) -> Fraction:
         self._check_word(x)
@@ -329,14 +321,13 @@ class TransferredEnsemble(SphericalEnsemble):
 
     kind = "transferred"
 
-    def __init__(self, reduction, base: SphericalEnsemble,
-                 enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
+    def __init__(self, reduction, base: SphericalEnsemble):
         if reduction.size_growth is None:
             raise SizeInvarianceError(
                 f"{reduction.name}: no size-growth declared; transfer needs a "
                 "size-invariant map"
             )
-        super().__init__(reduction.target, enumeration_cap)
+        super().__init__(reduction.target)
         self.reduction = reduction
         self.base = base
         self._images: dict[int, dict[tuple, Fraction]] = {}
@@ -391,9 +382,8 @@ class InducedEnsemble(SphericalEnsemble):
         subset: Callable[[Word], bool],
         label: str = "S",
         sphere_mass: Optional[Callable[[int], Fraction]] = None,
-        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     ):
-        super().__init__(base.alphabet, enumeration_cap)
+        super().__init__(base.alphabet)
         self.base = base
         self.subset = subset
         self.label = label

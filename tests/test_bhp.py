@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -30,16 +31,20 @@ from gclab import (
 from gclab.bhp import (
     GuardError,
     LongevityGuard,
+    MachineDecodeError,
     NU,
     NotACodeError,
+    _read_fields,
+    _x_prime_scan,
     adequate_guard,
     as_guard,
     guard_inverse,
     machine_index,
+    red2bh_map,
     verify_membership,
     xprime_value,
 )
-from gclab.machine import halts_within
+from gclab.machine import RunResult, halts_within
 from gclab.measure import verify_induced
 
 
@@ -187,8 +192,10 @@ def test_xprime_value():
 
 
 def test_x_prime_worked_examples(mu2):
-    assert x_prime(mu2, BINARY.word("00"), method="both").text() == "0"
-    assert x_prime(mu2, BINARY.word("01"), method="both").text() == "01"
+    for text, expected in (("00", "0"), ("01", "01")):
+        x = BINARY.word(text)
+        assert x_prime(mu2, x).text() == expected
+        assert x_prime(mu2, x) == _x_prime_scan(*mu2.interval(x), len(x))
 
 
 def test_x_prime_requires_positive_mass(geometric_table):
@@ -204,7 +211,9 @@ def test_x_prime_dual_implementations_agree(mu2, nu, geometric_table, skewed_tab
             threshold = Fraction(1, 2**n)
             for x in BINARY.sphere(n):
                 if ensemble.mass(x) > threshold:
-                    x_prime(ensemble, x, method="both")  # raises on mismatch
+                    assert x_prime(ensemble, x) == _x_prime_scan(
+                        *ensemble.interval(x), len(x)
+                    )
 
 
 def test_x_prime_length_and_mass_bounds(mu2, nu, geometric_table, skewed_table):
@@ -396,6 +405,81 @@ def test_universal_garbage_never_halts(halt1):
     U = universal_machine([halt1])
     for text in ("", "0", "0101", "111", "1010"):
         assert not halts_within(U, BINARY.word(text), 500)
+
+
+HALT1_TABLE = {
+    "states": ["q0", "q1"], "initial": "q0", "final": "q1",
+    "tape_alphabet": ["0", "1"], "blank": "_",
+    "delta": [["q0", "0", "q1", "0", "R"], ["q0", "1", "q1", "1", "R"]],
+}
+
+
+def _index_code(payload) -> str:
+    """The machine-code field of a payload serialized as a machine index."""
+    blob = json.dumps(payload, separators=(",", ":")).encode()
+    return numeral(int.from_bytes(blob, "big")).text()
+
+
+@pytest.mark.parametrize("payload", [
+    5,
+    {"table": {}},
+    {"table": {**HALT1_TABLE, "delta": "x"}},
+])
+def test_universal_fails_closed_on_malformed_tables(halt1, payload):
+    code = _index_code(payload)
+    with pytest.raises(MachineDecodeError):
+        decode_machine(BINARY.word(code))
+    U = universal_machine([halt1])
+    plain = code + "0" + "1"
+    chained = numeral(1).text() + "0" + code + "0" + "01"
+    for text in (plain, chained):
+        assert not halts_within(U, BINARY.word(text), 500)
+
+
+def test_universal_never_halts_on_non_binary_tables(halt1):
+    table = {**HALT1_TABLE, "tape_alphabet": ["a", "b"],
+             "delta": [["q0", "_", "q1", "a", "R"]]}
+    U = universal_machine([halt1])
+    text = _index_code({"table": table}) + "0" + "1"
+    assert not halts_within(U, BINARY.word(text), 500)
+
+
+def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contains01_ntm):
+    """On every word up to length 10 the universal machine and a protocol
+    machine return a run result without raising, and a halting result is
+    returned identically at every larger budget."""
+    protocol = red2bh(contains01_problem, contains01_ntm,
+                      Polynomial((6, 1, 1)), lambda n: n + 1).machine
+    for vm in (universal_machine([halt1]), protocol):
+        for n in range(11):
+            for v in BINARY.sphere(n):
+                halted = None
+                for budget in (0, 1, 2, 4, 8, 16, 32):
+                    result = vm.evaluator(v, budget)
+                    assert isinstance(result, RunResult)
+                    if halted is not None:
+                        assert result == halted, (vm.name, v.text(), budget)
+                    elif result.is_halted:
+                        halted = result
+
+
+def test_images_read_back_their_fields(uniform, find_zero):
+    """Both maps wrap "numeral(n) 0 [machine-code 0] x''" into a code; the
+    field reader gives n, the machine index and x'' back."""
+    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    f = red2bh_map(uniform, guard)
+    code_len = len(machine_code(find_zero).text())
+    stage = red2bhu(find_zero, LongevityGuard(lambda n: n + code_len + 40, form="n+L+40"))
+    for n in range(5):
+        for x in BINARY.sphere(n):
+            length, payload = decode_instance(f.apply(x))
+            assert length == guard(n)
+            assert _read_fields(payload.text(), 1) == (
+                [n], x_double_prime(uniform, x).text())
+            length, payload = decode_instance(stage.reduction.apply(x))
+            assert length == stage.h(n)
+            assert _read_fields(payload.text(), 2) == (
+                [n, machine_index(find_zero)], x_double_prime(NU, x).text())
 
 
 def test_red2bhu_membership(find_zero):

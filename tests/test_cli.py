@@ -40,6 +40,17 @@ def test_tm_malformed_file_exit_2(tmp_path, capsys):
     assert err
 
 
+def test_tm_run_non_list_delta_exit_2(tmp_path, capsys):
+    machine = json.loads((DATA / "halt1.json").read_text())
+    machine["delta"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(machine))
+    code, out, err = run_cli(["tm", "run", str(bad), "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gclab: ") and err.count("\n") == 1
+
+
 def test_missing_machine_file_exit_2(capsys):
     code, _, err = run_cli(["tm", "run", "/nonexistent.json", "0"], capsys)
     assert code == 2

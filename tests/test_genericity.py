@@ -120,7 +120,7 @@ def test_classify_decay_labels(uniform):
 
     from gclab.genericity import DensitySequence, SequenceEntry
 
-    harmonic = DensitySequence("1/n")
+    harmonic = DensitySequence()
     for n in range(1, 13):
         harmonic.entries.append(SequenceEntry(n, Fraction(1, n)))
     report = classify_decay(harmonic)

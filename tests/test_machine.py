@@ -256,6 +256,26 @@ def test_loader_roundtrip(tmp_path, find_zero):
     assert loaded.to_canonical_dict()["delta"] == find_zero.to_canonical_dict()["delta"]
 
 
+@pytest.mark.parametrize("source", [
+    "5",
+    "[1]",
+    {"delta": 5},
+    {"tape_alphabet": ["0", "0"]},
+    {"tape_alphabet": 7},
+])
+def test_loader_fails_closed(halt1, source):
+    if isinstance(source, dict):  # a change to an otherwise valid table
+        source = {**halt1.to_canonical_dict(), **source}
+    with pytest.raises(MachineFormatError):
+        load_machine(source)
+
+
+def test_loader_reads_long_json_text(halt1):
+    table = halt1.to_canonical_dict()
+    text = json.dumps(table) + " " * 5000  # far too long for a file name
+    assert load_machine(text).to_canonical_dict() == table
+
+
 def test_loader_validates():
     with pytest.raises(MachineFormatError):
         load_machine({
