@@ -97,14 +97,17 @@ def encode_instance(n: int, w: Word) -> Word:
     return _wrap(n, w.text())
 
 
-def _wrap(n: int, payload: str) -> Word:
-    """The length-n code 1^m 0 payload: the one place codes are built.
+def _wrap(length: int, payload: str) -> Word:
+    """The code 1^m 0 payload of the given length: the one place codes are
+    built.
 
     The reduction maps pass payload text so that each image is validated
     as a word once."""
-    m = n - len(payload) - 1
+    m = length - len(payload) - 1
     if m < 0:
-        raise GuardError(f"n={n} is too small to wrap a {len(payload)}-symbol payload")
+        raise GuardError(
+            f"code length {length} cannot hold a {len(payload)}-symbol payload"
+        )
     return BINARY.word("1" * m + "0" + payload)
 
 
@@ -261,22 +264,17 @@ def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     return int("".join(bits), 2), j
 
 
-def _read_fields(text: str, count: int) -> Optional[tuple[list[int], str]]:
-    """Read ``count`` fields "numeral 0" off the front of a code payload.
+def _read_field(text: str) -> Optional[tuple[int, str]]:
+    """Read one field "numeral 0" off the front of a code payload.
 
     The inverse of the payloads the reduction maps wrap: returns the
-    numeral values and the rest of the text (possibly empty), or None
-    when a field is malformed or lacks its separator.
+    numeral value and the rest of the text (possibly empty), or None
+    when the field is malformed or lacks its separator.
     """
-    values = []
-    i = 0
-    for _ in range(count):
-        head = scan_numeral(text, i)
-        if head is None or head[1] >= len(text) or text[head[1]] != "0":
-            return None
-        values.append(head[0])
-        i = head[1] + 1
-    return values, text[i:]
+    head = scan_numeral(text, 0)
+    if head is None or head[1] >= len(text) or text[head[1]] != "0":
+        return None
+    return head[0], text[head[1] + 1 :]
 
 
 # --- dyadic interval compression --------------------------------------------
@@ -506,10 +504,10 @@ def red2bh(
         return _search_halting(decider, x, cap)
 
     def evaluator(v: Word, budget: int) -> RunResult:
-        fields = _read_fields(v.text(), 1)
+        fields = _read_field(v.text())
         if fields is None:
             return RunResult.budget_exhausted(budget)
-        (n,), x2 = fields
+        n, x2 = fields
         return _protocol_run(mu, inner, n, x2, budget)
 
     machine = VirtualMachine(
@@ -680,10 +678,10 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
         return machine
 
     def evaluator(v: Word, budget: int) -> RunResult:
-        fields = _read_fields(v.text(), 1)
+        fields = _read_field(v.text())
         if fields is None:
             return RunResult.budget_exhausted(budget)
-        (gamma,), rest = fields
+        gamma, rest = fields
         machine = lookup(gamma)
         if machine is not None:  # plain shape: machine-code 0 w
             found = _search_halting(machine, BINARY.word(rest), budget)
@@ -692,10 +690,10 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
             steps, config = found
             return RunResult("halted", steps=steps, final=config)
         # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
-        fields = _read_fields(rest, 1)
+        fields = _read_field(rest)
         if fields is None:
             return RunResult.budget_exhausted(budget)
-        (code_index,), x2 = fields
+        code_index, x2 = fields
         machine = lookup(code_index)
         if machine is None:
             return RunResult.budget_exhausted(budget)

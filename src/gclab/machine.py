@@ -395,13 +395,15 @@ def load_machine(source) -> TuringMachine:
     else:
         text = str(source)
         try:
-            is_path = Path(text).exists()
+            is_path = Path(text).is_file()
         except (OSError, ValueError):  # e.g. JSON text too long for a file name
             is_path = False
         try:
             data = json.loads(Path(text).read_text() if is_path else text)
         except json.JSONDecodeError as exc:
             raise MachineFormatError(f"machine description is not JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MachineFormatError(f"cannot read machine description: {exc}") from exc
     if not isinstance(data, dict):
         raise MachineFormatError("a machine description is a JSON object")
     try:

@@ -34,7 +34,7 @@ from gclab.bhp import (
     MachineDecodeError,
     NU,
     NotACodeError,
-    _read_fields,
+    _read_field,
     _x_prime_scan,
     adequate_guard,
     as_guard,
@@ -474,12 +474,13 @@ def test_images_read_back_their_fields(uniform, find_zero):
         for x in BINARY.sphere(n):
             length, payload = decode_instance(f.apply(x))
             assert length == guard(n)
-            assert _read_fields(payload.text(), 1) == (
-                [n], x_double_prime(uniform, x).text())
+            assert _read_field(payload.text()) == (n, x_double_prime(uniform, x).text())
             length, payload = decode_instance(stage.reduction.apply(x))
             assert length == stage.h(n)
-            assert _read_fields(payload.text(), 2) == (
-                [n, machine_index(find_zero)], x_double_prime(NU, x).text())
+            n_read, rest = _read_field(payload.text())
+            assert n_read == n
+            assert _read_field(rest) == (
+                machine_index(find_zero), x_double_prime(NU, x).text())
 
 
 def test_red2bhu_membership(find_zero):

@@ -51,6 +51,13 @@ def test_tm_run_non_list_delta_exit_2(tmp_path, capsys):
     assert err.startswith("gclab: ") and err.count("\n") == 1
 
 
+def test_tm_run_directory_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(["tm", "run", str(tmp_path), "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gclab: ") and err.count("\n") == 1
+
+
 def test_missing_machine_file_exit_2(capsys):
     code, _, err = run_cli(["tm", "run", "/nonexistent.json", "0"], capsys)
     assert code == 2
