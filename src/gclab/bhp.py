@@ -58,6 +58,7 @@ from .measure import (
     HorizonError,
     InducedEnsemble,
     SphericalEnsemble,
+    TableEnsemble,
     check_lower_bounds,
     fraction_str,
     induce,
@@ -373,12 +374,16 @@ def _protocol_run(
 
     Declared accounting: decoding a claimed length n costs n steps, the
     simulated decider then contributes its own steps.  An empty x'', a
-    failed mass test or a failed round-trip check never halts.  Branch 0
+    claimed length past a table ensemble's ``n_max`` (where its mass is
+    undefined), a failed mass test or a failed round-trip check never
+    halts.  Branch 0
     ships the candidate input verbatim; branch 1 carries a dyadic address
     which is resolved against the cumulative masses and must round-trip
     through the address construction.
     """
     if not x2 or budget < n:
+        return RunResult.budget_exhausted(budget)
+    if isinstance(mu, TableEnsemble) and n > mu.n_max:
         return RunResult.budget_exhausted(budget)
     b, w = x2[0], x2[1:]
     inner_budget = budget - n

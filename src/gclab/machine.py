@@ -4,6 +4,19 @@ Machines are immutable descriptions.  Stepping, bounded halting search
 and deterministic runs are pure functions of (machine, input, budget),
 so machines and configurations can be shared freely across threads.
 
+Inside this module a configuration is a plain tuple ``(state, left,
+right)`` whose tape halves are each one Python ``int``.  The blank is
+digit 0 and the i-th tape symbol digit i, every digit ``width`` bits
+wide (``k.bit_length()`` for k tape symbols); each half keeps the cell
+next to the head in its low bits, and ``right`` starts with the cell
+under the head.  A step is then a few shifts and masks, and the blanks
+at either far end are leading zeros, so every configuration is trimmed
+by construction: equal tuples are equal machine states.  The
+``Configuration`` of symbol tuples is only a snapshot, decoded where a
+configuration leaves this module (a run's final configuration, the
+configuration a search returns, and what ``accept`` and
+``decode_answer`` read).
+
 Halting time of a nondeterministic machine is taken to be the minimum
 number of steps over halting computations; consequently
 ``halts_within(M, w, n)`` is exactly ``min_halting_steps(M, w, n) is not
@@ -21,7 +34,6 @@ bounded halting problem are realized as virtual machines.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -56,15 +68,51 @@ class Answer(Enum):
 class Configuration:
     """A machine snapshot: state, tape left of the head, tape from the head on.
 
-    Both sides are stored as raw tape-symbol tuples with periphery blanks
-    trimmed away, which makes the representation canonical: equal
-    configurations denote equal machine states.  The head reads the first
-    symbol of ``right``, or the blank when ``right`` is empty.
+    Both sides are tape-symbol tuples read left to right, without the
+    blanks beyond either far end, so equal snapshots denote equal machine
+    states.  The head reads the first symbol of ``right``, or the blank
+    when ``right`` is empty.  Runs and searches work on packed tuples
+    (see the module docstring) and decode this snapshot only for the
+    configurations they hand out.
     """
 
     state: str
     left: tuple[str, ...]
     right: tuple[str, ...]
+
+
+# (state, left half, right half): the packed working configuration
+Packed = tuple[str, int, int]
+
+
+class _TapeCodec:
+    """Tape halves as integers, ``width`` bits per cell: the blank is
+    digit 0 and the i-th tape symbol digit i, with the cell next to the
+    head in the low bits."""
+
+    def __init__(self, blank: str, symbols: tuple[str, ...]):
+        self.width = len(symbols).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.digit = {s: i for i, s in enumerate((blank,) + symbols)}
+        self._bits = {s: format(i, f"0{self.width}b") for s, i in self.digit.items()}
+        self._cell = {bits: s for s, bits in self._bits.items()}
+
+    def pack(self, cells: tuple[str, ...]) -> int:
+        """The half whose cells, from the head outward, are ``cells``."""
+        return int("".join(map(self._bits.__getitem__, reversed(cells))) or "0", 2)
+
+    def _unpack(self, half: int) -> tuple[str, ...]:
+        """The cells of a half from its far end to the head."""
+        if not half:
+            return ()
+        bits = format(half, "b")
+        bits = "0" * (-len(bits) % self.width) + bits
+        digits = map("".join, zip(*[iter(bits)] * self.width))  # width-bit chunks
+        return tuple(map(self._cell.__getitem__, digits))
+
+    def snapshot(self, config: Packed) -> Configuration:
+        state, left, right = config
+        return Configuration(state, self._unpack(left), self._unpack(right)[::-1])
 
 
 @dataclass(frozen=True)
@@ -154,12 +202,21 @@ class TuringMachine:
                 raise MachineFormatError(f"answer symbol {marker!r} not in alphabet")
 
     @cached_property
-    def _delta(self) -> dict[tuple[str, str], tuple[tuple[str, str, str], ...]]:
-        table: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+    def _codec(self) -> _TapeCodec:
+        return _TapeCodec(self.blank, self.tape_alphabet.symbols)
+
+    @cached_property
+    def _delta(self) -> dict[tuple[str, int], tuple[tuple[str, int, str], ...]]:
+        """(state, read digit) -> its moves (state', written digit, direction)."""
+        digit = self._codec.digit
+        table: dict[tuple[str, int], list[tuple[str, str, str]]] = {}
         for q, a, q2, a2, d in self.transitions:
-            table.setdefault((q, a), []).append((q2, a2, d))
-        # deterministic iteration order for searches
-        return {k: tuple(sorted(set(v))) for k, v in table.items()}
+            table.setdefault((q, digit[a]), []).append((q2, a2, d))
+        # deterministic iteration order for searches: sorted by symbol text
+        return {
+            k: tuple((q2, digit[a2], d) for q2, a2, d in sorted(set(v)))
+            for k, v in table.items()
+        }
 
     @cached_property
     def determinism(self) -> str:
@@ -167,7 +224,7 @@ class TuringMachine:
         everywhere, but not total), or "nondeterministic"."""
         if any(len(v) > 1 for v in self._delta.values()):
             return "nondeterministic"
-        reads = list(self.tape_alphabet.symbols) + [self.blank]
+        reads = range(len(self._codec.digit))
         total = all((q, a) in self._delta for q in self.states for a in reads)
         return "deterministic" if total else "partial"
 
@@ -219,45 +276,38 @@ class VirtualMachine:
 Machine = Union[TuringMachine, VirtualMachine]
 
 
-def initial_configuration(machine: TuringMachine, x: Word) -> Configuration:
+def initial_configuration(machine: TuringMachine, x: Word) -> Packed:
+    """The packed configuration (initial, empty, x)."""
     if x.alphabet != machine.tape_alphabet:
         raise MachineFormatError("input word is over the wrong alphabet")
-    return Configuration(machine.initial, (), x.letters)
+    return machine.initial, 0, machine._codec.pack(x.letters)
 
 
-def _trim(machine: TuringMachine, left: tuple[str, ...], right: tuple[str, ...]):
-    blank = machine.blank
-    i = 0
-    while i < len(left) and left[i] == blank:
-        i += 1
-    j = len(right)
-    while j > 0 and right[j - 1] == blank:
-        j -= 1
-    return left[i:], right[:j]
-
-
-def step(machine: TuringMachine, config: Configuration) -> tuple[Configuration, ...]:
-    """Every configuration reachable from ``config`` in one step.
+def step(machine: TuringMachine, config: Packed) -> tuple[Packed, ...]:
+    """Every packed configuration reachable from ``config`` in one step.
 
     Empty exactly when the machine breaks (no transition matches).  Runs
     and searches never expand configurations at the final state, but the
-    step relation itself is oblivious to halting.
+    step relation itself is oblivious to halting.  Distinct moves give
+    distinct successors: moves in one direction differ in the state or
+    the digit written, and a right and a left move leave the written
+    non-blank digit on opposite sides of the head.
     """
-    read = config.right[0] if config.right else machine.blank
-    rest = config.right[1:] if config.right else ()
+    state, left, right = config
+    codec = machine._codec
+    w, mask = codec.width, codec.mask
+    rest = right >> w
     out = []
-    for q2, a2, d in machine._delta.get((config.state, read), ()):
+    for q2, a2, d in machine._delta.get((state, right & mask), ()):
         if d == RIGHT:
-            left, right = config.left + (a2,), rest
-        elif config.left:
-            left, right = config.left[:-1], (config.left[-1], a2) + rest
+            out.append((q2, left << w | a2, rest))
+        elif left:
+            out.append((q2, left >> w, (rest << w | a2) << w | left & mask))
         elif machine.tape_mode == "two-way":
-            left, right = (), (machine.blank, a2) + rest
+            out.append((q2, 0, (rest << w | a2) << w))
         else:  # one-end tape: left move at the edge keeps the head in place
-            left, right = (), (a2,) + rest
-        left, right = _trim(machine, left, right)
-        out.append(Configuration(q2, left, right))
-    return tuple(dict.fromkeys(out))
+            out.append((q2, 0, rest << w | a2))
+    return tuple(out)
 
 
 def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult:
@@ -269,8 +319,8 @@ def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult
     config = initial_configuration(machine, x)
     steps = 0
     while True:
-        if config.state == machine.final:
-            return RunResult.halted(steps, config)
+        if config[0] == machine.final:
+            return RunResult.halted(steps, machine._codec.snapshot(config))
         if steps >= budget:
             return RunResult.budget_exhausted(budget)
         succ = step(machine, config)
@@ -295,7 +345,9 @@ def _search_halting(
     configuration.  A configuration is re-expanded only if seen with a
     strictly larger residual budget than before; BFS visits each
     configuration with its maximal residual first, so a plain
-    first-visit set is exact.  Returns None when nothing halts in time.
+    first-visit set of packed configurations is exact.  ``accept`` reads
+    the decoded snapshot of each halting configuration.  Returns None
+    when nothing halts in time.
     """
     if budget < 0:
         return None
@@ -305,18 +357,21 @@ def _search_halting(
             return result.steps, result.final
         return None
     start = initial_configuration(machine, x)
+    final = machine.final
     seen = {start}
-    frontier: deque[Configuration] = deque([start])
+    frontier = [start]
     depth = 0
     while frontier and depth <= budget:
         for config in frontier:
-            if config.state == machine.final and accept(config):
-                return depth, config
+            if config[0] == final:
+                snapshot = machine._codec.snapshot(config)
+                if accept(snapshot):
+                    return depth, snapshot
         if depth == budget:
             break
-        nxt: deque[Configuration] = deque()
+        nxt: list[Packed] = []
         for config in frontier:
-            if config.state == machine.final:
+            if config[0] == final:
                 continue  # halted: the computation ends here
             for succ in step(machine, config):
                 if succ not in seen:

@@ -1,0 +1,191 @@
+"""Reference implementations that the fast paths in ``gclab`` replaced.
+
+Each one is the plain, slow version of a concept that ``src`` now
+computes another way, kept here so that tests can cross-check the two:
+
+- the tuple stepper (``initial_configuration``, ``_trim``, ``step``,
+  ``run_deterministic``) and the breadth-first ``_search_halting`` with
+  its ``min_halting_steps`` / ``min_deciding_steps`` wrappers, as they
+  stood before tapes were packed into integers: each configuration is a
+  ``Configuration`` of symbol tuples, trimmed after every step;
+- the linear scan that ``measure.size_inverse`` (bisection) replaced.
+
+The machine code is copied verbatim.  Only the imports are new, and
+``_moves`` stands in for ``TuringMachine._delta``, which is now keyed by
+tape digit instead of symbol text.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from functools import cache
+from typing import Callable, Optional
+
+from gclab.machine import (
+    RIGHT,
+    Answer,
+    AnswerDecodeError,
+    Configuration,
+    Machine,
+    MachineFormatError,
+    NondeterministicRunError,
+    RunResult,
+    TuringMachine,
+    VirtualMachine,
+    decode_answer,
+)
+from gclab.words import Word
+
+
+def initial_configuration(machine: TuringMachine, x: Word) -> Configuration:
+    if x.alphabet != machine.tape_alphabet:
+        raise MachineFormatError("input word is over the wrong alphabet")
+    return Configuration(machine.initial, (), x.letters)
+
+
+def _trim(machine: TuringMachine, left: tuple[str, ...], right: tuple[str, ...]):
+    blank = machine.blank
+    i = 0
+    while i < len(left) and left[i] == blank:
+        i += 1
+    j = len(right)
+    while j > 0 and right[j - 1] == blank:
+        j -= 1
+    return left[i:], right[:j]
+
+
+@cache
+def _moves(machine: TuringMachine) -> dict[tuple[str, str], tuple[tuple[str, str, str], ...]]:
+    """The transition table keyed by symbol text, as ``TuringMachine._delta``
+    was before it was keyed by tape digit."""
+    table: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+    for q, a, q2, a2, d in machine.transitions:
+        table.setdefault((q, a), []).append((q2, a2, d))
+    # deterministic iteration order for searches
+    return {k: tuple(sorted(set(v))) for k, v in table.items()}
+
+
+def step(machine: TuringMachine, config: Configuration) -> tuple[Configuration, ...]:
+    """Every configuration reachable from ``config`` in one step.
+
+    Empty exactly when the machine breaks (no transition matches).  Runs
+    and searches never expand configurations at the final state, but the
+    step relation itself is oblivious to halting.
+    """
+    read = config.right[0] if config.right else machine.blank
+    rest = config.right[1:] if config.right else ()
+    out = []
+    for q2, a2, d in _moves(machine).get((config.state, read), ()):
+        if d == RIGHT:
+            left, right = config.left + (a2,), rest
+        elif config.left:
+            left, right = config.left[:-1], (config.left[-1], a2) + rest
+        elif machine.tape_mode == "two-way":
+            left, right = (), (machine.blank, a2) + rest
+        else:  # one-end tape: left move at the edge keeps the head in place
+            left, right = (), (a2,) + rest
+        left, right = _trim(machine, left, right)
+        out.append(Configuration(q2, left, right))
+    return tuple(dict.fromkeys(out))
+
+
+def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult:
+    """Run a (possibly partial) deterministic machine from (initial, empty, x)."""
+    if machine.determinism == "nondeterministic":
+        raise NondeterministicRunError(
+            "run_deterministic requires a machine without branching choices"
+        )
+    config = initial_configuration(machine, x)
+    steps = 0
+    while True:
+        if config.state == machine.final:
+            return RunResult.halted(steps, config)
+        if steps >= budget:
+            return RunResult.budget_exhausted(budget)
+        succ = step(machine, config)
+        if not succ:
+            return RunResult.broke(steps)
+        config = succ[0]
+        steps += 1
+
+
+def _search_halting(
+    machine: Machine,
+    x: Word,
+    budget: int,
+    *,
+    accept: Callable[[Configuration], bool] = lambda c: True,
+) -> Optional[tuple[int, Optional[Configuration]]]:
+    """Minimal halting steps and final configuration within ``budget``.
+
+    Virtual machines are asked once, through their evaluator; ``accept``
+    does not apply to them.  Table machines get a breadth-first search
+    of the configuration tree for the earliest accepted halting
+    configuration.  A configuration is re-expanded only if seen with a
+    strictly larger residual budget than before; BFS visits each
+    configuration with its maximal residual first, so a plain
+    first-visit set is exact.  Returns None when nothing halts in time.
+    """
+    if budget < 0:
+        return None
+    if isinstance(machine, VirtualMachine):
+        result = machine.evaluator(x, budget)
+        if result.is_halted and result.steps is not None and result.steps <= budget:
+            return result.steps, result.final
+        return None
+    start = initial_configuration(machine, x)
+    seen = {start}
+    frontier: deque[Configuration] = deque([start])
+    depth = 0
+    while frontier and depth <= budget:
+        for config in frontier:
+            if config.state == machine.final and accept(config):
+                return depth, config
+        if depth == budget:
+            break
+        nxt: deque[Configuration] = deque()
+        for config in frontier:
+            if config.state == machine.final:
+                continue  # halted: the computation ends here
+            for succ in step(machine, config):
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        frontier = nxt
+        depth += 1
+    return None
+
+
+def min_halting_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
+    """Least n <= budget such that some computation halts within n steps."""
+    found = _search_halting(machine, w, budget)
+    return None if found is None else found[0]
+
+
+def min_deciding_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
+    """Like min_halting_steps, but halting runs whose configuration decodes
+    to DontKnow do not count (their time is infinite).  Machines without an
+    answer convention decide by halting; undecodable halting tapes still
+    count as stopping."""
+
+    def accept(config: Configuration) -> bool:
+        try:
+            return decode_answer(machine, config) is not Answer.DONT_KNOW
+        except AnswerDecodeError:
+            return True
+
+    found = _search_halting(machine, w, budget, accept=accept)
+    return None if found is None else found[0]
+
+
+def scan_inverse(fn, m):
+    """The linear scan that size_inverse replaced, kept as its oracle."""
+    k = 0
+    while k <= m:
+        v = fn(k)
+        if v == m:
+            return k
+        if v > m:
+            return None
+        k += 1
+    return None

@@ -46,6 +46,7 @@ from gclab.bhp import (
 )
 from gclab.machine import RunResult, halts_within
 from gclab.measure import verify_induced
+from gclab.reductions import DistributionalProblem
 
 
 @pytest.fixture(scope="module")
@@ -445,12 +446,19 @@ def test_universal_never_halts_on_non_binary_tables(halt1):
 
 
 def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contains01_ntm):
-    """On every word up to length 10 the universal machine and a protocol
-    machine return a run result without raising, and a halting result is
-    returned identically at every larger budget."""
+    """On every word up to length 10 the universal machine and two
+    protocol machines, over a uniform and over a table problem, return a
+    run result without raising, and a halting result is returned
+    identically at every larger budget."""
     protocol = red2bh(contains01_problem, contains01_ntm,
                       Polynomial((6, 1, 1)), lambda n: n + 1).machine
-    for vm in (universal_machine([halt1]), protocol):
+    table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=1)
+    short = DistributionalProblem("contains01-table", BINARY, contains01_problem.positive, table)
+    table_protocol = red2bh(short, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
+    # a claimed length (2) beyond the table's n_max (1), verbatim branch
+    payload = BINARY.word("1110" "0" "0" "00")
+    assert table_protocol.evaluator(payload, 10) == RunResult.budget_exhausted(10)
+    for vm in (universal_machine([halt1]), protocol, table_protocol):
         for n in range(11):
             for v in BINARY.sphere(n):
                 halted = None

@@ -3,7 +3,11 @@
 Each command is one that test_cli.py runs (with stdout in place of
 --out, plus the SVG renderings of the two sequence commands).  The
 exit code and the sha256 of stdout were recorded before the verifiers
-were folded onto shared helpers; a refactor must not move them.
+were folded onto shared helpers; a refactor must not move them.  The
+four long-tape pins (two halting scanners, one two-way and one
+one-end, and the nondeterministic contains01 on either side of its
+halting time) were recorded with the tuple-based stepper, before the
+tapes were packed into integers.
 """
 
 import hashlib
@@ -20,6 +24,12 @@ UNIFORM = "tests/data/uniform_ensemble.json"
 CG = "tests/data/cg_subset.json"
 LOOP_ON_ONE = "tests/data/loop_on_one.json"
 TOY = "tests/data/toy_bundle.json"
+
+# Long tapes: every other `tm run` pin ends in "budget" or after one step,
+# so these are the ones that pin a long final configuration.
+TAPE_1200 = "01101" * 240
+NTM_1001 = "0" * 1000 + "1"
+LABELS = {TAPE_1200: "(01101)^240", NTM_1001: "0^1000 1"}
 
 GOLDEN = {
     ("tm", "halts", "tests/data/loop.json", "0", "--budget", "100"): (0,
@@ -69,11 +79,20 @@ GOLDEN = {
         "56d7c4a45d0f73052e4bdd8808a1bb52d8550fb8023ce1ea11ae0ee18956fe39"),
     ("reduce", "universal", "tests/data/universal_bundle.json", "--n-max", "2"): (1,
         "f466aac2133c00eec2f9b0ec563054d841fd79b822bc75ef29a1cb77c106aeca"),
+    ("tm", "run", "tests/data/scanner.json", TAPE_1200, "--budget", "5000"): (0,
+        "e3327ad16adee8c38e6200b0db0be485c2c44e194efbcf2c80e2fdcbd7a953dc"),
+    ("tm", "run", "tests/data/scanner_one_end.json", TAPE_1200, "--budget", "5000"): (0,
+        "71e0f9fcb86139f1da170b376b5e405fc075675bd2145cd3b97ed8f3e4c76492"),
+    ("tm", "halts", "tests/data/contains01.json", NTM_1001, "--budget", "1001"): (0,
+        "c45b2d55c69addf4c7f611af541401a1f731ad0d078215e42bf7d61ecfce5f27"),
+    ("tm", "halts", "tests/data/contains01.json", NTM_1001, "--budget", "1000"): (0,
+        "4cc473a5e744aa426a3e2250ca4d3948943a1c5d74499eaba5ae1ad29be39b95"),
 }
 
 
 @pytest.mark.parametrize(
-    "argv", list(GOLDEN), ids=lambda argv: " ".join(argv).replace("tests/data/", "")
+    "argv", list(GOLDEN),
+    ids=lambda argv: " ".join(LABELS.get(a, a) for a in argv).replace("tests/data/", ""),
 )
 def test_cli_output_unchanged(argv, capsys, monkeypatch):
     monkeypatch.chdir(REPO)

@@ -1,9 +1,12 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gclab import BINARY, TuringMachine
+import oracles
+from gclab import BINARY, Alphabet, TuringMachine
 from gclab.machine import (
     Answer,
     AnswerDecodeError,
@@ -14,6 +17,7 @@ from gclab.machine import (
     RunResult,
     decode_answer,
     halts_within,
+    _search_halting,
     initial_configuration,
     load_machine,
     min_deciding_steps,
@@ -33,7 +37,8 @@ def test_step_singleton_for_deterministic(halt1):
     c = initial_configuration(halt1, BINARY.word("0"))
     succ = step(halt1, c)
     assert len(succ) == 1
-    assert succ[0].state == "q1"
+    state, _, _ = succ[0]  # packed (state, left, right)
+    assert state == "q1"
 
 
 def test_step_empty_on_break(breaker):
@@ -45,7 +50,7 @@ def test_step_branches_on_ntm(contains01_ntm):
     c = initial_configuration(contains01_ntm, BINARY.word("01"))
     succ = step(contains01_ntm, c)
     assert len(succ) == 2
-    assert {s.state for s in succ} == {"q0", "q2"}
+    assert {state for state, _, _ in succ} == {"q0", "q2"}
 
 
 def test_run_deterministic_halt(halt1):
@@ -122,9 +127,6 @@ def test_min_halting_steps(halt1, loop, contains01_ntm):
 
 
 def test_budget_monotonicity_on_random_small_machines():
-    import itertools
-    import random
-
     rng = random.Random(7)
     states = ("q0", "qa", "q1")
     reads = ("0", "1", "_")
@@ -155,6 +157,90 @@ def test_deterministic_oracle_equivalence(halt1, loop_on_one, find_zero):
                 result = run_deterministic(machine, x, 40)
                 expected = result.steps if result.kind == "halted" else None
                 assert min_halting_steps(machine, x, 40) == expected
+
+
+# tape symbols for the random machines: single- and multi-character ones
+SYMBOLS = ("0", "1", "ab", "c", "xyz", "d", "e")
+
+
+def _random_machine(rng: random.Random, kind: str, tape_mode: str, size: int) -> TuringMachine:
+    """A random table machine over ``size`` tape symbols.  ``kind`` is
+    "deterministic" (one move for every state and read), "partial" (at
+    most one) or "nondeterministic" (up to three)."""
+    symbols = tuple(rng.sample(SYMBOLS, size))
+    blank = rng.choice(("_", "B", "__"))
+    states = ("q0", "q1") + tuple(f"s{i}" for i in range(rng.randrange(1, 4)))
+    moves = list(itertools.product(states, symbols, ("L", "R")))
+    table = []
+    for q in states:
+        for a in symbols + (blank,):
+            if kind == "deterministic":
+                count = 1
+            elif kind == "partial":
+                count = int(rng.random() < 0.7)
+            else:
+                count = rng.choice((0, 1, 1, 2, 3))
+            table.extend((q, a) + move for move in rng.sample(moves, count))
+    answers = rng.sample(symbols, 2) if rng.random() < 0.5 else (None, None)
+    return TuringMachine(
+        states=states, initial="q0", final="q1",
+        tape_alphabet=Alphabet(symbols), blank=blank, transitions=tuple(table),
+        tape_mode=tape_mode, yes_symbol=answers[0], no_symbol=answers[1],
+    )
+
+
+def _pack(machine: TuringMachine, config: Configuration):
+    codec = machine._codec
+    return config.state, codec.pack(config.left[::-1]), codec.pack(config.right)
+
+
+def test_packed_core_matches_tuple_oracle():
+    """The packed stepper and search agree with the tuple stepper they
+    replaced: minimal halting and deciding steps, the halting
+    configuration a search returns, every deterministic run (kind,
+    steps, final state and tape) and the successors along a 200-step
+    walk, on 1,200 seeded random machines."""
+    rng = random.Random(2016)
+    halted = {"deterministic": 0, "partial": 0, "nondeterministic": 0}
+    widths = set()
+    longest = 0
+    for trial in range(1200):
+        kind = ("deterministic", "partial", "nondeterministic")[trial % 3]
+        tape_mode = ("two-way", "one-end")[trial // 3 % 2]
+        machine = _random_machine(rng, kind, tape_mode, size=2 + trial // 6 % 6)
+        widths.add(machine._codec.width)
+        # the frontier of a nondeterministic search grows exponentially
+        budget = rng.randrange(11) if machine.determinism == "nondeterministic" \
+            else rng.randrange(200)
+        for _ in range(3):
+            x = machine.word(rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
+            found = _search_halting(machine, x, budget)
+            assert found == oracles._search_halting(machine, x, budget), (trial, x)
+            assert min_halting_steps(machine, x, budget) == \
+                oracles.min_halting_steps(machine, x, budget)
+            assert min_deciding_steps(machine, x, budget) == \
+                oracles.min_deciding_steps(machine, x, budget)
+            if machine.determinism != "nondeterministic":
+                result = run_deterministic(machine, x, budget)
+                assert result == oracles.run_deterministic(machine, x, budget), (trial, x)
+            halted[machine.determinism] += found is not None
+        # a 200-step walk along the first successor, so that long tapes,
+        # which rarely halt, are compared too: the successors' states at
+        # every step, their whole tapes at every 16th step and at the end
+        packed, config = initial_configuration(machine, x), oracles.initial_configuration(machine, x)
+        for i in range(200):
+            succ, expected = step(machine, packed), oracles.step(machine, config)
+            assert [c[0] for c in succ] == [c.state for c in expected], (trial, i)
+            if i % 16 == 0:
+                assert succ == tuple(_pack(machine, c) for c in expected), (trial, i)
+            if not succ:
+                break
+            packed, config = succ[0], expected[0]
+        assert machine._codec.snapshot(packed) == config, trial
+        longest = max(longest, len(config.left) + len(config.right))
+    assert widths == {2, 3}
+    assert min(halted.values()) >= 100, halted
+    assert longest >= 100
 
 
 def test_one_end_tape_mode():

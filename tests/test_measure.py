@@ -18,6 +18,7 @@ from gclab import (
 from gclab.measure import HorizonError, SizeInvarianceError, size_inverse
 from gclab.reductions import DistributionalProblem, to_binary
 from gclab.words import AlphabetMismatchError, is_sphere_max
+from oracles import scan_inverse
 
 
 @pytest.fixture(scope="module")
@@ -163,19 +164,6 @@ def test_transferred_sums_to_one_on_achieved_spheres():
         assert image.measure.sphere_sum(m) == 1
 
 
-def _scan_inverse(fn, m):
-    """The linear scan that size_inverse replaced, kept as its oracle."""
-    k = 0
-    while k <= m:
-        v = fn(k)
-        if v == m:
-            return k
-        if v > m:
-            return None
-        k += 1
-    return None
-
-
 def test_size_inverse_matches_linear_scan():
     from gclab.bhp import adequate_guard, as_guard, guard_inverse
     from gclab.genericity import Polynomial
@@ -197,7 +185,7 @@ def test_size_inverse_matches_linear_scan():
     ]
     for fn in sizes + guards:
         for m in range(-2, 401):
-            assert size_inverse(fn, m) == _scan_inverse(fn, m), m
+            assert size_inverse(fn, m) == scan_inverse(fn, m), m
 
 
 def test_verify_transfer_catches_corruption(uniform):
