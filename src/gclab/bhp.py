@@ -39,7 +39,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .machine import (
     Configuration,
@@ -72,7 +72,7 @@ from .words import BINARY, Word
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: Shared bounded-halting input ensemble (caches its sphere tables).
+#: Shared bounded-halting input ensemble (closed forms, no sphere tables).
 NU = DBHNuEnsemble()
 
 
@@ -375,8 +375,10 @@ def _protocol_run(
     Declared accounting: decoding a claimed length n costs n steps, the
     simulated decider then contributes its own steps.  An empty x'', a
     claimed length past a table ensemble's ``n_max`` (where its mass is
-    undefined), a failed mass test or a failed round-trip check never
-    halts.  Branch 0
+    undefined), an address into an enumerated sphere past
+    ``ENUMERATION_CAP``, a failed mass test or a failed round-trip check
+    never halts.  Closed-form ensembles (uniform and the input ensemble)
+    resolve addresses at every length.  Branch 0
     ships the candidate input verbatim; branch 1 carries a dyadic address
     which is resolved against the cumulative masses and must round-trip
     through the address construction.
@@ -400,11 +402,10 @@ def _protocol_run(
         value = xprime_value(w)
         if not 0 < value <= 1:
             return RunResult.budget_exhausted(budget)
-        if n > ENUMERATION_CAP:
-            raise HorizonError(
-                f"protocol machine cannot search sphere {n} at desk scale"
-            )
-        candidate = invert_mu_star(mu, n, value)
+        try:
+            candidate = invert_mu_star(mu, n, value)
+        except HorizonError:  # an enumerated sphere past ENUMERATION_CAP
+            return RunResult.budget_exhausted(budget)
         if mu.mass(candidate) <= Fraction(1, 2**n):
             return RunResult.budget_exhausted(budget)
         if x_prime(mu, candidate).text() != w:
@@ -828,6 +829,23 @@ class ChainReport:
         return "\n".join(lines)
 
 
+def _relaxation_points(restricted: InducedEnsemble, m: int, d) -> Iterator[tuple]:
+    """The points (y, NU.mass(y), restricted.mass(y) / d) of sphere m, one
+    per class of the input ensemble: both masses are constant on each
+    class, which is one lex-ordered block of words.  A class that fails
+    got >= bound yields each of its words in lex order instead, so the
+    violations are the per-word ones."""
+    for prefix, k in NU.classes(m):
+        y = BINARY.word(prefix + "0" * k)
+        got, bound = NU.mass(y), restricted.mass(y) / d
+        if got >= bound:
+            yield y, got, bound
+            continue
+        for w in BINARY.sphere(k):
+            y = BINARY.word(prefix + w.text())
+            yield y, NU.mass(y), restricted.mass(y) / d
+
+
 def completeness_pipeline(
     problem: DistributionalProblem,
     decider: Machine,
@@ -841,7 +859,8 @@ def completeness_pipeline(
     protocol machine (membership both ways, exact measure decrease).
     Stage 2 relaxes the restricted ensemble back to the plain input
     ensemble through the identity (pointwise measure comparison with
-    density n+1, checked on full spheres across the image range).
+    density n+1, checked class by class on full spheres across the image
+    range).
     Stage 3 embeds that machine into the universal machine (membership
     and the measure inequality along the chain's images).  Stage 4
     relaxes the restricted universal ensemble, checked on the final
@@ -875,9 +894,7 @@ def completeness_pipeline(
             if m > ENUMERATION_CAP:
                 report2.details["truncated_at"] = m
                 return
-            dk = d_general(m)
-            for y in BINARY.sphere(m):
-                yield y, NU.mass(y), restricted.mass(y) / dk
+            yield from _relaxation_points(restricted, m, d_general(m))
 
     check_lower_bounds(report2, relaxed_points())
     chain.stages.append(("relax-restriction:measure", report2))

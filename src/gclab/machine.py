@@ -278,7 +278,7 @@ Machine = Union[TuringMachine, VirtualMachine]
 
 def initial_configuration(machine: TuringMachine, x: Word) -> Packed:
     """The packed configuration (initial, empty, x)."""
-    if x.alphabet != machine.tape_alphabet:
+    if x.alphabet is not machine.tape_alphabet and x.alphabet != machine.tape_alphabet:
         raise MachineFormatError("input word is over the wrong alphabet")
     return machine.initial, 0, machine._codec.pack(x.letters)
 

@@ -13,6 +13,12 @@ conditionals induced by a decidable subset.  ``verify_transfer`` and
 ``verify_induced`` recompute the defining equations by brute-force
 enumeration and report exact mismatches.
 
+Cumulative masses (``mu_star``, ``hat_mu``), their inverse and sphere
+sums are closed forms for the uniform and the bounded-halting ensembles,
+which therefore have no horizon; the bounded-halting ones are evaluated
+one class of words at a time.  The other kinds enumerate their spheres,
+up to ``ENUMERATION_CAP``.
+
 The transfer of mu along f assigns to a target word y the total mu-mass
 of its preimage when |y| is an achieved image size, and the uniform
 filler |target alphabet|^-|y| otherwise.  The subset-induced ensemble
@@ -25,12 +31,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from math import ceil
+from typing import Callable, Iterable, Iterator, Optional
 
 from .words import (
     BINARY,
     Alphabet,
     AlphabetMismatchError,
+    SphereRangeError,
     Word,
     is_sphere_max,
     lex_successor_in_sphere,
@@ -145,9 +153,9 @@ def check_lower_bounds(
 class SphericalEnsemble:
     """Base class: per-sphere probability masses with exact arithmetic.
 
-    Subclasses implement ``mass``.  Enumeration-backed operations
-    (cumulative masses, sphere sums without a closed form) respect
-    ``ENUMERATION_CAP``.
+    Subclasses implement ``mass``.  The defaults of ``sphere_sum``,
+    ``mu_star`` and ``mu_star_inverse`` enumerate the sphere and respect
+    ``ENUMERATION_CAP``; subclasses with closed forms override them.
     """
 
     kind = "abstract"
@@ -160,7 +168,9 @@ class SphericalEnsemble:
         raise NotImplementedError
 
     def _check_word(self, x: Word) -> None:
-        if x.alphabet != self.alphabet:
+        # words nearly always share the ensemble's alphabet object, and the
+        # identity test skips the dataclass field comparison
+        if x.alphabet is not self.alphabet and x.alphabet != self.alphabet:
             raise AlphabetMismatchError("word is over a different alphabet")
 
     def _check_horizon(self, n: int) -> None:
@@ -210,6 +220,12 @@ class SphericalEnsemble:
         """(mu_star(x), hat_mu(x)): the half-open mass interval of x."""
         return self.mu_star(x), self.hat_mu(x)
 
+    def mu_star_inverse(self, n: int, t: Fraction) -> Word:
+        """``invert_mu_star`` on this ensemble, for a t already checked
+        to lie in (0, 1]: a bisection of the enumerated cumulative masses."""
+        ws, _, cum = self._sphere_table(n)
+        return ws[bisect_left(cum, t, 0, len(cum) - 1)]
+
     def spec(self) -> dict:
         return {"kind": self.kind, "alphabet": "".join(self.alphabet.symbols)}
 
@@ -235,6 +251,9 @@ class UniformEnsemble(SphericalEnsemble):
         if self.alphabet.size != 2:
             raise AlphabetMismatchError("hat_mu is defined over binary alphabets")
         return Fraction(rank_in_sphere(x), self.alphabet.sphere_size(len(x)))
+
+    def mu_star_inverse(self, n: int, t: Fraction) -> Word:
+        return unrank(self.alphabet, n, ceil(t * self.alphabet.sphere_size(n)))
 
 
 class TableEnsemble(SphericalEnsemble):
@@ -288,6 +307,13 @@ class DBHNuEnsemble(SphericalEnsemble):
     length; the empty word gets 1; the all-ones words get 0.  Each
     leading-ones count m contributes exactly 1/n to sphere n, so spheres
     sum to one by telescoping.
+
+    Mass depends only on the class (n, m), and in lex order each class
+    is one contiguous block (see ``classes``).  So cumulative masses,
+    their inverse and sphere sums have closed forms, with no enumeration
+    and no horizon:
+
+        mu_star(1^m 0 w) = m/n + int(w, 2)/(n * 2^|w|),   mu_star(1^n) = 1
     """
 
     kind = "dbh_nu"
@@ -305,6 +331,41 @@ class DBHNuEnsemble(SphericalEnsemble):
             return ZERO
         w_len = len(text) - zero_at - 1
         return Fraction(1, len(text) * 2**w_len)
+
+    @staticmethod
+    def classes(n: int) -> Iterator[tuple[str, int]]:
+        """The n+1 classes of sphere n in lex order, as (prefix, k): the
+        class is the block of the 2^k words prefix + w with |w| = k.
+        Prefixes are 1^m 0 for m < n, then 1^n on its own."""
+        if n < 0:
+            raise SphereRangeError("sphere radius must be nonnegative")
+        for m in range(n):
+            yield "1" * m + "0", n - m - 1
+        yield "1" * n, 0
+
+    def sphere_sum(self, n: int) -> Fraction:
+        """One ``mass`` call per class: its first word's mass times its size."""
+        return sum(
+            (self.mass(BINARY.word(prefix + "0" * k)) * 2**k for prefix, k in self.classes(n)),
+            ZERO,
+        )
+
+    def mu_star(self, x: Word) -> Fraction:
+        self._check_word(x)
+        text = x.text()
+        zero_at = text.find("0")
+        if zero_at < 0:  # the empty word, or 1^n past every code
+            return ONE if text else ZERO
+        k = len(text) - zero_at - 1
+        return Fraction(zero_at * 2**k + int(text[zero_at:], 2), len(text) * 2**k)
+
+    def mu_star_inverse(self, n: int, t: Fraction) -> Word:
+        if n == 0:
+            return self.alphabet.empty
+        m = ceil(t * n) - 1  # t lies in the class of m
+        k = n - m - 1
+        j = ceil((t * n - m) * 2**k)  # 1-based rank of w among the k-bit words
+        return BINARY.word("1" * m + "0" + unrank(BINARY, k, j).text())
 
     def spec(self) -> dict:
         return {"kind": "dbh_nu"}
@@ -427,12 +488,7 @@ def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:
     last word."""
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    if isinstance(mu, UniformEnsemble):
-        size = mu.alphabet.sphere_size(n)
-        rank = -((-t.numerator * size) // t.denominator)  # ceil(t * size)
-        return unrank(mu.alphabet, n, rank)
-    ws, _, cum = mu._sphere_table(n)
-    return ws[bisect_left(cum, t, 0, len(cum) - 1)]
+    return mu.mu_star_inverse(n, t)
 
 
 def transfer(reduction, mu: SphericalEnsemble) -> TransferredEnsemble:

@@ -50,6 +50,12 @@ class Alphabet:
     def _index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.symbols)}
 
+    @cached_property
+    def _separator(self) -> str:
+        """How ``Word.text`` joins letters: nothing when every symbol is
+        one character, a comma otherwise."""
+        return "" if all(len(s) == 1 for s in self.symbols) else ","
+
     @property
     def size(self) -> int:
         return len(self.symbols)
@@ -103,9 +109,7 @@ class Word:
     def text(self) -> str:
         """Serialize the word: concatenation for single-character symbols,
         comma-joined otherwise."""
-        if all(len(s) == 1 for s in self.alphabet.symbols):
-            return "".join(self.letters)
-        return ",".join(self.letters)
+        return self.alphabet._separator.join(self.letters)
 
     def __str__(self) -> str:
         return self.text()

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,7 @@ from gclab.bhp import (
     NU,
     NotACodeError,
     _read_field,
+    _relaxation_points,
     _x_prime_scan,
     adequate_guard,
     as_guard,
@@ -44,8 +46,9 @@ from gclab.bhp import (
     verify_membership,
     xprime_value,
 )
+from gclab.cli import main
 from gclab.machine import RunResult, halts_within
-from gclab.measure import verify_induced
+from gclab.measure import CheckReport, check_lower_bounds, verify_induced
 from gclab.reductions import DistributionalProblem
 
 
@@ -105,6 +108,55 @@ def test_nu_mass_examples():
 def test_nu_sphere_sums_to_16():
     for n in range(17):
         assert NU.sphere_sum(n) == 1
+
+
+CLASS_GUARDS = (
+    as_guard(Polynomial((1, 1))),
+    as_guard(Polynomial((1, 2))),
+    LongevityGuard(lambda n: n * n + 1, form="n^2+1"),
+    adequate_guard(Polynomial((6, 1)), lambda n: n + 1),
+)
+
+
+def test_nu_and_restricted_masses_are_constant_on_classes():
+    """The classes of each sphere up to 12 tile it in lex order, and both
+    NU and every restricted ensemble are constant on each class."""
+    restricted = [nu_g(g) for g in CLASS_GUARDS]
+    for n in range(13):
+        words = []
+        for prefix, k in NU.classes(n):
+            block = [BINARY.word(prefix + w.text()) for w in BINARY.sphere(k)]
+            words += block
+            for ensemble in (NU, *restricted):
+                assert len({ensemble.mass(y) for y in block}) == 1, (n, prefix)
+        assert words == list(BINARY.sphere(n))
+
+
+def test_failing_class_reports_each_word():
+    """Per-class relaxation points give the per-word check's violations,
+    in order, and its minimum ratio, whether classes pass or fail."""
+    failed = 0
+    for guard in CLASS_GUARDS[:2]:
+        restricted = nu_g(guard)
+        for m in range(11):
+            for d in (Fraction(m + 1), Fraction(1, 2)):
+                per_word, per_class = CheckReport("w", m), CheckReport("c", m)
+                want = check_lower_bounds(per_word, (
+                    (y, NU.mass(y), restricted.mass(y) / d) for y in BINARY.sphere(m)))
+                got = check_lower_bounds(per_class, _relaxation_points(restricted, m, d))
+                assert (got, per_class.violations) == (want, per_word.violations)
+                failed += len(per_word.violations)
+    assert failed > 0
+
+
+def test_nu_keeps_no_sphere_tables(capsys):
+    """The pipeline and the sphere sums run on closed forms only."""
+    data = Path(__file__).parent / "data"
+    NU._tables.clear()
+    assert main(["reduce", "pipeline", str(data / "toy_bundle.json"), "--n-max", "4"]) == 0
+    assert main(["verify", "nu-sums", "--n-max", "16"]) == 0
+    capsys.readouterr()
+    assert NU._tables == {}
 
 
 def test_bh_member(halt1, loop, find_zero):
@@ -458,6 +510,25 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     # a claimed length (2) beyond the table's n_max (1), verbatim branch
     payload = BINARY.word("1110" "0" "0" "00")
     assert table_protocol.evaluator(payload, 10) == RunResult.budget_exhausted(10)
+    # an address into sphere 17, past ENUMERATION_CAP: an enumerated
+    # ensemble never halts, the input ensemble resolves it in closed form
+    long_table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=17)
+    long_problem = DistributionalProblem("contains01-17", BINARY,
+                                         contains01_problem.positive, long_table)
+    long_protocol = red2bh(long_problem, contains01_ntm, Polynomial((6, 1, 1)),
+                           lambda n: n + 1).machine
+    payload = BINARY.word(numeral(17).text() + "0" + "1" + "0")
+    assert long_protocol.evaluator(payload, 40) == RunResult.budget_exhausted(40)
+    x = BINARY.word("1" * 16 + "0")
+    x2 = x_double_prime(NU, x).text()
+    assert x2[0] == "1"  # address branch
+    chained = BINARY.word(
+        numeral(17).text() + "0" + machine_code(halt1).text() + "0" + x2)
+    universal = universal_machine([halt1])
+    assert universal.evaluator(chained, 17) == RunResult.budget_exhausted(17)
+    halted = universal.evaluator(chained, 18)
+    assert halted.is_halted and halted.steps == 18
+    assert universal.evaluator(chained, 64) == halted
     for vm in (universal_machine([halt1]), protocol, table_protocol):
         for n in range(11):
             for v in BINARY.sphere(n):

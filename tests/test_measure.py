@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,18 +8,20 @@ from gclab import (
     Alphabet,
     TableEnsemble,
     UniformEnsemble,
+    DBHNuEnsemble,
     ensemble_from_spec,
     example41_reduction,
     identity_reduction,
     induce,
+    invert_mu_star,
     transfer,
     verify_induced,
     verify_transfer,
 )
 from gclab.measure import HorizonError, SizeInvarianceError, size_inverse
 from gclab.reductions import DistributionalProblem, to_binary
-from gclab.words import AlphabetMismatchError, is_sphere_max
-from oracles import scan_inverse
+from gclab.words import AlphabetMismatchError, SphereRangeError, is_sphere_max
+from oracles import EnumeratedNu, scan_inverse
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,30 @@ def test_mu_star_matches_enumeration(nu, geometric_table):
             for x in BINARY.sphere(n):
                 assert ensemble.mu_star(x) == total
                 total += ensemble.mass(x)
+
+
+def test_nu_closed_forms_match_enumeration():
+    """On every word up to length 12 the closed-form sphere sums,
+    cumulative masses and inverse agree with the enumerated oracle; the
+    inverse at every interval endpoint and at seeded random points."""
+    nu, oracle = DBHNuEnsemble(), EnumeratedNu()
+    rng = random.Random(7)
+    for n in range(13):
+        assert nu.sphere_sum(n) == oracle.sphere_sum(n) == 1
+        ends = set()
+        for x in BINARY.sphere(n):
+            assert nu.mu_star(x) == oracle.mu_star(x)
+            assert nu.hat_mu(x) == oracle.hat_mu(x)
+            ends.update(nu.interval(x))
+        ts = [t for t in ends if t > 0]
+        ts += [Fraction(rng.getrandbits(64) + 1, 1 << 64) for _ in range(40)]
+        ts += [Fraction(rng.randrange(1, 3 * n * 2**n + 2), 3 * n * 2**n + 1)
+               for _ in range(40)]
+        for t in ts:
+            assert invert_mu_star(nu, n, t) == invert_mu_star(oracle, n, t), (n, t)
+    assert nu._tables == {}
+    with pytest.raises(SphereRangeError):
+        nu.sphere_sum(-1)
 
 
 def test_transfer_unary_point_mass():
