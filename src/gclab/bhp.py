@@ -72,7 +72,8 @@ from .words import BINARY, Word
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: Shared bounded-halting input ensemble (closed forms, no sphere tables).
+#: Shared bounded-halting input ensemble (closed-form cumulative masses,
+#: so it builds no sphere tables).
 NU = DBHNuEnsemble()
 
 

@@ -13,11 +13,11 @@ conditionals induced by a decidable subset.  ``verify_transfer`` and
 ``verify_induced`` recompute the defining equations by brute-force
 enumeration and report exact mismatches.
 
-Cumulative masses (``mu_star``, ``hat_mu``), their inverse and sphere
-sums are closed forms for the uniform and the bounded-halting ensembles,
-which therefore have no horizon; the bounded-halting ones are evaluated
-one class of words at a time.  The other kinds enumerate their spheres,
-up to ``ENUMERATION_CAP``.
+Cumulative masses (``mu_star``, ``hat_mu``) and their inverse are
+closed forms for the uniform and the bounded-halting ensembles, which
+therefore have no horizon there; the bounded-halting ones are evaluated
+one class of words at a time.  The other kinds, and every sphere sum
+but the uniform one, enumerate their spheres, up to ``ENUMERATION_CAP``.
 
 The transfer of mu along f assigns to a target word y the total mu-mass
 of its preimage when |y| is an achieved image size, and the uniform
@@ -309,11 +309,13 @@ class DBHNuEnsemble(SphericalEnsemble):
     sum to one by telescoping.
 
     Mass depends only on the class (n, m), and in lex order each class
-    is one contiguous block (see ``classes``).  So cumulative masses,
-    their inverse and sphere sums have closed forms, with no enumeration
-    and no horizon:
+    is one contiguous block (see ``classes``).  So cumulative masses and
+    their inverse have closed forms, with no enumeration and no horizon:
 
         mu_star(1^m 0 w) = m/n + int(w, 2)/(n * 2^|w|),   mu_star(1^n) = 1
+
+    ``sphere_sum`` is the base class's word-by-word sum: ``verify
+    nu-sums`` checks the mass of every word, not the class structure.
     """
 
     kind = "dbh_nu"
@@ -342,13 +344,6 @@ class DBHNuEnsemble(SphericalEnsemble):
         for m in range(n):
             yield "1" * m + "0", n - m - 1
         yield "1" * n, 0
-
-    def sphere_sum(self, n: int) -> Fraction:
-        """One ``mass`` call per class: its first word's mass times its size."""
-        return sum(
-            (self.mass(BINARY.word(prefix + "0" * k)) * 2**k for prefix, k in self.classes(n)),
-            ZERO,
-        )
 
     def mu_star(self, x: Word) -> Fraction:
         self._check_word(x)

@@ -10,19 +10,16 @@ computes another way, kept here so that tests can cross-check the two:
   ``Configuration`` of symbol tuples, trimmed after every step;
 - the linear scan that ``measure.size_inverse`` (bisection) replaced;
 - ``EnumeratedNu``: the bounded-halting ensemble with the enumerated
-  sphere sums, cumulative masses and inverse it had before its closed
-  forms.
+  cumulative masses and inverse it had before its closed forms.
 
-The machine and ensemble code is copied verbatim.  Only the imports are new, and
+The machine code is copied verbatim.  Only the imports are new, and
 ``_moves`` stands in for ``TuringMachine._delta``, which is now keyed by
 tape digit instead of symbol text.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
@@ -39,7 +36,7 @@ from gclab.machine import (
     VirtualMachine,
     decode_answer,
 )
-from gclab.measure import ZERO, DBHNuEnsemble, SphericalEnsemble
+from gclab.measure import DBHNuEnsemble, SphericalEnsemble
 from gclab.words import BINARY, Word
 
 
@@ -198,43 +195,12 @@ def scan_inverse(fn, m):
 
 
 class EnumeratedNu(SphericalEnsemble):
-    """ν's ``mass`` under the enumerating sphere sum, sphere tables,
-    ``mu_star`` and table-bisecting inverse; ``hat_mu`` and ``interval``
-    come from the base class on top of them."""
+    """ν's ``mass`` under the base class's enumerated sphere tables:
+    ``mu_star`` and ``hat_mu`` read running mass sums, and the inverse
+    bisects them."""
 
     kind = "dbh_nu"
+    mass = DBHNuEnsemble.mass
 
     def __init__(self):
         super().__init__(BINARY)
-
-    def mass(self, x: Word) -> Fraction:
-        return DBHNuEnsemble.mass(self, x)
-
-    def sphere_sum(self, n: int) -> Fraction:
-        self._check_horizon(n)
-        return sum((self.mass(x) for x in self.alphabet.sphere(n)), ZERO)
-
-    def _sphere_table(self, n: int):
-        if n not in self._tables:
-            self._check_horizon(n)
-            ws: list[Word] = []
-            cum: list[Fraction] = []
-            total = ZERO
-            index: dict[tuple, int] = {}
-            for i, x in enumerate(self.alphabet.sphere(n)):
-                total += self.mass(x)
-                ws.append(x)
-                cum.append(total)
-                index[x.letters] = i
-            self._tables[n] = (ws, index, cum)
-        return self._tables[n]
-
-    def mu_star(self, x: Word) -> Fraction:
-        self._check_word(x)
-        ws, index, cum = self._sphere_table(len(x))
-        i = index[x.letters]
-        return cum[i - 1] if i > 0 else ZERO
-
-    def mu_star_inverse(self, n: int, t: Fraction) -> Word:
-        ws, _, cum = self._sphere_table(n)
-        return ws[bisect_left(cum, t, 0, len(cum) - 1)]

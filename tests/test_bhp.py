@@ -7,6 +7,7 @@ import pytest
 from gclab import (
     BINARY,
     Polynomial,
+    SphereRangeError,
     TableEnsemble,
     bh_member,
     c_of_g,
@@ -130,6 +131,8 @@ def test_nu_and_restricted_masses_are_constant_on_classes():
             for ensemble in (NU, *restricted):
                 assert len({ensemble.mass(y) for y in block}) == 1, (n, prefix)
         assert words == list(BINARY.sphere(n))
+    with pytest.raises(SphereRangeError):
+        list(NU.classes(-1))
 
 
 def test_failing_class_reports_each_word():
@@ -150,11 +153,11 @@ def test_failing_class_reports_each_word():
 
 
 def test_nu_keeps_no_sphere_tables(capsys):
-    """The pipeline and the sphere sums run on closed forms only."""
+    """Neither the pipeline nor the sphere sums build a sphere table."""
     data = Path(__file__).parent / "data"
     NU._tables.clear()
     assert main(["reduce", "pipeline", str(data / "toy_bundle.json"), "--n-max", "4"]) == 0
-    assert main(["verify", "nu-sums", "--n-max", "16"]) == 0
+    assert main(["verify", "nu-sums", "--n-max", "12"]) == 0
     capsys.readouterr()
     assert NU._tables == {}
 
