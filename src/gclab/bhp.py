@@ -35,7 +35,6 @@ every check exact and finite.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,14 +115,16 @@ def _wrap(length: int, payload: str) -> Word:
 def decode_instance(u: Word) -> tuple[int, Word]:
     """Split at the first zero: the code 1^m 0 w denotes (|u|, w)."""
     text = u.text()
-    zero_at = text.find("0")
-    if zero_at < 0:
+    payload = _payload(text)
+    if payload is None:
         raise NotACodeError(f"{text!r} contains no zero")
-    return len(text), BINARY.word(text[zero_at + 1 :])
+    return len(text), BINARY.word(payload)
 
 
-def is_code(u: Word) -> bool:
-    return "0" in u.text()
+def _payload(text: str) -> Optional[str]:
+    """The w of a code text 1^m 0 w, or None when the text has no zero."""
+    zero_at = text.find("0")
+    return None if zero_at < 0 else text[zero_at + 1 :]
 
 
 def nu_mass(u: Word) -> Fraction:
@@ -136,10 +137,11 @@ def bh_member(machine: Machine, u: Word) -> bool:
 
     Non-codes are never members.
     """
-    if not is_code(u):
+    text = u.text()
+    payload = _payload(text)
+    if payload is None:
         return False
-    n, w = decode_instance(u)
-    return _search_halting(machine, w, n) is not None
+    return _search_halting(machine, BINARY.word(payload), len(text)) is not None
 
 
 # --- longevity guards and the restricted code family ------------------------
@@ -188,14 +190,24 @@ def as_guard(g: GuardLike, form: str = "") -> LongevityGuard:
 
 def c_of_g(g: GuardLike) -> Callable[[Word], bool]:
     """Membership test for C(g): codes whose length is the guard value of
-    their payload length."""
+    their payload length.
+
+    Only lengths are read, the code's and its payload's, and the guard
+    inverse is kept per code length."""
     guard = as_guard(g)
+    inverse: dict[int, Optional[int]] = {}
 
     def member(u: Word) -> bool:
-        if not is_code(u):
+        text = u.text()
+        payload = _payload(text)
+        if payload is None:
             return False
-        n, w = decode_instance(u)
-        return guard_inverse(guard, n) == len(w)
+        if u.alphabet.symbols != BINARY.symbols:
+            BINARY.word(payload)  # a non-binary payload raises
+        n = len(text)
+        if n not in inverse:
+            inverse[n] = guard_inverse(guard, n)
+        return inverse[n] == len(payload)
 
     return member
 
@@ -250,20 +262,18 @@ def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     """Parse a numeral at ``start``; return (value, end index) or None.
 
     A numeral is a maximal run of marker pairs "1b"; it ends where the
-    next character is a field separator "0" or the string ends.
+    next character is a field separator "0" or the string ends.  The
+    markers are every other character from ``start``; their leading run
+    of ones is the numeral, and its bits sit between them.
     """
-    bits = []
-    j = start
-    while j < len(text) and text[j] == "1":
-        if j + 1 >= len(text):
-            return None
-        bits.append(text[j + 1])
-        j += 2
-    if not bits:
-        return None
-    if bits[0] == "0" and len(bits) > 1:
+    markers = text[start::2]
+    count = len(markers) - len(markers.lstrip("1"))
+    j = start + 2 * count
+    if count == 0 or j > len(text):
+        return None  # no marker, or a last marker with no bit after it
+    if count > 1 and text[start + 1] == "0":
         return None  # leading bit of a nonzero numeral must be 1
-    return int("".join(bits), 2), j
+    return int(text[start + 1 : j : 2], 2), j
 
 
 def _read_field(text: str) -> Optional[tuple[int, str]]:
@@ -311,17 +321,6 @@ def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
     if mu.mass(x) == 0:
         raise ValueError("x_prime needs mass(x) > 0 (nonempty interval)")
     return _x_prime_prefix(lo, hi, len(x))
-
-
-def _x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:
-    """Reference for ``x_prime``: brute-force the candidates in shortlex
-    order (the tests check the prefix construction against it)."""
-    for length in range(1, n + 2):
-        for bits in itertools.product("01", repeat=length):
-            text = "".join(bits)
-            if lo < xprime_value(text) <= hi:
-                return BINARY.word(text)
-    raise AssertionError("no dyadic address found; interval bookkeeping is broken")
 
 
 def _x_prime_prefix(lo: Fraction, hi: Fraction, n: int) -> Word:
@@ -706,10 +705,11 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
             return RunResult.budget_exhausted(budget)
 
         def inner(x: Word, cap: int) -> Optional[tuple[int, Optional[Configuration]]]:
-            if not is_code(x):
+            text = x.text()
+            payload = _payload(text)
+            if payload is None:
                 return None
-            n_x, w_x = decode_instance(x)
-            return _search_halting(machine, w_x, min(n_x, cap))
+            return _search_halting(machine, BINARY.word(payload), min(len(text), cap))
 
         return _protocol_run(NU, inner, gamma, x2, budget)
 

@@ -12,6 +12,7 @@ usage or file/parse errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -29,6 +30,9 @@ from .machine import (
 )
 from .measure import ensemble_from_spec
 from .reductions import DistributionalProblem
+
+# Import-time objects live as long as the process: keep them out of every collection.
+gc.freeze()
 
 SPHERE_CAP = 16
 SEARCH_CAP = 6

@@ -76,9 +76,9 @@ class Alphabet:
                 raise AlphabetMismatchError("word belongs to a different alphabet")
             return letters
         ws = tuple(letters)
-        for s in ws:
-            if s not in self._index:
-                raise AlphabetMismatchError(f"symbol {s!r} not in alphabet")
+        if not self._index.keys() >= set(ws):
+            bad = next(s for s in ws if s not in self._index)
+            raise AlphabetMismatchError(f"symbol {bad!r} not in alphabet")
         return Word(self, ws)
 
     @property
@@ -113,11 +113,6 @@ class Word:
 
     def __str__(self) -> str:
         return self.text()
-
-    def concat(self, other: "Word") -> "Word":
-        if other.alphabet != self.alphabet:
-            raise AlphabetMismatchError("cannot concatenate across alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
 
 
 BINARY = Alphabet(("0", "1"))

@@ -11,18 +11,27 @@ computes another way, kept here so that tests can cross-check the two:
 - the linear scan that ``measure.size_inverse`` (bisection) replaced;
 - ``EnumeratedNu``: the bounded-halting ensemble with the enumerated
   cumulative masses and inverse it had before its closed forms.
+- the per-symbol numeral reader ``scan_numeral`` that the stride-slice
+  scan replaced, and the C(g) membership test ``c_of_g_member`` that
+  decoded the whole code (``is_code``, ``decode_instance``) where the
+  fast one reads only lengths;
+- ``x_prime_scan``: the shortlex brute force over dyadic addresses that
+  ``bhp.x_prime``'s prefix construction is checked against.
 
-The machine code is copied verbatim.  Only the imports are new, and
-``_moves`` stands in for ``TuringMachine._delta``, which is now keyed by
-tape digit instead of symbol text.
+The machine code and ``scan_numeral`` are copied verbatim.  Only the
+imports are new, and ``_moves`` stands in for ``TuringMachine._delta``,
+which is now keyed by tape digit instead of symbol text.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
+from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
+from gclab.bhp import guard_inverse, xprime_value
 from gclab.machine import (
     RIGHT,
     Answer,
@@ -204,3 +213,45 @@ class EnumeratedNu(SphericalEnsemble):
 
     def __init__(self):
         super().__init__(BINARY)
+
+
+def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
+    """Parse a numeral at ``start``; return (value, end index) or None.
+
+    A numeral is a maximal run of marker pairs "1b"; it ends where the
+    next character is a field separator "0" or the string ends.
+    """
+    bits = []
+    j = start
+    while j < len(text) and text[j] == "1":
+        if j + 1 >= len(text):
+            return None
+        bits.append(text[j + 1])
+        j += 2
+    if not bits:
+        return None
+    if bits[0] == "0" and len(bits) > 1:
+        return None  # leading bit of a nonzero numeral must be 1
+    return int("".join(bits), 2), j
+
+
+def c_of_g_member(guard, u: Word) -> bool:
+    """C(g) membership by decoding the code: ``is_code`` then
+    ``decode_instance`` (a payload ``Word``) then the guard inverse."""
+    if "0" not in u.text():
+        return False
+    text = u.text()
+    zero_at = text.find("0")
+    n, w = len(text), BINARY.word(text[zero_at + 1 :])
+    return guard_inverse(guard, n) == len(w)
+
+
+def x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:
+    """Reference for ``x_prime``: brute-force the candidates in shortlex
+    order (the tests check the prefix construction against it)."""
+    for length in range(1, n + 2):
+        for bits in itertools.product("01", repeat=length):
+            text = "".join(bits)
+            if lo < xprime_value(text) <= hi:
+                return BINARY.word(text)
+    raise AssertionError("no dyadic address found; interval bookkeeping is broken")

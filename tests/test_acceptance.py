@@ -45,10 +45,11 @@ from gclab import (
     x_prime,
 )
 from gclab.bhp import (
-    NU, LongevityGuard, _x_prime_scan, adequate_guard, machine_code, verify_membership,
+    NU, LongevityGuard, adequate_guard, machine_code, verify_membership,
 )
 from gclab.genericity import sample_sphere
 from gclab.measure import DBHNuEnsemble
+from oracles import x_prime_scan
 
 
 def announce(number: int, title: str, ok: bool, started: float, note: str = "") -> None:
@@ -365,7 +366,7 @@ def test_criterion_09_compression_bounds():
                 mass = mu.mass(x)
                 if n >= 1 and mass > threshold:
                     prime = x_prime(mu, x)
-                    scan = _x_prime_scan(*mu.interval(x), len(x))
+                    scan = x_prime_scan(*mu.interval(x), len(x))
                     if prime != scan:
                         ok = False
                         details.append((mu.kind, x.text(), prime.text(), scan.text()))

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,12 +39,12 @@ from gclab.bhp import (
     NotACodeError,
     _read_field,
     _relaxation_points,
-    _x_prime_scan,
     adequate_guard,
     as_guard,
     guard_inverse,
     machine_index,
     red2bh_map,
+    scan_numeral,
     verify_membership,
     xprime_value,
 )
@@ -51,6 +52,8 @@ from gclab.cli import main
 from gclab.machine import RunResult, halts_within
 from gclab.measure import CheckReport, check_lower_bounds, verify_induced
 from gclab.reductions import DistributionalProblem
+from gclab.words import Alphabet, AlphabetMismatchError
+from oracles import c_of_g_member, scan_numeral as scan_numeral_per_bit, x_prime_scan
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +203,41 @@ def test_c_of_g_membership():
     assert member(BINARY.word("0"))  # payload empty, guard(0)=1=|u|
 
 
+def test_c_of_g_reads_lengths_like_the_decoding_oracle():
+    """The length-only member agrees with decoding the whole code, on
+    every binary word up to 12, over ``BINARY`` and over an equal
+    alphabet object."""
+    guards = [as_guard(Polynomial((1, 1))), as_guard(Polynomial((1, 2))),
+              as_guard(Polynomial((1, 0, 1))),
+              adequate_guard(Polynomial((6, 1)), lambda n: n + 1)]
+    other_binary = Alphabet(("0", "1"))
+    for guard in guards:
+        member = c_of_g(guard)
+        for n in range(13):
+            for u in BINARY.sphere(n):
+                expected = c_of_g_member(guard, u)
+                assert member(u) == expected, (guard.form, u.text())
+                assert member(other_binary.word(u.letters)) == expected
+
+
+def test_c_of_g_on_other_alphabets_fails_like_the_decoding_oracle():
+    """A payload that is not binary raises as decoding it did; other
+    words of a non-binary alphabet get the oracle's answer."""
+    guard = as_guard(Polynomial((1, 2)))
+    member = c_of_g(guard)
+    for alphabet in (Alphabet(("0", "1", "2")), Alphabet(("1", "0")),
+                     Alphabet(("a", "b")), Alphabet(("0", "10"))):
+        for n in range(5):
+            for u in alphabet.sphere(n):
+                try:
+                    expected = c_of_g_member(guard, u)
+                except AlphabetMismatchError:
+                    with pytest.raises(AlphabetMismatchError):
+                        member(u)
+                else:
+                    assert member(u) == expected, u.letters
+
+
 def test_nu_g_closed_form_matches_enumeration():
     for coeffs in ((1, 1), (1, 2)):  # n+1 and 2n+1
         g = Polynomial(coeffs)
@@ -238,6 +276,40 @@ def test_numeral_rejects_malformed():
             decode_numeral(BINARY.word(bad))
 
 
+def _scan_outcome(scan, text, start):
+    try:
+        return scan(text, start)
+    except Exception as exc:  # the oracle's exception type must match too
+        return type(exc)
+
+
+def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
+    rng = random.Random(20)
+    texts = ["".join(rng.choice("01") for _ in range(rng.randint(0, 40)))
+             for _ in range(400)]
+    texts += [numeral(n).text() for n in range(300)]
+    texts += [numeral(n).text() + "0" + rest for n in (0, 1, 5, 1000)
+              for rest in ("", "0", "1", "10", "0110")]
+    # the payloads the field reader sees: red2bh images, and one universal
+    # image (its machine code is a numeral of some 3,000 bits)
+    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    f = red2bh_map(uniform, guard)
+    code_len = len(machine_code(find_zero).text())
+    stage = red2bhu(find_zero, LongevityGuard(lambda n: n + code_len + 40, form="n+L+40"))
+    images = [f.apply(x) for n in range(5) for x in BINARY.sphere(n)]
+    for image in images + [stage.reduction.apply(BINARY.word("1"))]:
+        payload = decode_instance(image)[1].text()
+        texts += [payload, _read_field(payload)[1]]
+    # a lone trailing marker, "10" followed by more marker pairs
+    texts += ["1", "111", "0111", "11111", "1011", "101110", "10" + "11" * 5, "1010"]
+    # text that is not binary
+    texts += ["12", "1a10", "1 1", "11 1", "1_10", "111_10", "1-1", "1\u0661", "2", "x1"]
+    for text in texts:
+        for start in range(len(text) + 3):
+            assert _scan_outcome(scan_numeral, text, start) == _scan_outcome(
+                scan_numeral_per_bit, text, start), (text, start)
+
+
 # --- dyadic compression -------------------------------------------------------
 
 
@@ -251,7 +323,7 @@ def test_x_prime_worked_examples(mu2):
     for text, expected in (("00", "0"), ("01", "01")):
         x = BINARY.word(text)
         assert x_prime(mu2, x).text() == expected
-        assert x_prime(mu2, x) == _x_prime_scan(*mu2.interval(x), len(x))
+        assert x_prime(mu2, x) == x_prime_scan(*mu2.interval(x), len(x))
 
 
 def test_x_prime_requires_positive_mass(geometric_table):
@@ -267,7 +339,7 @@ def test_x_prime_dual_implementations_agree(mu2, nu, geometric_table, skewed_tab
             threshold = Fraction(1, 2**n)
             for x in BINARY.sphere(n):
                 if ensemble.mass(x) > threshold:
-                    assert x_prime(ensemble, x) == _x_prime_scan(
+                    assert x_prime(ensemble, x) == x_prime_scan(
                         *ensemble.interval(x), len(x)
                     )
 

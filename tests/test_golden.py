@@ -7,7 +7,9 @@ were folded onto shared helpers; a refactor must not move them.  The
 four long-tape pins (two halting scanners, one two-way and one
 one-end, and the nondeterministic contains01 on either side of its
 halting time) were recorded with the tuple-based stepper, before the
-tapes were packed into integers.
+tapes were packed into integers.  The universal stage at n <= 8 and
+the uniform-base C(g) density were recorded with the per-symbol code
+readers, before codes were read as whole strings.
 """
 
 import hashlib
@@ -79,6 +81,13 @@ GOLDEN = {
         "56d7c4a45d0f73052e4bdd8808a1bb52d8550fb8023ce1ea11ae0ee18956fe39"),
     ("reduce", "universal", "tests/data/universal_bundle.json", "--n-max", "2"): (1,
         "f466aac2133c00eec2f9b0ec563054d841fd79b822bc75ef29a1cb77c106aeca"),
+    # criterion 05's six witnesses (14,254 bytes): the numeral scan and
+    # word validation on codes of several thousand bits
+    ("reduce", "universal", "tests/data/universal_bundle.json", "--n-max", "8"): (1,
+        "acb87ffcaa6df8fd88721a134c749c1a6a67175a797ed734fc18f5f3f66c67ee"),
+    # a uniform base has no closed form for C(g), so every word is tested
+    ("density", "--ensemble", UNIFORM, "--subset", CG, "--n-max", "12"): (0,
+        "859965cb78ba901664854d32aa296a12ab08c5d059b964b117fa8163a1bb6f0e"),
     ("tm", "run", "tests/data/scanner.json", TAPE_1200, "--budget", "5000"): (0,
         "e3327ad16adee8c38e6200b0db0be485c2c44e194efbcf2c80e2fdcbd7a953dc"),
     ("tm", "run", "tests/data/scanner_one_end.json", TAPE_1200, "--budget", "5000"): (0,

@@ -10,10 +10,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from gclab import BINARY, invert_mu_star, x_double_prime, x_prime
-from gclab.bhp import _x_prime_scan
 from gclab.measure import TableEnsemble, transfer, verify_transfer
 from gclab.reductions import identity_reduction
 from gclab.words import is_sphere_max
+from oracles import x_prime_scan
 
 
 def weighted_table(weights_by_sphere: dict[int, list[int]]) -> TableEnsemble:
@@ -71,7 +71,7 @@ def test_dyadic_addresses_agree_and_bound_mass(mu):
             mass = mu.mass(x)
             if mass > threshold:
                 prime = x_prime(mu, x)
-                assert prime == _x_prime_scan(*mu.interval(x), len(x))
+                assert prime == x_prime_scan(*mu.interval(x), len(x))
                 assert len(prime) <= n
                 assert mass <= 2 * Fraction(1, 2 ** len(prime))
                 value = Fraction(2 * int(prime.text(), 2) + 1, 2 ** len(prime))

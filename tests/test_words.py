@@ -21,6 +21,16 @@ def test_alphabet_rejects_duplicates():
         Alphabet(("0", "0"))
 
 
+def test_word_names_the_first_bad_symbol():
+    cases = [(BINARY, "01x0y", "x"), (BINARY, ["0", "10", "1"], "10"), (ABC, "abzcy", "z"),
+             (Alphabet(("ab", "c")), ["ab", "zz", "c", "a"], "zz"),
+             (Alphabet(("ab", "c")), "abc", "a")]
+    for alphabet, letters, bad in cases:
+        with pytest.raises(AlphabetMismatchError, match=f"^symbol '{bad}' not in alphabet$"):
+            alphabet.word(letters)
+    assert Alphabet(("ab", "c")).word(["c", "ab"]).text() == "c,ab"
+
+
 def test_shortlex_cmp_examples():
     assert shortlex_cmp(BINARY.word("1"), BINARY.word("00")) == -1
     assert shortlex_cmp(BINARY.word("01"), BINARY.word("01")) == 0
