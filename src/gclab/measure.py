@@ -18,6 +18,10 @@ closed forms for the uniform and the bounded-halting ensembles, which
 therefore have no horizon there; the bounded-halting ones are evaluated
 one class of words at a time.  The other kinds, and every sphere sum
 but the uniform one, enumerate their spheres, up to ``ENUMERATION_CAP``.
+Enumerated sums still call ``mass`` on every word, but add the terms by
+``exact_sum``: numerators as integers, one total per denominator.  The
+uniform and bounded-halting masses are shared values, one ``Fraction``
+per sphere or class, so a sum over a sphere builds almost none.
 
 The transfer of mu along f assigns to a target word y the total mu-mass
 of its preimage when |y| is an achieved image size, and the uniform
@@ -31,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import ceil
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -59,6 +64,24 @@ class HorizonError(ValueError):
 
 class SizeInvarianceError(ValueError):
     """A transfer was requested along a map that is not size-invariant."""
+
+
+def exact_sum(masses: Iterable[Fraction]) -> Fraction:
+    """The exact sum of rationals: numerators are added as integers, one
+    running total per denominator, and only the distinct denominators
+    are combined as Fractions."""
+    totals: dict[int, int] = {}
+    for q in masses:
+        num, den = q.as_integer_ratio()
+        totals[den] = totals.get(den, 0) + num
+    return sum((Fraction(num, den) for den, num in totals.items()), ZERO)
+
+
+@cache
+def _uniform_mass(size: int, n: int) -> Fraction:
+    """size^-n, the mass of each word of sphere n under the uniform
+    measure of a size-letter alphabet; one shared value per sphere."""
+    return Fraction(1, size**n)
 
 
 def fraction_str(q: Fraction) -> str:
@@ -156,6 +179,8 @@ class SphericalEnsemble:
     Subclasses implement ``mass``.  The defaults of ``sphere_sum``,
     ``mu_star`` and ``mu_star_inverse`` enumerate the sphere and respect
     ``ENUMERATION_CAP``; subclasses with closed forms override them.
+    ``sphere_sum`` calls ``mass`` on every word of the sphere and adds
+    the terms by ``exact_sum``.
     """
 
     kind = "abstract"
@@ -180,7 +205,7 @@ class SphericalEnsemble:
     def sphere_sum(self, n: int) -> Fraction:
         """Exact total mass of the radius-n sphere (should be 1)."""
         self._check_horizon(n)
-        return sum((self.mass(x) for x in self.alphabet.sphere(n)), ZERO)
+        return exact_sum(map(self.mass, self.alphabet.sphere(n)))
 
     def _sphere_table(self, n: int):
         """Lex-ordered words of the sphere with inclusive cumulative masses."""
@@ -237,7 +262,7 @@ class UniformEnsemble(SphericalEnsemble):
 
     def mass(self, x: Word) -> Fraction:
         self._check_word(x)
-        return Fraction(1, self.alphabet.sphere_size(len(x)))
+        return _uniform_mass(self.alphabet.size, len(x))
 
     def sphere_sum(self, n: int) -> Fraction:
         return ONE
@@ -300,6 +325,12 @@ class TableEnsemble(SphericalEnsemble):
         }
 
 
+# 1/(n * 2^|w|), ν's mass on the class (n, |w|), built once per class.
+# Module-level, so ``DBHNuEnsemble.mass`` also works when another
+# ensemble class borrows it.
+_NU_CLASS_MASSES: dict[tuple[int, int], Fraction] = {}
+
+
 class DBHNuEnsemble(SphericalEnsemble):
     """The bounded-halting input ensemble over the binary alphabet.
 
@@ -316,6 +347,9 @@ class DBHNuEnsemble(SphericalEnsemble):
 
     ``sphere_sum`` is the base class's word-by-word sum: ``verify
     nu-sums`` checks the mass of every word, not the class structure.
+    ``mass`` reads the class off the letters (the first zero), without
+    joining the word's text, and returns one shared Fraction per class,
+    so the sum adds integer numerators by ``exact_sum``.
     """
 
     kind = "dbh_nu"
@@ -325,14 +359,18 @@ class DBHNuEnsemble(SphericalEnsemble):
 
     def mass(self, x: Word) -> Fraction:
         self._check_word(x)
-        text = x.text()
-        if text == "":
+        letters = x.letters
+        n = len(letters)
+        if not n:
             return ONE
-        zero_at = text.find("0")
-        if zero_at < 0:
+        try:
+            k = n - 1 - letters.index("0")  # |w|
+        except ValueError:  # 1^n
             return ZERO
-        w_len = len(text) - zero_at - 1
-        return Fraction(1, len(text) * 2**w_len)
+        q = _NU_CLASS_MASSES.get((n, k))
+        if q is None:
+            q = _NU_CLASS_MASSES[n, k] = Fraction(1, n << k)
+        return q
 
     @staticmethod
     def classes(n: int) -> Iterator[tuple[str, int]]:
@@ -372,7 +410,9 @@ class TransferredEnsemble(SphericalEnsemble):
     Mass of a target word y: the total base mass of f^-1(y) when |y| is
     an achieved image size, and |target|^-|y| otherwise.  Preimages are
     found by enumerating the unique source sphere whose image size is
-    |y| (sizes are strictly increasing, so at most one exists).
+    |y| (sizes are strictly increasing, so at most one exists).  Each
+    target length is inverted once: its image masses are cached, or
+    None when no source sphere reaches it.
     """
 
     kind = "transferred"
@@ -386,13 +426,16 @@ class TransferredEnsemble(SphericalEnsemble):
         super().__init__(reduction.target)
         self.reduction = reduction
         self.base = base
-        self._images: dict[int, dict[tuple, Fraction]] = {}
+        self._images: dict[int, Optional[dict[tuple, Fraction]]] = {}
 
-    def _image_masses(self, m: int) -> dict[tuple, Fraction]:
+    def _image_masses(self, m: int) -> Optional[dict[tuple, Fraction]]:
+        """Base mass of each image of length m, keyed by its letters; None
+        when no source sphere maps onto length m."""
         if m not in self._images:
             k = size_inverse(self.reduction.size_growth, m)
-            acc: dict[tuple, Fraction] = {}
+            acc: Optional[dict[tuple, Fraction]] = None
             if k is not None:
+                acc = {}
                 self.base._check_horizon(k)
                 for x in self.base.alphabet.sphere(k):
                     y = self.reduction.apply(x)
@@ -407,10 +450,10 @@ class TransferredEnsemble(SphericalEnsemble):
 
     def mass(self, y: Word) -> Fraction:
         self._check_word(y)
-        m = len(y)
-        if size_inverse(self.reduction.size_growth, m) is None:
-            return Fraction(1, self.alphabet.sphere_size(m))
-        return self._image_masses(m).get(y.letters, ZERO)
+        images = self._image_masses(len(y))
+        if images is None:
+            return _uniform_mass(self.alphabet.size, len(y))
+        return images.get(y.letters, ZERO)
 
     def spec(self) -> dict:
         return {
@@ -472,7 +515,7 @@ def subset_mass(mu: SphericalEnsemble, n: int, subset: Callable[[Word], bool]) -
     """Total mu-mass of the radius-n words in the subset, enumerated in
     lex order; the predicate is tested first, so only members are
     weighed.  Callers own the horizon check."""
-    return sum((mu.mass(x) for x in mu.alphabet.sphere(n) if subset(x)), ZERO)
+    return exact_sum(map(mu.mass, filter(subset, mu.alphabet.sphere(n))))
 
 
 def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:

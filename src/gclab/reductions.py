@@ -258,10 +258,11 @@ def to_binary(problem: DistributionalProblem) -> tuple[Reduction, Distributional
             return _bits_needed(size**k) if k >= 1 else 0
 
         def rank_map(x: Word) -> Word:
+            # the rank-r binary word of length g is r - 1 in g binary digits
             k = len(x)
             if k == 0:
                 return BINARY.empty
-            return unrank(BINARY, growth(k), rank_in_sphere(x))
+            return Word(BINARY, tuple(format(rank_in_sphere(x) - 1, f"0{growth(k)}b")))
 
         f = Reduction(
             name=f"rank-to-binary-{size}",

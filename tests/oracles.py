@@ -10,7 +10,12 @@ computes another way, kept here so that tests can cross-check the two:
   ``Configuration`` of symbol tuples, trimmed after every step;
 - the linear scan that ``measure.size_inverse`` (bisection) replaced;
 - ``EnumeratedNu``: the bounded-halting ensemble with the enumerated
-  cumulative masses and inverse it had before its closed forms.
+  cumulative masses and inverse it had before its closed forms;
+- ``nu_mass_text``: the bounded-halting mass read off the word's joined
+  text, with a new ``Fraction`` per call, as it was before the class was
+  read off the letters and each class shared one value;
+- ``fraction_sum`` and ``sphere_sum``: sums that add ``Fraction`` by
+  ``Fraction``, as sphere sums were before ``measure.exact_sum``;
 - the per-symbol numeral reader ``scan_numeral`` that the stride-slice
   scan replaced, and the C(g) membership test ``c_of_g_member`` that
   decoded the whole code (``is_code``, ``decode_instance``) where the
@@ -18,9 +23,10 @@ computes another way, kept here so that tests can cross-check the two:
 - ``x_prime_scan``: the shortlex brute force over dyadic addresses that
   ``bhp.x_prime``'s prefix construction is checked against.
 
-The machine code and ``scan_numeral`` are copied verbatim.  Only the
-imports are new, and ``_moves`` stands in for ``TuringMachine._delta``,
-which is now keyed by tape digit instead of symbol text.
+The machine code, ``scan_numeral`` and the body of ``nu_mass_text``
+are copied verbatim.  Only the imports are new, and ``_moves`` stands
+in for ``TuringMachine._delta``, which is now keyed by tape digit
+instead of symbol text.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from gclab.machine import (
     VirtualMachine,
     decode_answer,
 )
-from gclab.measure import DBHNuEnsemble, SphericalEnsemble
+from gclab.measure import ONE, ZERO, DBHNuEnsemble, SphericalEnsemble
 from gclab.words import BINARY, Word
 
 
@@ -213,6 +219,29 @@ class EnumeratedNu(SphericalEnsemble):
 
     def __init__(self):
         super().__init__(BINARY)
+
+
+def nu_mass_text(x: Word) -> Fraction:
+    """Mass of x under the bounded-halting ensemble, from its text."""
+    text = x.text()
+    if text == "":
+        return ONE
+    zero_at = text.find("0")
+    if zero_at < 0:
+        return ZERO
+    w_len = len(text) - zero_at - 1
+    return Fraction(1, len(text) * 2**w_len)
+
+
+def fraction_sum(masses) -> Fraction:
+    """Add the masses one ``Fraction`` addition at a time."""
+    return sum(masses, ZERO)
+
+
+def sphere_sum(mu: SphericalEnsemble, n: int) -> Fraction:
+    """Total mass of the radius-n sphere, Fraction by Fraction."""
+    mu._check_horizon(n)
+    return fraction_sum(mu.mass(x) for x in mu.alphabet.sphere(n))
 
 
 def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:

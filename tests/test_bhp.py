@@ -49,11 +49,17 @@ from gclab.bhp import (
     xprime_value,
 )
 from gclab.cli import main
-from gclab.machine import RunResult, halts_within
+from gclab.genericity import parse_polynomial
+from gclab.machine import RunResult, halts_within, load_machine
 from gclab.measure import CheckReport, check_lower_bounds, verify_induced
 from gclab.reductions import DistributionalProblem
 from gclab.words import Alphabet, AlphabetMismatchError
-from oracles import c_of_g_member, scan_numeral as scan_numeral_per_bit, x_prime_scan
+from oracles import (
+    c_of_g_member,
+    nu_mass_text,
+    scan_numeral as scan_numeral_per_bit,
+    x_prime_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +113,25 @@ def test_nu_mass_examples():
     assert nu_mass(BINARY.word("110")) == Fraction(1, 3)
     assert nu_mass(BINARY.empty) == 1
     assert nu_mass(BINARY.word("1111")) == 0
+
+
+def test_nu_mass_matches_text_oracle():
+    """ν's mass read off the letters equals the mass read off the text on
+    every word up to length 12 and on the universal stage's images of
+    every word up to length 6 (codes of about 3,700 bits)."""
+    for n in range(13):
+        for x in BINARY.sphere(n):
+            assert NU.mass(x) == nu_mass_text(x), x.text()
+    data = Path(__file__).parent / "data"
+    bundle = json.loads((data / "universal_bundle.json").read_text())
+    machine = load_machine(str(Path(__file__).parent.parent / bundle["machine"]))
+    guard = adequate_guard(parse_polynomial(bundle["guard"]),
+                           extra_payload=len(machine_code(machine).text()) + 1)
+    stage = red2bhu(machine, guard)
+    images = [stage.reduction.apply(x) for n in range(7) for x in BINARY.sphere(n)]
+    assert len({len(y) for y in images}) == 7
+    for y in images:
+        assert NU.mass(y) == nu_mass_text(y) > 0, y.text()
 
 
 def test_nu_sphere_sums_to_16():

@@ -9,7 +9,10 @@ one-end, and the nondeterministic contains01 on either side of its
 halting time) were recorded with the tuple-based stepper, before the
 tapes were packed into integers.  The universal stage at n <= 8 and
 the uniform-base C(g) density were recorded with the per-symbol code
-readers, before codes were read as whole strings.
+readers, before codes were read as whole strings.  The rank-to-binary
+transfer over abc and the change-of-size check at n <= 8 were recorded
+with Fraction-by-Fraction sphere sums, per-call masses and a size
+inverse per transferred word, before sums were taken per denominator.
 """
 
 import hashlib
@@ -88,6 +91,12 @@ GOLDEN = {
     # a uniform base has no closed form for C(g), so every word is tested
     ("density", "--ensemble", UNIFORM, "--subset", CG, "--n-max", "12"): (0,
         "859965cb78ba901664854d32aa296a12ab08c5d059b964b117fa8163a1bb6f0e"),
+    # a rank-to-binary map over abc, so the candidate is a TransferredEnsemble
+    # (the identity-map transfer pin above never builds one)
+    ("verify", "transfer", "tests/data/transfer_abc_fixture.json", "--n-max", "12"): (0,
+        "29a520a6e641b820440cfcd17ae6330872f80e96eb8f221aabc34b27ec8914bb"),
+    ("verify", "cs", "tests/data/cs_fixture.json", "--n-max", "8"): (0,
+        "9056bfd236a45ac563959dfbc4f51e04532480965d115b3230393dfc1186b568"),
     ("tm", "run", "tests/data/scanner.json", TAPE_1200, "--budget", "5000"): (0,
         "e3327ad16adee8c38e6200b0db0be485c2c44e194efbcf2c80e2fdcbd7a953dc"),
     ("tm", "run", "tests/data/scanner_one_end.json", TAPE_1200, "--budget", "5000"): (0,

@@ -17,10 +17,16 @@ from gclab import (
     verify_induced,
     verify_transfer,
 )
-from gclab.measure import HorizonError, SizeInvarianceError, size_inverse
-from gclab.reductions import DistributionalProblem, to_binary
-from gclab.words import AlphabetMismatchError, is_sphere_max
-from oracles import EnumeratedNu, scan_inverse
+from gclab.measure import (
+    HorizonError,
+    SizeInvarianceError,
+    TransferredEnsemble,
+    exact_sum,
+    size_inverse,
+)
+from gclab.reductions import DistributionalProblem, Reduction, to_binary
+from gclab.words import AlphabetMismatchError, is_sphere_max, rank_in_sphere
+from oracles import EnumeratedNu, fraction_sum, scan_inverse, sphere_sum
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +287,99 @@ def test_induced_spec_with_non_nu_base_enumerates():
 
     base = ensemble_from_spec({"kind": "uniform", "alphabet": "01"})
     assert verify_induced(base, c_of_g(Polynomial((1, 2))), induced, 8).passed
+
+
+def _random_fractions(rng: random.Random, count: int, dens, nums) -> list[Fraction]:
+    return [Fraction(rng.choice(nums), rng.choice(dens)) for _ in range(count)]
+
+
+def test_exact_sum_matches_fraction_sum():
+    """Per-denominator integer sums equal Fraction-by-Fraction sums, on
+    empty, all-zero, negative, mixed and very large denominators."""
+    rng = random.Random(2016)
+    big = [2**200 + 1, 3**150, 2**64 * 7**40, 10**80 - 1]
+    cases = [[], [Fraction(0)] * 50, [Fraction(1, 3), Fraction(-1, 3)]]
+    for _ in range(40):
+        count = rng.randrange(0, 300)
+        cases += [
+            _random_fractions(rng, count, range(1, 40), range(-50, 51)),
+            _random_fractions(rng, count, [1 << rng.randrange(64) for _ in range(5)],
+                              range(0, 9)),
+            _random_fractions(rng, count, big + list(range(1, 10)),
+                              [rng.randrange(-10**30, 10**30) for _ in range(7)]),
+            [Fraction(rng.randrange(-5, 6), rng.randrange(1, 7)) for _ in range(count)]
+            + [Fraction(0)] * rng.randrange(3),
+        ]
+    for terms in cases:
+        got = exact_sum(terms)
+        assert isinstance(got, Fraction)
+        assert got == fraction_sum(terms), terms[:5]
+        assert exact_sum(iter(terms)) == got  # a one-pass iterator will do
+
+
+def test_sphere_sums_match_fraction_sums(uniform, nu, geometric_table, skewed_table):
+    """Every ensemble kind's sphere sums equal the Fraction-by-Fraction
+    sums, the transferred and induced ones included."""
+    abc = Alphabet(("a", "b", "c"))
+    _, image = to_binary(DistributionalProblem("abc", abc, lambda x: True,
+                                               UniformEnsemble(abc)))
+    half = induce(geometric_table, lambda x: x.letters[:1] == ("1",))
+    for ensemble, top in ((uniform, 10), (nu, 12), (geometric_table, 10),
+                          (skewed_table, 8), (image.measure, 10), (half, 8),
+                          (UniformEnsemble(abc), 6)):
+        for n in range(top + 1):
+            assert ensemble.sphere_sum(n) == sphere_sum(ensemble, n), (ensemble.kind, n)
+
+
+def test_enumerated_nu_still_works(nu):
+    """The enumerating oracle borrows ν's mass: it agrees with ν word by
+    word, its spheres sum to one, and its running sums are ν's mu_star."""
+    oracle = EnumeratedNu()
+    for n in range(11):
+        assert oracle.sphere_sum(n) == 1
+        for x in BINARY.sphere(n):
+            assert oracle.mass(x) == nu.mass(x)
+            assert oracle.mu_star(x) == nu.mu_star(x)
+
+
+def test_validate_catches_a_sphere_short_by_two_to_the_minus_40():
+    short = Fraction(1, 8) - Fraction(1, 2**40)
+    entries = {"0": Fraction(1, 2), "1": Fraction(1, 2),
+               "000": Fraction(1, 2), "001": Fraction(1, 4), "010": Fraction(1, 8),
+               "011": short}
+    entries.update({w: Fraction(1, 4) for w in ("00", "01", "10", "11")})
+    table = TableEnsemble(BINARY, entries, n_max=3)
+    table.validate(2)
+    assert table.sphere_sum(3) == 1 - Fraction(1, 2**40)
+    with pytest.raises(ValueError, match=r"sphere 3 sums to 1099511627775/1099511627776"):
+        table.validate()
+    entries["011"] = Fraction(1, 8)
+    TableEnsemble(BINARY, entries, n_max=3).validate()
+
+
+def test_transferred_mass_inverts_each_length_once():
+    """After one pass over its spheres, a transferred ensemble answers
+    every mass from its cache: no more size-growth calls, the filler on
+    lengths no source sphere reaches and the image mass elsewhere."""
+    abc = Alphabet(("a", "b", "c"))
+    f, _ = to_binary(DistributionalProblem("abc", abc, lambda x: True,
+                                           UniformEnsemble(abc)))
+    calls = []
+
+    def growth(k: int) -> int:
+        calls.append(k)
+        return f.size_growth(k)
+
+    counted = TransferredEnsemble(
+        Reduction(f.name, f.source, f.target, f.func, growth), UniformEnsemble(abc))
+    first = {y: counted.mass(y) for m in range(11) for y in BINARY.sphere(m)}
+    before = len(calls)
+    assert {y: counted.mass(y) for y in first} == first
+    assert len(calls) == before
+    reached = {f.size_growth(k) for k in range(11)}
+    for y, q in first.items():
+        if len(y) in reached:
+            k = size_inverse(f.size_growth, len(y))
+            assert q == (Fraction(1, 3**k) if rank_in_sphere(y) <= 3**k else 0), y
+        else:
+            assert q == Fraction(1, 2 ** len(y)), y

@@ -19,7 +19,7 @@ from gclab import (
     verify_size_invariance,
 )
 from gclab.reductions import reduction_from_spec
-from gclab.words import AlphabetMismatchError, rank_in_sphere
+from gclab.words import AlphabetMismatchError, rank_in_sphere, unrank
 
 
 def test_apply_examples():
@@ -77,6 +77,19 @@ def test_to_binary_rank_preservation():
         for n in range(6):
             for x in sigma.sphere(n):
                 assert rank_in_sphere(f.apply(x)) == rank_in_sphere(x)
+
+
+def test_rank_map_matches_unrank():
+    """The rank-to-binary map writes rank - 1 in growth(k) bits: the word
+    that the per-digit ``unrank`` builds, on every word up to k = 6."""
+    for size in (3, 4, 5, 8):
+        sigma = Alphabet(tuple("abcdefgh"[:size]))
+        f, _ = to_binary(DistributionalProblem("toy", sigma, lambda x: True,
+                                               UniformEnsemble(sigma)))
+        for k in range(7):
+            g = f.size_growth(k)
+            for rank, x in enumerate(sigma.sphere(k), start=1):
+                assert f.apply(x) == unrank(BINARY, g, rank), (size, x.text())
 
 
 def test_to_binary_worked_example():
