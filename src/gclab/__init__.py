@@ -43,18 +43,15 @@ from .measure import (
     TransferredEnsemble,
     UniformEnsemble,
     ensemble_from_spec,
-    induce,
-    transfer,
+    subset_mass,
     verify_induced,
     verify_transfer,
 )
 from .genericity import (
-    ControlSequence,
     DensitySequence,
     Polynomial,
     classify_decay,
     control_sequence,
-    density,
     density_sequence,
     parse_polynomial,
     sample_sphere,
@@ -63,7 +60,6 @@ from .reductions import (
     DistributionalProblem,
     Reduction,
     check_control_transfer,
-    check_control_transfer_cm,
     compose,
     example41_image_member,
     example41_reduction,
@@ -89,7 +85,6 @@ from .bhp import (
     machine_code,
     numeral,
     nu_g,
-    nu_mass,
     red2bh,
     red2bhu,
     universal_machine,

@@ -161,7 +161,7 @@ def cmd_density(args) -> int:
     _require_cap(args.n_max, SPHERE_CAP, "sphere")
     mu = ensemble_from_spec(_load_json(args.ensemble))
     subset, _, closed = bhp.subset_from_spec(_load_json(args.subset), mu)
-    seq = genericity.density_sequence(mu, subset, args.n_max, sphere_mass=closed)
+    seq = genericity.density_sequence(mu, subset, args.n_max, closed=closed)
     if args.format == "svg":
         _write_output(_sequence_svg(seq.entries), args.out)
     else:
@@ -173,16 +173,13 @@ def cmd_control_seq(args) -> int:
     machine = load_machine(args.machine)
     mu = ensemble_from_spec(_load_json(args.ensemble))
     p = parse_polynomial(args.poly)
-    if args.sample:
-        if args.seed is None:
-            raise UsageError("--sample requires --seed")
-        seq = genericity.control_sequence(
-            machine, p, mu, args.n_max, mode="sampled",
-            seed=args.seed, samples=args.sample,
-        )
-    else:
+    if args.sample is None:
         _require_cap(args.n_max, SPHERE_CAP, "sphere")
-        seq = genericity.control_sequence(machine, p, mu, args.n_max)
+    elif args.seed is None:
+        raise UsageError("--sample requires --seed")
+    seq = genericity.control_sequence(
+        machine, p, mu, args.n_max, samples=args.sample, seed=args.seed
+    )
     if args.format == "svg":
         _write_output(_sequence_svg(seq.entries), args.out)
     else:

@@ -105,10 +105,6 @@ class SequenceEntry:
     mode: str = "exact"  # or "sampled"
     samples: int = 0
     seed: Optional[int] = None
-    radius: float = 0.0  # 3-sigma confidence half-width for sampled entries
-
-    def float_value(self) -> float:
-        return float(self.value)
 
 
 @dataclass
@@ -118,13 +114,6 @@ class DensitySequence:
     which it overruns its bound)."""
 
     entries: list[SequenceEntry] = field(default_factory=list)
-
-    @property
-    def horizon(self) -> int:
-        return max((e.n for e in self.entries), default=-1)
-
-    def values(self) -> list[Fraction]:
-        return [e.value for e in self.entries]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -138,35 +127,17 @@ class DensitySequence:
         return out.getvalue()
 
 
-ControlSequence = DensitySequence
-
-
-def density(
-    mu: SphericalEnsemble,
-    subset: Callable[[Word], bool],
-    n: int,
-    sphere_mass: Optional[Callable[[int], Fraction]] = None,
-) -> Fraction:
-    """Exact mass of the subset inside the radius-n sphere.
-
-    A registered closed form for the sphere mass takes precedence over
-    enumeration and lifts the horizon restriction.
-    """
-    if sphere_mass is not None:
-        return Fraction(sphere_mass(n))
-    mu._check_horizon(n)
-    return subset_mass(mu, n, subset)
-
-
 def density_sequence(
     mu: SphericalEnsemble,
     subset: Callable[[Word], bool],
     n_max: int,
-    sphere_mass: Optional[Callable[[int], Fraction]] = None,
+    closed: Optional[Callable[[int], Fraction]] = None,
 ) -> DensitySequence:
+    """The exact density of the subset in every sphere up to n_max, by
+    ``subset_mass`` (a closed form, when given, lifts the horizon)."""
     seq = DensitySequence()
     for n in range(n_max + 1):
-        seq.entries.append(SequenceEntry(n, density(mu, subset, n, sphere_mass)))
+        seq.entries.append(SequenceEntry(n, subset_mass(mu, n, subset, closed)))
     return seq
 
 
@@ -181,37 +152,34 @@ def control_sequence(
     p: Polynomial,
     mu: SphericalEnsemble,
     n_max: int,
-    mode: str = "exact",
+    samples: Optional[int] = None,
     seed: Optional[int] = None,
-    samples: int = 10_000,
 ) -> DensitySequence:
     """The control sequence of ``machine`` against the bound p under mu.
 
-    Exact mode enumerates each sphere; sampled mode draws ``samples``
-    inputs per sphere from mu using the seeded per-sphere stream and
-    reports the empirical overrun fraction (an exact rational with
-    denominator ``samples``) plus a 3-sigma radius.
+    With ``samples`` None each sphere is summed exactly by
+    ``subset_mass``.  Otherwise ``samples`` inputs per sphere are drawn
+    from mu with the seeded per-sphere stream, and the empirical overrun
+    fraction is reported (an exact rational with denominator
+    ``samples``).
     """
     seq = DensitySequence()
-    if mode == "exact":
+    if samples is None:
         for n in range(n_max + 1):
-            mu._check_horizon(n)
             bound = p(n)
             total = subset_mass(mu, n, lambda x: exceeds_bound(machine, x, bound))
             seq.entries.append(SequenceEntry(n, total))
         return seq
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError(f"sampling needs at least one sample per sphere, not {samples}")
     if seed is None:
-        raise ValueError("sampled mode requires a seed")
+        raise ValueError("sampling requires a seed")
     for n in range(n_max + 1):
         bound = p(n)
         draws = sample_sphere(mu, n, samples, seed)
         hits = sum(1 for x in draws if exceeds_bound(machine, x, bound))
-        value = Fraction(hits, samples)
-        radius = 3.0 * math.sqrt(max(float(value) * (1.0 - float(value)), 1e-12) / samples)
         seq.entries.append(
-            SequenceEntry(n, value, mode="sampled", samples=samples, seed=seed, radius=radius)
+            SequenceEntry(n, Fraction(hits, samples), mode="sampled", samples=samples, seed=seed)
         )
     return seq
 

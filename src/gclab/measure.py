@@ -36,6 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import ceil
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -180,14 +181,15 @@ class SphericalEnsemble:
     ``mu_star`` and ``mu_star_inverse`` enumerate the sphere and respect
     ``ENUMERATION_CAP``; subclasses with closed forms override them.
     ``sphere_sum`` calls ``mass`` on every word of the sphere and adds
-    the terms by ``exact_sum``.
+    the terms by ``exact_sum``.  The cumulative masses of a sphere are
+    kept as one list in lex order, indexed by rank.
     """
 
     kind = "abstract"
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._tables: dict[int, tuple[list[Word], dict[tuple, int], list[Fraction]]] = {}
+        self._tables: dict[int, list[Fraction]] = {}
 
     def mass(self, x: Word) -> Fraction:
         raise NotImplementedError
@@ -207,27 +209,19 @@ class SphericalEnsemble:
         self._check_horizon(n)
         return exact_sum(map(self.mass, self.alphabet.sphere(n)))
 
-    def _sphere_table(self, n: int):
-        """Lex-ordered words of the sphere with inclusive cumulative masses."""
+    def _sphere_table(self, n: int) -> list[Fraction]:
+        """Inclusive cumulative masses of the sphere's words in lex order:
+        entry i belongs to the word of rank i + 1."""
         if n not in self._tables:
             self._check_horizon(n)
-            ws: list[Word] = []
-            cum: list[Fraction] = []
-            total = ZERO
-            index: dict[tuple, int] = {}
-            for i, x in enumerate(self.alphabet.sphere(n)):
-                total += self.mass(x)
-                ws.append(x)
-                cum.append(total)
-                index[x.letters] = i
-            self._tables[n] = (ws, index, cum)
+            self._tables[n] = list(accumulate(map(self.mass, self.alphabet.sphere(n))))
         return self._tables[n]
 
     def mu_star(self, x: Word) -> Fraction:
         """Cumulative mass strictly below x within its sphere (lex order)."""
         self._check_word(x)
-        ws, index, cum = self._sphere_table(len(x))
-        i = index[x.letters]
+        cum = self._sphere_table(len(x))
+        i = rank_in_sphere(x) - 1
         return cum[i - 1] if i > 0 else ZERO
 
     def hat_mu(self, x: Word) -> Fraction:
@@ -248,8 +242,8 @@ class SphericalEnsemble:
     def mu_star_inverse(self, n: int, t: Fraction) -> Word:
         """``invert_mu_star`` on this ensemble, for a t already checked
         to lie in (0, 1]: a bisection of the enumerated cumulative masses."""
-        ws, _, cum = self._sphere_table(n)
-        return ws[bisect_left(cum, t, 0, len(cum) - 1)]
+        cum = self._sphere_table(n)
+        return unrank(self.alphabet, n, bisect_left(cum, t, 0, len(cum) - 1) + 1)
 
     def spec(self) -> dict:
         return {"kind": self.kind, "alphabet": "".join(self.alphabet.symbols)}
@@ -468,9 +462,9 @@ class InducedEnsemble(SphericalEnsemble):
 
     On spheres where the subset carries nonzero base mass the measure is
     the conditional one; on spheres where it carries none the base
-    measure is kept unchanged.  The per-sphere subset mass may be
-    supplied in closed form; otherwise it is computed by enumeration and
-    cached.
+    measure is kept unchanged.  The per-sphere subset mass is
+    ``subset_mass`` of the base, from the closed form when one is given,
+    and is cached.
     """
 
     kind = "induced"
@@ -480,23 +474,19 @@ class InducedEnsemble(SphericalEnsemble):
         base: SphericalEnsemble,
         subset: Callable[[Word], bool],
         label: str = "S",
-        sphere_mass: Optional[Callable[[int], Fraction]] = None,
+        closed: Optional[Callable[[int], Fraction]] = None,
     ):
         super().__init__(base.alphabet)
         self.base = base
         self.subset = subset
         self.label = label
-        self.closed_form = sphere_mass
+        self.closed = closed
         self._denominators: dict[int, Fraction] = {}
 
     def subset_sphere_mass(self, n: int) -> Fraction:
         """Base mass of the subset inside the radius-n sphere."""
         if n not in self._denominators:
-            if self.closed_form is not None:
-                self._denominators[n] = Fraction(self.closed_form(n))
-            else:
-                self._check_horizon(n)
-                self._denominators[n] = subset_mass(self.base, n, self.subset)
+            self._denominators[n] = subset_mass(self.base, n, self.subset, self.closed)
         return self._denominators[n]
 
     def mass(self, x: Word) -> Fraction:
@@ -511,10 +501,24 @@ class InducedEnsemble(SphericalEnsemble):
         return {"kind": "induced", "base": self.base.spec(), "subset": self.label}
 
 
-def subset_mass(mu: SphericalEnsemble, n: int, subset: Callable[[Word], bool]) -> Fraction:
-    """Total mu-mass of the radius-n words in the subset, enumerated in
-    lex order; the predicate is tested first, so only members are
-    weighed.  Callers own the horizon check."""
+def subset_mass(
+    mu: SphericalEnsemble,
+    n: int,
+    subset: Callable[[Word], bool],
+    closed: Optional[Callable[[int], Fraction]] = None,
+) -> Fraction:
+    """Total mu-mass of the radius-n words in the subset: the one place
+    every density, exact control-sequence value and induced denominator
+    is computed.
+
+    A closed form for that mass, when given, is used and has no horizon.
+    Otherwise the sphere is enumerated in lex order, up to
+    ``ENUMERATION_CAP``; the predicate is tested first, so only members
+    are weighed.
+    """
+    if closed is not None:
+        return Fraction(closed(n))
+    mu._check_horizon(n)
     return exact_sum(map(mu.mass, filter(subset, mu.alphabet.sphere(n))))
 
 
@@ -527,21 +531,6 @@ def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
     return mu.mu_star_inverse(n, t)
-
-
-def transfer(reduction, mu: SphericalEnsemble) -> TransferredEnsemble:
-    """The pushforward ensemble of mu along a size-invariant reduction."""
-    return TransferredEnsemble(reduction, mu)
-
-
-def induce(
-    mu: SphericalEnsemble,
-    subset: Callable[[Word], bool],
-    label: str = "S",
-    sphere_mass: Optional[Callable[[int], Fraction]] = None,
-) -> InducedEnsemble:
-    """The subset-conditioned ensemble of mu."""
-    return InducedEnsemble(mu, subset, label=label, sphere_mass=sphere_mass)
 
 
 def verify_transfer(reduction, mu: SphericalEnsemble, nu: SphericalEnsemble,
@@ -619,5 +608,5 @@ def ensemble_from_spec(spec: dict) -> SphericalEnsemble:
 
         base = ensemble_from_spec(spec["base"])
         subset, label, closed = subset_from_spec(spec["subset"], base)
-        return InducedEnsemble(base, subset, label=label, sphere_mass=closed)
+        return InducedEnsemble(base, subset, label=label, closed=closed)
     raise ValueError(f"unknown ensemble kind {kind!r}")

@@ -193,11 +193,14 @@ def is_sphere_max(x: Word) -> bool:
 
 def rank_in_sphere(x: Word) -> int:
     """1-based lexicographic position of x within its sphere."""
-    alpha = x.alphabet
-    b = alpha.size
+    b = x.alphabet.size
+    index = x.alphabet._index
     r = 0
-    for s in x.letters:
-        r = r * b + alpha.index(s)
+    try:
+        for s in x.letters:
+            r = r * b + index[s]
+    except KeyError as exc:
+        raise AlphabetMismatchError(f"symbol {exc.args[0]!r} not in alphabet") from None
     return r + 1
 
 

@@ -16,23 +16,22 @@ from gclab import (
     BINARY,
     Alphabet,
     DistributionalProblem,
+    InducedEnsemble,
     Polynomial,
+    TransferredEnsemble,
     UniformEnsemble,
     bh_member,
     c_of_g,
     check_control_transfer,
-    check_control_transfer_cm,
     control_sequence,
-    density,
     example41_image_member,
     example41_reduction,
     identity_reduction,
-    induce,
     nu_g,
     red2bh,
     red2bhu,
+    subset_mass,
     to_binary,
-    transfer,
     universal_machine,
     verify_cs,
     verify_induced,
@@ -84,7 +83,7 @@ def test_criterion_02_restricted_family_closed_form():
         for n in range(13):
             achieved = any(guard(k) == n for k in range(n + 1))
             expected = Fraction(1, n) if achieved and n >= 1 else Fraction(0)
-            if density(NU, member, n) != expected:
+            if subset_mass(NU, n, member) != expected:
                 ok = False
                 details.append((str(guard), n))
     announce(2, "restricted-family ensemble: closed form = enumeration, "
@@ -228,7 +227,7 @@ def test_criterion_06_transfer_and_induction_oracles():
     # brute-force recomputation
     table = _geometric_table()
     ident = identity_reduction(BINARY)
-    corpus_transferred = [(ident, table, transfer(ident, table), 8)]
+    corpus_transferred = [(ident, table, TransferredEnsemble(ident, table), 8)]
     unary = Alphabet(("a",))
     unary_problem = DistributionalProblem("unary", unary, lambda x: True,
                                           UniformEnsemble(unary))
@@ -249,7 +248,7 @@ def test_criterion_06_transfer_and_induction_oracles():
         (NU, c_of_g(Polynomial((1, 1))), nu_g(Polynomial((1, 1)))),
         (NU, c_of_g(Polynomial((1, 2))), nu_g(Polynomial((1, 2)))),
         (UniformEnsemble(BINARY), example41_image_member,
-         induce(UniformEnsemble(BINARY), example41_image_member)),
+         InducedEnsemble(UniformEnsemble(BINARY), example41_image_member)),
     ]
     for base, subset, conditioned in corpus_induced:
         report = verify_induced(base, subset, conditioned, 10)
@@ -304,9 +303,9 @@ def test_criterion_07_control_sequence_inequalities():
         entries[words[-1]] = Fraction(0)
     bounded = TableEnsemble(BINARY, entries, n_max=8)
     bounded.validate(8)
-    cm_report = check_control_transfer_cm(
+    cm_report = check_control_transfer(
         scanner, identity_reduction(BINARY), Polynomial((0, 1)),
-        bounded, UniformEnsemble(BINARY), Polynomial((2,)), 8,
+        bounded, UniformEnsemble(BINARY), 8, d=Polynomial((2,)),
     )
     ok = cs_report.passed and cm_report.passed
     announce(7, "control-sequence transfer inequalities, change-of-size and "
@@ -329,7 +328,7 @@ def test_criterion_08_doubling_homomorphism_fixture():
         return a
 
     density_ok = all(
-        density(uniform, example41_image_member, n) == Fraction(tiling_count(n), 2**n)
+        subset_mass(uniform, n, example41_image_member) == Fraction(tiling_count(n), 2**n)
         for n in range(15)
     )
     ok = (not size_report.passed) and density_ok
@@ -396,7 +395,7 @@ def test_criterion_10_reproducibility():
     uniform = UniformEnsemble(BINARY)
     sampled = [
         control_sequence(machine, Polynomial((0, 1)), uniform, 5,
-                         mode="sampled", seed=2024, samples=2000).to_csv()
+                         samples=2000, seed=2024).to_csv()
         for _ in range(2)
     ]
     byte_identical = sampled[0] == sampled[1]

@@ -21,7 +21,6 @@ from gclab import (
     machine_code,
     numeral,
     nu_g,
-    nu_mass,
     red2bh,
     red2bhu,
     universal_machine,
@@ -110,9 +109,9 @@ def test_codec_roundtrip():
 
 
 def test_nu_mass_examples():
-    assert nu_mass(BINARY.word("110")) == Fraction(1, 3)
-    assert nu_mass(BINARY.empty) == 1
-    assert nu_mass(BINARY.word("1111")) == 0
+    assert NU.mass(BINARY.word("110")) == Fraction(1, 3)
+    assert NU.mass(BINARY.empty) == 1
+    assert NU.mass(BINARY.word("1111")) == 0
 
 
 def test_nu_mass_matches_text_oracle():
@@ -710,13 +709,13 @@ def test_red2bhu_measure_known_witnesses(find_zero):
 def test_red2bh_map_is_change_of_size(uniform):
     """The instance map is size-invariant with the guard as size growth,
     so it verifies as a change-of-size reduction onto its own transfer."""
-    from gclab import verify_cs, verify_size_invariance, transfer
+    from gclab import TransferredEnsemble, verify_cs, verify_size_invariance
     from gclab.bhp import red2bh_map
 
     guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
     f = red2bh_map(uniform, guard)
     assert verify_size_invariance(f, 3).passed
-    pushed = transfer(f, uniform)
+    pushed = TransferredEnsemble(f, uniform)
     assert verify_cs(f, uniform, pushed, 2).passed
 
 

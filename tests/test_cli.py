@@ -129,6 +129,19 @@ def test_control_seq_sample_needs_seed(capsys):
     assert code == 2
 
 
+def test_control_seq_sample_below_one_exit_2(capsys):
+    for count in ("0", "-3"):
+        code, out, err = run_cli(
+            ["control-seq", "--machine", str(DATA / "loop_on_one.json"),
+             "--ensemble", str(DATA / "uniform_ensemble.json"),
+             "--poly", "n", "--n-max", "3", "--sample", count, "--seed", "5"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"gclab: sampling needs at least one sample per sphere, not {count}\n"
+
+
 def test_verify_nu_sums(capsys):
     code, out, _ = run_cli(["verify", "nu-sums", "--n-max", "16"], capsys)
     assert code == 0

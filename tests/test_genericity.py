@@ -7,12 +7,13 @@ from gclab import (
     Polynomial,
     classify_decay,
     control_sequence,
-    density,
     density_sequence,
     example41_image_member,
     sample_sphere,
+    subset_mass,
 )
 from gclab.genericity import parse_polynomial, sphere_stream
+from gclab.measure import HorizonError, InducedEnsemble
 from gclab.bhp import c_of_g, cg_sphere_mass
 
 
@@ -40,31 +41,31 @@ def test_polynomial_rejects_negative():
 
 def test_density_full_set(uniform, nu):
     for n in range(6):
-        assert density(uniform, lambda x: True, n) == 1
-        assert density(nu, lambda x: True, n) == 1
+        assert subset_mass(uniform, n, lambda x: True) == 1
+        assert subset_mass(nu, n, lambda x: True) == 1
 
 
 def test_density_image_of_doubling_map(uniform):
-    assert density(uniform, example41_image_member, 4) == Fraction(5, 16)
+    assert subset_mass(uniform, 4, example41_image_member) == Fraction(5, 16)
     for n in range(1, 11):
-        assert density(uniform, example41_image_member, n) == Fraction(fib_tilings(n), 2**n)
+        assert subset_mass(uniform, n, example41_image_member) == Fraction(fib_tilings(n), 2**n)
 
 
 def test_density_complement_sums_to_one(uniform, geometric_table):
     subset = example41_image_member
     for n in range(8):
-        inside = density(uniform, subset, n)
-        outside = density(uniform, lambda x: not subset(x), n)
+        inside = subset_mass(uniform, n, subset)
+        outside = subset_mass(uniform, n, lambda x: not subset(x))
         assert inside + outside == 1
 
 
 def test_density_cg_closed_form(nu):
     g = Polynomial((1, 2))  # 2n+1
     member = c_of_g(g)
-    assert density(nu, member, 5) == Fraction(1, 5)
+    assert subset_mass(nu, 5, member) == Fraction(1, 5)
     closed = cg_sphere_mass(g)
     for n in range(11):
-        assert density(nu, member, n) == closed(n)
+        assert subset_mass(nu, n, member) == closed(n)
 
 
 def test_control_sequence_fast_machine(halt1, uniform):
@@ -97,18 +98,45 @@ def test_control_sequence_antitone_in_bound(loop_on_one, find_zero, uniform):
 def test_control_sequence_sampled_reproducible(loop_on_one, uniform):
     runs = [
         control_sequence(loop_on_one, Polynomial((0, 1)), uniform, 4,
-                         mode="sampled", seed=99, samples=400)
+                         samples=400, seed=99)
         for _ in range(2)
     ]
     assert runs[0].to_csv() == runs[1].to_csv()
     different = control_sequence(loop_on_one, Polynomial((0, 1)), uniform, 4,
-                                 mode="sampled", seed=100, samples=400)
+                                 samples=400, seed=100)
     assert different.to_csv() != runs[0].to_csv()
 
 
 def test_sampled_mode_requires_seed(loop_on_one, uniform):
-    with pytest.raises(ValueError):
-        control_sequence(loop_on_one, Polynomial((0, 1)), uniform, 3, mode="sampled")
+    with pytest.raises(ValueError, match="requires a seed"):
+        control_sequence(loop_on_one, Polynomial((0, 1)), uniform, 3, samples=10)
+
+
+def test_sampling_needs_a_positive_sample_count(loop_on_one, uniform):
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            control_sequence(loop_on_one, Polynomial((0, 1)), uniform, 3,
+                             samples=samples, seed=1)
+
+
+def test_subset_mass_closed_form_has_no_horizon(uniform, nu):
+    g = Polynomial((1, 2))
+    # the closed form is used as given: the predicate is never consulted
+    assert subset_mass(uniform, 40, None, closed=lambda n: Fraction(1, n)) == Fraction(1, 40)
+    assert subset_mass(nu, 41, c_of_g(g), closed=cg_sphere_mass(g)) == Fraction(1, 41)
+    conditioned = InducedEnsemble(nu, c_of_g(g), closed=cg_sphere_mass(g))
+    assert conditioned.subset_sphere_mass(41) == Fraction(1, 41)
+
+
+def test_enumerated_subset_mass_stops_at_the_cap(loop_on_one, uniform):
+    with pytest.raises(HorizonError):
+        subset_mass(uniform, 17, lambda x: True)
+    with pytest.raises(HorizonError):
+        control_sequence(loop_on_one, Polynomial((0, 1)), uniform, 17)
+    conditioned = InducedEnsemble(uniform, example41_image_member)
+    assert conditioned.subset_sphere_mass(16) == Fraction(fib_tilings(16), 2**16)
+    with pytest.raises(HorizonError):
+        conditioned.mass(BINARY.word("0" * 17))
 
 
 def test_classify_decay_labels(uniform):
@@ -179,5 +207,5 @@ def test_density_cg_under_other_measures_uses_enumeration(uniform):
 
     member, _, closed = subset_from_spec({"name": "cg", "g": "2n+1"}, uniform)
     assert closed is None
-    assert density(uniform, member, 3) == Fraction(2, 8)
-    assert density(uniform, member, 5) == Fraction(4, 32)
+    assert subset_mass(uniform, 3, member) == Fraction(2, 8)
+    assert subset_mass(uniform, 5, member) == Fraction(4, 32)

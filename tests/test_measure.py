@@ -6,14 +6,13 @@ import pytest
 from gclab import (
     BINARY,
     Alphabet,
+    InducedEnsemble,
     TableEnsemble,
     UniformEnsemble,
     ensemble_from_spec,
     example41_reduction,
     identity_reduction,
-    induce,
     invert_mu_star,
-    transfer,
     verify_induced,
     verify_transfer,
 )
@@ -150,12 +149,12 @@ def test_transfer_injective_uniform():
 
 def test_transfer_requires_size_invariance(uniform):
     with pytest.raises(SizeInvarianceError):
-        transfer(example41_reduction(), uniform)
+        TransferredEnsemble(example41_reduction(), uniform)
 
 
 def test_induce_full_and_empty_subsets(uniform):
-    full = induce(uniform, lambda x: True)
-    empty = induce(uniform, lambda x: False)
+    full = InducedEnsemble(uniform, lambda x: True)
+    empty = InducedEnsemble(uniform, lambda x: False)
     for n in range(5):
         for x in BINARY.sphere(n):
             assert full.mass(x) == uniform.mass(x)
@@ -163,14 +162,14 @@ def test_induce_full_and_empty_subsets(uniform):
 
 
 def test_induce_conditional(uniform):
-    sub = induce(uniform, lambda x: x.text() in ("00", "01"))
+    sub = InducedEnsemble(uniform, lambda x: x.text() in ("00", "01"))
     assert sub.mass(BINARY.word("00")) == Fraction(1, 2)
     assert sub.mass(BINARY.word("10")) == 0
 
 
 def test_verify_transfer_self_consistency(geometric_table):
     f = identity_reduction(BINARY)
-    nu = transfer(f, geometric_table)
+    nu = TransferredEnsemble(f, geometric_table)
     assert verify_transfer(f, geometric_table, nu, 6).passed
 
 
@@ -323,7 +322,7 @@ def test_sphere_sums_match_fraction_sums(uniform, nu, geometric_table, skewed_ta
     abc = Alphabet(("a", "b", "c"))
     _, image = to_binary(DistributionalProblem("abc", abc, lambda x: True,
                                                UniformEnsemble(abc)))
-    half = induce(geometric_table, lambda x: x.letters[:1] == ("1",))
+    half = InducedEnsemble(geometric_table, lambda x: x.letters[:1] == ("1",))
     for ensemble, top in ((uniform, 10), (nu, 12), (geometric_table, 10),
                           (skewed_table, 8), (image.measure, 10), (half, 8),
                           (UniformEnsemble(abc), 6)):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from gclab import BINARY, invert_mu_star, x_double_prime, x_prime
-from gclab.measure import TableEnsemble, transfer, verify_transfer
+from gclab.measure import TableEnsemble, TransferredEnsemble, verify_transfer
 from gclab.reductions import identity_reduction
 from gclab.words import is_sphere_max
 from oracles import x_prime_scan
@@ -85,5 +85,5 @@ def test_dyadic_addresses_agree_and_bound_mass(mu):
 @given(random_tables(top=3))
 def test_transfer_oracle_on_random_tables(mu):
     f = identity_reduction(BINARY)
-    pushed = transfer(f, mu)
+    pushed = TransferredEnsemble(f, mu)
     assert verify_transfer(f, mu, pushed, 3).passed

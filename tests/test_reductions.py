@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from gclab import (
@@ -5,15 +8,15 @@ from gclab import (
     Alphabet,
     DistributionalProblem,
     Polynomial,
+    TableEnsemble,
+    TransferredEnsemble,
     UniformEnsemble,
     check_control_transfer,
-    check_control_transfer_cm,
     compose,
     example41_image_member,
     example41_reduction,
     identity_reduction,
     to_binary,
-    transfer,
     verify_cm,
     verify_cs,
     verify_size_invariance,
@@ -164,7 +167,7 @@ def test_compose_preserves_cs():
     f, image = to_binary(problem)
     g = identity_reduction(BINARY)
     h = compose(f, g)
-    doubly = transfer(g, image.measure)
+    doubly = TransferredEnsemble(g, image.measure)
     assert verify_cs(h, problem.measure, doubly, 4).passed
 
 
@@ -188,10 +191,66 @@ def test_check_control_transfer_cs_pair(find_zero):
 
 def test_check_control_transfer_cm(find_zero, worked_table):
     uni = UniformEnsemble(BINARY)
-    report = check_control_transfer_cm(find_zero, identity_reduction(BINARY),
-                                       Polynomial((0, 1)), worked_table, uni,
-                                       Polynomial((2,)), 6)
+    report = check_control_transfer(find_zero, identity_reduction(BINARY),
+                                    Polynomial((0, 1)), worked_table, uni, 6,
+                                    d=Polynomial((2,)))
     assert report.passed
+
+
+def _bounded_table() -> TableEnsemble:
+    """Criterion 07's change-of-measure source: on each sphere 1..8 the
+    least word carries 2 * 2^-n, the greatest none, the others 2^-n."""
+    entries = {}
+    for n in range(1, 9):
+        words = ["".join(w) for w in itertools.product("01", repeat=n)]
+        entries[words[0]] = Fraction(2, 2**n)
+        for w in words[1:-1]:
+            entries[w] = Fraction(1, 2**n)
+        entries[words[-1]] = Fraction(0)
+    return TableEnsemble(BINARY, entries, n_max=8)
+
+
+# (left, right) per sphere k = 0..8 of criterion 07's two reports, as the
+# separate change-of-size and change-of-measure checks printed them
+CRITERION_07_CS = [("1", "1")] + [("0", "0")] * 8
+CRITERION_07_CM = [("1", "2")] + [("0", str(Fraction(1, 2 ** (k - 1)))) for k in range(1, 9)]
+
+
+def test_control_transfer_reproduces_criterion_07(find_zero):
+    abc = Alphabet(("a", "b", "c"))
+    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
+    f, image = to_binary(problem)
+    cs = check_control_transfer(find_zero, f, Polynomial((2, 1)),
+                                problem.measure, image.measure, 8)
+    cm = check_control_transfer(find_zero, identity_reduction(BINARY), Polynomial((0, 1)),
+                                _bounded_table(), UniformEnsemble(BINARY), 8,
+                                d=Polynomial((2,)))
+    assert cs.passed and cm.passed
+    assert [(r["left"], r["right"]) for r in cs.details["spheres"]] == CRITERION_07_CS
+    assert [(r["left"], r["right"]) for r in cm.details["spheres"]] == CRITERION_07_CM
+    assert [r["image_sphere"] for r in cs.details["spheres"]] == [f.size_growth(k)
+                                                                 for k in range(9)]
+
+
+def test_control_transfer_min_ratio_scales_with_d(find_zero):
+    # only sphere 0 has overruns under the bounded table, with equal masses
+    ident = identity_reduction(BINARY)
+    for d, ratio in ((Polynomial((2,)), "2"), (Polynomial((1,)), "1"), (None, "1")):
+        report = check_control_transfer(find_zero, ident, Polynomial((0, 1)),
+                                        _bounded_table(), UniformEnsemble(BINARY), 8, d=d)
+        assert report.passed
+        assert report.details["min_ratio"] == ratio
+
+
+def test_control_transfer_planted_failure(find_zero):
+    # swapped: the uniform source weighs the all-ones overruns the table omits
+    report = check_control_transfer(find_zero, identity_reduction(BINARY),
+                                    Polynomial((0, 1)), UniformEnsemble(BINARY),
+                                    _bounded_table(), 8, d=Polynomial((1,)))
+    assert [v.witness for v in report.violations] == [f"sphere {k}" for k in range(1, 9)]
+    assert report.violations[0].expected == ">= 1/2"
+    assert report.violations[0].actual == "0"
+    assert report.details["min_ratio"] == "0"
 
 
 def test_reduction_specs():

@@ -10,6 +10,7 @@ from gclab.words import (
     rank_in_sphere,
     shortlex_cmp,
     shortlex_successor,
+    Word,
     unrank,
 )
 
@@ -29,6 +30,11 @@ def test_word_names_the_first_bad_symbol():
         with pytest.raises(AlphabetMismatchError, match=f"^symbol '{bad}' not in alphabet$"):
             alphabet.word(letters)
     assert Alphabet(("ab", "c")).word(["c", "ab"]).text() == "c,ab"
+
+
+def test_rank_in_sphere_names_a_foreign_letter():
+    with pytest.raises(AlphabetMismatchError, match="^symbol 'x' not in alphabet$"):
+        rank_in_sphere(Word(BINARY, ("0", "x", "1")))
 
 
 def test_shortlex_cmp_examples():
