@@ -16,8 +16,6 @@ from .words import (
     Word,
     lex_successor_in_sphere,
     rank_in_sphere,
-    shortlex_cmp,
-    shortlex_successor,
     unrank,
 )
 from .machine import (
@@ -72,14 +70,10 @@ from .reductions import (
 from .bhp import (
     GuardError,
     LongevityGuard,
-    NotACodeError,
     adequate_guard,
     bh_member,
     c_of_g,
     completeness_pipeline,
-    decode_instance,
-    decode_machine,
-    decode_numeral,
     encode_instance,
     invert_mu_star,
     machine_code,

@@ -17,14 +17,16 @@ throughout:
 * the dyadic compression x -> x'' that equalizes measure: high-mass
   inputs are replaced by a short dyadic address of their cumulative-mass
   interval, low-mass inputs are shipped verbatim;
-* the reduction of an arbitrary binary distributional problem to the
-  bounded halting problem of a purpose-built virtual machine, together
-  with the exact measure-decrease verifier;
-* an interpreter-backed universal machine and the reduction of any
-  machine's bounded halting problem to the universal one;
+* one stage type for both reductions into bounded halting -- an
+  arbitrary binary distributional problem into a purpose-built protocol
+  machine, and any machine into an interpreter-backed universal
+  machine -- with one code writer, x -> 1^pad 0 numeral(|x|) 0 prefix
+  x'', and one measure bound, mass(x) / (16 |x|^2 g(|x|) 2^|prefix|);
+* the stage checks: each maps every source word once, and membership
+  preservation (both ways) and the measure inequality are read off that
+  one image;
 * the end-to-end pipeline composing the two reductions with the
-  interleaved measure restrictions, verifying membership preservation
-  and every measure inequality per stage.
+  interleaved measure restrictions, verifying every stage.
 
 Step accounting of the virtual machines is declared, not hidden: the
 protocol machines charge n steps for decoding a claimed length n and
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .machine import (
     Configuration,
@@ -75,10 +77,6 @@ ONE = Fraction(1)
 NU = DBHNuEnsemble()
 
 
-class NotACodeError(ValueError):
-    """The word is the empty word or all ones: not an instance code."""
-
-
 class GuardError(ValueError):
     """A longevity guard violates its invariants or is too small."""
 
@@ -109,15 +107,6 @@ def _wrap(length: int, payload: str) -> Word:
             f"code length {length} cannot hold a {len(payload)}-symbol payload"
         )
     return BINARY.word("1" * m + "0" + payload)
-
-
-def decode_instance(u: Word) -> tuple[int, Word]:
-    """Split at the first zero: the code 1^m 0 w denotes (|u|, w)."""
-    text = u.text()
-    payload = _payload(text)
-    if payload is None:
-        raise NotACodeError(f"{text!r} contains no zero")
-    return len(text), BINARY.word(payload)
 
 
 def _payload(text: str) -> Optional[str]:
@@ -244,14 +233,6 @@ def numeral(n: int) -> Word:
         raise ValueError("numerals encode nonnegative integers")
     bits = bin(n)[2:] if n > 0 else "0"
     return BINARY.word("".join("1" + b for b in bits))
-
-
-def decode_numeral(v: Word) -> int:
-    """Invert ``numeral``; rejects malformed interleavings."""
-    parsed = scan_numeral(v.text(), 0)
-    if parsed is None or parsed[1] != len(v.text()):
-        raise ValueError(f"{v.text()!r} is not a numeral")
-    return parsed[0]
 
 
 def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
@@ -417,14 +398,25 @@ def _protocol_run(
 
 
 @dataclass(frozen=True)
-class Red2BH:
-    """Output of the first reduction stage: the map, the purpose-built
-    machine whose bounded halting problem receives the problem, and the
-    adequate guard actually used (it also is the map's size growth)."""
+class BHStage:
+    """One reduction into bounded halting: the map x -> 1^pad 0 numeral(|x|)
+    0 prefix x'', the machine whose bounded halting problem receives it
+    (None when only the map's measure is checked), the guard (the map's
+    size growth), the source measure x'' is computed against, and the
+    payload prefix ("" for the first stage, machine-code 0 for the
+    universal one)."""
 
     reduction: Reduction
-    machine: VirtualMachine
+    machine: Optional[Machine]
     guard: LongevityGuard
+    mu: SphericalEnsemble
+    prefix: str = ""
+
+    def mass_bound(self, x: Word) -> Fraction:
+        """The least image mass the measure inequality allows for x:
+        mass(x) / (16 |x|^2 g(|x|) 2^|prefix|), for |x| >= 1."""
+        n = len(x)
+        return self.mu.mass(x) / ((16 * n * n * self.guard(n)) << len(self.prefix))
 
 
 def adequate_guard(
@@ -459,8 +451,9 @@ def adequate_guard(
     return LongevityGuard(fn, label)
 
 
-def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard) -> Reduction:
-    """The instance map x -> 1^pad 0 numeral(|x|) 0 x''.
+def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -> Reduction:
+    """The instance map x -> 1^pad 0 numeral(|x|) 0 prefix x'', the one
+    writer of both stages' codes.
 
     Images have length exactly guard(|x|), so the guard is the size
     growth; the construction errors out if the guard leaves no room for
@@ -469,7 +462,7 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard) -> Reduction:
 
     def apply(x: Word) -> Word:
         n = len(x)
-        return _wrap(guard(n), numeral(n).text() + "0" + x_double_prime(mu, x).text())
+        return _wrap(guard(n), numeral(n).text() + "0" + prefix + x_double_prime(mu, x).text())
 
     return Reduction(
         name=f"to-bounded-halting[{guard.form}]",
@@ -485,7 +478,7 @@ def red2bh(
     decider: Machine,
     g_user: GuardLike,
     decider_guard: Callable[[int], int],
-) -> Red2BH:
+) -> BHStage:
     """Reduce a binary distributional problem to the bounded halting
     problem of a purpose-built protocol machine.
 
@@ -523,34 +516,37 @@ def red2bh(
             "guard": guard.form,
         },
     )
-    return Red2BH(reduction=red2bh_map(mu, guard), machine=machine, guard=guard)
+    return BHStage(red2bh_map(mu, guard), machine, guard, mu)
 
 
 def verify_membership(
     problem: DistributionalProblem,
-    f: Reduction,
-    target_positive: Callable[[Word], bool],
-    n_max: int,
-) -> CheckReport:
-    """Exhaustive two-directional membership preservation up to n_max."""
-    report = CheckReport("membership-preservation", n_max)
-    for n in range(n_max + 1):
-        for x in problem.alphabet.sphere(n):
-            source = problem.positive(x)
-            image = target_positive(f.apply(x))
-            if source != image:
-                report.add(x.text(), str(source), str(image))
-    return report
+    stage: BHStage,
+    words: Iterable[Word],
+    report: CheckReport,
+) -> Iterator[tuple[Word, Word]]:
+    """Both directions of membership preservation, one image per word.
+
+    Maps each word once, adds a violation wherever the problem's
+    membership of x and the stage machine's bounded-halting membership of
+    f(x) differ, and yields (x, f(x)) for a measure check to read.  The
+    report is complete once the pairs are exhausted.
+    """
+    for x in words:
+        y = stage.reduction.apply(x)
+        source, image = problem.positive(x), bh_member(stage.machine, y)
+        if source != image:
+            report.add(x.text(), str(source), str(image))
+        yield x, y
 
 
 def verify_measure_decrease(
-    mu: SphericalEnsemble, guard: LongevityGuard, n_max: int
+    stage: BHStage, pairs: Iterable[tuple[Word, Word]], n_max: int
 ) -> CheckReport:
-    """Exact check of the measure loss of the bounded-halting map.
+    """Exact check of the measure loss of the bounded-halting map at every
+    pair (x, f(x)) with 1 <= |x|:
 
-    Headline inequality, for every 1 <= |x| <= n_max:
-
-        target_mass(f(x)) >= mass(x) / (16 |x|^2 g(|x|))
+        NU.mass(f(x)) >= stage.mass_bound(x) = mass(x) / (16 |x|^2 g(|x|))
 
     The report carries per-branch data: which compression branch each
     input took, the exact ratio target/bound, and the sharper per-branch
@@ -558,34 +554,30 @@ def verify_measure_decrease(
     length-0 sphere is outside the inequality's domain (its bound
     degenerates) and is recorded as skipped.
     """
-    f = red2bh_map(mu, guard)
     report = CheckReport("measure-decrease", n_max)
     branch1_f8: list[dict] = []
     branch2_f16: list[dict] = []
 
     def points():
-        for n in range(1, n_max + 1):
-            g_n = guard(n)
-            threshold = Fraction(1, 2**n)
-            for x in mu.alphabet.sphere(n):
-                mass = mu.mass(x)
-                got = NU.mass(f.apply(x))
-                bound = mass / (16 * n * n * g_n)
-                if mass <= threshold:
-                    sharper = mass / (8 * n * n * g_n)
-                    if got < sharper:
-                        branch1_f8.append(
-                            {"witness": x.text(), "expected": fraction_str(sharper),
-                             "actual": fraction_str(got)}
-                        )
-                elif got < bound:
-                    # the address branch's sharper factor is the headline 16,
-                    # so its violations are the headline ones on that branch
-                    branch2_f16.append(
-                        {"witness": x.text(), "expected": fraction_str(bound),
+        for x, y in pairs:
+            if not x.letters:
+                continue
+            got, bound = NU.mass(y), stage.mass_bound(x)
+            if stage.mu.mass(x) <= Fraction(1, 2 ** len(x)):
+                sharper = 2 * bound  # mass / (8 |x|^2 g(|x|))
+                if got < sharper:
+                    branch1_f8.append(
+                        {"witness": x.text(), "expected": fraction_str(sharper),
                          "actual": fraction_str(got)}
                     )
-                yield x, got, bound
+            elif got < bound:
+                # the address branch's sharper factor is the headline 16,
+                # so its violations are the headline ones on that branch
+                branch2_f16.append(
+                    {"witness": x.text(), "expected": fraction_str(bound),
+                     "actual": fraction_str(got)}
+                )
+            yield x, got, bound
 
     min_ratio = check_lower_bounds(report, points())
     report.details["skipped_spheres"] = [0]
@@ -620,13 +612,6 @@ def machine_code(machine: Machine) -> Word:
     a registry only (their behaviour lives in host code).
     """
     return numeral(machine_index(machine))
-
-
-def decode_machine(
-    code: Word, registry: Optional[dict[int, Machine]] = None
-) -> Machine:
-    """Invert ``machine_code``; registry hits win, then table decoding."""
-    return _machine_at(decode_numeral(code), registry or {})
 
 
 def _machine_at(index: int, registry: dict[int, Machine]) -> Machine:
@@ -720,84 +705,48 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
 # --- reduction into the universal machine ------------------------------------
 
 
-@dataclass(frozen=True)
-class Red2BHU:
-    """Second reduction stage: bounded halting of a machine into bounded
-    halting of the universal machine, with the combined guard h = g·s
-    with s = 1 (the universal machine's slowdown), so h is the guard."""
+def red2bhu(machine: Machine, g: GuardLike) -> BHStage:
+    """Bounded halting of a machine into bounded halting of the universal
+    machine: the map x -> 1^pad 0 numeral(|x|) 0 machine-code 0 x'' with
+    image length h(|x|) = g(|x|)·s(|x|), s = 1 (the universal machine's
+    slowdown), so h is the guard; x'' is computed against the input
+    ensemble.
 
-    reduction: Reduction
-    h: LongevityGuard
-    machine_code_text: str
-
-    def mass_bound(self, x: Word) -> Fraction:
-        """The least image mass the measure inequality allows for x:
-        NU.mass(x) / (16 |x|^2 h(|x|) 2^(|code|+1)), for |x| >= 1."""
-        n = len(x)
-        shift = 1 << (len(self.machine_code_text) + 1)
-        return NU.mass(x) / (16 * n * n * self.h(n) * shift)
-
-
-def red2bhu(machine: Machine, g: GuardLike) -> Red2BHU:
-    """The map x -> 1^pad 0 numeral(|x|) 0 machine-code 0 x'' with image
-    length h(|x|) = g(|x|)·s(|x|), s = 1; x'' is computed against the
-    input ensemble.
-
-    Raises when the guard leaves no room for the payload.
+    Mapping raises when the guard leaves no room for the payload.
     """
     h = as_guard(g)
-    code_text = machine_code(machine).text()
-
-    def apply(x: Word) -> Word:
-        n = len(x)
-        return _wrap(
-            h(n), numeral(n).text() + "0" + code_text + "0" + x_double_prime(NU, x).text()
-        )
-
-    reduction = Reduction(
-        name=f"to-universal[{h.form}]",
-        source=BINARY,
-        target=BINARY,
-        func=apply,
-        size_growth=h.fn,
-    )
-    return Red2BHU(reduction=reduction, h=h, machine_code_text=code_text)
+    prefix = machine_code(machine).text() + "0"
+    return BHStage(red2bh_map(NU, h, prefix), universal_machine([machine]), h, NU, prefix)
 
 
 def verify_red2bhu_membership(
-    machine: Machine, stage: Red2BHU, universal: VirtualMachine, n_max: int
-) -> CheckReport:
-    """Both directions of membership preservation between the machine's
-    bounded halting problem and the universal one, on all words up to
-    n_max."""
+    machine: Machine, stage: BHStage, words: Iterable[Word], report: CheckReport
+) -> Iterator[tuple[Word, Word]]:
+    """``verify_membership`` from the machine's bounded halting problem
+    into the universal one."""
     problem = DistributionalProblem(
         name="bounded-halting",
         alphabet=BINARY,
         positive=lambda u: bh_member(machine, u),
         measure=NU,
     )
-    return verify_membership(
-        problem, stage.reduction, lambda u: bh_member(universal, u), n_max
-    )
+    return verify_membership(problem, stage, words, report)
 
 
-def verify_red2bhu_measure(stage: Red2BHU, n_max: int) -> CheckReport:
-    """Exact check of the measure loss of the universal-machine map:
-    for 1 <= |x| <= n_max,
+def verify_red2bhu_measure(
+    stage: BHStage, pairs: Iterable[tuple[Word, Word]], n_max: int
+) -> CheckReport:
+    """Exact check of the measure loss of the universal-machine map at
+    every pair (x, f(x)) with 1 <= |x|:
 
         mass(f(x)) >= mass(x) / (16 |x|^2 g(|x|) s(|x|) 2^(|code|+1))
 
     with both masses under the input ensemble and h = g·s, s = 1."""
     report = CheckReport("measure-decrease-universal", n_max)
     min_ratio = check_lower_bounds(
-        report,
-        (
-            (x, NU.mass(stage.reduction.apply(x)), stage.mass_bound(x))
-            for n in range(1, n_max + 1)
-            for x in BINARY.sphere(n)
-        ),
+        report, ((x, NU.mass(y), stage.mass_bound(x)) for x, y in pairs if x.letters)
     )
-    report.details["machine_code_length"] = len(stage.machine_code_text)
+    report.details["machine_code_length"] = len(stage.prefix) - 1
     report.details["skipped_spheres"] = [0]
     if min_ratio is not None:
         report.details["min_ratio"] = fraction_str(min_ratio)
@@ -869,20 +818,11 @@ def completeness_pipeline(
     """
     chain = ChainReport()
     stage1 = red2bh(problem, decider, g_user, decider_guard)
-    f1 = stage1.reduction
+    report1 = CheckReport("membership-preservation", n_max)
+    pairs1 = list(verify_membership(problem, stage1, problem.alphabet.ball(n_max), report1))
+    chain.stages.append(("reduce-to-bounded-halting:membership", report1))
     chain.stages.append(
-        (
-            "reduce-to-bounded-halting:membership",
-            verify_membership(
-                problem, f1, lambda u: bh_member(stage1.machine, u), n_max
-            ),
-        )
-    )
-    chain.stages.append(
-        (
-            "reduce-to-bounded-halting:measure",
-            verify_measure_decrease(problem.measure, stage1.guard, n_max),
-        )
+        ("reduce-to-bounded-halting:measure", verify_measure_decrease(stage1, pairs1, n_max))
     )
 
     # stage 2: identity from the C(g)-restricted ensemble into the plain one
@@ -900,7 +840,8 @@ def completeness_pipeline(
     check_lower_bounds(report2, relaxed_points())
     chain.stages.append(("relax-restriction:measure", report2))
 
-    # stage 3: embed the protocol machine into the universal machine
+    # stage 3: embed the protocol machine into the universal machine, on
+    # the first stage's images
     code_len = len(machine_code(stage1.machine).text())
     g2 = adequate_guard(
         lambda n: 2 * n + 8,
@@ -909,29 +850,23 @@ def completeness_pipeline(
         form="universal-stage",
     )
     stage3 = red2bhu(stage1.machine, g2)
-    universal = universal_machine([stage1.machine])
     report3m = CheckReport("universal:membership", n_max)
-    report3q = CheckReport("universal:measure", n_max)
-    images = []
-    for n in range(n_max + 1):
-        for x in problem.alphabet.sphere(n):
-            y = f1.apply(x)
-            z = stage3.reduction.apply(y)
-            images.append((y, z))
-            lhs = bh_member(stage1.machine, y)
-            rhs = bh_member(universal, z)
-            if lhs != rhs:
-                report3m.add(y.text(), str(lhs), str(rhs))
-    check_lower_bounds(report3q, ((y, NU.mass(z), stage3.mass_bound(y)) for y, z in images))
+    pairs3 = list(
+        verify_red2bhu_membership(stage1.machine, stage3, (y for _, y in pairs1), report3m)
+    )
+    # the chain keeps only the violations of the universal measure check
+    report3q = CheckReport(
+        "universal:measure", n_max, verify_red2bhu_measure(stage3, pairs3, n_max).violations
+    )
     chain.stages.append(("embed-in-universal:membership", report3m))
     chain.stages.append(("embed-in-universal:measure", report3q))
 
     # stage 4: relax the universal restriction on the final images and on
     # honest restricted codes
-    restricted_u = nu_g(stage3.h)
+    restricted_u = nu_g(stage3.guard)
     report4 = CheckReport("relax-universal-restriction", n_max)
-    finals = [z for _, z in images] + [
-        encode_instance(stage3.h(k), w) for k in range(2) for w in BINARY.sphere(k)
+    finals = [z for _, z in pairs3] + [
+        encode_instance(stage3.guard(k), w) for k in range(2) for w in BINARY.sphere(k)
     ]
     check_lower_bounds(
         report4,

@@ -30,6 +30,7 @@ from .machine import (
 )
 from .measure import ensemble_from_spec
 from .reductions import DistributionalProblem
+from .words import BINARY
 
 # Import-time objects live as long as the process: keep them out of every collection.
 gc.freeze()
@@ -193,6 +194,14 @@ def _report_exit(report, args) -> int:
     return 0 if payload["passed"] else 1
 
 
+def _stage_exit(membership, decrease, args) -> int:
+    """One report for a bounded-halting stage: its membership violations,
+    then its measure violations, with the measure details nested."""
+    membership.violations.extend(decrease.violations)
+    membership.details["measure"] = decrease.details
+    return _report_exit(membership, args)
+
+
 def cmd_reduce(args) -> int:
     data = _load_json(args.bundle)
     if args.construction == "to-binary":
@@ -217,14 +226,11 @@ def cmd_reduce(args) -> int:
         guard = bhp.as_guard(parse_polynomial(data.get("guard", "n+6")),
                              form=str(data.get("guard", "n+6")))
         stage = bhp.red2bh(problem, decider, guard, decider_guard)
-        membership = bhp.verify_membership(
-            problem, stage.reduction,
-            lambda u: bhp.bh_member(stage.machine, u), args.n_max,
+        membership = measure.CheckReport("membership-preservation", args.n_max)
+        pairs = bhp.verify_membership(
+            problem, stage, problem.alphabet.ball(args.n_max), membership
         )
-        decrease = bhp.verify_measure_decrease(problem.measure, stage.guard, args.n_max)
-        membership.violations.extend(decrease.violations)
-        membership.details["measure"] = decrease.details
-        return _report_exit(membership, args)
+        return _stage_exit(membership, bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
     if args.construction == "universal":
         _require_cap(args.n_max, 8, "universal-stage")
         machine = load_machine(data["machine"])
@@ -233,12 +239,11 @@ def cmd_reduce(args) -> int:
             extra_payload=len(bhp.machine_code(machine).text()) + 1,
         )
         stage = bhp.red2bhu(machine, guard)
-        universal = bhp.universal_machine([machine])
-        membership = bhp.verify_red2bhu_membership(machine, stage, universal, args.n_max)
-        decrease = bhp.verify_red2bhu_measure(stage, args.n_max)
-        membership.violations.extend(decrease.violations)
-        membership.details["measure"] = decrease.details
-        return _report_exit(membership, args)
+        membership = measure.CheckReport("membership-preservation", args.n_max)
+        pairs = bhp.verify_red2bhu_membership(
+            machine, stage, BINARY.ball(args.n_max), membership
+        )
+        return _stage_exit(membership, bhp.verify_red2bhu_measure(stage, pairs, args.n_max), args)
     if args.construction == "pipeline":
         _require_cap(args.n_max, SEARCH_CAP, "pipeline")
         problem, decider, decider_guard = _problem_from_bundle(data)
@@ -292,9 +297,10 @@ def cmd_verify(args) -> int:
         guard = bhp.adequate_guard(
             parse_polynomial(data.get("guard", "n+6")), decider_guard
         )
-        return _report_exit(
-            bhp.verify_measure_decrease(problem.measure, guard, args.n_max), args
-        )
+        f = bhp.red2bh_map(problem.measure, guard)
+        stage = bhp.BHStage(f, None, guard, problem.measure)
+        pairs = ((x, f.apply(x)) for x in problem.alphabet.ball(args.n_max))
+        return _report_exit(bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
     raise UsageError(f"unknown check {args.check!r}")
 
 

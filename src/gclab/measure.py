@@ -304,10 +304,16 @@ class TableEnsemble(SphericalEnsemble):
         return self.entries.get(x.text(), ZERO)
 
     def validate(self, n_max: Optional[int] = None) -> None:
-        """Check that every sphere up to n_max sums to exactly 1."""
-        top = self.n_max if n_max is None else n_max
-        for n in range(top + 1):
-            total = self.sphere_sum(n)
+        """Check that every sphere up to n_max sums to exactly 1.
+
+        The entries are summed by word length, so no sphere is enumerated
+        and no horizon applies."""
+        totals = {0: ONE} if "" not in self.entries else {}
+        for key, value in self.entries.items():
+            n = len(self.alphabet.word(key))
+            totals[n] = totals.get(n, ZERO) + value
+        for n in range((self.n_max if n_max is None else n_max) + 1):
+            total = totals.get(n, ZERO)
             if total != 1:
                 raise ValueError(f"sphere {n} sums to {total}, not 1")
 
@@ -597,7 +603,9 @@ def ensemble_from_spec(spec: dict) -> SphericalEnsemble:
     if kind == "table":
         alphabet = Alphabet(tuple(spec.get("alphabet", "01")))
         entries = {k: Fraction(v) for k, v in spec["entries"].items()}
-        return TableEnsemble(alphabet, entries, n_max=spec.get("n_max"))
+        table = TableEnsemble(alphabet, entries, n_max=spec.get("n_max"))
+        table.validate()
+        return table
     if kind == "transferred":
         from .reductions import reduction_from_spec
 

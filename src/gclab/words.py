@@ -1,15 +1,12 @@
-"""Alphabets, words, and the orderings on them.
+"""Alphabets, words, and the order on them.
 
 Every instance of every problem in this package is a word over a fixed,
-linearly ordered, finite alphabet.  The orderings (shortlex over all
-words, plain lexicographic inside a sphere) and the 1-based rank/unrank
-bijection are the backbone of sphere enumeration, cumulative measures,
-and the dyadic encodings used by the halting-problem constructions.
-
-Two distinct successor notions are provided on purpose: the shortlex
-successor crosses sphere boundaries, the in-sphere successor does not
-and fails on the lexicographic maximum of its sphere.  Cumulative
-measures rely on the in-sphere one only.
+linearly ordered, finite alphabet.  Spheres (the words of one length)
+are enumerated in plain lexicographic order, and the 1-based
+rank/unrank bijection inside a sphere is the backbone of cumulative
+measures and the dyadic encodings used by the halting-problem
+constructions.  The in-sphere successor fails on the lexicographic
+maximum of its sphere; cumulative measures take the mass-1 branch there.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class AlphabetMismatchError(ValueError):
@@ -92,6 +89,11 @@ class Alphabet:
         for combo in itertools.product(self.symbols, repeat=n):
             yield Word(self, combo)
 
+    def ball(self, n_max: int) -> Iterator["Word"]:
+        """All words of length at most n_max, sphere by sphere."""
+        for n in range(n_max + 1):
+            yield from self.sphere(n)
+
     def sphere_size(self, n: int) -> int:
         return self.size**n
 
@@ -118,38 +120,12 @@ class Word:
 BINARY = Alphabet(("0", "1"))
 
 
-def _check_same_alphabet(a: Word, b: Word) -> None:
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError("words are over different alphabets")
+def lex_successor_in_sphere(x: Word) -> Word:
+    """The next word of the same length in lexicographic order.
 
-
-def lex_cmp_equal_length(a: Word, b: Word) -> int:
-    """Left-lexicographic comparison of two equal-length words; -1/0/+1."""
-    _check_same_alphabet(a, b)
-    if len(a) != len(b):
-        raise ValueError("lexicographic comparison requires equal lengths")
-    idx = a.alphabet.index
-    for x, y in zip(a.letters, b.letters):
-        ix, iy = idx(x), idx(y)
-        if ix != iy:
-            return -1 if ix < iy else 1
-    return 0
-
-
-def shortlex_cmp(a: Word, b: Word) -> int:
-    """Shortlex comparison: shorter words first, lexicographic at equal length.
-
-    Returns -1, 0 or +1.
+    Fails on the lexicographic maximum of the sphere; cumulative-measure
+    code must take the mass-1 branch there instead.
     """
-    _check_same_alphabet(a, b)
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    return lex_cmp_equal_length(a, b)
-
-
-def _next_in_sphere(x: Word) -> Optional[Word]:
-    """The next word of the same length in lexicographic order, or None
-    on the lexicographic maximum of the sphere."""
     alpha = x.alphabet
     b = alpha.size
     digits = [alpha.index(s) for s in x.letters]
@@ -159,31 +135,7 @@ def _next_in_sphere(x: Word) -> Optional[Word]:
             for j in range(i + 1, len(digits)):
                 digits[j] = 0
             return Word(alpha, tuple(alpha.symbols[d] for d in digits))
-    return None
-
-
-def shortlex_successor(x: Word) -> Word:
-    """The immediate successor of x in the shortlex order over all words.
-
-    Total: the lexicographic maximum of a sphere wraps to the minimum of
-    the next sphere, and the empty word maps to the one-letter minimum.
-    """
-    nxt = _next_in_sphere(x)
-    if nxt is None:
-        return Word(x.alphabet, (x.alphabet.symbols[0],) * (len(x) + 1))
-    return nxt
-
-
-def lex_successor_in_sphere(x: Word) -> Word:
-    """The next word of the same length in lexicographic order.
-
-    Fails on the lexicographic maximum of the sphere; cumulative-measure
-    code must take the mass-1 branch there instead.
-    """
-    nxt = _next_in_sphere(x)
-    if nxt is None:
-        raise SphereRangeError(f"{x.text()!r} is the lexicographic maximum of its sphere")
-    return nxt
+    raise SphereRangeError(f"{x.text()!r} is the lexicographic maximum of its sphere")
 
 
 def is_sphere_max(x: Word) -> bool:

@@ -20,7 +20,6 @@ from gclab import (
     Polynomial,
     TransferredEnsemble,
     UniformEnsemble,
-    bh_member,
     c_of_g,
     check_control_transfer,
     control_sequence,
@@ -32,7 +31,6 @@ from gclab import (
     red2bhu,
     subset_mass,
     to_binary,
-    universal_machine,
     verify_cs,
     verify_induced,
     verify_measure_decrease,
@@ -44,10 +42,10 @@ from gclab import (
     x_prime,
 )
 from gclab.bhp import (
-    NU, LongevityGuard, adequate_guard, machine_code, verify_membership,
+    NU, BHStage, LongevityGuard, adequate_guard, machine_code, red2bh_map, verify_membership,
 )
 from gclab.genericity import sample_sphere
-from gclab.measure import DBHNuEnsemble
+from gclab.measure import CheckReport, DBHNuEnsemble
 from oracles import x_prime_scan
 
 
@@ -111,7 +109,9 @@ def test_criterion_03_measure_decrease_bounds():
     branch_witnesses = []
     both_branches_seen = set()
     for mu in (UniformEnsemble(BINARY), table):
-        report = verify_measure_decrease(mu, guard, 8)
+        f = red2bh_map(mu, guard)
+        pairs = ((x, f.apply(x)) for x in BINARY.ball(8))
+        report = verify_measure_decrease(BHStage(f, None, guard, mu), pairs, 8)
         if not report.passed:
             headline_ok = False
         branch_witnesses.extend(
@@ -171,9 +171,9 @@ def test_criterion_04_reduction_membership_preservation():
     started = time.monotonic()
     problem, ntm = _contains01_problem()
     stage = red2bh(problem, ntm, Polynomial((6, 1, 1)), lambda n: n + 1)
-    report = verify_membership(
-        problem, stage.reduction, lambda u: bh_member(stage.machine, u), 5
-    )
+    report = CheckReport("membership-preservation", 5)
+    for _ in verify_membership(problem, stage, BINARY.ball(5), report):
+        pass
     elapsed = time.monotonic() - started
     announce(4, "bounded-halting reduction preserves membership both ways "
                 "(|x|<=5, nondeterministic toy)", report.passed, started)
@@ -201,9 +201,9 @@ def test_criterion_05_universal_machine_stage():
     code_len = len(machine_code(machine).text())
     guard = LongevityGuard(lambda n: n + code_len + 40, form="n+|code|+40")
     stage = red2bhu(machine, guard)
-    universal = universal_machine([machine])
-    membership = verify_red2bhu_membership(machine, stage, universal, 8)
-    measure = verify_red2bhu_measure(stage, 8)
+    membership = CheckReport("membership-preservation", 8)
+    pairs = verify_red2bhu_membership(machine, stage, BINARY.ball(8), membership)
+    measure = verify_red2bhu_measure(stage, pairs, 8)
     ok = membership.passed and measure.passed
     announce(5, "universal-machine stage: membership on all codes <=8 and the "
                 "combined measure factor", ok, started,

@@ -13,9 +13,6 @@ from gclab import (
     bh_member,
     c_of_g,
     completeness_pipeline,
-    decode_instance,
-    decode_machine,
-    decode_numeral,
     encode_instance,
     invert_mu_star,
     machine_code,
@@ -33,9 +30,11 @@ from gclab import (
 from gclab.bhp import (
     GuardError,
     LongevityGuard,
+    BHStage,
     MachineDecodeError,
     NU,
-    NotACodeError,
+    _machine_at,
+    _payload,
     _read_field,
     _relaxation_points,
     adequate_guard,
@@ -88,14 +87,11 @@ def test_encode_instance_examples():
         encode_instance(2, BINARY.word("01"))
 
 
-def test_decode_instance_examples():
-    n, w = decode_instance(BINARY.word("11001"))
-    assert (n, w.text()) == (5, "01")
-    assert decode_instance(BINARY.word("0")) == (1, BINARY.empty)
-    with pytest.raises(NotACodeError):
-        decode_instance(BINARY.word("111"))
-    with pytest.raises(NotACodeError):
-        decode_instance(BINARY.empty)
+def test_payload_examples():
+    assert _payload("11001") == "01"
+    assert _payload("0") == ""
+    assert _payload("111") is None  # all ones: not a code
+    assert _payload("") is None
 
 
 def test_codec_roundtrip():
@@ -103,9 +99,7 @@ def test_codec_roundtrip():
         for u in BINARY.sphere(n):
             if "0" not in u.text():
                 continue
-            m, w = decode_instance(u)
-            assert m == n
-            assert encode_instance(m, w) == u
+            assert encode_instance(n, BINARY.word(_payload(u.text()))) == u
 
 
 def test_nu_mass_examples():
@@ -285,19 +279,18 @@ def test_numeral_examples():
     assert numeral(5).text() == "111011"
     assert numeral(1).text() == "11"
     assert numeral(0).text() == "10"
-    with pytest.raises(ValueError):
-        decode_numeral(BINARY.word("1011"))  # nonzero numeral with leading 0
+    assert scan_numeral("1011", 0) is None  # nonzero numeral with leading 0
 
 
 def test_numeral_roundtrip():
     for n in range(200):
-        assert decode_numeral(numeral(n)) == n
+        text = numeral(n).text()
+        assert scan_numeral(text, 0) == (n, len(text))
 
 
 def test_numeral_rejects_malformed():
     for bad in ("", "1", "011", "111"):
-        with pytest.raises(ValueError):
-            decode_numeral(BINARY.word(bad))
+        assert scan_numeral(bad, 0) is None
 
 
 def _scan_outcome(scan, text, start):
@@ -322,7 +315,7 @@ def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
     stage = red2bhu(find_zero, LongevityGuard(lambda n: n + code_len + 40, form="n+L+40"))
     images = [f.apply(x) for n in range(5) for x in BINARY.sphere(n)]
     for image in images + [stage.reduction.apply(BINARY.word("1"))]:
-        payload = decode_instance(image)[1].text()
+        payload = _payload(image.text())
         texts += [payload, _read_field(payload)[1]]
     # a lone trailing marker, "10" followed by more marker pairs
     texts += ["1", "111", "0111", "11111", "1011", "101110", "10" + "11" * 5, "1010"]
@@ -418,23 +411,33 @@ def test_invert_mu_star_partitions(nu, geometric_table):
 # --- reduction to bounded halting --------------------------------------------
 
 
+def _membership(problem, stage, n_max):
+    """The membership report of a stage, its pairs drained unread."""
+    report = CheckReport("membership-preservation", n_max)
+    for _ in verify_membership(problem, stage, problem.alphabet.ball(n_max), report):
+        pass
+    return report
+
+
+def _map_measure(mu, guard, n_max):
+    """The measure check on the pairs of the bare map (no receiving
+    machine), as ``verify bh-measure`` runs it."""
+    f = red2bh_map(mu, guard)
+    pairs = ((x, f.apply(x)) for x in mu.alphabet.ball(n_max))
+    return verify_measure_decrease(BHStage(f, None, guard, mu), pairs, n_max)
+
+
 def test_red2bh_membership_uniform(contains01_problem, contains01_ntm):
     stage = red2bh(contains01_problem, contains01_ntm,
                    Polynomial((6, 1, 1)), lambda n: n + 1)
-    report = verify_membership(
-        contains01_problem, stage.reduction,
-        lambda u: bh_member(stage.machine, u), 5,
-    )
+    report = _membership(contains01_problem, stage, 5)
     assert report.passed, report.violations[:5]
 
 
 def test_red2bh_membership_table(contains01_table_problem, contains01_ntm):
     stage = red2bh(contains01_table_problem, contains01_ntm,
                    Polynomial((6, 1, 1)), lambda n: n + 1)
-    report = verify_membership(
-        contains01_table_problem, stage.reduction,
-        lambda u: bh_member(stage.machine, u), 5,
-    )
+    report = _membership(contains01_table_problem, stage, 5)
     assert report.passed, report.violations[:5]
 
 
@@ -458,7 +461,7 @@ def test_red2bh_uniform_takes_verbatim_branch(contains01_problem, contains01_ntm
 def test_measure_decrease_uniform_and_table(uniform, geometric_table):
     guard = adequate_guard(Polynomial((6, 1, 1)), lambda n: n + 1)
     for mu in (uniform, geometric_table):
-        report = verify_measure_decrease(mu, guard, 8)
+        report = _map_measure(mu, guard, 8)
         assert report.passed, report.violations[:5]
 
 
@@ -472,7 +475,7 @@ def test_measure_decrease_table_exercises_both_branches(geometric_table):
         if geometric_table.mass(x) > 0
     }
     assert any(flag for _, flag in branches) and any(not flag for _, flag in branches)
-    report = verify_measure_decrease(geometric_table, guard, 8)
+    report = _map_measure(geometric_table, guard, 8)
     assert not report.details["branch2_factor16_violations"]
 
 
@@ -486,7 +489,7 @@ def test_measure_decrease_catches_corruption(uniform):
     # ensemble whose masses at one image are halved
     from gclab import bhp as bhp_module
 
-    report = verify_measure_decrease(uniform, guard, 4)
+    report = _map_measure(uniform, guard, 4)
     assert report.passed
     # now shrink the guard's padding so images land on different codes:
     # use a plainly wrong inequality instead by inflating the bound
@@ -506,7 +509,7 @@ def test_measure_decrease_catches_corruption(uniform):
 def test_machine_code_roundtrip(halt1, loop, find_zero, contains01_ntm):
     for machine in (halt1, loop, find_zero, contains01_ntm):
         code = machine_code(machine)
-        rebuilt = decode_machine(code)
+        rebuilt = _machine_at(scan_numeral(code.text(), 0)[0], {})
         assert rebuilt.to_canonical_dict() == machine.to_canonical_dict()
 
 
@@ -524,11 +527,10 @@ def test_virtual_machine_codes_via_registry(contains01_problem, contains01_ntm):
     stage = red2bh(contains01_problem, contains01_ntm,
                    Polynomial((6, 1, 1)), lambda n: n + 1)
     vm = stage.machine
-    code = machine_code(vm)
-    registry = {machine_index(vm): vm}
-    assert decode_machine(code, registry) is vm
-    with pytest.raises(Exception):
-        decode_machine(code)  # no registry: virtual machines cannot decode
+    index = scan_numeral(machine_code(vm).text(), 0)[0]
+    assert _machine_at(index, {machine_index(vm): vm}) is vm
+    with pytest.raises(MachineDecodeError):
+        _machine_at(index, {})  # no registry: virtual machines cannot decode
 
 
 # --- the universal machine ----------------------------------------------------
@@ -580,7 +582,7 @@ def _index_code(payload) -> str:
 def test_universal_fails_closed_on_malformed_tables(halt1, payload):
     code = _index_code(payload)
     with pytest.raises(MachineDecodeError):
-        decode_machine(BINARY.word(code))
+        _machine_at(scan_numeral(code, 0)[0], {})
     U = universal_machine([halt1])
     plain = code + "0" + "1"
     chained = numeral(1).text() + "0" + code + "0" + "01"
@@ -650,12 +652,12 @@ def test_images_read_back_their_fields(uniform, find_zero):
     stage = red2bhu(find_zero, LongevityGuard(lambda n: n + code_len + 40, form="n+L+40"))
     for n in range(5):
         for x in BINARY.sphere(n):
-            length, payload = decode_instance(f.apply(x))
-            assert length == guard(n)
-            assert _read_field(payload.text()) == (n, x_double_prime(uniform, x).text())
-            length, payload = decode_instance(stage.reduction.apply(x))
-            assert length == stage.h(n)
-            n_read, rest = _read_field(payload.text())
+            image = f.apply(x).text()
+            assert len(image) == guard(n)
+            assert _read_field(_payload(image)) == (n, x_double_prime(uniform, x).text())
+            image = stage.reduction.apply(x).text()
+            assert len(image) == stage.guard(n)
+            n_read, rest = _read_field(_payload(image))
             assert n_read == n
             assert _read_field(rest) == (
                 machine_index(find_zero), x_double_prime(NU, x).text())
@@ -665,8 +667,9 @@ def test_red2bhu_membership(find_zero):
     code_len = len(machine_code(find_zero).text())
     guard = LongevityGuard(lambda n: n + code_len + 40, form="n+L+40")
     stage = red2bhu(find_zero, guard)
-    U = universal_machine([find_zero])
-    report = verify_red2bhu_membership(find_zero, stage, U, 8)
+    report = CheckReport("membership-preservation", 8)
+    for _ in verify_red2bhu_membership(find_zero, stage, BINARY.ball(8), report):
+        pass
     assert report.passed, report.violations[:5]
 
 
@@ -676,7 +679,7 @@ def test_red2bhu_image_length(find_zero):
     stage = red2bhu(find_zero, guard)
     for n in range(5):
         for x in BINARY.sphere(n):
-            assert len(stage.reduction.apply(x)) == stage.h(n)
+            assert len(stage.reduction.apply(x)) == stage.guard(n)
 
 
 def test_red2bhu_guard_too_small(find_zero):
@@ -694,7 +697,8 @@ def test_red2bhu_measure_known_witnesses(find_zero):
     code_len = len(machine_code(find_zero).text())
     guard = LongevityGuard(lambda n: n + code_len + 40, form="n+L+40")
     stage = red2bhu(find_zero, guard)
-    report = verify_red2bhu_measure(stage, 8)
+    pairs = ((x, stage.reduction.apply(x)) for x in BINARY.ball(8))
+    report = verify_red2bhu_measure(stage, pairs, 8)
     witnesses = {v.witness for v in report.violations}
     assert witnesses == {"0", "10", "1110", "11010", "11110", "11111110"}
     shift = 2 ** (code_len + 1)
@@ -702,7 +706,7 @@ def test_red2bhu_measure_known_witnesses(find_zero):
         x = BINARY.word(v.witness)
         n = len(x)
         got = NU.mass(stage.reduction.apply(x))
-        bound = NU.mass(x) / (16 * n * n * stage.h(n) * shift)
+        bound = NU.mass(x) / (16 * n * n * stage.guard(n) * shift)
         assert 2 * got >= bound  # never short by more than a factor of 2
 
 

@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gclab.cli import main
+from gclab.reductions import Reduction
 
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent
@@ -140,6 +143,22 @@ def test_control_seq_sample_below_one_exit_2(capsys):
         assert code == 2
         assert out == ""
         assert err == f"gclab: sampling needs at least one sample per sphere, not {count}\n"
+
+
+def test_unnormalised_table_exit_2(tmp_path, capsys):
+    """Sphere 1 sums to 2/3 and sphere 2 to 2: the table is rejected at
+    load, before any density is computed."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"kind": "table", "alphabet": "01", "entries": {
+        "0": "1/3", "1": "1/3", "00": "1/2", "01": "1/2", "10": "1/2", "11": "1/2"}}))
+    code, out, err = run_cli(
+        ["density", "--ensemble", str(table), "--subset", str(DATA / "cg_subset.json"),
+         "--n-max", "2"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "gclab: sphere 1 sums to 2/3, not 1\n"
 
 
 def test_verify_nu_sums(capsys):
@@ -280,3 +299,26 @@ def test_reduce_universal_reports_known_witnesses(capsys, monkeypatch):
     # witnesses, so the command honestly exits 1
     assert code == 1
     assert {v["witness"] for v in payload["violations"]} == {"0", "10"}
+
+
+@pytest.mark.parametrize("argv,images", [
+    (["reduce", "bh", "toy_bundle.json", "--n-max", "6"], 127),
+    (["reduce", "universal", "universal_bundle.json", "--n-max", "7"], 255),
+    (["reduce", "pipeline", "toy_bundle.json", "--n-max", "3"], 30),
+], ids=["bh", "universal", "pipeline"])
+def test_stage_checks_map_each_word_once(argv, images, capsys, monkeypatch):
+    """Membership and the measure inequality of a bounded-halting stage
+    are read off one image per source word: 2^(n+1) - 1 words up to n,
+    and the pipeline maps each of its 15 words into each of two stages."""
+    calls = []
+    apply = Reduction.apply
+
+    def counted(self, x):
+        calls.append(x)
+        return apply(self, x)
+
+    monkeypatch.setattr(Reduction, "apply", counted)
+    monkeypatch.chdir(REPO)
+    argv = [*argv[:2], str(DATA / argv[2]), *argv[3:]]
+    run_cli(argv, capsys)
+    assert len(calls) == images

@@ -6,10 +6,9 @@ from gclab.words import (
     AlphabetMismatchError,
     BINARY,
     SphereRangeError,
+    is_sphere_max,
     lex_successor_in_sphere,
     rank_in_sphere,
-    shortlex_cmp,
-    shortlex_successor,
     Word,
     unrank,
 )
@@ -37,21 +36,10 @@ def test_rank_in_sphere_names_a_foreign_letter():
         rank_in_sphere(Word(BINARY, ("0", "x", "1")))
 
 
-def test_shortlex_cmp_examples():
-    assert shortlex_cmp(BINARY.word("1"), BINARY.word("00")) == -1
-    assert shortlex_cmp(BINARY.word("01"), BINARY.word("01")) == 0
-    assert shortlex_cmp(BINARY.word("01"), BINARY.word("10")) == -1
-
-
-def test_shortlex_cmp_alphabet_mismatch():
-    with pytest.raises(AlphabetMismatchError):
-        shortlex_cmp(BINARY.word("0"), ABC.word("a"))
-
-
-def test_shortlex_successor_examples():
-    assert shortlex_successor(BINARY.empty).text() == "0"
-    assert shortlex_successor(BINARY.word("11")).text() == "000"
-    assert shortlex_successor(BINARY.word("01")).text() == "10"
+def test_ball_examples():
+    assert [w.text() for w in BINARY.ball(2)] == ["", "0", "1", "00", "01", "10", "11"]
+    assert [w.text() for w in ABC.ball(0)] == [""]
+    assert list(BINARY.ball(-1)) == []
 
 
 def test_lex_successor_in_sphere_examples():
@@ -75,18 +63,20 @@ def test_unrank_range_errors():
 
 
 @pytest.mark.parametrize("symbols", ["01", "ab", "abc", "abcd"])
-def test_successor_enumerates_shortlex_order(symbols):
+def test_ball_enumerates_shortlex_order(symbols):
+    """Spheres by length, each in lex order: within a sphere the in-sphere
+    successor steps from word to word and rank counts up from 1."""
     alphabet = Alphabet(tuple(symbols))
-    total = sum(alphabet.sphere_size(n) for n in range(5))
-    seen = []
-    w = alphabet.empty
-    for _ in range(total):
-        seen.append(w)
-        w = shortlex_successor(w)
-    assert len({x.letters for x in seen}) == total
+    seen = list(alphabet.ball(4))
+    assert len({x.letters for x in seen}) == len(seen) == sum(
+        alphabet.sphere_size(n) for n in range(5))
+    assert seen[0].letters == ()
     for a, b in zip(seen, seen[1:]):
-        assert shortlex_cmp(a, b) == -1
-    assert seen[0].letters == ()  # the empty word is never produced again
+        if len(a) == len(b):
+            assert lex_successor_in_sphere(a) == b
+            assert rank_in_sphere(b) == rank_in_sphere(a) + 1
+        else:
+            assert len(b) == len(a) + 1 and is_sphere_max(a) and rank_in_sphere(b) == 1
 
 
 @pytest.mark.parametrize("symbols,n", [("01", 6), ("abc", 4), ("abcd", 4)])
@@ -105,14 +95,12 @@ def _word(alphabet, draw_letters):
 @given(
     st.lists(st.integers(0, 2), max_size=6),
     st.lists(st.integers(0, 2), max_size=6),
-    st.lists(st.integers(0, 2), max_size=6),
 )
-def test_shortlex_total_order(a, b, c):
-    x, y, z = (_word(ABC, d) for d in (a, b, c))
-    assert shortlex_cmp(x, y) == -shortlex_cmp(y, x)
-    if shortlex_cmp(x, y) <= 0 and shortlex_cmp(y, z) <= 0:
-        assert shortlex_cmp(x, z) <= 0
-    assert (shortlex_cmp(x, y) == 0) == (x == y)
+def test_rank_is_the_lex_order_of_each_sphere(a, b):
+    n = min(len(a), len(b))
+    x, y = _word(ABC, a[:n]), _word(ABC, b[:n])
+    assert (rank_in_sphere(x) < rank_in_sphere(y)) == (a[:n] < b[:n])
+    assert (rank_in_sphere(x) == rank_in_sphere(y)) == (x == y)
 
 
 def test_multicharacter_symbols_serialize_with_commas():
