@@ -20,19 +20,21 @@ n) alone.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .machine import Machine, min_deciding_steps
+from .machine import Machine, VirtualMachine, cells_read, min_deciding_steps
 from .measure import (
     DBHNuEnsemble,
     HorizonError,
     SphericalEnsemble,
     TableEnsemble,
     UniformEnsemble,
+    exact_sum,
     invert_mu_star,
     subset_mass,
 )
@@ -147,6 +149,75 @@ def exceeds_bound(machine: Machine, x: Word, bound: int) -> bool:
     return min_deciding_steps(machine, x, bound) is None
 
 
+def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) -> Fraction:
+    """mu_n{x : ``exceeds_bound(machine, x, bound)``}, exactly, up to
+    ``ENUMERATION_CAP``: the one overrun-mass sum.
+
+    A table machine's search reads a prefix x[:r] of its input (see
+    ``cells_read``), so every word of sphere n that starts with it gets
+    the same search and verdict, and those words form one lex block.
+    The sphere is walked in lex order with one search per block: the
+    next word searched is the first after the block, the lex successor
+    of the read prefix padded with the first letter.  The walk always
+    lands on the first word of a block: a word inside a block shares its
+    prefix with the word before it, which would then have read the same
+    cells and covered it.  Each overrunning block is weighed by
+    ``_block_masses``.  Virtual machines are asked word by word through
+    ``subset_mass``.
+    """
+    if isinstance(machine, VirtualMachine):
+        return subset_mass(mu, n, lambda x: exceeds_bound(machine, x, bound))
+    mu._check_horizon(n)
+    alphabet = mu.alphabet
+    symbols = alphabet.symbols
+    successor = dict(zip(symbols, symbols[1:]))  # the last letter has none
+    masses: list[Fraction] = []
+    letters = (symbols[0],) * n
+    while letters is not None:
+        x = Word(alphabet, letters)
+        seen: set = set()
+        overruns = min_deciding_steps(machine, x, bound, seen=seen) is None
+        r = cells_read(machine, seen, n)
+        if overruns and r == n:  # a block of one word
+            masses.append(mu.mass(x))
+        elif overruns:
+            masses.extend(_block_masses(mu, x, r))
+        letters = _next_block(letters, r, successor, symbols[0])
+    return exact_sum(masses)
+
+
+def _block_masses(mu: SphericalEnsemble, x: Word, r: int) -> list[Fraction]:
+    """Masses that add up to mu's mass on the lex block of the words of
+    x's sphere that start with x[:r], r < |x|, x being the block's first
+    word.
+
+    The uniform and bounded-halting ensembles give one difference of
+    closed-form cumulative masses.  Any other ensemble gives the mass of
+    each word of the block: its cumulative masses would be an enumerated
+    table of the whole sphere, built and kept for one lookup per block.
+    """
+    n = len(x)
+    alphabet = mu.alphabet
+    prefix = x.letters[:r]
+    if isinstance(mu, (UniformEnsemble, DBHNuEnsemble)):
+        last = Word(alphabet, prefix + (alphabet.symbols[-1],) * (n - r))
+        return [mu.mu_star(last) + mu.mass(last) - mu.mu_star(x)]
+    return [
+        mu.mass(Word(alphabet, prefix + suffix))
+        for suffix in itertools.product(alphabet.symbols, repeat=n - r)
+    ]
+
+
+def _next_block(letters: tuple, r: int, successor: dict, pad: str) -> Optional[tuple]:
+    """The first word after the lex block of the words that start with
+    letters[:r], or None when that block ends the sphere."""
+    while r and letters[r - 1] not in successor:
+        r -= 1
+    if not r:
+        return None
+    return letters[: r - 1] + (successor[letters[r - 1]],) + (pad,) * (len(letters) - r)
+
+
 def control_sequence(
     machine: Machine,
     p: Polynomial,
@@ -158,7 +229,7 @@ def control_sequence(
     """The control sequence of ``machine`` against the bound p under mu.
 
     With ``samples`` None each sphere is summed exactly by
-    ``subset_mass``.  Otherwise ``samples`` inputs per sphere are drawn
+    ``overrun_mass``.  Otherwise ``samples`` inputs per sphere are drawn
     from mu with the seeded per-sphere stream, and the empirical overrun
     fraction is reported (an exact rational with denominator
     ``samples``).
@@ -166,9 +237,7 @@ def control_sequence(
     seq = DensitySequence()
     if samples is None:
         for n in range(n_max + 1):
-            bound = p(n)
-            total = subset_mass(mu, n, lambda x: exceeds_bound(machine, x, bound))
-            seq.entries.append(SequenceEntry(n, total))
+            seq.entries.append(SequenceEntry(n, overrun_mass(machine, mu, n, p(n))))
         return seq
     if samples < 1:
         raise ValueError(f"sampling needs at least one sample per sphere, not {samples}")

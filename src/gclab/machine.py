@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -335,7 +336,9 @@ def _search_halting(
     x: Word,
     budget: int,
     *,
-    accept: Callable[[Configuration], bool] = lambda c: True,
+    accept: Optional[Callable[[Configuration], bool]] = None,
+    decode: bool = True,
+    seen: Optional[set[Packed]] = None,
 ) -> Optional[tuple[int, Optional[Configuration]]]:
     """Minimal halting steps and final configuration within ``budget``.
 
@@ -345,9 +348,13 @@ def _search_halting(
     configuration.  A configuration is re-expanded only if seen with a
     strictly larger residual budget than before; BFS visits each
     configuration with its maximal residual first, so a plain
-    first-visit set of packed configurations is exact.  ``accept`` reads
-    the decoded snapshot of each halting configuration.  Returns None
-    when nothing halts in time.
+    first-visit set of packed configurations is exact.  ``accept``, when
+    given, reads the decoded snapshot of each halting configuration;
+    without it the first halting configuration is taken, and with
+    ``decode`` False it is not decoded: the result carries None in
+    place of its snapshot.  ``seen``, when given, receives every packed
+    configuration the search generates (see ``cells_read``).  Returns
+    None when nothing halts in time.
     """
     if budget < 0:
         return None
@@ -358,12 +365,16 @@ def _search_halting(
         return None
     start = initial_configuration(machine, x)
     final = machine.final
-    seen = {start}
+    if seen is None:
+        seen = set()
+    seen.add(start)
     frontier = [start]
     depth = 0
     while frontier and depth <= budget:
         for config in frontier:
             if config[0] == final:
+                if accept is None:
+                    return depth, machine._codec.snapshot(config) if decode else None
                 snapshot = machine._codec.snapshot(config)
                 if accept(snapshot):
                     return depth, snapshot
@@ -384,7 +395,7 @@ def _search_halting(
 
 def min_halting_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
     """Least n <= budget such that some computation halts within n steps."""
-    found = _search_halting(machine, w, budget)
+    found = _search_halting(machine, w, budget, decode=False)
     return None if found is None else found[0]
 
 
@@ -417,20 +428,48 @@ def decode_answer(machine: TuringMachine, config: Configuration) -> Answer:
     raise AnswerDecodeError(f"tape {''.join(w)!r} matches no answer pattern")
 
 
-def min_deciding_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
+def min_deciding_steps(
+    machine: Machine, w: Word, budget: int, *, seen: Optional[set[Packed]] = None
+) -> Optional[int]:
     """Like min_halting_steps, but halting runs whose configuration decodes
     to DontKnow do not count (their time is infinite).  Machines without an
-    answer convention decide by halting; undecodable halting tapes still
-    count as stopping."""
+    answer convention decide by halting, so no configuration is decoded;
+    undecodable halting tapes still count as stopping.  ``seen`` is handed
+    to the search (see ``cells_read``)."""
+    accept = None
+    if isinstance(machine, TuringMachine) and machine.has_answer_convention:
 
-    def accept(config: Configuration) -> bool:
-        try:
-            return decode_answer(machine, config) is not Answer.DONT_KNOW
-        except AnswerDecodeError:
-            return True
+        def accept(config: Configuration) -> bool:
+            try:
+                return decode_answer(machine, config) is not Answer.DONT_KNOW
+            except AnswerDecodeError:
+                return True
 
-    found = _search_halting(machine, w, budget, accept=accept)
+    found = _search_halting(machine, w, budget, accept=accept, decode=False, seen=seen)
     return None if found is None else found[0]
+
+
+def cells_read(machine: TuringMachine, seen: set[Packed], n: int) -> int:
+    """How many leading cells r of a length-n input a search read, from the
+    configurations it generated (``seen``): every input that shares those
+    r cells gets the same search and the same answer.
+
+    The head starts on cell 0 and moves one cell per step, and input
+    letters and written symbols are never blank.  So until the head
+    first steps onto cell n, the right half of a configuration holds
+    exactly the c cells from the head to cell n - 1, and the search has
+    read the n + 1 - c cells up to the head; on cell n the right half is
+    empty and every cell is read.  The least c over the generated
+    configurations therefore gives r, and it is the c of the least
+    right half, since a half with fewer cells is a smaller integer.
+    Counting a configuration that was generated but never expanded can
+    only make r larger, which is safe.  The answer convention's verdict
+    reads only the cell under the head and whether the left half is
+    empty, so a halting configuration reads nothing more.
+    """
+    width = machine._codec.width
+    unread = (min(map(itemgetter(2), seen)).bit_length() + width - 1) // width
+    return min(n, n + 1 - unread)
 
 
 def load_machine(source) -> TuringMachine:

@@ -444,7 +444,8 @@ class TransferredEnsemble(SphericalEnsemble):
                             f"{self.reduction.name}: |f({x.text()})| = {len(y)}, "
                             f"expected {m}; map is not size-invariant"
                         )
-                    acc[y.letters] = acc.get(y.letters, ZERO) + self.base.mass(x)
+                    key, mass = y.letters, self.base.mass(x)
+                    acc[key] = acc[key] + mass if key in acc else mass
             self._images[m] = acc
         return self._images[m]
 
@@ -514,8 +515,7 @@ def subset_mass(
     closed: Optional[Callable[[int], Fraction]] = None,
 ) -> Fraction:
     """Total mu-mass of the radius-n words in the subset: the one place
-    every density, exact control-sequence value and induced denominator
-    is computed.
+    every density and induced denominator is computed.
 
     A closed form for that mass, when given, is used and has no horizon.
     Otherwise the sphere is enumerated in lex order, up to
@@ -555,7 +555,8 @@ def verify_transfer(reduction, mu: SphericalEnsemble, nu: SphericalEnsemble,
                 if len(y) != m:
                     report.add(x.text(), m, len(y), "image size differs inside sphere")
                     continue
-                expected[y.letters] = expected.get(y.letters, ZERO) + mu.mass(x)
+                key, mass = y.letters, mu.mass(x)
+                expected[key] = expected[key] + mass if key in expected else mass
         filler = Fraction(1, target.sphere_size(m))
         for y in target.sphere(m):
             want = expected.get(y.letters, ZERO) if k is not None else filler
@@ -574,13 +575,22 @@ def verify_induced(
     """Recompute the subset-conditioning equation by enumeration on every
     word up to n_max and compare with mu_s exactly."""
     report = CheckReport("induced", n_max)
+    members: set[tuple[str, ...]] = set()  # letters of the sphere's members
+
+    def member(x: Word) -> bool:  # the one predicate call per word
+        inside = subset(x)
+        if inside:
+            members.add(x.letters)
+        return inside
+
     for n in range(n_max + 1):
-        denom = subset_mass(mu, n, subset)
+        members.clear()
+        denom = subset_mass(mu, n, member)
         for x in mu.alphabet.sphere(n):
             if denom == 0:
                 want = mu.mass(x)
             else:
-                want = (mu.mass(x) if subset(x) else ZERO) / denom
+                want = (mu.mass(x) if x.letters in members else ZERO) / denom
             got = mu_s.mass(x)
             if got != want:
                 report.add(x.text(), want, got)

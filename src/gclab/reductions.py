@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .genericity import Polynomial, exceeds_bound
+from .genericity import Polynomial, exceeds_bound, overrun_mass
 from .machine import Machine
 from .measure import (
     CheckReport,
@@ -323,7 +323,7 @@ def check_control_transfer(
             m = f.size_growth(k)
             bound = p(m)
             lhs = subset_mass(mu, k, lambda x: exceeds_bound(machine, f.apply(x), bound))
-            rhs = subset_mass(nu, m, lambda y: exceeds_bound(machine, y, bound))
+            rhs = overrun_mass(machine, nu, m, bound)
             if d is not None:
                 rhs *= d(k)
             per_sphere.append(

@@ -21,7 +21,14 @@ computes another way, kept here so that tests can cross-check the two:
   decoded the whole code (``is_code``, ``decode_instance``) where the
   fast one reads only lengths;
 - ``x_prime_scan``: the shortlex brute force over dyadic addresses that
-  ``bhp.x_prime``'s prefix construction is checked against.
+  ``bhp.x_prime``'s prefix construction is checked against;
+- ``overrun_mass``: the control-sequence value of one sphere with one
+  machine search per word, as it was summed before
+  ``genericity.overrun_mass`` searched once per block of words that
+  share the prefix the search read.
+
+``random_machine`` draws the seeded random table machines those
+cross-checks run on.
 
 The machine code, ``scan_numeral`` and the body of ``nu_mass_text``
 are copied verbatim.  Only the imports are new, and ``_moves`` stands
@@ -32,12 +39,14 @@ instead of symbol text.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
 from gclab.bhp import guard_inverse, xprime_value
+from gclab.genericity import exceeds_bound
 from gclab.machine import (
     RIGHT,
     Answer,
@@ -51,8 +60,8 @@ from gclab.machine import (
     VirtualMachine,
     decode_answer,
 )
-from gclab.measure import ONE, ZERO, DBHNuEnsemble, SphericalEnsemble
-from gclab.words import BINARY, Word
+from gclab.measure import ONE, ZERO, DBHNuEnsemble, SphericalEnsemble, subset_mass
+from gclab.words import BINARY, Alphabet, Word
 
 
 def initial_configuration(machine: TuringMachine, x: Word) -> Configuration:
@@ -284,3 +293,37 @@ def x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:
             if lo < xprime_value(text) <= hi:
                 return BINARY.word(text)
     raise AssertionError("no dyadic address found; interval bookkeeping is broken")
+
+
+def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) -> Fraction:
+    """mu_n{x : the machine overruns ``bound`` on x}, one search per word."""
+    return subset_mass(mu, n, lambda x: exceeds_bound(machine, x, bound))
+
+
+def random_machine(rng: random.Random, kind: str, tape_mode: str, symbols: tuple[str, ...],
+                   blank: str, extra_states: int, answers: Optional[bool] = None) -> TuringMachine:
+    """A random table machine over ``symbols``, initial state q0, final
+    state q1 and ``extra_states`` more.  ``kind`` is "deterministic" (one
+    move for every state and read), "partial" (at most one) or
+    "nondeterministic" (up to three).  ``answers`` gives the machine the
+    answer convention or not; None decides at random."""
+    states = ("q0", "q1") + tuple(f"s{i}" for i in range(extra_states))
+    moves = list(itertools.product(states, symbols, ("L", "R")))
+    table = []
+    for q in states:
+        for a in symbols + (blank,):
+            if kind == "deterministic":
+                count = 1
+            elif kind == "partial":
+                count = int(rng.random() < 0.7)
+            else:
+                count = rng.choice((0, 1, 1, 2, 3))
+            table.extend((q, a) + move for move in rng.sample(moves, count))
+    if answers is None:
+        answers = rng.random() < 0.5
+    yes, no = rng.sample(symbols, 2) if answers else (None, None)
+    return TuringMachine(
+        states=states, initial="q0", final="q1",
+        tape_alphabet=Alphabet(symbols), blank=blank, transitions=tuple(table),
+        tape_mode=tape_mode, yes_symbol=yes, no_symbol=no,
+    )

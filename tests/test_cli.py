@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gclab.machine
 from gclab.cli import main
 from gclab.reductions import Reduction
 
@@ -120,6 +121,44 @@ def test_control_seq_exact_half(capsys):
     rows = out.strip().splitlines()[1:]
     for row in rows[1:]:
         assert row.split(",")[1:3] == ["1", "2"]
+
+
+# a decider that stops within two steps of reading "10" pairs: it halts
+# on 0 in q0 and on 1 in q1, and breaks at the blank after the pairs
+SHALLOW = {
+    "name": "shallow", "states": ["q0", "q1", "h"], "initial": "q0", "final": "h",
+    "tape_alphabet": ["0", "1"], "blank": "_", "tape": "two-way",
+    "delta": [["q0", "0", "h", "1", "R"], ["q0", "1", "q1", "0", "R"],
+              ["q1", "0", "q0", "0", "R"], ["q1", "1", "h", "0", "L"]],
+}
+
+
+def test_control_seq_searches_once_per_block(tmp_path, capsys, monkeypatch):
+    """Exact control sequences search once per block of words that share
+    the prefix the search read, not once per word: for the 131,071 words
+    up to n = 16 the shallow decider needs at most 2,000 searches.  It
+    overruns n steps only on the one word of each sphere that is all
+    "10" pairs (then a 1 when n is odd), so sphere n weighs 2^-n."""
+    calls = []
+    search = gclab.machine._search_halting
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(gclab.machine, "_search_halting", counted)
+    path = tmp_path / "shallow.json"
+    path.write_text(json.dumps(SHALLOW))
+    code, out, _ = run_cli(
+        ["control-seq", "--machine", str(path), "--ensemble",
+         str(DATA / "uniform_ensemble.json"), "--poly", "n", "--n-max", "16"],
+        capsys,
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == \
+        [[str(n), "1", str(2**n)] for n in range(17)]
+    assert len(calls) <= 2000
 
 
 def test_control_seq_sample_needs_seed(capsys):

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from gclab import (
     BINARY,
+    Alphabet,
+    UniformEnsemble,
     Polynomial,
     classify_decay,
     control_sequence,
@@ -12,7 +16,7 @@ from gclab import (
     sample_sphere,
     subset_mass,
 )
-from gclab.genericity import parse_polynomial, sphere_stream
+from gclab.genericity import overrun_mass, parse_polynomial, sphere_stream
 from gclab.measure import HorizonError, InducedEnsemble
 from gclab.bhp import c_of_g, cg_sphere_mass
 
@@ -209,3 +213,23 @@ def test_density_cg_under_other_measures_uses_enumeration(uniform):
     assert closed is None
     assert subset_mass(uniform, 3, member) == Fraction(2, 8)
     assert subset_mass(uniform, 5, member) == Fraction(4, 32)
+
+
+def test_overrun_mass_matches_per_word_oracle(nu, geometric_table):
+    """The block walk equals one search per word on every sphere up to 10
+    (up to 6 over three letters), for seeded random machines of every
+    kind, with and without the answer convention, on both tape modes,
+    under uniform, ν and a table ensemble, at bounds below and above n."""
+    rng = random.Random(1205)
+    ensembles = [UniformEnsemble(BINARY), nu, geometric_table,
+                 UniformEnsemble(Alphabet(("a", "b", "c")))]
+    for trial in range(32):
+        kind = ("deterministic", "partial", "nondeterministic")[trial % 3]
+        mu = ensembles[trial % 4]
+        machine = oracles.random_machine(rng, kind, ("two-way", "one-end")[trial // 16],
+                                         mu.alphabet.symbols, "_", 3,
+                                         answers=trial // 4 % 2 == 1)
+        for n in range(11 if mu.alphabet.size == 2 else 7):
+            for bound in (n // 2, n + 2):
+                assert overrun_mass(machine, mu, n, bound) == \
+                    oracles.overrun_mass(machine, mu, n, bound), (trial, n, bound)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gclab import BINARY, Alphabet, TuringMachine
+from gclab import BINARY, TuringMachine
 from gclab.machine import (
     Answer,
     AnswerDecodeError,
@@ -18,6 +18,7 @@ from gclab.machine import (
     decode_answer,
     halts_within,
     _search_halting,
+    cells_read,
     initial_configuration,
     load_machine,
     min_deciding_steps,
@@ -97,6 +98,20 @@ def test_halts_within_branching():
     assert not halts_within(machine, w, 2)
 
 
+def test_cells_read_counts_the_cells_up_to_the_head():
+    """A machine that only walks right has read cells 0..b after a
+    search of budget b, and all n cells once its head reaches cell n."""
+    machine = TuringMachine(
+        states=("r", "h"), initial="r", final="h", tape_alphabet=BINARY, blank="_",
+        transitions=tuple(("r", a, "r", "1", "R") for a in ("0", "1", "_")),
+    )
+    x = BINARY.word("010110")
+    for budget in range(10):
+        seen = set()
+        _search_halting(machine, x, budget, seen=seen)
+        assert cells_read(machine, seen, len(x)) == min(budget + 1, len(x)), budget
+
+
 def test_halts_within_break_and_zero_budget(breaker, halt1):
     for n in range(5):
         assert not halts_within(breaker, BINARY.word("0"), n)
@@ -164,29 +179,10 @@ SYMBOLS = ("0", "1", "ab", "c", "xyz", "d", "e")
 
 
 def _random_machine(rng: random.Random, kind: str, tape_mode: str, size: int) -> TuringMachine:
-    """A random table machine over ``size`` tape symbols.  ``kind`` is
-    "deterministic" (one move for every state and read), "partial" (at
-    most one) or "nondeterministic" (up to three)."""
+    """A random table machine over ``size`` tape symbols, 3-5 states."""
     symbols = tuple(rng.sample(SYMBOLS, size))
     blank = rng.choice(("_", "B", "__"))
-    states = ("q0", "q1") + tuple(f"s{i}" for i in range(rng.randrange(1, 4)))
-    moves = list(itertools.product(states, symbols, ("L", "R")))
-    table = []
-    for q in states:
-        for a in symbols + (blank,):
-            if kind == "deterministic":
-                count = 1
-            elif kind == "partial":
-                count = int(rng.random() < 0.7)
-            else:
-                count = rng.choice((0, 1, 1, 2, 3))
-            table.extend((q, a) + move for move in rng.sample(moves, count))
-    answers = rng.sample(symbols, 2) if rng.random() < 0.5 else (None, None)
-    return TuringMachine(
-        states=states, initial="q0", final="q1",
-        tape_alphabet=Alphabet(symbols), blank=blank, transitions=tuple(table),
-        tape_mode=tape_mode, yes_symbol=answers[0], no_symbol=answers[1],
-    )
+    return oracles.random_machine(rng, kind, tape_mode, symbols, blank, rng.randrange(1, 4))
 
 
 def _pack(machine: TuringMachine, config: Configuration):
