@@ -10,8 +10,8 @@ On top of the codec this module builds, with exact arithmetic
 throughout:
 
 * longevity guards and the code family C(g) = {code of (g(|w|), w)},
-  whose induced ensemble has the closed-form sphere mass 1/n on achieved
-  spheres;
+  which meets each sphere in at most one class, so its sphere mass under
+  any binary ensemble is one block mass (1/n under the input ensemble);
 * the self-delimiting interleaved numerals used to embed lengths and
   machine encodings into code payloads;
 * the dyadic compression x -> x'' that equalizes measure: high-mass
@@ -60,6 +60,7 @@ from .measure import (
     InducedEnsemble,
     SphericalEnsemble,
     TableEnsemble,
+    block_mass,
     check_lower_bounds,
     fraction_str,
     invert_mu_star,
@@ -197,15 +198,18 @@ def c_of_g(g: GuardLike) -> Callable[[Word], bool]:
     return member
 
 
-def cg_sphere_mass(g: GuardLike) -> Callable[[int], Fraction]:
-    """Closed form for the input-ensemble mass of C(g) in sphere n:
-    1/n when n is an achieved guard value, else 0."""
+def cg_sphere_mass(g: GuardLike, mu: SphericalEnsemble) -> Callable[[int], Fraction]:
+    """The mu-mass of C(g) in sphere n, mu being over the alphabet "01".
+
+    C(g) meets sphere n only when n = g(k), and then in the one class
+    1^(n-k-1) 0 {0,1}^k, a lex block weighed by ``block_mass``: closed-form,
+    with no horizon, under the uniform ensemble (2^(k+1-n)) and the input
+    ensemble (1/n)."""
     guard = as_guard(g)
 
     def mass(n: int) -> Fraction:
-        if n >= 1 and guard_inverse(guard, n) is not None:
-            return Fraction(1, n)
-        return ZERO
+        k = guard_inverse(guard, n)
+        return ZERO if k is None else block_mass(mu, "1" * (n - k - 1) + "0", n)
 
     return mass
 
@@ -218,7 +222,7 @@ def nu_g(g: GuardLike) -> InducedEnsemble:
         NU,
         c_of_g(guard),
         label=f"C({guard.form})",
-        closed=cg_sphere_mass(guard),
+        closed=cg_sphere_mass(guard, NU),
     )
 
 
@@ -532,12 +536,19 @@ def verify_membership(
     f(x) differ, and yields (x, f(x)) for a measure check to read.  The
     report is complete once the pairs are exhausted.
     """
+    return ((x, y) for x, y, _ in _membership(problem, stage, words, report))
+
+
+def _membership(
+    problem: DistributionalProblem, stage: BHStage, words: Iterable[Word], report: CheckReport
+) -> Iterator[tuple[Word, Word, bool]]:
+    """``verify_membership``'s pairs, each with the machine's verdict on f(x)."""
     for x in words:
         y = stage.reduction.apply(x)
         source, image = problem.positive(x), bh_member(stage.machine, y)
         if source != image:
             report.add(x.text(), str(source), str(image))
-        yield x, y
+        yield x, y, image
 
 
 def verify_measure_decrease(
@@ -819,7 +830,8 @@ def completeness_pipeline(
     chain = ChainReport()
     stage1 = red2bh(problem, decider, g_user, decider_guard)
     report1 = CheckReport("membership-preservation", n_max)
-    pairs1 = list(verify_membership(problem, stage1, problem.alphabet.ball(n_max), report1))
+    images = list(_membership(problem, stage1, problem.alphabet.ball(n_max), report1))
+    pairs1 = [(x, y) for x, y, _ in images]
     chain.stages.append(("reduce-to-bounded-halting:membership", report1))
     chain.stages.append(
         ("reduce-to-bounded-halting:measure", verify_measure_decrease(stage1, pairs1, n_max))
@@ -841,7 +853,7 @@ def completeness_pipeline(
     chain.stages.append(("relax-restriction:measure", report2))
 
     # stage 3: embed the protocol machine into the universal machine, on
-    # the first stage's images
+    # the first stage's images, whose verdicts stage 1 already computed
     code_len = len(machine_code(stage1.machine).text())
     g2 = adequate_guard(
         lambda n: 2 * n + 8,
@@ -851,9 +863,9 @@ def completeness_pipeline(
     )
     stage3 = red2bhu(stage1.machine, g2)
     report3m = CheckReport("universal:membership", n_max)
-    pairs3 = list(
-        verify_red2bhu_membership(stage1.machine, stage3, (y for _, y in pairs1), report3m)
-    )
+    verdicts = {y.letters: member for _, y, member in images}
+    bounded = DistributionalProblem("bounded-halting", BINARY, lambda u: verdicts[u.letters], NU)
+    pairs3 = list(verify_membership(bounded, stage3, (y for _, y in pairs1), report3m))
     # the chain keeps only the violations of the universal measure check
     report3q = CheckReport(
         "universal:measure", n_max, verify_red2bhu_measure(stage3, pairs3, n_max).violations
@@ -886,15 +898,14 @@ def subset_from_spec(spec: dict, base: Optional[SphericalEnsemble] = None):
     {"name": "image41"} -> the image of the doubling homomorphism;
     {"name": "all"} -> everything.
 
-    Returns (predicate, label, closed-form sphere mass or None).  The
-    1/n closed form of the restricted family holds only under the
-    bounded-halting ensemble, so it is attached only when ``base`` is
-    one; other bases fall back to enumeration.
+    Returns (predicate, label, sphere mass or None).  The restricted
+    family's ``cg_sphere_mass`` is attached whenever ``base`` is over the
+    binary alphabet "01"; other alphabets fall back to testing every word.
     """
     name = spec["name"]
     if name == "cg":
         guard = as_guard(parse_polynomial(spec["g"]), form=str(spec["g"]))
-        closed = cg_sphere_mass(guard) if isinstance(base, DBHNuEnsemble) else None
+        closed = cg_sphere_mass(guard, base) if base is not None and base.alphabet == BINARY else None
         return c_of_g(guard), f"C({guard.form})", closed
     if name == "image41":
         from .reductions import example41_image_member

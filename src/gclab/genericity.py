@@ -20,7 +20,6 @@ n) alone.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from .measure import (
     SphericalEnsemble,
     TableEnsemble,
     UniformEnsemble,
+    block_mass,
     exact_sum,
     invert_mu_star,
     subset_mass,
@@ -162,7 +162,7 @@ def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) ->
     lands on the first word of a block: a word inside a block shares its
     prefix with the word before it, which would then have read the same
     cells and covered it.  Each overrunning block is weighed by
-    ``_block_masses``.  Virtual machines are asked word by word through
+    ``block_mass``.  Virtual machines are asked word by word through
     ``subset_mass``.
     """
     if isinstance(machine, VirtualMachine):
@@ -181,31 +181,9 @@ def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) ->
         if overruns and r == n:  # a block of one word
             masses.append(mu.mass(x))
         elif overruns:
-            masses.extend(_block_masses(mu, x, r))
+            masses.append(block_mass(mu, letters[:r], n))
         letters = _next_block(letters, r, successor, symbols[0])
     return exact_sum(masses)
-
-
-def _block_masses(mu: SphericalEnsemble, x: Word, r: int) -> list[Fraction]:
-    """Masses that add up to mu's mass on the lex block of the words of
-    x's sphere that start with x[:r], r < |x|, x being the block's first
-    word.
-
-    The uniform and bounded-halting ensembles give one difference of
-    closed-form cumulative masses.  Any other ensemble gives the mass of
-    each word of the block: its cumulative masses would be an enumerated
-    table of the whole sphere, built and kept for one lookup per block.
-    """
-    n = len(x)
-    alphabet = mu.alphabet
-    prefix = x.letters[:r]
-    if isinstance(mu, (UniformEnsemble, DBHNuEnsemble)):
-        last = Word(alphabet, prefix + (alphabet.symbols[-1],) * (n - r))
-        return [mu.mu_star(last) + mu.mass(last) - mu.mu_star(x)]
-    return [
-        mu.mass(Word(alphabet, prefix + suffix))
-        for suffix in itertools.product(alphabet.symbols, repeat=n - r)
-    ]
 
 
 def _next_block(letters: tuple, r: int, successor: dict, pad: str) -> Optional[tuple]:

@@ -36,9 +36,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import ceil
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .words import (
     BINARY,
@@ -526,6 +526,26 @@ def subset_mass(
         return Fraction(closed(n))
     mu._check_horizon(n)
     return exact_sum(map(mu.mass, filter(subset, mu.alphabet.sphere(n))))
+
+
+def block_mass(mu: SphericalEnsemble, prefix: Sequence[str], n: int) -> Fraction:
+    """mu's exact mass on the lex block of the words of sphere n that
+    start with the letters of ``prefix``: one difference of closed-form
+    cumulative masses, with no horizon, under the uniform and
+    bounded-halting ensembles.  Any other ensemble adds the masses of the
+    block's words, up to ``ENUMERATION_CAP``, since its cumulative masses
+    would be an enumerated table of the whole sphere."""
+    alphabet, prefix = mu.alphabet, tuple(prefix)
+    pad = n - len(prefix)
+    if isinstance(mu, (UniformEnsemble, DBHNuEnsemble)):
+        first = Word(alphabet, prefix + (alphabet.symbols[0],) * pad)
+        last = Word(alphabet, prefix + (alphabet.symbols[-1],) * pad)
+        return mu.mu_star(last) + mu.mass(last) - mu.mu_star(first)
+    mu._check_horizon(n)
+    return exact_sum(
+        mu.mass(Word(alphabet, prefix + suffix))
+        for suffix in product(alphabet.symbols, repeat=pad)
+    )
 
 
 def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import gclab.bhp
 import gclab.machine
 from gclab.cli import main
 from gclab.reductions import Reduction
+from gclab.words import Alphabet
 
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent
@@ -83,6 +86,35 @@ def test_density_cg_closed_rows(tmp_path, capsys):
     assert by_n[3] == ["1", "3"]
     assert by_n[5] == ["1", "5"]
     assert by_n[4] == ["0", "1"]
+
+
+def test_density_cg_uniform_tests_no_word(capsys, monkeypatch):
+    """C(g) meets each sphere in one lex block, so its uniform density up
+    to 16 enumerates no sphere word and never calls the predicate (testing
+    every word made 131,071 calls); the CSV bytes are those of that sweep."""
+    enumerated, tested = [], []
+    sphere, c_of_g = Alphabet.sphere, gclab.bhp.c_of_g
+
+    def counted_sphere(alphabet, n):
+        for w in sphere(alphabet, n):
+            enumerated.append(w)
+            yield w
+
+    def counted_c_of_g(g):
+        member = c_of_g(g)
+        return lambda u: tested.append(u) or member(u)
+
+    monkeypatch.setattr(Alphabet, "sphere", counted_sphere)
+    monkeypatch.setattr(gclab.bhp, "c_of_g", counted_c_of_g)
+    code, out, _ = run_cli(
+        ["density", "--ensemble", str(DATA / "uniform_ensemble.json"),
+         "--subset", str(DATA / "cg_subset.json"), "--n-max", "16"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "309a67d2d6a41a81b50efdd3ad6b3834dbea64e62ea34c8aeaa27d561aff0d1d"
+    assert enumerated == [] and tested == []
 
 
 def test_density_full_set_all_ones(tmp_path, capsys):
@@ -234,6 +266,28 @@ def test_reduce_pipeline_bundle(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["passed"]
     assert len(payload["stages"]) == 6
+
+
+def test_reduce_pipeline_runs_the_protocol_machine_once_per_image(capsys, monkeypatch):
+    """Stage 3 reads the protocol machine's verdicts on stage 1's 31
+    images from stage 1 instead of running it again; the output bytes
+    are those of running it twice."""
+    calls: dict[str, int] = {}
+    bh_member = gclab.bhp.bh_member
+
+    def counted(machine, u):
+        calls[machine.name] = calls.get(machine.name, 0) + 1
+        return bh_member(machine, u)
+
+    monkeypatch.setattr(gclab.bhp, "bh_member", counted)
+    monkeypatch.chdir(REPO)
+    code, out, _ = run_cli(
+        ["reduce", "pipeline", "tests/data/toy_bundle.json", "--n-max", "4"], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e1aa83a8cb53c9e6a3209937657968a5583d9e7fbcc6630fd1d3ae20ee9a2bb2"
+    assert calls == {"bh-protocol[contains01-uniform]": 31, "universal": 31}
 
 
 def test_reduce_bh_bundle(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import oracles
@@ -18,7 +19,7 @@ from gclab import (
 )
 from gclab.genericity import overrun_mass, parse_polynomial, sphere_stream
 from gclab.measure import HorizonError, InducedEnsemble
-from gclab.bhp import c_of_g, cg_sphere_mass
+from gclab.bhp import adequate_guard, c_of_g, cg_sphere_mass, subset_from_spec
 
 
 def fib_tilings(n: int) -> int:
@@ -67,7 +68,7 @@ def test_density_cg_closed_form(nu):
     g = Polynomial((1, 2))  # 2n+1
     member = c_of_g(g)
     assert subset_mass(nu, 5, member) == Fraction(1, 5)
-    closed = cg_sphere_mass(g)
+    closed = cg_sphere_mass(g, nu)
     for n in range(11):
         assert subset_mass(nu, n, member) == closed(n)
 
@@ -127,9 +128,15 @@ def test_subset_mass_closed_form_has_no_horizon(uniform, nu):
     g = Polynomial((1, 2))
     # the closed form is used as given: the predicate is never consulted
     assert subset_mass(uniform, 40, None, closed=lambda n: Fraction(1, n)) == Fraction(1, 40)
-    assert subset_mass(nu, 41, c_of_g(g), closed=cg_sphere_mass(g)) == Fraction(1, 41)
-    conditioned = InducedEnsemble(nu, c_of_g(g), closed=cg_sphere_mass(g))
+    assert subset_mass(nu, 41, c_of_g(g), closed=cg_sphere_mass(g, nu)) == Fraction(1, 41)
+    conditioned = InducedEnsemble(nu, c_of_g(g), closed=cg_sphere_mass(g, nu))
     assert conditioned.subset_sphere_mass(41) == Fraction(1, 41)
+    # C(g)'s class in sphere 40 under n+1 is 0 {0,1}^39, and 2n+1 reaches 41
+    # with the class 1^20 0 {0,1}^20
+    assert cg_sphere_mass(Polynomial((1, 1)), uniform)(40) == Fraction(1, 2)
+    assert cg_sphere_mass(Polynomial((1, 1)), nu)(40) == Fraction(1, 40)
+    assert cg_sphere_mass(g, uniform)(41) == Fraction(1, 2**21)
+    assert cg_sphere_mass(g, uniform)(40) == 0
 
 
 def test_enumerated_subset_mass_stops_at_the_cap(loop_on_one, uniform):
@@ -204,15 +211,40 @@ def test_csv_schema(uniform, halt1):
     assert lines[1].startswith("0,0,1,0.0,exact,0,")
 
 
-def test_density_cg_under_other_measures_uses_enumeration(uniform):
-    # the 1/n closed form belongs to the halting ensemble only; under the
-    # uniform measure the family's density is its counting measure
-    from gclab.bhp import subset_from_spec
+def test_density_cg_closed_form_on_binary_bases_only(uniform):
+    # under the uniform measure the family's density is its counting
+    # measure, weighed as one block; bases over other alphabets, "10"
+    # included, test every word
+    spec = {"name": "cg", "g": "2n+1"}
+    member, _, closed = subset_from_spec(spec, uniform)
+    assert closed(3) == subset_mass(uniform, 3, member) == Fraction(2, 8)
+    assert closed(5) == subset_mass(uniform, 5, member) == Fraction(4, 32)
+    for symbols in (("1", "0"), ("0", "1", "2")):
+        assert subset_from_spec(spec, UniformEnsemble(Alphabet(symbols)))[2] is None
 
-    member, _, closed = subset_from_spec({"name": "cg", "g": "2n+1"}, uniform)
-    assert closed is None
-    assert subset_mass(uniform, 3, member) == Fraction(2, 8)
-    assert subset_mass(uniform, 5, member) == Fraction(4, 32)
+
+CG_GUARDS = (Polynomial((1, 1)), Polynomial((4, 1)), Polynomial((1, 2)),
+             Polynomial((1, 0, 1)), adequate_guard(Polynomial((1, 1))))
+
+
+def test_cg_sphere_mass_matches_per_word_oracle(uniform, nu, geometric_table):
+    """C(g)'s one class per sphere weighs what testing every word of the
+    sphere weighs, at every n <= 12, under uniform, ν and a table; past
+    the table's n_max both raise the same HorizonError."""
+    raised = 0
+    for mu in (uniform, nu, geometric_table):
+        for g in CG_GUARDS:
+            closed, member = cg_sphere_mass(g, mu), c_of_g(g)
+            for n in range(13):
+                try:
+                    want = subset_mass(mu, n, member)
+                except HorizonError as exc:
+                    with pytest.raises(HorizonError, match=f"^{re.escape(str(exc))}$"):
+                        closed(n)
+                    raised += 1
+                    continue
+                assert closed(n) == want, (mu.kind, n)
+    assert raised  # the table stops at 10, and n+1 reaches 11 and 12
 
 
 def test_overrun_mass_matches_per_word_oracle(nu, geometric_table):
