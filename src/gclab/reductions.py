@@ -263,7 +263,7 @@ def to_binary(problem: DistributionalProblem) -> tuple[Reduction, Distributional
             k = len(x)
             if k == 0:
                 return BINARY.empty
-            return Word(BINARY, tuple(format(rank_in_sphere(x) - 1, f"0{growth(k)}b")))
+            return Word.of_text(BINARY, format(rank_in_sphere(x) - 1, f"0{growth(k)}b"))
 
         f = Reduction(
             name=f"rank-to-binary-{size}",

@@ -7,6 +7,13 @@ rank/unrank bijection inside a sphere is the backbone of cumulative
 measures and the dyadic encodings used by the halting-problem
 constructions.  The in-sphere successor fails on the lexicographic
 maximum of its sphere; cumulative measures take the mass-1 branch there.
+
+A word keeps the form it was built from: the letter tuple, or, over an
+alphabet whose symbols are all one character, the text.  The other form
+is derived the first time it is asked for, and then kept, so a code
+built from text (the bounded-halting images, thousands of letters long)
+is checked once and never becomes a letter tuple unless someone reads
+its letters.
 """
 
 from __future__ import annotations
@@ -66,12 +73,23 @@ class Alphabet:
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
 
+    @cached_property
+    def _not_symbols(self) -> dict[int, None]:
+        """A ``str.translate`` table deleting every symbol: what is left of
+        a text is its foreign characters."""
+        return str.maketrans("", "", "".join(self.symbols))
+
     def word(self, letters) -> "Word":
         """Build a word from a string (single-character symbols) or iterable."""
         if isinstance(letters, Word):
             if letters.alphabet != self:
                 raise AlphabetMismatchError("word belongs to a different alphabet")
             return letters
+        if isinstance(letters, str) and not self._separator:
+            bad = letters.translate(self._not_symbols)
+            if bad:
+                raise AlphabetMismatchError(f"symbol {bad[0]!r} not in alphabet")
+            return Word.of_text(self, letters)
         ws = tuple(letters)
         if not self._index.keys() >= set(ws):
             bad = next(s for s in ws if s not in self._index)
@@ -98,24 +116,78 @@ class Alphabet:
         return self.size**n
 
 
-@dataclass(frozen=True)
 class Word:
-    """A finite string over a fixed alphabet."""
+    """A finite string over a fixed alphabet, immutable.
 
-    alphabet: Alphabet
-    letters: tuple[str, ...]
+    It holds its alphabet and the form it was built from: the letter
+    tuple (``Word(alphabet, letters)``) or the text (``Word.of_text``).
+    ``letters`` and ``text()`` derive the missing form on first use and
+    keep it.  Equality, hashing, length and repr go through the letters,
+    so the two forms of one word cannot be told apart.
+    """
+
+    __slots__ = ("alphabet", "_letters", "_text")
+
+    def __init__(self, alphabet: Alphabet, letters: tuple[str, ...]) -> None:
+        _set_alphabet(self, alphabet)
+        _set_letters(self, letters)
+
+    @classmethod
+    def of_text(cls, alphabet: Alphabet, text: str) -> "Word":
+        """The word spelled by ``text`` over an alphabet of one-character
+        symbols, unchecked: ``Alphabet.word`` is the checked way in."""
+        w = object.__new__(cls)
+        _set_alphabet(w, alphabet)
+        _set_text(w, text)
+        return w
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        try:
+            return self._letters
+        except AttributeError:  # built from text
+            letters = tuple(self._text)
+            _set_letters(self, letters)
+            return letters
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.letters) == (other.alphabet, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.letters))
+
+    def __repr__(self) -> str:
+        return f"Word(alphabet={self.alphabet!r}, letters={self.letters!r})"
+
     def text(self) -> str:
         """Serialize the word: concatenation for single-character symbols,
         comma-joined otherwise."""
-        return self.alphabet._separator.join(self.letters)
+        try:
+            return self._text
+        except AttributeError:  # built from letters
+            text = self.alphabet._separator.join(self._letters)
+            _set_text(self, text)
+            return text
 
     def __str__(self) -> str:
         return self.text()
 
+
+# the slots' own setters: the only writers, since ``Word.__setattr__`` refuses
+_set_alphabet = Word.alphabet.__set__
+_set_letters = Word._letters.__set__
+_set_text = Word._text.__set__
 
 BINARY = Alphabet(("0", "1"))
 

@@ -276,7 +276,7 @@ def test_hat_mu_rejects_non_binary():
         mu.hat_mu(abc.word("ab"))
 
 
-def test_induced_spec_with_non_nu_base_enumerates():
+def test_induced_spec_with_uniform_base_passes_verify_induced():
     induced = ensemble_from_spec(
         {"kind": "induced", "base": {"kind": "uniform", "alphabet": "01"},
          "subset": {"name": "cg", "g": "2n+1"}}

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from gclab.words import (
 )
 
 ABC = Alphabet(("a", "b", "c"))
+GREEK = Alphabet(("α", "β", "γ"))
 
 
 def test_alphabet_rejects_duplicates():
@@ -24,7 +27,9 @@ def test_alphabet_rejects_duplicates():
 def test_word_names_the_first_bad_symbol():
     cases = [(BINARY, "01x0y", "x"), (BINARY, ["0", "10", "1"], "10"), (ABC, "abzcy", "z"),
              (Alphabet(("ab", "c")), ["ab", "zz", "c", "a"], "zz"),
-             (Alphabet(("ab", "c")), "abc", "a")]
+             (Alphabet(("ab", "c")), "abc", "a"),
+             (BINARY, "01" * 2499 + "0" + "2", "2"),
+             (GREEK, "αβγγβzα", "z"), (GREEK, "αβa", "a")]
     for alphabet, letters, bad in cases:
         with pytest.raises(AlphabetMismatchError, match=f"^symbol '{bad}' not in alphabet$"):
             alphabet.word(letters)
@@ -108,3 +113,39 @@ def test_multicharacter_symbols_serialize_with_commas():
     w = pair.word(("aa", "bb", "aa"))
     assert w.text() == "aa,bb,aa"
     assert len(w) == 3
+
+
+def test_a_word_built_from_text_keeps_that_text():
+    s = "".join(random.Random(5000).choice("01") for _ in range(5000))
+    w = BINARY.word(s)
+    assert w.text() is s
+    assert len(w) == 5000 and w.letters == tuple(s)
+
+
+@given(st.sampled_from([BINARY, ABC, GREEK]).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet),
+                               st.lists(st.sampled_from(alphabet.symbols), max_size=12))))
+def test_text_and_letter_forms_cannot_be_told_apart(case):
+    alphabet, symbols = case
+    text = "".join(symbols)
+
+    def pair():
+        # fresh words, so each check meets the text form before it derives letters
+        return alphabet.word(text), alphabet.word(tuple(symbols))
+
+    for a, b in (pair(), pair()[::-1]):
+        assert a == b and not a != b
+    for a, b in (pair(), pair()[::-1]):
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+    assert len(pair()[0]) == len(pair()[1]) == len(symbols)
+    assert repr(pair()[0]) == repr(pair()[1])
+    assert pair()[0].letters == pair()[1].letters == tuple(symbols)
+    assert pair()[0].text() == pair()[1].text() == text
+    for w in pair():
+        for name in ("alphabet", "letters", "_letters", "_text", "other"):
+            with pytest.raises(AttributeError):
+                setattr(w, name, None)
+            with pytest.raises(AttributeError):
+                delattr(w, name)
+        assert w.text() == text and w.letters == tuple(symbols)
