@@ -14,7 +14,6 @@ from .words import (
     BINARY,
     SphereRangeError,
     Word,
-    lex_successor_in_sphere,
     rank_in_sphere,
     unrank,
 )
@@ -48,7 +47,6 @@ from .measure import (
 from .genericity import (
     DensitySequence,
     Polynomial,
-    classify_decay,
     control_sequence,
     density_sequence,
     parse_polynomial,
@@ -58,7 +56,6 @@ from .reductions import (
     DistributionalProblem,
     Reduction,
     check_control_transfer,
-    compose,
     example41_image_member,
     example41_reduction,
     identity_reduction,

@@ -299,7 +299,7 @@ def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
     interval endpoints.
     """
     lo, hi = mu.interval(x)
-    if mu.mass(x) == 0:
+    if lo == hi:
         raise ValueError("x_prime needs mass(x) > 0 (nonempty interval)")
     return _x_prime_prefix(lo, hi, len(x))
 
@@ -782,12 +782,6 @@ class ChainReport:
             "passed": self.passed,
             "stages": [{"stage": name, **r.to_dict()} for name, r in self.stages],
         }
-
-    def summary(self) -> str:
-        lines = [f"chain: {'pass' if self.passed else 'FAIL'}"]
-        for name, r in self.stages:
-            lines.append(f"  {name}: {r.summary()}")
-        return "\n".join(lines)
 
 
 def _relaxation_points(restricted: InducedEnsemble, m: int, d) -> Iterator[tuple]:

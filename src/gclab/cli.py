@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bhp, genericity, measure, reductions
@@ -65,6 +66,18 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def _reading(path: str):
+    """Building objects from the JSON of ``path``: a missing field or a
+    value of the wrong shape is a usage error that names the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise UsageError(f"{path}: malformed spec: {exc}") from exc
 
 
 def _sequence_svg(entries) -> str:
@@ -160,8 +173,10 @@ def cmd_tm(args) -> int:
 
 def cmd_density(args) -> int:
     _require_cap(args.n_max, SPHERE_CAP, "sphere")
-    mu = ensemble_from_spec(_load_json(args.ensemble))
-    subset, _, closed = bhp.subset_from_spec(_load_json(args.subset), mu)
+    with _reading(args.ensemble):
+        mu = ensemble_from_spec(_load_json(args.ensemble))
+    with _reading(args.subset):
+        subset, _, closed = bhp.subset_from_spec(_load_json(args.subset), mu)
     seq = genericity.density_sequence(mu, subset, args.n_max, closed=closed)
     if args.format == "svg":
         _write_output(_sequence_svg(seq.entries), args.out)
@@ -172,7 +187,8 @@ def cmd_density(args) -> int:
 
 def cmd_control_seq(args) -> int:
     machine = load_machine(args.machine)
-    mu = ensemble_from_spec(_load_json(args.ensemble))
+    with _reading(args.ensemble):
+        mu = ensemble_from_spec(_load_json(args.ensemble))
     p = parse_polynomial(args.poly)
     if args.sample is None:
         _require_cap(args.n_max, SPHERE_CAP, "sphere")
@@ -205,7 +221,8 @@ def _stage_exit(membership, decrease, args) -> int:
 def cmd_reduce(args) -> int:
     data = _load_json(args.bundle)
     if args.construction == "to-binary":
-        problem, _, _ = _problem_from_bundle(data)
+        with _reading(args.bundle):
+            problem, _, _ = _problem_from_bundle(data)
         f, image = reductions.to_binary(problem)
         _require_cap(args.n_max, SEARCH_CAP, "reduction")
         report = reductions.verify_cs(f, problem.measure, image.measure, args.n_max)
@@ -220,11 +237,12 @@ def cmd_reduce(args) -> int:
         return _report_exit(report, args)
     if args.construction == "bh":
         _require_cap(args.n_max, SEARCH_CAP, "reduction")
-        problem, decider, decider_guard = _problem_from_bundle(data)
-        if decider is None:
-            raise UsageError("bundle is missing the decider")
-        guard = bhp.as_guard(parse_polynomial(data.get("guard", "n+6")),
-                             form=str(data.get("guard", "n+6")))
+        with _reading(args.bundle):
+            problem, decider, decider_guard = _problem_from_bundle(data)
+            if decider is None:
+                raise UsageError("bundle is missing the decider")
+            guard = bhp.as_guard(parse_polynomial(data.get("guard", "n+6")),
+                                 form=str(data.get("guard", "n+6")))
         stage = bhp.red2bh(problem, decider, guard, decider_guard)
         membership = measure.CheckReport("membership-preservation", args.n_max)
         pairs = bhp.verify_membership(
@@ -233,11 +251,12 @@ def cmd_reduce(args) -> int:
         return _stage_exit(membership, bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
     if args.construction == "universal":
         _require_cap(args.n_max, 8, "universal-stage")
-        machine = load_machine(data["machine"])
-        guard = bhp.adequate_guard(
-            parse_polynomial(data.get("guard", "n+6")),
-            extra_payload=len(bhp.machine_code(machine).text()) + 1,
-        )
+        with _reading(args.bundle):
+            machine = load_machine(data["machine"])
+            guard = bhp.adequate_guard(
+                parse_polynomial(data.get("guard", "n+6")),
+                extra_payload=len(bhp.machine_code(machine).text()) + 1,
+            )
         stage = bhp.red2bhu(machine, guard)
         membership = measure.CheckReport("membership-preservation", args.n_max)
         pairs = bhp.verify_red2bhu_membership(
@@ -246,10 +265,11 @@ def cmd_reduce(args) -> int:
         return _stage_exit(membership, bhp.verify_red2bhu_measure(stage, pairs, args.n_max), args)
     if args.construction == "pipeline":
         _require_cap(args.n_max, SEARCH_CAP, "pipeline")
-        problem, decider, decider_guard = _problem_from_bundle(data)
-        if decider is None:
-            raise UsageError("bundle is missing the decider")
-        guard = parse_polynomial(data.get("guard", "n+6"))
+        with _reading(args.bundle):
+            problem, decider, decider_guard = _problem_from_bundle(data)
+            if decider is None:
+                raise UsageError("bundle is missing the decider")
+            guard = parse_polynomial(data.get("guard", "n+6"))
         chain = bhp.completeness_pipeline(
             problem, decider, guard, decider_guard, n_max=args.n_max
         )
@@ -272,36 +292,46 @@ def cmd_verify(args) -> int:
     _require_cap(args.n_max, SPHERE_CAP, "verification")
     data = _load_json(args.fixture)
     if args.check == "transfer":
-        f = reductions.reduction_from_spec(data["reduction"])
-        base = ensemble_from_spec(data["base"])
-        candidate = ensemble_from_spec(data["candidate"])
+        with _reading(args.fixture):
+            f = reductions.reduction_from_spec(data["reduction"])
+            base = ensemble_from_spec(data["base"])
+            candidate = ensemble_from_spec(data["candidate"])
         return _report_exit(measure.verify_transfer(f, base, candidate, args.n_max), args)
     if args.check == "induced":
-        base = ensemble_from_spec(data["base"])
-        subset, _, _ = bhp.subset_from_spec(data["subset"])
-        candidate = ensemble_from_spec(data["candidate"])
+        with _reading(args.fixture):
+            base = ensemble_from_spec(data["base"])
+            subset, _, _ = bhp.subset_from_spec(data["subset"])
+            candidate = ensemble_from_spec(data["candidate"])
         return _report_exit(measure.verify_induced(base, subset, candidate, args.n_max), args)
-    if args.check == "cs":
-        f = reductions.reduction_from_spec(data["reduction"])
-        mu = ensemble_from_spec(data["mu"])
-        nu = ensemble_from_spec(data["nu"])
-        return _report_exit(reductions.verify_cs(f, mu, nu, args.n_max), args)
-    if args.check == "cm":
-        f = reductions.reduction_from_spec(data["reduction"])
-        mu = ensemble_from_spec(data["mu"])
-        nu = ensemble_from_spec(data["nu"])
-        d = parse_polynomial(data["d"])
-        return _report_exit(reductions.verify_cm(f, mu, nu, d, args.n_max), args)
+    if args.check in ("cs", "cm"):
+        with _reading(args.fixture):
+            f = reductions.reduction_from_spec(data["reduction"])
+            mu = ensemble_from_spec(data["mu"])
+            nu = ensemble_from_spec(data["nu"])
+            d = parse_polynomial(data["d"]) if args.check == "cm" else None
+        report = (reductions.verify_cs(f, mu, nu, args.n_max) if d is None
+                  else reductions.verify_cm(f, mu, nu, d, args.n_max))
+        return _report_exit(report, args)
     if args.check == "bh-measure":
-        problem, _, decider_guard = _problem_from_bundle(data)
-        guard = bhp.adequate_guard(
-            parse_polynomial(data.get("guard", "n+6")), decider_guard
-        )
+        with _reading(args.fixture):
+            problem, _, decider_guard = _problem_from_bundle(data)
+            guard = bhp.adequate_guard(
+                parse_polynomial(data.get("guard", "n+6")), decider_guard
+            )
         f = bhp.red2bh_map(problem.measure, guard)
         stage = bhp.BHStage(f, None, guard, problem.measure)
         pairs = ((x, f.apply(x)) for x in problem.alphabet.ball(args.n_max))
         return _report_exit(bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
     raise UsageError(f"unknown check {args.check!r}")
+
+
+def nonnegative_int(text: str) -> int:
+    """The type of --n-max and --budget: a negative horizon or step
+    budget would check nothing and report a pass."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("action", choices=["run", "halts"])
     tm.add_argument("machine")
     tm.add_argument("input")
-    tm.add_argument("--budget", type=int, default=1000)
+    tm.add_argument("--budget", type=nonnegative_int, default=1000)
     tm.add_argument("--out")
     tm.set_defaults(func=cmd_tm)
 
     density = sub.add_parser("density", help="exact density sequence of a subset")
     density.add_argument("--ensemble", required=True)
     density.add_argument("--subset", required=True)
-    density.add_argument("--n-max", type=int, required=True)
+    density.add_argument("--n-max", type=nonnegative_int, required=True)
     density.add_argument("--format", choices=["csv", "svg"], default="csv")
     density.add_argument("--out")
     density.set_defaults(func=cmd_density)
@@ -331,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     control.add_argument("--machine", required=True)
     control.add_argument("--ensemble", required=True)
     control.add_argument("--poly", required=True)
-    control.add_argument("--n-max", type=int, required=True)
+    control.add_argument("--n-max", type=nonnegative_int, required=True)
     control.add_argument("--sample", type=int)
     control.add_argument("--seed", type=int)
     control.add_argument("--format", choices=["csv", "svg"], default="csv")
@@ -342,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("construction",
                           choices=["to-binary", "bh", "universal", "pipeline"])
     reduce_p.add_argument("bundle")
-    reduce_p.add_argument("--n-max", type=int, default=4)
+    reduce_p.add_argument("--n-max", type=nonnegative_int, default=4)
     reduce_p.add_argument("--out")
     reduce_p.set_defaults(func=cmd_reduce)
 
@@ -351,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["cs", "cm", "transfer", "induced",
                                  "bh-measure", "nu-sums"])
     verify.add_argument("fixture", nargs="?")
-    verify.add_argument("--n-max", type=int, required=True)
+    verify.add_argument("--n-max", type=nonnegative_int, required=True)
     verify.add_argument("--out")
     verify.set_defaults(func=cmd_verify)
     return parser

@@ -7,10 +7,6 @@ n -> mu_n{x : the minimal deciding time of A on x exceeds p(n)}.
 DontKnow answers, breaks, and exhausted budgets all count as exceeding
 (their time is infinite).
 
-Nothing here asserts an asymptotic class.  ``classify_decay`` fits the
-finite prefix and labels it, and says so loudly: it is a heuristic aid,
-never a claim about limits.
-
 Sampling is funnelled through one named generator: the stream for sphere
 n under seed s is a Mersenne Twister seeded with splitmix64 applied to
 (s, n), which makes every sampled sequence bit-reproducible from (seed,
@@ -20,7 +16,6 @@ n) alone.
 from __future__ import annotations
 
 import io
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -229,74 +224,6 @@ def control_sequence(
             SequenceEntry(n, Fraction(hits, samples), mode="sampled", samples=samples, seed=seed)
         )
     return seq
-
-
-@dataclass
-class DecayReport:
-    """HEURISTIC decay label for a finite sequence prefix.
-
-    label is one of "no decay", "polynomial", "exponential"; the fitted
-    rate accompanies it.  This never asserts the asymptotic behaviour:
-    it is a least-squares fit to finitely many exact points.
-    """
-
-    label: str
-    poly_exponent: Optional[float]
-    exp_rate: Optional[float]
-    sse_poly: Optional[float]
-    sse_exp: Optional[float]
-    points_used: int
-    note: str = "HEURISTIC finite-prefix fit; asymptotic classes are never asserted"
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-def _least_squares(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    """Fit y = a + b x; return (a, b, sum of squared residuals)."""
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return my, 0.0, sum((y - my) ** 2 for y in ys)
-    b = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    a = my - b * mx
-    sse = sum((y - (a + b * x)) ** 2 for x, y in zip(xs, ys))
-    return a, b, sse
-
-
-def classify_decay(seq: DensitySequence) -> DecayReport:
-    """Least-squares fit of log-values against log n and against n.
-
-    Needs at least 4 positive exact points with n >= 1.  Zero values are
-    dropped from the fit (they decay faster than any model here).
-    """
-    points = [
-        (e.n, float(e.value))
-        for e in seq.entries
-        if e.n >= 1 and e.mode == "exact" and e.value > 0
-    ]
-    if len(points) < 4:
-        raise ValueError("classify_decay needs at least 4 positive exact points")
-    ns = [p[0] for p in points]
-    logs = [math.log(p[1]) for p in points]
-    _, slope_poly, sse_poly = _least_squares([math.log(n) for n in ns], logs)
-    _, slope_exp, sse_exp = _least_squares([float(n) for n in ns], logs)
-    spread = max(logs) - min(logs)
-    if spread < 0.05:
-        label, poly_k, rate = "no decay", 0.0, 0.0
-    elif sse_exp < sse_poly:
-        label, poly_k, rate = "exponential", -slope_poly, math.exp(slope_exp)
-    else:
-        label, poly_k, rate = "polynomial", -slope_poly, math.exp(slope_exp)
-    return DecayReport(
-        label=label,
-        poly_exponent=poly_k,
-        exp_rate=rate,
-        sse_poly=sse_poly,
-        sse_exp=sse_exp,
-        points_used=len(points),
-    )
 
 
 # --- seeded, splittable sampling -------------------------------------------

@@ -233,9 +233,6 @@ class TuringMachine:
     def has_answer_convention(self) -> bool:
         return self.yes_symbol is not None and self.no_symbol is not None
 
-    def word(self, text) -> Word:
-        return self.tape_alphabet.word(text)
-
     def to_canonical_dict(self) -> dict:
         """A canonical JSON-able description; equal behaviour-defining data
         yields byte-equal serializations."""
@@ -269,9 +266,6 @@ class VirtualMachine:
     evaluator: Callable[[Word, int], RunResult]
     alphabet: Alphabet
     definition: dict = field(default_factory=dict)
-
-    def word(self, text) -> Word:
-        return self.alphabet.word(text)
 
 
 Machine = Union[TuringMachine, VirtualMachine]

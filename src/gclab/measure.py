@@ -46,8 +46,6 @@ from .words import (
     AlphabetMismatchError,
     SphereRangeError,
     Word,
-    is_sphere_max,
-    lex_successor_in_sphere,
     rank_in_sphere,
     unrank,
 )
@@ -145,10 +143,6 @@ class CheckReport:
             "details": self.details,
         }
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else f"FAIL ({len(self.violations)} violations)"
-        return f"{self.check} up to n={self.horizon}: {status}"
-
 
 def check_lower_bounds(
     report: CheckReport, points: Iterable[tuple[object, Fraction, Fraction]]
@@ -225,19 +219,15 @@ class SphericalEnsemble:
         return cum[i - 1] if i > 0 else ZERO
 
     def hat_mu(self, x: Word) -> Fraction:
-        """Cumulative mass of the in-sphere successor, taken as 1 on the
-        lexicographic maximum of the sphere.  Binary alphabets only (this
-        is the dyadic-interval endpoint used by the code compressions)."""
-        self._check_word(x)
-        if self.alphabet.size != 2:
-            raise AlphabetMismatchError("hat_mu is defined over binary alphabets")
-        if is_sphere_max(x):
-            return ONE
-        return self.mu_star(lex_successor_in_sphere(x))
+        """Cumulative mass up to and including x within its sphere: the
+        mu_star of the next word in lex order, and 1 on the last word of
+        a sphere that sums to 1."""
+        return self.mu_star(x) + self.mass(x)
 
     def interval(self, x: Word) -> tuple[Fraction, Fraction]:
         """(mu_star(x), hat_mu(x)): the half-open mass interval of x."""
-        return self.mu_star(x), self.hat_mu(x)
+        lo = self.mu_star(x)
+        return lo, lo + self.mass(x)
 
     def mu_star_inverse(self, n: int, t: Fraction) -> Word:
         """``invert_mu_star`` on this ensemble, for a t already checked
@@ -264,12 +254,6 @@ class UniformEnsemble(SphericalEnsemble):
     def mu_star(self, x: Word) -> Fraction:
         self._check_word(x)
         return Fraction(rank_in_sphere(x) - 1, self.alphabet.sphere_size(len(x)))
-
-    def hat_mu(self, x: Word) -> Fraction:
-        self._check_word(x)
-        if self.alphabet.size != 2:
-            raise AlphabetMismatchError("hat_mu is defined over binary alphabets")
-        return Fraction(rank_in_sphere(x), self.alphabet.sphere_size(len(x)))
 
     def mu_star_inverse(self, n: int, t: Fraction) -> Word:
         return unrank(self.alphabet, n, ceil(t * self.alphabet.sphere_size(n)))
@@ -540,7 +524,7 @@ def block_mass(mu: SphericalEnsemble, prefix: Sequence[str], n: int) -> Fraction
     if isinstance(mu, (UniformEnsemble, DBHNuEnsemble)):
         first = Word(alphabet, prefix + (alphabet.symbols[0],) * pad)
         last = Word(alphabet, prefix + (alphabet.symbols[-1],) * pad)
-        return mu.mu_star(last) + mu.mass(last) - mu.mu_star(first)
+        return mu.hat_mu(last) - mu.mu_star(first)
     mu._check_horizon(n)
     return exact_sum(
         mu.mass(Word(alphabet, prefix + suffix))

@@ -200,23 +200,6 @@ def verify_cm(
     return report
 
 
-def compose(f: Reduction, g: Reduction) -> Reduction:
-    """g after f, with composed size growth."""
-    if f.target != g.source:
-        raise AlphabetMismatchError("compose: target of f differs from source of g")
-    growth = None
-    if f.size_growth is not None and g.size_growth is not None:
-        fg, gg = f.size_growth, g.size_growth
-        growth = lambda n: gg(fg(n))  # noqa: E731
-    return Reduction(
-        name=f"{g.name}∘{f.name}",
-        source=f.source,
-        target=g.target,
-        func=lambda x: g.apply(f.apply(x)),
-        size_growth=growth,
-    )
-
-
 def _bits_needed(count: int) -> int:
     """Smallest m with 2^m >= count (count >= 1)."""
     return (count - 1).bit_length()

@@ -5,8 +5,7 @@ linearly ordered, finite alphabet.  Spheres (the words of one length)
 are enumerated in plain lexicographic order, and the 1-based
 rank/unrank bijection inside a sphere is the backbone of cumulative
 measures and the dyadic encodings used by the halting-problem
-constructions.  The in-sphere successor fails on the lexicographic
-maximum of its sphere; cumulative measures take the mass-1 branch there.
+constructions.
 
 A word keeps the form it was built from: the letter tuple, or, over an
 alphabet whose symbols are all one character, the text.  The other form
@@ -29,7 +28,7 @@ class AlphabetMismatchError(ValueError):
 
 
 class SphereRangeError(ValueError):
-    """Raised when a rank or successor is requested outside the sphere."""
+    """Raised when a rank is requested outside the sphere."""
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def index(self, symbol: str) -> int:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise AlphabetMismatchError(f"symbol {symbol!r} not in alphabet") from None
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
@@ -190,29 +183,6 @@ _set_letters = Word._letters.__set__
 _set_text = Word._text.__set__
 
 BINARY = Alphabet(("0", "1"))
-
-
-def lex_successor_in_sphere(x: Word) -> Word:
-    """The next word of the same length in lexicographic order.
-
-    Fails on the lexicographic maximum of the sphere; cumulative-measure
-    code must take the mass-1 branch there instead.
-    """
-    alpha = x.alphabet
-    b = alpha.size
-    digits = [alpha.index(s) for s in x.letters]
-    for i in range(len(digits) - 1, -1, -1):
-        if digits[i] < b - 1:
-            digits[i] += 1
-            for j in range(i + 1, len(digits)):
-                digits[j] = 0
-            return Word(alpha, tuple(alpha.symbols[d] for d in digits))
-    raise SphereRangeError(f"{x.text()!r} is the lexicographic maximum of its sphere")
-
-
-def is_sphere_max(x: Word) -> bool:
-    last = x.alphabet.symbols[-1]
-    return all(s == last for s in x.letters)
 
 
 def rank_in_sphere(x: Word) -> int:

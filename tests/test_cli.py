@@ -232,6 +232,69 @@ def test_unnormalised_table_exit_2(tmp_path, capsys):
     assert err == "gclab: sphere 1 sums to 2/3, not 1\n"
 
 
+UNIFORM, CG = str(DATA / "uniform_ensemble.json"), str(DATA / "cg_subset.json")
+TOY = str(DATA / "toy_bundle.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "nu-sums", "--n-max", "-1"],
+    ["verify", "bh-measure", TOY, "--n-max", "-1"],
+    ["reduce", "bh", TOY, "--n-max", "-1"],
+    ["reduce", "universal", str(DATA / "universal_bundle.json"), "--n-max", "-1"],
+    ["reduce", "pipeline", TOY, "--n-max", "-1"],
+    ["reduce", "to-binary", str(DATA / "abc_bundle.json"), "--n-max", "-1"],
+    ["density", "--ensemble", UNIFORM, "--subset", CG, "--n-max", "-1"],
+    ["control-seq", "--machine", str(DATA / "loop_on_one.json"), "--ensemble", UNIFORM,
+     "--poly", "n", "--n-max", "-1"],
+    ["tm", "run", str(DATA / "loop.json"), "0", "--budget", "-5"],
+    ["tm", "halts", str(DATA / "loop.json"), "0", "--budget", "-5"],
+])
+def test_negative_horizon_or_budget_exit_2(argv, capsys):
+    """A negative horizon or budget checks nothing, so it is a usage
+    error, not a pass."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.rstrip().endswith(f"{argv[-2]}: {argv[-1]} is negative")
+
+
+_CONTAINS01 = str(DATA / "contains01.json")
+
+
+@pytest.mark.parametrize("command,spec", [
+    (["density", "--ensemble", "{}", "--subset", CG, "--n-max", "2"], []),
+    (["density", "--ensemble", UNIFORM, "--subset", "{}", "--n-max", "2"], []),
+    (["control-seq", "--machine", _CONTAINS01, "--ensemble", "{}", "--poly", "n",
+      "--n-max", "2"], {"kind": "uniform", "alphabet": 5}),
+    (["density", "--ensemble", "{}", "--subset", CG, "--n-max", "2"],
+     {"kind": "table", "alphabet": "01", "entries": {"0": None, "1": "1"}}),
+    (["reduce", "bh", "{}", "--n-max", "2"], {"problem": []}),
+    (["reduce", "pipeline", "{}", "--n-max", "2"],
+     {"problem": {"measure": {"kind": "uniform", "alphabet": "01"},
+                  "members": {"regex": 5}}, "decider": _CONTAINS01}),
+    (["verify", "cs", "{}", "--n-max", "2"], []),
+])
+def test_spec_of_the_wrong_shape_exit_2(command, spec, tmp_path, capsys):
+    """A spec file of the wrong shape is a usage error that names the
+    file, not a crash (exit 1 is reserved for a failed verification)."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli([str(path) if a == "{}" else a for a in command], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"gclab: {path}: malformed spec: ") and err.count("\n") == 1
+
+
+def test_fixture_missing_a_field_names_file_and_field(tmp_path, capsys):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({"base": {"kind": "dbh_nu"}, "candidate": {"kind": "dbh_nu"}}))
+    code, out, err = run_cli(["verify", "induced", str(path), "--n-max", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"gclab: {path}: missing field 'subset'\n"
+
+
 def test_verify_nu_sums(capsys):
     code, out, _ = run_cli(["verify", "nu-sums", "--n-max", "16"], capsys)
     assert code == 0

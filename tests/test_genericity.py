@@ -10,9 +10,7 @@ from gclab import (
     Alphabet,
     UniformEnsemble,
     Polynomial,
-    classify_decay,
     control_sequence,
-    density_sequence,
     example41_image_member,
     sample_sphere,
     subset_mass,
@@ -148,29 +146,6 @@ def test_enumerated_subset_mass_stops_at_the_cap(loop_on_one, uniform):
     assert conditioned.subset_sphere_mass(16) == Fraction(fib_tilings(16), 2**16)
     with pytest.raises(HorizonError):
         conditioned.mass(BINARY.word("0" * 17))
-
-
-def test_classify_decay_labels(uniform):
-    constant = density_sequence(uniform, lambda x: True, 8)
-    assert classify_decay(constant).label == "no decay"
-
-    image = density_sequence(uniform, example41_image_member, 14)
-    assert classify_decay(image).label == "exponential"
-
-    from gclab.genericity import DensitySequence, SequenceEntry
-
-    harmonic = DensitySequence()
-    for n in range(1, 13):
-        harmonic.entries.append(SequenceEntry(n, Fraction(1, n)))
-    report = classify_decay(harmonic)
-    assert report.label == "polynomial"
-    assert abs(report.poly_exponent - 1.0) < 0.05
-
-
-def test_classify_decay_needs_points(uniform):
-    short = density_sequence(uniform, lambda x: True, 2)
-    with pytest.raises(ValueError):
-        classify_decay(short)
 
 
 def test_sample_sphere_uniform_frequencies(uniform):

@@ -209,7 +209,7 @@ def test_packed_core_matches_tuple_oracle():
         budget = rng.randrange(11) if machine.determinism == "nondeterministic" \
             else rng.randrange(200)
         for _ in range(3):
-            x = machine.word(rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
+            x = machine.tape_alphabet.word(rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
             found = _search_halting(machine, x, budget)
             assert found == oracles._search_halting(machine, x, budget), (trial, x)
             assert min_halting_steps(machine, x, budget) == \

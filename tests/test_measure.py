@@ -24,7 +24,7 @@ from gclab.measure import (
     size_inverse,
 )
 from gclab.reductions import DistributionalProblem, Reduction, to_binary
-from gclab.words import AlphabetMismatchError, is_sphere_max, rank_in_sphere
+from gclab.words import rank_in_sphere
 from oracles import EnumeratedNu, fraction_sum, scan_inverse, sphere_sum
 
 
@@ -87,24 +87,35 @@ def test_hat_mu(uniform, mu2):
 
 
 def test_hat_mu_identity(uniform, mu2, nu, geometric_table):
-    """hat - mu_star equals the mass off the sphere maximum; 1 at the top."""
+    """hat_mu(x) is the mu_star of the next word of the sphere in lex
+    order, and 1 on the sphere's last word."""
     for ensemble, top in ((uniform, 8), (mu2, 2), (nu, 8), (geometric_table, 8)):
         for n in range(top + 1):
-            for x in BINARY.sphere(n):
-                if is_sphere_max(x):
-                    assert ensemble.hat_mu(x) == 1
-                else:
-                    assert ensemble.hat_mu(x) - ensemble.mu_star(x) == ensemble.mass(x)
+            sphere = list(BINARY.sphere(n))
+            for x, successor in zip(sphere, sphere[1:]):
+                assert ensemble.hat_mu(x) == ensemble.mu_star(successor)
+            assert ensemble.hat_mu(sphere[-1]) == 1
 
 
-def test_mu_star_matches_enumeration(nu, geometric_table):
-    """Running mass sums give mu_star.  The input ensemble's closed-form
-    inverse matches the enumerated oracle's at every interval endpoint
-    and at seeded random points."""
-    for ensemble, top in ((nu, 12), (geometric_table, 6)):
+def test_hat_mu_is_rank_over_sphere_size_on_every_alphabet():
+    abc = Alphabet(("a", "b", "c"))
+    mu = UniformEnsemble(abc)
+    for n in range(5):
+        for x in abc.sphere(n):
+            assert mu.hat_mu(x) == Fraction(rank_in_sphere(x), 3**n)
+            assert mu.interval(x) == (mu.mu_star(x), mu.hat_mu(x))
+
+
+def test_mu_star_matches_enumeration(uniform, nu, geometric_table):
+    """Running mass sums give mu_star, on every alphabet.  The input
+    ensemble's closed-form inverse matches the enumerated oracle's at
+    every interval endpoint and at seeded random points."""
+    abc = Alphabet(("a", "b", "c"))
+    for ensemble, top in ((uniform, 10), (UniformEnsemble(abc), 6), (nu, 12),
+                          (geometric_table, 6)):
         for n in range(top + 1):
             total = Fraction(0)
-            for x in BINARY.sphere(n):
+            for x in ensemble.alphabet.sphere(n):
                 assert ensemble.mu_star(x) == total
                 total += ensemble.mass(x)
     oracle, rng = EnumeratedNu(), random.Random(7)
@@ -267,13 +278,6 @@ def test_ensemble_specs_roundtrip():
          "base": {"kind": "uniform", "alphabet": "01"}}
     )
     assert transferred.mass(BINARY.word("11")) == Fraction(1, 4)
-
-
-def test_hat_mu_rejects_non_binary():
-    abc = Alphabet(("a", "b", "c"))
-    mu = UniformEnsemble(abc)
-    with pytest.raises(AlphabetMismatchError):
-        mu.hat_mu(abc.word("ab"))
 
 
 def test_induced_spec_with_uniform_base_passes_verify_induced():

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from gclab import BINARY, invert_mu_star, x_double_prime, x_prime
 from gclab.measure import TableEnsemble, TransferredEnsemble, verify_transfer
 from gclab.reductions import identity_reduction
-from gclab.words import is_sphere_max
 from oracles import x_prime_scan
 
 
@@ -48,10 +47,8 @@ def test_spheres_sum_to_one_and_cumulative_identity(mu):
         for x in BINARY.sphere(n):
             assert mu.mu_star(x) == running
             running += mu.mass(x)
-            if is_sphere_max(x):
-                assert mu.hat_mu(x) == 1
-            else:
-                assert mu.hat_mu(x) - mu.mu_star(x) == mu.mass(x)
+            assert mu.hat_mu(x) == running
+        assert mu.hat_mu(x) == 1  # on the sphere's last word
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,10 +9,8 @@ from gclab import (
     DistributionalProblem,
     Polynomial,
     TableEnsemble,
-    TransferredEnsemble,
     UniformEnsemble,
     check_control_transfer,
-    compose,
     example41_image_member,
     example41_reduction,
     identity_reduction,
@@ -141,34 +139,6 @@ def test_verify_cm_zero_image_mass(geometric_table):
     report = verify_cm(identity_reduction(BINARY), uni, geometric_table,
                        Polynomial((4,)), 3)
     assert not report.passed
-
-
-def test_compose_identity_is_pointwise_identity():
-    f = example41_reduction()
-    left = compose(identity_reduction(BINARY), f)
-    for n in range(7):
-        for x in BINARY.sphere(n):
-            assert left.apply(x) == f.apply(x)
-
-
-def test_compose_size_growth():
-    abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
-    f, image = to_binary(problem)
-    g = identity_reduction(BINARY)
-    h = compose(f, g)
-    for n in range(6):
-        assert h.size_growth(n) == g.size_growth(f.size_growth(n))
-
-
-def test_compose_preserves_cs():
-    abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
-    f, image = to_binary(problem)
-    g = identity_reduction(BINARY)
-    h = compose(f, g)
-    doubly = TransferredEnsemble(g, image.measure)
-    assert verify_cs(h, problem.measure, doubly, 4).passed
 
 
 def test_check_control_transfer_identity(find_zero):

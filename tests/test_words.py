@@ -8,8 +8,6 @@ from gclab.words import (
     AlphabetMismatchError,
     BINARY,
     SphereRangeError,
-    is_sphere_max,
-    lex_successor_in_sphere,
     rank_in_sphere,
     Word,
     unrank,
@@ -47,13 +45,6 @@ def test_ball_examples():
     assert list(BINARY.ball(-1)) == []
 
 
-def test_lex_successor_in_sphere_examples():
-    assert lex_successor_in_sphere(BINARY.word("00")).text() == "01"
-    assert lex_successor_in_sphere(BINARY.word("011")).text() == "100"
-    with pytest.raises(SphereRangeError):
-        lex_successor_in_sphere(BINARY.word("11"))
-
-
 def test_rank_examples():
     assert rank_in_sphere(BINARY.word("00")) == 1
     assert rank_in_sphere(BINARY.word("10")) == 3
@@ -69,8 +60,8 @@ def test_unrank_range_errors():
 
 @pytest.mark.parametrize("symbols", ["01", "ab", "abc", "abcd"])
 def test_ball_enumerates_shortlex_order(symbols):
-    """Spheres by length, each in lex order: within a sphere the in-sphere
-    successor steps from word to word and rank counts up from 1."""
+    """Spheres by length, each in lex order: within a sphere rank counts
+    up from 1 to the sphere's size."""
     alphabet = Alphabet(tuple(symbols))
     seen = list(alphabet.ball(4))
     assert len({x.letters for x in seen}) == len(seen) == sum(
@@ -78,10 +69,11 @@ def test_ball_enumerates_shortlex_order(symbols):
     assert seen[0].letters == ()
     for a, b in zip(seen, seen[1:]):
         if len(a) == len(b):
-            assert lex_successor_in_sphere(a) == b
             assert rank_in_sphere(b) == rank_in_sphere(a) + 1
         else:
-            assert len(b) == len(a) + 1 and is_sphere_max(a) and rank_in_sphere(b) == 1
+            assert len(b) == len(a) + 1 and rank_in_sphere(b) == 1
+            assert rank_in_sphere(a) == alphabet.sphere_size(len(a))
+    assert rank_in_sphere(seen[-1]) == alphabet.sphere_size(4)
 
 
 @pytest.mark.parametrize("symbols,n", [("01", 6), ("abc", 4), ("abcd", 4)])
