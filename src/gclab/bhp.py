@@ -22,6 +22,8 @@ throughout:
   machine, and any machine into an interpreter-backed universal
   machine -- with one code writer, x -> 1^pad 0 numeral(|x|) 0 prefix
   x'', and one measure bound, mass(x) / (16 |x|^2 g(|x|) 2^|prefix|);
+  each stage constructor raises the user's guard until the codes it
+  writes fit, so callers pass the guard they were given;
 * the stage checks: each maps every source word once, and membership
   preservation (both ways) and the measure inequality are read off that
   one image;
@@ -40,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .machine import (
@@ -116,16 +119,25 @@ def _payload(text: str) -> Optional[str]:
     return None if zero_at < 0 else text[zero_at + 1 :]
 
 
+def bh_search(
+    machine: Machine, u: Word, cap: int
+) -> Optional[tuple[int, Optional[Configuration]]]:
+    """The machine's halting search on the payload of the code u, within
+    min(|u|, cap) steps: (steps, final configuration), or None when it
+    does not halt in time or u is not a code."""
+    text = u.text()
+    payload = _payload(text)
+    if payload is None:
+        return None
+    return _search_halting(machine, BINARY.word(payload), min(len(text), cap))
+
+
 def bh_member(machine: Machine, u: Word) -> bool:
     """Does the machine halt on the payload within the code's length?
 
     Non-codes are never members.
     """
-    text = u.text()
-    payload = _payload(text)
-    if payload is None:
-        return False
-    return _search_halting(machine, BINARY.word(payload), len(text)) is not None
+    return bh_search(machine, u, len(u.text())) is not None
 
 
 # --- longevity guards and the restricted code family ------------------------
@@ -281,12 +293,6 @@ def xprime_value(text: str) -> Fraction:
     return Fraction(2 * int(text, 2) + 1, 2 ** len(text))
 
 
-def _binary_digit(q: Fraction, i: int) -> int:
-    """The i-th digit (i >= 1) of the terminating binary expansion of
-    q in [0, 1)."""
-    return (q.numerator * (1 << i) // q.denominator) & 1
-
-
 def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
     """The shortest (shortlex-least) binary string whose dyadic value lands
     strictly above the cumulative mass of x and at most at the cumulative
@@ -309,19 +315,16 @@ def _x_prime_prefix(lo: Fraction, hi: Fraction, n: int) -> Word:
     they agree on a (possibly empty) prefix of fractional digits and then
     the lower endpoint shows 0 where the upper shows 1; the address is
     "0" followed by the common prefix.  The upper endpoint 1 is read as
-    0.111...; terminating expansions are used otherwise."""
-    prefix = []
-    i = 1
-    while i <= n + 2:
-        da = _binary_digit(lo, i)
-        db = 1 if hi == 1 else _binary_digit(hi, i)
-        if da != db:
-            break
-        prefix.append(str(da))
-        i += 1
-    else:
+    0.111...; terminating expansions are used otherwise.  The first
+    k = n + 2 digits of each endpoint are read as one integer, so the
+    common prefix is the top k - bitlen(a ^ b) digits of either."""
+    k = n + 2
+    a = (lo.numerator << k) // lo.denominator
+    b = (1 << k) - 1 if hi == 1 else (hi.numerator << k) // hi.denominator
+    common = k - (a ^ b).bit_length()
+    if common == k:
         raise AssertionError("interval endpoints agree too long; mass bound broken")
-    text = "0" + "".join(prefix)
+    text = "0" + format(a, f"0{k}b")[:common]
     value = xprime_value(text)
     if not (lo < value <= hi):
         raise AssertionError("prefix construction produced a bad dyadic address")
@@ -427,7 +430,6 @@ def adequate_guard(
     g_user: GuardLike,
     decider_guard: Optional[Callable[[int], int]] = None,
     extra_payload: int = 0,
-    form: str = "",
 ) -> LongevityGuard:
     """Raise a user guard until codes fit and simulations finish in budget.
 
@@ -438,7 +440,7 @@ def adequate_guard(
     accounting plus the simulated decider's own longevity).  The user
     guard must itself be a valid guard; corrupt ones fail construction.
     """
-    base = as_guard(g_user, form or "g").fn
+    base = as_guard(g_user).fn
 
     def fn(n: int) -> int:
         best = base(n)
@@ -451,8 +453,7 @@ def adequate_guard(
                 best = need
         return best
 
-    label = form or f"adequate({getattr(g_user, 'form', 'g')})"
-    return LongevityGuard(fn, label)
+    return LongevityGuard(fn, f"adequate({getattr(g_user, 'form', 'g')})")
 
 
 def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -> Reduction:
@@ -498,9 +499,7 @@ def red2bh(
         raise ValueError("reduce to a binary alphabet first")
     guard = adequate_guard(g_user, decider_guard)
     mu = problem.measure
-
-    def inner(x: Word, cap: int) -> Optional[tuple[int, Optional[Configuration]]]:
-        return _search_halting(decider, x, cap)
+    inner = partial(_search_halting, decider)
 
     def evaluator(v: Word, budget: int) -> RunResult:
         fields = _read_field(v.text())
@@ -695,15 +694,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
         machine = lookup(code_index)
         if machine is None:
             return RunResult.budget_exhausted(budget)
-
-        def inner(x: Word, cap: int) -> Optional[tuple[int, Optional[Configuration]]]:
-            text = x.text()
-            payload = _payload(text)
-            if payload is None:
-                return None
-            return _search_halting(machine, BINARY.word(payload), min(len(text), cap))
-
-        return _protocol_run(NU, inner, gamma, x2, budget)
+        return _protocol_run(NU, partial(bh_search, machine), gamma, x2, budget)
 
     return VirtualMachine(
         name="universal",
@@ -716,17 +707,18 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
 # --- reduction into the universal machine ------------------------------------
 
 
-def red2bhu(machine: Machine, g: GuardLike) -> BHStage:
+def red2bhu(machine: Machine, g_user: GuardLike) -> BHStage:
     """Bounded halting of a machine into bounded halting of the universal
     machine: the map x -> 1^pad 0 numeral(|x|) 0 machine-code 0 x'' with
     image length h(|x|) = g(|x|)·s(|x|), s = 1 (the universal machine's
     slowdown), so h is the guard; x'' is computed against the input
     ensemble.
 
-    Mapping raises when the guard leaves no room for the payload.
+    The guard g is the user guard raised by ``adequate_guard`` until it
+    has room for the machine code and its separator, so every image fits.
     """
-    h = as_guard(g)
     prefix = machine_code(machine).text() + "0"
+    h = adequate_guard(g_user, extra_payload=len(prefix))
     return BHStage(red2bh_map(NU, h, prefix), universal_machine([machine]), h, NU, prefix)
 
 
@@ -848,14 +840,7 @@ def completeness_pipeline(
 
     # stage 3: embed the protocol machine into the universal machine, on
     # the first stage's images, whose verdicts stage 1 already computed
-    code_len = len(machine_code(stage1.machine).text())
-    g2 = adequate_guard(
-        lambda n: 2 * n + 8,
-        decider_guard=None,
-        extra_payload=code_len + 1,
-        form="universal-stage",
-    )
-    stage3 = red2bhu(stage1.machine, g2)
+    stage3 = red2bhu(stage1.machine, lambda n: 2 * n + 8)
     report3m = CheckReport("universal:membership", n_max)
     verdicts = {y.letters: member for _, y, member in images}
     bounded = DistributionalProblem("bounded-halting", BINARY, lambda u: verdicts[u.letters], NU)

@@ -50,15 +50,17 @@ def _write_output(text: str, out: str | None) -> None:
         return
     # write once, atomically
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gclab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gclab-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _load_json(path: str) -> dict:
@@ -70,14 +72,17 @@ def _load_json(path: str) -> dict:
 
 @contextmanager
 def _reading(path: str):
-    """Building objects from the JSON of ``path``: a missing field or a
-    value of the wrong shape is a usage error that names the file."""
+    """Building objects from the JSON of ``path``: a missing field, a
+    value of the wrong shape or an invalid value is a usage error that
+    names the file."""
     try:
         yield
     except KeyError as exc:
         raise UsageError(f"{path}: missing field {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise UsageError(f"{path}: malformed spec: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _sequence_svg(entries) -> str:
@@ -105,6 +110,12 @@ def _sequence_svg(entries) -> str:
         f'points="{" ".join(points)}"/>\n'
         f"</svg>\n"
     )
+
+
+def _write_sequence(seq, args) -> int:
+    """A density or control sequence as CSV, or as an SVG plot."""
+    _write_output(_sequence_svg(seq.entries) if args.format == "svg" else seq.to_csv(), args.out)
+    return 0
 
 
 def _require_cap(n_max: int, cap: int, what: str) -> None:
@@ -178,11 +189,7 @@ def cmd_density(args) -> int:
     with _reading(args.subset):
         subset, _, closed = bhp.subset_from_spec(_load_json(args.subset), mu)
     seq = genericity.density_sequence(mu, subset, args.n_max, closed=closed)
-    if args.format == "svg":
-        _write_output(_sequence_svg(seq.entries), args.out)
-    else:
-        _write_output(seq.to_csv(), args.out)
-    return 0
+    return _write_sequence(seq, args)
 
 
 def cmd_control_seq(args) -> int:
@@ -197,11 +204,7 @@ def cmd_control_seq(args) -> int:
     seq = genericity.control_sequence(
         machine, p, mu, args.n_max, samples=args.sample, seed=args.seed
     )
-    if args.format == "svg":
-        _write_output(_sequence_svg(seq.entries), args.out)
-    else:
-        _write_output(seq.to_csv(), args.out)
-    return 0
+    return _write_sequence(seq, args)
 
 
 def _report_exit(report, args) -> int:
@@ -241,9 +244,8 @@ def cmd_reduce(args) -> int:
             problem, decider, decider_guard = _problem_from_bundle(data)
             if decider is None:
                 raise UsageError("bundle is missing the decider")
-            guard = bhp.as_guard(parse_polynomial(data.get("guard", "n+6")),
-                                 form=str(data.get("guard", "n+6")))
-        stage = bhp.red2bh(problem, decider, guard, decider_guard)
+            guard = parse_polynomial(data.get("guard", "n+6"))
+            stage = bhp.red2bh(problem, decider, guard, decider_guard)
         membership = measure.CheckReport("membership-preservation", args.n_max)
         pairs = bhp.verify_membership(
             problem, stage, problem.alphabet.ball(args.n_max), membership
@@ -253,11 +255,7 @@ def cmd_reduce(args) -> int:
         _require_cap(args.n_max, 8, "universal-stage")
         with _reading(args.bundle):
             machine = load_machine(data["machine"])
-            guard = bhp.adequate_guard(
-                parse_polynomial(data.get("guard", "n+6")),
-                extra_payload=len(bhp.machine_code(machine).text()) + 1,
-            )
-        stage = bhp.red2bhu(machine, guard)
+            stage = bhp.red2bhu(machine, parse_polynomial(data.get("guard", "n+6")))
         membership = measure.CheckReport("membership-preservation", args.n_max)
         pairs = bhp.verify_red2bhu_membership(
             machine, stage, BINARY.ball(args.n_max), membership

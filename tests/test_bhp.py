@@ -118,9 +118,7 @@ def test_nu_mass_matches_text_oracle():
     data = Path(__file__).parent / "data"
     bundle = json.loads((data / "universal_bundle.json").read_text())
     machine = load_machine(str(Path(__file__).parent.parent / bundle["machine"]))
-    guard = adequate_guard(parse_polynomial(bundle["guard"]),
-                           extra_payload=len(machine_code(machine).text()) + 1)
-    stage = red2bhu(machine, guard)
+    stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
     images = [stage.reduction.apply(x) for n in range(7) for x in BINARY.sphere(n)]
     assert len({len(y) for y in images}) == 7
     for y in images:
@@ -683,10 +681,31 @@ def test_red2bhu_image_length(find_zero):
 
 
 def test_red2bhu_guard_too_small(find_zero):
+    """The user guard n+1 leaves no room for the machine code: red2bhu
+    raises it until every image fits, while the map alone refuses it."""
     guard = LongevityGuard(lambda n: n + 1, form="n+1")
     stage = red2bhu(find_zero, guard)
+    for n in range(5):
+        for x in BINARY.sphere(n):
+            assert len(stage.reduction.apply(x)) == stage.guard(n)
     with pytest.raises(GuardError):
-        stage.reduction.apply(BINARY.word("0"))
+        red2bh_map(NU, guard, stage.prefix).apply(BINARY.word("0"))
+
+
+def test_red2bhu_guard_is_the_hand_built_guard(contains01_problem, contains01_ntm):
+    """red2bhu's guard is the user guard raised for the machine code and
+    its separator, as callers once built it by hand: on the universal
+    bundle, and on the toy protocol machine with pipeline stage 3's 2n+8."""
+    root = Path(__file__).parent.parent
+    bundle = json.loads((root / "tests" / "data" / "universal_bundle.json").read_text())
+    protocol = red2bh(contains01_problem, contains01_ntm, parse_polynomial("n+6"),
+                      parse_polynomial("n+1")).machine
+    for machine, g in ((load_machine(str(root / bundle["machine"])),
+                        parse_polynomial(bundle["guard"])),
+                       (protocol, lambda n: 2 * n + 8)):
+        by_hand = adequate_guard(g, extra_payload=len(machine_code(machine).text()) + 1)
+        guard = red2bhu(machine, g).guard
+        assert [guard(n) for n in range(65)] == [by_hand(n) for n in range(65)]
 
 
 def test_red2bhu_measure_known_witnesses(find_zero):

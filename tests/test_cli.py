@@ -229,7 +229,21 @@ def test_unnormalised_table_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert out == ""
-    assert err == "gclab: sphere 1 sums to 2/3, not 1\n"
+    assert err == f"gclab: {table}: sphere 1 sums to 2/3, not 1\n"
+
+
+def test_out_naming_a_directory_exit_2(tmp_path, capsys):
+    """An --out path that cannot be replaced is a usage error that names
+    it, and the temporary file is removed."""
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = run_cli(["verify", "nu-sums", "--n-max", "2", "--out", str(target)],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"gclab: cannot write {target}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [target]
 
 
 UNIFORM, CG = str(DATA / "uniform_ensemble.json"), str(DATA / "cg_subset.json")

@@ -210,7 +210,7 @@ def test_size_inverse_matches_linear_scan():
         adequate_guard(Polynomial((6, 1))),
         adequate_guard(Polynomial((6, 1)), Polynomial((1, 1))),
         adequate_guard(Polynomial((1, 0, 1)), Polynomial((0, 3))),
-        adequate_guard(lambda n: 2 * n + 8, extra_payload=200, form="universal-stage"),
+        adequate_guard(lambda n: 2 * n + 8, extra_payload=200),
     ]
     for fn in sizes + guards:
         for m in range(-2, 401):
