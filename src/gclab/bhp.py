@@ -129,7 +129,9 @@ def bh_search(
     payload = _payload(text)
     if payload is None:
         return None
-    return _search_halting(machine, BINARY.word(payload), min(len(text), cap))
+    # a binary word's text is already checked, and so is every slice of it
+    w = Word.of_text(BINARY, payload) if u.alphabet == BINARY else BINARY.word(payload)
+    return _search_halting(machine, w, min(len(text), cap))
 
 
 def bh_member(machine: Machine, u: Word) -> bool:
@@ -662,6 +664,13 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
       the simulated steps.
 
     Anything else (including undecodable machine fields) never halts.
+
+    The code texts "machine-code 0" of the registry's machines are built
+    once, so a chained input whose machine field is one of them, as
+    every image ``red2bhu`` writes is, skips parsing the thousands of
+    letters of that field: a numeral ends at the first separator on a
+    marker position, so reading the field would give the same machine
+    and the same rest.
     """
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
@@ -673,6 +682,12 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
         if isinstance(machine, TuringMachine) and machine.tape_alphabet != BINARY:
             return None  # cannot read binary inputs
         return machine
+
+    known: list[tuple[str, InnerSearch]] = []  # (machine-code 0, its search)
+    for i in index:
+        machine = lookup(i)
+        if machine is not None:
+            known.append((numeral(i).text() + "0", partial(bh_search, machine)))
 
     def evaluator(v: Word, budget: int) -> RunResult:
         fields = _read_field(v.text())
@@ -687,6 +702,9 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
             steps, config = found
             return RunResult("halted", steps=steps, final=config)
         # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
+        for code, search in known:
+            if rest.startswith(code):
+                return _protocol_run(NU, search, gamma, rest[len(code) :], budget)
         fields = _read_field(rest)
         if fields is None:
             return RunResult.budget_exhausted(budget)
@@ -842,8 +860,8 @@ def completeness_pipeline(
     # the first stage's images, whose verdicts stage 1 already computed
     stage3 = red2bhu(stage1.machine, lambda n: 2 * n + 8)
     report3m = CheckReport("universal:membership", n_max)
-    verdicts = {y.letters: member for _, y, member in images}
-    bounded = DistributionalProblem("bounded-halting", BINARY, lambda u: verdicts[u.letters], NU)
+    verdicts = {y.text(): member for _, y, member in images}
+    bounded = DistributionalProblem("bounded-halting", BINARY, lambda u: verdicts[u.text()], NU)
     pairs3 = list(verify_membership(bounded, stage3, (y for _, y in pairs1), report3m))
     # the chain keeps only the violations of the universal measure check
     report3q = CheckReport(

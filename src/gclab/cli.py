@@ -157,7 +157,8 @@ def _problem_from_bundle(data: dict) -> tuple[DistributionalProblem, object, obj
 
 
 def cmd_tm(args) -> int:
-    machine = load_machine(args.machine)
+    with _reading(args.machine):
+        machine = load_machine(args.machine)
     word = machine.tape_alphabet.word(args.input)
     if args.action == "run":
         if machine.determinism == "nondeterministic":
@@ -193,7 +194,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_control_seq(args) -> int:
-    machine = load_machine(args.machine)
+    with _reading(args.machine):
+        machine = load_machine(args.machine)
     with _reading(args.ensemble):
         mu = ensemble_from_spec(_load_json(args.ensemble))
     p = parse_polynomial(args.poly)
@@ -268,6 +270,10 @@ def cmd_reduce(args) -> int:
             if decider is None:
                 raise UsageError("bundle is missing the decider")
             guard = parse_polynomial(data.get("guard", "n+6"))
+            # checked here so that a bad guard names the bundle; the
+            # pipeline still gets the polynomial, as a guard object would
+            # relabel the protocol machine and so change its universal code
+            bhp.as_guard(guard)
         chain = bhp.completeness_pipeline(
             problem, decider, guard, decider_guard, n_max=args.n_max
         )

@@ -154,8 +154,12 @@ def check_lower_bounds(
     exact ratio got/bound over the points with a nonzero bound, or None
     when there are none.
     """
-    # the running minimum is kept as an unreduced integer pair: exact,
-    # and without a gcd per point on sphere-wide checks
+    # the running minimum is kept as an integer pair, without a gcd per
+    # point on sphere-wide checks, and reduced by its common power of two
+    # when it is replaced: exact, and small on the universal stage, whose
+    # bounds all carry the factor 2^-|machine code|, so each comparison
+    # multiplies a long integer by a short one.  den > 0 (bound > 0), so
+    # num | den > 0 even where got is 0.
     best: Optional[tuple[int, int]] = None
     for witness, got, bound in points:
         if got < bound:
@@ -164,7 +168,9 @@ def check_lower_bounds(
             num = got.numerator * bound.denominator
             den = got.denominator * bound.numerator
             if best is None or num * best[1] < best[0] * den:
-                best = (num, den)
+                low = num | den
+                twos = (low & -low).bit_length() - 1
+                best = (num >> twos, den >> twos)
     return None if best is None else Fraction(*best)
 
 
@@ -331,9 +337,10 @@ class DBHNuEnsemble(SphericalEnsemble):
 
     ``sphere_sum`` is the base class's word-by-word sum: ``verify
     nu-sums`` checks the mass of every word, not the class structure.
-    ``mass`` reads the class off the letters (the first zero), without
-    joining the word's text, and returns one shared Fraction per class,
-    so the sum adds integer numerators by ``exact_sum``.
+    ``mass`` reads the class (the first zero) off whichever form the
+    word holds, so sphere words stay letter tuples and bounded-halting
+    images stay text, and returns one shared Fraction per class, so the
+    sum adds integer numerators by ``exact_sum``.
     """
 
     kind = "dbh_nu"
@@ -342,13 +349,15 @@ class DBHNuEnsemble(SphericalEnsemble):
         super().__init__(BINARY)
 
     def mass(self, x: Word) -> Fraction:
-        self._check_word(x)
-        letters = x.letters
-        n = len(letters)
+        # ``_check_word`` inlined: sphere sums call this once per word, and
+        # the saved call pays for ``len`` and ``index`` reading the held form
+        if x.alphabet is not self.alphabet and x.alphabet != self.alphabet:
+            raise AlphabetMismatchError("word is over a different alphabet")
+        n = len(x)
         if not n:
             return ONE
         try:
-            k = n - 1 - letters.index("0")  # |w|
+            k = n - 1 - x.index("0")  # |w|
         except ValueError:  # 1^n
             return ZERO
         q = _NU_CLASS_MASSES.get((n, k))

@@ -113,10 +113,12 @@ class Word:
     """A finite string over a fixed alphabet, immutable.
 
     It holds its alphabet and the form it was built from: the letter
-    tuple (``Word(alphabet, letters)``) or the text (``Word.of_text``).
-    ``letters`` and ``text()`` derive the missing form on first use and
-    keep it.  Equality, hashing, length and repr go through the letters,
-    so the two forms of one word cannot be told apart.
+    tuple (``Word(alphabet, letters)``) or the text (``Word.of_text``,
+    whose ``_letters`` is None until derived).  ``letters`` and
+    ``text()`` derive the missing form on first use and keep it.  Length
+    and ``index`` read whichever form is held, so they derive neither;
+    equality, hashing and repr go through the letters.  The two forms of
+    one word cannot be told apart.
     """
 
     __slots__ = ("alphabet", "_letters", "_text")
@@ -131,17 +133,17 @@ class Word:
         symbols, unchecked: ``Alphabet.word`` is the checked way in."""
         w = object.__new__(cls)
         _set_alphabet(w, alphabet)
+        _set_letters(w, None)
         _set_text(w, text)
         return w
 
     @property
     def letters(self) -> tuple[str, ...]:
-        try:
-            return self._letters
-        except AttributeError:  # built from text
+        letters = self._letters
+        if letters is None:  # built from text
             letters = tuple(self._text)
             _set_letters(self, letters)
-            return letters
+        return letters
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -150,7 +152,18 @@ class Word:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
-        return len(self.letters)
+        letters = self._letters
+        # built from text: one character a letter
+        return len(self._text if letters is None else letters)
+
+    def index(self, symbol: str) -> int:
+        """The position of the first letter equal to ``symbol`` (a symbol
+        of the word's alphabet); ``ValueError`` when there is none, as for
+        ``tuple.index`` and ``str.index``."""
+        letters = self._letters
+        if letters is None:  # built from text: one character a letter
+            return self._text.index(symbol)
+        return letters.index(symbol)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -20,6 +20,9 @@ computes another way, kept here so that tests can cross-check the two:
   scan replaced, and the C(g) membership test ``c_of_g_member`` that
   decoded the whole code (``is_code``, ``decode_instance``) where the
   fast one reads only lengths;
+- ``universal_by_fields``: the universal machine's evaluator reading
+  every field of its input with ``_read_field``, as it did before it
+  matched the code texts of its registry's machines;
 - ``x_prime_scan``: the shortlex brute force over dyadic addresses that
   ``bhp.x_prime``'s prefix construction is checked against;
 - ``overrun_mass``: the control-sequence value of one sphere with one
@@ -30,10 +33,11 @@ computes another way, kept here so that tests can cross-check the two:
 ``random_machine`` draws the seeded random table machines those
 cross-checks run on.
 
-The machine code, ``scan_numeral`` and the body of ``nu_mass_text``
-are copied verbatim.  Only the imports are new, and ``_moves`` stands
-in for ``TuringMachine._delta``, which is now keyed by tape digit
-instead of symbol text.
+The machine code, ``scan_numeral``, the body of ``nu_mass_text`` and
+the evaluator of ``universal_by_fields`` are copied verbatim.  Only the
+imports are new, ``_moves`` stands in for ``TuringMachine._delta``,
+which is now keyed by tape digit instead of symbol text, and the
+evaluator names ``gclab``'s own halting search, not the one here.
 """
 
 from __future__ import annotations
@@ -42,10 +46,21 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Optional
 
-from gclab.bhp import guard_inverse, xprime_value
+from gclab import machine as gclab_machine
+from gclab.bhp import (
+    NU,
+    MachineDecodeError,
+    _machine_at,
+    _protocol_run,
+    _read_field,
+    bh_search,
+    guard_inverse,
+    machine_index,
+    xprime_value,
+)
 from gclab.genericity import exceeds_bound
 from gclab.machine import (
     RIGHT,
@@ -282,6 +297,46 @@ def c_of_g_member(guard, u: Word) -> bool:
     zero_at = text.find("0")
     n, w = len(text), BINARY.word(text[zero_at + 1 :])
     return guard_inverse(guard, n) == len(w)
+
+
+def universal_by_fields(registry: list[Machine]) -> Callable[[Word, int], RunResult]:
+    """The universal machine's evaluator on this registry, reading the
+    length field and the machine field of a chained input with
+    ``_read_field``."""
+    index: dict[int, Machine] = {machine_index(m): m for m in registry}
+
+    def lookup(gamma: int) -> Optional[Machine]:
+        try:
+            machine = _machine_at(gamma, index)
+        except MachineDecodeError:
+            return None
+        if isinstance(machine, TuringMachine) and machine.tape_alphabet != BINARY:
+            return None  # cannot read binary inputs
+        return machine
+
+    def evaluator(v: Word, budget: int) -> RunResult:
+        fields = _read_field(v.text())
+        if fields is None:
+            return RunResult.budget_exhausted(budget)
+        gamma, rest = fields
+        machine = lookup(gamma)
+        if machine is not None:  # plain shape: machine-code 0 w
+            found = gclab_machine._search_halting(machine, BINARY.word(rest), budget)
+            if found is None:
+                return RunResult.budget_exhausted(budget)
+            steps, config = found
+            return RunResult("halted", steps=steps, final=config)
+        # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
+        fields = _read_field(rest)
+        if fields is None:
+            return RunResult.budget_exhausted(budget)
+        code_index, x2 = fields
+        machine = lookup(code_index)
+        if machine is None:
+            return RunResult.budget_exhausted(budget)
+        return _protocol_run(NU, partial(bh_search, machine), gamma, x2, budget)
+
+    return evaluator
 
 
 def x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gclab.bhp
 from gclab import (
     BINARY,
     Polynomial,
@@ -56,6 +57,7 @@ from oracles import (
     c_of_g_member,
     nu_mass_text,
     scan_numeral as scan_numeral_per_bit,
+    universal_by_fields,
     x_prime_scan,
 )
 
@@ -109,9 +111,10 @@ def test_nu_mass_examples():
 
 
 def test_nu_mass_matches_text_oracle():
-    """ν's mass read off the letters equals the mass read off the text on
-    every word up to length 12 and on the universal stage's images of
-    every word up to length 6 (codes of about 3,700 bits)."""
+    """ν's mass read off the held form equals the mass read off the text
+    on every word up to length 12 and on the universal stage's images of
+    every word up to length 6 (codes of about 3,700 bits), which stay
+    text: weighing them derives no letter tuple."""
     for n in range(13):
         for x in BINARY.sphere(n):
             assert NU.mass(x) == nu_mass_text(x), x.text()
@@ -123,6 +126,7 @@ def test_nu_mass_matches_text_oracle():
     assert len({len(y) for y in images}) == 7
     for y in images:
         assert NU.mass(y) == nu_mass_text(y) > 0, y.text()
+        assert y._letters is None
 
 
 def test_nu_sphere_sums_to_16():
@@ -188,6 +192,10 @@ def test_bh_member(halt1, loop, find_zero):
     # find-zero halts on payloads containing a zero
     assert bh_member(find_zero, BINARY.word("1100"))
     assert not bh_member(find_zero, BINARY.word("1101"))
+    # a word over another alphabet has its payload checked as binary
+    assert bh_member(find_zero, Alphabet(("1", "0")).word("1100"))
+    with pytest.raises(AlphabetMismatchError):
+        bh_member(halt1, Alphabet(("0", "1", "2")).word("102"))
 
 
 # --- guards and the restricted family ----------------------------------------
@@ -594,6 +602,100 @@ def test_universal_never_halts_on_non_binary_tables(halt1):
     U = universal_machine([halt1])
     text = _index_code({"table": table}) + "0" + "1"
     assert not halts_within(U, BINARY.word(text), 500)
+
+
+def _universal_runs_agree(registry, inputs, scans):
+    """The universal machine and the field-by-field reference give equal
+    run results on every input at several budgets; returns the set of
+    (fast, reference) counts of numeral scans over those runs."""
+    fast = universal_machine(registry).evaluator
+    slow = universal_by_fields(registry)
+    counts = set()
+    for v in inputs:
+        for budget in (0, 5, len(v) // 2, len(v)):
+            scans.clear()
+            got = fast(v, budget)
+            n_fast = len(scans)
+            scans.clear()
+            assert got == slow(v, budget), (v.text()[:40], budget)
+            counts.add((n_fast, len(scans)))
+    return counts
+
+
+@pytest.fixture
+def numeral_scans(monkeypatch):
+    """One entry per ``scan_numeral`` call."""
+    scans = []
+
+    def counted(text, start):
+        scans.append(start)
+        return scan_numeral(text, start)
+
+    monkeypatch.setattr(gclab.bhp, "scan_numeral", counted)
+    return scans
+
+
+def test_universal_matches_known_codes_like_the_field_reader(numeral_scans):
+    """The payload of every image ``red2bhu`` writes for the universal
+    bundle, n <= 6, runs as the field-by-field reference runs it, and
+    only its length field is scanned: its machine field is matched as
+    known text."""
+    root = Path(__file__).parent.parent
+    bundle = json.loads((root / "tests" / "data" / "universal_bundle.json").read_text())
+    machine = load_machine(str(root / bundle["machine"]))
+    stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
+    images = [stage.reduction.apply(x) for x in BINARY.ball(6)]
+    payloads = [BINARY.word(_payload(y.text())) for y in images]
+    assert _universal_runs_agree([machine], payloads, numeral_scans) == {(1, 2)}
+    assert any(bh_member(stage.machine, y) for y in images)
+
+
+def test_universal_matches_pipeline_codes_like_the_field_reader(numeral_scans, monkeypatch):
+    """Pipeline stage 3 on the toy bundle, n <= 4: the protocol machine
+    is virtual, so it is known only through the registry; the payloads
+    of its images run as the reference runs them, with one numeral scan
+    fewer each (the protocol machine scans its own length field)."""
+    from gclab.cli import _problem_from_bundle
+
+    root = Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    bundle = json.loads((root / "tests" / "data" / "toy_bundle.json").read_text())
+    problem, decider, decider_guard = _problem_from_bundle(bundle)
+    stage1 = red2bh(problem, decider, parse_polynomial(bundle["guard"]), decider_guard)
+    stage3 = red2bhu(stage1.machine, lambda n: 2 * n + 8)
+    images = [stage3.reduction.apply(stage1.reduction.apply(x)) for x in BINARY.ball(4)]
+    payloads = [BINARY.word(_payload(y.text())) for y in images]
+    counts = _universal_runs_agree([stage1.machine], payloads, numeral_scans)
+    assert {slow - fast for fast, slow in counts} == {1}
+    assert any(bh_member(stage3.machine, y) for y in images)
+
+
+def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
+    """Chained inputs whose machine field is not a known code text run
+    as the field-by-field reference runs them: one bit of the code
+    flipped, the code cut short, and the code of a registry machine whose
+    tape alphabet is not binary, which never halts."""
+    ab = load_machine({**HALT1_TABLE, "tape_alphabet": ["a", "b"],
+                       "delta": [["q0", "_", "q1", "a", "R"]]})
+    code = machine_code(halt1).text()
+    mutants, non_binary = [], []
+    for x in (BINARY.word("0"), BINARY.word("110")):
+        length = numeral(len(x)).text() + "0"
+        x2 = x_double_prime(NU, x).text()
+        for at in (0, 1, 2, 3, len(code) // 2, len(code) // 2 + 1, len(code) - 1, len(code)):
+            field = code + "0"
+            mutants.append(length + field[:at] + "10"[int(field[at])] + field[at + 1 :] + x2)
+        for cut in (1, 2, 3, len(code) // 2):
+            mutants.append(length + code[:-cut] + "0" + x2)
+            mutants.append(length + code[:-cut] + x2)
+        non_binary.append(length + machine_code(ab).text() + "0" + x2)
+    words = [BINARY.word(t) for t in mutants + non_binary]
+    assert _universal_runs_agree([halt1, ab], words, numeral_scans)
+    U = universal_machine([halt1, ab])
+    honest = numeral(1).text() + "0" + code + "0" + x_double_prime(NU, BINARY.word("0")).text()
+    assert halts_within(U, BINARY.word(honest), 64)
+    for t in non_binary:
+        assert not halts_within(U, BINARY.word(t), 10 * len(t))
 
 
 def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contains01_ntm):

@@ -65,6 +65,22 @@ def test_tm_run_directory_exit_2(tmp_path, capsys):
     assert err.startswith("gclab: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["tm", "run", "{}", "0"],
+    ["control-seq", "--machine", "{}", "--ensemble", str(DATA / "uniform_ensemble.json"),
+     "--poly", "n", "--n-max", "2"],
+])
+def test_machine_file_without_delta_names_the_file(command, tmp_path, capsys):
+    machine = json.loads((DATA / "halt1.json").read_text())
+    del machine["delta"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(machine))
+    code, out, err = run_cli([str(bad) if a == "{}" else a for a in command], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"gclab: {bad}: missing machine field: 'delta'\n"
+
+
 def test_missing_machine_file_exit_2(capsys):
     code, _, err = run_cli(["tm", "run", "/nonexistent.json", "0"], capsys)
     assert code == 2
@@ -343,6 +359,18 @@ def test_reduce_pipeline_bundle(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["passed"]
     assert len(payload["stages"]) == 6
+
+
+def test_reduce_pipeline_names_the_bundle_of_a_bad_guard(tmp_path, capsys, monkeypatch):
+    bundle = json.loads((DATA / "toy_bundle.json").read_text())
+    bundle["guard"] = "n"
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    monkeypatch.chdir(REPO)
+    code, out, err = run_cli(["reduce", "pipeline", str(path), "--n-max", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"gclab: {path}: guard must satisfy g(0) >= 1\n"
 
 
 def test_reduce_pipeline_runs_the_protocol_machine_once_per_image(capsys, monkeypatch):

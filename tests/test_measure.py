@@ -17,9 +17,11 @@ from gclab import (
     verify_transfer,
 )
 from gclab.measure import (
+    CheckReport,
     HorizonError,
     SizeInvarianceError,
     TransferredEnsemble,
+    check_lower_bounds,
     exact_sum,
     size_inverse,
 )
@@ -386,3 +388,28 @@ def test_transferred_mass_inverts_each_length_once():
             assert q == (Fraction(1, 3**k) if rank_in_sphere(y) <= 3**k else 0), y
         else:
             assert q == Fraction(1, 2 ** len(y)), y
+
+
+@pytest.mark.parametrize("scale", [0, 5000])
+def test_check_lower_bounds_returns_the_exact_minimum_ratio(scale):
+    """The minimum of got/bound over random points, exact, with bounds
+    scaled by 2^-scale (as the universal stage's carry 2^-|machine code|),
+    odd and even numerators, zero bounds (skipped) and a zero got (the
+    minimum then); the violations are the points with got < bound."""
+    rng = random.Random(scale + 1)
+    points = []
+    for i in range(300):
+        got = Fraction(rng.randrange(1, 60), rng.randrange(1, 60) << scale + rng.randrange(40))
+        bound = Fraction(rng.randrange(60) | rng.randrange(2),
+                         rng.randrange(1, 60) << scale + rng.randrange(40))
+        points.append((i, got, bound))
+    ratios = [got / bound for _, got, bound in points if bound]
+    for point, ratio in zip((p for p in points if p[2]), ratios):
+        assert check_lower_bounds(CheckReport("lower-bounds", 0), [point]) == ratio
+    report = CheckReport("lower-bounds", 0)
+    assert check_lower_bounds(report, iter(points)) == min(ratios)
+    assert [v.witness for v in report.violations] == [
+        str(i) for i, got, bound in points if got < bound]
+    points.insert(150, (-1, Fraction(0), Fraction(3, 1 << scale)))
+    assert check_lower_bounds(CheckReport("lower-bounds", 0), iter(points)) == 0
+    assert check_lower_bounds(CheckReport("lower-bounds", 0), [(0, Fraction(1), Fraction(0))]) is None
