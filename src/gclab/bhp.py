@@ -49,7 +49,7 @@ from .machine import (
     Configuration,
     Machine,
     MachineFormatError,
-    RunResult,
+    Search,
     TuringMachine,
     VirtualMachine,
     _search_halting,
@@ -85,10 +85,6 @@ class GuardError(ValueError):
     """A longevity guard violates its invariants or is too small."""
 
 
-class MachineDecodeError(ValueError):
-    """A word does not decode to a registered or table-backed machine."""
-
-
 # --- instance codec ---------------------------------------------------------
 
 
@@ -103,14 +99,15 @@ def _wrap(length: int, payload: str) -> Word:
     """The code 1^m 0 payload of the given length: the one place codes are
     built.
 
-    The reduction maps pass payload text so that each image is validated
-    as a word once."""
+    The payload is binary text (``encode_instance`` checks its word's
+    alphabet, and the reduction maps write binary fields), so the image
+    is built from its text unchecked."""
     m = length - len(payload) - 1
     if m < 0:
         raise GuardError(
             f"code length {length} cannot hold a {len(payload)}-symbol payload"
         )
-    return BINARY.word("1" * m + "0" + payload)
+    return Word.of_text(BINARY, "1" * m + "0" + payload)
 
 
 def _payload(text: str) -> Optional[str]:
@@ -344,22 +341,18 @@ def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:
 
 # --- the decoding-protocol machines ------------------------------------------
 
-InnerSearch = Callable[[Word, int], Optional[tuple[int, Optional[Configuration]]]]
-
 
 def _protocol_run(
-    mu: SphericalEnsemble,
-    inner: InnerSearch,
-    n: int,
-    x2: str,
-    budget: int,
-) -> RunResult:
+    mu: SphericalEnsemble, inner: Search, n: int, x2: str, budget: int
+) -> Optional[tuple[int, Optional[Configuration]]]:
     """The decoding protocol shared by the purpose-built machines, on the
     claimed length n and the compressed input x'' = b w read off the
-    payload.
+    payload: a halting search, returning (steps, final) with steps <=
+    budget or None, and never raising.
 
     Declared accounting: decoding a claimed length n costs n steps, the
-    simulated decider then contributes its own steps.  An empty x'', a
+    simulated decider then contributes its own steps, so a result found
+    at some budget is found again at every larger one.  An empty x'', a
     claimed length past a table ensemble's ``n_max`` (where its mass is
     undefined), an address into an enumerated sphere past
     ``ENUMERATION_CAP``, a failed mass test or a failed round-trip check
@@ -369,10 +362,8 @@ def _protocol_run(
     which is resolved against the cumulative masses and must round-trip
     through the address construction.
     """
-    if not x2 or budget < n:
-        return RunResult.budget_exhausted(budget)
-    if isinstance(mu, TableEnsemble) and n > mu.n_max:
-        return RunResult.budget_exhausted(budget)
+    if not x2 or budget < n or isinstance(mu, TableEnsemble) and n > mu.n_max:
+        return None
     b, w = x2[0], x2[1:]
     inner_budget = budget - n
     if b == "0":
@@ -381,26 +372,21 @@ def _protocol_run(
         # the lengths disagree) against the threshold for w's own length
         mass = mu.mass(candidate) if len(candidate) == n else ZERO
         if mass > Fraction(1, 2 ** len(candidate)):
-            return RunResult.budget_exhausted(budget)
+            return None
     else:
         if not w:
-            return RunResult.budget_exhausted(budget)
+            return None
         value = xprime_value(w)
         if not 0 < value <= 1:
-            return RunResult.budget_exhausted(budget)
+            return None
         try:
             candidate = invert_mu_star(mu, n, value)
         except HorizonError:  # an enumerated sphere past ENUMERATION_CAP
-            return RunResult.budget_exhausted(budget)
-        if mu.mass(candidate) <= Fraction(1, 2**n):
-            return RunResult.budget_exhausted(budget)
-        if x_prime(mu, candidate).text() != w:
-            return RunResult.budget_exhausted(budget)
+            return None
+        if mu.mass(candidate) <= Fraction(1, 2**n) or x_prime(mu, candidate).text() != w:
+            return None
     found = inner(candidate, inner_budget)
-    if found is None:
-        return RunResult.budget_exhausted(budget)
-    steps, config = found
-    return RunResult("halted", steps=n + steps, final=config)
+    return None if found is None else (n + found[0], found[1])
 
 
 # --- reduction to the bounded halting problem --------------------------------
@@ -503,12 +489,9 @@ def red2bh(
     mu = problem.measure
     inner = partial(_search_halting, decider)
 
-    def evaluator(v: Word, budget: int) -> RunResult:
+    def evaluator(v: Word, budget: int) -> Optional[tuple[int, Optional[Configuration]]]:
         fields = _read_field(v.text())
-        if fields is None:
-            return RunResult.budget_exhausted(budget)
-        n, x2 = fields
-        return _protocol_run(mu, inner, n, x2, budget)
+        return None if fields is None else _protocol_run(mu, inner, *fields, budget)
 
     machine = VirtualMachine(
         name=f"bh-protocol[{problem.name}]",
@@ -626,32 +609,39 @@ def machine_code(machine: Machine) -> Word:
     return numeral(machine_index(machine))
 
 
-def _machine_at(index: int, registry: dict[int, Machine]) -> Machine:
-    """The machine with this canonical index: a registry hit, else the
-    table machine it serializes.  Anything else, malformed tables
-    included, raises ``MachineDecodeError``."""
-    if index in registry:
-        return registry[index]
-    try:
-        blob = index.to_bytes((index.bit_length() + 7) // 8, "big")
-        payload = json.loads(blob.decode())
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise MachineDecodeError("not a machine encoding") from exc
-    table = payload.get("table") if isinstance(payload, dict) else None
-    if not isinstance(table, dict):
-        raise MachineDecodeError(
-            "not a table encoding; virtual machines decode via the registry only"
-        )
-    try:
-        return load_machine(table)
-    except MachineFormatError as exc:
-        raise MachineDecodeError(f"malformed machine table: {exc}") from exc
+def _machine_at(index: int, registry: dict[int, Machine]) -> Optional[Machine]:
+    """The machine with this canonical index, if it can read binary
+    inputs: a registry hit, else the table machine it serializes.
+    Anything else is None: an index that is not UTF-8 JSON, JSON that is
+    not a table (virtual machines decode via the registry only), a
+    malformed table, or a tape alphabet other than the binary one."""
+    machine = registry.get(index)
+    if machine is None:
+        try:
+            blob = index.to_bytes((index.bit_length() + 7) // 8, "big")
+            # decoded first: json.loads on bytes would also read UTF-16 and UTF-32
+            payload = json.loads(blob.decode())
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError
+            return None
+        table = payload.get("table") if isinstance(payload, dict) else None
+        if not isinstance(table, dict):  # load_machine reads a string as a path
+            return None
+        try:
+            machine = load_machine(table)
+        except MachineFormatError:
+            return None
+    if isinstance(machine, TuringMachine) and machine.tape_alphabet != BINARY:
+        return None  # cannot read binary inputs
+    return machine
 
 
 def universal_machine(registry: list[Machine]) -> VirtualMachine:
     """An interpreter-backed universal machine over the binary alphabet.
 
-    Two input shapes, tried in order:
+    Its evaluator is a halting search like every virtual machine's: it
+    returns (steps, final) with steps <= budget or None, the same result
+    at every larger budget, and never raises.  Two input shapes, tried
+    in order:
 
     * plain: machine-code 0 w -- simulate the decoded machine on w
       step-for-step.  Halting, answers and final configurations coincide
@@ -673,46 +663,29 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
     and the same rest.
     """
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
-
-    def lookup(gamma: int) -> Optional[Machine]:
-        try:
-            machine = _machine_at(gamma, index)
-        except MachineDecodeError:
-            return None
-        if isinstance(machine, TuringMachine) and machine.tape_alphabet != BINARY:
-            return None  # cannot read binary inputs
-        return machine
-
-    known: list[tuple[str, InnerSearch]] = []  # (machine-code 0, its search)
+    known: list[tuple[str, Search]] = []  # (machine-code 0, its search)
     for i in index:
-        machine = lookup(i)
+        machine = _machine_at(i, index)
         if machine is not None:
             known.append((numeral(i).text() + "0", partial(bh_search, machine)))
 
-    def evaluator(v: Word, budget: int) -> RunResult:
+    def evaluator(v: Word, budget: int) -> Optional[tuple[int, Optional[Configuration]]]:
         fields = _read_field(v.text())
         if fields is None:
-            return RunResult.budget_exhausted(budget)
+            return None
         gamma, rest = fields
-        machine = lookup(gamma)
+        machine = _machine_at(gamma, index)
         if machine is not None:  # plain shape: machine-code 0 w
-            found = _search_halting(machine, BINARY.word(rest), budget)
-            if found is None:
-                return RunResult.budget_exhausted(budget)
-            steps, config = found
-            return RunResult("halted", steps=steps, final=config)
+            return _search_halting(machine, BINARY.word(rest), budget)
         # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
         for code, search in known:
             if rest.startswith(code):
                 return _protocol_run(NU, search, gamma, rest[len(code) :], budget)
         fields = _read_field(rest)
-        if fields is None:
-            return RunResult.budget_exhausted(budget)
-        code_index, x2 = fields
-        machine = lookup(code_index)
+        machine = None if fields is None else _machine_at(fields[0], index)
         if machine is None:
-            return RunResult.budget_exhausted(budget)
-        return _protocol_run(NU, partial(bh_search, machine), gamma, x2, budget)
+            return None
+        return _protocol_run(NU, partial(bh_search, machine), gamma, fields[1], budget)
 
     return VirtualMachine(
         name="universal",

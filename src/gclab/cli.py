@@ -127,21 +127,27 @@ def _require_cap(n_max: int, cap: int, what: str) -> None:
 
 
 def _problem_from_bundle(data: dict) -> tuple[DistributionalProblem, object, object]:
-    """(problem, decider machine, decider guard callable) from a bundle."""
+    """(problem, decider machine, decider guard callable) from a bundle.
+
+    Read inside ``_reading``: a malformed bundle raises ``ValueError``,
+    which names the bundle there."""
     spec = data.get("problem")
     if spec is None:
-        raise UsageError("bundle is missing the problem entry")
+        raise ValueError("bundle is missing the problem entry")
     mu = ensemble_from_spec(spec["measure"])
     members = spec.get("members", {})
     if "regex" in members:
-        pattern = re.compile(members["regex"])
+        try:
+            pattern = re.compile(members["regex"])
+        except re.error as exc:
+            raise ValueError(f"members regex {members['regex']!r}: {exc}") from exc
         positive = lambda x: bool(pattern.fullmatch(x.text()))  # noqa: E731
     elif "machine" in members:
         member_machine = load_machine(members["machine"])
         member_guard = parse_polynomial(members.get("guard", "n+1"))
         positive = lambda x: halts_within(member_machine, x, member_guard(len(x)))  # noqa: E731
     else:
-        raise UsageError("problem members need a regex or a machine reference")
+        raise ValueError("problem members need a regex or a machine reference")
     problem = DistributionalProblem(
         name=spec.get("name", "bundle"),
         alphabet=mu.alphabet,
@@ -245,7 +251,7 @@ def cmd_reduce(args) -> int:
         with _reading(args.bundle):
             problem, decider, decider_guard = _problem_from_bundle(data)
             if decider is None:
-                raise UsageError("bundle is missing the decider")
+                raise ValueError("bundle is missing the decider")
             guard = parse_polynomial(data.get("guard", "n+6"))
             stage = bhp.red2bh(problem, decider, guard, decider_guard)
         membership = measure.CheckReport("membership-preservation", args.n_max)
@@ -268,7 +274,7 @@ def cmd_reduce(args) -> int:
         with _reading(args.bundle):
             problem, decider, decider_guard = _problem_from_bundle(data)
             if decider is None:
-                raise UsageError("bundle is missing the decider")
+                raise ValueError("bundle is missing the decider")
             guard = parse_polynomial(data.get("guard", "n+6"))
             # checked here so that a bad guard names the bundle; the
             # pipeline still gets the polynomial, as a guard object would

@@ -26,9 +26,10 @@ than one it has already been explored with (breadth-first order makes
 the first visit the most generous one).
 
 Besides transition-table machines there are "virtual" machines: a host
-procedure mapping (input word, step budget) to a run result under a
-declared, reproducible step accounting.  The constructions around the
-bounded halting problem are realized as virtual machines.
+procedure that is itself a halting search, mapping (input word, step
+budget) to (steps, final configuration) or None under a declared,
+reproducible step accounting.  The constructions around the bounded
+halting problem are realized as virtual machines.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class _TapeCodec:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of running a machine on one input.
+    """Outcome of a deterministic run (``run_deterministic``) on one input.
 
     kind is one of "halted" (reached the final state, with an exact step
     count), "broke" (no transition applied), or "budget" (the step budget
@@ -141,10 +142,6 @@ class RunResult:
     @staticmethod
     def budget_exhausted(budget: int) -> "RunResult":
         return RunResult("budget", budget=budget)
-
-    @property
-    def is_halted(self) -> bool:
-        return self.kind == "halted"
 
 
 @dataclass(frozen=True)
@@ -249,21 +246,27 @@ class TuringMachine:
         }
 
 
+# A halting search: (input word, step budget) to (steps, final
+# configuration), or None when nothing halts within the budget.
+Search = Callable[[Word, int], Optional[tuple[int, Optional[Configuration]]]]
+
+
 @dataclass(frozen=True)
 class VirtualMachine:
     """A machine realized by a host procedure instead of a table.
 
-    The evaluator maps (input word, step budget) to a RunResult and must
-    be deterministic and budget-monotone: a Halted result obtained with
-    budget b is returned identically for every budget >= b.  The step
-    accounting is declared by the construction that builds the machine.
+    The evaluator is the machine's halting search.  On every input word
+    and budget it returns (steps, final) with steps <= budget, or None;
+    it never raises, and a result it returns at budget b it returns
+    identically at every budget >= b.  The step accounting is declared
+    by the construction that builds the machine.
 
     ``definition`` is a JSON-able description sufficient to identify the
     machine for encoding purposes.
     """
 
     name: str
-    evaluator: Callable[[Word, int], RunResult]
+    evaluator: Search
     alphabet: Alphabet
     definition: dict = field(default_factory=dict)
 
@@ -336,13 +339,14 @@ def _search_halting(
 ) -> Optional[tuple[int, Optional[Configuration]]]:
     """Minimal halting steps and final configuration within ``budget``.
 
-    Virtual machines are asked once, through their evaluator; ``accept``
-    does not apply to them.  Table machines get a breadth-first search
-    of the configuration tree for the earliest accepted halting
-    configuration.  A configuration is re-expanded only if seen with a
-    strictly larger residual budget than before; BFS visits each
-    configuration with its maximal residual first, so a plain
-    first-visit set of packed configurations is exact.  ``accept``, when
+    Virtual machines are asked once, through their evaluator, whose
+    result is returned unless it claims more steps than ``budget``;
+    ``accept`` does not apply to them.  Table machines get a
+    breadth-first search of the configuration tree for the earliest
+    accepted halting configuration.  A configuration is re-expanded
+    only if seen with a strictly larger residual budget than before; BFS
+    visits each configuration with its maximal residual first, so a
+    plain first-visit set of packed configurations is exact.  ``accept``, when
     given, reads the decoded snapshot of each halting configuration;
     without it the first halting configuration is taken, and with
     ``decode`` False it is not decoded: the result carries None in
@@ -353,10 +357,8 @@ def _search_halting(
     if budget < 0:
         return None
     if isinstance(machine, VirtualMachine):
-        result = machine.evaluator(x, budget)
-        if result.is_halted and result.steps is not None and result.steps <= budget:
-            return result.steps, result.final
-        return None
+        found = machine.evaluator(x, budget)
+        return found if found is not None and found[0] <= budget else None
     start = initial_configuration(machine, x)
     final = machine.final
     if seen is None:

@@ -37,7 +37,11 @@ The machine code, ``scan_numeral``, the body of ``nu_mass_text`` and
 the evaluator of ``universal_by_fields`` are copied verbatim.  Only the
 imports are new, ``_moves`` stands in for ``TuringMachine._delta``,
 which is now keyed by tape digit instead of symbol text, and the
-evaluator names ``gclab``'s own halting search, not the one here.
+evaluator names ``gclab``'s own halting search, not the one here.  That
+evaluator and the virtual branch of ``_search_halting`` follow the
+evaluator contract of ``VirtualMachine``: (steps, final) or None, where
+they once built and read ``RunResult``s, and the evaluator reads machine
+fields with ``_machine_at``, which now returns None where it raised.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from typing import Callable, Optional
 from gclab import machine as gclab_machine
 from gclab.bhp import (
     NU,
-    MachineDecodeError,
     _machine_at,
     _protocol_run,
     _read_field,
@@ -71,6 +74,7 @@ from gclab.machine import (
     MachineFormatError,
     NondeterministicRunError,
     RunResult,
+    Search,
     TuringMachine,
     VirtualMachine,
     decode_answer,
@@ -171,10 +175,8 @@ def _search_halting(
     if budget < 0:
         return None
     if isinstance(machine, VirtualMachine):
-        result = machine.evaluator(x, budget)
-        if result.is_halted and result.steps is not None and result.steps <= budget:
-            return result.steps, result.final
-        return None
+        found = machine.evaluator(x, budget)
+        return found if found is not None and found[0] <= budget else None
     start = initial_configuration(machine, x)
     seen = {start}
     frontier: deque[Configuration] = deque([start])
@@ -299,42 +301,26 @@ def c_of_g_member(guard, u: Word) -> bool:
     return guard_inverse(guard, n) == len(w)
 
 
-def universal_by_fields(registry: list[Machine]) -> Callable[[Word, int], RunResult]:
+def universal_by_fields(registry: list[Machine]) -> Search:
     """The universal machine's evaluator on this registry, reading the
     length field and the machine field of a chained input with
     ``_read_field``."""
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
-    def lookup(gamma: int) -> Optional[Machine]:
-        try:
-            machine = _machine_at(gamma, index)
-        except MachineDecodeError:
-            return None
-        if isinstance(machine, TuringMachine) and machine.tape_alphabet != BINARY:
-            return None  # cannot read binary inputs
-        return machine
-
-    def evaluator(v: Word, budget: int) -> RunResult:
+    def evaluator(v: Word, budget: int) -> Optional[tuple[int, Optional[Configuration]]]:
         fields = _read_field(v.text())
         if fields is None:
-            return RunResult.budget_exhausted(budget)
+            return None
         gamma, rest = fields
-        machine = lookup(gamma)
+        machine = _machine_at(gamma, index)
         if machine is not None:  # plain shape: machine-code 0 w
-            found = gclab_machine._search_halting(machine, BINARY.word(rest), budget)
-            if found is None:
-                return RunResult.budget_exhausted(budget)
-            steps, config = found
-            return RunResult("halted", steps=steps, final=config)
+            return gclab_machine._search_halting(machine, BINARY.word(rest), budget)
         # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
         fields = _read_field(rest)
-        if fields is None:
-            return RunResult.budget_exhausted(budget)
-        code_index, x2 = fields
-        machine = lookup(code_index)
+        machine = None if fields is None else _machine_at(fields[0], index)
         if machine is None:
-            return RunResult.budget_exhausted(budget)
-        return _protocol_run(NU, partial(bh_search, machine), gamma, x2, budget)
+            return None
+        return _protocol_run(NU, partial(bh_search, machine), gamma, fields[1], budget)
 
     return evaluator
 

@@ -32,7 +32,6 @@ from gclab.bhp import (
     GuardError,
     LongevityGuard,
     BHStage,
-    MachineDecodeError,
     NU,
     _machine_at,
     _payload,
@@ -49,7 +48,7 @@ from gclab.bhp import (
 )
 from gclab.cli import main
 from gclab.genericity import parse_polynomial
-from gclab.machine import RunResult, halts_within, load_machine
+from gclab.machine import halts_within, load_machine
 from gclab.measure import CheckReport, check_lower_bounds, verify_induced
 from gclab.reductions import DistributionalProblem
 from gclab.words import Alphabet, AlphabetMismatchError
@@ -535,8 +534,7 @@ def test_virtual_machine_codes_via_registry(contains01_problem, contains01_ntm):
     vm = stage.machine
     index = scan_numeral(machine_code(vm).text(), 0)[0]
     assert _machine_at(index, {machine_index(vm): vm}) is vm
-    with pytest.raises(MachineDecodeError):
-        _machine_at(index, {})  # no registry: virtual machines cannot decode
+    assert _machine_at(index, {}) is None  # no registry: virtual machines cannot decode
 
 
 # --- the universal machine ----------------------------------------------------
@@ -584,16 +582,28 @@ def _index_code(payload) -> str:
     5,
     {"table": {}},
     {"table": {**HALT1_TABLE, "delta": "x"}},
+    # a string table would be read by load_machine as a file path
+    {"table": "tests/data/halt1.json"},
 ])
-def test_universal_fails_closed_on_malformed_tables(halt1, payload):
+def test_universal_fails_closed_on_malformed_tables(halt1, payload, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent.parent)
     code = _index_code(payload)
-    with pytest.raises(MachineDecodeError):
-        _machine_at(scan_numeral(code, 0)[0], {})
+    assert _machine_at(scan_numeral(code, 0)[0], {}) is None
     U = universal_machine([halt1])
     plain = code + "0" + "1"
     chained = numeral(1).text() + "0" + code + "0" + "01"
     for text in (plain, chained):
         assert not halts_within(U, BINARY.word(text), 500)
+
+
+def test_machine_codes_are_utf8_json():
+    """An index whose bytes are a table's JSON in UTF-16 or UTF-32 is not
+    a machine code, although ``json.loads`` would read those bytes."""
+    blob = json.dumps({"table": HALT1_TABLE})
+    assert _machine_at(int.from_bytes(blob.encode(), "big"), {}) is not None
+    for encoding in ("utf-16", "utf-32"):
+        assert json.loads(blob.encode(encoding)) == {"table": HALT1_TABLE}
+        assert _machine_at(int.from_bytes(blob.encode(encoding), "big"), {}) is None
 
 
 def test_universal_never_halts_on_non_binary_tables(halt1):
@@ -606,7 +616,7 @@ def test_universal_never_halts_on_non_binary_tables(halt1):
 
 def _universal_runs_agree(registry, inputs, scans):
     """The universal machine and the field-by-field reference give equal
-    run results on every input at several budgets; returns the set of
+    results on every input at several budgets; returns the set of
     (fast, reference) counts of numeral scans over those runs."""
     fast = universal_machine(registry).evaluator
     slow = universal_by_fields(registry)
@@ -700,8 +710,9 @@ def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
 
 def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contains01_ntm):
     """On every word up to length 10 the universal machine and two
-    protocol machines, over a uniform and over a table problem, return a
-    run result without raising, and a halting result is returned
+    protocol machines, over a uniform and over a table problem, are
+    halting searches: each returns None or (steps, final) with steps
+    within the budget, without raising, and a halting result is returned
     identically at every larger budget."""
     protocol = red2bh(contains01_problem, contains01_ntm,
                       Polynomial((6, 1, 1)), lambda n: n + 1).machine
@@ -710,7 +721,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     table_protocol = red2bh(short, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
     # a claimed length (2) beyond the table's n_max (1), verbatim branch
     payload = BINARY.word("1110" "0" "0" "00")
-    assert table_protocol.evaluator(payload, 10) == RunResult.budget_exhausted(10)
+    assert table_protocol.evaluator(payload, 10) is None
     # an address into sphere 17, past ENUMERATION_CAP: an enumerated
     # ensemble never halts, the input ensemble resolves it in closed form
     long_table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=17)
@@ -719,16 +730,16 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     long_protocol = red2bh(long_problem, contains01_ntm, Polynomial((6, 1, 1)),
                            lambda n: n + 1).machine
     payload = BINARY.word(numeral(17).text() + "0" + "1" + "0")
-    assert long_protocol.evaluator(payload, 40) == RunResult.budget_exhausted(40)
+    assert long_protocol.evaluator(payload, 40) is None
     x = BINARY.word("1" * 16 + "0")
     x2 = x_double_prime(NU, x).text()
     assert x2[0] == "1"  # address branch
     chained = BINARY.word(
         numeral(17).text() + "0" + machine_code(halt1).text() + "0" + x2)
     universal = universal_machine([halt1])
-    assert universal.evaluator(chained, 17) == RunResult.budget_exhausted(17)
+    assert universal.evaluator(chained, 17) is None
     halted = universal.evaluator(chained, 18)
-    assert halted.is_halted and halted.steps == 18
+    assert halted is not None and halted[0] == 18
     assert universal.evaluator(chained, 64) == halted
     for vm in (universal_machine([halt1]), protocol, table_protocol):
         for n in range(11):
@@ -736,10 +747,11 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
                 halted = None
                 for budget in (0, 1, 2, 4, 8, 16, 32):
                     result = vm.evaluator(v, budget)
-                    assert isinstance(result, RunResult)
                     if halted is not None:
                         assert result == halted, (vm.name, v.text(), budget)
-                    elif result.is_halted:
+                    elif result is not None:
+                        steps, _ = result
+                        assert isinstance(steps, int) and 0 <= steps <= budget
                         halted = result
 
 

@@ -316,6 +316,31 @@ def test_spec_of_the_wrong_shape_exit_2(command, spec, tmp_path, capsys):
     assert err.startswith(f"gclab: {path}: malformed spec: ") and err.count("\n") == 1
 
 
+_BINARY_MEASURE = {"kind": "uniform", "alphabet": "01"}
+
+
+@pytest.mark.parametrize("construction,bundle,message", [
+    ("to-binary", {"problem": {"measure": _BINARY_MEASURE, "members": {"regex": "(("}}},
+     "members regex '((': "),
+    ("to-binary", {}, "bundle is missing the problem entry"),
+    ("to-binary", {"problem": {"measure": _BINARY_MEASURE}},
+     "problem members need a regex or a machine reference"),
+    ("bh", {"problem": {"measure": _BINARY_MEASURE, "members": {"regex": "1*"}}},
+     "bundle is missing the decider"),
+    ("pipeline", {"problem": {"measure": _BINARY_MEASURE, "members": {"regex": "1*"}}},
+     "bundle is missing the decider"),
+], ids=["bad-regex", "no-problem", "no-members", "bh-no-decider", "pipeline-no-decider"])
+def test_malformed_bundle_names_the_bundle(construction, bundle, message, tmp_path, capsys):
+    """A bundle that cannot be read as a problem, a regex that does not
+    compile included, is a usage error that names the bundle."""
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run_cli(["reduce", construction, str(path), "--n-max", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gclab: {path}: {message}") and err.count("\n") == 1
+
+
 def test_fixture_missing_a_field_names_file_and_field(tmp_path, capsys):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps({"base": {"kind": "dbh_nu"}, "candidate": {"kind": "dbh_nu"}}))

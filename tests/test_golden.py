@@ -88,7 +88,7 @@ GOLDEN = {
     # word validation on codes of several thousand bits
     ("reduce", "universal", "tests/data/universal_bundle.json", "--n-max", "8"): (1,
         "acb87ffcaa6df8fd88721a134c749c1a6a67175a797ed734fc18f5f3f66c67ee"),
-    # a uniform base has no closed form for C(g), so every word is tested
+    # C(g) under a uniform base: one block mass per sphere, no word tested
     ("density", "--ensemble", UNIFORM, "--subset", CG, "--n-max", "12"): (0,
         "859965cb78ba901664854d32aa296a12ab08c5d059b964b117fa8163a1bb6f0e"),
     # a rank-to-binary map over abc, so the candidate is a TransferredEnsemble

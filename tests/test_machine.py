@@ -14,7 +14,6 @@ from gclab.machine import (
     MachineFormatError,
     NondeterministicRunError,
     VirtualMachine,
-    RunResult,
     decode_answer,
     halts_within,
     _search_halting,
@@ -291,9 +290,7 @@ def test_min_deciding_steps_skips_dont_know(answer_machine):
 def test_virtual_machine_monotonicity():
     def evaluator(w, budget):
         needed = len(w) + 1
-        if budget >= needed:
-            return RunResult.halted(needed, None)
-        return RunResult.budget_exhausted(budget)
+        return (needed, None) if budget >= needed else None
 
     vm = VirtualMachine(name="len+1", evaluator=evaluator, alphabet=BINARY)
     for text in ("", "0", "0110"):
@@ -309,16 +306,23 @@ def test_virtual_machine_monotonicity():
 def test_vm_budget_doubling_property(text, budget):
     def evaluator(w, b):
         needed = 2 * len(w)
-        if b >= needed:
-            return RunResult.halted(needed, None)
-        return RunResult.budget_exhausted(b)
+        return (needed, None) if b >= needed else None
 
     vm = VirtualMachine(name="2len", evaluator=evaluator, alphabet=BINARY)
     w = BINARY.word(text)
-    first = vm.evaluator(w, budget)
-    if first.is_halted:
-        again = vm.evaluator(w, 2 * budget)
-        assert again.is_halted and again.steps == first.steps
+    first = _search_halting(vm, w, budget)
+    if first is not None:
+        assert _search_halting(vm, w, 2 * budget) == first
+
+
+def test_search_rejects_an_evaluator_past_its_budget():
+    """A virtual machine's result counts only if its steps fit the
+    budget: an evaluator that claims one step more than it was given
+    does not halt within that budget."""
+    vm = VirtualMachine(name="over", evaluator=lambda w, b: (b + 1, None), alphabet=BINARY)
+    for b in range(4):
+        assert _search_halting(vm, BINARY.empty, b) is None
+        assert not halts_within(vm, BINARY.empty, b)
 
 
 def test_loader_roundtrip(tmp_path, find_zero):
