@@ -617,8 +617,12 @@ def _machine_at(index: int, registry: dict[int, Machine]) -> Optional[Machine]:
     malformed table, or a tape alphabet other than the binary one."""
     machine = registry.get(index)
     if machine is None:
+        size = (index.bit_length() + 7) // 8
+        # an object's JSON text starts with "{" or JSON whitespace
+        if not size or index >> 8 * (size - 1) not in b"{ \t\n\r":
+            return None
         try:
-            blob = index.to_bytes((index.bit_length() + 7) // 8, "big")
+            blob = index.to_bytes(size, "big")
             # decoded first: json.loads on bytes would also read UTF-16 and UTF-32
             payload = json.loads(blob.decode())
         except ValueError:  # UnicodeDecodeError and JSONDecodeError

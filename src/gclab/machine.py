@@ -23,7 +23,11 @@ number of steps over halting computations; consequently
 None``.  Bounded search over the configuration tree prunes a
 configuration only when it reappears with a residual budget no larger
 than one it has already been explored with (breadth-first order makes
-the first visit the most generous one).
+the first visit the most generous one).  A machine with at most one
+move per (state, read symbol) has a single run, which searches and
+deterministic runs walk without storing configurations: a run that
+revisits one repeats forever, so a cycle check ends it early with the
+verdict an exhausted budget would give.
 
 Besides transition-table machines there are "virtual" machines: a host
 procedure that is itself a halting search, mapping (input word, step
@@ -308,24 +312,57 @@ def step(machine: TuringMachine, config: Packed) -> tuple[Packed, ...]:
     return tuple(out)
 
 
+def _walk(
+    machine: TuringMachine, config: Packed, budget: int, seen: Optional[set[Packed]] = None
+) -> tuple[str, int, Packed]:
+    """Follow the one run of a machine without branching choices from
+    ``config``: (kind, steps, last configuration), kind being a
+    ``RunResult`` kind.  A run that revisits a configuration repeats
+    forever, never halting nor breaking, so it stops early as "budget";
+    Brent's check finds the repeat in O(1) memory by comparing each
+    configuration with a mark moved to the current one whenever the
+    steps since the last move reach a power of two (Brent 1980, "An
+    improved Monte Carlo factorization algorithm").  ``seen``, when
+    given, receives every configuration the run reaches."""
+    final = machine.final
+    if seen is not None:
+        seen.add(config)
+    mark, power, lag = config, 1, 0
+    steps = 0
+    while True:
+        if config[0] == final:
+            return "halted", steps, config
+        if steps >= budget:
+            return "budget", steps, config
+        succ = step(machine, config)  # the module global, so tracers see each step
+        if not succ:
+            return "broke", steps, config
+        config = succ[0]
+        steps += 1
+        if seen is not None:
+            seen.add(config)
+        if config == mark:
+            return "budget", steps, config
+        lag += 1
+        if lag == power:
+            mark, power, lag = config, power * 2, 0
+
+
 def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult:
-    """Run a (possibly partial) deterministic machine from (initial, empty, x)."""
+    """Run a (possibly partial) deterministic machine from (initial, empty, x).
+
+    A run that cycles is cut short and reported as running out of
+    budget, which it would do at any budget."""
     if machine.determinism == "nondeterministic":
         raise NondeterministicRunError(
             "run_deterministic requires a machine without branching choices"
         )
-    config = initial_configuration(machine, x)
-    steps = 0
-    while True:
-        if config[0] == machine.final:
-            return RunResult.halted(steps, machine._codec.snapshot(config))
-        if steps >= budget:
-            return RunResult.budget_exhausted(budget)
-        succ = step(machine, config)
-        if not succ:
-            return RunResult.broke(steps)
-        config = succ[0]
-        steps += 1
+    kind, steps, config = _walk(machine, initial_configuration(machine, x), budget)
+    if kind == "halted":
+        return RunResult.halted(steps, machine._codec.snapshot(config))
+    if kind == "broke":
+        return RunResult.broke(steps)
+    return RunResult.budget_exhausted(budget)
 
 
 def _search_halting(
@@ -341,7 +378,10 @@ def _search_halting(
 
     Virtual machines are asked once, through their evaluator, whose
     result is returned unless it claims more steps than ``budget``;
-    ``accept`` does not apply to them.  Table machines get a
+    ``accept`` does not apply to them.  A table machine with at most one
+    move per (state, read symbol) has one run, which is walked (see
+    ``_walk``): nothing is stored, and a run that cycles ends early with
+    the verdict the budget would give.  Other table machines get a
     breadth-first search of the configuration tree for the earliest
     accepted halting configuration.  A configuration is re-expanded
     only if seen with a strictly larger residual budget than before; BFS
@@ -359,7 +399,18 @@ def _search_halting(
     if isinstance(machine, VirtualMachine):
         found = machine.evaluator(x, budget)
         return found if found is not None and found[0] <= budget else None
+    codec = machine._codec
+
+    def verdict(depth: int, config: Packed) -> Optional[tuple[int, Optional[Configuration]]]:
+        if accept is None:
+            return depth, codec.snapshot(config) if decode else None
+        snapshot = codec.snapshot(config)
+        return (depth, snapshot) if accept(snapshot) else None
+
     start = initial_configuration(machine, x)
+    if machine.determinism != "nondeterministic":
+        kind, steps, config = _walk(machine, start, budget, seen)
+        return verdict(steps, config) if kind == "halted" else None
     final = machine.final
     if seen is None:
         seen = set()
@@ -369,11 +420,9 @@ def _search_halting(
     while frontier and depth <= budget:
         for config in frontier:
             if config[0] == final:
-                if accept is None:
-                    return depth, machine._codec.snapshot(config) if decode else None
-                snapshot = machine._codec.snapshot(config)
-                if accept(snapshot):
-                    return depth, snapshot
+                found = verdict(depth, config)
+                if found is not None:
+                    return found
         if depth == budget:
             break
         nxt: list[Packed] = []
@@ -381,8 +430,9 @@ def _search_halting(
             if config[0] == final:
                 continue  # halted: the computation ends here
             for succ in step(machine, config):
-                if succ not in seen:
-                    seen.add(succ)
+                size = len(seen)
+                seen.add(succ)  # one hash: the set grows only for a new one
+                if len(seen) > size:
                     nxt.append(succ)
         frontier = nxt
         depth += 1
@@ -484,12 +534,13 @@ def load_machine(source) -> TuringMachine:
         data = source
     else:
         text = str(source)
+        # an object's JSON text starts with "{"; anything else names a file
         try:
-            is_path = Path(text).is_file()
+            is_text = text.lstrip().startswith("{") and not Path(text).is_file()
         except (OSError, ValueError):  # e.g. JSON text too long for a file name
-            is_path = False
+            is_text = True
         try:
-            data = json.loads(Path(text).read_text() if is_path else text)
+            data = json.loads(text if is_text else Path(text).read_text())
         except json.JSONDecodeError as exc:
             raise MachineFormatError(f"machine description is not JSON: {exc}") from exc
         except (OSError, UnicodeDecodeError) as exc:

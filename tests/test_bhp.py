@@ -606,6 +606,16 @@ def test_machine_codes_are_utf8_json():
         assert _machine_at(int.from_bytes(blob.encode(encoding), "big"), {}) is None
 
 
+def test_machine_codes_may_open_with_json_whitespace():
+    """JSON text may open with whitespace before its object: such a code
+    still decodes, whatever check skips indexes that cannot be JSON."""
+    blob = " \n" + json.dumps({"table": HALT1_TABLE})
+    machine = _machine_at(int.from_bytes(blob.encode(), "big"), {})
+    assert machine is not None
+    assert machine.to_canonical_dict() == load_machine(HALT1_TABLE).to_canonical_dict()
+    assert _machine_at(0, {}) is None
+
+
 def test_universal_never_halts_on_non_binary_tables(halt1):
     table = {**HALT1_TABLE, "tape_alphabet": ["a", "b"],
              "delta": [["q0", "_", "q1", "a", "R"]]}

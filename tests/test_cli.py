@@ -86,6 +86,21 @@ def test_missing_machine_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["tm", "halts", "nope.json", "0", "--budget", "3"],
+    ["control-seq", "--machine", "nope.json", "--ensemble",
+     str(DATA / "uniform_ensemble.json"), "--poly", "n", "--n-max", "2"],
+])
+def test_missing_machine_file_says_it_cannot_be_read(command, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(command, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gclab: nope.json: cannot read machine description: ")
+    assert "No such file or directory" in err and "not JSON" not in err
+
+
 def test_density_cg_closed_rows(tmp_path, capsys):
     out_file = tmp_path / "density.csv"
     code, _, _ = run_cli(

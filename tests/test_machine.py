@@ -1,10 +1,12 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gclab.machine
 import oracles
 from gclab import BINARY, TuringMachine
 from gclab.machine import (
@@ -13,6 +15,7 @@ from gclab.machine import (
     Configuration,
     MachineFormatError,
     NondeterministicRunError,
+    RunResult,
     VirtualMachine,
     decode_answer,
     halts_within,
@@ -66,6 +69,22 @@ def test_run_deterministic_budget(loop):
 def test_run_deterministic_broke(breaker):
     result = run_deterministic(breaker, BINARY.word("0"), 10)
     assert result.kind == "broke" and result.steps == 0
+
+
+def test_a_cycling_run_stops_early(monkeypatch):
+    """The ping-pong machine revisits its configurations from step 2 on:
+    the cycle check ends the run and the search long before the budget,
+    with the verdict the budget gives."""
+    pingpong = load_machine(str(Path(__file__).parent / "data" / "pingpong.json"))
+    calls = []
+    original = gclab.machine.step
+    monkeypatch.setattr(gclab.machine, "step", lambda m, c: calls.append(c) or original(m, c))
+    assert not halts_within(pingpong, BINARY.word("0"), 10**6)
+    assert 0 < len(calls) <= 64
+    calls.clear()
+    assert run_deterministic(pingpong, BINARY.word("0"), 10**6) == (
+        RunResult.budget_exhausted(10**6))
+    assert 0 < len(calls) <= 64
 
 
 def test_run_rejects_ntm(contains01_ntm):
