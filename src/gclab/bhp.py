@@ -46,7 +46,6 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .machine import (
-    Configuration,
     Machine,
     MachineFormatError,
     Search,
@@ -116,12 +115,10 @@ def _payload(text: str) -> Optional[str]:
     return None if zero_at < 0 else text[zero_at + 1 :]
 
 
-def bh_search(
-    machine: Machine, u: Word, cap: int
-) -> Optional[tuple[int, Optional[Configuration]]]:
+def bh_search(machine: Machine, u: Word, cap: int) -> Optional[int]:
     """The machine's halting search on the payload of the code u, within
-    min(|u|, cap) steps: (steps, final configuration), or None when it
-    does not halt in time or u is not a code."""
+    min(|u|, cap) steps: its halting steps, or None when it does not
+    halt in time or u is not a code."""
     text = u.text()
     payload = _payload(text)
     if payload is None:
@@ -344,49 +341,49 @@ def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:
 
 def _protocol_run(
     mu: SphericalEnsemble, inner: Search, n: int, x2: str, budget: int
-) -> Optional[tuple[int, Optional[Configuration]]]:
+) -> Optional[int]:
     """The decoding protocol shared by the purpose-built machines, on the
     claimed length n and the compressed input x'' = b w read off the
-    payload: a halting search, returning (steps, final) with steps <=
-    budget or None, and never raising.
+    payload: a halting search, returning its steps (at most ``budget``)
+    or None, and never raising.
 
     Declared accounting: decoding a claimed length n costs n steps, the
     simulated decider then contributes its own steps, so a result found
     at some budget is found again at every larger one.  An empty x'', a
     claimed length past a table ensemble's ``n_max`` (where its mass is
-    undefined), an address into an enumerated sphere past
-    ``ENUMERATION_CAP``, a failed mass test or a failed round-trip check
-    never halts.  Closed-form ensembles (uniform and the input ensemble)
-    resolve addresses at every length.  Branch 0
-    ships the candidate input verbatim; branch 1 carries a dyadic address
-    which is resolved against the cumulative masses and must round-trip
-    through the address construction.
+    undefined), an address or a mass test that reaches past the
+    measure's horizon (an enumerated sphere past ``ENUMERATION_CAP``, or
+    a table's ``n_max`` under an ensemble built on the table), a failed
+    mass test or a failed round-trip check never halts.  Closed-form
+    ensembles (uniform and the input ensemble) resolve addresses at
+    every length.  Branch 0 ships the candidate input verbatim; branch 1
+    carries a dyadic address which is resolved against the cumulative
+    masses and must round-trip through the address construction.
     """
     if not x2 or budget < n or isinstance(mu, TableEnsemble) and n > mu.n_max:
         return None
     b, w = x2[0], x2[1:]
-    inner_budget = budget - n
-    if b == "0":
-        candidate = BINARY.word(w)
-        # literal mass test: mass of w in the claimed sphere n (zero when
-        # the lengths disagree) against the threshold for w's own length
-        mass = mu.mass(candidate) if len(candidate) == n else ZERO
-        if mass > Fraction(1, 2 ** len(candidate)):
-            return None
-    else:
-        if not w:
-            return None
-        value = xprime_value(w)
-        if not 0 < value <= 1:
-            return None
-        try:
+    try:
+        if b == "0":
+            candidate = BINARY.word(w)
+            # literal mass test: mass of w in the claimed sphere n (zero when
+            # the lengths disagree) against the threshold for w's own length
+            mass = mu.mass(candidate) if len(candidate) == n else ZERO
+            if mass > Fraction(1, 2 ** len(candidate)):
+                return None
+        else:
+            if not w:
+                return None
+            value = xprime_value(w)
+            if not 0 < value <= 1:
+                return None
             candidate = invert_mu_star(mu, n, value)
-        except HorizonError:  # an enumerated sphere past ENUMERATION_CAP
-            return None
-        if mu.mass(candidate) <= Fraction(1, 2**n) or x_prime(mu, candidate).text() != w:
-            return None
-    found = inner(candidate, inner_budget)
-    return None if found is None else (n + found[0], found[1])
+            if mu.mass(candidate) <= Fraction(1, 2**n) or x_prime(mu, candidate).text() != w:
+                return None
+    except HorizonError:  # a word weighed past the measure's horizon
+        return None
+    steps = inner(candidate, budget - n)
+    return None if steps is None else n + steps
 
 
 # --- reduction to the bounded halting problem --------------------------------
@@ -489,14 +486,13 @@ def red2bh(
     mu = problem.measure
     inner = partial(_search_halting, decider)
 
-    def evaluator(v: Word, budget: int) -> Optional[tuple[int, Optional[Configuration]]]:
+    def evaluator(v: Word, budget: int) -> Optional[int]:
         fields = _read_field(v.text())
         return None if fields is None else _protocol_run(mu, inner, *fields, budget)
 
     machine = VirtualMachine(
         name=f"bh-protocol[{problem.name}]",
         evaluator=evaluator,
-        alphabet=BINARY,
         definition={
             "protocol": "bounded-halting-decider",
             "problem": problem.name,
@@ -643,14 +639,15 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
     """An interpreter-backed universal machine over the binary alphabet.
 
     Its evaluator is a halting search like every virtual machine's: it
-    returns (steps, final) with steps <= budget or None, the same result
-    at every larger budget, and never raises.  Two input shapes, tried
-    in order:
+    returns its halting steps (at most the budget) or None, the same
+    steps at every larger budget, and never raises.  Two input shapes,
+    tried in order:
 
     * plain: machine-code 0 w -- simulate the decoded machine on w
-      step-for-step.  Halting, answers and final configurations coincide
-      with the simulated machine's, and the declared slowdown is exactly
-      1: the step count reported equals the simulated machine's.
+      step-for-step.  It halts exactly when the simulated machine does,
+      with slowdown exactly 1: the steps reported are the simulated
+      machine's.  Like every virtual machine it reports no final
+      configuration.
     * chained: numeral 0 machine-code 0 x'' -- the decoding protocol for
       the bounded halting problem of the decoded machine, with the input
       ensemble as the measure: recover the instance from x'' and run the
@@ -673,7 +670,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
         if machine is not None:
             known.append((numeral(i).text() + "0", partial(bh_search, machine)))
 
-    def evaluator(v: Word, budget: int) -> Optional[tuple[int, Optional[Configuration]]]:
+    def evaluator(v: Word, budget: int) -> Optional[int]:
         fields = _read_field(v.text())
         if fields is None:
             return None
@@ -694,7 +691,6 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
     return VirtualMachine(
         name="universal",
         evaluator=evaluator,
-        alphabet=BINARY,
         definition={"protocol": "universal", "registry": sorted(index)},
     )
 

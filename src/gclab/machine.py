@@ -13,9 +13,10 @@ under the head.  A step is then a few shifts and masks, and the blanks
 at either far end are leading zeros, so every configuration is trimmed
 by construction: equal tuples are equal machine states.  The
 ``Configuration`` of symbol tuples is only a snapshot, decoded where a
-configuration leaves this module (a run's final configuration, the
-configuration a search returns, and what ``accept`` and
-``decode_answer`` read).
+configuration leaves this module: a deterministic run's final
+configuration, and each halting configuration that a search's
+``accept`` reads (``min_deciding_steps`` hands it to ``decode_answer``).
+A search itself returns only its halting steps.
 
 Halting time of a nondeterministic machine is taken to be the minimum
 number of steps over halting computations; consequently
@@ -31,9 +32,9 @@ verdict an exhausted budget would give.
 
 Besides transition-table machines there are "virtual" machines: a host
 procedure that is itself a halting search, mapping (input word, step
-budget) to (steps, final configuration) or None under a declared,
-reproducible step accounting.  The constructions around the bounded
-halting problem are realized as virtual machines.
+budget) to its halting steps or None under a declared, reproducible
+step accounting.  The constructions around the bounded halting problem
+are realized as virtual machines.
 """
 
 from __future__ import annotations
@@ -250,9 +251,9 @@ class TuringMachine:
         }
 
 
-# A halting search: (input word, step budget) to (steps, final
-# configuration), or None when nothing halts within the budget.
-Search = Callable[[Word, int], Optional[tuple[int, Optional[Configuration]]]]
+# A halting search: (input word, step budget) to the least halting
+# steps, or None when nothing halts within the budget.
+Search = Callable[[Word, int], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -260,10 +261,10 @@ class VirtualMachine:
     """A machine realized by a host procedure instead of a table.
 
     The evaluator is the machine's halting search.  On every input word
-    and budget it returns (steps, final) with steps <= budget, or None;
-    it never raises, and a result it returns at budget b it returns
-    identically at every budget >= b.  The step accounting is declared
-    by the construction that builds the machine.
+    and budget it returns its halting steps, at most the budget, or
+    None; it never raises, and steps it returns at budget b it returns
+    at every budget >= b.  The step accounting is declared by the
+    construction that builds the machine.
 
     ``definition`` is a JSON-able description sufficient to identify the
     machine for encoding purposes.
@@ -271,7 +272,6 @@ class VirtualMachine:
 
     name: str
     evaluator: Search
-    alphabet: Alphabet
     definition: dict = field(default_factory=dict)
 
 
@@ -371,46 +371,39 @@ def _search_halting(
     budget: int,
     *,
     accept: Optional[Callable[[Configuration], bool]] = None,
-    decode: bool = True,
     seen: Optional[set[Packed]] = None,
-) -> Optional[tuple[int, Optional[Configuration]]]:
-    """Minimal halting steps and final configuration within ``budget``.
+) -> Optional[int]:
+    """Least steps within ``budget`` after which some computation halts
+    in an accepted configuration, or None when none does.
 
     Virtual machines are asked once, through their evaluator, whose
-    result is returned unless it claims more steps than ``budget``;
-    ``accept`` does not apply to them.  A table machine with at most one
-    move per (state, read symbol) has one run, which is walked (see
-    ``_walk``): nothing is stored, and a run that cycles ends early with
-    the verdict the budget would give.  Other table machines get a
-    breadth-first search of the configuration tree for the earliest
-    accepted halting configuration.  A configuration is re-expanded
-    only if seen with a strictly larger residual budget than before; BFS
-    visits each configuration with its maximal residual first, so a
-    plain first-visit set of packed configurations is exact.  ``accept``, when
+    steps are returned unless they exceed ``budget``; ``accept`` does
+    not apply to them.  A table machine with at most one move per
+    (state, read symbol) has one run, which is walked (see ``_walk``):
+    nothing is stored, and a run that cycles ends early with the verdict
+    the budget would give.  Other table machines get a breadth-first
+    search of the configuration tree for the earliest accepted halting
+    configuration.  A configuration is re-expanded only if seen with a
+    strictly larger residual budget than before; BFS visits each
+    configuration with its maximal residual first, so a plain
+    first-visit set of packed configurations is exact.  ``accept``, when
     given, reads the decoded snapshot of each halting configuration;
-    without it the first halting configuration is taken, and with
-    ``decode`` False it is not decoded: the result carries None in
-    place of its snapshot.  ``seen``, when given, receives every packed
-    configuration the search generates (see ``cells_read``).  Returns
-    None when nothing halts in time.
+    without it every halting configuration counts and none is decoded.
+    ``seen``, when given, receives every packed configuration the search
+    generates (see ``cells_read``).
     """
     if budget < 0:
         return None
     if isinstance(machine, VirtualMachine):
-        found = machine.evaluator(x, budget)
-        return found if found is not None and found[0] <= budget else None
-    codec = machine._codec
-
-    def verdict(depth: int, config: Packed) -> Optional[tuple[int, Optional[Configuration]]]:
-        if accept is None:
-            return depth, codec.snapshot(config) if decode else None
-        snapshot = codec.snapshot(config)
-        return (depth, snapshot) if accept(snapshot) else None
-
+        steps = machine.evaluator(x, budget)
+        return steps if steps is not None and steps <= budget else None
+    snapshot = machine._codec.snapshot
     start = initial_configuration(machine, x)
     if machine.determinism != "nondeterministic":
         kind, steps, config = _walk(machine, start, budget, seen)
-        return verdict(steps, config) if kind == "halted" else None
+        if kind == "halted" and (accept is None or accept(snapshot(config))):
+            return steps
+        return None
     final = machine.final
     if seen is None:
         seen = set()
@@ -419,10 +412,8 @@ def _search_halting(
     depth = 0
     while frontier and depth <= budget:
         for config in frontier:
-            if config[0] == final:
-                found = verdict(depth, config)
-                if found is not None:
-                    return found
+            if config[0] == final and (accept is None or accept(snapshot(config))):
+                return depth
         if depth == budget:
             break
         nxt: list[Packed] = []
@@ -441,8 +432,7 @@ def _search_halting(
 
 def min_halting_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
     """Least n <= budget such that some computation halts within n steps."""
-    found = _search_halting(machine, w, budget, decode=False)
-    return None if found is None else found[0]
+    return _search_halting(machine, w, budget)
 
 
 def halts_within(machine: Machine, w: Word, n: int) -> bool:
@@ -491,8 +481,7 @@ def min_deciding_steps(
             except AnswerDecodeError:
                 return True
 
-    found = _search_halting(machine, w, budget, accept=accept, decode=False, seen=seen)
-    return None if found is None else found[0]
+    return _search_halting(machine, w, budget, accept=accept, seen=seen)
 
 
 def cells_read(machine: TuringMachine, seen: set[Packed], n: int) -> int:

@@ -397,6 +397,25 @@ class DBHNuEnsemble(SphericalEnsemble):
         return {"kind": "dbh_nu"}
 
 
+def _pushforward(
+    reduction, mu: SphericalEnsemble, k: int, m: int,
+    mismatch: Callable[[Word, int, int], None],
+) -> dict[tuple, Fraction]:
+    """mu's mass on the image of sphere k under the map, as the total
+    mass of each length-m image keyed by its letters: the one sum behind
+    the transfer equation.  A word whose image has another length is
+    handed to ``mismatch`` (the word, m, that length) and left out."""
+    acc: dict[tuple, Fraction] = {}
+    for x in mu.alphabet.sphere(k):
+        y = reduction.apply(x)
+        if len(y) != m:
+            mismatch(x, m, len(y))
+            continue
+        key, mass = y.letters, mu.mass(x)
+        acc[key] = acc[key] + mass if key in acc else mass
+    return acc
+
+
 class TransferredEnsemble(SphericalEnsemble):
     """Pushforward of a base ensemble along a size-invariant map.
 
@@ -426,21 +445,18 @@ class TransferredEnsemble(SphericalEnsemble):
         when no source sphere maps onto length m."""
         if m not in self._images:
             k = size_inverse(self.reduction.size_growth, m)
-            acc: Optional[dict[tuple, Fraction]] = None
+            images = None
             if k is not None:
-                acc = {}
                 self.base._check_horizon(k)
-                for x in self.base.alphabet.sphere(k):
-                    y = self.reduction.apply(x)
-                    if len(y) != m:
-                        raise SizeInvarianceError(
-                            f"{self.reduction.name}: |f({x.text()})| = {len(y)}, "
-                            f"expected {m}; map is not size-invariant"
-                        )
-                    key, mass = y.letters, self.base.mass(x)
-                    acc[key] = acc[key] + mass if key in acc else mass
-            self._images[m] = acc
+                images = _pushforward(self.reduction, self.base, k, m, self._not_size_invariant)
+            self._images[m] = images
         return self._images[m]
+
+    def _not_size_invariant(self, x: Word, m: int, size: int) -> None:
+        raise SizeInvarianceError(
+            f"{self.reduction.name}: |f({x.text()})| = {size}, "
+            f"expected {m}; map is not size-invariant"
+        )
 
     def mass(self, y: Word) -> Fraction:
         self._check_word(y)
@@ -559,17 +575,13 @@ def verify_transfer(reduction, mu: SphericalEnsemble, nu: SphericalEnsemble,
     report = CheckReport("transfer", n_max)
     target = nu.alphabet
     growth = reduction.size_growth
+
+    def mismatch(x: Word, m: int, size: int) -> None:
+        report.add(x.text(), m, size, "image size differs inside sphere")
+
     for m in range(n_max + 1):
         k = None if growth is None else size_inverse(growth, m)
-        expected: dict[tuple, Fraction] = {}
-        if k is not None:
-            for x in mu.alphabet.sphere(k):
-                y = reduction.apply(x)
-                if len(y) != m:
-                    report.add(x.text(), m, len(y), "image size differs inside sphere")
-                    continue
-                key, mass = y.letters, mu.mass(x)
-                expected[key] = expected[key] + mass if key in expected else mass
+        expected = {} if k is None else _pushforward(reduction, mu, k, m, mismatch)
         filler = Fraction(1, target.sphere_size(m))
         for y in target.sphere(m):
             want = expected.get(y.letters, ZERO) if k is not None else filler

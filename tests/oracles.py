@@ -39,9 +39,12 @@ imports are new, ``_moves`` stands in for ``TuringMachine._delta``,
 which is now keyed by tape digit instead of symbol text, and the
 evaluator names ``gclab``'s own halting search, not the one here.  That
 evaluator and the virtual branch of ``_search_halting`` follow the
-evaluator contract of ``VirtualMachine``: (steps, final) or None, where
+evaluator contract of ``VirtualMachine``: halting steps or None, where
 they once built and read ``RunResult``s, and the evaluator reads machine
 fields with ``_machine_at``, which now returns None where it raised.
+The breadth-first search still returns the halting configuration it
+found next to its depth; a virtual machine reports none, so its result
+carries None in that place.
 """
 
 from __future__ import annotations
@@ -164,19 +167,20 @@ def _search_halting(
 ) -> Optional[tuple[int, Optional[Configuration]]]:
     """Minimal halting steps and final configuration within ``budget``.
 
-    Virtual machines are asked once, through their evaluator; ``accept``
-    does not apply to them.  Table machines get a breadth-first search
-    of the configuration tree for the earliest accepted halting
-    configuration.  A configuration is re-expanded only if seen with a
-    strictly larger residual budget than before; BFS visits each
-    configuration with its maximal residual first, so a plain
-    first-visit set is exact.  Returns None when nothing halts in time.
+    Virtual machines are asked once, through their evaluator, and carry
+    None in place of a configuration; ``accept`` does not apply to them.
+    Table machines get a breadth-first search of the configuration tree
+    for the earliest accepted halting configuration.  A configuration is
+    re-expanded only if seen with a strictly larger residual budget than
+    before; BFS visits each configuration with its maximal residual
+    first, so a plain first-visit set is exact.  Returns None when
+    nothing halts in time.
     """
     if budget < 0:
         return None
     if isinstance(machine, VirtualMachine):
-        found = machine.evaluator(x, budget)
-        return found if found is not None and found[0] <= budget else None
+        steps = machine.evaluator(x, budget)
+        return (steps, None) if steps is not None and steps <= budget else None
     start = initial_configuration(machine, x)
     seen = {start}
     frontier: deque[Configuration] = deque([start])
@@ -307,7 +311,7 @@ def universal_by_fields(registry: list[Machine]) -> Search:
     ``_read_field``."""
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
-    def evaluator(v: Word, budget: int) -> Optional[tuple[int, Optional[Configuration]]]:
+    def evaluator(v: Word, budget: int) -> Optional[int]:
         fields = _read_field(v.text())
         if fields is None:
             return None

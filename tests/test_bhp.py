@@ -48,8 +48,8 @@ from gclab.bhp import (
 )
 from gclab.cli import main
 from gclab.genericity import parse_polynomial
-from gclab.machine import halts_within, load_machine
-from gclab.measure import CheckReport, check_lower_bounds, verify_induced
+from gclab.machine import halts_within, load_machine, min_halting_steps
+from gclab.measure import CheckReport, check_lower_bounds, ensemble_from_spec, verify_induced
 from gclab.reductions import DistributionalProblem
 from gclab.words import Alphabet, AlphabetMismatchError
 from oracles import (
@@ -550,13 +550,9 @@ def test_universal_plain_simulation(halt1, loop, find_zero):
                 payload = BINARY.word(prefix + w.text())
                 expected = halts_within(machine, w, 64)
                 assert halts_within(U, payload, 64 + len(payload)) == expected
-                if expected:
-                    from gclab.machine import _search_halting
-
-                    steps_m = _search_halting(machine, w, 64)
-                    steps_u = _search_halting(U, payload, 64 + len(payload))
-                    assert steps_u[0] == steps_m[0]  # slowdown exactly 1
-                    assert steps_u[1] == steps_m[1]  # same final configuration
+                if expected:  # slowdown exactly 1
+                    assert min_halting_steps(U, payload, 64 + len(payload)) == \
+                        min_halting_steps(machine, w, 64)
 
 
 def test_universal_garbage_never_halts(halt1):
@@ -721,9 +717,10 @@ def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
 def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contains01_ntm):
     """On every word up to length 10 the universal machine and two
     protocol machines, over a uniform and over a table problem, are
-    halting searches: each returns None or (steps, final) with steps
-    within the budget, without raising, and a halting result is returned
-    identically at every larger budget."""
+    halting searches: each returns None or its steps within the budget,
+    without raising, and steps it returns it returns again at every
+    larger budget.  So are protocol machines over an ensemble induced on
+    a table, whose masses stop at the table's ``n_max``."""
     protocol = red2bh(contains01_problem, contains01_ntm,
                       Polynomial((6, 1, 1)), lambda n: n + 1).machine
     table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=1)
@@ -732,6 +729,17 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     # a claimed length (2) beyond the table's n_max (1), verbatim branch
     payload = BINARY.word("1110" "0" "0" "00")
     assert table_protocol.evaluator(payload, 10) is None
+    # the verbatim branch weighs a candidate of the claimed length (3),
+    # past the table's n_max (2) under the induced ensembles
+    base = {"kind": "table", "n_max": 2, "entries": {
+        "0": "1/2", "1": "1/2", "00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
+    payload = BINARY.word(numeral(3).text() + "0" + "0" + "101")
+    for subset in ({"name": "all"}, {"name": "cg", "g": "2n+1"}):
+        induced = ensemble_from_spec({"kind": "induced", "base": base, "subset": subset})
+        problem = DistributionalProblem("contains01-induced", BINARY,
+                                        contains01_problem.positive, induced)
+        vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
+        assert vm.evaluator(payload, 40) is None, subset
     # an address into sphere 17, past ENUMERATION_CAP: an enumerated
     # ensemble never halts, the input ensemble resolves it in closed form
     long_table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=17)
@@ -749,7 +757,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     universal = universal_machine([halt1])
     assert universal.evaluator(chained, 17) is None
     halted = universal.evaluator(chained, 18)
-    assert halted is not None and halted[0] == 18
+    assert halted == 18
     assert universal.evaluator(chained, 64) == halted
     for vm in (universal_machine([halt1]), protocol, table_protocol):
         for n in range(11):
@@ -760,8 +768,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
                     if halted is not None:
                         assert result == halted, (vm.name, v.text(), budget)
                     elif result is not None:
-                        steps, _ = result
-                        assert isinstance(steps, int) and 0 <= steps <= budget
+                        assert isinstance(result, int) and 0 <= result <= budget
                         halted = result
 
 

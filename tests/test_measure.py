@@ -233,6 +233,23 @@ def test_verify_transfer_catches_corruption(uniform):
     assert report.violations[0].witness == "010"
 
 
+def test_transfer_catches_image_sizes_the_growth_contradicts(uniform):
+    """A map whose declared size growth (n) its images break inside a
+    sphere: the verifier reports each word whose image has another
+    length, and the transferred ensemble refuses to weigh that sphere."""
+    doubling = example41_reduction()  # 0 -> 00, 1 -> 1
+    f = Reduction("doubling-as-n", BINARY, BINARY, doubling.func, size_growth=lambda n: n)
+    report = verify_transfer(f, uniform, uniform, 3)
+    mismatches = [(v.witness, v.expected, v.actual)
+                  for v in report.violations if v.note == "image size differs inside sphere"]
+    assert mismatches == [
+        (x.text(), str(n), str(len(f.apply(x))))
+        for n in range(4) for x in BINARY.sphere(n) if "0" in x.text()
+    ]
+    with pytest.raises(SizeInvarianceError, match=r"\|f\(0\)\| = 2, expected 1"):
+        TransferredEnsemble(f, uniform).mass(BINARY.word("1"))
+
+
 def test_verify_induced_self_and_closed_form(nu):
     from gclab.bhp import c_of_g, nu_g
     from gclab.genericity import Polynomial
