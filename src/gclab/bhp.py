@@ -40,10 +40,9 @@ every check exact and finite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .machine import (
     Machine,
@@ -70,7 +69,7 @@ from .measure import (
 from .measure import size_inverse as guard_inverse
 from .genericity import Polynomial, parse_polynomial
 from .reductions import DistributionalProblem, Reduction
-from .words import BINARY, Word
+from .words import BINARY, Frozen, Word
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -144,8 +143,7 @@ GuardLike = Union["LongevityGuard", Polynomial, Callable[[int], int]]
 GUARD_VALIDATION_HORIZON = 64
 
 
-@dataclass(frozen=True)
-class LongevityGuard:
+class LongevityGuard(Frozen):
     """A step-bound function g for restricting the halting problem.
 
     Invariants, checked up to ``GUARD_VALIDATION_HORIZON``: g(n) >= n, g is
@@ -155,19 +153,19 @@ class LongevityGuard:
     stored as callables with a readable form string.
     """
 
-    fn: Callable[[int], int]
-    form: str = "g"
+    _fields = ("fn", "form")
 
-    def __post_init__(self) -> None:
+    def __init__(self, fn: Callable[[int], int], form: str = "g") -> None:
+        self._set(fn, form)
         prev = None
         for n in range(GUARD_VALIDATION_HORIZON + 1):
-            v = self.fn(n)
+            v = fn(n)
             if v < n:
                 raise GuardError(f"guard violates g(n) >= n at n={n}: {v}")
             if prev is not None and v <= prev:
                 raise GuardError(f"guard is not strictly increasing at n={n}")
             prev = v
-        if self.fn(0) < 1:
+        if fn(0) < 1:
             raise GuardError("guard must satisfy g(0) >= 1")
 
     def __call__(self, n: int) -> int:
@@ -389,8 +387,7 @@ def _protocol_run(
 # --- reduction to the bounded halting problem --------------------------------
 
 
-@dataclass(frozen=True)
-class BHStage:
+class BHStage(NamedTuple):
     """One reduction into bounded halting: the map x -> 1^pad 0 numeral(|x|)
     0 prefix x'', the machine whose bounded halting problem receives it
     (None when only the map's measure is checked), the guard (the map's
@@ -750,11 +747,11 @@ def verify_red2bhu_measure(
 # --- the full chain -----------------------------------------------------------
 
 
-@dataclass
 class ChainReport:
     """Per-stage verification results of the completeness pipeline."""
 
-    stages: list[tuple[str, CheckReport]] = field(default_factory=list)
+    def __init__(self, stages: Optional[list[tuple[str, CheckReport]]] = None) -> None:
+        self.stages = [] if stages is None else stages
 
     @property
     def passed(self) -> bool:

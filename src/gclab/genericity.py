@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import io
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .machine import Machine, VirtualMachine, cells_read, min_deciding_steps
 from .measure import (
@@ -33,23 +32,23 @@ from .measure import (
     invert_mu_star,
     subset_mass,
 )
-from .words import Word
+from .words import Frozen, Word
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """A polynomial with nonnegative integer coefficients, c0 + c1*n + ...
 
     Strictly increasing whenever some coefficient of positive degree is
     nonzero, which is what the size-growth and guard roles require.
     """
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        self._set(coeffs)
+        if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
-        if any(c < 0 or not isinstance(c, int) for c in self.coeffs):
+        if any(c < 0 or not isinstance(c, int) for c in coeffs):
             raise ValueError("coefficients must be nonnegative integers")
 
     def __call__(self, n: int) -> int:
@@ -95,8 +94,7 @@ def parse_polynomial(source) -> Polynomial:
     return Polynomial(tuple(coeffs.get(i, 0) for i in range(top + 1)))
 
 
-@dataclass
-class SequenceEntry:
+class SequenceEntry(NamedTuple):
     n: int
     value: Fraction
     mode: str = "exact"  # or "sampled"
@@ -104,13 +102,13 @@ class SequenceEntry:
     seed: Optional[int] = None
 
 
-@dataclass
 class DensitySequence:
     """Per-sphere masses indexed by radius: the density sequence of a
     subset, or the control sequence of a machine (the mass of inputs on
     which it overruns its bound)."""
 
-    entries: list[SequenceEntry] = field(default_factory=list)
+    def __init__(self, entries: Optional[list[SequenceEntry]] = None) -> None:
+        self.entries = [] if entries is None else entries
 
     def to_csv(self) -> str:
         out = io.StringIO()

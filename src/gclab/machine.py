@@ -40,14 +40,13 @@ are realized as virtual machines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
-from .words import Alphabet, Word
+from .words import Alphabet, Frozen, Word
 
 LEFT = "L"
 RIGHT = "R"
@@ -71,8 +70,7 @@ class Answer(Enum):
     DONT_KNOW = "DontKnow"
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A machine snapshot: state, tape left of the head, tape from the head on.
 
     Both sides are tape-symbol tuples read left to right, without the
@@ -122,8 +120,7 @@ class _TapeCodec:
         return Configuration(state, self._unpack(left), self._unpack(right)[::-1])
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of a deterministic run (``run_deterministic``) on one input.
 
     kind is one of "halted" (reached the final state, with an exact step
@@ -149,8 +146,7 @@ class RunResult:
         return RunResult("budget", budget=budget)
 
 
-@dataclass(frozen=True)
-class TuringMachine:
+class TuringMachine(Frozen):
     """A one-tape machine given by its transition table.
 
     Transitions are 5-tuples (state, read, state', write, direction) with
@@ -164,18 +160,16 @@ class TuringMachine:
     accept by halting leave them unset.
     """
 
-    states: tuple[str, ...]
-    initial: str
-    final: str
-    tape_alphabet: Alphabet
-    blank: str
-    transitions: tuple[tuple[str, str, str, str, str], ...]
-    tape_mode: str = "two-way"
-    yes_symbol: Optional[str] = None
-    no_symbol: Optional[str] = None
-    name: str = ""
+    _fields = ("states", "initial", "final", "tape_alphabet", "blank", "transitions",
+               "tape_mode", "yes_symbol", "no_symbol", "name")
 
-    def __post_init__(self) -> None:
+    def __init__(self, states: tuple[str, ...], initial: str, final: str,
+                 tape_alphabet: Alphabet, blank: str,
+                 transitions: tuple[tuple[str, str, str, str, str], ...],
+                 tape_mode: str = "two-way", yes_symbol: Optional[str] = None,
+                 no_symbol: Optional[str] = None, name: str = "") -> None:
+        self._set(states, initial, final, tape_alphabet, blank, transitions,
+                  tape_mode, yes_symbol, no_symbol, name)
         if self.tape_alphabet.size < 2:
             raise MachineFormatError("tape alphabet needs at least 2 symbols")
         if self.blank in self.tape_alphabet:
@@ -256,8 +250,7 @@ class TuringMachine:
 Search = Callable[[Word, int], Optional[int]]
 
 
-@dataclass(frozen=True)
-class VirtualMachine:
+class VirtualMachine(Frozen):
     """A machine realized by a host procedure instead of a table.
 
     The evaluator is the machine's halting search.  On every input word
@@ -270,9 +263,10 @@ class VirtualMachine:
     machine for encoding purposes.
     """
 
-    name: str
-    evaluator: Search
-    definition: dict = field(default_factory=dict)
+    _fields = ("name", "evaluator", "definition")
+
+    def __init__(self, name: str, evaluator: Search, definition: Optional[dict] = None) -> None:
+        self._set(name, evaluator, {} if definition is None else definition)
 
 
 Machine = Union[TuringMachine, VirtualMachine]

@@ -33,12 +33,11 @@ nonzero and leaves the sphere untouched otherwise.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product
 from math import ceil
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .words import (
     BINARY,
@@ -94,8 +93,7 @@ def size_inverse(fn: Callable[[int], int], m: int) -> Optional[int]:
     return k if k <= m and fn(k) == m else None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     witness: str
     expected: str
     actual: str
@@ -108,17 +106,18 @@ class Violation:
         return d
 
 
-@dataclass
 class CheckReport:
     """Result of an exact brute-force verification.
 
     ``violations`` empty means the property held at every checked point.
     """
 
-    check: str
-    horizon: int
-    violations: list[Violation] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, check: str, horizon: int, violations: Optional[list[Violation]] = None,
+                 details: Optional[dict] = None) -> None:
+        self.check = check
+        self.horizon = horizon
+        self.violations = [] if violations is None else violations
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:
@@ -196,7 +195,7 @@ class SphericalEnsemble:
 
     def _check_word(self, x: Word) -> None:
         # words nearly always share the ensemble's alphabet object, and the
-        # identity test skips the dataclass field comparison
+        # identity test skips the call to ``Alphabet.__eq__``
         if x.alphabet is not self.alphabet and x.alphabet != self.alphabet:
             raise AlphabetMismatchError("word is over a different alphabet")
 

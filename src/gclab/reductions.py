@@ -20,8 +20,7 @@ transfers nothing useful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .genericity import Polynomial, exceeds_bound, overrun_mass
 from .machine import Machine
@@ -46,8 +45,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """A total word map; ``size_growth`` is None when the map is not
     size-invariant."""
 
@@ -58,16 +56,15 @@ class Reduction:
     size_growth: Optional[Callable[[int], int]] = None
 
     def apply(self, x: Word) -> Word:
-        if x.alphabet != self.source:
+        if x.alphabet is not self.source and x.alphabet != self.source:
             raise AlphabetMismatchError(f"{self.name}: input over wrong alphabet")
         y = self.func(x)
-        if y.alphabet != self.target:
+        if y.alphabet is not self.target and y.alphabet != self.target:
             raise AlphabetMismatchError(f"{self.name}: image over wrong alphabet")
         return y
 
 
-@dataclass(frozen=True)
-class DistributionalProblem:
+class DistributionalProblem(NamedTuple):
     """A decision problem bundled with its spherical ensemble."""
 
     name: str

@@ -18,7 +18,6 @@ its letters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -31,22 +30,56 @@ class SphereRangeError(ValueError):
     """Raised when a rank is requested outside the sphere."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Frozen:
+    """An immutable value record: ``__init__`` sets the fields named in
+    ``_fields`` once, through ``_set``, which also keeps their tuple as
+    ``_values``.  Assigning or deleting an attribute then raises
+    ``AttributeError``, as for ``Word``.  Equality, hashing (the hash of
+    the tuple of fields) and repr go through ``_values``.  A
+    ``cached_property`` still fills in: it writes the instance
+    ``__dict__`` directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values), _values=values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
+class Alphabet(Frozen):
     """An ordered tuple of distinct symbols.
 
     The symbol order is total and fixed; it induces the lexicographic and
     shortlex orders on words over the alphabet.
     """
 
-    symbols: tuple[str, ...]
+    _fields = ("symbols",)
 
-    def __post_init__(self) -> None:
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]) -> None:
+        self._set(symbols)
+        if not symbols:
             raise ValueError("an alphabet needs at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
-        if any(not s for s in self.symbols):
+        if any(not s for s in symbols):
             raise ValueError("alphabet symbols must be non-empty strings")
 
     @cached_property
@@ -75,7 +108,7 @@ class Alphabet:
     def word(self, letters) -> "Word":
         """Build a word from a string (single-character symbols) or iterable."""
         if isinstance(letters, Word):
-            if letters.alphabet != self:
+            if letters.alphabet is not self and letters.alphabet != self:
                 raise AlphabetMismatchError("word belongs to a different alphabet")
             return letters
         if isinstance(letters, str) and not self._separator:
