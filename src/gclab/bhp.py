@@ -55,12 +55,11 @@ from .machine import (
 )
 from .measure import (
     ENUMERATION_CAP,
+    NU,
     CheckReport,
-    DBHNuEnsemble,
     HorizonError,
     InducedEnsemble,
     SphericalEnsemble,
-    TableEnsemble,
     block_mass,
     check_lower_bounds,
     fraction_str,
@@ -73,10 +72,6 @@ from .words import BINARY, Frozen, Word
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-#: Shared bounded-halting input ensemble (closed-form cumulative masses,
-#: so it builds no sphere tables).
-NU = DBHNuEnsemble()
 
 
 class GuardError(ValueError):
@@ -348,17 +343,16 @@ def _protocol_run(
     Declared accounting: decoding a claimed length n costs n steps, the
     simulated decider then contributes its own steps, so a result found
     at some budget is found again at every larger one.  An empty x'', a
-    claimed length past a table ensemble's ``n_max`` (where its mass is
-    undefined), an address or a mass test that reaches past the
-    measure's horizon (an enumerated sphere past ``ENUMERATION_CAP``, or
-    a table's ``n_max`` under an ensemble built on the table), a failed
+    claimed length past the measure's ``horizon`` (where its mass is
+    undefined, however the measure is wrapped), an address or a mass
+    test that enumerates a sphere past ``ENUMERATION_CAP``, a failed
     mass test or a failed round-trip check never halts.  Closed-form
     ensembles (uniform and the input ensemble) resolve addresses at
     every length.  Branch 0 ships the candidate input verbatim; branch 1
     carries a dyadic address which is resolved against the cumulative
     masses and must round-trip through the address construction.
     """
-    if not x2 or budget < n or isinstance(mu, TableEnsemble) and n > mu.n_max:
+    if not x2 or budget < n or mu.horizon is not None and n > mu.horizon:
         return None
     b, w = x2[0], x2[1:]
     try:
@@ -378,7 +372,7 @@ def _protocol_run(
             candidate = invert_mu_star(mu, n, value)
             if mu.mass(candidate) <= Fraction(1, 2**n) or x_prime(mu, candidate).text() != w:
                 return None
-    except HorizonError:  # a word weighed past the measure's horizon
+    except HorizonError:  # a sphere enumerated past ENUMERATION_CAP
         return None
     steps = inner(candidate, budget - n)
     return None if steps is None else n + steps

@@ -36,7 +36,6 @@ from .words import BINARY
 # Import-time objects live as long as the process: keep them out of every collection.
 gc.freeze()
 
-SPHERE_CAP = 16
 SEARCH_CAP = 6
 
 
@@ -190,7 +189,7 @@ def cmd_tm(args) -> int:
 
 
 def cmd_density(args) -> int:
-    _require_cap(args.n_max, SPHERE_CAP, "sphere")
+    _require_cap(args.n_max, measure.ENUMERATION_CAP, "sphere")
     with _reading(args.ensemble):
         mu = ensemble_from_spec(_load_json(args.ensemble))
     with _reading(args.subset):
@@ -206,7 +205,7 @@ def cmd_control_seq(args) -> int:
         mu = ensemble_from_spec(_load_json(args.ensemble))
     p = parse_polynomial(args.poly)
     if args.sample is None:
-        _require_cap(args.n_max, SPHERE_CAP, "sphere")
+        _require_cap(args.n_max, measure.ENUMERATION_CAP, "sphere")
     elif args.seed is None:
         raise UsageError("--sample requires --seed")
     seq = genericity.control_sequence(
@@ -290,7 +289,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.check == "nu-sums":
-        _require_cap(args.n_max, SPHERE_CAP, "sphere")
+        _require_cap(args.n_max, measure.ENUMERATION_CAP, "sphere")
         report = measure.CheckReport("nu-sums", args.n_max)
         for n in range(args.n_max + 1):
             total = bhp.NU.sphere_sum(n)
@@ -299,7 +298,7 @@ def cmd_verify(args) -> int:
         return _report_exit(report, args)
     if not args.fixture:
         raise UsageError(f"verify {args.check} needs a fixture file")
-    _require_cap(args.n_max, SPHERE_CAP, "verification")
+    _require_cap(args.n_max, measure.ENUMERATION_CAP, "verification")
     data = _load_json(args.fixture)
     if args.check == "transfer":
         with _reading(args.fixture):

@@ -21,17 +21,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .machine import Machine, VirtualMachine, cells_read, min_deciding_steps
-from .measure import (
-    DBHNuEnsemble,
-    HorizonError,
-    SphericalEnsemble,
-    TableEnsemble,
-    UniformEnsemble,
-    block_mass,
-    exact_sum,
-    invert_mu_star,
-    subset_mass,
-)
+from .measure import SphericalEnsemble, block_mass, exact_sum, subset_mass
 from .words import Frozen, Word
 
 
@@ -160,7 +150,7 @@ def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) ->
     """
     if isinstance(machine, VirtualMachine):
         return subset_mass(mu, n, lambda x: exceeds_bound(machine, x, bound))
-    mu._check_horizon(n)
+    mu._check_cap(n)
     alphabet = mu.alphabet
     symbols = alphabet.symbols
     successor = dict(zip(symbols, symbols[1:]))  # the last letter has none
@@ -245,35 +235,9 @@ def sphere_stream(seed: int, n: int) -> random.Random:
 
 
 def sample_sphere(mu: SphericalEnsemble, n: int, count: int, seed: int) -> list[Word]:
-    """``count`` independent draws from sphere n of mu; reproducible per
-    (seed, n).
-
-    Uniform ensembles draw symbols directly; table ensembles invert the
-    cumulative distribution at a 64-bit dyadic; the bounded-halting
-    ensemble draws the leading-ones count uniformly and then a uniform
-    suffix.  Other kinds have no sampler.
-    """
+    """``count`` independent draws from sphere n of mu, each made by
+    ``mu.sample`` on the one stream of (seed, n), so reproducible per
+    (seed, n).  The uniform, bounded-halting and table ensembles have
+    samplers; the other kinds raise ``HorizonError``."""
     rng = sphere_stream(seed, n)
-    alphabet = mu.alphabet
-    if isinstance(mu, UniformEnsemble):
-        symbols = alphabet.symbols
-        return [
-            Word(alphabet, tuple(symbols[rng.randrange(len(symbols))] for _ in range(n)))
-            for _ in range(count)
-        ]
-    if isinstance(mu, DBHNuEnsemble):
-        out = []
-        for _ in range(count):
-            if n == 0:
-                out.append(alphabet.empty)
-                continue
-            m = rng.randrange(n)
-            w = "".join(str(rng.randrange(2)) for _ in range(n - m - 1))
-            out.append(alphabet.word("1" * m + "0" + w))
-        return out
-    if isinstance(mu, TableEnsemble):
-        return [
-            invert_mu_star(mu, n, Fraction(rng.getrandbits(64) + 1, 1 << 64))  # t in (0, 1]
-            for _ in range(count)
-        ]
-    raise HorizonError(f"no sampler for ensemble kind {mu.kind!r}")
+    return [mu.sample(rng, n) for _ in range(count)]

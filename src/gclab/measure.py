@@ -11,11 +11,16 @@ ensemble (mass 1/(|u| * 2^|w|) on code words 1^m 0 w, mass 1 on the
 empty word, mass 0 on 1^k), transfers along size-invariant maps, and
 conditionals induced by a decidable subset.  ``verify_transfer`` and
 ``verify_induced`` recompute the defining equations by brute-force
-enumeration and report exact mismatches.
+enumeration and report exact mismatches.  The uniform, table and
+bounded-halting ensembles each draw their own samples with ``sample``.
 
+Two limits bound what an ensemble can answer.  Its ``horizon`` is the
+largest radius up to which ``mass`` is defined (None for every radius;
+a table's is its ``n_max``, and wrappings inherit it), and
+``ENUMERATION_CAP`` is the largest sphere that enumeration visits.
 Cumulative masses (``mu_star``, ``hat_mu``) and their inverse are
 closed forms for the uniform and the bounded-halting ensembles, which
-therefore have no horizon there; the bounded-halting ones are evaluated
+therefore meet no cap there; the bounded-halting ones are evaluated
 one class of words at a time.  The other kinds, and every sphere sum
 but the uniform one, enumerate their spheres, up to ``ENUMERATION_CAP``.
 Enumerated sums still call ``mass`` on every word, but add the terms by
@@ -35,8 +40,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import ceil
+from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .words import (
@@ -176,15 +182,20 @@ def check_lower_bounds(
 class SphericalEnsemble:
     """Base class: per-sphere probability masses with exact arithmetic.
 
-    Subclasses implement ``mass``.  The defaults of ``sphere_sum``,
-    ``mu_star`` and ``mu_star_inverse`` enumerate the sphere and respect
+    Subclasses implement ``mass``, and ``sample`` where they have a
+    sampler.  The defaults of ``sphere_sum``, ``mu_star`` and
+    ``mu_star_inverse`` enumerate the sphere and respect
     ``ENUMERATION_CAP``; subclasses with closed forms override them.
     ``sphere_sum`` calls ``mass`` on every word of the sphere and adds
     the terms by ``exact_sum``.  The cumulative masses of a sphere are
     kept as one list in lex order, indexed by rank.
+
+    ``horizon`` is the largest n such that ``mass`` is defined on every
+    sphere up to n; None means every sphere.
     """
 
     kind = "abstract"
+    horizon: Optional[int] = None
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -199,20 +210,20 @@ class SphericalEnsemble:
         if x.alphabet is not self.alphabet and x.alphabet != self.alphabet:
             raise AlphabetMismatchError("word is over a different alphabet")
 
-    def _check_horizon(self, n: int) -> None:
+    def _check_cap(self, n: int) -> None:
         if n > ENUMERATION_CAP:
             raise HorizonError(f"sphere {n} exceeds enumeration cap {ENUMERATION_CAP}")
 
     def sphere_sum(self, n: int) -> Fraction:
         """Exact total mass of the radius-n sphere (should be 1)."""
-        self._check_horizon(n)
+        self._check_cap(n)
         return exact_sum(map(self.mass, self.alphabet.sphere(n)))
 
     def _sphere_table(self, n: int) -> list[Fraction]:
         """Inclusive cumulative masses of the sphere's words in lex order:
         entry i belongs to the word of rank i + 1."""
         if n not in self._tables:
-            self._check_horizon(n)
+            self._check_cap(n)
             self._tables[n] = list(accumulate(map(self.mass, self.alphabet.sphere(n))))
         return self._tables[n]
 
@@ -240,6 +251,10 @@ class SphericalEnsemble:
         cum = self._sphere_table(n)
         return unrank(self.alphabet, n, bisect_left(cum, t, 0, len(cum) - 1) + 1)
 
+    def sample(self, rng: Random, n: int) -> Word:
+        """One draw from sphere n, read off ``rng``."""
+        raise HorizonError(f"no sampler for ensemble kind {self.kind!r}")
+
     def spec(self) -> dict:
         return {"kind": self.kind, "alphabet": "".join(self.alphabet.symbols)}
 
@@ -263,12 +278,19 @@ class UniformEnsemble(SphericalEnsemble):
     def mu_star_inverse(self, n: int, t: Fraction) -> Word:
         return unrank(self.alphabet, n, ceil(t * self.alphabet.sphere_size(n)))
 
+    def sample(self, rng: Random, n: int) -> Word:
+        """n letters, each drawn directly."""
+        symbols = self.alphabet.symbols
+        return Word(self.alphabet, tuple(symbols[rng.randrange(len(symbols))] for _ in range(n)))
+
 
 class TableEnsemble(SphericalEnsemble):
-    """Finite table of nonzero masses, keyed by word text, valid up to n_max.
+    """Finite table of nonzero masses, keyed by word text.
 
     Absent entries are zero.  The radius-0 sphere defaults to mass 1 on
-    the empty word unless the table overrides it.
+    the empty word unless the table overrides it.  The ``horizon`` is the
+    ``n_max`` given, by default the longest entry's length; ``mass``
+    raises ``HorizonError`` past it, and the spec keeps it as "n_max".
     """
 
     kind = "table"
@@ -282,12 +304,12 @@ class TableEnsemble(SphericalEnsemble):
             if value < 0:
                 raise ValueError(f"negative mass for {key!r}")
         lengths = [len(alphabet.word(k)) for k in self.entries]
-        self.n_max = n_max if n_max is not None else (max(lengths) if lengths else 0)
+        self.horizon = n_max if n_max is not None else (max(lengths) if lengths else 0)
 
     def mass(self, x: Word) -> Fraction:
         self._check_word(x)
-        if len(x) > self.n_max:
-            raise HorizonError(f"table ensemble is only defined up to n={self.n_max}")
+        if len(x) > self.horizon:
+            raise HorizonError(f"table ensemble is only defined up to n={self.horizon}")
         if len(x) == 0 and x.text() not in self.entries:
             return ONE
         return self.entries.get(x.text(), ZERO)
@@ -301,7 +323,7 @@ class TableEnsemble(SphericalEnsemble):
         for key, value in self.entries.items():
             n = len(self.alphabet.word(key))
             totals[n] = totals.get(n, ZERO) + value
-        for n in range((self.n_max if n_max is None else n_max) + 1):
+        for n in range((self.horizon if n_max is None else n_max) + 1):
             total = totals.get(n, ZERO)
             if total != 1:
                 raise ValueError(f"sphere {n} sums to {total}, not 1")
@@ -311,7 +333,12 @@ class TableEnsemble(SphericalEnsemble):
             "kind": "table",
             "alphabet": "".join(self.alphabet.symbols),
             "entries": {k: fraction_str(v) for k, v in sorted(self.entries.items())},
+            "n_max": self.horizon,
         }
+
+    def sample(self, rng: Random, n: int) -> Word:
+        """The inverse of the cumulative masses at a 64-bit dyadic."""
+        return invert_mu_star(self, n, Fraction(rng.getrandbits(64) + 1, 1 << 64))  # t in (0, 1]
 
 
 # 1/(n * 2^|w|), ν's mass on the class (n, |w|), built once per class.
@@ -392,8 +419,21 @@ class DBHNuEnsemble(SphericalEnsemble):
         j = ceil((t * n - m) * 2**k)  # 1-based rank of w among the k-bit words
         return BINARY.word("1" * m + "0" + unrank(BINARY, k, j).text())
 
+    def sample(self, rng: Random, n: int) -> Word:
+        """The leading-ones count drawn uniformly, then a uniform suffix."""
+        if n == 0:
+            return self.alphabet.empty
+        m = rng.randrange(n)
+        w = "".join(str(rng.randrange(2)) for _ in range(n - m - 1))
+        return self.alphabet.word("1" * m + "0" + w)
+
     def spec(self) -> dict:
         return {"kind": "dbh_nu"}
+
+
+#: Shared bounded-halting input ensemble (closed-form cumulative masses,
+#: so it builds no sphere tables).
+NU = DBHNuEnsemble()
 
 
 def _pushforward(
@@ -423,7 +463,8 @@ class TransferredEnsemble(SphericalEnsemble):
     found by enumerating the unique source sphere whose image size is
     |y| (sizes are strictly increasing, so at most one exists).  Each
     target length is inverted once: its image masses are cached, or
-    None when no source sphere reaches it.
+    None when no source sphere reaches it.  The horizon is the image
+    size of the base's horizon.
     """
 
     kind = "transferred"
@@ -437,6 +478,8 @@ class TransferredEnsemble(SphericalEnsemble):
         super().__init__(reduction.target)
         self.reduction = reduction
         self.base = base
+        if base.horizon is not None:
+            self.horizon = reduction.size_growth(base.horizon)
         self._images: dict[int, Optional[dict[tuple, Fraction]]] = {}
 
     def _image_masses(self, m: int) -> Optional[dict[tuple, Fraction]]:
@@ -446,7 +489,7 @@ class TransferredEnsemble(SphericalEnsemble):
             k = size_inverse(self.reduction.size_growth, m)
             images = None
             if k is not None:
-                self.base._check_horizon(k)
+                self.base._check_cap(k)
                 images = _pushforward(self.reduction, self.base, k, m, self._not_size_invariant)
             self._images[m] = images
         return self._images[m]
@@ -479,7 +522,7 @@ class InducedEnsemble(SphericalEnsemble):
     the conditional one; on spheres where it carries none the base
     measure is kept unchanged.  The per-sphere subset mass is
     ``subset_mass`` of the base, from the closed form when one is given,
-    and is cached.
+    and is cached.  The horizon is the base's.
     """
 
     kind = "induced"
@@ -493,6 +536,7 @@ class InducedEnsemble(SphericalEnsemble):
     ):
         super().__init__(base.alphabet)
         self.base = base
+        self.horizon = base.horizon
         self.subset = subset
         self.label = label
         self.closed = closed
@@ -532,28 +576,22 @@ def subset_mass(
     """
     if closed is not None:
         return Fraction(closed(n))
-    mu._check_horizon(n)
+    mu._check_cap(n)
     return exact_sum(map(mu.mass, filter(subset, mu.alphabet.sphere(n))))
 
 
 def block_mass(mu: SphericalEnsemble, prefix: Sequence[str], n: int) -> Fraction:
     """mu's exact mass on the lex block of the words of sphere n that
-    start with the letters of ``prefix``: one difference of closed-form
-    cumulative masses, with no horizon, under the uniform and
-    bounded-halting ensembles.  Any other ensemble adds the masses of the
-    block's words, up to ``ENUMERATION_CAP``, since its cumulative masses
-    would be an enumerated table of the whole sphere."""
+    start with the letters of ``prefix``: the cumulative mass through the
+    block's last word less that below its first.  Closed-form, with no
+    cap, under the uniform and bounded-halting ensembles; any other
+    ensemble reads its enumerated sphere table, up to ``ENUMERATION_CAP``
+    and its ``horizon``."""
     alphabet, prefix = mu.alphabet, tuple(prefix)
     pad = n - len(prefix)
-    if isinstance(mu, (UniformEnsemble, DBHNuEnsemble)):
-        first = Word(alphabet, prefix + (alphabet.symbols[0],) * pad)
-        last = Word(alphabet, prefix + (alphabet.symbols[-1],) * pad)
-        return mu.hat_mu(last) - mu.mu_star(first)
-    mu._check_horizon(n)
-    return exact_sum(
-        mu.mass(Word(alphabet, prefix + suffix))
-        for suffix in product(alphabet.symbols, repeat=pad)
-    )
+    first = Word(alphabet, prefix + (alphabet.symbols[0],) * pad)
+    last = Word(alphabet, prefix + (alphabet.symbols[-1],) * pad)
+    return mu.hat_mu(last) - mu.mu_star(first)
 
 
 def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:

@@ -12,10 +12,10 @@ Two verified flavours:
   least a 1/d(|x|) fraction of the source mass.
 
 ``to_binary`` rebuilds any finite-alphabet problem over the binary
-alphabet rank-preservingly with linear size growth.  The homomorphism
-0 -> 00, 1 -> 1 is kept in the corpus as a deliberate failing fixture:
-image sizes differ inside a sphere, so it admits no size growth and
-transfers nothing useful.
+alphabet along ``binary_map``, rank-preservingly with linear size
+growth.  The homomorphism 0 -> 00, 1 -> 1 is kept in the corpus as a
+deliberate failing fixture: image sizes differ inside a sphere, so it
+admits no size growth and transfers nothing useful.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .measure import (
     CheckReport,
     SphericalEnsemble,
     TransferredEnsemble,
-    UniformEnsemble,
     check_lower_bounds,
     fraction_str,
     size_inverse,
@@ -202,68 +201,54 @@ def _bits_needed(count: int) -> int:
     return (count - 1).bit_length()
 
 
-def to_binary(problem: DistributionalProblem) -> tuple[Reduction, DistributionalProblem]:
-    """Rebuild a problem over the binary alphabet via a change-of-size map.
+def binary_map(sigma: Alphabet) -> Reduction:
+    """The change-of-size map from sigma onto the binary alphabet.
 
-    One-letter alphabets map a^k to 0^k.  Binary problems pass through
+    One-letter alphabets map a^k to 0^k.  Two-letter ones pass through
     the identity.  Larger alphabets map the rank-r word of each sphere k
     to the rank-r word of the binary sphere that is just big enough
     (ceil(k * log2 |alphabet|) bits), which is injective and
-    rank-preserving.  Image membership is decided by inverting the rank;
-    the image measure is the transfer of the source measure.
+    rank-preserving.
     """
-    sigma = problem.alphabet
     size = sigma.size
     if size == 2:
-        return identity_reduction(sigma), problem
-
+        return identity_reduction(sigma)
     if size == 1:
-        def unary_map(x: Word) -> Word:
-            return BINARY.word("0" * len(x))
+        return Reduction("unary-to-binary", sigma, BINARY,
+                         lambda x: BINARY.word("0" * len(x)), lambda n: n)
 
-        f = Reduction(
-            name="unary-to-binary",
-            source=sigma,
-            target=BINARY,
-            func=unary_map,
-            size_growth=lambda n: n,
-        )
+    def growth(k: int) -> int:
+        return _bits_needed(size**k) if k >= 1 else 0
 
-        def member(y: Word) -> bool:
-            if any(s != "0" for s in y.letters):
-                return False
-            return problem.positive(sigma.word((sigma.symbols[0],) * len(y)))
+    def rank_map(x: Word) -> Word:
+        # the rank-r binary word of length g is r - 1 in g binary digits
+        k = len(x)
+        if k == 0:
+            return BINARY.empty
+        return Word.of_text(BINARY, format(rank_in_sphere(x) - 1, f"0{growth(k)}b"))
 
-    else:
-        def growth(k: int) -> int:
-            return _bits_needed(size**k) if k >= 1 else 0
+    return Reduction(f"rank-to-binary-{size}", sigma, BINARY, rank_map, growth)
 
-        def rank_map(x: Word) -> Word:
-            # the rank-r binary word of length g is r - 1 in g binary digits
-            k = len(x)
-            if k == 0:
-                return BINARY.empty
-            return Word.of_text(BINARY, format(rank_in_sphere(x) - 1, f"0{growth(k)}b"))
 
-        f = Reduction(
-            name=f"rank-to-binary-{size}",
-            source=sigma,
-            target=BINARY,
-            func=rank_map,
-            size_growth=growth,
-        )
+def to_binary(problem: DistributionalProblem) -> tuple[Reduction, DistributionalProblem]:
+    """Rebuild a problem over the binary alphabet along ``binary_map``.
 
-        def member(y: Word) -> bool:
-            m = len(y)
-            if m == 0:
-                return problem.positive(sigma.empty)
-            k = size_inverse(growth, m)
-            if k is None:
-                return False
-            r = rank_in_sphere(y)
-            if r > size**k:
-                return False
-            return problem.positive(unrank(sigma, k, r))
+    Binary problems pass through unchanged.  Otherwise image membership
+    is decided by inverting the rank (the binary words past the last
+    rank, and all but 0^k on the unary map, are outside), and the image
+    measure is the transfer of the source measure.
+    """
+    sigma = problem.alphabet
+    f = binary_map(sigma)
+    if sigma.size == 2:
+        return f, problem
+
+    def member(y: Word) -> bool:
+        k = size_inverse(f.size_growth, len(y))
+        if k is None:
+            return False
+        r = rank_in_sphere(y)
+        return r <= sigma.size**k and problem.positive(unrank(sigma, k, r))
 
     nu = TransferredEnsemble(f, problem.measure)
     image = DistributionalProblem(
@@ -331,13 +316,5 @@ def reduction_from_spec(spec: dict) -> Reduction:
     if kind == "example41":
         return example41_reduction()
     if kind == "bin_alph":
-        sigma = Alphabet(tuple(spec["sigma"]))
-        problem = DistributionalProblem(
-            name="anonymous",
-            alphabet=sigma,
-            positive=lambda x: True,
-            measure=UniformEnsemble(sigma),
-        )
-        f, _ = to_binary(problem)
-        return f
+        return binary_map(Alphabet(tuple(spec["sigma"])))
     raise ValueError(f"unknown reduction kind {kind!r}")

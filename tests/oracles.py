@@ -28,7 +28,11 @@ computes another way, kept here so that tests can cross-check the two:
 - ``overrun_mass``: the control-sequence value of one sphere with one
   machine search per word, as it was summed before
   ``genericity.overrun_mass`` searched once per block of words that
-  share the prefix the search read.
+  share the prefix the search read;
+- ``block_mass``: the mass of a lex block summed word by word, as
+  ``measure.block_mass`` summed it under every ensemble but the uniform
+  and bounded-halting ones before each ensemble's cumulative masses
+  weighed every block.
 
 ``random_machine`` draws the seeded random table machines those
 cross-checks run on.
@@ -83,6 +87,7 @@ from gclab.machine import (
     decode_answer,
 )
 from gclab.measure import ONE, ZERO, DBHNuEnsemble, SphericalEnsemble, subset_mass
+from gclab.measure import exact_sum
 from gclab.words import BINARY, Alphabet, Word
 
 
@@ -270,8 +275,19 @@ def fraction_sum(masses) -> Fraction:
 
 def sphere_sum(mu: SphericalEnsemble, n: int) -> Fraction:
     """Total mass of the radius-n sphere, Fraction by Fraction."""
-    mu._check_horizon(n)
+    mu._check_cap(n)
     return fraction_sum(mu.mass(x) for x in mu.alphabet.sphere(n))
+
+
+def block_mass(mu: SphericalEnsemble, prefix, n: int) -> Fraction:
+    """mu's mass on the words of sphere n that start with ``prefix``."""
+    alphabet, prefix = mu.alphabet, tuple(prefix)
+    pad = n - len(prefix)
+    mu._check_cap(n)
+    return exact_sum(
+        mu.mass(Word(alphabet, prefix + suffix))
+        for suffix in itertools.product(alphabet.symbols, repeat=pad)
+    )
 
 
 def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:

@@ -537,6 +537,20 @@ def test_virtual_machine_codes_via_registry(contains01_problem, contains01_ntm):
     assert _machine_at(index, {}) is None  # no registry: virtual machines cannot decode
 
 
+def test_protocol_machines_over_tables_of_other_horizons_differ(contains01_problem,
+                                                                contains01_ntm):
+    """Two protocol machines over tables that differ only in ``n_max``
+    reject different payloads, so they get different indexes."""
+    entries = {"0": Fraction(1, 2), "1": Fraction(1, 2), "00": Fraction(1)}
+    indexes = set()
+    for n_max in (1, 2):
+        problem = DistributionalProblem("contains01-table", BINARY, contains01_problem.positive,
+                                        TableEnsemble(BINARY, entries, n_max=n_max))
+        vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
+        indexes.add(machine_index(vm))
+    assert len(indexes) == 2
+
+
 # --- the universal machine ----------------------------------------------------
 
 
@@ -720,7 +734,9 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     halting searches: each returns None or its steps within the budget,
     without raising, and steps it returns it returns again at every
     larger budget.  So are protocol machines over an ensemble induced on
-    a table, whose masses stop at the table's ``n_max``."""
+    a table, whose masses stop at the table's ``n_max``.  A claimed length
+    past a table's ``n_max`` never halts, whether the table is bare,
+    induced or transferred: each wrapping has the table's ``horizon``."""
     protocol = red2bh(contains01_problem, contains01_ntm,
                       Polynomial((6, 1, 1)), lambda n: n + 1).machine
     table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=1)
@@ -734,12 +750,31 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     base = {"kind": "table", "n_max": 2, "entries": {
         "0": "1/2", "1": "1/2", "00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
     payload = BINARY.word(numeral(3).text() + "0" + "0" + "101")
-    for subset in ({"name": "all"}, {"name": "cg", "g": "2n+1"}):
-        induced = ensemble_from_spec({"kind": "induced", "base": base, "subset": subset})
-        problem = DistributionalProblem("contains01-induced", BINARY,
-                                        contains01_problem.positive, induced)
+    # a candidate of another length (2) than the claimed one (3) is never
+    # weighed, so only the claimed length's horizon keeps the decider,
+    # which accepts "01", from running: the verdict is the same however
+    # the table is wrapped
+    other_length = BINARY.word(numeral(3).text() + "0" + "0" + "01")
+    wrapped = [ensemble_from_spec({"kind": "induced", "base": base, "subset": subset})
+               for subset in ({"name": "all"}, {"name": "cg", "g": "2n+1"})]
+    wrapped.append(ensemble_from_spec(
+        {"kind": "transferred", "reduction": {"kind": "identity"}, "base": base}))
+    for mu in [ensemble_from_spec(base)] + wrapped:
+        assert mu.horizon == 2, mu.spec()
+        problem = DistributionalProblem("contains01-wrapped", BINARY,
+                                        contains01_problem.positive, mu)
         vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
-        assert vm.evaluator(payload, 40) is None, subset
+        assert vm.evaluator(other_length, 40) is None, mu.spec()
+        if mu.kind == "induced":
+            assert vm.evaluator(payload, 40) is None, mu.spec()
+    # the horizon of the unbounded ensembles, and a table's by default
+    assert table.horizon == 1
+    assert TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2),
+                                  "00": Fraction(1)}).horizon == 2
+    bin_alph = ensemble_from_spec({"kind": "transferred", "reduction": {
+        "kind": "bin_alph", "sigma": "abc"}, "base": {"kind": "uniform", "alphabet": "abc"}})
+    for mu in (contains01_problem.measure, NU, nu_g(Polynomial((1, 2))), bin_alph):
+        assert mu.horizon is None, mu.spec()
     # an address into sphere 17, past ENUMERATION_CAP: an enumerated
     # ensemble never halts, the input ensemble resolves it in closed form
     long_table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=17)

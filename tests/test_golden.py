@@ -13,6 +13,9 @@ readers, before codes were read as whole strings.  The rank-to-binary
 transfer over abc and the change-of-size check at n <= 8 were recorded
 with Fraction-by-Fraction sphere sums, per-call masses and a size
 inverse per transferred word, before sums were taken per denominator.
+The sampled control sequence under ν was recorded with the samplers
+chosen by ensemble class in ``genericity.sample_sphere``, before each
+ensemble drew its own samples.
 """
 
 import hashlib
@@ -105,6 +108,10 @@ GOLDEN = {
         "c45b2d55c69addf4c7f611af541401a1f731ad0d078215e42bf7d61ecfce5f27"),
     ("tm", "halts", "tests/data/contains01.json", NTM_1001, "--budget", "1000"): (0,
         "4cc473a5e744aa426a3e2250ca4d3948943a1c5d74499eaba5ae1ad29be39b95"),
+    # ν's sampler stream: the draws of every sphere up to 6
+    ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", NU,
+     "--poly", "n", "--n-max", "6", "--sample", "50", "--seed", "3"): (0,
+        "95bc1fb10ab404c18d72520369599d689951244cba80928d73550b3bfdb0fb0f"),
 }
 
 

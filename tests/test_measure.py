@@ -21,13 +21,15 @@ from gclab.measure import (
     HorizonError,
     SizeInvarianceError,
     TransferredEnsemble,
+    block_mass,
     check_lower_bounds,
     exact_sum,
     size_inverse,
 )
-from gclab.reductions import DistributionalProblem, Reduction, to_binary
+from gclab.reductions import DistributionalProblem, Reduction, example41_image_member, to_binary
 from gclab.words import rank_in_sphere
 from oracles import EnumeratedNu, fraction_sum, scan_inverse, sphere_sum
+from oracles import block_mass as block_mass_by_words
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +299,37 @@ def test_ensemble_specs_roundtrip():
          "base": {"kind": "uniform", "alphabet": "01"}}
     )
     assert transferred.mass(BINARY.word("11")) == Fraction(1, 4)
+    # a table's spec names its horizon, also one below its longest entry
+    entries = {"0": Fraction(1, 2), "1": Fraction(1, 2), "00": Fraction(1)}
+    for n_max, horizon in ((1, 1), (2, 2), (None, 2)):
+        table = TableEnsemble(BINARY, entries, n_max=n_max)
+        again = ensemble_from_spec(table.spec())
+        assert again.horizon == table.horizon == table.spec()["n_max"] == horizon
+        assert again.spec() == table.spec()
+
+
+def test_block_mass_is_the_sum_of_its_words(uniform, nu, geometric_table):
+    """``block_mass`` equals the word-by-word sum on every prefix of every
+    word of every sphere up to 8 (up to 5 over "abc"), under closed-form,
+    table, transferred and induced ensembles; past a table's horizon the
+    two raise the same error."""
+    abc = Alphabet(("a", "b", "c"))
+    bin_alph = ensemble_from_spec({"kind": "transferred", "reduction": {
+        "kind": "bin_alph", "sigma": "abc"}, "base": {"kind": "uniform", "alphabet": "abc"}})
+    image41 = InducedEnsemble(uniform, example41_image_member)  # no closed form
+    for mu, top in ((uniform, 8), (UniformEnsemble(abc), 5), (nu, 8), (geometric_table, 8),
+                    (bin_alph, 8), (image41, 8)):
+        for n in range(top + 1):
+            prefixes = {x.letters[:r] for x in mu.alphabet.sphere(n) for r in range(n + 1)}
+            for prefix in prefixes:
+                assert block_mass(mu, prefix, n) == block_mass_by_words(mu, prefix, n), (
+                    mu.kind, n, prefix)
+    for prefix in ((), ("0",), ("1", "0", "1")):
+        with pytest.raises(HorizonError) as want:
+            block_mass_by_words(geometric_table, prefix, 11)
+        with pytest.raises(HorizonError) as got:
+            block_mass(geometric_table, prefix, 11)
+        assert str(got.value) == str(want.value) == "table ensemble is only defined up to n=10"
 
 
 def test_induced_spec_with_uniform_base_passes_verify_induced():
