@@ -67,7 +67,7 @@ from .measure import (
 )
 from .measure import size_inverse as guard_inverse
 from .genericity import Polynomial, parse_polynomial
-from .reductions import DistributionalProblem, Reduction
+from .reductions import DistributionalProblem, Reduction, example41_image_member
 from .words import BINARY, Frozen, Word
 
 ZERO = Fraction(0)
@@ -128,6 +128,13 @@ def bh_member(machine: Machine, u: Word) -> bool:
     Non-codes are never members.
     """
     return bh_search(machine, u, len(u.text())) is not None
+
+
+def _reads_binary(machine: Machine) -> bool:
+    """Can the machine read binary inputs?  Every virtual machine can (its
+    evaluator takes any word), and a table machine can when its tape
+    alphabet is the binary one."""
+    return not isinstance(machine, TuringMachine) or machine.tape_alphabet == BINARY
 
 
 # --- longevity guards and the restricted code family ------------------------
@@ -387,7 +394,7 @@ class BHStage(NamedTuple):
     (None when only the map's measure is checked), the guard (the map's
     size growth), the source measure x'' is computed against, and the
     payload prefix ("" for the first stage, machine-code 0 for the
-    universal one)."""
+    universal one).  ``red2bh`` and ``red2bhu`` build the two stages."""
 
     reduction: Reduction
     machine: Optional[Machine]
@@ -439,7 +446,10 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -
     Images have length exactly guard(|x|), so the guard is the size
     growth; the construction errors out if the guard leaves no room for
     the payload (cannot happen for guards built by ``adequate_guard``).
+    A source measure over another alphabet raises ``ValueError``.
     """
+    if mu.alphabet != BINARY:
+        raise ValueError("reduce to a binary alphabet first")
 
     def apply(x: Word) -> Word:
         n = len(x)
@@ -469,10 +479,11 @@ def red2bh(
     decodes the payload, recovers the original input (inverting the
     cumulative masses on the dyadic-address branch), rejects payloads
     whose mass tests or round-trip checks fail by never halting, and
-    otherwise simulates the decider.
+    otherwise simulates the decider.  A decider that cannot read binary
+    inputs raises ``ValueError`` here, so the protocol machine never does.
     """
-    if problem.alphabet != BINARY:
-        raise ValueError("reduce to a binary alphabet first")
+    if not _reads_binary(decider):
+        raise ValueError("the decider cannot read binary inputs")
     guard = adequate_guard(g_user, decider_guard)
     mu = problem.measure
     inner = partial(_search_halting, decider)
@@ -495,38 +506,31 @@ def red2bh(
 
 
 def verify_membership(
-    problem: DistributionalProblem,
+    positive: Callable[[Word], bool],
     stage: BHStage,
     words: Iterable[Word],
     report: CheckReport,
-) -> Iterator[tuple[Word, Word]]:
+) -> Iterator[tuple[Word, Word, bool]]:
     """Both directions of membership preservation, one image per word.
 
-    Maps each word once, adds a violation wherever the problem's
-    membership of x and the stage machine's bounded-halting membership of
-    f(x) differ, and yields (x, f(x)) for a measure check to read.  The
-    report is complete once the pairs are exhausted.
+    Maps each word x once, adds a violation wherever the source predicate
+    ``positive`` on x and the stage machine's bounded-halting membership
+    of f(x) differ, and yields (x, f(x), that membership) for a measure
+    check to read.  A generator, so one image is held at a time; the
+    report is complete once the triples are exhausted.
     """
-    return ((x, y) for x, y, _ in _membership(problem, stage, words, report))
-
-
-def _membership(
-    problem: DistributionalProblem, stage: BHStage, words: Iterable[Word], report: CheckReport
-) -> Iterator[tuple[Word, Word, bool]]:
-    """``verify_membership``'s pairs, each with the machine's verdict on f(x)."""
     for x in words:
         y = stage.reduction.apply(x)
-        source, image = problem.positive(x), bh_member(stage.machine, y)
+        source, image = positive(x), bh_member(stage.machine, y)
         if source != image:
             report.add(x.text(), str(source), str(image))
         yield x, y, image
 
 
-def verify_measure_decrease(
-    stage: BHStage, pairs: Iterable[tuple[Word, Word]], n_max: int
-) -> CheckReport:
+def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) -> CheckReport:
     """Exact check of the measure loss of the bounded-halting map at every
-    pair (x, f(x)) with 1 <= |x|:
+    pair (x, f(x)) with 1 <= |x|, read off the front of each tuple (so the
+    triples of ``verify_membership`` serve):
 
         NU.mass(f(x)) >= stage.mass_bound(x) = mass(x) / (16 |x|^2 g(|x|))
 
@@ -541,7 +545,7 @@ def verify_measure_decrease(
     branch2_f16: list[dict] = []
 
     def points():
-        for x, y in pairs:
+        for x, y, *_ in pairs:
             if not x.letters:
                 continue
             got, bound = NU.mass(y), stage.mass_bound(x)
@@ -621,9 +625,7 @@ def _machine_at(index: int, registry: dict[int, Machine]) -> Optional[Machine]:
             machine = load_machine(table)
         except MachineFormatError:
             return None
-    if isinstance(machine, TuringMachine) and machine.tape_alphabet != BINARY:
-        return None  # cannot read binary inputs
-    return machine
+    return machine if _reads_binary(machine) else None
 
 
 def universal_machine(registry: list[Machine]) -> VirtualMachine:
@@ -698,7 +700,10 @@ def red2bhu(machine: Machine, g_user: GuardLike) -> BHStage:
 
     The guard g is the user guard raised by ``adequate_guard`` until it
     has room for the machine code and its separator, so every image fits.
+    The machine must read binary inputs (``ValueError`` otherwise).
     """
+    if not _reads_binary(machine):
+        raise ValueError("the machine cannot read binary inputs")
     prefix = machine_code(machine).text() + "0"
     h = adequate_guard(g_user, extra_payload=len(prefix))
     return BHStage(red2bh_map(NU, h, prefix), universal_machine([machine]), h, NU, prefix)
@@ -706,30 +711,22 @@ def red2bhu(machine: Machine, g_user: GuardLike) -> BHStage:
 
 def verify_red2bhu_membership(
     machine: Machine, stage: BHStage, words: Iterable[Word], report: CheckReport
-) -> Iterator[tuple[Word, Word]]:
+) -> Iterator[tuple[Word, Word, bool]]:
     """``verify_membership`` from the machine's bounded halting problem
     into the universal one."""
-    problem = DistributionalProblem(
-        name="bounded-halting",
-        alphabet=BINARY,
-        positive=lambda u: bh_member(machine, u),
-        measure=NU,
-    )
-    return verify_membership(problem, stage, words, report)
+    return verify_membership(partial(bh_member, machine), stage, words, report)
 
 
-def verify_red2bhu_measure(
-    stage: BHStage, pairs: Iterable[tuple[Word, Word]], n_max: int
-) -> CheckReport:
+def verify_red2bhu_measure(stage: BHStage, pairs: Iterable[tuple], n_max: int) -> CheckReport:
     """Exact check of the measure loss of the universal-machine map at
-    every pair (x, f(x)) with 1 <= |x|:
+    every pair (x, f(x)) with 1 <= |x|, read off the front of each tuple:
 
         mass(f(x)) >= mass(x) / (16 |x|^2 g(|x|) s(|x|) 2^(|code|+1))
 
     with both masses under the input ensemble and h = g·s, s = 1."""
     report = CheckReport("measure-decrease-universal", n_max)
     min_ratio = check_lower_bounds(
-        report, ((x, NU.mass(y), stage.mass_bound(x)) for x, y in pairs if x.letters)
+        report, ((x, NU.mass(y), stage.mass_bound(x)) for x, y, *_ in pairs if x.letters)
     )
     report.details["machine_code_length"] = len(stage.prefix) - 1
     report.details["skipped_spheres"] = [0]
@@ -776,16 +773,13 @@ def _relaxation_points(restricted: InducedEnsemble, m: int, d) -> Iterator[tuple
 
 
 def completeness_pipeline(
-    problem: DistributionalProblem,
-    decider: Machine,
-    g_user: GuardLike,
-    decider_guard: Callable[[int], int],
-    n_max: int = 3,
+    problem: DistributionalProblem, stage1: BHStage, n_max: int = 3
 ) -> ChainReport:
     """Run the whole chain on one problem and verify every stage.
 
-    Stage 1 reduces the problem to the bounded halting problem of a
-    protocol machine (membership both ways, exact measure decrease).
+    Stage 1 is ``stage1``, the reduction ``red2bh`` built from the problem
+    to the bounded halting problem of a protocol machine (membership
+    both ways, exact measure decrease).
     Stage 2 relaxes the restricted ensemble back to the plain input
     ensemble through the identity (pointwise measure comparison with
     density n+1, checked class by class on full spheres across the image
@@ -796,13 +790,11 @@ def completeness_pipeline(
     images and on honest restricted codes.
     """
     chain = ChainReport()
-    stage1 = red2bh(problem, decider, g_user, decider_guard)
     report1 = CheckReport("membership-preservation", n_max)
-    images = list(_membership(problem, stage1, problem.alphabet.ball(n_max), report1))
-    pairs1 = [(x, y) for x, y, _ in images]
+    images = list(verify_membership(problem.positive, stage1, BINARY.ball(n_max), report1))
     chain.stages.append(("reduce-to-bounded-halting:membership", report1))
     chain.stages.append(
-        ("reduce-to-bounded-halting:measure", verify_measure_decrease(stage1, pairs1, n_max))
+        ("reduce-to-bounded-halting:measure", verify_measure_decrease(stage1, images, n_max))
     )
 
     # stage 2: identity from the C(g)-restricted ensemble into the plain one
@@ -825,8 +817,9 @@ def completeness_pipeline(
     stage3 = red2bhu(stage1.machine, lambda n: 2 * n + 8)
     report3m = CheckReport("universal:membership", n_max)
     verdicts = {y.text(): member for _, y, member in images}
-    bounded = DistributionalProblem("bounded-halting", BINARY, lambda u: verdicts[u.text()], NU)
-    pairs3 = list(verify_membership(bounded, stage3, (y for _, y in pairs1), report3m))
+    pairs3 = list(
+        verify_membership(lambda u: verdicts[u.text()], stage3, (y for _, y, _ in images), report3m)
+    )
     # the chain keeps only the violations of the universal measure check
     report3q = CheckReport(
         "universal:measure", n_max, verify_red2bhu_measure(stage3, pairs3, n_max).violations
@@ -838,7 +831,7 @@ def completeness_pipeline(
     # honest restricted codes
     restricted_u = nu_g(stage3.guard)
     report4 = CheckReport("relax-universal-restriction", n_max)
-    finals = [z for _, z in pairs3] + [
+    finals = [z for _, z, _ in pairs3] + [
         encode_instance(stage3.guard(k), w) for k in range(2) for w in BINARY.sphere(k)
     ]
     check_lower_bounds(
@@ -869,8 +862,6 @@ def subset_from_spec(spec: dict, base: Optional[SphericalEnsemble] = None):
         closed = cg_sphere_mass(guard, base) if base is not None and base.alphabet == BINARY else None
         return c_of_g(guard), f"C({guard.form})", closed
     if name == "image41":
-        from .reductions import example41_image_member
-
         return example41_image_member, "image{00,1}*", None
     if name == "all":
         return (lambda x: True), "all", (lambda n: ONE)

@@ -143,6 +143,8 @@ def _problem_from_bundle(data: dict) -> tuple[DistributionalProblem, object, obj
         positive = lambda x: bool(pattern.fullmatch(x.text()))  # noqa: E731
     elif "machine" in members:
         member_machine = load_machine(members["machine"])
+        if member_machine.tape_alphabet != mu.alphabet:
+            raise ValueError("the members machine reads another alphabet than the measure")
         member_guard = parse_polynomial(members.get("guard", "n+1"))
         positive = lambda x: halts_within(member_machine, x, member_guard(len(x)))  # noqa: E731
     else:
@@ -203,6 +205,8 @@ def cmd_control_seq(args) -> int:
         machine = load_machine(args.machine)
     with _reading(args.ensemble):
         mu = ensemble_from_spec(_load_json(args.ensemble))
+        if machine.tape_alphabet != mu.alphabet:
+            raise ValueError("the machine reads another alphabet than the ensemble")
     p = parse_polynomial(args.poly)
     if args.sample is None:
         _require_cap(args.n_max, measure.ENUMERATION_CAP, "sphere")
@@ -245,17 +249,22 @@ def cmd_reduce(args) -> int:
         }
         report.details["sample_map"] = samples
         return _report_exit(report, args)
-    if args.construction == "bh":
-        _require_cap(args.n_max, SEARCH_CAP, "reduction")
+    if args.construction in ("bh", "pipeline"):
+        pipeline = args.construction == "pipeline"
+        _require_cap(args.n_max, SEARCH_CAP, "pipeline" if pipeline else "reduction")
         with _reading(args.bundle):
             problem, decider, decider_guard = _problem_from_bundle(data)
             if decider is None:
                 raise ValueError("bundle is missing the decider")
             guard = parse_polynomial(data.get("guard", "n+6"))
             stage = bhp.red2bh(problem, decider, guard, decider_guard)
+        if pipeline:
+            chain = bhp.completeness_pipeline(problem, stage, n_max=args.n_max)
+            _write_output(json.dumps(chain.to_dict(), indent=2) + "\n", args.out)
+            return 0 if chain.passed else 1
         membership = measure.CheckReport("membership-preservation", args.n_max)
         pairs = bhp.verify_membership(
-            problem, stage, problem.alphabet.ball(args.n_max), membership
+            problem.positive, stage, problem.alphabet.ball(args.n_max), membership
         )
         return _stage_exit(membership, bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
     if args.construction == "universal":
@@ -268,22 +277,6 @@ def cmd_reduce(args) -> int:
             machine, stage, BINARY.ball(args.n_max), membership
         )
         return _stage_exit(membership, bhp.verify_red2bhu_measure(stage, pairs, args.n_max), args)
-    if args.construction == "pipeline":
-        _require_cap(args.n_max, SEARCH_CAP, "pipeline")
-        with _reading(args.bundle):
-            problem, decider, decider_guard = _problem_from_bundle(data)
-            if decider is None:
-                raise ValueError("bundle is missing the decider")
-            guard = parse_polynomial(data.get("guard", "n+6"))
-            # checked here so that a bad guard names the bundle; the
-            # pipeline still gets the polynomial, as a guard object would
-            # relabel the protocol machine and so change its universal code
-            bhp.as_guard(guard)
-        chain = bhp.completeness_pipeline(
-            problem, decider, guard, decider_guard, n_max=args.n_max
-        )
-        _write_output(json.dumps(chain.to_dict(), indent=2) + "\n", args.out)
-        return 0 if chain.passed else 1
     raise UsageError(f"unknown construction {args.construction!r}")
 
 
@@ -327,7 +320,7 @@ def cmd_verify(args) -> int:
             guard = bhp.adequate_guard(
                 parse_polynomial(data.get("guard", "n+6")), decider_guard
             )
-        f = bhp.red2bh_map(problem.measure, guard)
+            f = bhp.red2bh_map(problem.measure, guard)
         stage = bhp.BHStage(f, None, guard, problem.measure)
         pairs = ((x, f.apply(x)) for x in problem.alphabet.ball(args.n_max))
         return _report_exit(bhp.verify_measure_decrease(stage, pairs, args.n_max), args)

@@ -285,7 +285,8 @@ class UniformEnsemble(SphericalEnsemble):
 
 
 class TableEnsemble(SphericalEnsemble):
-    """Finite table of nonzero masses, keyed by word text.
+    """Finite table of nonzero masses, keyed by word text; a mass is
+    anything ``Fraction`` reads, such as a spec's "1/2".
 
     Absent entries are zero.  The radius-0 sphere defaults to mass 1 on
     the empty word unless the table overrides it.  The ``horizon`` is the
@@ -295,16 +296,18 @@ class TableEnsemble(SphericalEnsemble):
 
     kind = "table"
 
-    def __init__(self, alphabet: Alphabet, entries: dict[str, Fraction],
+    def __init__(self, alphabet: Alphabet, entries: dict,
                  n_max: Optional[int] = None):
         super().__init__(alphabet)
         self.entries = {k: Fraction(v) for k, v in entries.items()}
+        # each entry's mass summed into its sphere's total, for ``validate``
+        self._totals = {0: ONE} if "" not in self.entries else {}
         for key, value in self.entries.items():
-            alphabet.word(key)  # validates symbols
+            n = len(alphabet.word(key))  # validates symbols
             if value < 0:
                 raise ValueError(f"negative mass for {key!r}")
-        lengths = [len(alphabet.word(k)) for k in self.entries]
-        self.horizon = n_max if n_max is not None else (max(lengths) if lengths else 0)
+            self._totals[n] = self._totals.get(n, ZERO) + value
+        self.horizon = n_max if n_max is not None else max(self._totals)
 
     def mass(self, x: Word) -> Fraction:
         self._check_word(x)
@@ -317,14 +320,10 @@ class TableEnsemble(SphericalEnsemble):
     def validate(self, n_max: Optional[int] = None) -> None:
         """Check that every sphere up to n_max sums to exactly 1.
 
-        The entries are summed by word length, so no sphere is enumerated
-        and no horizon applies."""
-        totals = {0: ONE} if "" not in self.entries else {}
-        for key, value in self.entries.items():
-            n = len(self.alphabet.word(key))
-            totals[n] = totals.get(n, ZERO) + value
+        The entries are summed by word length when the table is built, so
+        no sphere is enumerated and no horizon applies."""
         for n in range((self.horizon if n_max is None else n_max) + 1):
-            total = totals.get(n, ZERO)
+            total = self._totals.get(n, ZERO)
             if total != 1:
                 raise ValueError(f"sphere {n} sums to {total}, not 1")
 
@@ -674,8 +673,7 @@ def ensemble_from_spec(spec: dict) -> SphericalEnsemble:
         return DBHNuEnsemble()
     if kind == "table":
         alphabet = Alphabet(tuple(spec.get("alphabet", "01")))
-        entries = {k: Fraction(v) for k, v in spec["entries"].items()}
-        table = TableEnsemble(alphabet, entries, n_max=spec.get("n_max"))
+        table = TableEnsemble(alphabet, spec["entries"], n_max=spec.get("n_max"))
         table.validate()
         return table
     if kind == "transferred":

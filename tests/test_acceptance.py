@@ -172,7 +172,7 @@ def test_criterion_04_reduction_membership_preservation():
     problem, ntm = _contains01_problem()
     stage = red2bh(problem, ntm, Polynomial((6, 1, 1)), lambda n: n + 1)
     report = CheckReport("membership-preservation", 5)
-    for _ in verify_membership(problem, stage, BINARY.ball(5), report):
+    for _ in verify_membership(problem.positive, stage, BINARY.ball(5), report):
         pass
     elapsed = time.monotonic() - started
     announce(4, "bounded-halting reduction preserves membership both ways "

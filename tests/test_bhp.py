@@ -417,9 +417,9 @@ def test_invert_mu_star_partitions(nu, geometric_table):
 
 
 def _membership(problem, stage, n_max):
-    """The membership report of a stage, its pairs drained unread."""
+    """The membership report of a stage, its triples drained unread."""
     report = CheckReport("membership-preservation", n_max)
-    for _ in verify_membership(problem, stage, problem.alphabet.ball(n_max), report):
+    for _ in verify_membership(problem.positive, stage, problem.alphabet.ball(n_max), report):
         pass
     return report
 
@@ -433,10 +433,28 @@ def _map_measure(mu, guard, n_max):
 
 
 def test_red2bh_membership_uniform(contains01_problem, contains01_ntm):
+    """Membership holds both ways, and each triple carries the stage
+    machine's own verdict on its image."""
     stage = red2bh(contains01_problem, contains01_ntm,
                    Polynomial((6, 1, 1)), lambda n: n + 1)
-    report = _membership(contains01_problem, stage, 5)
+    report = CheckReport("membership-preservation", 5)
+    for x, y, verdict in verify_membership(contains01_problem.positive, stage,
+                                           BINARY.ball(5), report):
+        assert y == stage.reduction.apply(x)
+        assert verdict == bh_member(stage.machine, y)
     assert report.passed, report.violations[:5]
+
+
+def test_red2bh_refuses_a_non_binary_decider(contains01_problem):
+    """A decider over {a, b} cannot read the protocol machine's binary
+    candidates, so no stage is built around it."""
+    with pytest.raises(ValueError, match="cannot read binary inputs"):
+        red2bh(contains01_problem, load_machine(AB_TABLE), Polynomial((6, 1)), lambda n: n + 1)
+
+
+def test_red2bhu_refuses_a_non_binary_machine():
+    with pytest.raises(ValueError, match="cannot read binary inputs"):
+        red2bhu(load_machine(AB_TABLE), Polynomial((6, 1)))
 
 
 def test_red2bh_membership_table(contains01_table_problem, contains01_ntm):
@@ -581,6 +599,10 @@ HALT1_TABLE = {
     "delta": [["q0", "0", "q1", "0", "R"], ["q0", "1", "q1", "1", "R"]],
 }
 
+#: a machine that cannot read binary inputs
+AB_TABLE = {**HALT1_TABLE, "tape_alphabet": ["a", "b"],
+            "delta": [["q0", "_", "q1", "a", "R"]]}
+
 
 def _index_code(payload) -> str:
     """The machine-code field of a payload serialized as a machine index."""
@@ -627,10 +649,8 @@ def test_machine_codes_may_open_with_json_whitespace():
 
 
 def test_universal_never_halts_on_non_binary_tables(halt1):
-    table = {**HALT1_TABLE, "tape_alphabet": ["a", "b"],
-             "delta": [["q0", "_", "q1", "a", "R"]]}
     U = universal_machine([halt1])
-    text = _index_code({"table": table}) + "0" + "1"
+    text = _index_code({"table": AB_TABLE}) + "0" + "1"
     assert not halts_within(U, BINARY.word(text), 500)
 
 
@@ -705,8 +725,7 @@ def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
     as the field-by-field reference runs them: one bit of the code
     flipped, the code cut short, and the code of a registry machine whose
     tape alphabet is not binary, which never halts."""
-    ab = load_machine({**HALT1_TABLE, "tape_alphabet": ["a", "b"],
-                       "delta": [["q0", "_", "q1", "a", "R"]]})
+    ab = load_machine(AB_TABLE)
     code = machine_code(halt1).text()
     mutants, non_binary = [], []
     for x in (BINARY.word("0"), BINARY.word("110")):
@@ -929,8 +948,9 @@ def test_universal_faithful_on_plain_codes(halt1, find_zero):
 
 def test_completeness_pipeline(contains01_problem, contains01_ntm):
     chain = completeness_pipeline(
-        contains01_problem, contains01_ntm,
-        Polynomial((6, 1)), lambda n: n + 1, n_max=4,
+        contains01_problem,
+        red2bh(contains01_problem, contains01_ntm, Polynomial((6, 1)), lambda n: n + 1),
+        n_max=4,
     )
     stage_names = [name for name, _ in chain.stages]
     assert stage_names == [
@@ -947,8 +967,7 @@ def test_completeness_pipeline(contains01_problem, contains01_ntm):
 
 
 def test_pipeline_rejects_bad_guard(contains01_problem, contains01_ntm):
+    """The pipeline's first stage is built with the user guard, and a
+    corrupt guard fails that construction."""
     with pytest.raises(GuardError):
-        completeness_pipeline(
-            contains01_problem, contains01_ntm,
-            lambda n: 0, lambda n: n + 1, n_max=2,
-        )
+        red2bh(contains01_problem, contains01_ntm, lambda n: 0, lambda n: n + 1)

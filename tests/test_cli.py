@@ -356,6 +356,39 @@ def test_malformed_bundle_names_the_bundle(construction, bundle, message, tmp_pa
     assert err.startswith(f"gclab: {path}: {message}") and err.count("\n") == 1
 
 
+_AB_MACHINE = {
+    "states": ["q0", "q1"], "initial": "q0", "final": "q1",
+    "tape_alphabet": ["a", "b"], "blank": "_", "delta": [["q0", "_", "q1", "a", "R"]],
+}
+_BINARY_PROBLEM = {"measure": _BINARY_MEASURE, "members": {"regex": "[01]*01[01]*"}}
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["reduce", "bh", "INPUT"], {"problem": _BINARY_PROBLEM, "decider": _AB_MACHINE}),
+    (["reduce", "pipeline", "INPUT"], {"problem": _BINARY_PROBLEM, "decider": _AB_MACHINE}),
+    (["reduce", "universal", "INPUT"], {"machine": _AB_MACHINE}),
+    (["verify", "bh-measure", "INPUT", "--n-max", "2"],
+     json.loads((DATA / "abc_bundle.json").read_text())),
+    (["reduce", "bh", "INPUT"],
+     {"problem": {**_BINARY_PROBLEM, "members": {"machine": _AB_MACHINE}},
+      "decider": str(DATA / "contains01.json")}),
+    (["control-seq", "--machine", "AB", "--ensemble", "INPUT", "--poly", "n", "--n-max", "2"],
+     _BINARY_MEASURE),
+], ids=["bh-decider", "pipeline-decider", "universal-machine", "bh-measure-abc",
+        "members-machine", "control-seq-machine"])
+def test_words_a_machine_cannot_read_name_the_file(argv, spec, tmp_path, capsys):
+    """A machine over {a, b} where binary words are read, or a source
+    problem over {a, b, c} where bounded-halting codes are written, is a
+    usage error that names the input file, found before any word is run."""
+    path, ab = tmp_path / "input.json", tmp_path / "ab.json"
+    path.write_text(json.dumps(spec))
+    ab.write_text(json.dumps(_AB_MACHINE))
+    code, out, err = run_cli([{"INPUT": str(path), "AB": str(ab)}.get(a, a) for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gclab: {path}: ") and err.count("\n") == 1
+
+
 def test_fixture_missing_a_field_names_file_and_field(tmp_path, capsys):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps({"base": {"kind": "dbh_nu"}, "candidate": {"kind": "dbh_nu"}}))

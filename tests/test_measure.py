@@ -27,7 +27,7 @@ from gclab.measure import (
     size_inverse,
 )
 from gclab.reductions import DistributionalProblem, Reduction, example41_image_member, to_binary
-from gclab.words import rank_in_sphere
+from gclab.words import Alphabet, AlphabetMismatchError, rank_in_sphere
 from oracles import EnumeratedNu, fraction_sum, scan_inverse, sphere_sum
 from oracles import block_mass as block_mass_by_words
 
@@ -76,6 +76,30 @@ def test_sphere_sums_equal_one_everywhere(uniform, nu, geometric_table, worked_t
 def test_table_horizon_error(mu2):
     with pytest.raises(HorizonError):
         mu2.mass(BINARY.word("000"))
+
+
+def test_table_spec_builds_each_entry_word_once(monkeypatch):
+    """A 14-entry table, uniform on spheres 1 to 3, is read, checked and
+    validated with one ``Alphabet.word`` call per entry."""
+    entries = {w.text(): f"1/{2 ** n}" for n in range(1, 4) for w in BINARY.sphere(n)}
+    calls = []
+    word = Alphabet.word
+
+    def counted(self, letters):
+        calls.append(letters)
+        return word(self, letters)
+
+    monkeypatch.setattr(Alphabet, "word", counted)
+    table = ensemble_from_spec({"kind": "table", "alphabet": "01", "entries": entries})
+    assert len(entries) == 14 and len(calls) == 14
+    assert table.horizon == 3 and table.mass(BINARY.word("101")) == Fraction(1, 8)
+
+
+def test_table_checks_symbols_before_the_sign():
+    with pytest.raises(AlphabetMismatchError):
+        TableEnsemble(BINARY, {"0": 1, "2": -1})
+    with pytest.raises(ValueError, match="negative mass for '1'"):
+        TableEnsemble(BINARY, {"0": 2, "1": -1})
 
 
 def test_mu_star(uniform, mu2):
