@@ -18,12 +18,10 @@ from .words import (
     unrank,
 )
 from .machine import (
-    Answer,
     Configuration,
     RunResult,
     TuringMachine,
     VirtualMachine,
-    decode_answer,
     halts_within,
     load_machine,
     min_halting_steps,

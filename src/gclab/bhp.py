@@ -83,7 +83,7 @@ class GuardError(ValueError):
 
 def encode_instance(n: int, w: Word) -> Word:
     """The code 1^(n-|w|-1) 0 w of the pair (n, w); its length is n."""
-    if w.alphabet != BINARY:
+    if w.alphabet is not BINARY:
         raise ValueError("instances are binary words")
     return _wrap(n, w.text())
 
@@ -118,7 +118,7 @@ def bh_search(machine: Machine, u: Word, cap: int) -> Optional[int]:
     if payload is None:
         return None
     # a binary word's text is already checked, and so is every slice of it
-    w = Word.of_text(BINARY, payload) if u.alphabet == BINARY else BINARY.word(payload)
+    w = Word.of_text(BINARY, payload) if u.alphabet is BINARY else BINARY.word(payload)
     return _search_halting(machine, w, min(len(text), cap))
 
 
@@ -134,7 +134,7 @@ def _reads_binary(machine: Machine) -> bool:
     """Can the machine read binary inputs?  Every virtual machine can (its
     evaluator takes any word), and a table machine can when its tape
     alphabet is the binary one."""
-    return not isinstance(machine, TuringMachine) or machine.tape_alphabet == BINARY
+    return not isinstance(machine, TuringMachine) or machine.tape_alphabet is BINARY
 
 
 # --- longevity guards and the restricted code family ------------------------
@@ -196,7 +196,7 @@ def c_of_g(g: GuardLike) -> Callable[[Word], bool]:
         payload = _payload(text)
         if payload is None:
             return False
-        if u.alphabet.symbols != BINARY.symbols:
+        if u.alphabet is not BINARY:
             BINARY.word(payload)  # a non-binary payload raises
         n = len(text)
         if n not in inverse:
@@ -448,7 +448,7 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -
     the payload (cannot happen for guards built by ``adequate_guard``).
     A source measure over another alphabet raises ``ValueError``.
     """
-    if mu.alphabet != BINARY:
+    if mu.alphabet is not BINARY:
         raise ValueError("reduce to a binary alphabet first")
 
     def apply(x: Word) -> Word:
@@ -859,7 +859,7 @@ def subset_from_spec(spec: dict, base: Optional[SphericalEnsemble] = None):
     name = spec["name"]
     if name == "cg":
         guard = as_guard(parse_polynomial(spec["g"]), form=str(spec["g"]))
-        closed = cg_sphere_mass(guard, base) if base is not None and base.alphabet == BINARY else None
+        closed = cg_sphere_mass(guard, base) if base is not None and base.alphabet is BINARY else None
         return c_of_g(guard), f"C({guard.form})", closed
     if name == "image41":
         return example41_image_member, "image{00,1}*", None

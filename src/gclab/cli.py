@@ -143,7 +143,7 @@ def _problem_from_bundle(data: dict) -> tuple[DistributionalProblem, object, obj
         positive = lambda x: bool(pattern.fullmatch(x.text()))  # noqa: E731
     elif "machine" in members:
         member_machine = load_machine(members["machine"])
-        if member_machine.tape_alphabet != mu.alphabet:
+        if member_machine.tape_alphabet is not mu.alphabet:
             raise ValueError("the members machine reads another alphabet than the measure")
         member_guard = parse_polynomial(members.get("guard", "n+1"))
         positive = lambda x: halts_within(member_machine, x, member_guard(len(x)))  # noqa: E731
@@ -205,7 +205,7 @@ def cmd_control_seq(args) -> int:
         machine = load_machine(args.machine)
     with _reading(args.ensemble):
         mu = ensemble_from_spec(_load_json(args.ensemble))
-        if machine.tape_alphabet != mu.alphabet:
+        if machine.tape_alphabet is not mu.alphabet:
             raise ValueError("the machine reads another alphabet than the ensemble")
     p = parse_polynomial(args.poly)
     if args.sample is None:

@@ -12,11 +12,11 @@ next to the head in its low bits, and ``right`` starts with the cell
 under the head.  A step is then a few shifts and masks, and the blanks
 at either far end are leading zeros, so every configuration is trimmed
 by construction: equal tuples are equal machine states.  The
-``Configuration`` of symbol tuples is only a snapshot, decoded where a
-configuration leaves this module: a deterministic run's final
-configuration, and each halting configuration that a search's
-``accept`` reads (``min_deciding_steps`` hands it to ``decode_answer``).
-A search itself returns only its halting steps.
+``Configuration`` of symbol tuples is only a snapshot, decoded for a
+deterministic run's final configuration alone.  A search returns only
+its halting steps, and under the answer convention a halting
+configuration answers DontKnow exactly when its left half is 0 and the
+digit under the head is the no-marker's (``min_deciding_steps``).
 
 Halting time of a nondeterministic machine is taken to be the minimum
 number of steps over halting computations; consequently
@@ -40,7 +40,6 @@ are realized as virtual machines.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
@@ -60,16 +59,6 @@ class NondeterministicRunError(ValueError):
     """run_deterministic was handed a machine with branching choices."""
 
 
-class AnswerDecodeError(ValueError):
-    """A configuration cannot be decoded under the answer convention."""
-
-
-class Answer(Enum):
-    YES = "Yes"
-    NO = "No"
-    DONT_KNOW = "DontKnow"
-
-
 class Configuration(NamedTuple):
     """A machine snapshot: state, tape left of the head, tape from the head on.
 
@@ -77,8 +66,8 @@ class Configuration(NamedTuple):
     blanks beyond either far end, so equal snapshots denote equal machine
     states.  The head reads the first symbol of ``right``, or the blank
     when ``right`` is empty.  Runs and searches work on packed tuples
-    (see the module docstring) and decode this snapshot only for the
-    configurations they hand out.
+    (see the module docstring); only a deterministic run's final
+    configuration is decoded to this snapshot.
     """
 
     state: str
@@ -132,18 +121,6 @@ class RunResult(NamedTuple):
     steps: Optional[int] = None
     final: Optional[Configuration] = None
     budget: Optional[int] = None
-
-    @staticmethod
-    def halted(steps: int, final: Configuration) -> "RunResult":
-        return RunResult("halted", steps=steps, final=final)
-
-    @staticmethod
-    def broke(steps: int) -> "RunResult":
-        return RunResult("broke", steps=steps)
-
-    @staticmethod
-    def budget_exhausted(budget: int) -> "RunResult":
-        return RunResult("budget", budget=budget)
 
 
 class TuringMachine(Frozen):
@@ -274,7 +251,7 @@ Machine = Union[TuringMachine, VirtualMachine]
 
 def initial_configuration(machine: TuringMachine, x: Word) -> Packed:
     """The packed configuration (initial, empty, x)."""
-    if x.alphabet is not machine.tape_alphabet and x.alphabet != machine.tape_alphabet:
+    if x.alphabet is not machine.tape_alphabet:
         raise MachineFormatError("input word is over the wrong alphabet")
     return machine.initial, 0, machine._codec.pack(x.letters)
 
@@ -353,10 +330,10 @@ def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult
         )
     kind, steps, config = _walk(machine, initial_configuration(machine, x), budget)
     if kind == "halted":
-        return RunResult.halted(steps, machine._codec.snapshot(config))
+        return RunResult("halted", steps, machine._codec.snapshot(config))
     if kind == "broke":
-        return RunResult.broke(steps)
-    return RunResult.budget_exhausted(budget)
+        return RunResult("broke", steps)
+    return RunResult("budget", budget=budget)
 
 
 def _search_halting(
@@ -364,7 +341,7 @@ def _search_halting(
     x: Word,
     budget: int,
     *,
-    accept: Optional[Callable[[Configuration], bool]] = None,
+    accept: Optional[Callable[[Packed], bool]] = None,
     seen: Optional[set[Packed]] = None,
 ) -> Optional[int]:
     """Least steps within ``budget`` after which some computation halts
@@ -381,21 +358,20 @@ def _search_halting(
     strictly larger residual budget than before; BFS visits each
     configuration with its maximal residual first, so a plain
     first-visit set of packed configurations is exact.  ``accept``, when
-    given, reads the decoded snapshot of each halting configuration;
-    without it every halting configuration counts and none is decoded.
-    ``seen``, when given, receives every packed configuration the search
-    generates (see ``cells_read``).
+    given, reads each packed halting configuration (the answer
+    convention tests its left half and the digit under the head); without
+    it every halting configuration counts.  ``seen``, when given, receives
+    every packed configuration the search generates (see ``cells_read``).
     """
     if budget < 0:
         return None
     if isinstance(machine, VirtualMachine):
         steps = machine.evaluator(x, budget)
         return steps if steps is not None and steps <= budget else None
-    snapshot = machine._codec.snapshot
     start = initial_configuration(machine, x)
     if machine.determinism != "nondeterministic":
         kind, steps, config = _walk(machine, start, budget, seen)
-        if kind == "halted" and (accept is None or accept(snapshot(config))):
+        if kind == "halted" and (accept is None or accept(config)):
             return steps
         return None
     final = machine.final
@@ -406,7 +382,7 @@ def _search_halting(
     depth = 0
     while frontier and depth <= budget:
         for config in frontier:
-            if config[0] == final and (accept is None or accept(snapshot(config))):
+            if config[0] == final and (accept is None or accept(config)):
                 return depth
         if depth == budget:
             break
@@ -434,46 +410,24 @@ def halts_within(machine: Machine, w: Word, n: int) -> bool:
     return min_halting_steps(machine, w, n) is not None
 
 
-def decode_answer(machine: TuringMachine, config: Configuration) -> Answer:
-    """Decode a halted configuration under the machine's answer convention.
-
-    The configuration must be (final state, empty left tape, w); w starting
-    with two yes-markers means Yes, yes-marker then no-marker means No, and
-    a leading no-marker means DontKnow.
-    """
-    if not machine.has_answer_convention:
-        raise AnswerDecodeError("machine declares no answer convention")
-    if config.state != machine.final:
-        raise AnswerDecodeError("configuration is not at the final state")
-    if config.left:
-        raise AnswerDecodeError("left tape is not empty")
-    w = config.right
-    yes, no = machine.yes_symbol, machine.no_symbol
-    if w and w[0] == no:
-        return Answer.DONT_KNOW
-    if len(w) >= 2 and w[0] == yes and w[1] == yes:
-        return Answer.YES
-    if len(w) >= 2 and w[0] == yes and w[1] == no:
-        return Answer.NO
-    raise AnswerDecodeError(f"tape {''.join(w)!r} matches no answer pattern")
-
-
 def min_deciding_steps(
     machine: Machine, w: Word, budget: int, *, seen: Optional[set[Packed]] = None
 ) -> Optional[int]:
-    """Like min_halting_steps, but halting runs whose configuration decodes
-    to DontKnow do not count (their time is infinite).  Machines without an
-    answer convention decide by halting, so no configuration is decoded;
-    undecodable halting tapes still count as stopping.  ``seen`` is handed
-    to the search (see ``cells_read``)."""
+    """Like min_halting_steps, but halting runs that answer DontKnow do
+    not count (their time is infinite).  Under the answer convention a
+    halting configuration answers DontKnow exactly when its left half is
+    0 and the digit under the head (``right & mask``) is the no-marker's.
+    Every other one stops: Yes (two yes-markers from the head), No (a
+    yes-marker, then a no-marker) and every tape matching neither.
+    Machines without an answer convention decide by halting.  ``seen``
+    is handed to the search (see ``cells_read``)."""
     accept = None
     if isinstance(machine, TuringMachine) and machine.has_answer_convention:
+        mask, dont_know = machine._codec.mask, machine._codec.digit[machine.no_symbol]
 
-        def accept(config: Configuration) -> bool:
-            try:
-                return decode_answer(machine, config) is not Answer.DONT_KNOW
-            except AnswerDecodeError:
-                return True
+        def accept(config: Packed) -> bool:
+            _, left, right = config
+            return left != 0 or right & mask != dont_know
 
     return _search_halting(machine, w, budget, accept=accept, seen=seen)
 
@@ -492,9 +446,9 @@ def cells_read(machine: TuringMachine, seen: set[Packed], n: int) -> int:
     configurations therefore gives r, and it is the c of the least
     right half, since a half with fewer cells is a smaller integer.
     Counting a configuration that was generated but never expanded can
-    only make r larger, which is safe.  The answer convention's verdict
-    reads only the cell under the head and whether the left half is
-    empty, so a halting configuration reads nothing more.
+    only make r larger, which is safe.  The answer convention's test
+    reads only whether the left half is 0 and the digit under the head,
+    so a halting configuration reads nothing more.
     """
     width = machine._codec.width
     unread = (min(map(itemgetter(2), seen)).bit_length() + width - 1) // width
@@ -531,12 +485,11 @@ def load_machine(source) -> TuringMachine:
     if not isinstance(data, dict):
         raise MachineFormatError("a machine description is a JSON object")
     try:
-        alphabet = Alphabet(tuple(data["tape_alphabet"]))
         return TuringMachine(
             states=tuple(data["states"]),
             initial=data["initial"],
             final=data["final"],
-            tape_alphabet=alphabet,
+            tape_alphabet=Alphabet(data["tape_alphabet"]),
             blank=data["blank"],
             transitions=tuple(tuple(t) for t in data["delta"]),
             tape_mode=data.get("tape", "two-way"),

@@ -205,9 +205,7 @@ class SphericalEnsemble:
         raise NotImplementedError
 
     def _check_word(self, x: Word) -> None:
-        # words nearly always share the ensemble's alphabet object, and the
-        # identity test skips the call to ``Alphabet.__eq__``
-        if x.alphabet is not self.alphabet and x.alphabet != self.alphabet:
+        if x.alphabet is not self.alphabet:
             raise AlphabetMismatchError("word is over a different alphabet")
 
     def _check_cap(self, n: int) -> None:
@@ -376,7 +374,7 @@ class DBHNuEnsemble(SphericalEnsemble):
     def mass(self, x: Word) -> Fraction:
         # ``_check_word`` inlined: sphere sums call this once per word, and
         # the saved call pays for ``len`` and ``index`` reading the held form
-        if x.alphabet is not self.alphabet and x.alphabet != self.alphabet:
+        if x.alphabet is not self.alphabet:
             raise AlphabetMismatchError("word is over a different alphabet")
         n = len(x)
         if not n:
@@ -668,11 +666,11 @@ def ensemble_from_spec(spec: dict) -> SphericalEnsemble:
     """
     kind = spec["kind"]
     if kind == "uniform":
-        return UniformEnsemble(Alphabet(tuple(spec["alphabet"])))
+        return UniformEnsemble(Alphabet(spec["alphabet"]))
     if kind == "dbh_nu":
         return DBHNuEnsemble()
     if kind == "table":
-        alphabet = Alphabet(tuple(spec.get("alphabet", "01")))
+        alphabet = Alphabet(spec.get("alphabet", "01"))
         table = TableEnsemble(alphabet, spec["entries"], n_max=spec.get("n_max"))
         table.validate()
         return table

@@ -55,10 +55,10 @@ class Reduction(NamedTuple):
     size_growth: Optional[Callable[[int], int]] = None
 
     def apply(self, x: Word) -> Word:
-        if x.alphabet is not self.source and x.alphabet != self.source:
+        if x.alphabet is not self.source:
             raise AlphabetMismatchError(f"{self.name}: input over wrong alphabet")
         y = self.func(x)
-        if y.alphabet is not self.target and y.alphabet != self.target:
+        if y.alphabet is not self.target:
             raise AlphabetMismatchError(f"{self.name}: image over wrong alphabet")
         return y
 
@@ -312,9 +312,9 @@ def reduction_from_spec(spec: dict) -> Reduction:
     """Build a corpus reduction from its JSON description."""
     kind = spec["kind"]
     if kind == "identity":
-        return identity_reduction(Alphabet(tuple(spec.get("alphabet", "01"))))
+        return identity_reduction(Alphabet(spec.get("alphabet", "01")))
     if kind == "example41":
         return example41_reduction()
     if kind == "bin_alph":
-        return binary_map(Alphabet(tuple(spec["sigma"])))
+        return binary_map(Alphabet(spec["sigma"]))
     raise ValueError(f"unknown reduction kind {kind!r}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class AlphabetMismatchError(ValueError):
@@ -68,19 +68,30 @@ class Alphabet(Frozen):
     """An ordered tuple of distinct symbols.
 
     The symbol order is total and fixed; it induces the lexicographic and
-    shortlex orders on words over the alphabet.
+    shortlex orders on words over the alphabet.  There is one instance
+    per symbol tuple: ``Alphabet(symbols)`` validates a new tuple once
+    and hands out that instance ever after (``Alphabet("01") is
+    BINARY``), so alphabets are compared by identity.  Equality and
+    hashing still go through the symbols, as for every ``Frozen``.
     """
 
     _fields = ("symbols",)
+    _instances: dict[tuple[str, ...], "Alphabet"] = {}
 
-    def __init__(self, symbols: tuple[str, ...]) -> None:
-        self._set(symbols)
+    def __new__(cls, symbols: Iterable[str]) -> "Alphabet":
+        symbols = tuple(symbols)
+        known = cls._instances.get(symbols)
+        if known is not None:
+            return known
         if not symbols:
             raise ValueError("an alphabet needs at least one symbol")
         if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
         if any(not s for s in symbols):
             raise ValueError("alphabet symbols must be non-empty strings")
+        alphabet = super().__new__(cls)
+        alphabet._set(symbols)
+        return cls._instances.setdefault(symbols, alphabet)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -108,7 +119,7 @@ class Alphabet(Frozen):
     def word(self, letters) -> "Word":
         """Build a word from a string (single-character symbols) or iterable."""
         if isinstance(letters, Word):
-            if letters.alphabet is not self and letters.alphabet != self:
+            if letters.alphabet is not self:
                 raise AlphabetMismatchError("word belongs to a different alphabet")
             return letters
         if isinstance(letters, str) and not self._separator:

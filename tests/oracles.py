@@ -8,6 +8,10 @@ computes another way, kept here so that tests can cross-check the two:
   its ``min_halting_steps`` / ``min_deciding_steps`` wrappers, as they
   stood before tapes were packed into integers: each configuration is a
   ``Configuration`` of symbol tuples, trimmed after every step;
+- ``decode_answer`` (with ``Answer`` and ``AnswerDecodeError``), the
+  answer convention read off a halting configuration's symbol tuples, as
+  every deciding search decoded it before the convention became one test
+  on the packed tape (``machine.min_deciding_steps``);
 - the linear scan that ``measure.size_inverse`` (bisection) replaced;
 - ``EnumeratedNu``: the bounded-halting ensemble with the enumerated
   cumulative masses and inverse it had before its closed forms;
@@ -37,15 +41,17 @@ computes another way, kept here so that tests can cross-check the two:
 ``random_machine`` draws the seeded random table machines those
 cross-checks run on.
 
-The machine code, ``scan_numeral``, the body of ``nu_mass_text`` and
-the evaluator of ``universal_by_fields`` are copied verbatim.  Only the
-imports are new, ``_moves`` stands in for ``TuringMachine._delta``,
-which is now keyed by tape digit instead of symbol text, and the
-evaluator names ``gclab``'s own halting search, not the one here.  That
-evaluator and the virtual branch of ``_search_halting`` follow the
-evaluator contract of ``VirtualMachine``: halting steps or None, where
-they once built and read ``RunResult``s, and the evaluator reads machine
-fields with ``_machine_at``, which now returns None where it raised.
+The machine code (the answer decoder too), ``scan_numeral``, the body
+of ``nu_mass_text`` and the evaluator of ``universal_by_fields`` are
+copied verbatim.  Only the imports are new, ``RunResult`` records are
+built directly, not through the static constructors it no longer has,
+``_moves`` stands in for ``TuringMachine._delta``, which is now keyed
+by tape digit instead of symbol text, and the evaluator names
+``gclab``'s own halting search, not the one here.  That evaluator and
+the virtual branch of ``_search_halting`` follow the evaluator contract
+of ``VirtualMachine``: halting steps or None, where they once built and
+read ``RunResult``s, and the evaluator reads machine fields with
+``_machine_at``, which now returns None where it raised.
 The breadth-first search still returns the halting configuration it
 found next to its depth; a virtual machine reports none, so its result
 carries None in that place.
@@ -56,6 +62,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Optional
@@ -74,8 +81,6 @@ from gclab.bhp import (
 from gclab.genericity import exceeds_bound
 from gclab.machine import (
     RIGHT,
-    Answer,
-    AnswerDecodeError,
     Configuration,
     Machine,
     MachineFormatError,
@@ -84,7 +89,6 @@ from gclab.machine import (
     Search,
     TuringMachine,
     VirtualMachine,
-    decode_answer,
 )
 from gclab.measure import ONE, ZERO, DBHNuEnsemble, SphericalEnsemble, subset_mass
 from gclab.measure import exact_sum
@@ -153,12 +157,12 @@ def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult
     steps = 0
     while True:
         if config.state == machine.final:
-            return RunResult.halted(steps, config)
+            return RunResult("halted", steps, config)
         if steps >= budget:
-            return RunResult.budget_exhausted(budget)
+            return RunResult("budget", budget=budget)
         succ = step(machine, config)
         if not succ:
-            return RunResult.broke(steps)
+            return RunResult("broke", steps)
         config = succ[0]
         steps += 1
 
@@ -213,6 +217,40 @@ def min_halting_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:
     """Least n <= budget such that some computation halts within n steps."""
     found = _search_halting(machine, w, budget)
     return None if found is None else found[0]
+
+
+class AnswerDecodeError(ValueError):
+    """A configuration cannot be decoded under the answer convention."""
+
+
+class Answer(Enum):
+    YES = "Yes"
+    NO = "No"
+    DONT_KNOW = "DontKnow"
+
+
+def decode_answer(machine: TuringMachine, config: Configuration) -> Answer:
+    """Decode a halted configuration under the machine's answer convention.
+
+    The configuration must be (final state, empty left tape, w); w starting
+    with two yes-markers means Yes, yes-marker then no-marker means No, and
+    a leading no-marker means DontKnow.
+    """
+    if not machine.has_answer_convention:
+        raise AnswerDecodeError("machine declares no answer convention")
+    if config.state != machine.final:
+        raise AnswerDecodeError("configuration is not at the final state")
+    if config.left:
+        raise AnswerDecodeError("left tape is not empty")
+    w = config.right
+    yes, no = machine.yes_symbol, machine.no_symbol
+    if w and w[0] == no:
+        return Answer.DONT_KNOW
+    if len(w) >= 2 and w[0] == yes and w[1] == yes:
+        return Answer.YES
+    if len(w) >= 2 and w[0] == yes and w[1] == no:
+        return Answer.NO
+    raise AnswerDecodeError(f"tape {''.join(w)!r} matches no answer pattern")
 
 
 def min_deciding_steps(machine: Machine, w: Word, budget: int) -> Optional[int]:

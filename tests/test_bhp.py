@@ -228,19 +228,18 @@ def test_c_of_g_membership():
 
 def test_c_of_g_reads_lengths_like_the_decoding_oracle():
     """The length-only member agrees with decoding the whole code, on
-    every binary word up to 12, over ``BINARY`` and over an equal
-    alphabet object."""
+    every binary word up to 12, built from its letters and from its
+    text."""
     guards = [as_guard(Polynomial((1, 1))), as_guard(Polynomial((1, 2))),
               as_guard(Polynomial((1, 0, 1))),
               adequate_guard(Polynomial((6, 1)), lambda n: n + 1)]
-    other_binary = Alphabet(("0", "1"))
     for guard in guards:
         member = c_of_g(guard)
         for n in range(13):
             for u in BINARY.sphere(n):
                 expected = c_of_g_member(guard, u)
                 assert member(u) == expected, (guard.form, u.text())
-                assert member(other_binary.word(u.letters)) == expected
+                assert member(BINARY.word(u.text())) == expected
 
 
 def test_c_of_g_on_other_alphabets_fails_like_the_decoding_oracle():

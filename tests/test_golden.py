@@ -15,7 +15,10 @@ with Fraction-by-Fraction sphere sums, per-call masses and a size
 inverse per transferred word, before sums were taken per denominator.
 The sampled control sequence under ν was recorded with the samplers
 chosen by ensemble class in ``genericity.sample_sphere``, before each
-ensemble drew its own samples.
+ensemble drew its own samples.  The two answer-convention pins were
+recorded while searches decoded each halting configuration to a symbol
+tuple for ``decode_answer``, before the convention became one test on
+the packed tape.
 """
 
 import hashlib
@@ -32,6 +35,7 @@ UNIFORM = "tests/data/uniform_ensemble.json"
 CG = "tests/data/cg_subset.json"
 LOOP_ON_ONE = "tests/data/loop_on_one.json"
 TOY = "tests/data/toy_bundle.json"
+ANSWERS = "tests/data/answer_decider.json"
 
 # Long tapes: every other `tm run` pin ends in "budget" or after one step,
 # so these are the ones that pin a long final configuration.
@@ -112,6 +116,14 @@ GOLDEN = {
     ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", NU,
      "--poly", "n", "--n-max", "6", "--sample", "50", "--seed", "3"): (0,
         "95bc1fb10ab404c18d72520369599d689951244cba80928d73550b3bfdb0fb0f"),
+    # a branching decider whose halts are DontKnow, Yes, No and undecodable
+    # tapes; without its answer symbols spheres 2 and 3 read 1/2, not 3/4
+    ("control-seq", "--machine", ANSWERS, "--ensemble", UNIFORM,
+     "--poly", "n", "--n-max", "8"): (0,
+        "ee94cf2cedf3c4ad10d06f7a65ff434121b5a991b8242657785be5c78c9b5626"),
+    ("control-seq", "--machine", ANSWERS, "--ensemble", UNIFORM,
+     "--poly", "n", "--n-max", "8", "--sample", "200", "--seed", "5"): (0,
+        "8b99e019e59638d32d386913d75d8e880fb765dee7676b07e8eb50b16584ff41"),
 }
 
 

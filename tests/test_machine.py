@@ -10,14 +10,11 @@ import gclab.machine
 import oracles
 from gclab import BINARY, TuringMachine
 from gclab.machine import (
-    Answer,
-    AnswerDecodeError,
     Configuration,
     MachineFormatError,
     NondeterministicRunError,
     RunResult,
     VirtualMachine,
-    decode_answer,
     halts_within,
     _search_halting,
     cells_read,
@@ -28,6 +25,7 @@ from gclab.machine import (
     run_deterministic,
     step,
 )
+from oracles import Answer, AnswerDecodeError, decode_answer
 
 
 def test_determinism_classification(halt1, find_zero, contains01_ntm):
@@ -83,7 +81,7 @@ def test_a_cycling_run_stops_early(monkeypatch):
     assert 0 < len(calls) <= 64
     calls.clear()
     assert run_deterministic(pingpong, BINARY.word("0"), 10**6) == (
-        RunResult.budget_exhausted(10**6))
+        RunResult("budget", budget=10**6))
     assert 0 < len(calls) <= 64
 
 
@@ -212,9 +210,13 @@ def test_packed_core_matches_tuple_oracle():
     """The packed stepper and search agree with the tuple stepper they
     replaced: minimal halting and deciding steps, every deterministic run
     (kind, steps, final state and tape) and the successors along a
-    200-step walk, on 1,200 seeded random machines."""
+    200-step walk, on 1,200 seeded random machines.  Some deciding
+    searches must differ from their halting searches, so the packed
+    answer test is compared with the tuple decoder where a DontKnow halt
+    counts."""
     rng = random.Random(2016)
     halted = {"deterministic": 0, "partial": 0, "nondeterministic": 0}
+    dont_know = 0
     widths = set()
     longest = 0
     for trial in range(1200):
@@ -229,8 +231,9 @@ def test_packed_core_matches_tuple_oracle():
             x = machine.tape_alphabet.word(rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
             found = _search_halting(machine, x, budget)
             assert found == oracles.min_halting_steps(machine, x, budget), (trial, x)
-            assert min_deciding_steps(machine, x, budget) == \
-                oracles.min_deciding_steps(machine, x, budget)
+            deciding = min_deciding_steps(machine, x, budget)
+            assert deciding == oracles.min_deciding_steps(machine, x, budget), (trial, x)
+            dont_know += machine.has_answer_convention and deciding != found
             if machine.determinism != "nondeterministic":
                 result = run_deterministic(machine, x, budget)
                 assert result == oracles.run_deterministic(machine, x, budget), (trial, x)
@@ -251,6 +254,7 @@ def test_packed_core_matches_tuple_oracle():
         longest = max(longest, len(config.left) + len(config.right))
     assert widths == {2, 3}
     assert min(halted.values()) >= 100, halted
+    assert dont_know > 0
     assert longest >= 100
 
 

@@ -30,8 +30,11 @@ from gclab import (
     load_machine,
 )
 from gclab.bhp import BHStage, ChainReport, as_guard
+from gclab.cli import main
 from gclab.genericity import SequenceEntry
-from gclab.measure import Violation
+from gclab.measure import Violation, ensemble_from_spec
+from gclab.reductions import reduction_from_spec
+from gclab.words import Frozen
 
 REPO = Path(__file__).parent.parent
 DATA = REPO / "tests" / "data"
@@ -65,6 +68,41 @@ def test_equal_fields_make_equal_records():
     assert m1 != load_machine(DATA / "loop.json")
     config = Configuration("q", ("0",), ())
     assert config == Configuration("q", ("0",), ()) and hash(config) == hash(("q", ("0",), ()))
+
+
+def test_each_alphabet_is_one_object():
+    assert Alphabet(tuple("01")) is BINARY and Alphabet(["0", "1"]) is BINARY
+    assert Alphabet(("a", "b")) is Alphabet("ab") and Alphabet("ab") is not Alphabet("ba")
+    assert load_machine(DATA / "halt1.json").tape_alphabet is BINARY
+    assert ensemble_from_spec({"kind": "uniform", "alphabet": "01"}).alphabet is BINARY
+    assert ensemble_from_spec({"kind": "table", "entries": {"": "1"}}).alphabet is BINARY
+    assert reduction_from_spec({"kind": "identity", "alphabet": ["0", "1"]}).source is BINARY
+    assert reduction_from_spec({"kind": "bin_alph", "sigma": "01"}).source is BINARY
+    for symbols in ((), ("0", "0"), ("0", "")):
+        with pytest.raises(ValueError):
+            Alphabet(symbols)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "universal", "tests/data/universal_bundle.json", "--n-max", "8"],
+    ["verify", "cs", "tests/data/cs_fixture.json", "--n-max", "6"],
+    ["reduce", "pipeline", "tests/data/toy_bundle.json", "--n-max", "4"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_commands_compare_alphabets_by_identity(argv, capsys, monkeypatch):
+    """With one object per alphabet, no command calls ``Alphabet.__eq__``."""
+    monkeypatch.chdir(REPO)
+    calls = []
+    value_eq = Frozen.__eq__
+
+    def counting_eq(self, other):
+        if isinstance(self, Alphabet):
+            calls.append(other)
+        return value_eq(self, other)
+
+    monkeypatch.setattr(Frozen, "__eq__", counting_eq)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert len(calls) == 0
 
 
 def _frozen_records():
