@@ -11,7 +11,6 @@ usage or file/parse errors.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -20,6 +19,7 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import bhp, genericity, measure, reductions
 from .genericity import parse_polynomial
@@ -332,70 +332,98 @@ def nonnegative_int(text: str) -> int:
     budget would check nothing and report a pass."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
+        raise ValueError(f"{value} is negative")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gclab",
-        description="exact-arithmetic laboratory for generic-case complexity",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's handler, help line and arguments in usage order.  An
+# argument is a positional, or an option when its name starts with "--";
+# it maps to (its type or the tuple of its choices, its default or REQUIRED).
+REQUIRED = object()
+_FORMAT = (("csv", "svg"), "csv")
+COMMANDS = {
+    "tm": (cmd_tm, "run or probe a Turing machine", {
+        "action": (("run", "halts"), REQUIRED), "machine": (str, REQUIRED),
+        "input": (str, REQUIRED), "--budget": (nonnegative_int, 1000), "--out": (str, None)}),
+    "density": (cmd_density, "exact density sequence of a subset", {
+        "--ensemble": (str, REQUIRED), "--subset": (str, REQUIRED),
+        "--n-max": (nonnegative_int, REQUIRED), "--format": _FORMAT, "--out": (str, None)}),
+    "control-seq": (cmd_control_seq, "control sequence of a machine", {
+        "--machine": (str, REQUIRED), "--ensemble": (str, REQUIRED), "--poly": (str, REQUIRED),
+        "--n-max": (nonnegative_int, REQUIRED), "--sample": (int, None), "--seed": (int, None),
+        "--format": _FORMAT, "--out": (str, None)}),
+    "reduce": (cmd_reduce, "build and verify a reduction", {
+        "construction": (("to-binary", "bh", "universal", "pipeline"), REQUIRED),
+        "bundle": (str, REQUIRED), "--n-max": (nonnegative_int, 4), "--out": (str, None)}),
+    "verify": (cmd_verify, "run an exact verifier", {
+        "check": (("cs", "cm", "transfer", "induced", "bh-measure", "nu-sums"), REQUIRED),
+        "fixture": (str, None), "--n-max": (nonnegative_int, REQUIRED), "--out": (str, None)}),
+}
+_HELP = ("-h", "--help")
+# an option token; "-" and a negative number are values, as in argparse
+_OPTION = re.compile(r"-(?!\d+\Z|\d*\.\d+\Z).", re.S)
 
-    tm = sub.add_parser("tm", help="run or probe a Turing machine")
-    tm.add_argument("action", choices=["run", "halts"])
-    tm.add_argument("machine")
-    tm.add_argument("input")
-    tm.add_argument("--budget", type=nonnegative_int, default=1000)
-    tm.add_argument("--out")
-    tm.set_defaults(func=cmd_tm)
 
-    density = sub.add_parser("density", help="exact density sequence of a subset")
-    density.add_argument("--ensemble", required=True)
-    density.add_argument("--subset", required=True)
-    density.add_argument("--n-max", type=nonnegative_int, required=True)
-    density.add_argument("--format", choices=["csv", "svg"], default="csv")
-    density.add_argument("--out")
-    density.set_defaults(func=cmd_density)
+def _usage(args) -> int:
+    """Print the commands, or one command's arguments, from COMMANDS."""
+    if args.command is None:
+        text = "usage: gclab COMMAND [-h] ...\n\ncommands:\n" + "\n".join(
+            f"  {name:<12} {entry[1]}" for name, entry in COMMANDS.items())
+    else:
+        words = []
+        for name, (kind, default) in COMMANDS[args.command][2].items():
+            word = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name
+            if name[:2] == "--":
+                word = f"{name} {name[2:].upper() if word == name else word}"
+            words.append(word if default is REQUIRED else f"[{word}]")
+        text = f"usage: gclab {args.command} [-h] {' '.join(words)}\n\n{COMMANDS[args.command][1]}"
+    sys.stdout.write(text + "\n")
+    return 0
 
-    control = sub.add_parser("control-seq", help="control sequence of a machine")
-    control.add_argument("--machine", required=True)
-    control.add_argument("--ensemble", required=True)
-    control.add_argument("--poly", required=True)
-    control.add_argument("--n-max", type=nonnegative_int, required=True)
-    control.add_argument("--sample", type=int)
-    control.add_argument("--seed", type=int)
-    control.add_argument("--format", choices=["csv", "svg"], default="csv")
-    control.add_argument("--out")
-    control.set_defaults(func=cmd_control_seq)
 
-    reduce_p = sub.add_parser("reduce", help="build and verify a reduction")
-    reduce_p.add_argument("construction",
-                          choices=["to-binary", "bh", "universal", "pipeline"])
-    reduce_p.add_argument("bundle")
-    reduce_p.add_argument("--n-max", type=nonnegative_int, default=4)
-    reduce_p.add_argument("--out")
-    reduce_p.set_defaults(func=cmd_reduce)
-
-    verify = sub.add_parser("verify", help="run an exact verifier")
-    verify.add_argument("check",
-                        choices=["cs", "cm", "transfer", "induced",
-                                 "bh-measure", "nu-sums"])
-    verify.add_argument("fixture", nargs="?")
-    verify.add_argument("--n-max", type=nonnegative_int, required=True)
-    verify.add_argument("--out")
-    verify.set_defaults(func=cmd_verify)
-    return parser
+def parse_args(argv) -> SimpleNamespace:
+    """The namespace a command's handler reads: ``command``, ``func`` and
+    one attribute per argument.  Options take their exact names, as
+    ``--name value`` or ``--name=value`` in any order, and the last of a
+    repeated one wins; ``-h`` anywhere asks for help."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        return SimpleNamespace(command=None, func=_usage)
+    if command not in COMMANDS:
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}, or -h")
+    handler, _, spec = COMMANDS[command]
+    positionals = (name for name in spec if name[:2] != "--")
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return SimpleNamespace(command=command, func=_usage)
+        # eq is "=" or "" for an option, None for a positional
+        name, eq, value = (token.partition("=") if _OPTION.match(token)
+                           else (next(positionals, None), None, token))
+        if name not in spec:
+            raise UsageError(f"unrecognized argument {token}")
+        if eq == "" and ((value := next(tokens, None)) is None or _OPTION.match(value)):
+            raise UsageError(f"argument {name}: expected one argument")
+        kind = spec[name][0]
+        try:
+            if isinstance(kind, tuple) and value not in kind:
+                raise ValueError(f"invalid choice: {value!r} (choose from {', '.join(kind)})")
+            values[name] = value if isinstance(kind, tuple) else kind(value)
+        except ValueError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+    missing = [name for name, (_, default) in spec.items()
+               if default is REQUIRED and name not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, func=handler, **{
+        name.lstrip("-").replace("-", "_"): values.get(name, default)
+        for name, (_, default) in spec.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (UsageError, MachineFormatError, FileNotFoundError, KeyError,
             ValueError) as exc:

@@ -134,7 +134,8 @@ class TuringMachine(Frozen):
 
     ``yes_symbol``/``no_symbol`` optionally designate which two symbols
     play the answer-marker roles for deciders; machines that merely
-    accept by halting leave them unset.
+    accept by halting leave them unset.  They are two distinct tape
+    symbols, set together or not at all.
     """
 
     _fields = ("states", "initial", "final", "tape_alphabet", "blank", "transitions",
@@ -174,6 +175,10 @@ class TuringMachine(Frozen):
         for marker in (self.yes_symbol, self.no_symbol):
             if marker is not None and marker not in self.tape_alphabet:
                 raise MachineFormatError(f"answer symbol {marker!r} not in alphabet")
+        if (self.yes_symbol is None) != (self.no_symbol is None):
+            raise MachineFormatError("answer symbols come in pairs: set both or neither")
+        if self.yes_symbol is not None and self.yes_symbol == self.no_symbol:
+            raise MachineFormatError(f"yes and no answer symbols are both {self.yes_symbol!r}")
 
     @cached_property
     def _codec(self) -> _TapeCodec:

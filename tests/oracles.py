@@ -36,14 +36,17 @@ computes another way, kept here so that tests can cross-check the two:
 - ``block_mass``: the mass of a lex block summed word by word, as
   ``measure.block_mass`` summed it under every ensemble but the uniform
   and bounded-halting ones before each ensemble's cumulative masses
-  weighed every block.
+  weighed every block;
+- ``build_parser`` (with its ``nonnegative_int`` type): the ``argparse``
+  command line that ``cli.parse_args`` and its table ``cli.COMMANDS``
+  replaced; every valid argv must give both the same namespace.
 
 ``random_machine`` draws the seeded random table machines those
 cross-checks run on.
 
 The machine code (the answer decoder too), ``scan_numeral``, the body
-of ``nu_mass_text`` and the evaluator of ``universal_by_fields`` are
-copied verbatim.  Only the imports are new, ``RunResult`` records are
+of ``nu_mass_text``, the evaluator of ``universal_by_fields`` and
+``build_parser`` with ``nonnegative_int`` are copied verbatim.  Only the imports are new, ``RunResult`` records are
 built directly, not through the static constructors it no longer has,
 ``_moves`` stands in for ``TuringMachine._delta``, which is now keyed
 by tape digit instead of symbol text, and the evaluator names
@@ -59,6 +62,7 @@ carries None in that place.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 from collections import deque
@@ -78,6 +82,7 @@ from gclab.bhp import (
     machine_index,
     xprime_value,
 )
+from gclab.cli import cmd_control_seq, cmd_density, cmd_reduce, cmd_tm, cmd_verify
 from gclab.genericity import exceeds_bound
 from gclab.machine import (
     RIGHT,
@@ -426,3 +431,65 @@ def random_machine(rng: random.Random, kind: str, tape_mode: str, symbols: tuple
         tape_alphabet=Alphabet(symbols), blank=blank, transitions=tuple(table),
         tape_mode=tape_mode, yes_symbol=yes, no_symbol=no,
     )
+
+
+def nonnegative_int(text: str) -> int:
+    """The type of --n-max and --budget: a negative horizon or step
+    budget would check nothing and report a pass."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gclab",
+        description="exact-arithmetic laboratory for generic-case complexity",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    tm = sub.add_parser("tm", help="run or probe a Turing machine")
+    tm.add_argument("action", choices=["run", "halts"])
+    tm.add_argument("machine")
+    tm.add_argument("input")
+    tm.add_argument("--budget", type=nonnegative_int, default=1000)
+    tm.add_argument("--out")
+    tm.set_defaults(func=cmd_tm)
+
+    density = sub.add_parser("density", help="exact density sequence of a subset")
+    density.add_argument("--ensemble", required=True)
+    density.add_argument("--subset", required=True)
+    density.add_argument("--n-max", type=nonnegative_int, required=True)
+    density.add_argument("--format", choices=["csv", "svg"], default="csv")
+    density.add_argument("--out")
+    density.set_defaults(func=cmd_density)
+
+    control = sub.add_parser("control-seq", help="control sequence of a machine")
+    control.add_argument("--machine", required=True)
+    control.add_argument("--ensemble", required=True)
+    control.add_argument("--poly", required=True)
+    control.add_argument("--n-max", type=nonnegative_int, required=True)
+    control.add_argument("--sample", type=int)
+    control.add_argument("--seed", type=int)
+    control.add_argument("--format", choices=["csv", "svg"], default="csv")
+    control.add_argument("--out")
+    control.set_defaults(func=cmd_control_seq)
+
+    reduce_p = sub.add_parser("reduce", help="build and verify a reduction")
+    reduce_p.add_argument("construction",
+                          choices=["to-binary", "bh", "universal", "pipeline"])
+    reduce_p.add_argument("bundle")
+    reduce_p.add_argument("--n-max", type=nonnegative_int, default=4)
+    reduce_p.add_argument("--out")
+    reduce_p.set_defaults(func=cmd_reduce)
+
+    verify = sub.add_parser("verify", help="run an exact verifier")
+    verify.add_argument("check",
+                        choices=["cs", "cm", "transfer", "induced",
+                                 "bh-measure", "nu-sums"])
+    verify.add_argument("fixture", nargs="?")
+    verify.add_argument("--n-max", type=nonnegative_int, required=True)
+    verify.add_argument("--out")
+    verify.set_defaults(func=cmd_verify)
+    return parser

@@ -81,6 +81,16 @@ def test_machine_file_without_delta_names_the_file(command, tmp_path, capsys):
     assert err == f"gclab: {bad}: missing machine field: 'delta'\n"
 
 
+@pytest.mark.parametrize("markers", [{"yes_symbol": "0", "no_symbol": "0"}, {"yes_symbol": "1"}])
+def test_machine_with_bad_answer_symbols_names_the_file(markers, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads((DATA / "halt1.json").read_text()), **markers}))
+    code, out, err = run_cli(["tm", "run", str(bad), "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gclab: {bad}: ") and "answer symbol" in err and err.count("\n") == 1
+
+
 def test_missing_machine_file_exit_2(capsys):
     code, _, err = run_cli(["tm", "run", "/nonexistent.json", "0"], capsys)
     assert code == 2

@@ -368,6 +368,9 @@ def test_loader_roundtrip(tmp_path, find_zero):
     {"delta": 5},
     {"tape_alphabet": ["0", "0"]},
     {"tape_alphabet": 7},
+    {"yes_symbol": "1", "no_symbol": "1"},  # no halt could answer Yes or No
+    {"yes_symbol": "1"},  # answer symbols come in pairs
+    {"no_symbol": "0"},
 ])
 def test_loader_fails_closed(halt1, source):
     if isinstance(source, dict):  # a change to an otherwise valid table

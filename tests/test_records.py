@@ -56,6 +56,16 @@ def test_importing_the_cli_loads_no_code_generation():
     assert not {"dataclasses", "inspect"} & added
 
 
+def test_the_cli_parses_without_argparse():
+    """The command table is parsed by hand: neither importing the CLI nor
+    refusing a command line loads argparse, or the gettext and locale it
+    loads for its messages."""
+    refused = "gclab.cli.main(['verify', 'nu-sums', '--n-max', '-1'])"
+    for statement in ("import gclab.cli", f"import gclab.cli\n{refused}"):
+        added = _modules_after(statement) - _modules_after("pass")
+        assert not {"argparse", "gettext", "locale"} & added, statement
+
+
 def test_equal_fields_make_equal_records():
     ab = ("a", "b")
     assert Alphabet(ab) == Alphabet(ab) and hash(Alphabet(ab)) == hash((ab,))
