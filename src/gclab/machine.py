@@ -26,9 +26,19 @@ configuration only when it reappears with a residual budget no larger
 than one it has already been explored with (breadth-first order makes
 the first visit the most generous one).  A machine with at most one
 move per (state, read symbol) has a single run, which searches and
-deterministic runs walk without storing configurations: a run that
-revisits one repeats forever, so a cycle check ends it early with the
-verdict an exhausted budget would give.
+deterministic runs walk without storing configurations, and two
+certificates of a run that never halts nor breaks end that walk early
+with the verdict an exhausted budget would give.  A run that revisits a
+configuration repeats forever (Brent's cycle check, Brent 1980).  A run
+that comes back to one state with the head on a blank, only blanks
+ahead of it and the cells it went back over unchanged, but the head
+further along the tape, repeats forever shifted (a translated cycle;
+the bbchallenge.org deciders of that name, after Marxen and Buntrock
+1990, "Attacking the Busy Beaver 5").  Since the blank is never
+written, the half of the tape trailing the head has a non-blank digit
+per cell, so both tests are compares of packed integers (``_walk``).
+A walk that records every configuration it reaches (``cells_read``)
+takes only the first.
 
 Besides transition-table machines there are "virtual" machines: a host
 procedure that is itself a halting search, mapping (input word, step
@@ -288,6 +298,22 @@ def step(machine: TuringMachine, config: Packed) -> tuple[Packed, ...]:
     return tuple(out)
 
 
+# Walks with larger budgets try translated-cycle certificates; a walk
+# within this many steps saves little by ending early, and pays nothing.
+_CERTIFY_OVER = 128
+
+
+def _translated(first: int, last: int, elapsed: int, width: int) -> bool:
+    """Whether two times ``elapsed`` steps apart, in one state and both
+    with the head on a blank and only blanks ahead of it, certify a
+    translated cycle; ``first`` and ``last`` are the half of the tape
+    trailing the head at the two times (see ``_walk``)."""
+    cells = -(-first.bit_length() // width)
+    ahead = -(-last.bit_length() // width) - cells
+    back = (elapsed - ahead) // 2  # the farthest the head can have gone back
+    return 0 < ahead and back < cells and not (first ^ last) & ((1 << back * width) - 1)
+
+
 def _walk(
     machine: TuringMachine, config: Packed, budget: int, seen: Optional[set[Packed]] = None
 ) -> tuple[str, int, Packed]:
@@ -299,36 +325,92 @@ def _walk(
     configuration with a mark moved to the current one whenever the
     steps since the last move reach a power of two (Brent 1980, "An
     improved Monte Carlo factorization algorithm").  ``seen``, when
-    given, receives every configuration the run reaches."""
+    given, receives every configuration the run reaches.
+
+    A walk without ``seen`` and with a budget over ``_CERTIFY_OVER``
+    also stops a run that repeats shifted along the tape (a translated
+    cycle, as the bbchallenge.org deciders of that name find; Marxen and
+    Buntrock 1990, "Attacking the Busy Beaver 5").  Take two times t1 <
+    t2 in one state, each with the head on a blank and only blanks ahead
+    of it: ``right == 0`` for a run drifting right, or ``left == 0`` and
+    a blank under the head for one drifting left.  Every digit of the
+    other, trailing half (without the head's cell) is a written, so
+    non-blank, cell.  Let the head be d > 0 cells further ahead at t2.
+    It moves one cell per step, so in the t2 - t1 steps between it went
+    back at most k = (t2 - t1 - d) // 2 cells behind where it was at t1.
+    If k is less than the cells of the trailing half at t1, the head
+    never reached the trailing end: that end stayed put, and the digit
+    counts of the trailing halves give d.  If then the k cells behind
+    the head agree at t1 and t2 (one masked XOR, ``_translated``), the
+    run from t2 is the run from t1 shifted by d cells, so it never
+    halts nor breaks, and ends as "budget".  The anchor t1 is the first
+    such time after each Brent mark, and nothing is tracked per step.
+    On a one-end tape the head stays off the edge, and the left drift
+    never applies: the cell at the edge is written as the head first
+    leaves it."""
     final = machine.final
-    if seen is not None:
-        seen.add(config)
     mark, power, lag = config, 1, 0
     steps = 0
+    if seen is not None or budget <= _CERTIFY_OVER:
+        if seen is not None:
+            seen.add(config)
+        while True:
+            if config[0] == final:
+                return "halted", steps, config
+            if steps >= budget:
+                return "budget", steps, config
+            succ = step(machine, config)  # the module global, so tracers see each step
+            if not succ:
+                return "broke", steps, config
+            config = succ[0]
+            steps += 1
+            if seen is not None:
+                seen.add(config)
+            if config == mark:
+                return "budget", steps, config
+            lag += 1
+            if lag == power:
+                mark, power, lag = config, power * 2, 0
+    width, mask = machine._codec.width, machine._codec.mask
+    anchor = None
     while True:
         if config[0] == final:
             return "halted", steps, config
         if steps >= budget:
             return "budget", steps, config
-        succ = step(machine, config)  # the module global, so tracers see each step
+        succ = step(machine, config)
         if not succ:
             return "broke", steps, config
         config = succ[0]
         steps += 1
-        if seen is not None:
-            seen.add(config)
         if config == mark:
             return "budget", steps, config
         lag += 1
         if lag == power:
-            mark, power, lag = config, power * 2, 0
+            mark, power, lag, anchor = config, power * 2, 0, None
+        state, left, right = config
+        if left and right:
+            continue  # written cells on both sides: no blank end under the head
+        if not right:
+            drift, trail = 1, left  # drifting right: the left half trails
+        elif not right & mask:
+            drift, trail = -1, right >> width  # drifting left: the right half trails
+        else:
+            continue
+        if anchor is None:
+            anchor = state, drift, trail, steps
+        if anchor[:2] == (state, drift) and _translated(anchor[2], trail, steps - anchor[3], width):
+            return "budget", steps, config
 
 
 def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult:
     """Run a (possibly partial) deterministic machine from (initial, empty, x).
 
-    A run that cycles is cut short and reported as running out of
-    budget, which it would do at any budget."""
+    A run that cycles, or over a budget of ``_CERTIFY_OVER`` steps
+    repeats shifted along the tape (see ``_walk``), is cut short and
+    reported as running out of budget, which it would do at any budget.
+    That result carries neither steps nor a configuration, so it is the
+    one the whole budget gives."""
     if machine.determinism == "nondeterministic":
         raise NondeterministicRunError(
             "run_deterministic requires a machine without branching choices"
@@ -356,13 +438,15 @@ def _search_halting(
     steps are returned unless they exceed ``budget``; ``accept`` does
     not apply to them.  A table machine with at most one move per
     (state, read symbol) has one run, which is walked (see ``_walk``):
-    nothing is stored, and a run that cycles ends early with the verdict
-    the budget would give.  Other table machines get a breadth-first
-    search of the configuration tree for the earliest accepted halting
-    configuration.  A configuration is re-expanded only if seen with a
-    strictly larger residual budget than before; BFS visits each
-    configuration with its maximal residual first, so a plain
-    first-visit set of packed configurations is exact.  ``accept``, when
+    nothing is stored, and a run that cycles, or without ``seen`` and
+    over a budget of ``_CERTIFY_OVER`` steps repeats shifted along the
+    tape (a translated cycle), ends early with the verdict the budget
+    would give: None, as it never halts.  Other table machines get a
+    breadth-first search of the configuration tree for the earliest
+    accepted halting configuration.  A configuration is re-expanded only
+    if seen with a strictly larger residual budget than before; BFS
+    visits each configuration with its maximal residual first, so a
+    plain first-visit set of packed configurations is exact.  ``accept``, when
     given, reads each packed halting configuration (the answer
     convention tests its left half and the digit under the head); without
     it every halting configuration counts.  ``seen``, when given, receives

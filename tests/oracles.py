@@ -42,7 +42,8 @@ computes another way, kept here so that tests can cross-check the two:
   replaced; every valid argv must give both the same namespace.
 
 ``random_machine`` draws the seeded random table machines those
-cross-checks run on.
+cross-checks run on, and ``bouncer`` a machine of the benchmark's
+never-halting bouncer family, which drifts right along the tape.
 
 The machine code (the answer decoder too), ``scan_numeral``, the body
 of ``nu_mass_text``, the evaluator of ``universal_by_fields`` and
@@ -431,6 +432,23 @@ def random_machine(rng: random.Random, kind: str, tape_mode: str, symbols: tuple
         tape_alphabet=Alphabet(symbols), blank=blank, transitions=tuple(table),
         tape_mode=tape_mode, yes_symbol=yes, no_symbol=no,
     )
+
+
+def bouncer(rng: random.Random) -> TuringMachine:
+    """A never-halting machine of the benchmark's bouncer family, drawn
+    as that family draws it: states c0..c(k-1) in a cycle, each writing
+    a random bit on every symbol and moving two cells right, then one
+    left, so the tape grows by one cell per three steps."""
+    moves = "RRL" * rng.randint(1, 2)
+    states = tuple(f"c{i}" for i in range(len(moves)))
+    reads = ("0", "1", "_")
+    delta = []
+    for i, d in enumerate(moves):
+        write = {a: rng.choice("01") for a in reads}
+        for a in reads:
+            delta.append((states[i], a, states[(i + 1) % len(moves)], write[a], d))
+    return TuringMachine(states=states + ("h",), initial="c0", final="h",
+                         tape_alphabet=BINARY, blank="_", transitions=tuple(delta))
 
 
 def nonnegative_int(text: str) -> int:

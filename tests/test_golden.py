@@ -18,7 +18,9 @@ chosen by ensemble class in ``genericity.sample_sphere``, before each
 ensemble drew its own samples.  The two answer-convention pins were
 recorded while searches decoded each halting configuration to a symbol
 tuple for ``decode_answer``, before the convention became one test on
-the packed tape.
+the packed tape.  The two bouncer pins were recorded while every
+deterministic run walked its whole budget unless it revisited a
+configuration, before translated cycles ended a run early.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ CG = "tests/data/cg_subset.json"
 LOOP_ON_ONE = "tests/data/loop_on_one.json"
 TOY = "tests/data/toy_bundle.json"
 ANSWERS = "tests/data/answer_decider.json"
+BOUNCER = "tests/data/bouncer.json"
 
 # Long tapes: every other `tm run` pin ends in "budget" or after one step,
 # so these are the ones that pin a long final configuration.
@@ -124,6 +127,11 @@ GOLDEN = {
     ("control-seq", "--machine", ANSWERS, "--ensemble", UNIFORM,
      "--poly", "n", "--n-max", "8", "--sample", "200", "--seed", "5"): (0,
         "8b99e019e59638d32d386913d75d8e880fb765dee7676b07e8eb50b16584ff41"),
+    # a right-drifting bouncer that never halts: a translated cycle
+    ("tm", "run", BOUNCER, "01", "--budget", "8000"): (0,
+        "3e545c4306b35ceaeeef1d69954d30c35e5ccf745e2165ecb70e34560b04182d"),
+    ("tm", "halts", BOUNCER, "01", "--budget", "8000"): (0,
+        "a4247dc1c6b6a03205de312bb06827dc4df9e9a50eb16118a2c8e42c27d1dc97"),
 }
 
 

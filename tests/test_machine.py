@@ -17,6 +17,7 @@ from gclab.machine import (
     VirtualMachine,
     halts_within,
     _search_halting,
+    _walk,
     cells_read,
     initial_configuration,
     load_machine,
@@ -69,20 +70,135 @@ def test_run_deterministic_broke(breaker):
     assert result.kind == "broke" and result.steps == 0
 
 
+def _count_steps(monkeypatch) -> list:
+    """The configurations ``machine.step`` is called on from now on."""
+    calls = []
+    original = gclab.machine.step
+    monkeypatch.setattr(gclab.machine, "step", lambda m, c: calls.append(c) or original(m, c))
+    return calls
+
+
 def test_a_cycling_run_stops_early(monkeypatch):
     """The ping-pong machine revisits its configurations from step 2 on:
     the cycle check ends the run and the search long before the budget,
     with the verdict the budget gives."""
     pingpong = load_machine(str(Path(__file__).parent / "data" / "pingpong.json"))
-    calls = []
-    original = gclab.machine.step
-    monkeypatch.setattr(gclab.machine, "step", lambda m, c: calls.append(c) or original(m, c))
+    calls = _count_steps(monkeypatch)
     assert not halts_within(pingpong, BINARY.word("0"), 10**6)
     assert 0 < len(calls) <= 64
     calls.clear()
     assert run_deterministic(pingpong, BINARY.word("0"), 10**6) == (
         RunResult("budget", budget=10**6))
     assert 0 < len(calls) <= 64
+
+
+def test_a_translated_cycle_stops_early(monkeypatch):
+    """The bouncer fixture drifts right and never revisits a
+    configuration, so only the translated-cycle certificate ends its
+    run and search early; at a budget within ``_CERTIFY_OVER`` it walks
+    the whole budget."""
+    bouncer = load_machine(str(Path(__file__).parent / "data" / "bouncer.json"))
+    calls = _count_steps(monkeypatch)
+    assert not halts_within(bouncer, BINARY.word("01"), 10**9)
+    assert 0 < len(calls) < 100
+    calls.clear()
+    assert run_deterministic(bouncer, BINARY.word("01"), 10**9) == (
+        RunResult("budget", budget=10**9))
+    assert 0 < len(calls) < 100
+    calls.clear()
+    budget = gclab.machine._CERTIFY_OVER
+    assert run_deterministic(bouncer, BINARY.word("01"), budget).kind == "budget"
+    assert len(calls) == budget
+
+
+def test_bouncers_are_certified_within_100_steps():
+    """40 machines of the benchmark's bouncer family, each on a random
+    input of every length up to 6, end their walks at budget 10**9 with
+    the budget verdict in fewer than 100 steps; the tuple oracle walks
+    each machine's last run 1,000 steps without a halt."""
+    rng = random.Random(26)
+    for _ in range(40):
+        machine = oracles.bouncer(rng)
+        for n in range(7):
+            x = BINARY.word("".join(rng.choice("01") for _ in range(n)))
+            kind, steps, _ = _walk(machine, initial_configuration(machine, x), 10**9)
+            assert kind == "budget" and steps < 100, (machine.transitions, x)
+        assert oracles.run_deterministic(machine, x, 1000).kind == "budget"
+
+
+def test_translated_needs_the_trailing_end_out_of_reach():
+    """The head can have gone back (elapsed - advance) // 2 cells, and
+    those cells are compared; once that reaches the trailing end, the
+    end may have moved and the cell counts no longer give the advance.
+    Two-bit cells: the trailing half "11" at t1 and "1111" at t2."""
+    ones, four = 0b0101, 0b01010101
+    assert gclab.machine._translated(ones, four, 4, 2)  # back 1 of 2 cells
+    assert not gclab.machine._translated(ones, four, 6, 2)  # back 2 of 2 cells
+    assert not gclab.machine._translated(ones, 0b01010110, 4, 2)  # a cell differs
+    assert not gclab.machine._translated(ones, ones, 2, 2)  # the head did not advance
+
+
+def _oracle_walk(machine: TuringMachine, x, budget: int) -> set:
+    """Every configuration of the run within ``budget``, stepped one by
+    one with the tuple oracle and packed."""
+    config = oracles.initial_configuration(machine, x)
+    reached = {config}
+    for _ in range(budget):
+        succ = () if config.state == machine.final else oracles.step(machine, config)
+        if not succ:
+            break
+        config = succ[0]
+        reached.add(config)
+    return {_pack(machine, c) for c in reached}
+
+
+def test_certified_walks_match_tuple_oracle():
+    """On 600 seeded random machines without branching choices, on both
+    tape modes, at budgets from 129 to 3,000, the run, the halting search
+    and the deciding search agree with the tuple oracle, which walks
+    every step up to the budget.  Translated-cycle certificates must end
+    many of those walks before the plain walk (with ``seen``, which has
+    no certificate) does, on both tape modes."""
+    rng = random.Random(1980)
+    early = {"two-way": 0, "one-end": 0}
+    for trial in range(600):
+        kind = ("deterministic", "partial")[trial % 2]
+        tape_mode = ("two-way", "one-end")[trial // 2 % 2]
+        machine = _random_machine(rng, kind, tape_mode, size=2 + trial // 4 % 4)
+        budget = rng.randrange(gclab.machine._CERTIFY_OVER + 1, 3001)
+        x = machine.tape_alphabet.word(
+            rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
+        expected = oracles.run_deterministic(machine, x, budget)
+        assert run_deterministic(machine, x, budget) == expected, (trial, x)
+        halted = expected.kind == "halted"
+        assert min_halting_steps(machine, x, budget) == (expected.steps if halted else None)
+        assert min_deciding_steps(machine, x, budget) == (
+            oracles.min_deciding_steps(machine, x, budget) if halted else None), (trial, x)
+        start = initial_configuration(machine, x)
+        early[tape_mode] += _walk(machine, start, budget)[1] < _walk(
+            machine, start, budget, set())[1]
+    assert min(early.values()) >= 20, early
+
+
+def test_seen_walks_take_no_certificate():
+    """A search that collects ``seen`` (``cells_read`` and the exact
+    control sequences read it) reaches every configuration of the run:
+    the same set as the tuple oracle's per-step walk, on bouncers that a
+    certificate would end early and on random machines."""
+    rng = random.Random(25)
+    for trial in range(200):
+        if trial % 4 == 0:
+            machine = oracles.bouncer(rng)
+        else:
+            tape_mode = ("two-way", "one-end")[trial % 2]
+            machine = _random_machine(rng, ("deterministic", "partial")[trial // 2 % 2],
+                                      tape_mode, size=2 + trial % 3)
+        budget = rng.randrange(gclab.machine._CERTIFY_OVER + 1, 600)
+        x = machine.tape_alphabet.word(
+            rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
+        seen = set()
+        min_deciding_steps(machine, x, budget, seen=seen)
+        assert seen == _oracle_walk(machine, x, budget), (trial, x)
 
 
 def test_run_rejects_ntm(contains01_ntm):
