@@ -125,7 +125,14 @@ def _require_cap(n_max: int, cap: int, what: str) -> None:
 # --- problem bundles ----------------------------------------------------------
 
 
-def _problem_from_bundle(data: dict) -> tuple[DistributionalProblem, object, object]:
+def _bundle_machine(source, bundle: str):
+    """A machine a bundle names inline or by a path from its directory."""
+    if isinstance(source, str) and not source.lstrip().startswith("{"):
+        source = os.path.join(os.path.dirname(bundle), source)
+    return load_machine(source)
+
+
+def _problem_from_bundle(data: dict, bundle: str) -> tuple[DistributionalProblem, object, object]:
     """(problem, decider machine, decider guard callable) from a bundle.
 
     Read inside ``_reading``: a malformed bundle raises ``ValueError``,
@@ -142,7 +149,7 @@ def _problem_from_bundle(data: dict) -> tuple[DistributionalProblem, object, obj
             raise ValueError(f"members regex {members['regex']!r}: {exc}") from exc
         positive = lambda x: bool(pattern.fullmatch(x.text()))  # noqa: E731
     elif "machine" in members:
-        member_machine = load_machine(members["machine"])
+        member_machine = _bundle_machine(members["machine"], bundle)
         if member_machine.tape_alphabet is not mu.alphabet:
             raise ValueError("the members machine reads another alphabet than the measure")
         member_guard = parse_polynomial(members.get("guard", "n+1"))
@@ -155,7 +162,7 @@ def _problem_from_bundle(data: dict) -> tuple[DistributionalProblem, object, obj
         positive=positive,
         measure=mu,
     )
-    decider = load_machine(data["decider"]) if "decider" in data else None
+    decider = _bundle_machine(data["decider"], bundle) if "decider" in data else None
     decider_guard = parse_polynomial(data.get("decider_guard", "n+1"))
     return problem, decider, decider_guard
 
@@ -236,7 +243,7 @@ def cmd_reduce(args) -> int:
     data = _load_json(args.bundle)
     if args.construction == "to-binary":
         with _reading(args.bundle):
-            problem, _, _ = _problem_from_bundle(data)
+            problem, _, _ = _problem_from_bundle(data, args.bundle)
         f, image = reductions.to_binary(problem)
         _require_cap(args.n_max, SEARCH_CAP, "reduction")
         report = reductions.verify_cs(f, problem.measure, image.measure, args.n_max)
@@ -253,7 +260,7 @@ def cmd_reduce(args) -> int:
         pipeline = args.construction == "pipeline"
         _require_cap(args.n_max, SEARCH_CAP, "pipeline" if pipeline else "reduction")
         with _reading(args.bundle):
-            problem, decider, decider_guard = _problem_from_bundle(data)
+            problem, decider, decider_guard = _problem_from_bundle(data, args.bundle)
             if decider is None:
                 raise ValueError("bundle is missing the decider")
             guard = parse_polynomial(data.get("guard", "n+6"))
@@ -270,7 +277,7 @@ def cmd_reduce(args) -> int:
     if args.construction == "universal":
         _require_cap(args.n_max, 8, "universal-stage")
         with _reading(args.bundle):
-            machine = load_machine(data["machine"])
+            machine = _bundle_machine(data["machine"], args.bundle)
             stage = bhp.red2bhu(machine, parse_polynomial(data.get("guard", "n+6")))
         membership = measure.CheckReport("membership-preservation", args.n_max)
         pairs = bhp.verify_red2bhu_membership(
@@ -316,7 +323,7 @@ def cmd_verify(args) -> int:
         return _report_exit(report, args)
     if args.check == "bh-measure":
         with _reading(args.fixture):
-            problem, _, decider_guard = _problem_from_bundle(data)
+            problem, _, decider_guard = _problem_from_bundle(data, args.fixture)
             guard = bhp.adequate_guard(
                 parse_polynomial(data.get("guard", "n+6")), decider_guard
             )

@@ -38,7 +38,7 @@ the bbchallenge.org deciders of that name, after Marxen and Buntrock
 written, the half of the tape trailing the head has a non-blank digit
 per cell, so both tests are compares of packed integers (``_walk``).
 A walk that records every configuration it reaches (``cells_read``)
-takes only the first.
+takes both too.
 
 Besides transition-table machines there are "virtual" machines: a host
 procedure that is itself a halting search, mapping (input word, step
@@ -298,8 +298,10 @@ def step(machine: TuringMachine, config: Packed) -> tuple[Packed, ...]:
     return tuple(out)
 
 
-# Walks with larger budgets try translated-cycle certificates; a walk
-# within this many steps saves little by ending early, and pays nothing.
+# Walks with larger budgets try translated-cycle certificates.  Keep it
+# over 100: ``perfbench/run.py``'s self-check ``selfcheck.loop100`` pins
+# 100 ``step`` calls on a right-moving run at budget 100, which a
+# certificate ends at step 2 (ROADMAP item 2).
 _CERTIFY_OVER = 128
 
 
@@ -325,12 +327,12 @@ def _walk(
     configuration with a mark moved to the current one whenever the
     steps since the last move reach a power of two (Brent 1980, "An
     improved Monte Carlo factorization algorithm").  ``seen``, when
-    given, receives every configuration the run reaches.
+    given, receives every configuration the run reaches up to its end.
 
-    A walk without ``seen`` and with a budget over ``_CERTIFY_OVER``
-    also stops a run that repeats shifted along the tape (a translated
-    cycle, as the bbchallenge.org deciders of that name find; Marxen and
-    Buntrock 1990, "Attacking the Busy Beaver 5").  Take two times t1 <
+    A walk with a budget over ``_CERTIFY_OVER`` also stops a run that
+    repeats shifted along the tape (a translated cycle, as the
+    bbchallenge.org deciders of that name find; Marxen and Buntrock
+    1990, "Attacking the Busy Beaver 5").  Take two times t1 <
     t2 in one state, each with the head on a blank and only blanks ahead
     of it: ``right == 0`` for a run drifting right, or ``left == 0`` and
     a blank under the head for one drifting left.  Every digit of the
@@ -347,47 +349,32 @@ def _walk(
     such time after each Brent mark, and nothing is tracked per step.
     On a one-end tape the head stays off the edge, and the left drift
     never applies: the cell at the edge is written as the head first
-    leaves it."""
+    leaves it.  ``cells_read`` stays exact on either stop (see there)."""
     final = machine.final
-    mark, power, lag = config, 1, 0
-    steps = 0
-    if seen is not None or budget <= _CERTIFY_OVER:
-        if seen is not None:
-            seen.add(config)
-        while True:
-            if config[0] == final:
-                return "halted", steps, config
-            if steps >= budget:
-                return "budget", steps, config
-            succ = step(machine, config)  # the module global, so tracers see each step
-            if not succ:
-                return "broke", steps, config
-            config = succ[0]
-            steps += 1
-            if seen is not None:
-                seen.add(config)
-            if config == mark:
-                return "budget", steps, config
-            lag += 1
-            if lag == power:
-                mark, power, lag = config, power * 2, 0
     width, mask = machine._codec.width, machine._codec.mask
-    anchor = None
+    mark, power, lag, anchor = config, 1, 0, None
+    steps = 0
+    if seen is not None:
+        seen.add(config)
     while True:
         if config[0] == final:
             return "halted", steps, config
         if steps >= budget:
             return "budget", steps, config
-        succ = step(machine, config)
+        succ = step(machine, config)  # the module global, so tracers see each step
         if not succ:
             return "broke", steps, config
         config = succ[0]
         steps += 1
+        if seen is not None:
+            seen.add(config)
         if config == mark:
             return "budget", steps, config
         lag += 1
         if lag == power:
             mark, power, lag, anchor = config, power * 2, 0, None
+        if budget <= _CERTIFY_OVER:
+            continue
         state, left, right = config
         if left and right:
             continue  # written cells on both sides: no blank end under the head
@@ -438,10 +425,10 @@ def _search_halting(
     steps are returned unless they exceed ``budget``; ``accept`` does
     not apply to them.  A table machine with at most one move per
     (state, read symbol) has one run, which is walked (see ``_walk``):
-    nothing is stored, and a run that cycles, or without ``seen`` and
-    over a budget of ``_CERTIFY_OVER`` steps repeats shifted along the
-    tape (a translated cycle), ends early with the verdict the budget
-    would give: None, as it never halts.  Other table machines get a
+    nothing is stored but ``seen``, and a run that cycles, or over a
+    budget of ``_CERTIFY_OVER`` steps repeats shifted along the tape (a
+    translated cycle), ends early with the verdict the budget would
+    give: None, as it never halts.  Other table machines get a
     breadth-first search of the configuration tree for the earliest
     accepted halting configuration.  A configuration is re-expanded only
     if seen with a strictly larger residual budget than before; BFS
@@ -538,6 +525,11 @@ def cells_read(machine: TuringMachine, seen: set[Packed], n: int) -> int:
     only make r larger, which is safe.  The answer convention's test
     reads only whether the left half is 0 and the digit under the head,
     so a halting configuration reads nothing more.
+
+    A walk that ends early on a certificate misses no smaller right
+    half: a cycle only revisits, a run drifting right is certified with
+    ``right == 0`` (so r = n already), and a run drifting left holds d
+    more cells in each right half than one period earlier.
     """
     width = machine._codec.width
     unread = (min(map(itemgetter(2), seen)).bit_length() + width - 1) // width

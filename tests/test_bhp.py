@@ -119,7 +119,7 @@ def test_nu_mass_matches_text_oracle():
             assert NU.mass(x) == nu_mass_text(x), x.text()
     data = Path(__file__).parent / "data"
     bundle = json.loads((data / "universal_bundle.json").read_text())
-    machine = load_machine(str(Path(__file__).parent.parent / bundle["machine"]))
+    machine = load_machine(str(data / bundle["machine"]))
     stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
     images = [stage.reduction.apply(x) for n in range(7) for x in BINARY.sphere(n)]
     assert len({len(y) for y in images}) == 7
@@ -689,9 +689,9 @@ def test_universal_matches_known_codes_like_the_field_reader(numeral_scans):
     bundle, n <= 6, runs as the field-by-field reference runs it, and
     only its length field is scanned: its machine field is matched as
     known text."""
-    root = Path(__file__).parent.parent
-    bundle = json.loads((root / "tests" / "data" / "universal_bundle.json").read_text())
-    machine = load_machine(str(root / bundle["machine"]))
+    data = Path(__file__).parent / "data"
+    bundle = json.loads((data / "universal_bundle.json").read_text())
+    machine = load_machine(str(data / bundle["machine"]))
     stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
     images = [stage.reduction.apply(x) for x in BINARY.ball(6)]
     payloads = [BINARY.word(_payload(y.text())) for y in images]
@@ -699,17 +699,16 @@ def test_universal_matches_known_codes_like_the_field_reader(numeral_scans):
     assert any(bh_member(stage.machine, y) for y in images)
 
 
-def test_universal_matches_pipeline_codes_like_the_field_reader(numeral_scans, monkeypatch):
+def test_universal_matches_pipeline_codes_like_the_field_reader(numeral_scans):
     """Pipeline stage 3 on the toy bundle, n <= 4: the protocol machine
     is virtual, so it is known only through the registry; the payloads
     of its images run as the reference runs them, with one numeral scan
     fewer each (the protocol machine scans its own length field)."""
     from gclab.cli import _problem_from_bundle
 
-    root = Path(__file__).parent.parent
-    monkeypatch.chdir(root)
-    bundle = json.loads((root / "tests" / "data" / "toy_bundle.json").read_text())
-    problem, decider, decider_guard = _problem_from_bundle(bundle)
+    path = Path(__file__).parent / "data" / "toy_bundle.json"
+    bundle = json.loads(path.read_text())
+    problem, decider, decider_guard = _problem_from_bundle(bundle, str(path))
     stage1 = red2bh(problem, decider, parse_polynomial(bundle["guard"]), decider_guard)
     stage3 = red2bhu(stage1.machine, lambda n: 2 * n + 8)
     images = [stage3.reduction.apply(stage1.reduction.apply(x)) for x in BINARY.ball(4)]
@@ -880,11 +879,11 @@ def test_red2bhu_guard_is_the_hand_built_guard(contains01_problem, contains01_nt
     """red2bhu's guard is the user guard raised for the machine code and
     its separator, as callers once built it by hand: on the universal
     bundle, and on the toy protocol machine with pipeline stage 3's 2n+8."""
-    root = Path(__file__).parent.parent
-    bundle = json.loads((root / "tests" / "data" / "universal_bundle.json").read_text())
+    data = Path(__file__).parent / "data"
+    bundle = json.loads((data / "universal_bundle.json").read_text())
     protocol = red2bh(contains01_problem, contains01_ntm, parse_polynomial("n+6"),
                       parse_polynomial("n+1")).machine
-    for machine, g in ((load_machine(str(root / bundle["machine"])),
+    for machine, g in ((load_machine(str(data / bundle["machine"])),
                         parse_polynomial(bundle["guard"])),
                        (protocol, lambda n: 2 * n + 8)):
         by_hand = adequate_guard(g, extra_payload=len(machine_code(machine).text()) + 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -433,8 +434,7 @@ def test_verify_cs_bad_fixture_exits_1(capsys):
     assert payload["violations"]
 
 
-def test_reduce_pipeline_bundle(capsys, monkeypatch):
-    monkeypatch.chdir(REPO)
+def test_reduce_pipeline_bundle(capsys):
     code, out, _ = run_cli(
         ["reduce", "pipeline", str(DATA / "toy_bundle.json"), "--n-max", "2"], capsys
     )
@@ -444,12 +444,12 @@ def test_reduce_pipeline_bundle(capsys, monkeypatch):
     assert len(payload["stages"]) == 6
 
 
-def test_reduce_pipeline_names_the_bundle_of_a_bad_guard(tmp_path, capsys, monkeypatch):
+def test_reduce_pipeline_names_the_bundle_of_a_bad_guard(tmp_path, capsys):
     bundle = json.loads((DATA / "toy_bundle.json").read_text())
     bundle["guard"] = "n"
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(bundle))
-    monkeypatch.chdir(REPO)
+    shutil.copy(DATA / "contains01.json", tmp_path)
     code, out, err = run_cli(["reduce", "pipeline", str(path), "--n-max", "2"], capsys)
     assert code == 2
     assert out == ""
@@ -478,8 +478,7 @@ def test_reduce_pipeline_runs_the_protocol_machine_once_per_image(capsys, monkey
     assert calls == {"bh-protocol[contains01-uniform]": 31, "universal": 31}
 
 
-def test_reduce_bh_bundle(capsys, monkeypatch):
-    monkeypatch.chdir(REPO)
+def test_reduce_bh_bundle(capsys):
     code, out, _ = run_cli(
         ["reduce", "bh", str(DATA / "toy_bundle.json"), "--n-max", "3"], capsys
     )
@@ -547,8 +546,7 @@ def test_verify_induced_fixture(capsys):
     assert json.loads(out)["passed"]
 
 
-def test_verify_bh_measure_bundle(capsys, monkeypatch):
-    monkeypatch.chdir(REPO)
+def test_verify_bh_measure_bundle(capsys):
     code, out, _ = run_cli(
         ["verify", "bh-measure", str(DATA / "toy_bundle.json"), "--n-max", "5"], capsys
     )
@@ -569,8 +567,7 @@ def test_reduce_to_binary_bundle(capsys):
     assert payload["details"]["sample_map"]["bb"] == "0100"
 
 
-def test_reduce_universal_reports_known_witnesses(capsys, monkeypatch):
-    monkeypatch.chdir(REPO)
+def test_reduce_universal_reports_known_witnesses(capsys):
     code, out, _ = run_cli(
         ["reduce", "universal", str(DATA / "universal_bundle.json"), "--n-max", "2"],
         capsys,
@@ -580,6 +577,23 @@ def test_reduce_universal_reports_known_witnesses(capsys, monkeypatch):
     # witnesses, so the command honestly exits 1
     assert code == 1
     assert {v["witness"] for v in payload["violations"]} == {"0", "10"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "bh", "toy_bundle.json", "--n-max", "3"],
+    ["reduce", "universal", "universal_bundle.json", "--n-max", "2"],
+    ["verify", "bh-measure", "toy_bundle.json", "--n-max", "5"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_bundle_machine_paths_are_read_from_the_bundle(argv, tmp_path, capsys, monkeypatch):
+    """A bundle names its machine files relative to its own directory,
+    so a run from another directory gives the exit code and the bytes
+    of a run from the repository root."""
+    argv = [*argv[:2], str(DATA / argv[2]), *argv[3:]]
+    monkeypatch.chdir(REPO)
+    expected = run_cli(argv, capsys)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, capsys) == expected
+    assert expected[2] == ""
 
 
 @pytest.mark.parametrize("argv,images", [
@@ -599,7 +613,6 @@ def test_stage_checks_map_each_word_once(argv, images, capsys, monkeypatch):
         return apply(self, x)
 
     monkeypatch.setattr(Reduction, "apply", counted)
-    monkeypatch.chdir(REPO)
     argv = [*argv[:2], str(DATA / argv[2]), *argv[3:]]
     run_cli(argv, capsys)
     assert len(calls) == images

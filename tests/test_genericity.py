@@ -1,7 +1,9 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
+import gclab.machine
 import oracles
 import pytest
 
@@ -16,6 +18,7 @@ from gclab import (
     subset_mass,
 )
 from gclab.genericity import overrun_mass, parse_polynomial, sphere_stream
+from gclab.machine import load_machine
 from gclab.measure import HorizonError, InducedEnsemble
 from gclab.bhp import adequate_guard, c_of_g, cg_sphere_mass, subset_from_spec
 
@@ -88,6 +91,29 @@ def test_control_sequence_counts_dont_know(answer_machine, uniform):
     seq = control_sequence(answer_machine, Polynomial((2,)), uniform, 3)
     assert seq.entries[0].value == 1  # sphere 0: DontKnow counts as overrun
     assert all(e.value == 0 for e in seq.entries[1:])
+
+
+def test_control_sequence_of_a_drifting_machine_ends_early(uniform, monkeypatch):
+    """The bouncer fixture drifts right into blank tape and never halts.
+    Its exact control sequence at bound 10**9 is 1 on every sphere up to
+    6, and its searches, which collect ``seen``, end on translated-cycle
+    certificates: fewer than 10,000 steps in all, where walking every
+    bound would take 10**9 steps per block."""
+    bouncer = load_machine(str(Path(__file__).parent / "data" / "bouncer.json"))
+    calls = 0
+    original = gclab.machine.step
+
+    def counted(machine, config):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise AssertionError("more than 10,000 steps")
+        return original(machine, config)
+
+    monkeypatch.setattr(gclab.machine, "step", counted)
+    seq = control_sequence(bouncer, Polynomial((10**9,)), uniform, 6)
+    assert [e.value for e in seq.entries] == [1] * 7
+    assert calls < 10_000
 
 
 def test_control_sequence_antitone_in_bound(loop_on_one, find_zero, uniform):
@@ -226,17 +252,24 @@ def test_overrun_mass_matches_per_word_oracle(nu, geometric_table):
     """The block walk equals one search per word on every sphere up to 10
     (up to 6 over three letters), for seeded random machines of every
     kind, with and without the answer convention, on both tape modes,
-    under uniform, ν and a table ensemble, at bounds below and above n."""
+    under uniform, ν and a table ensemble, at bounds below and above n
+    and past ``_CERTIFY_OVER``, where deterministic walks end on
+    certificates; and for machines of the bouncer family under uniform
+    and ν."""
     rng = random.Random(1205)
     ensembles = [UniformEnsemble(BINARY), nu, geometric_table,
                  UniformEnsemble(Alphabet(("a", "b", "c")))]
-    for trial in range(32):
+    for trial in range(40):
         kind = ("deterministic", "partial", "nondeterministic")[trial % 3]
         mu = ensembles[trial % 4]
-        machine = oracles.random_machine(rng, kind, ("two-way", "one-end")[trial // 16],
-                                         mu.alphabet.symbols, "_", 3,
-                                         answers=trial // 4 % 2 == 1)
+        if trial < 32:
+            machine = oracles.random_machine(rng, kind, ("two-way", "one-end")[trial // 16],
+                                             mu.alphabet.symbols, "_", 3,
+                                             answers=trial // 4 % 2 == 1)
+        else:
+            mu = ensembles[trial % 2]
+            machine = oracles.bouncer(rng)
         for n in range(11 if mu.alphabet.size == 2 else 7):
-            for bound in (n // 2, n + 2):
+            for bound in (n // 2, n + 2, gclab.machine._CERTIFY_OVER + 1 + n):
                 assert overrun_mass(machine, mu, n, bound) == \
                     oracles.overrun_mass(machine, mu, n, bound), (trial, n, bound)

@@ -148,6 +148,8 @@ def _oracle_walk(machine: TuringMachine, x, budget: int) -> set:
         if not succ:
             break
         config = succ[0]
+        if config in reached:
+            break  # a run without branching choices repeats from here on
         reached.add(config)
     return {_pack(machine, c) for c in reached}
 
@@ -157,8 +159,8 @@ def test_certified_walks_match_tuple_oracle():
     tape modes, at budgets from 129 to 3,000, the run, the halting search
     and the deciding search agree with the tuple oracle, which walks
     every step up to the budget.  Translated-cycle certificates must end
-    many of those walks before the plain walk (with ``seen``, which has
-    no certificate) does, on both tape modes."""
+    many of those walks early, on both tape modes: before the oracle's
+    walk halts, breaks, revisits a configuration or spends its budget."""
     rng = random.Random(1980)
     early = {"two-way": 0, "one-end": 0}
     for trial in range(600):
@@ -175,20 +177,31 @@ def test_certified_walks_match_tuple_oracle():
         assert min_deciding_steps(machine, x, budget) == (
             oracles.min_deciding_steps(machine, x, budget) if halted else None), (trial, x)
         start = initial_configuration(machine, x)
-        early[tape_mode] += _walk(machine, start, budget)[1] < _walk(
-            machine, start, budget, set())[1]
+        steps = _walk(machine, start, budget)[1]
+        # early: the oracle's walk goes on past this one's end; a walk
+        # reaches one configuration more than it steps
+        early[tape_mode] += steps < budget and steps < len(
+            _oracle_walk(machine, x, steps + 1)) - 1
     assert min(early.values()) >= 20, early
 
 
-def test_seen_walks_take_no_certificate():
+def test_seen_walks_read_what_the_full_walk_reads():
     """A search that collects ``seen`` (``cells_read`` and the exact
-    control sequences read it) reaches every configuration of the run:
-    the same set as the tuple oracle's per-step walk, on bouncers that a
-    certificate would end early and on random machines."""
+    control sequences read it) may end on a certificate, yet reads as
+    many cells, with the same verdict, as the tuple oracle's per-step
+    walk to the budget, on bouncers, bouncers mirrored to drift left
+    and random machines.  Certificates must end many of those walks
+    early in each direction of drift."""
     rng = random.Random(25)
-    for trial in range(200):
+    early = {"right": 0, "left": 0}
+    for trial in range(400):
         if trial % 4 == 0:
             machine = oracles.bouncer(rng)
+            if trial % 8:  # mirrored: every move's direction swapped
+                fields = dict(zip(machine._fields, machine._values))
+                fields["transitions"] = tuple(
+                    t[:4] + ({"L": "R", "R": "L"}[t[4]],) for t in machine.transitions)
+                machine = TuringMachine(**fields)
         else:
             tape_mode = ("two-way", "one-end")[trial % 2]
             machine = _random_machine(rng, ("deterministic", "partial")[trial // 2 % 2],
@@ -197,8 +210,16 @@ def test_seen_walks_take_no_certificate():
         x = machine.tape_alphabet.word(
             rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
         seen = set()
-        min_deciding_steps(machine, x, budget, seen=seen)
-        assert seen == _oracle_walk(machine, x, budget), (trial, x)
+        assert min_deciding_steps(machine, x, budget, seen=seen) == \
+            oracles.min_deciding_steps(machine, x, budget), (trial, x)
+        reached = _oracle_walk(machine, x, budget)
+        assert seen <= reached, (trial, x)
+        assert cells_read(machine, seen, len(x)) == cells_read(machine, reached, len(x)), \
+            (trial, x)
+        if len(seen) < len(reached):  # a certificate ended the walk
+            _, _, (_, _, right) = _walk(machine, initial_configuration(machine, x), budget)
+            early["left" if right else "right"] += 1
+    assert min(early.values()) >= 20, early
 
 
 def test_run_rejects_ntm(contains01_ntm):
