@@ -603,9 +603,11 @@ def machine_code(machine: Machine) -> Word:
 def _machine_at(index: int, registry: dict[int, Machine]) -> Optional[Machine]:
     """The machine with this canonical index, if it can read binary
     inputs: a registry hit, else the table machine it serializes.
-    Anything else is None: an index that is not UTF-8 JSON, JSON that is
-    not a table (virtual machines decode via the registry only), a
-    malformed table, or a tape alphabet other than the binary one."""
+    Anything else is None: an index that is not UTF-8 JSON, JSON without
+    a "table" (virtual machines decode via the registry only), a table
+    ``load_machine`` refuses (anything but a well-formed object: a
+    string is not read as a path), or a tape alphabet other than the
+    binary one."""
     machine = registry.get(index)
     if machine is None:
         size = (index.bit_length() + 7) // 8
@@ -619,8 +621,6 @@ def _machine_at(index: int, registry: dict[int, Machine]) -> Optional[Machine]:
         except ValueError:  # UnicodeDecodeError and JSONDecodeError
             return None
         table = payload.get("table") if isinstance(payload, dict) else None
-        if not isinstance(table, dict):  # load_machine reads a string as a path
-            return None
         try:
             machine = load_machine(table)
         except MachineFormatError:
@@ -681,11 +681,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
             return None
         return _protocol_run(NU, partial(bh_search, machine), gamma, fields[1], budget)
 
-    return VirtualMachine(
-        name="universal",
-        evaluator=evaluator,
-        definition={"protocol": "universal", "registry": sorted(index)},
-    )
+    return VirtualMachine(name="universal", evaluator=evaluator)
 
 
 # --- reduction into the universal machine ------------------------------------

@@ -63,9 +63,11 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON of the file at ``path``, the one reader of input files: a
+    file that cannot be read or is not UTF-8 JSON is a usage error naming it."""
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -126,9 +128,10 @@ def _require_cap(n_max: int, cap: int, what: str) -> None:
 
 
 def _bundle_machine(source, bundle: str):
-    """A machine a bundle names inline or by a path from its directory."""
-    if isinstance(source, str) and not source.lstrip().startswith("{"):
-        source = os.path.join(os.path.dirname(bundle), source)
+    """A machine a bundle gives inline, as an object, or as a string: the
+    path of its file from the bundle's directory."""
+    if isinstance(source, str):
+        source = _load_json(os.path.join(os.path.dirname(bundle), source))
     return load_machine(source)
 
 
@@ -172,7 +175,7 @@ def _problem_from_bundle(data: dict, bundle: str) -> tuple[DistributionalProblem
 
 def cmd_tm(args) -> int:
     with _reading(args.machine):
-        machine = load_machine(args.machine)
+        machine = load_machine(_load_json(args.machine))
     word = machine.tape_alphabet.word(args.input)
     if args.action == "run":
         if machine.determinism == "nondeterministic":
@@ -184,10 +187,12 @@ def cmd_tm(args) -> int:
             "budget": result.budget,
         }
         if result.final is not None:
+            # joined as ``Word.text`` joins letters; the head may read a blank
+            join = machine.tape_alphabet._separator.join
             payload["final"] = {
                 "state": result.final.state,
-                "left": "".join(result.final.left),
-                "right": "".join(result.final.right),
+                "left": join(result.final.left),
+                "right": join(result.final.right),
             }
         _write_output(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
@@ -209,7 +214,7 @@ def cmd_density(args) -> int:
 
 def cmd_control_seq(args) -> int:
     with _reading(args.machine):
-        machine = load_machine(args.machine)
+        machine = load_machine(_load_json(args.machine))
     with _reading(args.ensemble):
         mu = ensemble_from_spec(_load_json(args.ensemble))
         if machine.tape_alphabet is not mu.alphabet:

@@ -49,10 +49,8 @@ are realized as virtual machines.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 from .words import Alphabet, Frozen, Word
@@ -536,8 +534,8 @@ def cells_read(machine: TuringMachine, seen: set[Packed], n: int) -> int:
     return min(n, n + 1 - unread)
 
 
-def load_machine(source) -> TuringMachine:
-    """Load a machine from a JSON file path, JSON text, or a dict.
+def load_machine(data: dict) -> TuringMachine:
+    """Build a machine from its parsed description, a dict.
 
     Format:
         {"states": [...], "initial": "q0", "final": "q1",
@@ -546,23 +544,10 @@ def load_machine(source) -> TuringMachine:
          "delta": [["q0", "0", "q1", "1", "R"], ...]}
 
     The deterministic/partial/nondeterministic flag is inferred from delta.
-    Every malformed description raises ``MachineFormatError``.
+    Anything but a dict, a file path too, and every malformed description
+    raise ``MachineFormatError``: the command line reads machine files as
+    it reads every input file (``cli._load_json``).
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        # an object's JSON text starts with "{"; anything else names a file
-        try:
-            is_text = text.lstrip().startswith("{") and not Path(text).is_file()
-        except (OSError, ValueError):  # e.g. JSON text too long for a file name
-            is_text = True
-        try:
-            data = json.loads(text if is_text else Path(text).read_text())
-        except json.JSONDecodeError as exc:
-            raise MachineFormatError(f"machine description is not JSON: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MachineFormatError(f"cannot read machine description: {exc}") from exc
     if not isinstance(data, dict):
         raise MachineFormatError("a machine description is a JSON object")
     try:

@@ -89,6 +89,8 @@ class Alphabet(Frozen):
             raise ValueError("alphabet symbols must be distinct")
         if any(not s for s in symbols):
             raise ValueError("alphabet symbols must be non-empty strings")
+        if any(len(s) > 1 for s in symbols) and any("," in s for s in symbols):
+            raise ValueError("with a multi-character symbol, no symbol may contain ','")
         alphabet = super().__new__(cls)
         alphabet._set(symbols)
         return cls._instances.setdefault(symbols, alphabet)
@@ -117,7 +119,9 @@ class Alphabet(Frozen):
         return str.maketrans("", "", "".join(self.symbols))
 
     def word(self, letters) -> "Word":
-        """Build a word from a string (single-character symbols) or iterable."""
+        """Build a word from an iterable of symbols or a string: its
+        characters over single-character symbols, else its comma-separated
+        symbols, as ``Word.text`` writes them."""
         if isinstance(letters, Word):
             if letters.alphabet is not self:
                 raise AlphabetMismatchError("word belongs to a different alphabet")
@@ -127,6 +131,8 @@ class Alphabet(Frozen):
             if bad:
                 raise AlphabetMismatchError(f"symbol {bad[0]!r} not in alphabet")
             return Word.of_text(self, letters)
+        if isinstance(letters, str):
+            letters = letters.split(",") if letters else ()
         ws = tuple(letters)
         if not self._index.keys() >= set(ws):
             bad = next(s for s in ws if s not in self._index)

@@ -119,7 +119,7 @@ def test_nu_mass_matches_text_oracle():
             assert NU.mass(x) == nu_mass_text(x), x.text()
     data = Path(__file__).parent / "data"
     bundle = json.loads((data / "universal_bundle.json").read_text())
-    machine = load_machine(str(data / bundle["machine"]))
+    machine = load_machine(json.loads((data / bundle["machine"]).read_text()))
     stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
     images = [stage.reduction.apply(x) for n in range(7) for x in BINARY.sphere(n)]
     assert len({len(y) for y in images}) == 7
@@ -613,7 +613,7 @@ def _index_code(payload) -> str:
     5,
     {"table": {}},
     {"table": {**HALT1_TABLE, "delta": "x"}},
-    # a string table would be read by load_machine as a file path
+    # a string is no table, even one naming a machine file that exists
     {"table": "tests/data/halt1.json"},
 ])
 def test_universal_fails_closed_on_malformed_tables(halt1, payload, monkeypatch):
@@ -691,7 +691,7 @@ def test_universal_matches_known_codes_like_the_field_reader(numeral_scans):
     known text."""
     data = Path(__file__).parent / "data"
     bundle = json.loads((data / "universal_bundle.json").read_text())
-    machine = load_machine(str(data / bundle["machine"]))
+    machine = load_machine(json.loads((data / bundle["machine"]).read_text()))
     stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
     images = [stage.reduction.apply(x) for x in BINARY.ball(6)]
     payloads = [BINARY.word(_payload(y.text())) for y in images]
@@ -883,7 +883,7 @@ def test_red2bhu_guard_is_the_hand_built_guard(contains01_problem, contains01_nt
     bundle = json.loads((data / "universal_bundle.json").read_text())
     protocol = red2bh(contains01_problem, contains01_ntm, parse_polynomial("n+6"),
                       parse_polynomial("n+1")).machine
-    for machine, g in ((load_machine(str(data / bundle["machine"])),
+    for machine, g in ((load_machine(json.loads((data / bundle["machine"]).read_text())),
                         parse_polynomial(bundle["guard"])),
                        (protocol, lambda n: 2 * n + 8)):
         by_hand = adequate_guard(g, extra_payload=len(machine_code(machine).text()) + 1)

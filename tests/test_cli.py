@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import shutil
@@ -108,8 +109,50 @@ def test_missing_machine_file_says_it_cannot_be_read(command, tmp_path, monkeypa
     code, out, err = run_cli(command, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("gclab: nope.json: cannot read machine description: ")
+    assert err.startswith("gclab: cannot read nope.json: ")
     assert "No such file or directory" in err and "not JSON" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["tm", "run", "{}", "0"],
+    ["reduce", "bh", "{}", "--n-max", "2"],
+    ["verify", "cs", "{}", "--n-max", "2"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_file_that_is_not_utf8_is_named(command, tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli([str(bad) if a == "{}" else a for a in command], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gclab: cannot read {bad}: ") and "utf-8" in err
+
+
+def test_only_the_command_line_reads_files():
+    """Every input file is read by ``cli._load_json``: no other module
+    opens a file, so no word a machine decodes can name one to read."""
+    readers = {"open", "read_text", "read_bytes"}
+    for path in sorted((REPO / "src" / "gclab").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert name not in readers, f"{path.name}:{node.lineno} calls {name}"
+
+
+def test_tm_run_reads_and_writes_words_over_multi_character_symbols(tmp_path, capsys):
+    """The input word and both tape halves are comma-separated symbols,
+    as ``Word.text`` writes them, over an alphabet with a
+    multi-character symbol."""
+    machine = tmp_path / "swap.json"
+    machine.write_text(json.dumps({
+        "states": ["q0", "q1"], "initial": "q0", "final": "q1",
+        "tape_alphabet": ["ab", "c"], "blank": "_",
+        "delta": [["q0", "ab", "q0", "c", "R"], ["q0", "c", "q0", "ab", "R"],
+                  ["q0", "_", "q1", "c", "L"]]}))
+    code, out, err = run_cli(["tm", "run", str(machine), "ab,c,c"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["final"] == {"state": "q1", "left": "c,ab", "right": "ab,c"}
 
 
 def test_density_cg_closed_rows(tmp_path, capsys):
@@ -594,6 +637,25 @@ def test_bundle_machine_paths_are_read_from_the_bundle(argv, tmp_path, capsys, m
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv, capsys) == expected
     assert expected[2] == ""
+
+
+def test_a_bundle_machine_string_is_always_a_path(tmp_path, capsys, monkeypatch):
+    """A bundle's machine string names a file from the bundle's
+    directory even when the name opens with "{", so the run from another
+    directory gives the exit code and bytes of the run from the bundle's."""
+    here = tmp_path / "bundle"
+    here.mkdir()
+    bundle = json.loads((DATA / "toy_bundle.json").read_text())
+    bundle["decider"] = "{decider}.json"
+    (here / "toy_bundle.json").write_text(json.dumps(bundle))
+    shutil.copy(DATA / "contains01.json", here / "contains01.json")
+    shutil.copy(DATA / "contains01.json", here / "{decider}.json")
+    argv = ["reduce", "bh", str(here / "toy_bundle.json"), "--n-max", "3"]
+    monkeypatch.chdir(here)
+    expected = run_cli(argv, capsys)
+    assert expected[0] == 0 and expected[2] == ""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv, capsys) == expected
 
 
 @pytest.mark.parametrize("argv,images", [

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -99,7 +100,8 @@ def test_control_sequence_of_a_drifting_machine_ends_early(uniform, monkeypatch)
     6, and its searches, which collect ``seen``, end on translated-cycle
     certificates: fewer than 10,000 steps in all, where walking every
     bound would take 10**9 steps per block."""
-    bouncer = load_machine(str(Path(__file__).parent / "data" / "bouncer.json"))
+    path = Path(__file__).parent / "data" / "bouncer.json"
+    bouncer = load_machine(json.loads(path.read_text()))
     calls = 0
     original = gclab.machine.step
 

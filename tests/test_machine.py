@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gclab.machine
 import oracles
-from gclab import BINARY, TuringMachine
+from gclab import BINARY, Alphabet, TuringMachine
 from gclab.machine import (
     Configuration,
     MachineFormatError,
@@ -26,7 +26,10 @@ from gclab.machine import (
     run_deterministic,
     step,
 )
+from gclab.measure import ensemble_from_spec
 from oracles import Answer, AnswerDecodeError, decode_answer
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_determinism_classification(halt1, find_zero, contains01_ntm):
@@ -82,7 +85,7 @@ def test_a_cycling_run_stops_early(monkeypatch):
     """The ping-pong machine revisits its configurations from step 2 on:
     the cycle check ends the run and the search long before the budget,
     with the verdict the budget gives."""
-    pingpong = load_machine(str(Path(__file__).parent / "data" / "pingpong.json"))
+    pingpong = load_machine(json.loads((DATA / "pingpong.json").read_text()))
     calls = _count_steps(monkeypatch)
     assert not halts_within(pingpong, BINARY.word("0"), 10**6)
     assert 0 < len(calls) <= 64
@@ -97,7 +100,7 @@ def test_a_translated_cycle_stops_early(monkeypatch):
     configuration, so only the translated-cycle certificate ends its
     run and search early; at a budget within ``_CERTIFY_OVER`` it walks
     the whole budget."""
-    bouncer = load_machine(str(Path(__file__).parent / "data" / "bouncer.json"))
+    bouncer = load_machine(json.loads((DATA / "bouncer.json").read_text()))
     calls = _count_steps(monkeypatch)
     assert not halts_within(bouncer, BINARY.word("01"), 10**9)
     assert 0 < len(calls) < 100
@@ -331,6 +334,28 @@ def test_deterministic_oracle_equivalence(halt1, loop_on_one, find_zero):
 SYMBOLS = ("0", "1", "ab", "c", "xyz", "d", "e")
 
 
+def test_words_over_symbols_read_back_from_their_text():
+    """``Alphabet.word`` reads the text ``Word.text`` writes over every
+    alphabet drawn from ``SYMBOLS``: its characters when each symbol is
+    one, its comma-separated symbols otherwise.  So a table ensemble
+    keyed by that text weighs words longer than the empty one, and a
+    symbol containing "," is refused where the comma separates."""
+    rng = random.Random(28)
+    for size in (1, 2, 3, 2, 3, 4):
+        alphabet = Alphabet(rng.sample(SYMBOLS, size))
+        for x in alphabet.ball(3):
+            y = alphabet.word(x.text())
+            assert y == x and y.letters == x.letters and y.text() == x.text()
+    assert Alphabet(("ab", "c")).word("ab,c,c").letters == ("ab", "c", "c")
+    table = ensemble_from_spec({"kind": "table", "alphabet": ["ab", "c"],
+                                "entries": {"c": "1", "ab,c": "1"}})
+    assert table.horizon == 2 and table.mass(Alphabet(("ab", "c")).word(("ab", "c"))) == 1
+    for symbols in (("ab", ","), ("a,b", "c")):
+        with pytest.raises(ValueError):
+            Alphabet(symbols)
+    assert Alphabet((",", "x")).word(",x").letters == (",", "x")
+
+
 def _random_machine(rng: random.Random, kind: str, tape_mode: str, size: int) -> TuringMachine:
     """A random table machine over ``size`` tape symbols, 3-5 states."""
     symbols = tuple(rng.sample(SYMBOLS, size))
@@ -494,7 +519,7 @@ def test_loader_roundtrip(tmp_path, find_zero):
     }
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(payload))
-    loaded = load_machine(str(path))
+    loaded = load_machine(json.loads(path.read_text()))
     assert loaded.determinism == "partial"
     assert loaded.to_canonical_dict()["delta"] == find_zero.to_canonical_dict()["delta"]
 
@@ -516,10 +541,14 @@ def test_loader_fails_closed(halt1, source):
         load_machine(source)
 
 
-def test_loader_reads_long_json_text(halt1):
-    table = halt1.to_canonical_dict()
-    text = json.dumps(table) + " " * 5000  # far too long for a file name
-    assert load_machine(text).to_canonical_dict() == table
+def test_loader_reads_no_file():
+    """The loader builds a machine from a parsed description only: a
+    path, even of a machine file that exists, is not one."""
+    path = DATA / "halt1.json"
+    assert path.is_file()
+    for source in (str(path), path, "tests/data/halt1.json", path.read_text()):
+        with pytest.raises(MachineFormatError):
+            load_machine(source)
 
 
 def test_loader_validates():

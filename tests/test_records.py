@@ -6,6 +6,7 @@ under a fixed ``PYTHONHASHSEED`` stay put), immutable records refuse
 assignment, and every mutable default is fresh per instance.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +39,10 @@ from gclab.words import Frozen
 
 REPO = Path(__file__).parent.parent
 DATA = REPO / "tests" / "data"
+
+
+def _machine(name: str):
+    return load_machine(json.loads((DATA / f"{name}.json").read_text()))
 
 
 def _modules_after(statement: str) -> set[str]:
@@ -73,9 +78,9 @@ def test_equal_fields_make_equal_records():
     assert Polynomial((1, 2)) == Polynomial((1, 2))
     assert hash(Polynomial((1, 2))) == hash(((1, 2),))
     assert Polynomial((1, 2)) != Polynomial((1, 2, 0))
-    m1, m2 = load_machine(DATA / "halt1.json"), load_machine(DATA / "halt1.json")
+    m1, m2 = _machine("halt1"), _machine("halt1")
     assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
-    assert m1 != load_machine(DATA / "loop.json")
+    assert m1 != _machine("loop")
     config = Configuration("q", ("0",), ())
     assert config == Configuration("q", ("0",), ()) and hash(config) == hash(("q", ("0",), ()))
 
@@ -83,7 +88,7 @@ def test_equal_fields_make_equal_records():
 def test_each_alphabet_is_one_object():
     assert Alphabet(tuple("01")) is BINARY and Alphabet(["0", "1"]) is BINARY
     assert Alphabet(("a", "b")) is Alphabet("ab") and Alphabet("ab") is not Alphabet("ba")
-    assert load_machine(DATA / "halt1.json").tape_alphabet is BINARY
+    assert _machine("halt1").tape_alphabet is BINARY
     assert ensemble_from_spec({"kind": "uniform", "alphabet": "01"}).alphabet is BINARY
     assert ensemble_from_spec({"kind": "table", "entries": {"": "1"}}).alphabet is BINARY
     assert reduction_from_spec({"kind": "identity", "alphabet": ["0", "1"]}).source is BINARY
@@ -123,7 +128,7 @@ def _frozen_records():
         (BINARY, "symbols"),
         (Polynomial((1, 1)), "coeffs"),
         (guard, "fn"),
-        (load_machine(DATA / "halt1.json"), "states"),
+        (_machine("halt1"), "states"),
         (VirtualMachine("v", lambda x, budget: None), "name"),
         (Configuration("q", (), ()), "state"),
         (RunResult("broke", steps=0), "kind"),

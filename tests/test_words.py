@@ -25,7 +25,7 @@ def test_alphabet_rejects_duplicates():
 def test_word_names_the_first_bad_symbol():
     cases = [(BINARY, "01x0y", "x"), (BINARY, ["0", "10", "1"], "10"), (ABC, "abzcy", "z"),
              (Alphabet(("ab", "c")), ["ab", "zz", "c", "a"], "zz"),
-             (Alphabet(("ab", "c")), "abc", "a"),
+             (Alphabet(("ab", "c")), "abc", "abc"), (Alphabet(("ab", "c")), "ab,zz,c", "zz"),
              (BINARY, "01" * 2499 + "0" + "2", "2"),
              (GREEK, "αβγγβzα", "z"), (GREEK, "αβa", "a")]
     for alphabet, letters, bad in cases:
