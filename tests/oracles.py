@@ -451,6 +451,28 @@ def bouncer(rng: random.Random) -> TuringMachine:
                          tape_alphabet=BINARY, blank="_", transitions=tuple(delta))
 
 
+def sweeper(rng: random.Random) -> TuringMachine:
+    """A never-halting machine of the benchmark's sweeper family, drawn
+    as that family draws it: states "right" and "left" cross every bit,
+    each rewriting it as it is or flipped, to the blank at their end,
+    where they write a bit and turn, so the tape grows by two cells per
+    round trip."""
+    flip_r, flip_l = rng.choice("01"), rng.choice("01")
+    grow_r, grow_l = rng.choice("01"), rng.choice("01")
+
+    def over(bit: str, flip: str) -> str:
+        return bit if flip == "0" else "10"[int(bit)]
+
+    delta = []
+    for b in "01":
+        delta.append(("right", b, "right", over(b, flip_r), "R"))
+        delta.append(("left", b, "left", over(b, flip_l), "L"))
+    delta.append(("right", "_", "left", grow_r, "L"))
+    delta.append(("left", "_", "right", grow_l, "R"))
+    return TuringMachine(states=("right", "left", "h"), initial="right", final="h",
+                         tape_alphabet=BINARY, blank="_", transitions=tuple(delta))
+
+
 def nonnegative_int(text: str) -> int:
     """The type of --n-max and --budget: a negative horizon or step
     budget would check nothing and report a pass."""

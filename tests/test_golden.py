@@ -20,7 +20,9 @@ recorded while searches decoded each halting configuration to a symbol
 tuple for ``decode_answer``, before the convention became one test on
 the packed tape.  The two bouncer pins were recorded while every
 deterministic run walked its whole budget unless it revisited a
-configuration, before translated cycles ended a run early.
+configuration, before translated cycles ended a run early.  The two
+sweeper pins were recorded while a walk took one step per cell, before
+a run of written cells was crossed in one packed step.
 """
 
 import hashlib
@@ -39,6 +41,7 @@ LOOP_ON_ONE = "tests/data/loop_on_one.json"
 TOY = "tests/data/toy_bundle.json"
 ANSWERS = "tests/data/answer_decider.json"
 BOUNCER = "tests/data/bouncer.json"
+SWEEPER = "tests/data/sweeper.json"
 
 # Long tapes: every other `tm run` pin ends in "budget" or after one step,
 # so these are the ones that pin a long final configuration.
@@ -131,6 +134,11 @@ GOLDEN = {
     ("tm", "run", BOUNCER, "01", "--budget", "8000"): (0,
         "3e545c4306b35ceaeeef1d69954d30c35e5ccf745e2165ecb70e34560b04182d"),
     ("tm", "halts", BOUNCER, "01", "--budget", "8000"): (0,
+        "a4247dc1c6b6a03205de312bb06827dc4df9e9a50eb16118a2c8e42c27d1dc97"),
+    # a sweeper that grows its tape at both ends: no cycle of either kind
+    ("tm", "run", SWEEPER, "01", "--budget", "8000"): (0,
+        "3e545c4306b35ceaeeef1d69954d30c35e5ccf745e2165ecb70e34560b04182d"),
+    ("tm", "halts", SWEEPER, "01", "--budget", "8000"): (0,
         "a4247dc1c6b6a03205de312bb06827dc4df9e9a50eb16118a2c8e42c27d1dc97"),
 }
 

@@ -114,6 +114,28 @@ def test_a_translated_cycle_stops_early(monkeypatch):
     assert len(calls) == budget
 
 
+def test_a_sweeper_crosses_its_cells_in_packed_steps(monkeypatch):
+    """The sweeper fixture, the benchmark's sweeper family drawn from
+    ``random.Random(4)``, grows its tape at both ends, so no certificate
+    ends its run.  Over a budget of ``_CERTIFY_OVER`` each sweep crosses
+    the written cells in one packed step: its run and its search at
+    budget 10**6 call ``step`` a few thousand times, not 10**6.  At
+    ``_CERTIFY_OVER`` the walk takes every step."""
+    sweeper = load_machine(json.loads((DATA / "sweeper.json").read_text()))
+    assert sweeper.to_canonical_dict() == oracles.sweeper(random.Random(4)).to_canonical_dict()
+    calls = _count_steps(monkeypatch)
+    assert not halts_within(sweeper, BINARY.word("01"), 10**6)
+    assert 0 < len(calls) <= 5000
+    calls.clear()
+    assert run_deterministic(sweeper, BINARY.word("01"), 10**6) == (
+        RunResult("budget", budget=10**6))
+    assert 0 < len(calls) <= 5000
+    calls.clear()
+    budget = gclab.machine._CERTIFY_OVER
+    assert run_deterministic(sweeper, BINARY.word("01"), budget).kind == "budget"
+    assert len(calls) == budget
+
+
 def test_bouncers_are_certified_within_100_steps():
     """40 machines of the benchmark's bouncer family, each on a random
     input of every length up to 6, end their walks at budget 10**9 with
@@ -223,6 +245,70 @@ def test_seen_walks_read_what_the_full_walk_reads():
             _, _, (_, _, right) = _walk(machine, initial_configuration(machine, x), budget)
             early["left" if right else "right"] += 1
     assert min(early.values()) >= 20, early
+
+
+def _with_sweeps(rng: random.Random, machine: TuringMachine, pair: bool) -> TuringMachine:
+    """``machine`` with about half its working states rewritten into sweep
+    states: on every written symbol one move that stays in the state,
+    writes a random symbol and goes one way.  The blank keeps its move.
+    With ``pair``, q0 and s0 sweep right and left instead, and on the
+    blank write and turn into each other, so a run on a two-way tape
+    sweeps on to its budget."""
+    symbols, blank = machine.tape_alphabet.symbols, machine.blank
+    ways = {"q0": "R", "s0": "L"} if pair else {
+        q: rng.choice("LR") for q in machine.states if q != machine.final and rng.random() < 0.5}
+    table = [t for t in machine.transitions if t[0] not in ways or t[1] == blank and not pair]
+    table += [(q, a, q, rng.choice(symbols), d) for q, d in ways.items() for a in symbols]
+    if pair:
+        table += [("q0", blank, "s0", rng.choice(symbols), "L"),
+                  ("s0", blank, "q0", rng.choice(symbols), "R")]
+    fields = dict(zip(machine._fields, machine._values))
+    fields["transitions"] = tuple(table)
+    return TuringMachine(**fields)
+
+
+def test_sweeps_match_tuple_oracle(monkeypatch):
+    """On 200 seeded random machines without branching choices, some of
+    whose states sweep, on both tape modes, with 2-7 tape symbols (cells
+    2 and 3 bits wide), at budgets from 129 to 3,000 and on inputs of up
+    to 8 symbols: the run (with a halting run's final tape), the halting
+    search and the deciding search agree with the tuple oracle, which
+    walks every step.  A walk that collects ``seen`` reaches only
+    configurations of the oracle's walk of as many steps, and reads as
+    many cells; it never steps past its budget.  Sweeps must cross a run
+    of cells in many walks on each tape mode: the walk counts more steps
+    than it calls ``step``.  They do so only on 2-bit cells; the 3-bit
+    machines take single steps and must agree too."""
+    rng = random.Random(1990)
+    calls = _count_steps(monkeypatch)
+    swept, widths = {"two-way": 0, "one-end": 0}, set()
+    for trial in range(200):
+        kind = ("deterministic", "partial")[trial % 2]
+        tape_mode = ("two-way", "one-end")[trial // 2 % 2]
+        size = (2, 3, 2, 3, 2, 3, 4, 5, 6, 7)[trial // 4 % 10]  # 2-bit cells sweep
+        machine = _with_sweeps(rng, _random_machine(rng, kind, tape_mode, size), pair=trial % 3 == 2)
+        budget = rng.randrange(gclab.machine._CERTIFY_OVER + 1, 3001)
+        x = machine.tape_alphabet.word(
+            rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(9)))
+        expected = oracles.run_deterministic(machine, x, budget)
+        assert run_deterministic(machine, x, budget) == expected, (trial, x)
+        halted = expected.kind == "halted"
+        assert min_halting_steps(machine, x, budget) == (
+            expected.steps if halted else None), (trial, x)
+        assert min_deciding_steps(machine, x, budget) == (
+            oracles.min_deciding_steps(machine, x, budget) if halted else None), (trial, x)
+        seen = set()
+        calls.clear()
+        steps = _walk(machine, initial_configuration(machine, x), budget, seen)[1]
+        assert steps <= budget, (trial, x)
+        if steps > len(calls):
+            swept[tape_mode] += 1
+            widths.add(machine._codec.width)
+        reached = _oracle_walk(machine, x, steps)
+        assert seen <= reached, (trial, x)
+        assert cells_read(machine, seen, len(x)) == cells_read(machine, reached, len(x)), \
+            (trial, x)
+    assert min(swept.values()) >= 20 and widths == {2}, (swept, widths)
 
 
 def test_run_rejects_ntm(contains01_ntm):
