@@ -24,11 +24,14 @@ number of steps over halting computations; consequently
 None``.  Bounded search over the configuration tree prunes a
 configuration only when it reappears with a residual budget no larger
 than one it has already been explored with (breadth-first order makes
-the first visit the most generous one).  A machine with at most one
-move per (state, read symbol) has a single run, which searches and
-deterministic runs walk without storing configurations, and two
-certificates of a run that never halts nor breaks end that walk early
-with the verdict an exhausted budget would give.  A run that revisits a
+the first visit the most generous one).  A search runs on the live
+part of its machine (``TuringMachine._live``), without the moves into
+states that cannot reach the final state, which no halting computation
+takes.  A machine with at most one move per (state, read symbol) has a
+single run, which deterministic runs, and searches whose live part is
+such a machine, walk without storing configurations; two certificates
+of a run that never halts nor breaks end that walk early with the
+verdict an exhausted budget would give.  A run that revisits a
 configuration repeats forever (Brent's cycle check, Brent 1980).  A run
 that comes back to one state with the head on a blank, only blanks
 ahead of it and the cells it went back over unchanged, but the head
@@ -221,6 +224,20 @@ class TuringMachine(Frozen):
                     edge = way == LEFT and self.tape_mode == "one-end"
                     sweeps[q] = _sweeper((0,) + tuple(m[0][1] for m in moves), way == RIGHT, edge)
         return sweeps
+
+    @cached_property
+    def _live(self) -> TuringMachine:
+        """The machine without its moves into dead states, found backward
+        from ``final`` to a fixpoint as an automaton's useless states are
+        (Hopcroft, Motwani and Ullman 7.1), or itself when none is dead."""
+        live, size = {self.final}, 0
+        while size < len(live):
+            size = len(live)
+            live.update(q for q, _, q2, _, _ in self.transitions if q2 in live)
+        kept = tuple(t for t in self.transitions if t[2] in live)
+        if len(kept) == len(self.transitions):
+            return self
+        return TuringMachine(**dict(zip(self._fields, self._values), transitions=kept))
 
     @cached_property
     def determinism(self) -> str:
@@ -481,22 +498,24 @@ def _search_halting(
 
     Virtual machines are asked once, through their evaluator, whose
     steps are returned unless they exceed ``budget``; ``accept`` does
-    not apply to them.  A table machine with at most one move per
-    (state, read symbol) has one run, which is walked (see ``_walk``):
-    nothing is stored but ``seen``, and a run that cycles, or over a
-    budget of ``_CERTIFY_OVER`` steps repeats shifted along the tape (a
-    translated cycle), ends early with the verdict the budget would
-    give: None, as it never halts.  Other table machines get a
-    breadth-first search of the configuration tree for the earliest
-    accepted halting configuration.  A configuration is re-expanded only
-    if seen with a strictly larger residual budget than before; BFS
-    visits each configuration with its maximal residual first, so a
-    plain first-visit set of packed configurations is exact.  ``accept``, when
-    given, reads each packed halting configuration (the answer
-    convention tests its left half and the digit under the head); without
-    it every halting configuration counts.  ``seen``, when given, receives
-    every packed configuration the search generates, but of a walk's
-    sweep only the landing (see ``cells_read`` for why r stays exact).
+    not apply to them.  A table machine is searched on its live part
+    (``TuringMachine._live``), which halts as it does.  A live part with
+    at most one move per (state, read symbol) has one run, which is
+    walked (see ``_walk``): nothing is stored but ``seen``, and a run
+    that cycles, or over a budget of ``_CERTIFY_OVER`` steps repeats
+    shifted along the tape (a translated cycle), ends early with the
+    verdict the budget would give: None, as it never halts.  Other live
+    parts get a breadth-first search of the configuration tree for the
+    earliest accepted halting configuration.  A configuration is
+    re-expanded only if seen with a strictly larger residual budget than
+    before; BFS visits each configuration with its maximal residual
+    first, so a plain first-visit set of packed configurations is exact.
+    ``accept``, when given, reads each packed halting configuration (the
+    answer convention tests its left half and the digit under the head);
+    without it every halting configuration counts.  ``seen``, when given,
+    receives every packed configuration the search generates, but of a
+    walk's sweep only the landing (see ``cells_read`` for why r stays
+    exact).
     """
     if budget < 0:
         return None
@@ -504,6 +523,7 @@ def _search_halting(
         steps = machine.evaluator(x, budget)
         return steps if steps is not None and steps <= budget else None
     start = initial_configuration(machine, x)
+    machine = machine._live
     if machine.determinism != "nondeterministic":
         kind, steps, config = _walk(machine, start, budget, seen)
         if kind == "halted" and (accept is None or accept(config)):
@@ -585,11 +605,15 @@ def cells_read(machine: TuringMachine, seen: set[Packed], n: int) -> int:
     reads only whether the left half is 0 and the digit under the head,
     so a halting configuration reads nothing more.
 
-    A walk that ends early on a certificate misses no smaller right
-    half: a cycle only revisits, a run drifting right is certified with
-    ``right == 0`` (so r = n already), and a run drifting left holds d
-    more cells in each right half than one period earlier.  A rightward
-    sweep lands on its least right half, and a leftward one starts on it.
+    A search of the live part of a machine may read fewer cells than one
+    of the whole machine; r is still exact, as inputs that share those r
+    cells get the same search of the live part, whose answer is the
+    whole machine's.  A walk that ends early on a certificate misses no
+    smaller right half: a cycle only revisits, a run drifting right is
+    certified with ``right == 0`` (so r = n already), and a run drifting
+    left holds d more cells in each right half than one period earlier.
+    A rightward sweep lands on its least right half, and a leftward one
+    starts on it.
     """
     width = machine._codec.width
     unread = (min(map(itemgetter(2), seen)).bit_length() + width - 1) // width

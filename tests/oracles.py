@@ -42,8 +42,10 @@ computes another way, kept here so that tests can cross-check the two:
   replaced; every valid argv must give both the same namespace.
 
 ``random_machine`` draws the seeded random table machines those
-cross-checks run on, and ``bouncer`` a machine of the benchmark's
-never-halting bouncer family, which drifts right along the tape.
+cross-checks run on, and ``bouncer``, ``brancher`` and ``sweeper``
+machines of the benchmark's never-halting families of those names.
+``live_brancher`` widens a brancher so that its cycle states can reach
+the final state, on a symbol no input holds and no move writes.
 
 The machine code (the answer decoder too), ``scan_numeral``, the body
 of ``nu_mass_text``, the evaluator of ``universal_by_fields`` and
@@ -434,21 +436,53 @@ def random_machine(rng: random.Random, kind: str, tape_mode: str, symbols: tuple
     )
 
 
-def bouncer(rng: random.Random) -> TuringMachine:
-    """A never-halting machine of the benchmark's bouncer family, drawn
-    as that family draws it: states c0..c(k-1) in a cycle, each writing
-    a random bit on every symbol and moving two cells right, then one
-    left, so the tape grows by one cell per three steps."""
+# the symbols a binary machine reads: the benchmark families' moves cover each
+READS = ("0", "1", "_")
+
+
+def _cycle(rng: random.Random) -> tuple[tuple[str, ...], list]:
+    """The states c0..c(k-1) of a bouncer and their moves, drawn as the
+    benchmark draws them: a cycle, each state writing a random bit on
+    every symbol and moving two cells right, then one left."""
     moves = "RRL" * rng.randint(1, 2)
     states = tuple(f"c{i}" for i in range(len(moves)))
-    reads = ("0", "1", "_")
     delta = []
     for i, d in enumerate(moves):
-        write = {a: rng.choice("01") for a in reads}
-        for a in reads:
+        write = {a: rng.choice("01") for a in READS}
+        for a in READS:
             delta.append((states[i], a, states[(i + 1) % len(moves)], write[a], d))
+    return states, delta
+
+
+def bouncer(rng: random.Random) -> TuringMachine:
+    """A never-halting machine of the benchmark's bouncer family, drawn
+    as that family draws it: states c0..c(k-1) in a cycle (``_cycle``),
+    so the tape grows by one cell per three steps."""
+    states, delta = _cycle(rng)
     return TuringMachine(states=states + ("h",), initial="c0", final="h",
                          tape_alphabet=BINARY, blank="_", transitions=tuple(delta))
+
+
+def brancher(rng: random.Random) -> TuringMachine:
+    """A never-halting machine of the benchmark's brancher family, drawn
+    as that family draws it: a bouncer whose c0 also moves, on every
+    symbol, into the state "dead", which has no moves.  No state but the
+    final one has a path to it."""
+    states, delta = _cycle(rng)
+    delta += [("c0", a, "dead", rng.choice("01"), "R") for a in READS]
+    return TuringMachine(states=states + ("dead", "h"), initial="c0", final="h",
+                         tape_alphabet=BINARY, blank="_", transitions=tuple(delta))
+
+
+def live_brancher(machine: TuringMachine) -> TuringMachine:
+    """A brancher over the tape symbols 0, 1 and 2, whose c0 halts on a
+    2, which no move writes: on inputs without a 2 it never halts, yet
+    every cycle state has a path to the final state.  Its live part,
+    without the moves into "dead", has one move per state and symbol."""
+    fields = dict(zip(machine._fields, machine._values))
+    fields["tape_alphabet"] = Alphabet(("0", "1", "2"))
+    fields["transitions"] = machine.transitions + (("c0", "2", "h", "0", "R"),)
+    return TuringMachine(**fields)
 
 
 def sweeper(rng: random.Random) -> TuringMachine:

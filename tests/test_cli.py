@@ -10,6 +10,7 @@ import pytest
 
 import gclab.bhp
 import gclab.machine
+import oracles
 from gclab.cli import main
 from gclab.reductions import Reduction
 from gclab.words import Alphabet
@@ -58,6 +59,27 @@ def test_tm_run_non_list_delta_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("gclab: ") and err.count("\n") == 1
+
+
+def test_tm_run_refuses_a_brancher_whose_live_part_is_deterministic(tmp_path, capsys):
+    """Searches drop the moves into states that cannot reach the final
+    state, but a run reads the machine as loaded: the brancher fixture,
+    widened so that its cycle states can reach the final state on a 2,
+    keeps its branching choices, and ``tm run`` on it is a usage error.
+    Its search walks the live part and halts only on a 2."""
+    brancher = gclab.machine.load_machine(json.loads((DATA / "brancher.json").read_text()))
+    path = tmp_path / "live_brancher.json"
+    path.write_text(json.dumps(oracles.live_brancher(brancher).to_canonical_dict()))
+    machine = gclab.machine.load_machine(json.loads(path.read_text()))
+    assert machine.determinism == "nondeterministic"
+    assert machine._live.determinism == "partial"
+    for word in ("01", ""):
+        code, out, err = run_cli(["tm", "run", str(path), word, "--budget", "10"], capsys)
+        assert (code, out, err) == (2, "", "gclab: run needs a deterministic machine; use halts\n")
+    assert machine.determinism == "nondeterministic"
+    for word, halts in (("01", False), ("2", True)):
+        code, out, _ = run_cli(["tm", "halts", str(path), word, "--budget", "1000000000"], capsys)
+        assert (code, json.loads(out)["halts_within"]) == (0, halts)
 
 
 def test_tm_run_directory_exit_2(tmp_path, capsys):

@@ -97,9 +97,11 @@ def test_control_sequence_counts_dont_know(answer_machine, uniform):
 def test_control_sequence_of_a_drifting_machine_ends_early(uniform, monkeypatch):
     """The bouncer fixture drifts right into blank tape and never halts.
     Its exact control sequence at bound 10**9 is 1 on every sphere up to
-    6, and its searches, which collect ``seen``, end on translated-cycle
-    certificates: fewer than 10,000 steps in all, where walking every
-    bound would take 10**9 steps per block."""
+    6.  No state of it can reach its final state, so each search, which
+    collects ``seen``, breaks at once on the live part: fewer than
+    10,000 steps in all, where walking every bound would take 10**9
+    steps per block.  (Walks that collect ``seen`` and end on
+    translated-cycle certificates are checked in ``test_machine``.)"""
     path = Path(__file__).parent / "data" / "bouncer.json"
     bouncer = load_machine(json.loads(path.read_text()))
     calls = 0

@@ -22,7 +22,10 @@ the packed tape.  The two bouncer pins were recorded while every
 deterministic run walked its whole budget unless it revisited a
 configuration, before translated cycles ended a run early.  The two
 sweeper pins were recorded while a walk took one step per cell, before
-a run of written cells was crossed in one packed step.
+a run of written cells was crossed in one packed step.  The brancher
+pin was recorded while a branching machine's search was a breadth-first
+search of all its moves, before moves into states with no path to the
+final state were dropped from every search.
 """
 
 import hashlib
@@ -42,6 +45,7 @@ TOY = "tests/data/toy_bundle.json"
 ANSWERS = "tests/data/answer_decider.json"
 BOUNCER = "tests/data/bouncer.json"
 SWEEPER = "tests/data/sweeper.json"
+BRANCHER = "tests/data/brancher.json"
 
 # Long tapes: every other `tm run` pin ends in "budget" or after one step,
 # so these are the ones that pin a long final configuration.
@@ -139,6 +143,9 @@ GOLDEN = {
     ("tm", "run", SWEEPER, "01", "--budget", "8000"): (0,
         "3e545c4306b35ceaeeef1d69954d30c35e5ccf745e2165ecb70e34560b04182d"),
     ("tm", "halts", SWEEPER, "01", "--budget", "8000"): (0,
+        "a4247dc1c6b6a03205de312bb06827dc4df9e9a50eb16118a2c8e42c27d1dc97"),
+    # a branching bouncer none of whose states can reach the final state
+    ("tm", "halts", BRANCHER, "01", "--budget", "8000"): (0,
         "a4247dc1c6b6a03205de312bb06827dc4df9e9a50eb16118a2c8e42c27d1dc97"),
 }
 

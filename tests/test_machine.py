@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,8 @@ from gclab.machine import (
     run_deterministic,
     step,
 )
-from gclab.measure import ensemble_from_spec
+from gclab.genericity import overrun_mass
+from gclab.measure import UniformEnsemble, ensemble_from_spec
 from oracles import Answer, AnswerDecodeError, decode_answer
 
 DATA = Path(__file__).parent / "data"
@@ -73,11 +75,20 @@ def test_run_deterministic_broke(breaker):
     assert result.kind == "broke" and result.steps == 0
 
 
-def _count_steps(monkeypatch) -> list:
-    """The configurations ``machine.step`` is called on from now on."""
+def _count_steps(monkeypatch, cap: Optional[int] = None) -> list:
+    """The configurations ``machine.step`` is called on from now on.
+    Past ``cap`` calls it raises, so a search that would take its whole
+    budget fails at once."""
     calls = []
     original = gclab.machine.step
-    monkeypatch.setattr(gclab.machine, "step", lambda m, c: calls.append(c) or original(m, c))
+
+    def counted(machine, config):
+        calls.append(config)
+        if cap is not None and len(calls) > cap:
+            raise AssertionError(f"more than {cap} steps")
+        return original(machine, config)
+
+    monkeypatch.setattr(gclab.machine, "step", counted)
     return calls
 
 
@@ -98,12 +109,13 @@ def test_a_cycling_run_stops_early(monkeypatch):
 def test_a_translated_cycle_stops_early(monkeypatch):
     """The bouncer fixture drifts right and never revisits a
     configuration, so only the translated-cycle certificate ends its
-    run and search early; at a budget within ``_CERTIFY_OVER`` it walks
-    the whole budget."""
+    run early; at a budget within ``_CERTIFY_OVER`` it walks the whole
+    budget.  No state of it can reach its final state, so its search
+    drops every move and breaks at once."""
     bouncer = load_machine(json.loads((DATA / "bouncer.json").read_text()))
     calls = _count_steps(monkeypatch)
     assert not halts_within(bouncer, BINARY.word("01"), 10**9)
-    assert 0 < len(calls) < 100
+    assert len(calls) == 1
     calls.clear()
     assert run_deterministic(bouncer, BINARY.word("01"), 10**9) == (
         RunResult("budget", budget=10**9))
@@ -211,12 +223,14 @@ def test_certified_walks_match_tuple_oracle():
 
 
 def test_seen_walks_read_what_the_full_walk_reads():
-    """A search that collects ``seen`` (``cells_read`` and the exact
+    """A walk that collects ``seen`` (``cells_read`` and the exact
     control sequences read it) may end on a certificate, yet reads as
     many cells, with the same verdict, as the tuple oracle's per-step
     walk to the budget, on bouncers, bouncers mirrored to drift left
     and random machines.  Certificates must end many of those walks
-    early in each direction of drift."""
+    early in each direction of drift.  The deciding search, which walks
+    only the live part of the machine, gives the oracle's verdict and
+    reads no cell the walk does not."""
     rng = random.Random(25)
     early = {"right": 0, "left": 0}
     for trial in range(400):
@@ -234,15 +248,16 @@ def test_seen_walks_read_what_the_full_walk_reads():
         budget = rng.randrange(gclab.machine._CERTIFY_OVER + 1, 600)
         x = machine.tape_alphabet.word(
             rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
-        seen = set()
-        assert min_deciding_steps(machine, x, budget, seen=seen) == \
+        seen, searched = set(), set()
+        kind, _, (_, _, right) = _walk(machine, initial_configuration(machine, x), budget, seen)
+        assert (kind == "halted") == (oracles.min_halting_steps(machine, x, budget) is not None)
+        assert min_deciding_steps(machine, x, budget, seen=searched) == \
             oracles.min_deciding_steps(machine, x, budget), (trial, x)
         reached = _oracle_walk(machine, x, budget)
-        assert seen <= reached, (trial, x)
+        assert searched <= seen <= reached, (trial, x)
         assert cells_read(machine, seen, len(x)) == cells_read(machine, reached, len(x)), \
             (trial, x)
         if len(seen) < len(reached):  # a certificate ended the walk
-            _, _, (_, _, right) = _walk(machine, initial_configuration(machine, x), budget)
             early["left" if right else "right"] += 1
     assert min(early.values()) >= 20, early
 
@@ -311,6 +326,94 @@ def test_sweeps_match_tuple_oracle(monkeypatch):
     assert min(swept.values()) >= 20 and widths == {2}, (swept, widths)
 
 
+def test_the_live_part_drops_the_moves_into_dead_states(halt1, contains01_ntm):
+    """A state is live when some path of moves leads from it to the final
+    state.  A brancher has no live state but its final one, so its live
+    part keeps no move.  A live brancher's c0 halts on a 2, and every
+    other cycle state reaches c0 only along the cycle, so they are found
+    only past the first backward pass: its live part keeps every move
+    but those into "dead", with the states, alphabet and blank, and has
+    one move per state and symbol.  A machine without dead states is its
+    own live part."""
+    for k in range(10):
+        brancher = oracles.brancher(random.Random(k))
+        assert brancher._live.transitions == ()
+        machine = oracles.live_brancher(brancher)
+        live = machine._live
+        assert live.transitions == tuple(t for t in machine.transitions if t[2] != "dead")
+        assert (live.states, live.tape_alphabet, live.blank) == (
+            machine.states, machine.tape_alphabet, machine.blank)
+        assert (machine.determinism, live.determinism) == ("nondeterministic", "partial")
+    for machine in (halt1, contains01_ntm):
+        assert machine._live is machine
+
+
+def test_brancher_searches_end_at_once(monkeypatch):
+    """At budget 10**9 the search of a brancher, whose initial state
+    cannot reach the final state, calls ``step`` at most once: its live
+    part breaks at step 0.  A live brancher's live part is walked, and a
+    translated-cycle certificate ends the walk in fewer than 100 steps.
+    A breadth-first search of either would take 10**9 steps, so ``step``
+    raises past 1,000 calls.  The brancher fixture is the benchmark's
+    brancher drawn from ``random.Random(1)``."""
+    fixture = load_machine(json.loads((DATA / "brancher.json").read_text()))
+    assert fixture.to_canonical_dict() == oracles.brancher(random.Random(1)).to_canonical_dict()
+    rng = random.Random(30)
+    calls = _count_steps(monkeypatch, cap=1000)
+    for brancher in [fixture] + [oracles.brancher(rng) for _ in range(10)]:
+        for x in BINARY.ball(5):
+            calls.clear()
+            assert min_deciding_steps(brancher, x, 10**9) is None
+            assert len(calls) <= 1, x
+        machine = oracles.live_brancher(brancher)
+        for x in BINARY.ball(5):
+            calls.clear()
+            assert min_deciding_steps(machine, machine.tape_alphabet.word(x.letters), 10**9) is None
+            assert len(calls) < 100, x
+
+
+def test_live_searches_match_tuple_oracle():
+    """Searches run on the live part of a machine, yet return what the
+    tuple oracle's breadth-first search of the whole machine returns.
+    On 300 seeded nondeterministic and partial random machines, at
+    budgets up to 10 (up to 200 for partial ones), and on 20 branchers
+    and 20 live branchers at budgets past ``_CERTIFY_OVER``: the halting
+    and deciding searches agree with the oracle's, and so does the
+    block walk of ``overrun_mass`` under uniform, on spheres up to 4,
+    with one oracle search per word.  Many random machines must have
+    dead states (40 are branchers), and some of their searches must
+    halt."""
+    rng = random.Random(1979)
+    trimmed = halting = 0
+    for trial in range(340):
+        if trial < 300:
+            kind = ("nondeterministic", "partial")[trial % 2]
+            machine = _random_machine(rng, kind, ("two-way", "one-end")[trial // 2 % 2],
+                                      size=2 + trial // 4 % 3)
+            budget = rng.randrange(11) if kind == "nondeterministic" else rng.randrange(200)
+        else:
+            machine = oracles.brancher(rng)
+            if trial % 2:
+                machine = oracles.live_brancher(machine)
+            budget = rng.randrange(gclab.machine._CERTIFY_OVER + 1, 600)
+        trimmed += machine._live is not machine
+        for _ in range(3):
+            x = machine.tape_alphabet.word(
+                rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
+            found = _search_halting(machine, x, budget)
+            assert found == oracles.min_halting_steps(machine, x, budget), (trial, x)
+            assert min_deciding_steps(machine, x, budget) == \
+                oracles.min_deciding_steps(machine, x, budget), (trial, x)
+            halting += machine._live is not machine and found is not None
+        if trial % 10 == 0 or trial >= 300:
+            mu = UniformEnsemble(machine.tape_alphabet)
+            for n in range(5 if mu.alphabet.size < 4 else 4):
+                for bound in (n // 2, n + 2, budget):
+                    assert overrun_mass(machine, mu, n, bound) == \
+                        oracles.overrun_mass(machine, mu, n, bound), (trial, n, bound)
+    assert trimmed >= 60 and halting >= 20, (trimmed, halting)
+
+
 def test_run_rejects_ntm(contains01_ntm):
     with pytest.raises(NondeterministicRunError):
         run_deterministic(contains01_ntm, BINARY.word("01"), 5)
@@ -340,18 +443,42 @@ def test_halts_within_branching():
     assert not halts_within(machine, w, 2)
 
 
+def _right_walker(halts_on_2: bool) -> TuringMachine:
+    """A machine that writes 1 on every cell and walks right; it halts on
+    a 2, which no move writes, when ``halts_on_2``, else never."""
+    halt = (("r", "2", "h", "1", "R"),) if halts_on_2 else ()
+    return TuringMachine(
+        states=("r", "h"), initial="r", final="h", tape_alphabet=Alphabet("012"), blank="_",
+        transitions=tuple(("r", a, "r", "1", "R") for a in ("0", "1", "_")) + halt,
+    )
+
+
 def test_cells_read_counts_the_cells_up_to_the_head():
     """A machine that only walks right has read cells 0..b after a
-    search of budget b, and all n cells once its head reaches cell n."""
-    machine = TuringMachine(
-        states=("r", "h"), initial="r", final="h", tape_alphabet=BINARY, blank="_",
-        transitions=tuple(("r", a, "r", "1", "R") for a in ("0", "1", "_")),
-    )
-    x = BINARY.word("010110")
+    search of budget b, and all n cells once its head reaches cell n.
+    Its state can reach the final state, on a 2 that the input lacks,
+    so the search walks the whole machine."""
+    machine = _right_walker(halts_on_2=True)
+    assert machine._live is machine
+    x = machine.tape_alphabet.word("010110")
     for budget in range(10):
         seen = set()
-        _search_halting(machine, x, budget, seen=seen)
+        assert _search_halting(machine, x, budget, seen=seen) is None
         assert cells_read(machine, seen, len(x)) == min(budget + 1, len(x)), budget
+
+
+def test_a_dead_machine_search_reads_one_cell():
+    """Without its move into the final state, the right walker has no
+    state that can reach it: its search drops every move, breaks at step
+    0 and reads 1 cell of every non-empty input, at every budget.  That
+    r is exact, as every input answers None."""
+    machine = _right_walker(halts_on_2=False)
+    assert machine._live.transitions == ()
+    for budget in (0, 1, 9, 10**9):
+        for x in machine.tape_alphabet.ball(4):
+            seen = set()
+            assert _search_halting(machine, x, budget, seen=seen) is None
+            assert cells_read(machine, seen, len(x)) == min(1, len(x)), (budget, x)
 
 
 def test_halts_within_break_and_zero_budget(breaker, halt1):
