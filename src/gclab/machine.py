@@ -151,15 +151,15 @@ class TuringMachine(Frozen):
     """
 
     _fields = ("states", "initial", "final", "tape_alphabet", "blank", "transitions",
-               "tape_mode", "yes_symbol", "no_symbol", "name")
+               "tape_mode", "yes_symbol", "no_symbol")
 
     def __init__(self, states: tuple[str, ...], initial: str, final: str,
                  tape_alphabet: Alphabet, blank: str,
                  transitions: tuple[tuple[str, str, str, str, str], ...],
                  tape_mode: str = "two-way", yes_symbol: Optional[str] = None,
-                 no_symbol: Optional[str] = None, name: str = "") -> None:
+                 no_symbol: Optional[str] = None) -> None:
         self._set(states, initial, final, tape_alphabet, blank, transitions,
-                  tape_mode, yes_symbol, no_symbol, name)
+                  tape_mode, yes_symbol, no_symbol)
         if self.tape_alphabet.size < 2:
             raise MachineFormatError("tape alphabet needs at least 2 symbols")
         if self.blank in self.tape_alphabet:
@@ -647,7 +647,6 @@ def load_machine(data: dict) -> TuringMachine:
             tape_mode=data.get("tape", "two-way"),
             yes_symbol=data.get("yes_symbol"),
             no_symbol=data.get("no_symbol"),
-            name=data.get("name", ""),
         )
     except MachineFormatError:
         raise

@@ -35,7 +35,6 @@ def halt1():
             ("q1", "1", "q1", "1", "R"),
             ("q1", "_", "q1", "0", "R"),
         ),
-        name="halt1",
     )
 
 
@@ -53,7 +52,6 @@ def loop():
             ("q0", "1", "q0", "1", "R"),
             ("q0", "_", "q0", "0", "R"),
         ),
-        name="loop",
     )
 
 
@@ -67,7 +65,6 @@ def breaker():
         tape_alphabet=BINARY,
         blank="_",
         transitions=(),
-        name="breaker",
     )
 
 
@@ -84,7 +81,6 @@ def find_zero():
             ("q0", "0", "q1", "0", "R"),
             ("q0", "1", "q0", "1", "R"),
         ),
-        name="find-zero",
     )
 
 
@@ -109,7 +105,6 @@ def contains01_ntm():
             ("q0", "0", "q2", "0", "R"),
             ("q2", "1", "q1", "1", "R"),
         ),
-        name="contains01",
     )
 
 
@@ -127,7 +122,6 @@ def loop_on_one():
             ("q0", "0", "q1", "0", "R"),
             ("q0", "1", "q0", "1", "L"),
         ),
-        name="loop-on-one",
     )
 
 
@@ -156,7 +150,6 @@ def answer_machine():
         ),
         yes_symbol="1",
         no_symbol="0",
-        name="first-symbol-decider",
     )
 
 

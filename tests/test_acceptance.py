@@ -156,7 +156,6 @@ def _contains01_problem():
             ("q0", "0", "q2", "0", "R"),
             ("q2", "1", "q1", "1", "R"),
         ),
-        name="contains01",
     )
     problem = DistributionalProblem(
         name="contains01-uniform",
@@ -191,7 +190,6 @@ def _two_state_machine():
         tape_alphabet=BINARY,
         blank="_",
         transitions=(("q0", "0", "q1", "0", "R"), ("q0", "1", "q0", "1", "R")),
-        name="find-zero",
     )
 
 
@@ -390,7 +388,6 @@ def test_criterion_10_reproducibility():
         tape_alphabet=BINARY,
         blank="_",
         transitions=(("q0", "0", "q1", "0", "R"), ("q0", "1", "q0", "1", "L")),
-        name="loop-on-one",
     )
     uniform = UniformEnsemble(BINARY)
     sampled = [

@@ -253,11 +253,12 @@ def test_control_seq_exact_half(capsys):
     code, out, _ = run_cli(
         ["control-seq", "--machine", str(DATA / "loop_on_one.json"),
          "--ensemble", str(DATA / "uniform_ensemble.json"),
-         "--poly", "n", "--n-max", "4"],
+         "--poly", "n", "--n-max", "12"],
         capsys,
     )
     assert code == 0
     rows = out.strip().splitlines()[1:]
+    assert len(rows) == 13
     for row in rows[1:]:
         assert row.split(",")[1:3] == ["1", "2"]
 
@@ -622,18 +623,22 @@ def test_verify_bh_measure_bundle(capsys):
 
 
 def test_reduce_to_binary_bundle(capsys):
-    code, out, _ = run_cli(
-        ["reduce", "to-binary", str(DATA / "abc_bundle.json"), "--n-max", "4"], capsys
-    )
+    bundle = str(DATA / "abc_bundle.json")
+    code, out, _ = run_cli(["reduce", "to-binary", bundle, "--n-max", "4"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"]
     assert payload["details"]["size_growth"]["2"] == 4
     assert payload["details"]["sample_map"]["bb"] == "0100"
+    # its words over {a, b, c} cannot be written as bounded-halting codes
+    code, out, err = run_cli(["verify", "bh-measure", bundle, "--n-max", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gclab: {bundle}: ") and err.count("\n") == 1
 
 
 def test_reduce_universal_reports_known_witnesses(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["reduce", "universal", str(DATA / "universal_bundle.json"), "--n-max", "2"],
         capsys,
     )
@@ -641,6 +646,7 @@ def test_reduce_universal_reports_known_witnesses(capsys):
     # membership holds; the measure clause fails at its two radius-<=2
     # witnesses, so the command honestly exits 1
     assert code == 1
+    assert err == ""
     assert {v["witness"] for v in payload["violations"]} == {"0", "10"}
 
 

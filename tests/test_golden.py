@@ -22,7 +22,12 @@ the packed tape.  The two bouncer pins were recorded while every
 deterministic run walked its whole budget unless it revisited a
 configuration, before translated cycles ended a run early.  The two
 sweeper pins were recorded while a walk took one step per cell, before
-a run of written cells was crossed in one packed step.  The brancher
+a run of written cells was crossed in one packed step; both hash a
+budget verdict with no steps.  So the two-way scanner pin is the one
+that pins the step count and final tape of a swept run: its 2,402
+steps take a handful of ``step`` calls, which
+``test_machine::test_a_sweeper_crosses_its_cells_in_packed_steps``
+checks, so the pin cannot silently stop covering sweeps.  The brancher
 pin was recorded while a branching machine's search was a breadth-first
 search of all its moves, before moves into states with no path to the
 final state were dropped from every search.

@@ -92,30 +92,37 @@ def _count_steps(monkeypatch, cap: Optional[int] = None) -> list:
     return calls
 
 
+def _fixture(name: str) -> TuringMachine:
+    return load_machine(json.loads((DATA / f"{name}.json").read_text()))
+
+
 def test_a_cycling_run_stops_early(monkeypatch):
     """The ping-pong machine revisits its configurations from step 2 on:
     the cycle check ends the run and the search long before the budget,
-    with the verdict the budget gives."""
-    pingpong = load_machine(json.loads((DATA / "pingpong.json").read_text()))
-    calls = _count_steps(monkeypatch)
-    assert not halts_within(pingpong, BINARY.word("0"), 10**6)
-    assert 0 < len(calls) <= 64
+    with the verdict the budget gives.  No state of the fixture can
+    reach its final state, so the search runs on its live variant,
+    which halts only on a 2 that no input holds and no move writes."""
+    pingpong, live = _fixture("pingpong"), _fixture("pingpong_live")
+    assert live._live is live
+    calls = _count_steps(monkeypatch, cap=64)
+    assert not halts_within(live, live.tape_alphabet.word("0"), 10**9)
+    assert 1 < len(calls) <= 64
     calls.clear()
-    assert run_deterministic(pingpong, BINARY.word("0"), 10**6) == (
-        RunResult("budget", budget=10**6))
+    assert run_deterministic(pingpong, BINARY.word("0"), 10**9) == (
+        RunResult("budget", budget=10**9))
     assert 0 < len(calls) <= 64
 
 
 def test_a_translated_cycle_stops_early(monkeypatch):
     """The bouncer fixture drifts right and never revisits a
     configuration, so only the translated-cycle certificate ends its
-    run early; at a budget within ``_CERTIFY_OVER`` it walks the whole
-    budget.  No state of it can reach its final state, so its search
-    drops every move and breaks at once."""
-    bouncer = load_machine(json.loads((DATA / "bouncer.json").read_text()))
-    calls = _count_steps(monkeypatch)
-    assert not halts_within(bouncer, BINARY.word("01"), 10**9)
-    assert len(calls) == 1
+    run early, and its live variant's search; at a budget within
+    ``_CERTIFY_OVER`` it walks the whole budget."""
+    bouncer, live = _fixture("bouncer"), _fixture("bouncer_live")
+    assert live._live is live
+    calls = _count_steps(monkeypatch, cap=gclab.machine._CERTIFY_OVER)
+    assert not halts_within(live, live.tape_alphabet.word("01"), 10**9)
+    assert 1 < len(calls) < 100
     calls.clear()
     assert run_deterministic(bouncer, BINARY.word("01"), 10**9) == (
         RunResult("budget", budget=10**9))
@@ -130,14 +137,17 @@ def test_a_sweeper_crosses_its_cells_in_packed_steps(monkeypatch):
     """The sweeper fixture, the benchmark's sweeper family drawn from
     ``random.Random(4)``, grows its tape at both ends, so no certificate
     ends its run.  Over a budget of ``_CERTIFY_OVER`` each sweep crosses
-    the written cells in one packed step: its run and its search at
-    budget 10**6 call ``step`` a few thousand times, not 10**6.  At
-    ``_CERTIFY_OVER`` the walk takes every step."""
-    sweeper = load_machine(json.loads((DATA / "sweeper.json").read_text()))
+    the written cells in one packed step: its run and its live
+    variant's search at budget 10**6 call ``step`` a few thousand times,
+    not 10**6.  At ``_CERTIFY_OVER`` the walk takes every step.  The
+    halting scanner's golden run on (01101)^240 sweeps too: 2,402 steps
+    in a handful of ``step`` calls."""
+    sweeper, live = _fixture("sweeper"), _fixture("sweeper_live")
     assert sweeper.to_canonical_dict() == oracles.sweeper(random.Random(4)).to_canonical_dict()
-    calls = _count_steps(monkeypatch)
-    assert not halts_within(sweeper, BINARY.word("01"), 10**6)
-    assert 0 < len(calls) <= 5000
+    assert live._live is live
+    calls = _count_steps(monkeypatch, cap=5000)
+    assert not halts_within(live, live.tape_alphabet.word("01"), 10**6)
+    assert 1 < len(calls) <= 5000
     calls.clear()
     assert run_deterministic(sweeper, BINARY.word("01"), 10**6) == (
         RunResult("budget", budget=10**6))
@@ -146,6 +156,10 @@ def test_a_sweeper_crosses_its_cells_in_packed_steps(monkeypatch):
     budget = gclab.machine._CERTIFY_OVER
     assert run_deterministic(sweeper, BINARY.word("01"), budget).kind == "budget"
     assert len(calls) == budget
+    calls.clear()
+    scanned = run_deterministic(_fixture("scanner"), BINARY.word("01101" * 240), 5000)
+    assert (scanned.kind, scanned.steps) == ("halted", 2402)
+    assert len(calls) <= 4
 
 
 def test_bouncers_are_certified_within_100_steps():
@@ -356,7 +370,7 @@ def test_brancher_searches_end_at_once(monkeypatch):
     A breadth-first search of either would take 10**9 steps, so ``step``
     raises past 1,000 calls.  The brancher fixture is the benchmark's
     brancher drawn from ``random.Random(1)``."""
-    fixture = load_machine(json.loads((DATA / "brancher.json").read_text()))
+    fixture = _fixture("brancher")
     assert fixture.to_canonical_dict() == oracles.brancher(random.Random(1)).to_canonical_dict()
     rng = random.Random(30)
     calls = _count_steps(monkeypatch, cap=1000)
