@@ -30,7 +30,14 @@ per sphere or class, so a sum over a sphere builds almost none.
 
 The transfer of mu along f assigns to a target word y the total mu-mass
 of its preimage when |y| is an achieved image size, and the uniform
-filler |target alphabet|^-|y| otherwise.  The subset-induced ensemble
+filler |target alphabet|^-|y| otherwise.  ``TransferredEnsemble`` maps
+each source word forward and sums its image masses.  ``verify_transfer``
+derives the same sphere independently where it can: for a map that
+keeps rank inside each sphere (the identity, the unary map and the
+rank-to-binary map all do), the transfer of source sphere k is its
+masses in lex order on the first |source|^k words of the image sphere,
+then zero, so the verifier maps no word.  Other maps are checked
+against the forward sum.  The subset-induced ensemble
 conditions each sphere on the subset when the subset's sphere mass is
 nonzero and leaves the sphere untouched otherwise.
 """
@@ -40,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat, tee
 from math import ceil
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -604,23 +611,39 @@ def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:
 
 def verify_transfer(reduction, mu: SphericalEnsemble, nu: SphericalEnsemble,
                     n_max: int) -> CheckReport:
-    """Recompute the transfer equation by enumeration on every target word
-    up to n_max and compare with nu exactly."""
+    """Recompute the transfer equation on every target word up to n_max
+    and compare with nu exactly, in lex order.
+
+    On a target sphere m = S(k) that a source sphere reaches, the
+    expected side of a rank-preserving map, with mu over its source
+    alphabet and nu over its target, is mu's sphere-k masses in lex
+    order, then zero: no word is mapped.  Otherwise sphere k is mapped
+    word by word and its image masses summed, and each image of another
+    length is reported.  Spheres that no source sphere reaches expect
+    the uniform filler."""
     report = CheckReport("transfer", n_max)
     target = nu.alphabet
     growth = reduction.size_growth
+    by_rank = (reduction.rank_preserving and mu.alphabet is reduction.source
+               and target is reduction.target)
 
     def mismatch(x: Word, m: int, size: int) -> None:
         report.add(x.text(), m, size, "image size differs inside sphere")
 
     for m in range(n_max + 1):
         k = None if growth is None else size_inverse(growth, m)
-        expected = {} if k is None else _pushforward(reduction, mu, k, m, mismatch)
-        filler = Fraction(1, target.sphere_size(m))
-        for y in target.sphere(m):
-            want = expected.get(y.letters, ZERO) if k is not None else filler
+        words = target.sphere(m)
+        if k is None:
+            wants = repeat(_uniform_mass(target.size, m))
+        elif by_rank:
+            wants = chain(map(mu.mass, mu.alphabet.sphere(k)), repeat(ZERO))
+        else:
+            images = _pushforward(reduction, mu, k, m, mismatch)
+            words, keyed = tee(words)
+            wants = (images.get(y.letters, ZERO) for y in keyed)
+        for y, want in zip(words, wants):
             got = nu.mass(y)
-            if got != want:
+            if got is not want and got != want:
                 report.add(y.text(), want, got)
     return report
 

@@ -46,13 +46,17 @@ from .words import (
 
 class Reduction(NamedTuple):
     """A total word map; ``size_growth`` is None when the map is not
-    size-invariant."""
+    size-invariant.  ``rank_preserving`` claims that the map sends the
+    rank-r word of each source sphere k to the rank-r word of target
+    sphere size_growth(k), so ``verify_transfer`` can lay the transfer
+    out by rank without applying the map."""
 
     name: str
     source: Alphabet
     target: Alphabet
     func: Callable[[Word], Word]
     size_growth: Optional[Callable[[int], int]] = None
+    rank_preserving: bool = False
 
     def apply(self, x: Word) -> Word:
         if x.alphabet is not self.source:
@@ -79,6 +83,7 @@ def identity_reduction(alphabet: Alphabet) -> Reduction:
         target=alphabet,
         func=lambda x: x,
         size_growth=lambda n: n,
+        rank_preserving=True,
     )
 
 
@@ -208,14 +213,14 @@ def binary_map(sigma: Alphabet) -> Reduction:
     the identity.  Larger alphabets map the rank-r word of each sphere k
     to the rank-r word of the binary sphere that is just big enough
     (ceil(k * log2 |alphabet|) bits), which is injective and
-    rank-preserving.
+    rank-preserving.  All three set ``rank_preserving``.
     """
     size = sigma.size
     if size == 2:
         return identity_reduction(sigma)
     if size == 1:
         return Reduction("unary-to-binary", sigma, BINARY,
-                         lambda x: BINARY.word("0" * len(x)), lambda n: n)
+                         lambda x: BINARY.word("0" * len(x)), lambda n: n, True)
 
     def growth(k: int) -> int:
         return _bits_needed(size**k) if k >= 1 else 0
@@ -227,7 +232,7 @@ def binary_map(sigma: Alphabet) -> Reduction:
             return BINARY.empty
         return Word.of_text(BINARY, format(rank_in_sphere(x) - 1, f"0{growth(k)}b"))
 
-    return Reduction(f"rank-to-binary-{size}", sigma, BINARY, rank_map, growth)
+    return Reduction(f"rank-to-binary-{size}", sigma, BINARY, rank_map, growth, True)
 
 
 def to_binary(problem: DistributionalProblem) -> tuple[Reduction, DistributionalProblem]:

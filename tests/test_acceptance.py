@@ -210,8 +210,8 @@ def test_criterion_05_universal_machine_stage():
     assert membership.passed, membership.violations[:5]
     assert measure.passed, (
         "the combined polynomial factor 16 n^2 g s 2^(|code|+1) is short by "
-        "at most 2x at the codes whose cumulative-mass interval ends at 1 "
-        "(plus the two vanishing-slack points of sphere 5): "
+        "at most 2x (minimum ratio 1/2) at exactly six codes, 0, 10, 1110, "
+        "11010, 11110 and 11111110: "
         + str([v.witness for v in measure.violations])
     )
 

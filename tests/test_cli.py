@@ -10,10 +10,12 @@ import pytest
 
 import gclab.bhp
 import gclab.machine
+import gclab.measure
+import gclab.reductions
 import oracles
 from gclab.cli import main
 from gclab.reductions import Reduction
-from gclab.words import Alphabet
+from gclab.words import Alphabet, rank_in_sphere, unrank
 
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent
@@ -601,6 +603,54 @@ def test_verify_transfer_fixture(capsys):
     )
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+def _doubled_pushforward(pushforward):
+    def doubled(*args):
+        return {key: 2 * q for key, q in pushforward(*args).items()}
+    return doubled
+
+
+def _last_word_dropped(pushforward):
+    def dropped(*args):
+        images = pushforward(*args)
+        images.popitem()  # the image of the sphere's last source word
+        return images
+    return dropped
+
+
+def _ranks_shifted(binary_map):
+    def shifted_map(sigma):
+        f = binary_map(sigma)
+
+        def shifted(x):
+            y = f.func(x)
+            return unrank(y.alphabet, len(y), rank_in_sphere(y) % y.alphabet.size**len(y) + 1)
+        return f._replace(func=shifted)
+    return shifted_map
+
+
+@pytest.mark.parametrize("mutant", [
+    ("_pushforward", _doubled_pushforward),
+    ("binary_map", _ranks_shifted),
+    ("_pushforward", _last_word_dropped),
+], ids=["doubled-masses", "ranks-shifted", "last-word-dropped"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "transfer", str(DATA / "transfer_abc_fixture.json"), "--n-max", "6"],
+    ["verify", "cs", str(DATA / "cs_fixture.json"), "--n-max", "3"],
+], ids=["transfer", "cs"])
+def test_transfer_checks_catch_a_wrong_transferred_ensemble(mutant, argv, capsys, monkeypatch):
+    """A transferred ensemble built wrong (every mass doubled, each image
+    moved one rank up, or the last source word of each sphere left out)
+    fails both transfer checks: the verifier derives the expected side
+    by rank, not from the candidate's own construction."""
+    assert run_cli(argv, capsys)[0] == 0
+    name, mutate = mutant
+    module = gclab.measure if name == "_pushforward" else gclab.reductions
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert not json.loads(out)["passed"]
 
 
 def test_verify_induced_fixture(capsys):

@@ -30,7 +30,10 @@ steps take a handful of ``step`` calls, which
 checks, so the pin cannot silently stop covering sweeps.  The brancher
 pin was recorded while a branching machine's search was a breadth-first
 search of all its moves, before moves into states with no path to the
-final state were dropped from every search.
+final state were dropped from every search.  The failing rank-to-binary
+transfer over abc was recorded while the verifier mapped every source
+word to build its expected side, before rank-preserving maps had that
+side laid out by rank.
 """
 
 import hashlib
@@ -119,6 +122,10 @@ GOLDEN = {
         "29a520a6e641b820440cfcd17ae6330872f80e96eb8f221aabc34b27ec8914bb"),
     ("verify", "cs", "tests/data/cs_fixture.json", "--n-max", "8"): (0,
         "9056bfd236a45ac563959dfbc4f51e04532480965d115b3230393dfc1186b568"),
+    # the same map against a uniform binary candidate: a failing
+    # rank-preserving transfer, so the pin holds the violation list
+    ("verify", "transfer", "tests/data/transfer_abc_wrong_fixture.json", "--n-max", "6"): (1,
+        "5b490cda85604a8ec55cb15ff5557fa7b0af5cbda648f198221f5ed689efde65"),
     ("tm", "run", "tests/data/scanner.json", TAPE_1200, "--budget", "5000"): (0,
         "e3327ad16adee8c38e6200b0db0be485c2c44e194efbcf2c80e2fdcbd7a953dc"),
     ("tm", "run", "tests/data/scanner_one_end.json", TAPE_1200, "--budget", "5000"): (0,

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -21,12 +22,19 @@ from gclab.measure import (
     HorizonError,
     SizeInvarianceError,
     TransferredEnsemble,
+    _pushforward,
     block_mass,
     check_lower_bounds,
     exact_sum,
     size_inverse,
 )
-from gclab.reductions import DistributionalProblem, Reduction, example41_image_member, to_binary
+from gclab.reductions import (
+    DistributionalProblem,
+    Reduction,
+    binary_map,
+    example41_image_member,
+    to_binary,
+)
 from gclab.words import Alphabet, AlphabetMismatchError, rank_in_sphere
 from oracles import EnumeratedNu, fraction_sum, scan_inverse, sphere_sum
 from oracles import block_mass as block_mass_by_words
@@ -274,6 +282,91 @@ def test_transfer_catches_image_sizes_the_growth_contradicts(uniform):
     ]
     with pytest.raises(SizeInvarianceError, match=r"\|f\(0\)\| = 2, expected 1"):
         TransferredEnsemble(f, uniform).mass(BINARY.word("1"))
+
+
+def test_verify_transfer_maps_each_source_word_once():
+    """The rank-to-binary map over abc, checked against its transferred
+    ensemble at n <= 10: the ensemble maps each word of source spheres 0
+    to 6 once, and the verifier maps none."""
+    abc = Alphabet(("a", "b", "c"))
+    f = binary_map(abc)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f.func(x)
+
+    g = f._replace(func=counted)
+    mu = UniformEnsemble(abc)
+    assert verify_transfer(g, mu, TransferredEnsemble(g, mu), 10).passed
+    reached = [k for k in range(11) if f.size_growth(k) <= 10]
+    assert reached == list(range(7))
+    assert len(calls) == len(set(calls)) == sum(3**k for k in reached)
+
+
+def _random_table(alphabet, n_max, rng):
+    entries = {}
+    for n in range(n_max + 1):
+        words = list(alphabet.sphere(n))
+        weights = [rng.randrange(1, 1000) for _ in words]
+        total = sum(weights)
+        entries.update((x.text(), Fraction(w, total)) for x, w in zip(words, weights))
+    return TableEnsemble(alphabet, entries, n_max=n_max)
+
+
+@pytest.mark.parametrize("size", [2, 1, 3, 4, 5, 8])
+def test_rank_preserving_maps_push_forward_by_rank(size):
+    """Every map that claims to keep rank does: at each k <= 5 the forward
+    sum of a random table's sphere k equals its masses laid out in lex
+    order on the first words of the image sphere, then zero.  Maps that
+    keep no rank do not claim it."""
+    rng = random.Random(size)
+    if size == 2:
+        f = identity_reduction(BINARY)
+    else:
+        f = binary_map(Alphabet(tuple("abcdefgh"[:size])))
+    assert f.rank_preserving
+    mu = _random_table(f.source, 5, rng)
+
+    def mismatch(x, m, length):
+        raise AssertionError(f"|f({x.text()})| = {length}, expected {m}")
+
+    for k in range(6):
+        m = f.size_growth(k)
+        images = _pushforward(f, mu, k, m, mismatch)
+        forward = [images.get(y.letters, 0) for y in f.target.sphere(m)]
+        by_rank = [mu.mass(x) for x in f.source.sphere(k)]
+        assert forward == by_rank + [0] * (f.target.sphere_size(m) - len(by_rank)), k
+
+    from gclab.bhp import adequate_guard, red2bh_map
+    from gclab.genericity import Polynomial
+
+    guard = adequate_guard(Polynomial((6, 1)))
+    assert not red2bh_map(UniformEnsemble(BINARY), guard).rank_preserving
+    assert not example41_reduction().rank_preserving
+
+
+@pytest.mark.parametrize(
+    "candidate", ["uniform-01", "unary-transfer", "table-transfer", "uniform-ab"])
+def test_rank_layout_reports_what_the_forward_sum_reports(candidate):
+    """A failing rank-preserving transfer lists the same violations, in
+    the same order and with the same strings, whether its expected side is
+    laid out by rank or summed forward."""
+    abc = Alphabet(("a", "b", "c"))
+    f = binary_map(abc)
+    mu = UniformEnsemble(abc)
+    nu = {
+        "uniform-01": lambda: UniformEnsemble(BINARY),
+        "unary-transfer": lambda: TransferredEnsemble(binary_map(Alphabet("a")),
+                                                      UniformEnsemble(Alphabet("a"))),
+        "table-transfer": lambda: TransferredEnsemble(f, _random_table(abc, 4, random.Random(7))),
+        # over another alphabet than the map's target: summed forward both times
+        "uniform-ab": lambda: UniformEnsemble(Alphabet("ab")),
+    }[candidate]()
+    by_rank = verify_transfer(f, mu, nu, 7)
+    forward = verify_transfer(f._replace(rank_preserving=False), mu, nu, 7)
+    assert by_rank.violations
+    assert json.dumps(by_rank.to_dict()) == json.dumps(forward.to_dict())
 
 
 def test_verify_induced_self_and_closed_form(nu):
