@@ -60,6 +60,7 @@ from .measure import (
     HorizonError,
     InducedEnsemble,
     SphericalEnsemble,
+    _uniform_mass,
     block_mass,
     check_lower_bounds,
     fraction_str,
@@ -331,7 +332,7 @@ def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:
     """Verbatim shipping for low-mass inputs, dyadic address for high-mass
     ones: 0x if mass(x) <= 2^-|x|, else 1 x'.  Always at most |x|+1 long,
     and always mass(x) <= 4 * 2^-|x''|."""
-    if mu.mass(x) <= Fraction(1, 2 ** len(x)):
+    if mu.mass(x) <= _uniform_mass(2, len(x)):
         return BINARY.word("0" + x.text())
     return BINARY.word("1" + x_prime(mu, x).text())
 
@@ -368,7 +369,7 @@ def _protocol_run(
             # literal mass test: mass of w in the claimed sphere n (zero when
             # the lengths disagree) against the threshold for w's own length
             mass = mu.mass(candidate) if len(candidate) == n else ZERO
-            if mass > Fraction(1, 2 ** len(candidate)):
+            if mass > _uniform_mass(2, len(candidate)):
                 return None
         else:
             if not w:
@@ -377,7 +378,7 @@ def _protocol_run(
             if not 0 < value <= 1:
                 return None
             candidate = invert_mu_star(mu, n, value)
-            if mu.mass(candidate) <= Fraction(1, 2**n) or x_prime(mu, candidate).text() != w:
+            if mu.mass(candidate) <= _uniform_mass(2, n) or x_prime(mu, candidate).text() != w:
                 return None
     except HorizonError:  # a sphere enumerated past ENUMERATION_CAP
         return None
@@ -402,11 +403,23 @@ class BHStage(NamedTuple):
     mu: SphericalEnsemble
     prefix: str = ""
 
-    def mass_bound(self, x: Word) -> Fraction:
-        """The least image mass the measure inequality allows for x:
-        mass(x) / (16 |x|^2 g(|x|) 2^|prefix|), for |x| >= 1."""
-        n = len(x)
-        return self.mu.mass(x) / ((16 * n * n * self.guard(n)) << len(self.prefix))
+    def mass_bounds(self) -> Callable[[Word], Fraction]:
+        """The function giving the least image mass the measure inequality
+        allows for x: mass(x) / (16 |x|^2 g(|x|) 2^|prefix|), for |x| >= 1.
+
+        It divides once per run of words of one length that share one
+        mass object (a uniform sphere, a class of the input ensemble) and
+        reuses the quotient: on the universal stage the divisor has some
+        3,300 bits, so each division is a long gcd."""
+        last: list = [None, None, None]  # mass, length, quotient
+
+        def bound(x: Word) -> Fraction:
+            mass, n = self.mu.mass(x), len(x)
+            if mass is not last[0] or n != last[1]:
+                last[:] = mass, n, mass / ((16 * n * n * self.guard(n)) << len(self.prefix))
+            return last[2]
+
+        return bound
 
 
 def adequate_guard(
@@ -532,7 +545,7 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
     pair (x, f(x)) with 1 <= |x|, read off the front of each tuple (so the
     triples of ``verify_membership`` serve):
 
-        NU.mass(f(x)) >= stage.mass_bound(x) = mass(x) / (16 |x|^2 g(|x|))
+        NU.mass(f(x)) >= mass(x) / (16 |x|^2 g(|x|))   (``stage.mass_bounds``)
 
     The report carries per-branch data: which compression branch each
     input took, the exact ratio target/bound, and the sharper per-branch
@@ -543,13 +556,14 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
     report = CheckReport("measure-decrease", n_max)
     branch1_f8: list[dict] = []
     branch2_f16: list[dict] = []
+    mass_bound = stage.mass_bounds()
 
     def points():
         for x, y, *_ in pairs:
             if not x.letters:
                 continue
-            got, bound = NU.mass(y), stage.mass_bound(x)
-            if stage.mu.mass(x) <= Fraction(1, 2 ** len(x)):
+            got, bound = NU.mass(y), mass_bound(x)
+            if stage.mu.mass(x) <= _uniform_mass(2, len(x)):
                 sharper = 2 * bound  # mass / (8 |x|^2 g(|x|))
                 if got < sharper:
                     branch1_f8.append(
@@ -721,8 +735,9 @@ def verify_red2bhu_measure(stage: BHStage, pairs: Iterable[tuple], n_max: int) -
 
     with both masses under the input ensemble and h = g·s, s = 1."""
     report = CheckReport("measure-decrease-universal", n_max)
+    mass_bound = stage.mass_bounds()
     min_ratio = check_lower_bounds(
-        report, ((x, NU.mass(y), stage.mass_bound(x)) for x, y, *_ in pairs if x.letters)
+        report, ((x, NU.mass(y), mass_bound(x)) for x, y, *_ in pairs if x.letters)
     )
     report.details["machine_code_length"] = len(stage.prefix) - 1
     report.details["skipped_spheres"] = [0]

@@ -165,6 +165,13 @@ def check_lower_bounds(
     got) to the report.  Bounds are nonnegative.  Returns the minimum
     exact ratio got/bound over the points with a nonzero bound, or None
     when there are none.
+
+    A point whose got and bound are the very objects of the point before
+    it (``is``, not ``==``) takes that point's verdict without comparing:
+    if it failed, the point still adds its own violation, with its own
+    witness, in order.  Its ratio is equal, so it cannot lower the
+    minimum and is not formed.  Shared masses (one object per uniform
+    sphere or bounded-halting class) thus cost one comparison per run.
     """
     # the running minimum is kept as an integer pair, without a gcd per
     # point on sphere-wide checks, and reduced by its common power of two
@@ -173,9 +180,16 @@ def check_lower_bounds(
     # multiplies a long integer by a short one.  den > 0 (bound > 0), so
     # num | den > 0 even where got is 0.
     best: Optional[tuple[int, int]] = None
+    last_got = last_bound = failure = None  # failure: the (expected, actual) strings
     for witness, got, bound in points:
-        if got < bound:
-            report.add(str(witness), f">= {fraction_str(bound)}", fraction_str(got))
+        if got is last_got and bound is last_bound:
+            if failure:
+                report.add(str(witness), *failure)
+            continue
+        last_got, last_bound = got, bound
+        failure = got < bound and (f">= {fraction_str(bound)}", fraction_str(got))
+        if failure:
+            report.add(str(witness), *failure)
         if bound:
             num = got.numerator * bound.denominator
             den = got.denominator * bound.numerator
@@ -545,6 +559,7 @@ class InducedEnsemble(SphericalEnsemble):
         self.label = label
         self.closed = closed
         self._denominators: dict[int, Fraction] = {}
+        self._last: tuple = (None, None, None)  # (numerator, denominator, quotient)
 
     def subset_sphere_mass(self, n: int) -> Fraction:
         """Base mass of the subset inside the radius-n sphere."""
@@ -557,8 +572,15 @@ class InducedEnsemble(SphericalEnsemble):
         denom = self.subset_sphere_mass(len(x))
         if denom == 0:
             return self.base.mass(x)
-        numerator = self.base.mass(x) if self.subset(x) else ZERO
-        return numerator / denom
+        if not self.subset(x):
+            return ZERO
+        # a member whose mass and denominator are the objects of the last
+        # member's (a run of shared masses) reuses its quotient
+        numerator = self.base.mass(x)
+        last = self._last
+        if numerator is not last[0] or denom is not last[1]:
+            last = self._last = (numerator, denom, numerator / denom)
+        return last[2]
 
     def spec(self) -> dict:
         return {"kind": "induced", "base": self.base.spec(), "subset": self.label}
@@ -655,7 +677,10 @@ def verify_induced(
     n_max: int,
 ) -> CheckReport:
     """Recompute the subset-conditioning equation by enumeration on every
-    word up to n_max and compare with mu_s exactly."""
+    word up to n_max and compare with mu_s exactly.
+
+    A non-member of a conditioned sphere expects ``ZERO``; a member's
+    quotient is formed once per run of members sharing one mass object."""
     report = CheckReport("induced", n_max)
     members: set[tuple[str, ...]] = set()  # letters of the sphere's members
 
@@ -668,13 +693,19 @@ def verify_induced(
     for n in range(n_max + 1):
         members.clear()
         denom = subset_mass(mu, n, member)
+        mass = quotient = None
         for x in mu.alphabet.sphere(n):
-            if denom == 0:
+            if not denom:
                 want = mu.mass(x)
+            elif x.letters in members:
+                source = mu.mass(x)
+                if source is not mass:
+                    mass, quotient = source, source / denom
+                want = quotient
             else:
-                want = (mu.mass(x) if x.letters in members else ZERO) / denom
+                want = ZERO
             got = mu_s.mass(x)
-            if got != want:
+            if got is not want and got != want:
                 report.add(x.text(), want, got)
     return report
 

@@ -182,12 +182,15 @@ def verify_cm(
     n_max: int,
 ) -> CheckReport:
     """Change-of-measure check: the map preserves length and the image
-    keeps at least mass/d(|x|) of every source point, exactly."""
+    keeps at least mass/d(|x|) of every source point, exactly.  Inside a
+    sphere the bound is divided out once per run of words sharing one
+    mass object, so ``check_lower_bounds`` also sees one bound object."""
     report = CheckReport("change-of-measure", n_max)
 
     def points():
         for k in range(n_max + 1):
             dk = d(k)
+            mass = bound = None
             for x in mu.alphabet.sphere(k):
                 y = f.apply(x)
                 if len(y) != k:
@@ -195,7 +198,10 @@ def verify_cm(
                 elif not dk:
                     report.add(x.text(), "d(k) > 0", "0", "density polynomial vanishes")
                 else:
-                    yield x, nu.mass(y), mu.mass(x) / dk
+                    got, source = nu.mass(y), mu.mass(x)
+                    if source is not mass:
+                        mass, bound = source, source / dk
+                    yield x, got, bound
 
     check_lower_bounds(report, points())
     return report

@@ -37,6 +37,11 @@ computes another way, kept here so that tests can cross-check the two:
   ``measure.block_mass`` summed it under every ensemble but the uniform
   and bounded-halting ones before each ensemble's cumulative masses
   weighed every block;
+- ``induced_masses``, ``verify_cm`` and ``verify_induced``: the
+  subset-conditioned mass and the change-of-measure and induced checks
+  with a fresh ``Fraction`` division and comparison at every word, as
+  they were before points sharing one mass object shared one quotient
+  and one verdict;
 - ``build_parser`` (with its ``nonnegative_int`` type): the ``argparse``
   command line that ``cli.parse_args`` and its table ``cli.COMMANDS``
   replaced; every valid argv must give both the same namespace.
@@ -48,7 +53,7 @@ machines of the benchmark's never-halting families of those names.
 the final state, on a symbol no input holds and no move writes.
 
 The machine code (the answer decoder too), ``scan_numeral``, the body
-of ``nu_mass_text``, the evaluator of ``universal_by_fields`` and
+of ``nu_mass_text``, ``verify_induced``, the evaluator of ``universal_by_fields`` and
 ``build_parser`` with ``nonnegative_int`` are copied verbatim.  Only the imports are new, ``RunResult`` records are
 built directly, not through the static constructors it no longer has,
 ``_moves`` stands in for ``TuringMachine._delta``, which is now keyed
@@ -99,7 +104,7 @@ from gclab.machine import (
     VirtualMachine,
 )
 from gclab.measure import ONE, ZERO, DBHNuEnsemble, SphericalEnsemble, subset_mass
-from gclab.measure import exact_sum
+from gclab.measure import CheckReport, InducedEnsemble, exact_sum, fraction_str
 from gclab.words import BINARY, Alphabet, Word
 
 
@@ -334,6 +339,60 @@ def block_mass(mu: SphericalEnsemble, prefix, n: int) -> Fraction:
         mu.mass(Word(alphabet, prefix + suffix))
         for suffix in itertools.product(alphabet.symbols, repeat=pad)
     )
+
+
+def induced_masses(mu_s: InducedEnsemble, n: int) -> list[Fraction]:
+    """mu_s's masses on sphere n in lex order, each divided out afresh."""
+    denom = subset_mass(mu_s.base, n, mu_s.subset, mu_s.closed)
+    if denom == 0:
+        return [mu_s.base.mass(x) for x in mu_s.alphabet.sphere(n)]
+    return [(mu_s.base.mass(x) if mu_s.subset(x) else ZERO) / denom
+            for x in mu_s.alphabet.sphere(n)]
+
+
+def verify_cm(f, mu: SphericalEnsemble, nu: SphericalEnsemble, d, n_max: int) -> CheckReport:
+    """The change-of-measure check, one division and one comparison per word."""
+    report = CheckReport("change-of-measure", n_max)
+    for k in range(n_max + 1):
+        dk = d(k)
+        for x in mu.alphabet.sphere(k):
+            y = f.apply(x)
+            if len(y) != k:
+                report.add(x.text(), f"|f(x)| = {k}", str(len(y)), "not size-preserving")
+            elif not dk:
+                report.add(x.text(), "d(k) > 0", "0", "density polynomial vanishes")
+            else:
+                got, bound = nu.mass(y), mu.mass(x) / dk
+                if got < bound:
+                    report.add(x.text(), f">= {fraction_str(bound)}", fraction_str(got))
+    return report
+
+
+def verify_induced(mu: SphericalEnsemble, subset, mu_s: SphericalEnsemble,
+                   n_max: int) -> CheckReport:
+    """Recompute the subset-conditioning equation by enumeration on every
+    word up to n_max and compare with mu_s exactly."""
+    report = CheckReport("induced", n_max)
+    members: set[tuple[str, ...]] = set()  # letters of the sphere's members
+
+    def member(x: Word) -> bool:  # the one predicate call per word
+        inside = subset(x)
+        if inside:
+            members.add(x.letters)
+        return inside
+
+    for n in range(n_max + 1):
+        members.clear()
+        denom = subset_mass(mu, n, member)
+        for x in mu.alphabet.sphere(n):
+            if denom == 0:
+                want = mu.mass(x)
+            else:
+                want = (mu.mass(x) if x.letters in members else ZERO) / denom
+            got = mu_s.mass(x)
+            if got != want:
+                report.add(x.text(), want, got)
+    return report
 
 
 def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:

@@ -33,7 +33,10 @@ search of all its moves, before moves into states with no path to the
 final state were dropped from every search.  The failing rank-to-binary
 transfer over abc was recorded while the verifier mapped every source
 word to build its expected side, before rank-preserving maps had that
-side laid out by rank.
+side laid out by rank.  The failing change-of-measure check under ν and
+the failing induced check were recorded while every point divided and
+compared its own masses, before points that share their mass objects
+reused one quotient and one verdict.
 """
 
 import hashlib
@@ -126,6 +129,14 @@ GOLDEN = {
     # rank-preserving transfer, so the pin holds the violation list
     ("verify", "transfer", "tests/data/transfer_abc_wrong_fixture.json", "--n-max", "6"): (1,
         "5b490cda85604a8ec55cb15ff5557fa7b0af5cbda648f198221f5ed689efde65"),
+    # ν under-weighs the uniform masses on whole classes of words, so
+    # the check fails on runs of points with one shared (got, bound)
+    ("verify", "cm", "tests/data/cm_nu_fixture.json", "--n-max", "5"): (1,
+        "38556e7a441472fd0f4e59033fee78fb05c1c8c06d4bd0a04a7e67d6609a05f4"),
+    # a candidate conditioned on C(n+2) against the C(n+1) equation:
+    # members and non-members fail with shared expected masses
+    ("verify", "induced", "tests/data/induced_wrong_fixture.json", "--n-max", "6"): (1,
+        "8e98ec87bbc47fe25ecb3e6adde5f098815b6db6da6d13d9957f5a10e5448401"),
     ("tm", "run", "tests/data/scanner.json", TAPE_1200, "--budget", "5000"): (0,
         "e3327ad16adee8c38e6200b0db0be485c2c44e194efbcf2c80e2fdcbd7a953dc"),
     ("tm", "run", "tests/data/scanner_one_end.json", TAPE_1200, "--budget", "5000"): (0,

@@ -14,14 +14,19 @@ from gclab import (
     example41_reduction,
     identity_reduction,
     invert_mu_star,
+    parse_polynomial,
+    verify_cm,
     verify_induced,
     verify_transfer,
 )
+from gclab.bhp import subset_from_spec
 from gclab.measure import (
     CheckReport,
     HorizonError,
+    ONE,
     SizeInvarianceError,
     TransferredEnsemble,
+    ZERO,
     _pushforward,
     block_mass,
     check_lower_bounds,
@@ -36,6 +41,7 @@ from gclab.reductions import (
     to_binary,
 )
 from gclab.words import Alphabet, AlphabetMismatchError, rank_in_sphere
+import oracles
 from oracles import EnumeratedNu, fraction_sum, scan_inverse, sphere_sum
 from oracles import block_mass as block_mass_by_words
 
@@ -562,7 +568,10 @@ def test_check_lower_bounds_returns_the_exact_minimum_ratio(scale):
     """The minimum of got/bound over random points, exact, with bounds
     scaled by 2^-scale (as the universal stage's carry 2^-|machine code|),
     odd and even numerators, zero bounds (skipped) and a zero got (the
-    minimum then); the violations are the points with got < bound."""
+    minimum then); the violations are the points with got < bound.  A
+    stream of runs that share one (got, bound) pair, as the words of a
+    uniform sphere do, reports every witness of a failing run, in order,
+    and the minimum of the same points rebuilt as fresh Fractions."""
     rng = random.Random(scale + 1)
     points = []
     for i in range(300):
@@ -577,6 +586,53 @@ def test_check_lower_bounds_returns_the_exact_minimum_ratio(scale):
     assert check_lower_bounds(report, iter(points)) == min(ratios)
     assert [v.witness for v in report.violations] == [
         str(i) for i, got, bound in points if got < bound]
+    # runs of 1-4 points on one shared pair, some after a fresh copy of
+    # the pair (equal, not identical), with a zero bound and a zero got
+    stream = []
+    for i, (_, got, bound) in enumerate(points[:60] + [(0, ZERO, ZERO), (0, ZERO, ONE)]):
+        if i % 3 == 0:
+            stream.append((f"{i}.fresh", Fraction(got), Fraction(bound)))
+        stream += [(f"{i}.{j}", got, bound) for j in range(rng.randrange(1, 5))]
+    fresh = [(w, Fraction(got), Fraction(bound)) for w, got, bound in stream]
+    assert not any(a[1] is b[1] or a[2] is b[2] for a, b in zip(stream, fresh))
+    shared_report, fresh_report = CheckReport("lower-bounds", 0), CheckReport("lower-bounds", 0)
+    minimum = check_lower_bounds(shared_report, iter(stream))
+    assert minimum == check_lower_bounds(fresh_report, iter(fresh)) == 0
+    assert shared_report.violations == fresh_report.violations
+    failing_runs = {w.split(".")[0] for w, got, bound in stream if w.endswith(".1") and got < bound}
+    passing_runs = {w.split(".")[0] for w, got, bound in stream if w.endswith(".1") and got >= bound}
+    assert failing_runs and passing_runs
     points.insert(150, (-1, Fraction(0), Fraction(3, 1 << scale)))
     assert check_lower_bounds(CheckReport("lower-bounds", 0), iter(points)) == 0
     assert check_lower_bounds(CheckReport("lower-bounds", 0), [(0, Fraction(1), Fraction(0))]) is None
+
+
+@pytest.mark.parametrize("base", ["nu", "uniform", "worked_table", "geometric_table"])
+def test_shared_quotients_match_per_word_division(base, request):
+    """``InducedEnsemble.mass`` and the ``verify_induced`` and
+    ``verify_cm`` reports at n <= 10 equal the oracles that divide and
+    compare afresh at every word, whether the base shares its masses (ν
+    per class, uniform per sphere) or not (tables, whose equal entries
+    are separate objects), on passing and failing candidates."""
+    mu, n_max = request.getfixturevalue(base), 10
+    subsets = [subset_from_spec({"name": "cg", "g": g}, mu)[::2] for g in ("n+1", "n+2")]
+    subsets.append((lambda x: x.letters[-1:] == ("1",) and len(x) % 3 != 2, None))
+    verdicts = []
+    for subset, closed in subsets:
+        mu_s = InducedEnsemble(mu, subset, closed=closed)
+        for n in range(n_max + 1):
+            assert [mu_s.mass(x) for x in BINARY.sphere(n)] == oracles.induced_masses(mu_s, n)
+        for candidate in [mu_s, UniformEnsemble(BINARY)] + [
+                InducedEnsemble(mu, *other) for other in subsets if other[0] is not subset]:
+            report = verify_induced(mu, subset, candidate, n_max)
+            assert report.to_dict() == oracles.verify_induced(
+                mu, subset, candidate, n_max).to_dict()
+            verdicts.append(report.passed)
+    assert verdicts[0] and not all(verdicts)
+    f, verdicts = identity_reduction(BINARY), []
+    for nu in (mu, UniformEnsemble(BINARY), request.getfixturevalue("nu")):
+        for d in map(parse_polynomial, ("1", "2n+1")):
+            report = verify_cm(f, mu, nu, d, n_max)
+            assert report.to_dict() == oracles.verify_cm(f, mu, nu, d, n_max).to_dict()
+            verdicts.append(report.passed)
+    assert verdicts[0] and not all(verdicts)
