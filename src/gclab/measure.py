@@ -24,9 +24,11 @@ therefore meet no cap there; the bounded-halting ones are evaluated
 one class of words at a time.  The other kinds, and every sphere sum
 but the uniform one, enumerate their spheres, up to ``ENUMERATION_CAP``.
 Enumerated sums still call ``mass`` on every word, but add the terms by
-``exact_sum``: numerators as integers, one total per denominator.  The
-uniform and bounded-halting masses are shared values, one ``Fraction``
-per sphere or class, so a sum over a sphere builds almost none.
+``exact_sum``: numerators as integers, one total per denominator, and a
+run of one shared mass object once.  The uniform and bounded-halting
+masses are such shared values, one ``Fraction`` per sphere or class, so
+a sum over a sphere builds almost none; their ``mass``, and a
+transferred ensemble's, make no helper call per word.
 
 The transfer of mu along f assigns to a target word y the total mu-mass
 of its preimage when |y| is an achieved image size, and the uniform
@@ -80,11 +82,19 @@ class SizeInvarianceError(ValueError):
 def exact_sum(masses: Iterable[Fraction]) -> Fraction:
     """The exact sum of rationals: numerators are added as integers, one
     running total per denominator, and only the distinct denominators
-    are combined as Fractions."""
+    are combined as Fractions.  A run of terms that are one object
+    (``is``, as a shared uniform or bounded-halting mass is) is counted
+    and added once, as numerator times run length."""
     totals: dict[int, int] = {}
-    for q in masses:
-        num, den = q.as_integer_ratio()
-        totals[den] = totals.get(den, 0) + num
+    last, run = None, 0
+    for q in chain(masses, (None,)):  # the None closes the last run
+        if q is last:
+            run += 1
+            continue
+        if run:
+            num, den = last.as_integer_ratio()
+            totals[den] = totals.get(den, 0) + num * run
+        last, run = q, 1
     return sum((Fraction(num, den) for den, num in totals.items()), ZERO)
 
 
@@ -220,6 +230,7 @@ class SphericalEnsemble:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
+        self._size = alphabet.size  # read per word by the uniform masses
         self._tables: dict[int, list[Fraction]] = {}
 
     def mass(self, x: Word) -> Fraction:
@@ -284,8 +295,11 @@ class UniformEnsemble(SphericalEnsemble):
     kind = "uniform"
 
     def mass(self, x: Word) -> Fraction:
-        self._check_word(x)
-        return _uniform_mass(self.alphabet.size, len(x))
+        # no helper call per word: the check inlined, the length off the held form
+        if x.alphabet is not self.alphabet:
+            raise AlphabetMismatchError("word is over a different alphabet")
+        held = x._letters
+        return _uniform_mass(self._size, len(x._text if held is None else held))
 
     def sphere_sum(self, n: int) -> Fraction:
         return ONE
@@ -381,10 +395,11 @@ class DBHNuEnsemble(SphericalEnsemble):
 
     ``sphere_sum`` is the base class's word-by-word sum: ``verify
     nu-sums`` checks the mass of every word, not the class structure.
-    ``mass`` reads the class (the first zero) off whichever form the
-    word holds, so sphere words stay letter tuples and bounded-halting
-    images stay text, and returns one shared Fraction per class, so the
-    sum adds integer numerators by ``exact_sum``.
+    ``mass`` reads the length and the class (the first zero) straight
+    off whichever form the word holds, with no helper call, so sphere
+    words stay letter tuples and bounded-halting images stay text.  It
+    returns one shared Fraction per class, so ``exact_sum`` adds each
+    run of a class's words once.
     """
 
     kind = "dbh_nu"
@@ -393,15 +408,18 @@ class DBHNuEnsemble(SphericalEnsemble):
         super().__init__(BINARY)
 
     def mass(self, x: Word) -> Fraction:
-        # ``_check_word`` inlined: sphere sums call this once per word, and
-        # the saved call pays for ``len`` and ``index`` reading the held form
+        # no helper call per word: ``_check_word`` inlined, and the length
+        # and first zero read off the held form, as ``len`` and ``index`` do
         if x.alphabet is not self.alphabet:
             raise AlphabetMismatchError("word is over a different alphabet")
-        n = len(x)
+        held = x._letters
+        if held is None:  # built from text: one character a letter
+            held = x._text
+        n = len(held)
         if not n:
             return ONE
         try:
-            k = n - 1 - x.index("0")  # |w|
+            k = n - 1 - held.index("0")  # |w|
         except ValueError:  # 1^n
             return ZERO
         q = _NU_CLASS_MASSES.get((n, k))
@@ -501,16 +519,16 @@ class TransferredEnsemble(SphericalEnsemble):
         self._images: dict[int, Optional[dict[tuple, Fraction]]] = {}
 
     def _image_masses(self, m: int) -> Optional[dict[tuple, Fraction]]:
-        """Base mass of each image of length m, keyed by its letters; None
-        when no source sphere maps onto length m."""
-        if m not in self._images:
-            k = size_inverse(self.reduction.size_growth, m)
-            images = None
-            if k is not None:
-                self.base._check_cap(k)
-                images = _pushforward(self.reduction, self.base, k, m, self._not_size_invariant)
-            self._images[m] = images
-        return self._images[m]
+        """Base mass of each image of length m, keyed by its letters, or
+        None when no source sphere maps onto length m; kept in ``_images``,
+        which ``mass`` reads first."""
+        k = size_inverse(self.reduction.size_growth, m)
+        images = None
+        if k is not None:
+            self.base._check_cap(k)
+            images = _pushforward(self.reduction, self.base, k, m, self._not_size_invariant)
+        self._images[m] = images
+        return images
 
     def _not_size_invariant(self, x: Word, m: int, size: int) -> None:
         raise SizeInvarianceError(
@@ -519,11 +537,19 @@ class TransferredEnsemble(SphericalEnsemble):
         )
 
     def mass(self, y: Word) -> Fraction:
-        self._check_word(y)
-        images = self._image_masses(len(y))
+        # no helper call on a sphere word once its length is inverted: the
+        # check inlined, the length read off the held form, the cache first
+        if y.alphabet is not self.alphabet:
+            raise AlphabetMismatchError("word is over a different alphabet")
+        letters = y._letters
+        m = len(y._text if letters is None else letters)
+        try:
+            images = self._images[m]
+        except KeyError:
+            images = self._image_masses(m)
         if images is None:
-            return _uniform_mass(self.alphabet.size, len(y))
-        return images.get(y.letters, ZERO)
+            return _uniform_mass(self._size, m)
+        return images.get(y.letters if letters is None else letters, ZERO)
 
     def spec(self) -> dict:
         return {

@@ -20,6 +20,7 @@ admits no size growth and transfers nothing useful.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, NamedTuple, Optional
 
 from .genericity import Polynomial, exceeds_bound, overrun_mass
@@ -231,12 +232,17 @@ def binary_map(sigma: Alphabet) -> Reduction:
     def growth(k: int) -> int:
         return _bits_needed(size**k) if k >= 1 else 0
 
+    @cache
+    def digits(k: int) -> str:
+        """The format spec of sphere k's images: growth(k) binary digits."""
+        return f"0{growth(k)}b"
+
     def rank_map(x: Word) -> Word:
         # the rank-r binary word of length g is r - 1 in g binary digits
         k = len(x)
         if k == 0:
             return BINARY.empty
-        return Word.of_text(BINARY, format(rank_in_sphere(x) - 1, f"0{growth(k)}b"))
+        return Word.of_text(BINARY, format(rank_in_sphere(x) - 1, digits(k)))
 
     return Reduction(f"rank-to-binary-{size}", sigma, BINARY, rank_map, growth, True)
 

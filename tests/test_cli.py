@@ -596,6 +596,28 @@ def test_verify_cm_fixture(capsys):
     assert json.loads(out)["passed"]
 
 
+_SWAPPED = {"kind": "uniform", "alphabet": "10"}  # "0" and "1" in the other order
+
+
+@pytest.mark.parametrize("reduction, mu, nu", [
+    ({"kind": "identity", "alphabet": "10"}, _SWAPPED, {"kind": "uniform", "alphabet": "01"}),
+    ({"kind": "identity", "alphabet": "10"}, _SWAPPED, {"kind": "dbh_nu"}),
+    ({"kind": "identity", "alphabet": "10"}, _SWAPPED,
+     {"kind": "transferred", "reduction": {"kind": "bin_alph", "sigma": "abc"},
+      "base": {"kind": "uniform", "alphabet": "abc"}}),
+    # the unary map's images are binary words held as text
+    ({"kind": "bin_alph", "sigma": "a"}, {"kind": "uniform", "alphabet": "a"}, _SWAPPED),
+], ids=["uniform", "dbh_nu", "transferred", "uniform-text"])
+def test_verify_cm_exits_2_on_an_image_over_another_alphabet(reduction, mu, nu, tmp_path,
+                                                             capsys):
+    """The target ensemble weighs an image over another alphabet: its
+    alphabet check raises, and the command exits 2 with that message."""
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"reduction": reduction, "mu": mu, "nu": nu, "d": "1"}))
+    code, out, err = run_cli(["verify", "cm", str(fixture), "--n-max", "2"], capsys)
+    assert (code, out, err) == (2, "", "gclab: word is over a different alphabet\n")
+
+
 def test_verify_transfer_fixture(capsys):
     code, out, _ = run_cli(
         ["verify", "transfer", str(DATA / "transfer_fixture.json"), "--n-max", "4"],

@@ -40,7 +40,7 @@ from gclab.reductions import (
     example41_image_member,
     to_binary,
 )
-from gclab.words import Alphabet, AlphabetMismatchError, rank_in_sphere
+from gclab.words import Alphabet, AlphabetMismatchError, Word, rank_in_sphere
 import oracles
 from oracles import EnumeratedNu, fraction_sum, scan_inverse, sphere_sum
 from oracles import block_mass as block_mass_by_words
@@ -471,9 +471,23 @@ def _random_fractions(rng: random.Random, count: int, dens, nums) -> list[Fracti
     return [Fraction(rng.choice(nums), rng.choice(dens)) for _ in range(count)]
 
 
+def _runs(rng: random.Random, pool: list[Fraction], count: int, fresh: float) -> list[Fraction]:
+    """``count`` runs of 1-6 terms, each run one value drawn from ``pool``:
+    the one shared object repeated, or, with probability ``fresh``, an
+    equal but distinct copy per term."""
+    terms = []
+    for _ in range(count):
+        q, length = rng.choice(pool), rng.randrange(1, 7)
+        terms += ([Fraction(q.numerator, q.denominator) for _ in range(length)]
+                  if rng.random() < fresh else [q] * length)
+    return terms
+
+
 def test_exact_sum_matches_fraction_sum():
     """Per-denominator integer sums equal Fraction-by-Fraction sums, on
-    empty, all-zero, negative, mixed and very large denominators."""
+    empty, all-zero, negative, mixed and very large denominators, and on
+    runs: of one shared object (added once, times the run), of equal but
+    distinct objects, of both interleaved, and of ``ZERO``."""
     rng = random.Random(2016)
     big = [2**200 + 1, 3**150, 2**64 * 7**40, 10**80 - 1]
     cases = [[], [Fraction(0)] * 50, [Fraction(1, 3), Fraction(-1, 3)]]
@@ -488,6 +502,13 @@ def test_exact_sum_matches_fraction_sum():
             [Fraction(rng.randrange(-5, 6), rng.randrange(1, 7)) for _ in range(count)]
             + [Fraction(0)] * rng.randrange(3),
         ]
+    shared = [Fraction(1, 3), Fraction(-2, 7), Fraction(1, 2**70), Fraction(5, big[0]), ZERO]
+    cases += [[ZERO] * 7, [ZERO] * 3 + [shared[0]] * 4 + [ZERO] * 2, [shared[1]],
+              [shared[2]] * 1000 + [shared[0]], [shared[0]] * 3 + [shared[1]] + [shared[0]] * 3]
+    for _ in range(40):
+        count = rng.randrange(0, 60)
+        cases += [_runs(rng, shared, count, fresh) for fresh in (0.0, 1.0, 0.5)]
+        cases.append(_runs(rng, [ZERO, Fraction(0), shared[0]], count, 0.3))
     for terms in cases:
         got = exact_sum(terms)
         assert isinstance(got, Fraction)
@@ -518,6 +539,47 @@ def test_enumerated_nu_still_works(nu):
         for x in BINARY.sphere(n):
             assert oracle.mass(x) == nu.mass(x)
             assert oracle.mu_star(x) == nu.mu_star(x)
+
+
+def _per_word_ensembles(nu) -> list:
+    """The ensembles whose ``mass`` sphere loops call on every word:
+    uniform on two and three letters, ν, and a rank-to-binary transfer."""
+    abc = Alphabet(("a", "b", "c"))
+    return [UniformEnsemble(BINARY), UniformEnsemble(abc), nu,
+            TransferredEnsemble(binary_map(abc), UniformEnsemble(abc))]
+
+
+def test_masses_read_either_held_form(nu):
+    """Each per-word ``mass`` weighs the letter form and the text form of
+    every word up to n = 10 alike (it reads whichever form the word
+    holds), and ν's masses equal the enumerating oracle's and the text
+    oracle's on both forms."""
+    oracle = EnumeratedNu()
+    for ensemble in _per_word_ensembles(nu):
+        alphabet = ensemble.alphabet
+        for n in range(11):
+            for x in alphabet.sphere(n):  # held as letters only
+                text = Word.of_text(alphabet, "".join(x.letters))
+                q = ensemble.mass(x)
+                assert ensemble.mass(text) == q, (ensemble.kind, x)
+                if ensemble is nu:
+                    assert oracle.mass(x) == oracle.mass(text) == q
+                    assert oracles.nu_mass_text(x) == q
+
+
+@pytest.mark.parametrize("index", range(4), ids=["uniform-01", "uniform-abc", "dbh_nu",
+                                                  "transferred"])
+def test_inlined_alphabet_checks_raise_as_before(index, nu):
+    """A word over another alphabet, as letters or as text, raises the
+    same ``AlphabetMismatchError`` with the same message as
+    ``_check_word``.  The other alphabet holds "0" and "1" in the other
+    order, so without the check these words would be weighed."""
+    ensemble = _per_word_ensembles(nu)[index]
+    other = Alphabet(("1", "0"))
+    for word in (Word(other, ("1", "1", "0")), Word.of_text(other, "110"),
+                 Word(other, ()), Word.of_text(other, "")):
+        with pytest.raises(AlphabetMismatchError, match="^word is over a different alphabet$"):
+            ensemble.mass(word)
 
 
 def test_validate_catches_a_sphere_short_by_two_to_the_minus_40():
