@@ -60,7 +60,6 @@ from .measure import (
     HorizonError,
     InducedEnsemble,
     SphericalEnsemble,
-    _uniform_mass,
     block_mass,
     check_lower_bounds,
     fraction_str,
@@ -244,8 +243,7 @@ def numeral(n: int) -> Word:
     zero bit), the one value whose leading bit is allowed to be 0."""
     if n < 0:
         raise ValueError("numerals encode nonnegative integers")
-    bits = bin(n)[2:] if n > 0 else "0"
-    return BINARY.word("".join("1" + b for b in bits))
+    return Word.of_text(BINARY, "1" + "1".join(bin(n)[2:]))
 
 
 def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
@@ -254,9 +252,12 @@ def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     A numeral is a maximal run of marker pairs "1b"; it ends where the
     next character is a field separator "0" or the string ends.  The
     markers are every other character from ``start``; their leading run
-    of ones is the numeral, and its bits sit between them.
+    of ones is the numeral, and its bits sit between them.  A window of
+    64 markers is read first; only one that is all ones reads the rest.
     """
-    markers = text[start::2]
+    markers = text[start : start + 128 : 2]
+    if markers == "1" * 64:
+        markers = text[start::2]
     count = len(markers) - len(markers.lstrip("1"))
     j = start + 2 * count
     if count == 0 or j > len(text):
@@ -285,7 +286,7 @@ def _read_field(text: str) -> Optional[tuple[int, str]]:
 def xprime_value(text: str) -> Fraction:
     """The dyadic value named by a candidate string x0 x1 ... xk:
     x0 . x1 ... xk 1 in binary, i.e. (2 * int(text, 2) + 1) / 2^len."""
-    if not text or any(c not in "01" for c in text):
+    if not text or text.strip("01"):
         raise ValueError("candidate must be a nonempty binary string")
     return Fraction(2 * int(text, 2) + 1, 2 ** len(text))
 
@@ -317,24 +318,33 @@ def _x_prime_prefix(lo: Fraction, hi: Fraction, n: int) -> Word:
     common prefix is the top k - bitlen(a ^ b) digits of either."""
     k = n + 2
     a = (lo.numerator << k) // lo.denominator
-    b = (1 << k) - 1 if hi == 1 else (hi.numerator << k) // hi.denominator
+    hi_num, hi_den = hi.numerator, hi.denominator
+    b = (1 << k) - 1 if hi_num == hi_den else (hi_num << k) // hi_den
     common = k - (a ^ b).bit_length()
     if common == k:
         raise AssertionError("interval endpoints agree too long; mass bound broken")
     text = "0" + format(a, f"0{k}b")[:common]
-    value = xprime_value(text)
-    if not (lo < value <= hi):
+    # lo < value <= hi on integers, the value being v / 2^|text| (``xprime_value``)
+    v, shift = 2 * int(text, 2) + 1, len(text)
+    if not ((lo.numerator << shift) < v * lo.denominator and v * hi_den <= hi_num << shift):
         raise AssertionError("prefix construction produced a bad dyadic address")
-    return BINARY.word(text)
+    return Word.of_text(BINARY, text)
+
+
+def _light(q: Fraction, n: int) -> bool:
+    """q <= 2^-n, compared as the integers q.numerator * 2^n and
+    q.denominator: the dyadic threshold of the compression."""
+    return q.numerator << n <= q.denominator
 
 
 def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:
     """Verbatim shipping for low-mass inputs, dyadic address for high-mass
     ones: 0x if mass(x) <= 2^-|x|, else 1 x'.  Always at most |x|+1 long,
     and always mass(x) <= 4 * 2^-|x''|."""
-    if mu.mass(x) <= _uniform_mass(2, len(x)):
-        return BINARY.word("0" + x.text())
-    return BINARY.word("1" + x_prime(mu, x).text())
+    if _light(mu.mass(x), len(x)):
+        text = "0" + x.text()
+        return Word.of_text(BINARY, text) if x.alphabet is BINARY else BINARY.word(text)
+    return Word.of_text(BINARY, "1" + x_prime(mu, x).text())
 
 
 # --- the decoding-protocol machines ------------------------------------------
@@ -359,26 +369,28 @@ def _protocol_run(
     every length.  Branch 0 ships the candidate input verbatim; branch 1
     carries a dyadic address which is resolved against the cumulative
     masses and must round-trip through the address construction.
+    x'' is cut from a binary word, so the candidate is built unchecked;
+    the threshold tests compare integers, not ``Fraction`` objects.
     """
     if not x2 or budget < n or mu.horizon is not None and n > mu.horizon:
         return None
     b, w = x2[0], x2[1:]
     try:
         if b == "0":
-            candidate = BINARY.word(w)
-            # literal mass test: mass of w in the claimed sphere n (zero when
-            # the lengths disagree) against the threshold for w's own length
-            mass = mu.mass(candidate) if len(candidate) == n else ZERO
-            if mass > _uniform_mass(2, len(candidate)):
+            candidate = Word.of_text(BINARY, w)
+            # literal mass test: mass of w in the claimed sphere n (zero, so
+            # light, when the lengths disagree) against the threshold for
+            # w's own length
+            if len(w) == n and not _light(mu.mass(candidate), n):
                 return None
         else:
             if not w:
                 return None
             value = xprime_value(w)
-            if not 0 < value <= 1:
+            if not 0 < value.numerator <= value.denominator:
                 return None
             candidate = invert_mu_star(mu, n, value)
-            if mu.mass(candidate) <= _uniform_mass(2, n) or x_prime(mu, candidate).text() != w:
+            if _light(mu.mass(candidate), n) or x_prime(mu, candidate).text() != w:
                 return None
     except HorizonError:  # a sphere enumerated past ENUMERATION_CAP
         return None
@@ -460,13 +472,19 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -
     growth; the construction errors out if the guard leaves no room for
     the payload (cannot happen for guards built by ``adequate_guard``).
     A source measure over another alphabet raises ``ValueError``.
+    The image length and the head "numeral(n) 0 prefix" (on the universal
+    stage, thousands of letters of machine code) are built once per |x|.
     """
     if mu.alphabet is not BINARY:
         raise ValueError("reduce to a binary alphabet first")
+    heads: dict[int, tuple[int, str]] = {}  # n -> (guard(n), numeral(n) 0 prefix)
 
     def apply(x: Word) -> Word:
         n = len(x)
-        return _wrap(guard(n), numeral(n).text() + "0" + prefix + x_double_prime(mu, x).text())
+        head = heads.get(n)
+        if head is None:
+            head = heads[n] = guard(n), numeral(n).text() + "0" + prefix
+        return _wrap(head[0], head[1] + x_double_prime(mu, x).text())
 
     return Reduction(
         name=f"to-bounded-halting[{guard.form}]",
@@ -563,7 +581,7 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
             if not x.letters:
                 continue
             got, bound = NU.mass(y), mass_bound(x)
-            if stage.mu.mass(x) <= _uniform_mass(2, len(x)):
+            if _light(stage.mu.mass(x), len(x)):
                 sharper = 2 * bound  # mass / (8 |x|^2 g(|x|))
                 if got < sharper:
                     branch1_f8.append(
@@ -662,6 +680,8 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
       the simulated steps.
 
     Anything else (including undecodable machine fields) never halts.
+    Inputs are binary words, as ``bh_search`` passes them, so the fields
+    cut from their text are binary and built into words unchecked.
 
     The code texts "machine-code 0" of the registry's machines are built
     once, so a chained input whose machine field is one of them, as
@@ -684,7 +704,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
         gamma, rest = fields
         machine = _machine_at(gamma, index)
         if machine is not None:  # plain shape: machine-code 0 w
-            return _search_halting(machine, BINARY.word(rest), budget)
+            return _search_halting(machine, Word.of_text(BINARY, rest), budget)
         # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
         for code, search in known:
             if rest.startswith(code):
@@ -773,13 +793,13 @@ def _relaxation_points(restricted: InducedEnsemble, m: int, d) -> Iterator[tuple
     got >= bound yields each of its words in lex order instead, so the
     violations are the per-word ones."""
     for prefix, k in NU.classes(m):
-        y = BINARY.word(prefix + "0" * k)
+        y = Word.of_text(BINARY, prefix + "0" * k)
         got, bound = NU.mass(y), restricted.mass(y) / d
         if got >= bound:
             yield y, got, bound
             continue
         for w in BINARY.sphere(k):
-            y = BINARY.word(prefix + w.text())
+            y = Word.of_text(BINARY, prefix + w.text())
             yield y, NU.mass(y), restricted.mass(y) / d
 
 

@@ -182,13 +182,14 @@ def check_lower_bounds(
     witness, in order.  Its ratio is equal, so it cannot lower the
     minimum and is not formed.  Shared masses (one object per uniform
     sphere or bounded-halting class) thus cost one comparison per run.
+    It, the test bound != 0 and the ratio read the same cross products.
     """
     # the running minimum is kept as an integer pair, without a gcd per
     # point on sphere-wide checks, and reduced by its common power of two
     # when it is replaced: exact, and small on the universal stage, whose
     # bounds all carry the factor 2^-|machine code|, so each comparison
-    # multiplies a long integer by a short one.  den > 0 (bound > 0), so
-    # num | den > 0 even where got is 0.
+    # multiplies a long integer by a short one.  Denominators are positive:
+    # got < bound is num < den, and den > 0 (bound > 0) gives num | den > 0.
     best: Optional[tuple[int, int]] = None
     last_got = last_bound = failure = None  # failure: the (expected, actual) strings
     for witness, got, bound in points:
@@ -197,16 +198,15 @@ def check_lower_bounds(
                 report.add(str(witness), *failure)
             continue
         last_got, last_bound = got, bound
-        failure = got < bound and (f">= {fraction_str(bound)}", fraction_str(got))
+        num = got.numerator * bound.denominator
+        den = got.denominator * bound.numerator
+        failure = num < den and (f">= {fraction_str(bound)}", fraction_str(got))
         if failure:
             report.add(str(witness), *failure)
-        if bound:
-            num = got.numerator * bound.denominator
-            den = got.denominator * bound.numerator
-            if best is None or num * best[1] < best[0] * den:
-                low = num | den
-                twos = (low & -low).bit_length() - 1
-                best = (num >> twos, den >> twos)
+        if den and (best is None or num * best[1] < best[0] * den):
+            low = num | den
+            twos = (low & -low).bit_length() - 1
+            best = (num >> twos, den >> twos)
     return None if best is None else Fraction(*best)
 
 

@@ -29,6 +29,18 @@ computes another way, kept here so that tests can cross-check the two:
   matched the code texts of its registry's machines;
 - ``x_prime_scan``: the shortlex brute force over dyadic addresses that
   ``bhp.x_prime``'s prefix construction is checked against;
+- ``x_prime_prefix``, ``x_double_prime`` and ``protocol_run``: the
+  address construction, the compression and the decoding protocol with
+  their dyadic thresholds and bracket checks as ``Fraction``
+  comparisons, as they were before those became integer tests;
+- ``numeral`` and ``red2bh_image``: the numeral built bit by bit through
+  the checked ``Alphabet.word``, and the bounded-halting image built
+  afresh at every word (guard value, numeral and head), as
+  ``bhp.red2bh_map`` built it before it kept one head per length;
+- ``check_lower_bounds``: the pointwise lower-bound check with a
+  ``Fraction`` comparison and a ``Fraction`` ratio at every point, as it
+  was before it read both off two integer cross products and shared
+  verdicts along runs;
 - ``overrun_mass``: the control-sequence value of one sphere with one
   machine search per word, as it was summed before
   ``genericity.overrun_mass`` searched once per block of words that
@@ -53,8 +65,10 @@ machines of the benchmark's never-halting families of those names.
 the final state, on a symbol no input holds and no move writes.
 
 The machine code (the answer decoder too), ``scan_numeral``, the body
-of ``nu_mass_text``, ``verify_induced``, the evaluator of ``universal_by_fields`` and
-``build_parser`` with ``nonnegative_int`` are copied verbatim.  Only the imports are new, ``RunResult`` records are
+of ``nu_mass_text``, ``verify_induced``, the evaluator of ``universal_by_fields``,
+``build_parser`` with ``nonnegative_int`` and the bodies of
+``x_prime_prefix``, ``x_double_prime``, ``protocol_run`` and ``numeral``
+are copied verbatim.  Only the imports are new, ``RunResult`` records are
 built directly, not through the static constructors it no longer has,
 ``_moves`` stands in for ``TuringMachine._delta``, which is now keyed
 by tape digit instead of symbol text, and the evaluator names
@@ -85,9 +99,11 @@ from gclab.bhp import (
     _machine_at,
     _protocol_run,
     _read_field,
+    _wrap,
     bh_search,
     guard_inverse,
     machine_index,
+    x_prime,
     xprime_value,
 )
 from gclab.cli import cmd_control_seq, cmd_density, cmd_reduce, cmd_tm, cmd_verify
@@ -103,7 +119,8 @@ from gclab.machine import (
     TuringMachine,
     VirtualMachine,
 )
-from gclab.measure import ONE, ZERO, DBHNuEnsemble, SphericalEnsemble, subset_mass
+from gclab.measure import ONE, ZERO, DBHNuEnsemble, HorizonError, SphericalEnsemble, subset_mass
+from gclab.measure import _uniform_mass, invert_mu_star
 from gclab.measure import CheckReport, InducedEnsemble, exact_sum, fraction_str
 from gclab.words import BINARY, Alphabet, Word
 
@@ -426,10 +443,10 @@ def c_of_g_member(guard, u: Word) -> bool:
     return guard_inverse(guard, n) == len(w)
 
 
-def universal_by_fields(registry: list[Machine]) -> Search:
+def universal_by_fields(registry: list[Machine], run=_protocol_run) -> Search:
     """The universal machine's evaluator on this registry, reading the
     length field and the machine field of a chained input with
-    ``_read_field``."""
+    ``_read_field``; ``run`` is the decoding protocol of chained inputs."""
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
@@ -445,7 +462,7 @@ def universal_by_fields(registry: list[Machine]) -> Search:
         machine = None if fields is None else _machine_at(fields[0], index)
         if machine is None:
             return None
-        return _protocol_run(NU, partial(bh_search, machine), gamma, fields[1], budget)
+        return run(NU, partial(bh_search, machine), gamma, fields[1], budget)
 
     return evaluator
 
@@ -459,6 +476,91 @@ def x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:
             if lo < xprime_value(text) <= hi:
                 return BINARY.word(text)
     raise AssertionError("no dyadic address found; interval bookkeeping is broken")
+
+
+def x_prime_prefix(lo: Fraction, hi: Fraction, n: int) -> Word:
+    """``bhp._x_prime_prefix`` with ``hi == 1`` and the bracket check
+    ``lo < value <= hi`` as ``Fraction`` comparisons."""
+    k = n + 2
+    a = (lo.numerator << k) // lo.denominator
+    b = (1 << k) - 1 if hi == 1 else (hi.numerator << k) // hi.denominator
+    common = k - (a ^ b).bit_length()
+    if common == k:
+        raise AssertionError("interval endpoints agree too long; mass bound broken")
+    text = "0" + format(a, f"0{k}b")[:common]
+    value = xprime_value(text)
+    if not (lo < value <= hi):
+        raise AssertionError("prefix construction produced a bad dyadic address")
+    return BINARY.word(text)
+
+
+def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:
+    """``bhp.x_double_prime`` with the threshold mass(x) <= 2^-|x| as a
+    ``Fraction`` comparison."""
+    if mu.mass(x) <= _uniform_mass(2, len(x)):
+        return BINARY.word("0" + x.text())
+    return BINARY.word("1" + x_prime(mu, x).text())
+
+
+def protocol_run(
+    mu: SphericalEnsemble, inner: Search, n: int, x2: str, budget: int
+) -> Optional[int]:
+    """``bhp._protocol_run`` with its mass tests and the address value's
+    range test as ``Fraction`` comparisons, and the verbatim candidate
+    built through the checked ``Alphabet.word``."""
+    if not x2 or budget < n or mu.horizon is not None and n > mu.horizon:
+        return None
+    b, w = x2[0], x2[1:]
+    try:
+        if b == "0":
+            candidate = BINARY.word(w)
+            # literal mass test: mass of w in the claimed sphere n (zero when
+            # the lengths disagree) against the threshold for w's own length
+            mass = mu.mass(candidate) if len(candidate) == n else ZERO
+            if mass > _uniform_mass(2, len(candidate)):
+                return None
+        else:
+            if not w:
+                return None
+            value = xprime_value(w)
+            if not 0 < value <= 1:
+                return None
+            candidate = invert_mu_star(mu, n, value)
+            if mu.mass(candidate) <= _uniform_mass(2, n) or x_prime(mu, candidate).text() != w:
+                return None
+    except HorizonError:  # a sphere enumerated past ENUMERATION_CAP
+        return None
+    steps = inner(candidate, budget - n)
+    return None if steps is None else n + steps
+
+
+def numeral(n: int) -> Word:
+    """``bhp.numeral`` built one marked bit at a time."""
+    if n < 0:
+        raise ValueError("numerals encode nonnegative integers")
+    bits = bin(n)[2:] if n > 0 else "0"
+    return BINARY.word("".join("1" + b for b in bits))
+
+
+def red2bh_image(mu: SphericalEnsemble, guard, prefix: str, x: Word) -> Word:
+    """The image of x under ``bhp.red2bh_map(mu, guard, prefix)``, with
+    its guard value, numeral and payload head built for this word."""
+    n = len(x)
+    return _wrap(guard(n), numeral(n).text() + "0" + prefix + x_double_prime(mu, x).text())
+
+
+def check_lower_bounds(report: CheckReport, points) -> Optional[Fraction]:
+    """``measure.check_lower_bounds`` comparing and dividing
+    ``Fraction``s at every point."""
+    best = None
+    for witness, got, bound in points:
+        if got < bound:
+            report.add(str(witness), f">= {fraction_str(bound)}", fraction_str(got))
+        if bound != 0:
+            ratio = got / bound
+            if best is None or ratio < best:
+                best = ratio
+    return best
 
 
 def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) -> Fraction:

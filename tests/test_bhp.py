@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -35,8 +36,10 @@ from gclab.bhp import (
     NU,
     _machine_at,
     _payload,
+    _protocol_run,
     _read_field,
     _relaxation_points,
+    _x_prime_prefix,
     adequate_guard,
     as_guard,
     guard_inverse,
@@ -48,10 +51,18 @@ from gclab.bhp import (
 )
 from gclab.cli import main
 from gclab.genericity import parse_polynomial
-from gclab.machine import halts_within, load_machine, min_halting_steps
-from gclab.measure import CheckReport, check_lower_bounds, ensemble_from_spec, verify_induced
+from gclab.machine import (
+    MachineFormatError,
+    VirtualMachine,
+    halts_within,
+    load_machine,
+    min_halting_steps,
+)
+from gclab.measure import ONE, ZERO, CheckReport, check_lower_bounds, ensemble_from_spec
+from gclab.measure import verify_induced
 from gclab.reductions import DistributionalProblem
-from gclab.words import Alphabet, AlphabetMismatchError
+from gclab.words import Alphabet, AlphabetMismatchError, Word
+import oracles
 from oracles import (
     c_of_g_member,
     nu_mass_text,
@@ -297,11 +308,44 @@ def test_numeral_rejects_malformed():
         assert scan_numeral(bad, 0) is None
 
 
-def _scan_outcome(scan, text, start):
+def _outcome(fn, *args):
     try:
-        return scan(text, start)
+        return fn(*args)
     except Exception as exc:  # the oracle's exception type must match too
         return type(exc)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _data_machines():
+    """Every table machine under tests/data."""
+    machines = []
+    for path in sorted(DATA.glob("*.json")):
+        try:
+            machines.append(load_machine(json.loads(path.read_text())))
+        except MachineFormatError:  # a bundle or an ensemble, not a machine
+            pass
+    return machines
+
+
+def test_numeral_matches_per_bit_oracle():
+    """``numeral`` joins its text in one step; it equals the numeral
+    built bit by bit through the checked ``Alphabet.word``, text and
+    letters, for every n < 4096 and for the canonical index of every
+    machine under tests/data (numerals of hundreds to thousands of
+    bits), and a negative n still raises ``ValueError``."""
+    machines = _data_machines()
+    assert len(machines) >= 10
+    indices = list(range(4096)) + [machine_index(m) for m in machines]
+    assert max(indices).bit_length() > 1000
+    for n in indices:
+        fast, slow = numeral(n), oracles.numeral(n)
+        assert fast.alphabet is BINARY
+        assert fast.text() == slow.text() and fast.letters == slow.letters, n
+    for n in (-1, -4096):
+        with pytest.raises(ValueError, match="nonnegative"):
+            numeral(n)
 
 
 def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
@@ -325,9 +369,16 @@ def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
     texts += ["1", "111", "0111", "11111", "1011", "101110", "10" + "11" * 5, "1010"]
     # text that is not binary
     texts += ["12", "1a10", "1 1", "11 1", "1_10", "111_10", "1-1", "1\u0661", "2", "x1"]
+    # numerals of 63 to 66 bits, just under, at and just over the scan's
+    # 64-marker window, alone and followed by a separator and more text
+    for bits in (63, 64, 65, 66):
+        for n in (1 << bits - 1, (1 << bits) - 1, rng.getrandbits(bits - 1) | 1 << bits - 1):
+            text = numeral(n).text()
+            assert scan_numeral(text, 0) == (n, 2 * bits)
+            texts += [text, text + "0", text + "0" + "0110", text + "0" + numeral(n).text()]
     for text in texts:
         for start in range(len(text) + 3):
-            assert _scan_outcome(scan_numeral, text, start) == _scan_outcome(
+            assert _outcome(scan_numeral, text, start) == _outcome(
                 scan_numeral_per_bit, text, start), (text, start)
 
 
@@ -338,6 +389,15 @@ def test_xprime_value():
     assert xprime_value("0") == Fraction(1, 2)
     assert xprime_value("01") == Fraction(3, 4)
     assert xprime_value("11") == Fraction(7, 4)
+
+
+@pytest.mark.parametrize("text", ["", "2", "0_1", " 01", "01 ", "0 1", "1\u0661", "\u06610", "+1"])
+def test_xprime_value_rejects_text_that_is_not_binary(text):
+    """Every candidate with a character other than 0 and 1 raises, also
+    those ``int(text, 2)`` would read: underscores, surrounding blanks,
+    other scripts' digits, a sign."""
+    with pytest.raises(ValueError, match="nonempty binary string"):
+        xprime_value(text)
 
 
 def test_x_prime_worked_examples(mu2):
@@ -392,6 +452,114 @@ def test_x_double_prime_bounds_everywhere(uniform, nu, geometric_table, worked_t
                 double = x_double_prime(ensemble, x)
                 assert len(double) <= n + 1
                 assert ensemble.mass(x) <= 4 * Fraction(1, 2 ** len(double))
+
+
+@pytest.fixture(scope="module")
+def threshold_table():
+    """Sphere n's words weigh, in lex order, 2^-n, 2^-n + e, 2^-n - e,
+    2^-n, ... with e = 1/(3 * 4^(n+1)), the last word taking what makes
+    the sphere sum to 1 (2^-n itself): masses at, just above and just
+    below the compression's threshold, up to n = 10."""
+    entries = {}
+    for n in range(1, 11):
+        at, e = Fraction(1, 2**n), Fraction(1, 3 * 4 ** (n + 1))
+        masses = [at + (0, e, -e)[i % 3] for i in range(2**n)]
+        masses[-1] += 1 - sum(masses)
+        entries.update(zip((x.text() for x in BINARY.sphere(n)), masses))
+    table = TableEnsemble(BINARY, entries, n_max=10)
+    table.validate()
+    return table
+
+
+def test_integer_thresholds_match_fraction_oracles(uniform, nu, threshold_table):
+    """The compression x'' of every x <= 10 equals the oracle's, whose
+    threshold test mass(x) <= 2^-|x| compares ``Fraction``s, under ν,
+    under the uniform ensemble (every mass exactly 2^-|x|, the ``<=``
+    edge) and under a table with masses at, just above and just below
+    it.  The address construction equals the oracle's, whose bracket
+    check lo < value <= hi compares ``Fraction``s, on each word's mass
+    interval and on intervals of every order, both ends 0, 1, dyadic or
+    not, where the bracket fails and both raise alike."""
+    sides = set()
+    for mu in (uniform, nu, threshold_table):
+        for n in range(11):
+            threshold = Fraction(1, 2**n)
+            for x in BINARY.sphere(n):
+                assert x_double_prime(mu, x).text() == oracles.x_double_prime(mu, x).text()
+                lo, hi = mu.interval(x)
+                if lo < hi:
+                    assert _outcome(_x_prime_prefix, lo, hi, n) == _outcome(
+                        oracles.x_prime_prefix, lo, hi, n), (mu.kind, x.text())
+                mass = mu.mass(x)
+                sides.add((mu is threshold_table, (mass > threshold) - (mass < threshold)))
+    assert {(True, -1), (True, 0), (True, 1), (False, 0)} <= sides
+    rng = random.Random(35)
+    ends = [ZERO, ONE, Fraction(1, 2), Fraction(3, 4), Fraction(5, 4), Fraction(1, 3)]
+    ends += [Fraction(rng.randrange(1, 300), rng.randrange(1, 300)) for _ in range(40)]
+    outcomes = set()
+    for lo in ends:
+        for hi in ends:
+            for n in range(6):
+                got = _outcome(_x_prime_prefix, lo, hi, n)
+                assert got == _outcome(oracles.x_prime_prefix, lo, hi, n), (lo, hi, n)
+                outcomes.add(got if isinstance(got, type) else type(got))
+    assert outcomes == {Word, AssertionError}
+
+
+def _even_ones():
+    """A virtual decider that halts after |w| steps on the words with an
+    even number of ones."""
+
+    def evaluator(w: Word, budget: int):
+        return len(w) if w.text().count("1") % 2 == 0 and len(w) <= budget else None
+
+    return VirtualMachine(name="even-ones", evaluator=evaluator)
+
+
+def _x2_variants(mu, x):
+    """The compressed inputs a protocol reads for x: its own x'', x
+    shipped verbatim and, when mass(x) >= 2^-|x| (so the address exists),
+    x's dyadic address, so each mass test passes and fails."""
+    variants = {x_double_prime(mu, x).text(), "0" + x.text()}
+    if mu.mass(x) >= Fraction(1, 2 ** len(x)):
+        variants.add("1" + x_prime(mu, x).text())
+    return variants
+
+
+def test_protocol_evaluators_match_fraction_oracles(uniform, nu, threshold_table):
+    """The protocol machine of ``red2bh`` over ν, the uniform ensemble and
+    the threshold table, and the universal machine (chained inputs, over
+    ν), give the steps of the oracle protocol, whose mass tests and
+    address range test compare ``Fraction``s, on "numeral(n) 0 [code 0]
+    x''" for each x'' variant of every x <= 10 at the budgets n, 2n - 1
+    and 2n, just short of and at the 2n steps an accepted x of length n
+    takes."""
+    decider = _even_ones()
+    verdicts = set()
+    for mu in (uniform, nu, threshold_table):
+        problem = DistributionalProblem("even-ones", BINARY, lambda x: True, mu)
+        machine = red2bh(problem, decider, Polynomial((6, 1, 1)), lambda n: n).machine
+        inner = partial(gclab.bhp._search_halting, decider)
+        machines = [(machine.evaluator, lambda v, b, mu=mu: oracles.protocol_run(
+            mu, inner, *_read_field(v.text()), b), "")]
+        if mu is nu:
+            universal = red2bhu(decider, Polynomial((1, 2)))
+            machines.append((universal.machine.evaluator,
+                             oracles.universal_by_fields([decider], run=oracles.protocol_run),
+                             universal.prefix))
+        for n in range(11):
+            head = numeral(n).text() + "0"
+            for x in BINARY.sphere(n):
+                for x2 in _x2_variants(mu, x):
+                    for fast, slow, prefix in machines:
+                        v = BINARY.word(head + prefix + x2)
+                        for budget in (n, 2 * n - 1, 2 * n):
+                            steps = fast(v, budget)
+                            assert steps == slow(v, budget), (mu.kind, x.text(), x2, budget)
+                            verdicts.add((mu.kind, prefix != "", steps is None))
+    assert verdicts == {(kind, universal, halted) for kind in ("uniform", "dbh_nu", "table")
+                        for universal in (False, True) for halted in (False, True)
+                        if kind == "dbh_nu" or not universal}
 
 
 def test_invert_mu_star(mu2, uniform):
@@ -469,6 +637,30 @@ def test_red2bh_image_length_is_guard(contains01_problem, contains01_ntm):
     for n in range(6):
         for x in BINARY.sphere(n):
             assert len(stage.reduction.apply(x)) == stage.guard(n)
+
+
+def test_maps_build_one_head_per_length(monkeypatch, threshold_table, find_zero):
+    """Each stage's map computes the guard value and the numeral of a
+    length once, however many words of that length it maps: applied to
+    every x <= 8, twice, it calls ``numeral`` and the guard once per
+    length, and each image equals the oracle's, built afresh per word."""
+    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    universal = red2bhu(find_zero, Polynomial((1, 2)))
+    stages = [(red2bh_map(threshold_table, guard), threshold_table, guard, ""),
+              (universal.reduction, NU, universal.guard, universal.prefix)]
+    real_numeral, real_guard = gclab.bhp.numeral, LongevityGuard.__call__
+    for f, mu, g, prefix in stages:
+        numerals, guards = [], []
+        monkeypatch.setattr(gclab.bhp, "numeral", lambda n: numerals.append(n) or real_numeral(n))
+        monkeypatch.setattr(LongevityGuard, "__call__",
+                            lambda self, n: guards.append((self, n)) or real_guard(self, n))
+        images = [f.apply(x) for x in BINARY.ball(8)]
+        assert [f.apply(x) for x in BINARY.ball(8)] == images
+        monkeypatch.undo()
+        assert numerals == list(range(9))
+        assert guards == [(g, n) for n in range(9)]
+        for x, y in zip(BINARY.ball(8), images):
+            assert y.text() == oracles.red2bh_image(mu, g, prefix, x).text(), x.text()
 
 
 def test_red2bh_uniform_takes_verbatim_branch(contains01_problem, contains01_ntm):

@@ -669,6 +669,39 @@ def test_check_lower_bounds_returns_the_exact_minimum_ratio(scale):
     assert check_lower_bounds(CheckReport("lower-bounds", 0), [(0, Fraction(1), Fraction(0))]) is None
 
 
+def test_check_lower_bounds_matches_the_fraction_oracle():
+    """The violations and the minimum ratio equal the oracle's, which
+    compares and divides ``Fraction``s at every point, where got equals
+    the bound (no violation), where the bound is 0 (no ratio, and no
+    violation) and where got is 0 (ratio 0, a violation unless the bound
+    is 0 too), among short and long, dyadic and other values, on single
+    points and on one stream with runs that share their objects."""
+    rng = random.Random(35)
+    values = [ZERO, Fraction(0), ONE, Fraction(1, 3), Fraction(2, 6), Fraction(1, 1 << 40),
+              Fraction(3, 1 << 3000), Fraction(3 << 2, 1 << 3002), Fraction(7, 5)]
+    values += [Fraction(rng.randrange(1, 90), rng.randrange(1, 90) << rng.randrange(60))
+               for _ in range(8)]
+    points = [(f"{i}.{j}", got, bound) for i, got in enumerate(values)
+              for j, bound in enumerate(values)]
+    kinds = set()
+    for point in points:
+        report, oracle = CheckReport("lower-bounds", 0), CheckReport("lower-bounds", 0)
+        ratio = check_lower_bounds(report, [point])
+        assert ratio == oracles.check_lower_bounds(oracle, [point]), point
+        assert report.violations == oracle.violations, point
+        _, got, bound = point
+        kinds.add((got == bound, got == 0, bound == 0, ratio is None, report.passed))
+    assert {(True, False, False, False, True), (True, True, True, True, True),
+            (False, True, False, False, False), (False, False, True, True, True)} <= kinds
+    stream = [point for point in points for _ in range(rng.randrange(1, 4))]
+    rng.shuffle(points)
+    for sequence in (stream, points, [p for p in points if p[2] == 0]):
+        report, oracle = CheckReport("lower-bounds", 0), CheckReport("lower-bounds", 0)
+        assert check_lower_bounds(report, iter(sequence)) == oracles.check_lower_bounds(
+            oracle, iter(sequence))
+        assert report.violations == oracle.violations
+
+
 @pytest.mark.parametrize("base", ["nu", "uniform", "worked_table", "geometric_table"])
 def test_shared_quotients_match_per_word_division(base, request):
     """``InducedEnsemble.mass`` and the ``verify_induced`` and
