@@ -246,6 +246,10 @@ def numeral(n: int) -> Word:
     return Word.of_text(BINARY, "1" + "1".join(bin(n)[2:]))
 
 
+_WINDOW = 64  # markers scan_numeral reads before it reads the rest
+_FULL_WINDOW = "1" * _WINDOW
+
+
 def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     """Parse a numeral at ``start``; return (value, end index) or None.
 
@@ -253,10 +257,11 @@ def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     next character is a field separator "0" or the string ends.  The
     markers are every other character from ``start``; their leading run
     of ones is the numeral, and its bits sit between them.  A window of
-    64 markers is read first; only one that is all ones reads the rest.
+    ``_WINDOW`` markers is read first; only one that is all ones reads
+    the rest.
     """
-    markers = text[start : start + 128 : 2]
-    if markers == "1" * 64:
+    markers = text[start : start + 2 * _WINDOW : 2]
+    if markers == _FULL_WINDOW:
         markers = text[start::2]
     count = len(markers) - len(markers.lstrip("1"))
     j = start + 2 * count
@@ -318,15 +323,13 @@ def _x_prime_prefix(lo: Fraction, hi: Fraction, n: int) -> Word:
     common prefix is the top k - bitlen(a ^ b) digits of either."""
     k = n + 2
     a = (lo.numerator << k) // lo.denominator
-    hi_num, hi_den = hi.numerator, hi.denominator
-    b = (1 << k) - 1 if hi_num == hi_den else (hi_num << k) // hi_den
+    b = (1 << k) - 1 if hi == 1 else (hi.numerator << k) // hi.denominator
     common = k - (a ^ b).bit_length()
     if common == k:
         raise AssertionError("interval endpoints agree too long; mass bound broken")
     text = "0" + format(a, f"0{k}b")[:common]
-    # lo < value <= hi on integers, the value being v / 2^|text| (``xprime_value``)
-    v, shift = 2 * int(text, 2) + 1, len(text)
-    if not ((lo.numerator << shift) < v * lo.denominator and v * hi_den <= hi_num << shift):
+    value = xprime_value(text)
+    if not (lo < value <= hi):
         raise AssertionError("prefix construction produced a bad dyadic address")
     return Word.of_text(BINARY, text)
 
@@ -340,10 +343,10 @@ def _light(q: Fraction, n: int) -> bool:
 def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:
     """Verbatim shipping for low-mass inputs, dyadic address for high-mass
     ones: 0x if mass(x) <= 2^-|x|, else 1 x'.  Always at most |x|+1 long,
-    and always mass(x) <= 4 * 2^-|x''|."""
+    and always mass(x) <= 4 * 2^-|x''|.  mu is a measure over BINARY
+    (``red2bh_map`` checks), so x'' is built unchecked."""
     if _light(mu.mass(x), len(x)):
-        text = "0" + x.text()
-        return Word.of_text(BINARY, text) if x.alphabet is BINARY else BINARY.word(text)
+        return Word.of_text(BINARY, "0" + x.text())
     return Word.of_text(BINARY, "1" + x_prime(mu, x).text())
 
 
@@ -369,8 +372,7 @@ def _protocol_run(
     every length.  Branch 0 ships the candidate input verbatim; branch 1
     carries a dyadic address which is resolved against the cumulative
     masses and must round-trip through the address construction.
-    x'' is cut from a binary word, so the candidate is built unchecked;
-    the threshold tests compare integers, not ``Fraction`` objects.
+    x'' is cut from a binary word, so the candidate is built unchecked.
     """
     if not x2 or budget < n or mu.horizon is not None and n > mu.horizon:
         return None

@@ -182,7 +182,6 @@ def check_lower_bounds(
     witness, in order.  Its ratio is equal, so it cannot lower the
     minimum and is not formed.  Shared masses (one object per uniform
     sphere or bounded-halting class) thus cost one comparison per run.
-    It, the test bound != 0 and the ratio read the same cross products.
     """
     # the running minimum is kept as an integer pair, without a gcd per
     # point on sphere-wide checks, and reduced by its common power of two

@@ -29,9 +29,8 @@ computes another way, kept here so that tests can cross-check the two:
   matched the code texts of its registry's machines;
 - ``x_prime_scan``: the shortlex brute force over dyadic addresses that
   ``bhp.x_prime``'s prefix construction is checked against;
-- ``x_prime_prefix``, ``x_double_prime`` and ``protocol_run``: the
-  address construction, the compression and the decoding protocol with
-  their dyadic thresholds and bracket checks as ``Fraction``
+- ``x_double_prime`` and ``protocol_run``: the compression and the
+  decoding protocol with their dyadic thresholds as ``Fraction``
   comparisons, as they were before those became integer tests;
 - ``numeral`` and ``red2bh_image``: the numeral built bit by bit through
   the checked ``Alphabet.word``, and the bounded-halting image built
@@ -67,8 +66,7 @@ the final state, on a symbol no input holds and no move writes.
 The machine code (the answer decoder too), ``scan_numeral``, the body
 of ``nu_mass_text``, ``verify_induced``, the evaluator of ``universal_by_fields``,
 ``build_parser`` with ``nonnegative_int`` and the bodies of
-``x_prime_prefix``, ``x_double_prime``, ``protocol_run`` and ``numeral``
-are copied verbatim.  Only the imports are new, ``RunResult`` records are
+``x_double_prime``, ``protocol_run`` and ``numeral`` are copied verbatim.  Only the imports are new, ``RunResult`` records are
 built directly, not through the static constructors it no longer has,
 ``_moves`` stands in for ``TuringMachine._delta``, which is now keyed
 by tape digit instead of symbol text, and the evaluator names
@@ -476,22 +474,6 @@ def x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:
             if lo < xprime_value(text) <= hi:
                 return BINARY.word(text)
     raise AssertionError("no dyadic address found; interval bookkeeping is broken")
-
-
-def x_prime_prefix(lo: Fraction, hi: Fraction, n: int) -> Word:
-    """``bhp._x_prime_prefix`` with ``hi == 1`` and the bracket check
-    ``lo < value <= hi`` as ``Fraction`` comparisons."""
-    k = n + 2
-    a = (lo.numerator << k) // lo.denominator
-    b = (1 << k) - 1 if hi == 1 else (hi.numerator << k) // hi.denominator
-    common = k - (a ^ b).bit_length()
-    if common == k:
-        raise AssertionError("interval endpoints agree too long; mass bound broken")
-    text = "0" + format(a, f"0{k}b")[:common]
-    value = xprime_value(text)
-    if not (lo < value <= hi):
-        raise AssertionError("prefix construction produced a bad dyadic address")
-    return BINARY.word(text)
 
 
 def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:

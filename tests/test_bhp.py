@@ -39,7 +39,7 @@ from gclab.bhp import (
     _protocol_run,
     _read_field,
     _relaxation_points,
-    _x_prime_prefix,
+    _WINDOW,
     adequate_guard,
     as_guard,
     guard_inverse,
@@ -58,8 +58,7 @@ from gclab.machine import (
     load_machine,
     min_halting_steps,
 )
-from gclab.measure import ONE, ZERO, CheckReport, check_lower_bounds, ensemble_from_spec
-from gclab.measure import verify_induced
+from gclab.measure import CheckReport, check_lower_bounds, ensemble_from_spec, verify_induced
 from gclab.reductions import DistributionalProblem
 from gclab.words import Alphabet, AlphabetMismatchError, Word
 import oracles
@@ -369,9 +368,10 @@ def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
     texts += ["1", "111", "0111", "11111", "1011", "101110", "10" + "11" * 5, "1010"]
     # text that is not binary
     texts += ["12", "1a10", "1 1", "11 1", "1_10", "111_10", "1-1", "1\u0661", "2", "x1"]
-    # numerals of 63 to 66 bits, just under, at and just over the scan's
-    # 64-marker window, alone and followed by a separator and more text
-    for bits in (63, 64, 65, 66):
+    # numerals just under, at and just over the scan's window (63 to 66
+    # bits), alone and followed by a separator and more text
+    assert _WINDOW == 64
+    for bits in range(_WINDOW - 1, _WINDOW + 3):
         for n in (1 << bits - 1, (1 << bits) - 1, rng.getrandbits(bits - 1) | 1 << bits - 1):
             text = numeral(n).text()
             assert scan_numeral(text, 0) == (n, 2 * bits)
@@ -476,34 +476,16 @@ def test_integer_thresholds_match_fraction_oracles(uniform, nu, threshold_table)
     threshold test mass(x) <= 2^-|x| compares ``Fraction``s, under ν,
     under the uniform ensemble (every mass exactly 2^-|x|, the ``<=``
     edge) and under a table with masses at, just above and just below
-    it.  The address construction equals the oracle's, whose bracket
-    check lo < value <= hi compares ``Fraction``s, on each word's mass
-    interval and on intervals of every order, both ends 0, 1, dyadic or
-    not, where the bracket fails and both raise alike."""
+    it."""
     sides = set()
     for mu in (uniform, nu, threshold_table):
         for n in range(11):
             threshold = Fraction(1, 2**n)
             for x in BINARY.sphere(n):
                 assert x_double_prime(mu, x).text() == oracles.x_double_prime(mu, x).text()
-                lo, hi = mu.interval(x)
-                if lo < hi:
-                    assert _outcome(_x_prime_prefix, lo, hi, n) == _outcome(
-                        oracles.x_prime_prefix, lo, hi, n), (mu.kind, x.text())
                 mass = mu.mass(x)
                 sides.add((mu is threshold_table, (mass > threshold) - (mass < threshold)))
     assert {(True, -1), (True, 0), (True, 1), (False, 0)} <= sides
-    rng = random.Random(35)
-    ends = [ZERO, ONE, Fraction(1, 2), Fraction(3, 4), Fraction(5, 4), Fraction(1, 3)]
-    ends += [Fraction(rng.randrange(1, 300), rng.randrange(1, 300)) for _ in range(40)]
-    outcomes = set()
-    for lo in ends:
-        for hi in ends:
-            for n in range(6):
-                got = _outcome(_x_prime_prefix, lo, hi, n)
-                assert got == _outcome(oracles.x_prime_prefix, lo, hi, n), (lo, hi, n)
-                outcomes.add(got if isinstance(got, type) else type(got))
-    assert outcomes == {Word, AssertionError}
 
 
 def _even_ones():
