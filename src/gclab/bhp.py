@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from operator import truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .machine import (
@@ -64,6 +65,7 @@ from .measure import (
     check_lower_bounds,
     fraction_str,
     invert_mu_star,
+    per_run,
 )
 from .measure import size_inverse as guard_inverse
 from .genericity import Polynomial, parse_polynomial
@@ -417,23 +419,17 @@ class BHStage(NamedTuple):
     mu: SphericalEnsemble
     prefix: str = ""
 
-    def mass_bounds(self) -> Callable[[Word], Fraction]:
-        """The function giving the least image mass the measure inequality
-        allows for x: mass(x) / (16 |x|^2 g(|x|) 2^|prefix|), for |x| >= 1.
-
-        It divides once per run of words of one length that share one
-        mass object (a uniform sphere, a class of the input ensemble) and
-        reuses the quotient: on the universal stage the divisor has some
-        3,300 bits, so each division is a long gcd."""
-        last: list = [None, None, None]  # mass, length, quotient
-
-        def bound(x: Word) -> Fraction:
-            mass, n = self.mu.mass(x), len(x)
-            if mass is not last[0] or n != last[1]:
-                last[:] = mass, n, mass / ((16 * n * n * self.guard(n)) << len(self.prefix))
-            return last[2]
-
-        return bound
+    def measure_points(self, pairs: Iterable[tuple]) -> Iterator[tuple[Word, Fraction, Fraction]]:
+        """The points (x, NU.mass(f(x)), mass(x) / (16 |x|^2 g(|x|)
+        2^|prefix|)) of the measure inequality at the pairs (x, f(x), ...)
+        with |x| >= 1, its domain.  The divisor is one object per length,
+        so ``per_run`` divides a run of shared masses once: on the
+        universal stage it has some 3,300 bits, and a division is a long gcd."""
+        divisor = cache(lambda n: (16 * n * n * self.guard(n)) << len(self.prefix))
+        bound = per_run(truediv)
+        for x, y, *_ in pairs:
+            if x.letters:
+                yield x, NU.mass(y), bound(self.mu.mass(x), divisor(len(x)))
 
 
 def adequate_guard(
@@ -565,7 +561,7 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
     pair (x, f(x)) with 1 <= |x|, read off the front of each tuple (so the
     triples of ``verify_membership`` serve):
 
-        NU.mass(f(x)) >= mass(x) / (16 |x|^2 g(|x|))   (``stage.mass_bounds``)
+        NU.mass(f(x)) >= mass(x) / (16 |x|^2 g(|x|))   (``stage.measure_points``)
 
     The report carries per-branch data: which compression branch each
     input took, the exact ratio target/bound, and the sharper per-branch
@@ -576,27 +572,17 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
     report = CheckReport("measure-decrease", n_max)
     branch1_f8: list[dict] = []
     branch2_f16: list[dict] = []
-    mass_bound = stage.mass_bounds()
 
     def points():
-        for x, y, *_ in pairs:
-            if not x.letters:
-                continue
-            got, bound = NU.mass(y), mass_bound(x)
-            if _light(stage.mu.mass(x), len(x)):
-                sharper = 2 * bound  # mass / (8 |x|^2 g(|x|))
-                if got < sharper:
-                    branch1_f8.append(
-                        {"witness": x.text(), "expected": fraction_str(sharper),
-                         "actual": fraction_str(got)}
-                    )
-            elif got < bound:
-                # the address branch's sharper factor is the headline 16,
-                # so its violations are the headline ones on that branch
-                branch2_f16.append(
-                    {"witness": x.text(), "expected": fraction_str(bound),
-                     "actual": fraction_str(got)}
-                )
+        for x, got, bound in stage.measure_points(pairs):
+            # the verbatim branch's sharper bound is mass / (8 |x|^2 g(|x|)); the
+            # address branch's is the headline one
+            light = _light(stage.mu.mass(x), len(x))
+            sharper = 2 * bound if light else bound
+            if got < sharper:
+                (branch1_f8 if light else branch2_f16).append(
+                    {"witness": x.text(), "expected": fraction_str(sharper),
+                     "actual": fraction_str(got)})
             yield x, got, bound
 
     min_ratio = check_lower_bounds(report, points())
@@ -757,10 +743,7 @@ def verify_red2bhu_measure(stage: BHStage, pairs: Iterable[tuple], n_max: int) -
 
     with both masses under the input ensemble and h = g·s, s = 1."""
     report = CheckReport("measure-decrease-universal", n_max)
-    mass_bound = stage.mass_bounds()
-    min_ratio = check_lower_bounds(
-        report, ((x, NU.mass(y), mass_bound(x)) for x, y, *_ in pairs if x.letters)
-    )
+    min_ratio = check_lower_bounds(report, stage.measure_points(pairs))
     report.details["machine_code_length"] = len(stage.prefix) - 1
     report.details["skipped_spheres"] = [0]
     if min_ratio is not None:

@@ -294,6 +294,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.check == "nu-sums":
+        if args.fixture is not None:
+            raise UsageError("verify nu-sums takes no fixture file")
         _require_cap(args.n_max, measure.ENUMERATION_CAP, "sphere")
         report = measure.CheckReport("nu-sums", args.n_max)
         for n in range(args.n_max + 1):

@@ -28,7 +28,8 @@ Enumerated sums still call ``mass`` on every word, but add the terms by
 run of one shared mass object once.  The uniform and bounded-halting
 masses are such shared values, one ``Fraction`` per sphere or class, so
 a sum over a sphere builds almost none; their ``mass``, and a
-transferred ensemble's, make no helper call per word.
+transferred ensemble's, make no helper call per word.  Pointwise checks
+divide such a run once (``per_run``) and compare it once.
 
 The transfer of mu along f assigns to a target word y the total mu-mass
 of its preimage when |y| is an achieved image size, and the uniform
@@ -51,6 +52,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, repeat, tee
 from math import ceil
+from operator import truediv
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -96,6 +98,22 @@ def exact_sum(masses: Iterable[Fraction]) -> Fraction:
             totals[den] = totals.get(den, 0) + num * run
         last, run = q, 1
     return sum((Fraction(num, den) for den, num in totals.items()), ZERO)
+
+
+def per_run(fn: Callable) -> Callable:
+    """``fn`` called once per run of calls whose two arguments are the
+    very objects (``is``, not ``==``) of the call before: the run shares
+    that call's result object.  So dividing the words of a uniform sphere
+    or a bounded-halting class by their divisor costs one division."""
+    last_a = last_b = result = object()  # matches no argument
+
+    def call(a, b):
+        nonlocal last_a, last_b, result
+        if a is not last_a or b is not last_b:
+            last_a, last_b, result = a, b, fn(a, b)
+        return result
+
+    return call
 
 
 @cache
@@ -331,7 +349,12 @@ class TableEnsemble(SphericalEnsemble):
     def __init__(self, alphabet: Alphabet, entries: dict,
                  n_max: Optional[int] = None):
         super().__init__(alphabet)
-        self.entries = {k: Fraction(v) for k, v in entries.items()}
+        self.entries = {}
+        for key, value in entries.items():
+            try:
+                self.entries[key] = Fraction(value)
+            except (ArithmeticError, ValueError):  # "1/0", "x", an infinite or NaN float
+                raise ValueError(f"mass {value!r} for {key!r} is not a finite rational") from None
         # each entry's mass summed into its sphere's total, for ``validate``
         self._totals = {0: ONE} if "" not in self.entries else {}
         for key, value in self.entries.items():
@@ -584,7 +607,7 @@ class InducedEnsemble(SphericalEnsemble):
         self.label = label
         self.closed = closed
         self._denominators: dict[int, Fraction] = {}
-        self._last: tuple = (None, None, None)  # (numerator, denominator, quotient)
+        self._quotient = per_run(truediv)
 
     def subset_sphere_mass(self, n: int) -> Fraction:
         """Base mass of the subset inside the radius-n sphere."""
@@ -599,13 +622,7 @@ class InducedEnsemble(SphericalEnsemble):
             return self.base.mass(x)
         if not self.subset(x):
             return ZERO
-        # a member whose mass and denominator are the objects of the last
-        # member's (a run of shared masses) reuses its quotient
-        numerator = self.base.mass(x)
-        last = self._last
-        if numerator is not last[0] or denom is not last[1]:
-            last = self._last = (numerator, denom, numerator / denom)
-        return last[2]
+        return self._quotient(self.base.mass(x), denom)
 
     def spec(self) -> dict:
         return {"kind": "induced", "base": self.base.spec(), "subset": self.label}
@@ -704,10 +721,10 @@ def verify_induced(
     """Recompute the subset-conditioning equation by enumeration on every
     word up to n_max and compare with mu_s exactly.
 
-    A non-member of a conditioned sphere expects ``ZERO``; a member's
-    quotient is formed once per run of members sharing one mass object."""
+    A non-member of a conditioned sphere expects ``ZERO``."""
     report = CheckReport("induced", n_max)
     members: set[tuple[str, ...]] = set()  # letters of the sphere's members
+    quotient = per_run(truediv)
 
     def member(x: Word) -> bool:  # the one predicate call per word
         inside = subset(x)
@@ -718,15 +735,11 @@ def verify_induced(
     for n in range(n_max + 1):
         members.clear()
         denom = subset_mass(mu, n, member)
-        mass = quotient = None
         for x in mu.alphabet.sphere(n):
             if not denom:
                 want = mu.mass(x)
             elif x.letters in members:
-                source = mu.mass(x)
-                if source is not mass:
-                    mass, quotient = source, source / denom
-                want = quotient
+                want = quotient(mu.mass(x), denom)
             else:
                 want = ZERO
             got = mu_s.mass(x)

@@ -21,6 +21,7 @@ admits no size growth and transfers nothing useful.
 from __future__ import annotations
 
 from functools import cache
+from operator import truediv
 from typing import Callable, NamedTuple, Optional
 
 from .genericity import Polynomial, exceeds_bound, overrun_mass
@@ -31,6 +32,7 @@ from .measure import (
     TransferredEnsemble,
     check_lower_bounds,
     fraction_str,
+    per_run,
     size_inverse,
     subset_mass,
     verify_transfer,
@@ -183,15 +185,13 @@ def verify_cm(
     n_max: int,
 ) -> CheckReport:
     """Change-of-measure check: the map preserves length and the image
-    keeps at least mass/d(|x|) of every source point, exactly.  Inside a
-    sphere the bound is divided out once per run of words sharing one
-    mass object, so ``check_lower_bounds`` also sees one bound object."""
+    keeps at least mass/d(|x|) of every source point, exactly."""
     report = CheckReport("change-of-measure", n_max)
+    bound = per_run(truediv)
 
     def points():
         for k in range(n_max + 1):
             dk = d(k)
-            mass = bound = None
             for x in mu.alphabet.sphere(k):
                 y = f.apply(x)
                 if len(y) != k:
@@ -199,10 +199,7 @@ def verify_cm(
                 elif not dk:
                     report.add(x.text(), "d(k) > 0", "0", "density polynomial vanishes")
                 else:
-                    got, source = nu.mass(y), mu.mass(x)
-                    if source is not mass:
-                        mass, bound = source, source / dk
-                    yield x, got, bound
+                    yield x, nu.mass(y), bound(mu.mass(x), dk)
 
     check_lower_bounds(report, points())
     return report

@@ -342,6 +342,7 @@ def test_unnormalised_table_exit_2(tmp_path, capsys):
     assert err == f"gclab: {table}: sphere 1 sums to 2/3, not 1\n"
 
 
+
 def test_out_naming_a_directory_exit_2(tmp_path, capsys):
     """An --out path that cannot be replaced is a usage error that names
     it, and the temporary file is removed."""
@@ -408,6 +409,30 @@ def test_spec_of_the_wrong_shape_exit_2(command, spec, tmp_path, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(f"gclab: {path}: malformed spec: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mass", ["1/0", float("inf"), float("nan"), "half"],
+                         ids=["zero-denominator", "infinity", "nan", "no-number"])
+@pytest.mark.parametrize("command", ["density", "reduce bh"])
+def test_table_mass_that_is_no_finite_rational_exit_2(mass, command, tmp_path, capsys):
+    """A table mass "1/0" or JSON's Infinity, which once crashed the
+    command, or NaN or a text that is no number, in an ensemble spec or a
+    bundle's measure is a usage error naming the file and the entry (exit
+    1 is reserved for a failed verification)."""
+    table = {"kind": "table", "alphabet": "01", "entries": {"0": mass, "1": "1/2"}}
+    path = tmp_path / "spec.json"
+    if command == "density":
+        path.write_text(json.dumps(table))
+        argv = ["density", "--ensemble", str(path), "--subset", CG, "--n-max", "1"]
+    else:
+        path.write_text(json.dumps({"problem": {"measure": table, "members": {"regex": "1*"}},
+                                    "decider": _CONTAINS01}))
+        argv = ["reduce", "bh", str(path), "--n-max", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == f"gclab: {path}: mass {mass!r} for '0' is not a finite rational\n"
 
 
 _BINARY_MEASURE = {"kind": "uniform", "alphabet": "01"}

@@ -142,6 +142,21 @@ def test_malformed_argv_is_refused_by_both(argv, capsys):
     assert out == "" and err.startswith("gclab: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # a fixture the check needs is missing, or one it never reads is given
+    ["verify", "cs", "--n-max", "2"],
+    ["verify", "nu-sums", "/nonexistent.json", "--n-max", "1"],
+])
+def test_malformed_argv_is_refused_by_the_handler(argv, capsys):
+    """Argument lists that both parsers read, since ``verify`` takes an
+    optional fixture, but whose fixture does not fit the check: the
+    handler refuses them as usage errors."""
+    assert isinstance(oracle_parse(argv), dict)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gclab: ") and err.count("\n") == 1
+
+
 def test_a_negative_horizon_names_the_option(capsys):
     assert main(["verify", "nu-sums", "--n-max", "-1"]) == 2
     assert capsys.readouterr().err == "gclab: argument --n-max: -1 is negative\n"

@@ -31,6 +31,7 @@ from gclab.measure import (
     block_mass,
     check_lower_bounds,
     exact_sum,
+    per_run,
     size_inverse,
 )
 from gclab.reductions import (
@@ -731,3 +732,44 @@ def test_shared_quotients_match_per_word_division(base, request):
             assert report.to_dict() == oracles.verify_cm(f, mu, nu, d, n_max).to_dict()
             verdicts.append(report.passed)
     assert verdicts[0] and not all(verdicts)
+
+
+def counting_quotient():
+    """A ``per_run`` divider over a division that logs each call."""
+    calls = []
+
+    def divide(a, b):
+        calls.append((a, b))
+        return a / b
+
+    return per_run(divide), calls
+
+
+def test_per_run_divides_once_per_run(uniform):
+    """Over uniform spheres, whose words share one mass object, and one
+    divisor object per sphere, each sphere is one run: one division, and
+    every word gets that division's result object."""
+    quotient, calls = counting_quotient()
+    for n in range(1, 7):
+        divisor = Fraction(2 * n + 1)
+        results = [quotient(uniform.mass(x), divisor) for x in BINARY.sphere(n)]
+        assert results[0] == Fraction(1, 2**n) / divisor
+        assert all(q is results[0] for q in results)
+    assert len(calls) == 6
+
+
+def test_per_run_renews_when_either_argument_changes():
+    quotient, calls = counting_quotient()
+    a, b, c = Fraction(1, 3), Fraction(5), Fraction(7)
+    assert [quotient(a, b), quotient(a, b), quotient(a, c), quotient(b, c), quotient(b, c),
+            quotient(b, b)] == [a / b, a / b, a / c, b / c, b / c, ONE]
+    assert calls == [(a, b), (a, c), (b, c), (b, b)]
+
+
+def test_per_run_gives_equal_arguments_an_equal_result():
+    """Arguments equal to the last ones but other objects are a new run:
+    the division is made again, with an equal result."""
+    quotient, calls = counting_quotient()
+    first = quotient(Fraction(1, 3), Fraction(5))
+    again = quotient(Fraction(1, 3), Fraction(5))
+    assert again == first == Fraction(1, 15) and len(calls) == 2
