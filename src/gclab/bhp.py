@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache, partial
-from operator import truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .machine import (
@@ -65,7 +64,6 @@ from .measure import (
     check_lower_bounds,
     fraction_str,
     invert_mu_star,
-    per_run,
 )
 from .measure import size_inverse as guard_inverse
 from .genericity import Polynomial, parse_polynomial
@@ -419,17 +417,16 @@ class BHStage(NamedTuple):
     mu: SphericalEnsemble
     prefix: str = ""
 
-    def measure_points(self, pairs: Iterable[tuple]) -> Iterator[tuple[Word, Fraction, Fraction]]:
-        """The points (x, NU.mass(f(x)), mass(x) / (16 |x|^2 g(|x|)
-        2^|prefix|)) of the measure inequality at the pairs (x, f(x), ...)
-        with |x| >= 1, its domain.  The divisor is one object per length,
-        so ``per_run`` divides a run of shared masses once: on the
-        universal stage it has some 3,300 bits, and a division is a long gcd."""
+    def measure_points(self, pairs: Iterable[tuple]) -> Iterator[tuple[Word, Fraction, Fraction, int]]:
+        """The ``check_lower_bounds`` points (x, NU.mass(f(x)), mass(x),
+        16 |x|^2 g(|x|) 2^|prefix|) of the measure inequality at the pairs
+        (x, f(x), ...) with |x| >= 1, its domain.  The divisor is computed
+        once per length: it calls the guard, and on the universal stage it
+        has some 3,300 bits."""
         divisor = cache(lambda n: (16 * n * n * self.guard(n)) << len(self.prefix))
-        bound = per_run(truediv)
         for x, y, *_ in pairs:
             if x.letters:
-                yield x, NU.mass(y), bound(self.mu.mass(x), divisor(len(x)))
+                yield x, NU.mass(y), self.mu.mass(x), divisor(len(x))
 
 
 def adequate_guard(
@@ -563,27 +560,27 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
 
         NU.mass(f(x)) >= mass(x) / (16 |x|^2 g(|x|))   (``stage.measure_points``)
 
-    The report carries per-branch data: which compression branch each
-    input took, the exact ratio target/bound, and the sharper per-branch
-    factors (8 for the verbatim branch, 16 for the address branch).  The
-    length-0 sphere is outside the inequality's domain (its bound
-    degenerates) and is recorded as skipped.
+    The report carries the exact minimum ratio target/bound and, per
+    compression branch (picked by the point's own mass(x)), the words
+    below its sharper bound: factor 8 on the verbatim branch, 16 on the
+    address one.  The length-0 sphere is outside the inequality's domain
+    (its bound degenerates) and is recorded as skipped.
     """
     report = CheckReport("measure-decrease", n_max)
     branch1_f8: list[dict] = []
     branch2_f16: list[dict] = []
 
     def points():
-        for x, got, bound in stage.measure_points(pairs):
-            # the verbatim branch's sharper bound is mass / (8 |x|^2 g(|x|)); the
+        for x, got, mass, divisor in stage.measure_points(pairs):
+            # the verbatim branch's sharper divisor is 8 |x|^2 g(|x|); the
             # address branch's is the headline one
-            light = _light(stage.mu.mass(x), len(x))
-            sharper = 2 * bound if light else bound
-            if got < sharper:
+            light = _light(mass, len(x))
+            sharper = divisor >> light
+            if got * sharper < mass:
                 (branch1_f8 if light else branch2_f16).append(
-                    {"witness": x.text(), "expected": fraction_str(sharper),
+                    {"witness": x.text(), "expected": fraction_str(mass / sharper),
                      "actual": fraction_str(got)})
-            yield x, got, bound
+            yield x, got, mass, divisor
 
     min_ratio = check_lower_bounds(report, points())
     report.details["skipped_spheres"] = [0]
@@ -771,21 +768,21 @@ class ChainReport:
         }
 
 
-def _relaxation_points(restricted: InducedEnsemble, m: int, d) -> Iterator[tuple]:
-    """The points (y, NU.mass(y), restricted.mass(y) / d) of sphere m, one
-    per class of the input ensemble: both masses are constant on each
-    class, which is one lex-ordered block of words.  A class that fails
-    got >= bound yields each of its words in lex order instead, so the
-    violations are the per-word ones."""
+def _relaxation_points(restricted: InducedEnsemble, m: int, d: int) -> Iterator[tuple]:
+    """The ``check_lower_bounds`` points (y, NU.mass(y), restricted.mass(y),
+    d) of sphere m, one per class of the input ensemble: both masses are
+    constant on each class, which is one lex-ordered block of words.  A
+    class with got * d < mass yields each of its words in lex order
+    instead, so the violations are the per-word ones."""
     for prefix, k in NU.classes(m):
         y = Word.of_text(BINARY, prefix + "0" * k)
-        got, bound = NU.mass(y), restricted.mass(y) / d
-        if got >= bound:
-            yield y, got, bound
+        got, mass = NU.mass(y), restricted.mass(y)
+        if got * d >= mass:
+            yield y, got, mass, d
             continue
         for w in BINARY.sphere(k):
             y = Word.of_text(BINARY, prefix + w.text())
-            yield y, NU.mass(y), restricted.mass(y) / d
+            yield y, NU.mass(y), restricted.mass(y), d
 
 
 def completeness_pipeline(
@@ -852,7 +849,7 @@ def completeness_pipeline(
     ]
     check_lower_bounds(
         report4,
-        ((z, NU.mass(z), restricted_u.mass(z) / d_general(len(z))) for z in finals),
+        ((z, NU.mass(z), restricted_u.mass(z), d_general(len(z))) for z in finals),
     )
     chain.stages.append(("relax-universal-restriction:measure", report4))
     return chain

@@ -221,6 +221,8 @@ def cmd_control_seq(args) -> int:
             raise ValueError("the machine reads another alphabet than the ensemble")
     p = parse_polynomial(args.poly)
     if args.sample is None:
+        if args.seed is not None:
+            raise UsageError("--seed requires --sample")
         _require_cap(args.n_max, measure.ENUMERATION_CAP, "sphere")
     elif args.seed is None:
         raise UsageError("--sample requires --seed")

@@ -38,8 +38,9 @@ class Polynomial(Frozen):
         self._set(coeffs)
         if not coeffs:
             raise ValueError("a polynomial needs at least one coefficient")
-        if any(c < 0 or not isinstance(c, int) for c in coeffs):
-            raise ValueError("coefficients must be nonnegative integers")
+        for c in coeffs:  # a bool or a float such as 2.0 is no coefficient
+            if type(c) is not int or c < 0:
+                raise ValueError(f"coefficient {c!r} is not a nonnegative integer")
 
     def __call__(self, n: int) -> int:
         acc = 0
@@ -62,12 +63,12 @@ class Polynomial(Frozen):
 
 
 def parse_polynomial(source) -> Polynomial:
-    """Accept a Polynomial, a coefficient list [c0, c1, ...], or a short
-    string like "2n+1", "n^2+n+6", "5"."""
+    """Accept a Polynomial, a list [c0, c1, ...] of integer coefficients,
+    or a short string like "2n+1", "n^2+n+6", "5"."""
     if isinstance(source, Polynomial):
         return source
     if isinstance(source, (list, tuple)):
-        return Polynomial(tuple(int(c) for c in source))
+        return Polynomial(tuple(source))
     text = str(source).replace(" ", "")
     coeffs: dict[int, int] = {}
     for term in text.replace("-", "+-").split("+"):

@@ -29,7 +29,7 @@ run of one shared mass object once.  The uniform and bounded-halting
 masses are such shared values, one ``Fraction`` per sphere or class, so
 a sum over a sphere builds almost none; their ``mass``, and a
 transferred ensemble's, make no helper call per word.  Pointwise checks
-divide such a run once (``per_run``) and compare it once.
+hand ``check_lower_bounds`` undivided masses; it compares such a run once.
 
 The transfer of mu along f assigns to a target word y the total mu-mass
 of its preimage when |y| is an achieved image size, and the uniform
@@ -103,8 +103,8 @@ def exact_sum(masses: Iterable[Fraction]) -> Fraction:
 def per_run(fn: Callable) -> Callable:
     """``fn`` called once per run of calls whose two arguments are the
     very objects (``is``, not ``==``) of the call before: the run shares
-    that call's result object.  So dividing the words of a uniform sphere
-    or a bounded-halting class by their divisor costs one division."""
+    that call's result object.  So conditioning the words of a uniform
+    sphere or a bounded-halting class on a subset costs one division."""
     last_a = last_b = result = object()  # matches no argument
 
     def call(a, b):
@@ -185,39 +185,39 @@ class CheckReport:
 
 
 def check_lower_bounds(
-    report: CheckReport, points: Iterable[tuple[object, Fraction, Fraction]]
+    report: CheckReport, points: Iterable[tuple[object, Fraction, Fraction, int]]
 ) -> Optional[Fraction]:
-    """Check got >= bound at every (witness, got, bound) point, in order.
+    """Check got >= mass / divisor, masses nonnegative and divisors
+    positive ints, at every (witness, got, mass, divisor) point, in order.
 
-    Each failing point adds the violation (str(witness), ">= bound",
-    got) to the report.  Bounds are nonnegative.  Returns the minimum
-    exact ratio got/bound over the points with a nonzero bound, or None
-    when there are none.
+    The verdict is read off integer cross products; the bound is formed
+    only for a failing point, which adds the violation (str(witness),
+    ">= bound", got) to the report.  Returns the minimum exact ratio
+    got * divisor / mass over the points with a nonzero mass, or None.
 
-    A point whose got and bound are the very objects of the point before
-    it (``is``, not ``==``) takes that point's verdict without comparing:
-    if it failed, the point still adds its own violation, with its own
-    witness, in order.  Its ratio is equal, so it cannot lower the
-    minimum and is not formed.  Shared masses (one object per uniform
-    sphere or bounded-halting class) thus cost one comparison per run.
+    A point whose got and mass are the very objects (``is``, not ``==``)
+    of the point before it, and whose divisor is equal, takes that
+    point's verdict without comparing: if it failed, the point still adds
+    its own violation, with its own witness, in order.  Its ratio is
+    equal, so it cannot lower the minimum and is not formed.  Shared
+    masses (one object per sphere or class) cost one comparison a run.
     """
     # the running minimum is kept as an integer pair, without a gcd per
     # point on sphere-wide checks, and reduced by its common power of two
     # when it is replaced: exact, and small on the universal stage, whose
-    # bounds all carry the factor 2^-|machine code|, so each comparison
-    # multiplies a long integer by a short one.  Denominators are positive:
-    # got < bound is num < den, and den > 0 (bound > 0) gives num | den > 0.
+    # divisors all carry the factor 2^|machine code|.  A failure, got *
+    # divisor < mass, is num < den; den > 0 (mass > 0) gives num | den > 0.
     best: Optional[tuple[int, int]] = None
-    last_got = last_bound = failure = None  # failure: the (expected, actual) strings
-    for witness, got, bound in points:
-        if got is last_got and bound is last_bound:
+    last_got = last_mass = last_divisor = failure = None  # failure: the (expected, actual) strings
+    for witness, got, mass, divisor in points:
+        if got is last_got and mass is last_mass and divisor == last_divisor:
             if failure:
                 report.add(str(witness), *failure)
             continue
-        last_got, last_bound = got, bound
-        num = got.numerator * bound.denominator
-        den = got.denominator * bound.numerator
-        failure = num < den and (f">= {fraction_str(bound)}", fraction_str(got))
+        last_got, last_mass, last_divisor = got, mass, divisor
+        num = got.numerator * mass.denominator * divisor
+        den = got.denominator * mass.numerator
+        failure = num < den and (f">= {fraction_str(mass / divisor)}", fraction_str(got))
         if failure:
             report.add(str(witness), *failure)
         if den and (best is None or num * best[1] < best[0] * den):

@@ -21,7 +21,6 @@ admits no size growth and transfers nothing useful.
 from __future__ import annotations
 
 from functools import cache
-from operator import truediv
 from typing import Callable, NamedTuple, Optional
 
 from .genericity import Polynomial, exceeds_bound, overrun_mass
@@ -32,7 +31,6 @@ from .measure import (
     TransferredEnsemble,
     check_lower_bounds,
     fraction_str,
-    per_run,
     size_inverse,
     subset_mass,
     verify_transfer,
@@ -187,7 +185,6 @@ def verify_cm(
     """Change-of-measure check: the map preserves length and the image
     keeps at least mass/d(|x|) of every source point, exactly."""
     report = CheckReport("change-of-measure", n_max)
-    bound = per_run(truediv)
 
     def points():
         for k in range(n_max + 1):
@@ -199,7 +196,7 @@ def verify_cm(
                 elif not dk:
                     report.add(x.text(), "d(k) > 0", "0", "density polynomial vanishes")
                 else:
-                    yield x, nu.mass(y), bound(mu.mass(x), dk)
+                    yield x, nu.mass(y), mu.mass(x), dk
 
     check_lower_bounds(report, points())
     return report
@@ -308,7 +305,7 @@ def check_control_transfer(
             per_sphere.append(
                 {"k": k, "image_sphere": m, "left": str(lhs), "right": str(rhs)}
             )
-            yield f"sphere {k}", rhs, lhs
+            yield f"sphere {k}", rhs, lhs, 1
 
     min_ratio = check_lower_bounds(report, points())
     report.details["spheres"] = per_sphere

@@ -36,10 +36,11 @@ computes another way, kept here so that tests can cross-check the two:
   the checked ``Alphabet.word``, and the bounded-halting image built
   afresh at every word (guard value, numeral and head), as
   ``bhp.red2bh_map`` built it before it kept one head per length;
-- ``check_lower_bounds``: the pointwise lower-bound check with a
-  ``Fraction`` comparison and a ``Fraction`` ratio at every point, as it
-  was before it read both off two integer cross products and shared
-  verdicts along runs;
+- ``check_lower_bounds``: the pointwise lower-bound check with the
+  bound mass / divisor formed, compared and divided as ``Fraction``s at
+  every point, as it was before it read verdict and ratio off two
+  integer cross products of got, mass and divisor and shared verdicts
+  along runs;
 - ``overrun_mass``: the control-sequence value of one sphere with one
   machine search per word, as it was summed before
   ``genericity.overrun_mass`` searched once per block of words that
@@ -532,10 +533,11 @@ def red2bh_image(mu: SphericalEnsemble, guard, prefix: str, x: Word) -> Word:
 
 
 def check_lower_bounds(report: CheckReport, points) -> Optional[Fraction]:
-    """``measure.check_lower_bounds`` comparing and dividing
-    ``Fraction``s at every point."""
+    """``measure.check_lower_bounds`` forming the bound mass / divisor
+    and comparing and dividing ``Fraction``s at every point."""
     best = None
-    for witness, got, bound in points:
+    for witness, got, mass, divisor in points:
+        bound = mass / divisor
         if got < bound:
             report.add(str(witness), f">= {fraction_str(bound)}", fraction_str(got))
         if bound != 0:

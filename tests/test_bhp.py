@@ -174,10 +174,10 @@ def test_failing_class_reports_each_word():
     for guard in CLASS_GUARDS[:2]:
         restricted = nu_g(guard)
         for m in range(11):
-            for d in (Fraction(m + 1), Fraction(1, 2)):
+            for d in (m + 1, 1):
                 per_word, per_class = CheckReport("w", m), CheckReport("c", m)
                 want = check_lower_bounds(per_word, (
-                    (y, NU.mass(y), restricted.mass(y) / d) for y in BINARY.sphere(m)))
+                    (y, NU.mass(y), restricted.mass(y), d) for y in BINARY.sphere(m)))
                 got = check_lower_bounds(per_class, _relaxation_points(restricted, m, d))
                 assert (got, per_class.violations) == (want, per_word.violations)
                 failed += len(per_word.violations)
@@ -192,6 +192,32 @@ def test_nu_keeps_no_sphere_tables(capsys):
     assert main(["verify", "nu-sums", "--n-max", "12"]) == 0
     capsys.readouterr()
     assert NU._tables == {}
+
+
+def test_stage_one_weighs_each_source_word_once(monkeypatch):
+    """The stage-1 measure check of ``reduce bh`` on the toy bundle at
+    n <= 6 weighs each source word with |x| >= 1 once, in order: its
+    point carries the mass that both the bound and the branch lists
+    read."""
+    from gclab.cli import _problem_from_bundle
+
+    path = Path(__file__).parent / "data" / "toy_bundle.json"
+    bundle = json.loads(path.read_text())
+    problem, decider, decider_guard = _problem_from_bundle(bundle, str(path))
+    stage = red2bh(problem, decider, parse_polynomial(bundle["guard"]), decider_guard)
+    pairs = list(verify_membership(problem.positive, stage, BINARY.ball(6),
+                                   CheckReport("membership-preservation", 6)))
+    weighed = []
+    mass = type(stage.mu).mass
+
+    def counted(ensemble, x):
+        weighed.append(x.text())
+        return mass(ensemble, x)
+
+    monkeypatch.setattr(type(stage.mu), "mass", counted)
+    assert verify_measure_decrease(stage, pairs, 6).passed
+    assert weighed == [x.text() for x in BINARY.ball(6) if x.letters]
+    assert len(weighed) == 126
 
 
 def test_bh_member(halt1, loop, find_zero):

@@ -621,6 +621,17 @@ def test_verify_cm_fixture(capsys):
     assert json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("d, entry", [([1.5], "1.5"), ([1.9, 1], "1.9"), ([1, True], "True")])
+def test_verify_cm_exits_2_on_a_coefficient_that_is_not_an_integer(d, entry, tmp_path, capsys):
+    """A density coefficient list with a non-integer entry is refused,
+    not read through ``int``: [1.5] is not d = 1, nor [1.9, 1] n + 1."""
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({**json.loads((DATA / "cm_fixture.json").read_text()), "d": d}))
+    code, out, err = run_cli(["verify", "cm", str(fixture), "--n-max", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"gclab: {fixture}: coefficient {entry} is not a nonnegative integer\n"
+
+
 _SWAPPED = {"kind": "uniform", "alphabet": "10"}  # "0" and "1" in the other order
 
 

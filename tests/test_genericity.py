@@ -46,6 +46,14 @@ def test_polynomial_rejects_negative():
         Polynomial((-1, 2))
 
 
+@pytest.mark.parametrize("entry", [1.5, 2.0, True, "2"])
+def test_coefficient_list_entries_must_be_integers(entry):
+    """A coefficient list is read as it is: an entry that is not an
+    integer is refused by name, not rounded or converted."""
+    with pytest.raises(ValueError, match=f"^coefficient {re.escape(repr(entry))} is not"):
+        parse_polynomial([1, entry])
+
+
 def test_density_full_set(uniform, nu):
     for n in range(6):
         assert subset_mass(uniform, n, lambda x: True) == 1

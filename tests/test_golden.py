@@ -90,6 +90,9 @@ GOLDEN = {
     ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", UNIFORM,
      "--poly", "n", "--n-max", "3", "--sample", "100"): (2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", UNIFORM,
+     "--poly", "n", "--n-max", "3", "--seed", "5"): (2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify", "nu-sums", "--n-max", "16"): (0,
         "aba464e425980713820d714ca410e180057d60a7b961d4b5c8a29b9467715ff1"),
     ("verify", "cs", "tests/data/cs_fixture.json", "--n-max", "4"): (0,

@@ -628,70 +628,91 @@ def test_transferred_mass_inverts_each_length_once():
 
 @pytest.mark.parametrize("scale", [0, 5000])
 def test_check_lower_bounds_returns_the_exact_minimum_ratio(scale):
-    """The minimum of got/bound over random points, exact, with bounds
-    scaled by 2^-scale (as the universal stage's carry 2^-|machine code|),
-    odd and even numerators, zero bounds (skipped) and a zero got (the
-    minimum then); the violations are the points with got < bound.  A
-    stream of runs that share one (got, bound) pair, as the words of a
-    uniform sphere do, reports every witness of a failing run, in order,
-    and the minimum of the same points rebuilt as fresh Fractions."""
+    """The minimum of got * divisor / mass over random points, exact,
+    with divisors scaled by 2^scale (as the universal stage's carry
+    2^|machine code|), odd and even numerators, zero masses (skipped) and
+    a zero got (the minimum then); the violations are the points with
+    got * divisor < mass.  A stream of runs that share one (got, mass)
+    pair and divisor, as the words of a uniform sphere do, reports every
+    witness of a failing run, in order, and the minimum of the same
+    points rebuilt as fresh Fractions."""
     rng = random.Random(scale + 1)
     points = []
     for i in range(300):
         got = Fraction(rng.randrange(1, 60), rng.randrange(1, 60) << scale + rng.randrange(40))
-        bound = Fraction(rng.randrange(60) | rng.randrange(2),
-                         rng.randrange(1, 60) << scale + rng.randrange(40))
-        points.append((i, got, bound))
-    ratios = [got / bound for _, got, bound in points if bound]
+        mass = Fraction(rng.randrange(60) | rng.randrange(2),
+                        rng.randrange(1, 60) << rng.randrange(40))
+        points.append((i, got, mass, rng.randrange(1, 60) << scale))
+    ratios = [got * divisor / mass for _, got, mass, divisor in points if mass]
     for point, ratio in zip((p for p in points if p[2]), ratios):
         assert check_lower_bounds(CheckReport("lower-bounds", 0), [point]) == ratio
     report = CheckReport("lower-bounds", 0)
     assert check_lower_bounds(report, iter(points)) == min(ratios)
     assert [v.witness for v in report.violations] == [
-        str(i) for i, got, bound in points if got < bound]
+        str(i) for i, got, mass, divisor in points if got * divisor < mass]
     # runs of 1-4 points on one shared pair, some after a fresh copy of
-    # the pair (equal, not identical), with a zero bound and a zero got
+    # the pair (equal, not identical), with a zero mass and a zero got
     stream = []
-    for i, (_, got, bound) in enumerate(points[:60] + [(0, ZERO, ZERO), (0, ZERO, ONE)]):
+    for i, (_, got, mass, divisor) in enumerate(
+            points[:60] + [(0, ZERO, ZERO, 1), (0, ZERO, ONE, 1)]):
         if i % 3 == 0:
-            stream.append((f"{i}.fresh", Fraction(got), Fraction(bound)))
-        stream += [(f"{i}.{j}", got, bound) for j in range(rng.randrange(1, 5))]
-    fresh = [(w, Fraction(got), Fraction(bound)) for w, got, bound in stream]
+            stream.append((f"{i}.fresh", Fraction(got), Fraction(mass), divisor))
+        stream += [(f"{i}.{j}", got, mass, divisor) for j in range(rng.randrange(1, 5))]
+    fresh = [(w, Fraction(got), Fraction(mass), divisor) for w, got, mass, divisor in stream]
     assert not any(a[1] is b[1] or a[2] is b[2] for a, b in zip(stream, fresh))
     shared_report, fresh_report = CheckReport("lower-bounds", 0), CheckReport("lower-bounds", 0)
     minimum = check_lower_bounds(shared_report, iter(stream))
     assert minimum == check_lower_bounds(fresh_report, iter(fresh)) == 0
     assert shared_report.violations == fresh_report.violations
-    failing_runs = {w.split(".")[0] for w, got, bound in stream if w.endswith(".1") and got < bound}
-    passing_runs = {w.split(".")[0] for w, got, bound in stream if w.endswith(".1") and got >= bound}
+    failing_runs = {w.split(".")[0] for w, got, mass, divisor in stream
+                    if w.endswith(".1") and got * divisor < mass}
+    passing_runs = {w.split(".")[0] for w, got, mass, divisor in stream
+                    if w.endswith(".1") and got * divisor >= mass}
     assert failing_runs and passing_runs
-    points.insert(150, (-1, Fraction(0), Fraction(3, 1 << scale)))
+    points.insert(150, (-1, Fraction(0), Fraction(3, 1 << scale), 1))
     assert check_lower_bounds(CheckReport("lower-bounds", 0), iter(points)) == 0
-    assert check_lower_bounds(CheckReport("lower-bounds", 0), [(0, Fraction(1), Fraction(0))]) is None
+    assert check_lower_bounds(CheckReport("lower-bounds", 0),
+                              [(0, Fraction(1), Fraction(0), 1)]) is None
+
+
+def test_check_lower_bounds_renews_the_verdict_when_the_divisor_changes():
+    """Points that share their got and mass objects but not their divisor
+    are separate runs: each divisor gets its own verdict and ratio."""
+    got, mass = Fraction(1, 4), Fraction(1, 2)
+    points = [("a", got, mass, 2), ("b", got, mass, 1), ("c", got, mass, 1),
+              ("d", got, mass, 4), ("e", got, mass, 1)]
+    report = CheckReport("lower-bounds", 0)
+    assert check_lower_bounds(report, iter(points)) == Fraction(1, 2)
+    assert [(v.witness, v.expected, v.actual) for v in report.violations] == [
+        (w, ">= 1/2", "1/4") for w in "bce"]
+    report = CheckReport("lower-bounds", 0)
+    assert check_lower_bounds(report, iter(points[1:4])) == Fraction(1, 2)
+    assert [v.witness for v in report.violations] == ["b", "c"]
 
 
 def test_check_lower_bounds_matches_the_fraction_oracle():
     """The violations and the minimum ratio equal the oracle's, which
-    compares and divides ``Fraction``s at every point, where got equals
-    the bound (no violation), where the bound is 0 (no ratio, and no
-    violation) and where got is 0 (ratio 0, a violation unless the bound
-    is 0 too), among short and long, dyadic and other values, on single
-    points and on one stream with runs that share their objects."""
+    forms the bound mass / divisor and compares and divides ``Fraction``s
+    at every point, where got equals the bound (no violation), where the
+    mass is 0 (no ratio, and no violation) and where got is 0 (ratio 0,
+    a violation unless the mass is 0 too), among short and long, dyadic
+    and other values and divisors, on single points and on one stream
+    with runs that share their objects."""
     rng = random.Random(35)
     values = [ZERO, Fraction(0), ONE, Fraction(1, 3), Fraction(2, 6), Fraction(1, 1 << 40),
               Fraction(3, 1 << 3000), Fraction(3 << 2, 1 << 3002), Fraction(7, 5)]
     values += [Fraction(rng.randrange(1, 90), rng.randrange(1, 90) << rng.randrange(60))
                for _ in range(8)]
-    points = [(f"{i}.{j}", got, bound) for i, got in enumerate(values)
-              for j, bound in enumerate(values)]
+    points = [(f"{i}.{j}.{divisor}", got, mass, divisor) for i, got in enumerate(values)
+              for j, mass in enumerate(values) for divisor in (1, 3, 4 << 3000)]
     kinds = set()
     for point in points:
         report, oracle = CheckReport("lower-bounds", 0), CheckReport("lower-bounds", 0)
         ratio = check_lower_bounds(report, [point])
         assert ratio == oracles.check_lower_bounds(oracle, [point]), point
         assert report.violations == oracle.violations, point
-        _, got, bound = point
-        kinds.add((got == bound, got == 0, bound == 0, ratio is None, report.passed))
+        _, got, mass, divisor = point
+        kinds.add((got * divisor == mass, got == 0, mass == 0, ratio is None, report.passed))
     assert {(True, False, False, False, True), (True, True, True, True, True),
             (False, True, False, False, False), (False, False, True, True, True)} <= kinds
     stream = [point for point in points for _ in range(rng.randrange(1, 4))]
