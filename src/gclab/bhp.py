@@ -60,9 +60,9 @@ from .measure import (
     HorizonError,
     InducedEnsemble,
     SphericalEnsemble,
+    Violation,
     block_mass,
     check_lower_bounds,
-    fraction_str,
     invert_mu_star,
 )
 from .measure import size_inverse as guard_inverse
@@ -211,11 +211,13 @@ def cg_sphere_mass(g: GuardLike, mu: SphericalEnsemble) -> Callable[[int], Fract
 
     C(g) meets sphere n only when n = g(k), and then in the one class
     1^(n-k-1) 0 {0,1}^k, a lex block weighed by ``block_mass``: closed-form,
-    with no horizon, under the uniform ensemble (2^(k+1-n)) and the input
-    ensemble (1/n)."""
+    with no cap, under the uniform ensemble (2^(k+1-n)) and the input
+    ensemble (1/n).  Every sphere past mu's ``horizon`` raises
+    ``HorizonError``, one that C(g) misses too."""
     guard = as_guard(g)
 
     def mass(n: int) -> Fraction:
+        mu._check_horizon(n)
         k = guard_inverse(guard, n)
         return ZERO if k is None else block_mass(mu, "1" * (n - k - 1) + "0", n)
 
@@ -304,24 +306,21 @@ def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
     Needs a nonempty mass interval, i.e. mass(x) > 0.  When
     mass(x) > 2^-|x| (the only case the compression uses) the result is
     guaranteed no longer than x; at mass exactly 2^-|x| it can take one
-    extra symbol.  Computed from the common binary prefix of the two
-    interval endpoints.
+    extra symbol.
+
+    The endpoints lo = mu_star(x) and hi = hat_mu(x) agree on a (possibly
+    empty) prefix of fractional binary digits, and then lo shows 0 where
+    hi shows 1; the address is "0" followed by that common prefix.  The
+    upper endpoint 1 is read as 0.111...; terminating expansions are used
+    otherwise.  The first k = |x| + 2 digits of each endpoint are read as
+    one integer, so the common prefix is the top k - bitlen(a ^ b) digits
+    of either.
     """
-    lo, hi = mu.interval(x)
+    lo = mu.mu_star(x)
+    hi = lo + mu.mass(x)
     if lo == hi:
         raise ValueError("x_prime needs mass(x) > 0 (nonempty interval)")
-    return _x_prime_prefix(lo, hi, len(x))
-
-
-def _x_prime_prefix(lo: Fraction, hi: Fraction, n: int) -> Word:
-    """The construction from the interval endpoints' binary expansions:
-    they agree on a (possibly empty) prefix of fractional digits and then
-    the lower endpoint shows 0 where the upper shows 1; the address is
-    "0" followed by the common prefix.  The upper endpoint 1 is read as
-    0.111...; terminating expansions are used otherwise.  The first
-    k = n + 2 digits of each endpoint are read as one integer, so the
-    common prefix is the top k - bitlen(a ^ b) digits of either."""
-    k = n + 2
+    k = len(x) + 2
     a = (lo.numerator << k) // lo.denominator
     b = (1 << k) - 1 if hi == 1 else (hi.numerator << k) // hi.denominator
     common = k - (a ^ b).bit_length()
@@ -374,10 +373,11 @@ def _protocol_run(
     masses and must round-trip through the address construction.
     x'' is cut from a binary word, so the candidate is built unchecked.
     """
-    if not x2 or budget < n or mu.horizon is not None and n > mu.horizon:
+    if not x2 or budget < n:
         return None
     b, w = x2[0], x2[1:]
     try:
+        mu._check_horizon(n)
         if b == "0":
             candidate = Word.of_text(BINARY, w)
             # literal mass test: mass of w in the claimed sphere n (zero, so
@@ -394,7 +394,7 @@ def _protocol_run(
             candidate = invert_mu_star(mu, n, value)
             if _light(mu.mass(candidate), n) or x_prime(mu, candidate).text() != w:
                 return None
-    except HorizonError:  # a sphere enumerated past ENUMERATION_CAP
+    except HorizonError:  # past the horizon, or a sphere enumerated past ENUMERATION_CAP
         return None
     steps = inner(candidate, budget - n)
     return None if steps is None else n + steps
@@ -578,8 +578,7 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
             sharper = divisor >> light
             if got * sharper < mass:
                 (branch1_f8 if light else branch2_f16).append(
-                    {"witness": x.text(), "expected": fraction_str(mass / sharper),
-                     "actual": fraction_str(got)})
+                    Violation(x.text(), str(mass / sharper), str(got)).to_dict())
             yield x, got, mass, divisor
 
     min_ratio = check_lower_bounds(report, points())
@@ -587,7 +586,7 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
     report.details["branch1_factor8_violations"] = branch1_f8
     report.details["branch2_factor16_violations"] = branch2_f16
     if min_ratio is not None:
-        report.details["min_ratio"] = fraction_str(min_ratio)
+        report.details["min_ratio"] = str(min_ratio)
     report.details["exponent_note"] = (
         "verbatim-branch mass test uses the candidate's own length in the "
         "exponent and the claimed length for the sphere lookup"
@@ -676,11 +675,8 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
     and the same rest.
     """
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
-    known: list[tuple[str, Search]] = []  # (machine-code 0, its search)
-    for i in index:
-        machine = _machine_at(i, index)
-        if machine is not None:
-            known.append((numeral(i).text() + "0", partial(bh_search, machine)))
+    known = [(numeral(i).text() + "0", partial(bh_search, m))  # (machine-code 0, its search)
+             for i, m in index.items() if _reads_binary(m)]
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
         fields = _read_field(v.text())
@@ -744,7 +740,7 @@ def verify_red2bhu_measure(stage: BHStage, pairs: Iterable[tuple], n_max: int) -
     report.details["machine_code_length"] = len(stage.prefix) - 1
     report.details["skipped_spheres"] = [0]
     if min_ratio is not None:
-        report.details["min_ratio"] = fraction_str(min_ratio)
+        report.details["min_ratio"] = str(min_ratio)
     return report
 
 
@@ -754,8 +750,8 @@ def verify_red2bhu_measure(stage: BHStage, pairs: Iterable[tuple], n_max: int) -
 class ChainReport:
     """Per-stage verification results of the completeness pipeline."""
 
-    def __init__(self, stages: Optional[list[tuple[str, CheckReport]]] = None) -> None:
-        self.stages = [] if stages is None else stages
+    def __init__(self) -> None:
+        self.stages: list[tuple[str, CheckReport]] = []
 
     @property
     def passed(self) -> bool:

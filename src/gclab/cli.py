@@ -159,12 +159,7 @@ def _problem_from_bundle(data: dict, bundle: str) -> tuple[DistributionalProblem
         positive = lambda x: halts_within(member_machine, x, member_guard(len(x)))  # noqa: E731
     else:
         raise ValueError("problem members need a regex or a machine reference")
-    problem = DistributionalProblem(
-        name=spec.get("name", "bundle"),
-        alphabet=mu.alphabet,
-        positive=positive,
-        measure=mu,
-    )
+    problem = DistributionalProblem(spec.get("name", "bundle"), positive, mu)
     decider = _bundle_machine(data["decider"], bundle) if "decider" in data else None
     decider_guard = parse_polynomial(data.get("decider_guard", "n+1"))
     return problem, decider, decider_guard
@@ -259,7 +254,7 @@ def cmd_reduce(args) -> int:
         samples = {
             x.text(): f.apply(x).text()
             for n in range(min(args.n_max, 3) + 1)
-            for x in problem.alphabet.sphere(n)
+            for x in problem.measure.alphabet.sphere(n)
         }
         report.details["sample_map"] = samples
         return _report_exit(report, args)
@@ -278,7 +273,7 @@ def cmd_reduce(args) -> int:
             return 0 if chain.passed else 1
         membership = measure.CheckReport("membership-preservation", args.n_max)
         pairs = bhp.verify_membership(
-            problem.positive, stage, problem.alphabet.ball(args.n_max), membership
+            problem.positive, stage, problem.measure.alphabet.ball(args.n_max), membership
         )
         return _stage_exit(membership, bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
     if args.construction == "universal":
@@ -303,7 +298,7 @@ def cmd_verify(args) -> int:
         for n in range(args.n_max + 1):
             total = bhp.NU.sphere_sum(n)
             if total != 1:
-                report.add(f"sphere {n}", "1", measure.fraction_str(total))
+                report.add(f"sphere {n}", "1", total)
         return _report_exit(report, args)
     if not args.fixture:
         raise UsageError(f"verify {args.check} needs a fixture file")
@@ -338,7 +333,7 @@ def cmd_verify(args) -> int:
             )
             f = bhp.red2bh_map(problem.measure, guard)
         stage = bhp.BHStage(f, None, guard, problem.measure)
-        pairs = ((x, f.apply(x)) for x in problem.alphabet.ball(args.n_max))
+        pairs = ((x, f.apply(x)) for x in problem.measure.alphabet.ball(args.n_max))
         return _report_exit(bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
     raise UsageError(f"unknown check {args.check!r}")
 

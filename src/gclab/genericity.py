@@ -64,7 +64,9 @@ class Polynomial(Frozen):
 
 def parse_polynomial(source) -> Polynomial:
     """Accept a Polynomial, a list [c0, c1, ...] of integer coefficients,
-    or a short string like "2n+1", "n^2+n+6", "5"."""
+    or a short string like "2n+1", "n^2+n+6", "5".  A string with no term
+    ("", " " or "+") is refused with ``ValueError``; "0" is the zero
+    polynomial."""
     if isinstance(source, Polynomial):
         return source
     if isinstance(source, (list, tuple)):
@@ -81,14 +83,17 @@ def parse_polynomial(source) -> Polynomial:
         else:
             degree, coeff = 0, int(term)
         coeffs[degree] = coeffs.get(degree, 0) + coeff
-    top = max(coeffs) if coeffs else 0
+    if not coeffs:
+        raise ValueError(f"polynomial {source!r} has no term")
+    top = max(coeffs)
     return Polynomial(tuple(coeffs.get(i, 0) for i in range(top + 1)))
 
 
 class SequenceEntry(NamedTuple):
+    """One sphere's value: exact, or sampled when ``samples`` > 0."""
+
     n: int
     value: Fraction
-    mode: str = "exact"  # or "sampled"
     samples: int = 0
     seed: Optional[int] = None
 
@@ -98,17 +103,18 @@ class DensitySequence:
     subset, or the control sequence of a machine (the mass of inputs on
     which it overruns its bound)."""
 
-    def __init__(self, entries: Optional[list[SequenceEntry]] = None) -> None:
-        self.entries = [] if entries is None else entries
+    def __init__(self) -> None:
+        self.entries: list[SequenceEntry] = []
 
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("n,numerator,denominator,float_value,mode,samples,seed\n")
         for e in self.entries:
+            mode = "sampled" if e.samples else "exact"
             seed = "" if e.seed is None else str(e.seed)
             out.write(
                 f"{e.n},{e.value.numerator},{e.value.denominator},"
-                f"{float(e.value)!r},{e.mode},{e.samples},{seed}\n"
+                f"{float(e.value)!r},{mode},{e.samples},{seed}\n"
             )
         return out.getvalue()
 
@@ -209,9 +215,7 @@ def control_sequence(
         bound = p(n)
         draws = sample_sphere(mu, n, samples, seed)
         hits = sum(1 for x in draws if exceeds_bound(machine, x, bound))
-        seq.entries.append(
-            SequenceEntry(n, Fraction(hits, samples), mode="sampled", samples=samples, seed=seed)
-        )
+        seq.entries.append(SequenceEntry(n, Fraction(hits, samples), samples, seed))
     return seq
 
 

@@ -123,10 +123,6 @@ def _uniform_mass(size: int, n: int) -> Fraction:
     return Fraction(1, size**n)
 
 
-def fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def size_inverse(fn: Callable[[int], int], m: int) -> Optional[int]:
     """The k with fn(k) = m, if any, for a strictly increasing size
     function fn on the nonnegative integers (so fn(k) >= k)."""
@@ -153,26 +149,19 @@ class CheckReport:
     ``violations`` empty means the property held at every checked point.
     """
 
-    def __init__(self, check: str, horizon: int, violations: Optional[list[Violation]] = None,
-                 details: Optional[dict] = None) -> None:
+    def __init__(self, check: str, horizon: int,
+                 violations: Optional[list[Violation]] = None) -> None:
         self.check = check
         self.horizon = horizon
         self.violations = [] if violations is None else violations
-        self.details = {} if details is None else details
+        self.details: dict = {}
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
     def add(self, witness: str, expected, actual, note: str = "") -> None:
-        self.violations.append(
-            Violation(
-                witness,
-                fraction_str(expected) if isinstance(expected, Fraction) else str(expected),
-                fraction_str(actual) if isinstance(actual, Fraction) else str(actual),
-                note,
-            )
-        )
+        self.violations.append(Violation(witness, str(expected), str(actual), note))
 
     def to_dict(self) -> dict:
         return {
@@ -217,7 +206,7 @@ def check_lower_bounds(
         last_got, last_mass, last_divisor = got, mass, divisor
         num = got.numerator * mass.denominator * divisor
         den = got.denominator * mass.numerator
-        failure = num < den and (f">= {fraction_str(mass / divisor)}", fraction_str(got))
+        failure = num < den and (f">= {mass / divisor}", str(got))
         if failure:
             report.add(str(witness), *failure)
         if den and (best is None or num * best[1] < best[0] * den):
@@ -261,6 +250,10 @@ class SphericalEnsemble:
         if n > ENUMERATION_CAP:
             raise HorizonError(f"sphere {n} exceeds enumeration cap {ENUMERATION_CAP}")
 
+    def _check_horizon(self, n: int) -> None:
+        if self.horizon is not None and n > self.horizon:
+            raise HorizonError(f"{self.kind} ensemble is only defined up to n={self.horizon}")
+
     def sphere_sum(self, n: int) -> Fraction:
         """Exact total mass of the radius-n sphere (should be 1)."""
         self._check_cap(n)
@@ -286,11 +279,6 @@ class SphericalEnsemble:
         mu_star of the next word in lex order, and 1 on the last word of
         a sphere that sums to 1."""
         return self.mu_star(x) + self.mass(x)
-
-    def interval(self, x: Word) -> tuple[Fraction, Fraction]:
-        """(mu_star(x), hat_mu(x)): the half-open mass interval of x."""
-        lo = self.mu_star(x)
-        return lo, lo + self.mass(x)
 
     def mu_star_inverse(self, n: int, t: Fraction) -> Word:
         """``invert_mu_star`` on this ensemble, for a t already checked
@@ -340,8 +328,9 @@ class TableEnsemble(SphericalEnsemble):
 
     Absent entries are zero.  The radius-0 sphere defaults to mass 1 on
     the empty word unless the table overrides it.  The ``horizon`` is the
-    ``n_max`` given, by default the longest entry's length; ``mass``
-    raises ``HorizonError`` past it, and the spec keeps it as "n_max".
+    ``n_max`` given, a nonnegative int, by default the longest entry's
+    length; ``mass`` raises ``HorizonError`` past it, and the spec keeps
+    it as "n_max".  Entries longer than ``n_max`` are kept but never read.
     """
 
     kind = "table"
@@ -349,6 +338,8 @@ class TableEnsemble(SphericalEnsemble):
     def __init__(self, alphabet: Alphabet, entries: dict,
                  n_max: Optional[int] = None):
         super().__init__(alphabet)
+        if n_max is not None and (type(n_max) is not int or n_max < 0):  # a bool is no n_max
+            raise ValueError(f"n_max {n_max!r} is not a nonnegative integer")
         self.entries = {}
         for key, value in entries.items():
             try:
@@ -366,18 +357,16 @@ class TableEnsemble(SphericalEnsemble):
 
     def mass(self, x: Word) -> Fraction:
         self._check_word(x)
-        if len(x) > self.horizon:
-            raise HorizonError(f"table ensemble is only defined up to n={self.horizon}")
-        if len(x) == 0 and x.text() not in self.entries:
-            return ONE
-        return self.entries.get(x.text(), ZERO)
+        self._check_horizon(len(x))
+        text = x.text()
+        return self.entries.get(text, ZERO if text else ONE)
 
-    def validate(self, n_max: Optional[int] = None) -> None:
-        """Check that every sphere up to n_max sums to exactly 1.
+    def validate(self) -> None:
+        """Check that every sphere up to the horizon sums to exactly 1.
 
         The entries are summed by word length when the table is built, so
-        no sphere is enumerated and no horizon applies."""
-        for n in range((self.horizon if n_max is None else n_max) + 1):
+        no sphere is enumerated."""
+        for n in range(self.horizon + 1):
             total = self._totals.get(n, ZERO)
             if total != 1:
                 raise ValueError(f"sphere {n} sums to {total}, not 1")
@@ -386,7 +375,7 @@ class TableEnsemble(SphericalEnsemble):
         return {
             "kind": "table",
             "alphabet": "".join(self.alphabet.symbols),
-            "entries": {k: fraction_str(v) for k, v in sorted(self.entries.items())},
+            "entries": {k: str(v) for k, v in sorted(self.entries.items())},
             "n_max": self.horizon,
         }
 
@@ -431,7 +420,7 @@ class DBHNuEnsemble(SphericalEnsemble):
 
     def mass(self, x: Word) -> Fraction:
         # no helper call per word: ``_check_word`` inlined, and the length
-        # and first zero read off the held form, as ``len`` and ``index`` do
+        # and first zero read off the held form, as ``len`` reads it
         if x.alphabet is not self.alphabet:
             raise AlphabetMismatchError("word is over a different alphabet")
         held = x._letters
@@ -637,11 +626,12 @@ def subset_mass(
     """Total mu-mass of the radius-n words in the subset: the one place
     every density and induced denominator is computed.
 
-    A closed form for that mass, when given, is used and has no horizon.
-    Otherwise the sphere is enumerated in lex order, up to
-    ``ENUMERATION_CAP``; the predicate is tested first, so only members
-    are weighed.
+    A sphere past mu's ``horizon`` raises ``HorizonError``.  A closed form
+    for that mass, when given, is used and meets no cap.  Otherwise the
+    sphere is enumerated in lex order, up to ``ENUMERATION_CAP``; the
+    predicate is tested first, so only members are weighed.
     """
+    mu._check_horizon(n)
     if closed is not None:
         return Fraction(closed(n))
     mu._check_cap(n)

@@ -30,7 +30,6 @@ from .measure import (
     SphericalEnsemble,
     TransferredEnsemble,
     check_lower_bounds,
-    fraction_str,
     size_inverse,
     subset_mass,
     verify_transfer,
@@ -69,10 +68,10 @@ class Reduction(NamedTuple):
 
 
 class DistributionalProblem(NamedTuple):
-    """A decision problem bundled with its spherical ensemble."""
+    """A decision problem bundled with its spherical ensemble, whose
+    alphabet is the problem's."""
 
     name: str
-    alphabet: Alphabet
     positive: Callable[[Word], bool]
     measure: SphericalEnsemble
 
@@ -249,7 +248,7 @@ def to_binary(problem: DistributionalProblem) -> tuple[Reduction, Distributional
     rank, and all but 0^k on the unary map, are outside), and the image
     measure is the transfer of the source measure.
     """
-    sigma = problem.alphabet
+    sigma = problem.measure.alphabet
     f = binary_map(sigma)
     if sigma.size == 2:
         return f, problem
@@ -262,10 +261,7 @@ def to_binary(problem: DistributionalProblem) -> tuple[Reduction, Distributional
         return r <= sigma.size**k and problem.positive(unrank(sigma, k, r))
 
     nu = TransferredEnsemble(f, problem.measure)
-    image = DistributionalProblem(
-        name=f"{problem.name}@binary", alphabet=BINARY, positive=member, measure=nu
-    )
-    return f, image
+    return f, DistributionalProblem(f"{problem.name}@binary", member, nu)
 
 
 def check_control_transfer(
@@ -310,7 +306,7 @@ def check_control_transfer(
     min_ratio = check_lower_bounds(report, points())
     report.details["spheres"] = per_sphere
     if min_ratio is not None:
-        report.details["min_ratio"] = fraction_str(min_ratio)
+        report.details["min_ratio"] = str(min_ratio)
     return report
 
 

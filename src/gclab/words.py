@@ -166,8 +166,8 @@ class Word:
     tuple (``Word(alphabet, letters)``) or the text (``Word.of_text``,
     whose ``_letters`` is None until derived).  ``letters`` and
     ``text()`` derive the missing form on first use and keep it.  Length
-    and ``index`` read whichever form is held, so they derive neither;
-    equality, hashing and repr go through the letters.  The two forms of
+    reads whichever form is held, so it derives neither; equality,
+    hashing and repr go through the letters.  The two forms of
     one word cannot be told apart.
     """
 
@@ -205,15 +205,6 @@ class Word:
         letters = self._letters
         # built from text: one character a letter
         return len(self._text if letters is None else letters)
-
-    def index(self, symbol: str) -> int:
-        """The position of the first letter equal to ``symbol`` (a symbol
-        of the word's alphabet); ``ValueError`` when there is none, as for
-        ``tuple.index`` and ``str.index``."""
-        letters = self._letters
-        if letters is None:  # built from text: one character a letter
-            return self._text.index(symbol)
-        return letters.index(symbol)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -177,7 +177,7 @@ def _geometric_entries(n_top: int) -> dict[str, Fraction]:
 @pytest.fixture(scope="session")
 def geometric_table():
     table = TableEnsemble(BINARY, _geometric_entries(10), n_max=10)
-    table.validate(10)
+    table.validate()
     return table
 
 
@@ -197,7 +197,7 @@ def worked_table():
         for letters in itertools.product("01", repeat=n):
             entries["".join(letters)] = Fraction(1, 2**n)
     table = TableEnsemble(BINARY, entries, n_max=10)
-    table.validate(10)
+    table.validate()
     return table
 
 
@@ -212,7 +212,7 @@ def skewed_table():
         entries["0" * (n - 1) + "1"] = Fraction(1, 8)
         entries["1" + "0" * (n - 1)] = Fraction(1, 8)
     table = TableEnsemble(BINARY, entries, n_max=10)
-    table.validate(10)
+    table.validate()
     return table
 
 
@@ -226,7 +226,6 @@ def contains01_problem(contains01_ntm):
 
     return DistributionalProblem(
         name="contains01-uniform",
-        alphabet=BINARY,
         positive=positive,
         measure=UniformEnsemble(BINARY),
     )
@@ -239,7 +238,6 @@ def contains01_table_problem(contains01_ntm, geometric_table):
 
     return DistributionalProblem(
         name="contains01-geometric",
-        alphabet=BINARY,
         positive=positive,
         measure=geometric_table,
     )

@@ -120,7 +120,7 @@ from gclab.machine import (
 )
 from gclab.measure import ONE, ZERO, DBHNuEnsemble, HorizonError, SphericalEnsemble, subset_mass
 from gclab.measure import _uniform_mass, invert_mu_star
-from gclab.measure import CheckReport, InducedEnsemble, exact_sum, fraction_str
+from gclab.measure import CheckReport, InducedEnsemble, exact_sum
 from gclab.words import BINARY, Alphabet, Word
 
 
@@ -380,7 +380,7 @@ def verify_cm(f, mu: SphericalEnsemble, nu: SphericalEnsemble, d, n_max: int) ->
             else:
                 got, bound = nu.mass(y), mu.mass(x) / dk
                 if got < bound:
-                    report.add(x.text(), f">= {fraction_str(bound)}", fraction_str(got))
+                    report.add(x.text(), f">= {bound}", str(got))
     return report
 
 
@@ -539,7 +539,7 @@ def check_lower_bounds(report: CheckReport, points) -> Optional[Fraction]:
     for witness, got, mass, divisor in points:
         bound = mass / divisor
         if got < bound:
-            report.add(str(witness), f">= {fraction_str(bound)}", fraction_str(got))
+            report.add(str(witness), f">= {bound}", str(got))
         if bound != 0:
             ratio = got / bound
             if best is None or ratio < best:

@@ -104,7 +104,7 @@ def test_criterion_03_measure_decrease_bounds():
     started = time.monotonic()
     guard = adequate_guard(Polynomial((6, 1, 1)), lambda n: n + 1)
     table = _geometric_table()
-    table.validate(8)
+    table.validate()
     headline_ok = True
     branch_witnesses = []
     both_branches_seen = set()
@@ -159,7 +159,6 @@ def _contains01_problem():
     )
     problem = DistributionalProblem(
         name="contains01-uniform",
-        alphabet=BINARY,
         positive=lambda x: halts_within(ntm, x, len(x) + 1),
         measure=UniformEnsemble(BINARY),
     )
@@ -227,13 +226,11 @@ def test_criterion_06_transfer_and_induction_oracles():
     ident = identity_reduction(BINARY)
     corpus_transferred = [(ident, table, TransferredEnsemble(ident, table), 8)]
     unary = Alphabet(("a",))
-    unary_problem = DistributionalProblem("unary", unary, lambda x: True,
-                                          UniformEnsemble(unary))
+    unary_problem = DistributionalProblem("unary", lambda x: True, UniformEnsemble(unary))
     f_unary, image_unary = to_binary(unary_problem)
     corpus_transferred.append((f_unary, unary_problem.measure, image_unary.measure, 10))
     abc = Alphabet(("a", "b", "c"))
-    abc_problem = DistributionalProblem("abc", abc, lambda x: True,
-                                        UniformEnsemble(abc))
+    abc_problem = DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc))
     f_abc, image_abc = to_binary(abc_problem)
     corpus_transferred.append((f_abc, abc_problem.measure, image_abc.measure, 10))
     for f, mu, nu, horizon in corpus_transferred:
@@ -263,8 +260,7 @@ def test_criterion_06_transfer_and_induction_oracles():
     }
     for size in (1, 3, 4):
         sigma = Alphabet(tuple("abcd"[:size]))
-        problem = DistributionalProblem("toy", sigma, lambda x: True,
-                                        UniformEnsemble(sigma))
+        problem = DistributionalProblem("toy", lambda x: True, UniformEnsemble(sigma))
         f, image = to_binary(problem)
         if any(f.size_growth(n) != expected_growth[size](n) for n in range(6)):
             ok = False
@@ -285,7 +281,7 @@ def test_criterion_07_control_sequence_inequalities():
 
     scanner = _two_state_machine()  # halts at the first zero
     abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
+    problem = DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc))
     f, image = to_binary(problem)
     cs_report = check_control_transfer(scanner, f, Polynomial((2, 1)),
                                        problem.measure, image.measure, 8)
@@ -300,7 +296,7 @@ def test_criterion_07_control_sequence_inequalities():
             entries[w] = Fraction(1, 2**n)
         entries[words[-1]] = Fraction(0)
     bounded = TableEnsemble(BINARY, entries, n_max=8)
-    bounded.validate(8)
+    bounded.validate()
     cm_report = check_control_transfer(
         scanner, identity_reduction(BINARY), Polynomial((0, 1)),
         bounded, UniformEnsemble(BINARY), 8, d=Polynomial((2,)),
@@ -363,7 +359,7 @@ def test_criterion_09_compression_bounds():
                 mass = mu.mass(x)
                 if n >= 1 and mass > threshold:
                     prime = x_prime(mu, x)
-                    scan = x_prime_scan(*mu.interval(x), len(x))
+                    scan = x_prime_scan(mu.mu_star(x), mu.hat_mu(x), len(x))
                     if prime != scan:
                         ok = False
                         details.append((mu.kind, x.text(), prime.text(), scan.text()))

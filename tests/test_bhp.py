@@ -194,6 +194,36 @@ def test_nu_keeps_no_sphere_tables(capsys):
     assert NU._tables == {}
 
 
+@pytest.mark.parametrize("declared", ["adequate", "n+1"])
+def test_branch_lists_match_a_fraction_oracle(declared, uniform, geometric_table):
+    """Every entry of both sharper-branch lists of ``verify_measure_decrease``
+    (witness, "expected" bound, "actual" mass, in ball order) is the one the
+    bound formed as a ``Fraction`` gives, on criterion 03's uniform and
+    geometric-table inputs at |x| <= 5.  Under criterion 03's guard only the
+    verbatim branch fails; a stage that declares the smaller guard n+1 for
+    the same map fails the address branch too, on the table."""
+    guard = adequate_guard(Polynomial((6, 1, 1)), lambda n: n + 1)
+    stated = guard if declared == "adequate" else LongevityGuard(lambda n: n + 1, "n+1")
+    counts = [0, 0]
+    for mu in (uniform, geometric_table):
+        f = red2bh_map(mu, guard)
+        pairs = [(x, f.apply(x)) for x in BINARY.ball(5)]
+        report = verify_measure_decrease(BHStage(f, None, stated, mu), iter(pairs), 5)
+        want: tuple[list, list] = ([], [])
+        for x, y in pairs[1:]:
+            n, mass, got = len(x), mu.mass(x), NU.mass(y)
+            heavy = mass > Fraction(1, 2**n)
+            bound = mass / ((16 if heavy else 8) * n * n * stated(n))
+            if got < bound:  # 0 < got < bound < 1: neither is an integer
+                want[heavy].append({"witness": x.text(),
+                                    "expected": f"{bound.numerator}/{bound.denominator}",
+                                    "actual": f"{got.numerator}/{got.denominator}"})
+        assert report.details["branch1_factor8_violations"] == want[0]
+        assert report.details["branch2_factor16_violations"] == want[1]
+        counts = [c + len(entries) for c, entries in zip(counts, want)]
+    assert counts[0] and bool(counts[1]) == (declared == "n+1")
+
+
 def test_stage_one_weighs_each_source_word_once(monkeypatch):
     """The stage-1 measure check of ``reduce bh`` on the toy bundle at
     n <= 6 weighs each source word with |x| >= 1 once, in order: its
@@ -430,7 +460,7 @@ def test_x_prime_worked_examples(mu2):
     for text, expected in (("00", "0"), ("01", "01")):
         x = BINARY.word(text)
         assert x_prime(mu2, x).text() == expected
-        assert x_prime(mu2, x) == x_prime_scan(*mu2.interval(x), len(x))
+        assert x_prime(mu2, x) == x_prime_scan(mu2.mu_star(x), mu2.hat_mu(x), len(x))
 
 
 def test_x_prime_requires_positive_mass(geometric_table):
@@ -447,7 +477,7 @@ def test_x_prime_dual_implementations_agree(mu2, nu, geometric_table, skewed_tab
             for x in BINARY.sphere(n):
                 if ensemble.mass(x) > threshold:
                     assert x_prime(ensemble, x) == x_prime_scan(
-                        *ensemble.interval(x), len(x)
+                        ensemble.mu_star(x), ensemble.hat_mu(x), len(x)
                     )
 
 
@@ -545,7 +575,7 @@ def test_protocol_evaluators_match_fraction_oracles(uniform, nu, threshold_table
     decider = _even_ones()
     verdicts = set()
     for mu in (uniform, nu, threshold_table):
-        problem = DistributionalProblem("even-ones", BINARY, lambda x: True, mu)
+        problem = DistributionalProblem("even-ones", lambda x: True, mu)
         machine = red2bh(problem, decider, Polynomial((6, 1, 1)), lambda n: n).machine
         inner = partial(gclab.bhp._search_halting, decider)
         machines = [(machine.evaluator, lambda v, b, mu=mu: oracles.protocol_run(
@@ -583,7 +613,7 @@ def test_invert_mu_star_partitions(nu, geometric_table):
     for ensemble in (nu, geometric_table):
         for n in range(1, 7):
             for x in BINARY.sphere(n):
-                lo, hi = ensemble.interval(x)
+                lo, hi = ensemble.mu_star(x), ensemble.hat_mu(x)
                 if lo < hi:
                     assert invert_mu_star(ensemble, n, hi) == x
 
@@ -594,7 +624,8 @@ def test_invert_mu_star_partitions(nu, geometric_table):
 def _membership(problem, stage, n_max):
     """The membership report of a stage, its triples drained unread."""
     report = CheckReport("membership-preservation", n_max)
-    for _ in verify_membership(problem.positive, stage, problem.alphabet.ball(n_max), report):
+    words = problem.measure.alphabet.ball(n_max)
+    for _ in verify_membership(problem.positive, stage, words, report):
         pass
     return report
 
@@ -761,7 +792,7 @@ def test_protocol_machines_over_tables_of_other_horizons_differ(contains01_probl
     entries = {"0": Fraction(1, 2), "1": Fraction(1, 2), "00": Fraction(1)}
     indexes = set()
     for n_max in (1, 2):
-        problem = DistributionalProblem("contains01-table", BINARY, contains01_problem.positive,
+        problem = DistributionalProblem("contains01-table", contains01_problem.positive,
                                         TableEnsemble(BINARY, entries, n_max=n_max))
         vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
         indexes.add(machine_index(vm))
@@ -957,7 +988,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     protocol = red2bh(contains01_problem, contains01_ntm,
                       Polynomial((6, 1, 1)), lambda n: n + 1).machine
     table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=1)
-    short = DistributionalProblem("contains01-table", BINARY, contains01_problem.positive, table)
+    short = DistributionalProblem("contains01-table", contains01_problem.positive, table)
     table_protocol = red2bh(short, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
     # a claimed length (2) beyond the table's n_max (1), verbatim branch
     payload = BINARY.word("1110" "0" "0" "00")
@@ -978,8 +1009,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
         {"kind": "transferred", "reduction": {"kind": "identity"}, "base": base}))
     for mu in [ensemble_from_spec(base)] + wrapped:
         assert mu.horizon == 2, mu.spec()
-        problem = DistributionalProblem("contains01-wrapped", BINARY,
-                                        contains01_problem.positive, mu)
+        problem = DistributionalProblem("contains01-wrapped", contains01_problem.positive, mu)
         vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
         assert vm.evaluator(other_length, 40) is None, mu.spec()
         if mu.kind == "induced":
@@ -995,8 +1025,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     # an address into sphere 17, past ENUMERATION_CAP: an enumerated
     # ensemble never halts, the input ensemble resolves it in closed form
     long_table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=17)
-    long_problem = DistributionalProblem("contains01-17", BINARY,
-                                         contains01_problem.positive, long_table)
+    long_problem = DistributionalProblem("contains01-17", contains01_problem.positive, long_table)
     long_protocol = red2bh(long_problem, contains01_ntm, Polynomial((6, 1, 1)),
                            lambda n: n + 1).machine
     payload = BINARY.word(numeral(17).text() + "0" + "1" + "0")

@@ -343,6 +343,34 @@ def test_unnormalised_table_exit_2(tmp_path, capsys):
 
 
 
+_HALVES = {"kind": "table", "alphabet": "01", "entries": {"0": "1/2", "1": "1/2"}}
+
+
+@pytest.mark.parametrize("subset", [{"name": "all"}, {"name": "cg", "g": "2n+1"}],
+                         ids=["all", "cg"])
+def test_density_past_a_tables_horizon_exit_2(subset, tmp_path, capsys):
+    """A table defined up to n_max 1 has no density on sphere 2, where a
+    closed form would give one (1 for every word, 0 for C(2n+1))."""
+    table, subset_file = tmp_path / "table.json", tmp_path / "subset.json"
+    table.write_text(json.dumps({**_HALVES, "n_max": 1}))
+    subset_file.write_text(json.dumps(subset))
+    code, out, err = run_cli(["density", "--ensemble", str(table), "--subset", str(subset_file),
+                              "--n-max", "2"], capsys)
+    assert (code, out, err) == (2, "", "gclab: table ensemble is only defined up to n=1\n")
+
+
+@pytest.mark.parametrize("n_max", [-1, True])
+def test_table_n_max_that_is_no_nonnegative_integer_exit_2(n_max, tmp_path, capsys):
+    """A table with n_max -1 is defined nowhere, and true is no horizon:
+    both are refused at load, naming the file."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({**_HALVES, "n_max": n_max}))
+    code, out, err = run_cli(["density", "--ensemble", str(table), "--subset", CG,
+                              "--n-max", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"gclab: {table}: n_max {n_max!r} is not a nonnegative integer\n"
+
+
 def test_out_naming_a_directory_exit_2(tmp_path, capsys):
     """An --out path that cannot be replaced is a usage error that names
     it, and the temporary file is removed."""
@@ -630,6 +658,20 @@ def test_verify_cm_exits_2_on_a_coefficient_that_is_not_an_integer(d, entry, tmp
     code, out, err = run_cli(["verify", "cm", str(fixture), "--n-max", "2"], capsys)
     assert (code, out) == (2, "")
     assert err == f"gclab: {fixture}: coefficient {entry} is not a nonnegative integer\n"
+
+
+def test_polynomial_text_with_no_term_exit_2(tmp_path, capsys):
+    """An empty density in a fixture and an empty --poly are malformed
+    input, not the zero polynomial: neither is a failed check or a
+    bound of 0."""
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({**json.loads((DATA / "cm_fixture.json").read_text()), "d": ""}))
+    code, out, err = run_cli(["verify", "cm", str(fixture), "--n-max", "2"], capsys)
+    assert (code, out, err) == (2, "", f"gclab: {fixture}: polynomial '' has no term\n")
+    code, out, err = run_cli(
+        ["control-seq", "--machine", str(DATA / "loop_on_one.json"), "--ensemble", UNIFORM,
+         "--poly", "", "--n-max", "2"], capsys)
+    assert (code, out, err) == (2, "", "gclab: polynomial '' has no term\n")
 
 
 _SWAPPED = {"kind": "uniform", "alphabet": "10"}  # "0" and "1" in the other order

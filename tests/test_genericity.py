@@ -54,6 +54,15 @@ def test_coefficient_list_entries_must_be_integers(entry):
         parse_polynomial([1, entry])
 
 
+@pytest.mark.parametrize("text", ["", " ", "+"])
+def test_polynomial_text_needs_a_term(text):
+    """A polynomial text with no term is refused, not read as the zero
+    polynomial, which "0" still is."""
+    with pytest.raises(ValueError, match=f"^polynomial {re.escape(repr(text))} has no term$"):
+        parse_polynomial(text)
+    assert parse_polynomial("0") == Polynomial((0,))
+
+
 def test_density_full_set(uniform, nu):
     for n in range(6):
         assert subset_mass(uniform, n, lambda x: True) == 1
@@ -258,6 +267,24 @@ def test_cg_sphere_mass_matches_per_word_oracle(uniform, nu, geometric_table):
                     continue
                 assert closed(n) == want, (mu.kind, n)
     assert raised  # the table stops at 10, and n+1 reaches 11 and 12
+
+
+def test_sphere_masses_past_the_horizon_raise_on_every_sphere(geometric_table):
+    """Past the table's n_max of 10, every sphere raises the table's own
+    HorizonError, whether its subset mass is enumerated or closed-form
+    and whether or not the subset meets the sphere."""
+    with pytest.raises(HorizonError) as want:
+        geometric_table.mass(BINARY.word("0" * 11))
+    message = f"^{re.escape(str(want.value))}$"
+    for n in range(11, 17):
+        for subset, closed in ((lambda x: True, None), (lambda x: False, None),
+                               (lambda x: True, lambda n: 1)):
+            with pytest.raises(HorizonError, match=message):
+                subset_mass(geometric_table, n, subset, closed)
+        for g in CG_GUARDS:
+            with pytest.raises(HorizonError, match=message):
+                cg_sphere_mass(g, geometric_table)(n)
+    assert subset_mass(geometric_table, 10, lambda x: False) == 0
 
 
 def test_overrun_mass_matches_per_word_oracle(nu, geometric_table):

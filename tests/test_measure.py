@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -146,7 +147,6 @@ def test_hat_mu_is_rank_over_sphere_size_on_every_alphabet():
     for n in range(5):
         for x in abc.sphere(n):
             assert mu.hat_mu(x) == Fraction(rank_in_sphere(x), 3**n)
-            assert mu.interval(x) == (mu.mu_star(x), mu.hat_mu(x))
 
 
 def test_mu_star_matches_enumeration(uniform, nu, geometric_table):
@@ -174,7 +174,7 @@ def test_mu_star_matches_enumeration(uniform, nu, geometric_table):
 def test_transfer_unary_point_mass():
     unary = Alphabet(("a",))
     mu = UniformEnsemble(unary)  # the only word of each sphere has mass 1
-    problem = DistributionalProblem("unary", unary, lambda x: True, mu)
+    problem = DistributionalProblem("unary", lambda x: True, mu)
     f, image = to_binary(problem)
     nu = image.measure
     for n in range(7):
@@ -185,7 +185,7 @@ def test_transfer_unary_point_mass():
 
 def test_transfer_filler_on_unachieved_spheres():
     abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
+    problem = DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc))
     f, image = to_binary(problem)
     # sizes achieved by the map: 0, 2, 4, 5, 7, 8...; radius 3 is filler
     assert f.size_growth(1) == 2 and f.size_growth(2) == 4
@@ -194,7 +194,7 @@ def test_transfer_filler_on_unachieved_spheres():
 
 def test_transfer_injective_uniform():
     abc = Alphabet(("a", "b", "c", "d"))
-    problem = DistributionalProblem("abcd", abc, lambda x: True, UniformEnsemble(abc))
+    problem = DistributionalProblem("abcd", lambda x: True, UniformEnsemble(abc))
     f, image = to_binary(problem)
     for n in range(4):
         for x in abc.sphere(n):
@@ -229,7 +229,7 @@ def test_verify_transfer_self_consistency(geometric_table):
 
 def test_transferred_sums_to_one_on_achieved_spheres():
     abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
+    problem = DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc))
     f, image = to_binary(problem)
     for k in range(6):
         m = f.size_growth(k)
@@ -244,7 +244,7 @@ def test_size_inverse_matches_linear_scan():
     sizes = []
     for size in (1, 3, 4, 5, 8):
         sigma = Alphabet(tuple("abcdefgh"[:size]))
-        problem = DistributionalProblem("s", sigma, lambda x: True, UniformEnsemble(sigma))
+        problem = DistributionalProblem("s", lambda x: True, UniformEnsemble(sigma))
         sizes.append(to_binary(problem)[0].size_growth)
     guards = [
         as_guard(Polynomial((1, 2))),
@@ -521,8 +521,7 @@ def test_sphere_sums_match_fraction_sums(uniform, nu, geometric_table, skewed_ta
     """Every ensemble kind's sphere sums equal the Fraction-by-Fraction
     sums, the transferred and induced ones included."""
     abc = Alphabet(("a", "b", "c"))
-    _, image = to_binary(DistributionalProblem("abc", abc, lambda x: True,
-                                               UniformEnsemble(abc)))
+    _, image = to_binary(DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc)))
     half = InducedEnsemble(geometric_table, lambda x: x.letters[:1] == ("1",))
     for ensemble, top in ((uniform, 10), (nu, 12), (geometric_table, 10),
                           (skewed_table, 8), (image.measure, 10), (half, 8),
@@ -583,14 +582,23 @@ def test_inlined_alphabet_checks_raise_as_before(index, nu):
             ensemble.mass(word)
 
 
+@pytest.mark.parametrize("n_max", [-1, True, 1.0, "1"])
+def test_table_n_max_must_be_a_nonnegative_int(n_max):
+    """A negative n_max would define the table nowhere, and True would
+    read as 1 and be written back as true."""
+    with pytest.raises(ValueError, match=f"^n_max {re.escape(repr(n_max))} is not a nonnegative"):
+        TableEnsemble(BINARY, {"0": "1/2", "1": "1/2"}, n_max=n_max)
+    assert TableEnsemble(BINARY, {"0": "1/2", "1": "1/2"}, n_max=0).spec()["n_max"] == 0
+
+
 def test_validate_catches_a_sphere_short_by_two_to_the_minus_40():
     short = Fraction(1, 8) - Fraction(1, 2**40)
     entries = {"0": Fraction(1, 2), "1": Fraction(1, 2),
                "000": Fraction(1, 2), "001": Fraction(1, 4), "010": Fraction(1, 8),
                "011": short}
     entries.update({w: Fraction(1, 4) for w in ("00", "01", "10", "11")})
+    TableEnsemble(BINARY, entries, n_max=2).validate()  # the longer entries are not read
     table = TableEnsemble(BINARY, entries, n_max=3)
-    table.validate(2)
     assert table.sphere_sum(3) == 1 - Fraction(1, 2**40)
     with pytest.raises(ValueError, match=r"sphere 3 sums to 1099511627775/1099511627776"):
         table.validate()
@@ -603,8 +611,7 @@ def test_transferred_mass_inverts_each_length_once():
     every mass from its cache: no more size-growth calls, the filler on
     lengths no source sphere reaches and the image mass elsewhere."""
     abc = Alphabet(("a", "b", "c"))
-    f, _ = to_binary(DistributionalProblem("abc", abc, lambda x: True,
-                                           UniformEnsemble(abc)))
+    f, _ = to_binary(DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc)))
     calls = []
 
     def growth(k: int) -> int:

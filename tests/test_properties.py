@@ -68,7 +68,7 @@ def test_dyadic_addresses_agree_and_bound_mass(mu):
             mass = mu.mass(x)
             if mass > threshold:
                 prime = x_prime(mu, x)
-                assert prime == x_prime_scan(*mu.interval(x), len(x))
+                assert prime == x_prime_scan(mu.mu_star(x), mu.hat_mu(x), len(x))
                 assert len(prime) <= n
                 assert mass <= 2 * Fraction(1, 2 ** len(prime))
                 value = Fraction(2 * int(prime.text(), 2) + 1, 2 ** len(prime))

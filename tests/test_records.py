@@ -134,7 +134,7 @@ def _frozen_records():
         (RunResult("broke", steps=0), "kind"),
         (Violation("w", "1", "0"), "note"),
         (f, "func"),
-        (DistributionalProblem("p", BINARY, lambda x: True, mu), "measure"),
+        (DistributionalProblem("p", lambda x: True, mu), "measure"),
         (BHStage(f, None, guard, mu), "prefix"),
     ]
 
@@ -165,12 +165,11 @@ def test_keyword_construction():
     run = RunResult("budget", budget=5)
     assert (run.kind, run.steps, run.final, run.budget) == ("budget", None, None, 5)
     q = Fraction(1, 3)
-    entry = SequenceEntry(3, q, mode="sampled", samples=8, seed=1)
-    assert (entry.n, entry.value, entry.mode, entry.samples, entry.seed) == (3, q, "sampled", 8, 1)
-    assert SequenceEntry(2, q).mode == "exact" and SequenceEntry(2, q).seed is None
+    entry = SequenceEntry(3, q, samples=8, seed=1)
+    assert (entry.n, entry.value, entry.samples, entry.seed) == (3, q, 8, 1)
+    assert SequenceEntry(2, q).samples == 0 and SequenceEntry(2, q).seed is None
     guard = LongevityGuard(lambda n: n + 1, form="n+1")
     stage = BHStage(identity_reduction(BINARY), None, guard, UniformEnsemble(BINARY))
     assert stage.prefix == "" and guard.form == "n+1" and guard(3) == 4
-    report = CheckReport("c", 2, [Violation("w", "1", "0")], details={"k": 1})
+    report = CheckReport("c", 2, [Violation("w", "1", "0")])
     assert report.to_dict()["violations"] == [{"witness": "w", "expected": "1", "actual": "0"}]
-    assert report.details == {"k": 1}

@@ -49,8 +49,7 @@ def test_identity_passes_size_invariance():
 
 def test_unary_to_binary_is_cs():
     unary = Alphabet(("a",))
-    problem = DistributionalProblem("unary", unary, lambda x: len(x) % 2 == 0,
-                                    UniformEnsemble(unary))
+    problem = DistributionalProblem("unary", lambda x: len(x) % 2 == 0, UniformEnsemble(unary))
     f, image = to_binary(problem)
     assert verify_cs(f, problem.measure, image.measure, 5).passed
     assert f.apply(unary.word("aaa")).text() == "000"
@@ -62,7 +61,7 @@ def test_unary_to_binary_is_cs():
 
 def test_verify_cs_fails_on_wrong_target():
     abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
+    problem = DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc))
     f, image = to_binary(problem)
     wrong = UniformEnsemble(BINARY)
     report = verify_cs(f, problem.measure, wrong, 3)
@@ -72,8 +71,7 @@ def test_verify_cs_fails_on_wrong_target():
 def test_to_binary_rank_preservation():
     for size in (3, 4):
         sigma = Alphabet(tuple("abcd"[:size]))
-        problem = DistributionalProblem("toy", sigma, lambda x: True,
-                                        UniformEnsemble(sigma))
+        problem = DistributionalProblem("toy", lambda x: True, UniformEnsemble(sigma))
         f, _ = to_binary(problem)
         for n in range(6):
             for x in sigma.sphere(n):
@@ -85,8 +83,7 @@ def test_rank_map_matches_unrank():
     that the per-digit ``unrank`` builds, on every word up to k = 6."""
     for size in (3, 4, 5, 8):
         sigma = Alphabet(tuple("abcdefgh"[:size]))
-        f, _ = to_binary(DistributionalProblem("toy", sigma, lambda x: True,
-                                               UniformEnsemble(sigma)))
+        f, _ = to_binary(DistributionalProblem("toy", lambda x: True, UniformEnsemble(sigma)))
         for k in range(7):
             g = f.size_growth(k)
             for rank, x in enumerate(sigma.sphere(k), start=1):
@@ -95,7 +92,7 @@ def test_rank_map_matches_unrank():
 
 def test_to_binary_worked_example():
     abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
+    problem = DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc))
     f, _ = to_binary(problem)
     assert f.size_growth(2) == 4
     assert f.apply(abc.word("bb")).text() == "0100"
@@ -107,7 +104,7 @@ def test_to_binary_membership_preservation():
     def positive(x):  # words whose letters are sorted
         return list(x.letters) == sorted(x.letters)
 
-    problem = DistributionalProblem("sorted", abc, positive, UniformEnsemble(abc))
+    problem = DistributionalProblem("sorted", positive, UniformEnsemble(abc))
     f, image = to_binary(problem)
     for n in range(6):
         for x in abc.sphere(n):
@@ -152,7 +149,7 @@ def test_check_control_transfer_identity(find_zero):
 
 def test_check_control_transfer_cs_pair(find_zero):
     abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
+    problem = DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc))
     f, image = to_binary(problem)
     report = check_control_transfer(find_zero, f, Polynomial((2, 1)),
                                     problem.measure, image.measure, 5)
@@ -188,7 +185,7 @@ CRITERION_07_CM = [("1", "2")] + [("0", str(Fraction(1, 2 ** (k - 1)))) for k in
 
 def test_control_transfer_reproduces_criterion_07(find_zero):
     abc = Alphabet(("a", "b", "c"))
-    problem = DistributionalProblem("abc", abc, lambda x: True, UniformEnsemble(abc))
+    problem = DistributionalProblem("abc", lambda x: True, UniformEnsemble(abc))
     f, image = to_binary(problem)
     cs = check_control_transfer(find_zero, f, Polynomial((2, 1)),
                                 problem.measure, image.measure, 8)

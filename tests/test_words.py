@@ -146,17 +146,10 @@ def test_text_and_letter_forms_cannot_be_told_apart(case):
 @given(st.sampled_from([BINARY, ABC]).flatmap(
     lambda alphabet: st.tuples(st.just(alphabet),
                                st.lists(st.sampled_from(alphabet.symbols), max_size=12))))
-def test_length_and_index_read_the_held_form(case):
-    """``len`` and ``Word.index`` agree on the two forms of a word, and
-    leave a word built from text without a letter tuple."""
+def test_length_reads_the_held_form(case):
+    """``len`` agrees on the two forms of a word, and leaves a word built
+    from text without a letter tuple."""
     alphabet, symbols = case
     from_text, from_letters = alphabet.word("".join(symbols)), alphabet.word(tuple(symbols))
     assert len(from_text) == len(from_letters) == len(symbols)
-    for symbol in alphabet.symbols:
-        if symbol in symbols:
-            assert from_text.index(symbol) == from_letters.index(symbol) == symbols.index(symbol)
-        else:
-            for w in (from_text, from_letters):
-                with pytest.raises(ValueError):
-                    w.index(symbol)
     assert from_text._letters is None
