@@ -62,6 +62,7 @@ from .measure import (
     SphericalEnsemble,
     Violation,
     block_mass,
+    bound_ratio,
     check_lower_bounds,
     invert_mu_star,
 )
@@ -576,7 +577,8 @@ def verify_measure_decrease(stage: BHStage, pairs: Iterable[tuple], n_max: int) 
             # address branch's is the headline one
             light = _light(mass, len(x))
             sharper = divisor >> light
-            if got * sharper < mass:
+            num, den = bound_ratio(got, mass, sharper)
+            if num < den:
                 (branch1_f8 if light else branch2_f16).append(
                     Violation(x.text(), str(mass / sharper), str(got)).to_dict())
             yield x, got, mass, divisor
@@ -773,7 +775,8 @@ def _relaxation_points(restricted: InducedEnsemble, m: int, d: int) -> Iterator[
     for prefix, k in NU.classes(m):
         y = Word.of_text(BINARY, prefix + "0" * k)
         got, mass = NU.mass(y), restricted.mass(y)
-        if got * d >= mass:
+        num, den = bound_ratio(got, mass, d)
+        if num >= den:
             yield y, got, mass, d
             continue
         for w in BINARY.sphere(k):

@@ -66,16 +66,20 @@ def parse_polynomial(source) -> Polynomial:
     """Accept a Polynomial, a list [c0, c1, ...] of integer coefficients,
     or a short string like "2n+1", "n^2+n+6", "5".  A string with no term
     ("", " " or "+") is refused with ``ValueError``; "0" is the zero
-    polynomial."""
+    polynomial.  Past one leading sign ("-n+2n"), a sign with no term
+    after it ("1+", "1++2") is refused too."""
     if isinstance(source, Polynomial):
         return source
     if isinstance(source, (list, tuple)):
         return Polynomial(tuple(source))
     text = str(source).replace(" ", "")
+    signs = text.replace("-", "+")
+    if not signs.strip("+"):
+        raise ValueError(f"polynomial {source!r} has no term")
+    if signs.endswith("+") or "++" in signs:
+        raise ValueError(f"polynomial {source!r} has a sign with no term after it")
     coeffs: dict[int, int] = {}
-    for term in text.replace("-", "+-").split("+"):
-        if not term:
-            continue
+    for term in text.replace("-", "+-").lstrip("+").split("+"):  # the checks leave none empty
         if "n" in term:
             head, _, exp = term.partition("n")
             degree = int(exp.lstrip("^")) if exp else 1
@@ -83,8 +87,6 @@ def parse_polynomial(source) -> Polynomial:
         else:
             degree, coeff = 0, int(term)
         coeffs[degree] = coeffs.get(degree, 0) + coeff
-    if not coeffs:
-        raise ValueError(f"polynomial {source!r} has no term")
     top = max(coeffs)
     return Polynomial(tuple(coeffs.get(i, 0) for i in range(top + 1)))
 

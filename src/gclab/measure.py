@@ -25,11 +25,12 @@ one class of words at a time.  The other kinds, and every sphere sum
 but the uniform one, enumerate their spheres, up to ``ENUMERATION_CAP``.
 Enumerated sums still call ``mass`` on every word, but add the terms by
 ``exact_sum``: numerators as integers, one total per denominator, and a
-run of one shared mass object once.  The uniform and bounded-halting
-masses are such shared values, one ``Fraction`` per sphere or class, so
-a sum over a sphere builds almost none; their ``mass``, and a
-transferred ensemble's, make no helper call per word.  Pointwise checks
-hand ``check_lower_bounds`` undivided masses; it compares such a run once.
+run of equal terms once.  The uniform and bounded-halting masses are
+shared values, one ``Fraction`` per sphere or class, so a sum over a
+sphere builds almost none; their ``mass``, and a transferred ensemble's,
+make no helper call per word.  Pointwise checks hand ``check_lower_bounds``
+undivided masses; it decides a run of equal points once, by ``bound_ratio``.
+Equal values share a comparison; one shared object only makes it free.
 
 The transfer of mu along f assigns to a target word y the total mu-mass
 of its preimage when |y| is an achieved image size, and the uniform
@@ -50,9 +51,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, repeat, tee
+from itertools import accumulate, chain, groupby, repeat, tee
 from math import ceil
-from operator import truediv
+from operator import itemgetter, truediv
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -84,19 +85,13 @@ class SizeInvarianceError(ValueError):
 def exact_sum(masses: Iterable[Fraction]) -> Fraction:
     """The exact sum of rationals: numerators are added as integers, one
     running total per denominator, and only the distinct denominators
-    are combined as Fractions.  A run of terms that are one object
-    (``is``, as a shared uniform or bounded-halting mass is) is counted
-    and added once, as numerator times run length."""
+    are combined as Fractions.  A run of equal terms is added once, as
+    numerator times run length; a run of one shared object (a uniform
+    or bounded-halting mass) is found without calling ``__eq__``."""
     totals: dict[int, int] = {}
-    last, run = None, 0
-    for q in chain(masses, (None,)):  # the None closes the last run
-        if q is last:
-            run += 1
-            continue
-        if run:
-            num, den = last.as_integer_ratio()
-            totals[den] = totals.get(den, 0) + num * run
-        last, run = q, 1
+    for q, run in groupby(masses):
+        num, den = q.as_integer_ratio()
+        totals[den] = totals.get(den, 0) + num * len(list(run))
     return sum((Fraction(num, den) for den, num in totals.items()), ZERO)
 
 
@@ -173,42 +168,40 @@ class CheckReport:
         }
 
 
+def bound_ratio(got: Fraction, mass: Fraction, divisor: int) -> tuple[int, int]:
+    """got * divisor / mass as an integer pair (num, den), no ``Fraction``
+    formed: got * divisor >= mass exactly when num >= den."""
+    return got.numerator * mass.denominator * divisor, got.denominator * mass.numerator
+
+
 def check_lower_bounds(
     report: CheckReport, points: Iterable[tuple[object, Fraction, Fraction, int]]
 ) -> Optional[Fraction]:
     """Check got >= mass / divisor, masses nonnegative and divisors
     positive ints, at every (witness, got, mass, divisor) point, in order.
 
-    The verdict is read off integer cross products; the bound is formed
-    only for a failing point, which adds the violation (str(witness),
-    ">= bound", got) to the report.  Returns the minimum exact ratio
-    got * divisor / mass over the points with a nonzero mass, or None.
+    The verdict is read off ``bound_ratio``; the bound is formed only for
+    a failing point, which adds the violation (str(witness), ">= bound",
+    got) to the report.  Returns the minimum exact ratio got * divisor /
+    mass over the points with a nonzero mass, or None.
 
-    A point whose got and mass are the very objects (``is``, not ``==``)
-    of the point before it, and whose divisor is equal, takes that
-    point's verdict without comparing: if it failed, the point still adds
-    its own violation, with its own witness, in order.  Its ratio is
-    equal, so it cannot lower the minimum and is not formed.  Shared
-    masses (one object per sphere or class) cost one comparison a run.
+    A run of points with equal (got, mass, divisor), free to compare when
+    they share objects, gets one verdict, bound string and ratio; each
+    point of a failing run adds its own violation, in order, before the
+    next point is read, so the violations a caller's generator adds stay
+    in place.
     """
     # the running minimum is kept as an integer pair, without a gcd per
-    # point on sphere-wide checks, and reduced by its common power of two
-    # when it is replaced: exact, and small on the universal stage, whose
-    # divisors all carry the factor 2^|machine code|.  A failure, got *
-    # divisor < mass, is num < den; den > 0 (mass > 0) gives num | den > 0.
+    # run, and reduced by its common power of two when it is replaced:
+    # small on the universal stage, whose divisors all carry the factor
+    # 2^|machine code|.  den > 0 (mass > 0) gives num | den > 0.
     best: Optional[tuple[int, int]] = None
-    last_got = last_mass = last_divisor = failure = None  # failure: the (expected, actual) strings
-    for witness, got, mass, divisor in points:
-        if got is last_got and mass is last_mass and divisor == last_divisor:
-            if failure:
-                report.add(str(witness), *failure)
-            continue
-        last_got, last_mass, last_divisor = got, mass, divisor
-        num = got.numerator * mass.denominator * divisor
-        den = got.denominator * mass.numerator
-        failure = num < den and (f">= {mass / divisor}", str(got))
-        if failure:
-            report.add(str(witness), *failure)
+    for (got, mass, divisor), run in groupby(points, itemgetter(1, 2, 3)):
+        num, den = bound_ratio(got, mass, divisor)
+        if num < den:
+            expected, actual = f">= {mass / divisor}", str(got)
+            for point in run:
+                report.add(str(point[0]), expected, actual)
         if den and (best is None or num * best[1] < best[0] * den):
             low = num | den
             twos = (low & -low).bit_length() - 1
@@ -511,7 +504,7 @@ class TransferredEnsemble(SphericalEnsemble):
     |y| (sizes are strictly increasing, so at most one exists).  Each
     target length is inverted once: its image masses are cached, or
     None when no source sphere reaches it.  The horizon is the image
-    size of the base's horizon.
+    size of the base's horizon, past which ``mass`` raises ``HorizonError``.
     """
 
     kind = "transferred"
@@ -532,7 +525,8 @@ class TransferredEnsemble(SphericalEnsemble):
     def _image_masses(self, m: int) -> Optional[dict[tuple, Fraction]]:
         """Base mass of each image of length m, keyed by its letters, or
         None when no source sphere maps onto length m; kept in ``_images``,
-        which ``mass`` reads first."""
+        which ``mass`` reads first.  A length past the horizon raises, uncached."""
+        self._check_horizon(m)
         k = size_inverse(self.reduction.size_growth, m)
         images = None
         if k is not None:

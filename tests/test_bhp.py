@@ -930,6 +930,28 @@ def test_universal_matches_known_codes_like_the_field_reader(numeral_scans):
     assert any(bh_member(stage.machine, y) for y in images)
 
 
+def test_universal_decodes_a_chained_machine_outside_its_registry(halt1):
+    """The universal bundle's machine is another table than the ``halt1``
+    fixture (which also has moves from its final state), so a universal
+    machine that knows only the fixture decodes the bundle machine from
+    the machine field of each image ``red2bhu`` writes for it.  On every
+    image, |x| <= 5, its membership is the stage machine's and that of
+    the field-by-field reference with an empty registry."""
+    data = Path(__file__).parent / "data"
+    bundle = json.loads((data / "universal_bundle.json").read_text())
+    machine = load_machine(json.loads((data / bundle["machine"]).read_text()))
+    assert machine_index(machine) != machine_index(halt1)
+    stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
+    outsider = universal_machine([halt1])
+    reference = VirtualMachine(name="universal", evaluator=universal_by_fields([]))
+    members = []
+    for x in BINARY.ball(5):
+        y = stage.reduction.apply(x)
+        members.append(bh_member(outsider, y))
+        assert members[-1] == bh_member(stage.machine, y) == bh_member(reference, y), x.text()
+    assert (len(members), sum(members)) == (63, 57)
+
+
 def test_universal_matches_pipeline_codes_like_the_field_reader(numeral_scans):
     """Pipeline stage 3 on the toy bundle, n <= 4: the protocol machine
     is virtual, so it is known only through the registry; the payloads

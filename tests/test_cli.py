@@ -164,6 +164,27 @@ def test_only_the_command_line_reads_files():
                 assert name not in readers, f"{path.name}:{node.lineno} calls {name}"
 
 
+def test_every_imported_name_is_read():
+    """No module of the package but ``__init__`` (which re-exports)
+    imports a name it never reads, so a deletion leaves no import
+    behind that every command still compiles and runs."""
+    for path in sorted((REPO / "src" / "gclab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread = {name: line for name, line in imported.items() if name not in read}
+        assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+
 def test_tm_run_reads_and_writes_words_over_multi_character_symbols(tmp_path, capsys):
     """The input word and both tape halves are comma-separated symbols,
     as ``Word.text`` writes them, over an alphabet with a
@@ -663,7 +684,8 @@ def test_verify_cm_exits_2_on_a_coefficient_that_is_not_an_integer(d, entry, tmp
 def test_polynomial_text_with_no_term_exit_2(tmp_path, capsys):
     """An empty density in a fixture and an empty --poly are malformed
     input, not the zero polynomial: neither is a failed check or a
-    bound of 0."""
+    bound of 0.  A --poly ending in a sign is malformed too, not the
+    polynomial before the sign."""
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps({**json.loads((DATA / "cm_fixture.json").read_text()), "d": ""}))
     code, out, err = run_cli(["verify", "cm", str(fixture), "--n-max", "2"], capsys)
@@ -672,6 +694,11 @@ def test_polynomial_text_with_no_term_exit_2(tmp_path, capsys):
         ["control-seq", "--machine", str(DATA / "loop_on_one.json"), "--ensemble", UNIFORM,
          "--poly", "", "--n-max", "2"], capsys)
     assert (code, out, err) == (2, "", "gclab: polynomial '' has no term\n")
+    code, out, err = run_cli(
+        ["control-seq", "--machine", str(DATA / "loop_on_one.json"), "--ensemble", UNIFORM,
+         "--poly", "1+", "--n-max", "2"], capsys)
+    assert (code, out, err) == (
+        2, "", "gclab: polynomial '1+' has a sign with no term after it\n")
 
 
 _SWAPPED = {"kind": "uniform", "alphabet": "10"}  # "0" and "1" in the other order
@@ -703,6 +730,23 @@ def test_verify_transfer_fixture(capsys):
     )
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+def test_verify_transfer_stops_at_the_candidates_horizon(tmp_path, capsys):
+    """The transfer of an "abc" table defined up to n_max 1 is defined up
+    to the image size 2: past it, at a filler length (3) as at an image
+    length (4), the check exits 2 with the transferred ensemble's error."""
+    table = {"kind": "table", "alphabet": "abc",
+             "entries": {"a": "1/3", "b": "1/3", "c": "1/3"}, "n_max": 1}
+    f = {"kind": "bin_alph", "sigma": "abc"}
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"reduction": f, "base": table, "candidate": {
+        "kind": "transferred", "reduction": f, "base": table}}))
+    code, out, _ = run_cli(["verify", "transfer", str(fixture), "--n-max", "2"], capsys)
+    assert code == 0 and json.loads(out)["passed"]
+    for n_max in ("3", "4"):
+        assert run_cli(["verify", "transfer", str(fixture), "--n-max", n_max], capsys) == (
+            2, "", "gclab: transferred ensemble is only defined up to n=2\n")
 
 
 def _doubled_pushforward(pushforward):
@@ -798,6 +842,55 @@ def test_reduce_universal_reports_known_witnesses(capsys):
     assert code == 1
     assert err == ""
     assert {v["witness"] for v in payload["violations"]} == {"0", "10"}
+
+
+def test_reduce_bh_reports_membership_witnesses_both_ways(tmp_path, capsys):
+    """A decider for "contains 01" on a problem whose members contain 10
+    fails membership preservation both ways, exactly where the two
+    differ up to length 3, and nowhere else; the pipeline fails on its
+    first stage's membership report alone."""
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({
+        "problem": {"name": "contains10-uniform", "measure": {"kind": "uniform", "alphabet": "01"},
+                    "members": {"regex": ".*10.*"}},
+        "decider": str(DATA / "contains01.json")}))
+    witnesses = [("01", "False", "True"), ("10", "True", "False"), ("001", "False", "True"),
+                 ("011", "False", "True"), ("100", "True", "False"), ("110", "True", "False")]
+    code, out, err = run_cli(["reduce", "bh", str(bundle), "--n-max", "3"], capsys)
+    assert (code, err) == (1, "")
+    assert [(v["witness"], v["expected"], v["actual"])
+            for v in json.loads(out)["violations"]] == witnesses
+    code, out, err = run_cli(["reduce", "pipeline", str(bundle), "--n-max", "3"], capsys)
+    assert (code, err) == (1, "")
+    failed = [stage for stage in json.loads(out)["stages"] if not stage["passed"]]
+    assert [stage["stage"] for stage in failed] == ["reduce-to-bounded-halting:membership"]
+    assert [v["witness"] for v in failed[0]["violations"]] == [w for w, _, _ in witnesses]
+
+
+_SIZE_NOTE, _VANISHES = "not size-preserving", "density polynomial vanishes"
+
+
+@pytest.mark.parametrize("changes, violations", [
+    # the doubling map keeps the length of "", "1" and "11" only; "1" has
+    # no image mass, so its bound violation falls between the size notes
+    ({"reduction": {"kind": "example41"},
+      "nu": {"kind": "table", "alphabet": "01", "entries": {"0": "1", "11": "1"}}},
+     [("0", "|f(x)| = 1", "2", _SIZE_NOTE), ("1", ">= 1/2", "0", ""),
+      ("00", "|f(x)| = 2", "4", _SIZE_NOTE), ("01", "|f(x)| = 2", "3", _SIZE_NOTE),
+      ("10", "|f(x)| = 2", "3", _SIZE_NOTE)]),
+    ({"d": "0"}, [(w, "d(k) > 0", "0", _VANISHES) for w in ("", "0", "1", "00", "01", "10", "11")]),
+], ids=["not-size-preserving", "d-vanishes"])
+def test_verify_cm_notes_points_outside_the_inequality(changes, violations, tmp_path, capsys):
+    """A point whose image changes length, or whose sphere has density
+    d(k) = 0, is reported with its note and checks no bound; the notes
+    and the bound violations keep the words' lex order."""
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({**json.loads((DATA / "cm_fixture.json").read_text()),
+                                   **changes}))
+    code, out, err = run_cli(["verify", "cm", str(fixture), "--n-max", "2"], capsys)
+    assert (code, err) == (1, "")
+    assert [(v["witness"], v["expected"], v["actual"], v.get("note", ""))
+            for v in json.loads(out)["violations"]] == violations
 
 
 @pytest.mark.parametrize("argv", [

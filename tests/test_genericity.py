@@ -63,6 +63,18 @@ def test_polynomial_text_needs_a_term(text):
     assert parse_polynomial("0") == Polynomial((0,))
 
 
+@pytest.mark.parametrize("text", ["1+", "1++2", "2+-1+1", "1-", "--1", "+-1"])
+def test_polynomial_sign_needs_a_term_after_it(text):
+    """A trailing sign, or two signs in a row, is refused rather than
+    read as if the sign were absent ("1+" as 1, "1++2" as 3); one
+    leading sign stays allowed."""
+    with pytest.raises(ValueError, match=(f"^polynomial {re.escape(repr(text))} "
+                                          "has a sign with no term after it$")):
+        parse_polynomial(text)
+    assert parse_polynomial("-n+2n") == Polynomial((0, 1))
+    assert parse_polynomial("+1") == Polynomial((1,))
+
+
 def test_density_full_set(uniform, nu):
     for n in range(6):
         assert subset_mass(uniform, n, lambda x: True) == 1

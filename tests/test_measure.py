@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gclab import (
     BINARY,
@@ -34,6 +35,7 @@ from gclab.measure import (
     exact_sum,
     per_run,
     size_inverse,
+    subset_mass,
 )
 from gclab.reductions import (
     DistributionalProblem,
@@ -729,6 +731,79 @@ def test_check_lower_bounds_matches_the_fraction_oracle():
         assert check_lower_bounds(report, iter(sequence)) == oracles.check_lower_bounds(
             oracle, iter(sequence))
         assert report.violations == oracle.violations
+
+
+_HUGE = 4 << 3000  # one shared divisor object of 3,003 bits, as the universal stage's
+
+
+@st.composite
+def _mixed_streams(draw):
+    """A stream of (got, mass, divisor) triples in runs of 1-4, drawn from
+    a few values (equal values among them, and ``ZERO``): each triple's
+    got and mass are the shared value object or a fresh equal copy, and
+    its divisor one of a few ints."""
+    fractions = st.fractions(min_value=0, max_value=4, max_denominator=1 << 70)
+    values = draw(st.lists(fractions, min_size=1, max_size=5)) + [ZERO]
+    pick = st.tuples(st.integers(0, len(values) - 1), st.booleans())  # (value, fresh copy?)
+    runs = draw(st.lists(st.tuples(pick, pick, st.sampled_from((1, 3, _HUGE)),
+                                   st.integers(1, 4)), max_size=30))
+    stream = []
+    for (got, fresh_got), (mass, fresh_mass), divisor, length in runs:
+        for _ in range(length):
+            stream.append((Fraction(values[got]) if fresh_got else values[got],
+                           Fraction(values[mass]) if fresh_mass else values[mass], divisor))
+    return stream
+
+
+def _noted(report, points):
+    """The points in order, adding a note of the caller's own before
+    every third one, as ``verify_cm`` adds its size notes."""
+    for i, point in enumerate(points):
+        if i % 3 == 0:
+            report.add(f"note {i}", "-", "-", "added between points")
+        yield point
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_streams(), st.booleans())
+def test_runs_of_equal_values_match_the_fraction_oracles(stream, noted):
+    """On streams mixing shared objects, equal but distinct objects and
+    distinct values, ``check_lower_bounds`` gives the oracle's violations
+    (witness order and strings) and minimum ratio, also when the caller's
+    generator adds violations of its own between points, and ``exact_sum``
+    of the gots and of the masses is the ``Fraction``-by-``Fraction`` sum."""
+    points = [(f"{i}", got, mass, divisor) for i, (got, mass, divisor) in enumerate(stream)]
+
+    def feed(report):
+        return _noted(report, points) if noted else iter(points)
+
+    report, oracle = CheckReport("lower-bounds", 0), CheckReport("lower-bounds", 0)
+    assert check_lower_bounds(report, feed(report)) == oracles.check_lower_bounds(
+        oracle, feed(oracle))
+    assert report.violations == oracle.violations
+    for terms in ([got for got, _, _ in stream], [mass for _, mass, _ in stream]):
+        assert exact_sum(iter(terms)) == fraction_sum(terms)
+
+
+def test_transferred_ensemble_stops_at_its_horizon():
+    """The transfer of an "abc" table defined up to n_max 1 along the
+    rank-to-binary map is defined up to the image size 2: past it, a
+    length no source sphere reaches (3) and an image length (4) raise
+    the transferred ensemble's own ``HorizonError`` at every call, as
+    ``subset_mass`` does, rather than the uniform filler or the table's
+    error."""
+    table = {"kind": "table", "alphabet": "abc",
+             "entries": {"a": "1/3", "b": "1/3", "c": "1/3"}, "n_max": 1}
+    mu = ensemble_from_spec({"kind": "transferred", "base": table,
+                             "reduction": {"kind": "bin_alph", "sigma": "abc"}})
+    assert mu.horizon == 2
+    assert mu.mass(BINARY.word("1")) == Fraction(1, 2) and mu.sphere_sum(2) == 1
+    message = "^transferred ensemble is only defined up to n=2$"
+    for m in (3, 4, 3, 4):
+        with pytest.raises(HorizonError, match=message):
+            mu.mass(BINARY.word("0" * m))
+        with pytest.raises(HorizonError, match=message):
+            subset_mass(mu, m, lambda y: True)
 
 
 @pytest.mark.parametrize("base", ["nu", "uniform", "worked_table", "geometric_table"])

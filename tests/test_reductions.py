@@ -68,6 +68,18 @@ def test_verify_cs_fails_on_wrong_target():
     assert not report.passed
 
 
+def test_verify_cs_reports_a_declared_size_growth_that_disagrees():
+    """A size growth declared one above the identity's image sizes is
+    reported on every source sphere, ahead of the transfer's mismatches."""
+    f = identity_reduction(BINARY)._replace(size_growth=lambda k: k + 1)
+    uniform = UniformEnsemble(BINARY)
+    report = verify_cs(f, uniform, uniform, 2)
+    assert [(v.witness, v.expected, v.actual, v.note) for v in report.violations[:3]] == [
+        (f"sphere {k}", str(k + 1), str(k), "declared size growth disagrees with the map")
+        for k in range(3)]
+    assert report.violations[3:] and not any(v.note for v in report.violations[3:])
+
+
 def test_to_binary_rank_preservation():
     for size in (3, 4):
         sigma = Alphabet(tuple("abcd"[:size]))
