@@ -89,19 +89,17 @@ def encode_instance(n: int, w: Word) -> Word:
     return _wrap(n, w.text())
 
 
-def _wrap(length: int, payload: str) -> Word:
-    """The code 1^m 0 payload of the given length: the one place codes are
-    built.
+def _wrap(length: int, *payload: str) -> Word:
+    """The code 1^m 0 payload of the given length, the payload given as
+    its parts and joined once: the one place codes are built.
 
     The payload is binary text (``encode_instance`` checks its word's
     alphabet, and the reduction maps write binary fields), so the image
     is built from its text unchecked."""
-    m = length - len(payload) - 1
-    if m < 0:
-        raise GuardError(
-            f"code length {length} cannot hold a {len(payload)}-symbol payload"
-        )
-    return Word.of_text(BINARY, "1" * m + "0" + payload)
+    size = sum(map(len, payload))
+    if size >= length:
+        raise GuardError(f"code length {length} cannot hold a {size}-symbol payload")
+    return Word.of_text(BINARY, "".join(("1" * (length - size - 1), "0", *payload)))
 
 
 def _payload(text: str) -> Optional[str]:
@@ -275,17 +273,18 @@ def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     return int(text[start + 1 : j : 2], 2), j
 
 
-def _read_field(text: str) -> Optional[tuple[int, str]]:
-    """Read one field "numeral 0" off the front of a code payload.
+def _read_field(text: str, start: int = 0) -> Optional[tuple[int, int]]:
+    """Read one field "numeral 0" of a code payload at ``start``, in place.
 
     The inverse of the payloads the reduction maps wrap: returns the
-    numeral value and the rest of the text (possibly empty), or None
-    when the field is malformed or lacks its separator.
+    numeral value and the index just past its separator, where the rest
+    of the text (possibly empty) starts, or None when the field is
+    malformed or lacks its separator.
     """
-    head = scan_numeral(text, 0)
-    if head is None or head[1] >= len(text) or text[head[1]] != "0":
+    head = scan_numeral(text, start)
+    if head is None or not text.startswith("0", head[1]):
         return None
-    return head[0], text[head[1] + 1 :]
+    return head[0], head[1] + 1
 
 
 # --- dyadic interval compression --------------------------------------------
@@ -315,23 +314,24 @@ def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
     upper endpoint 1 is read as 0.111...; terminating expansions are used
     otherwise.  The first k = |x| + 2 digits of each endpoint are read as
     one integer, so the common prefix is the top k - bitlen(a ^ b) digits
-    of either.
+    of either.  No ``Fraction`` arithmetic: the endpoints are integer pairs
+    (hi unreduced), and (lo, hi] holds the address by cross products.
     """
-    lo = mu.mu_star(x)
-    hi = lo + mu.mass(x)
-    if lo == hi:
+    lo, lo_den = mu.mu_star(x).as_integer_ratio()
+    mass, mass_den = mu.mass(x).as_integer_ratio()
+    if not mass:
         raise ValueError("x_prime needs mass(x) > 0 (nonempty interval)")
+    hi, hi_den = lo * mass_den + mass * lo_den, lo_den * mass_den
     k = len(x) + 2
-    a = (lo.numerator << k) // lo.denominator
-    b = (1 << k) - 1 if hi == 1 else (hi.numerator << k) // hi.denominator
+    a = (lo << k) // lo_den
+    b = (1 << k) - 1 if hi == hi_den else (hi << k) // hi_den
     common = k - (a ^ b).bit_length()
     if common == k:
         raise AssertionError("interval endpoints agree too long; mass bound broken")
-    text = "0" + format(a, f"0{k}b")[:common]
-    value = xprime_value(text)
-    if not (lo < value <= hi):
+    v, e = 2 * (a >> (k - common)) + 1, common + 1
+    if not (lo << e < v * lo_den and v * hi_den <= hi << e):
         raise AssertionError("prefix construction produced a bad dyadic address")
-    return Word.of_text(BINARY, text)
+    return Word.of_text(BINARY, format(v >> 1, f"0{e}b"))
 
 
 def _light(q: Fraction, n: int) -> bool:
@@ -469,7 +469,8 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -
     the payload (cannot happen for guards built by ``adequate_guard``).
     A source measure over another alphabet raises ``ValueError``.
     The image length and the head "numeral(n) 0 prefix" (on the universal
-    stage, thousands of letters of machine code) are built once per |x|.
+    stage, thousands of letters of machine code) are built once per |x|,
+    and each image is one join of the padding, the head and x''.
     """
     if mu.alphabet is not BINARY:
         raise ValueError("reduce to a binary alphabet first")
@@ -480,7 +481,7 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -
         head = heads.get(n)
         if head is None:
             head = heads[n] = guard(n), numeral(n).text() + "0" + prefix
-        return _wrap(head[0], head[1] + x_double_prime(mu, x).text())
+        return _wrap(head[0], head[1], x_double_prime(mu, x).text())
 
     return Reduction(
         name=f"to-bounded-halting[{guard.form}]",
@@ -516,8 +517,9 @@ def red2bh(
     inner = partial(_search_halting, decider)
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
-        fields = _read_field(v.text())
-        return None if fields is None else _protocol_run(mu, inner, *fields, budget)
+        text = v.text()
+        field = _read_field(text)
+        return None if field is None else _protocol_run(mu, inner, field[0], text[field[1] :], budget)
 
     machine = VirtualMachine(
         name=f"bh-protocol[{problem.name}]",
@@ -674,29 +676,36 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
     every image ``red2bhu`` writes is, skips parsing the thousands of
     letters of that field: a numeral ends at the first separator on a
     marker position, so reading the field would give the same machine
-    and the same rest.
+    and the same rest.  The field is matched in place, right after the
+    length field, and only the short x'' after it is cut from the text.
     """
-    index: dict[int, Machine] = {machine_index(m): m for m in registry}
-    known = [(numeral(i).text() + "0", partial(bh_search, m))  # (machine-code 0, its search)
+    index = {machine_index(m): m for m in registry}
+    return _universal(index, {i: numeral(i).text() + "0" for i in index})
+
+
+def _universal(index: dict[int, Machine], codes: dict[int, str]) -> VirtualMachine:
+    """``universal_machine`` on a registry keyed by index, with its codes."""
+    known = [(codes[i], partial(bh_search, m))  # (machine-code 0, its search)
              for i, m in index.items() if _reads_binary(m)]
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
-        fields = _read_field(v.text())
-        if fields is None:
+        text = v.text()
+        field = _read_field(text)
+        if field is None:
             return None
-        gamma, rest = fields
+        gamma, start = field
         machine = _machine_at(gamma, index)
         if machine is not None:  # plain shape: machine-code 0 w
-            return _search_halting(machine, Word.of_text(BINARY, rest), budget)
+            return _search_halting(machine, Word.of_text(BINARY, text[start:]), budget)
         # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
         for code, search in known:
-            if rest.startswith(code):
-                return _protocol_run(NU, search, gamma, rest[len(code) :], budget)
-        fields = _read_field(rest)
-        machine = None if fields is None else _machine_at(fields[0], index)
+            if text.startswith(code, start):
+                return _protocol_run(NU, search, gamma, text[start + len(code) :], budget)
+        field = _read_field(text, start)
+        machine = None if field is None else _machine_at(field[0], index)
         if machine is None:
             return None
-        return _protocol_run(NU, partial(bh_search, machine), gamma, fields[1], budget)
+        return _protocol_run(NU, partial(bh_search, machine), gamma, text[field[1] :], budget)
 
     return VirtualMachine(name="universal", evaluator=evaluator)
 
@@ -717,9 +726,10 @@ def red2bhu(machine: Machine, g_user: GuardLike) -> BHStage:
     """
     if not _reads_binary(machine):
         raise ValueError("the machine cannot read binary inputs")
-    prefix = machine_code(machine).text() + "0"
+    i = machine_index(machine)
+    prefix = numeral(i).text() + "0"
     h = adequate_guard(g_user, extra_payload=len(prefix))
-    return BHStage(red2bh_map(NU, h, prefix), universal_machine([machine]), h, NU, prefix)
+    return BHStage(red2bh_map(NU, h, prefix), _universal({i: machine}, {i: prefix}), h, NU, prefix)
 
 
 def verify_red2bhu_membership(

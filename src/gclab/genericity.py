@@ -67,7 +67,8 @@ def parse_polynomial(source) -> Polynomial:
     or a short string like "2n+1", "n^2+n+6", "5".  A string with no term
     ("", " " or "+") is refused with ``ValueError``; "0" is the zero
     polynomial.  Past one leading sign ("-n+2n"), a sign with no term
-    after it ("1+", "1++2") is refused too."""
+    after it ("1+", "1++2") is refused too, and so is any term but c, cn
+    or cn^k, c an optional integer and k digits ("2n3", "n^^2", "nn")."""
     if isinstance(source, Polynomial):
         return source
     if isinstance(source, (list, tuple)):
@@ -80,12 +81,14 @@ def parse_polynomial(source) -> Polynomial:
         raise ValueError(f"polynomial {source!r} has a sign with no term after it")
     coeffs: dict[int, int] = {}
     for term in text.replace("-", "+-").lstrip("+").split("+"):  # the checks leave none empty
-        if "n" in term:
-            head, _, exp = term.partition("n")
-            degree = int(exp.lstrip("^")) if exp else 1
+        head, var, exp = term.partition("n")
+        try:
+            if exp and not (exp[0] == "^" and exp[1:].isdigit()):
+                raise ValueError  # an exponent is ^ and digits
+            degree = int(exp[1:]) if exp else 1 if var else 0
             coeff = int(head) if head not in ("", "-") else (-1 if head == "-" else 1)
-        else:
-            degree, coeff = 0, int(term)
+        except ValueError:
+            raise ValueError(f"polynomial {source!r} has a malformed term {term!r}") from None
         coeffs[degree] = coeffs.get(degree, 0) + coeff
     top = max(coeffs)
     return Polynomial(tuple(coeffs.get(i, 0) for i in range(top + 1)))

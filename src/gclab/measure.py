@@ -52,7 +52,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, groupby, repeat, tee
-from math import ceil
 from operator import itemgetter, truediv
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -307,7 +306,9 @@ class UniformEnsemble(SphericalEnsemble):
         return Fraction(rank_in_sphere(x) - 1, self.alphabet.sphere_size(len(x)))
 
     def mu_star_inverse(self, n: int, t: Fraction) -> Word:
-        return unrank(self.alphabet, n, ceil(t * self.alphabet.sphere_size(n)))
+        """The word of rank ceil(t |sphere n|), an integer ceiling."""
+        p, q = t.as_integer_ratio()
+        return unrank(self.alphabet, n, -(-p * self.alphabet.sphere_size(n) // q))
 
     def sample(self, rng: Random, n: int) -> Word:
         """n letters, each drawn directly."""
@@ -452,12 +453,15 @@ class DBHNuEnsemble(SphericalEnsemble):
         return Fraction(zero_at * 2**k + int(text[zero_at:], 2), len(text) * 2**k)
 
     def mu_star_inverse(self, n: int, t: Fraction) -> Word:
+        """The closed-form inverse in integers: with t = p/q, each ceiling
+        is -(-a // q); "0" w is j - 1 written in k + 1 binary digits."""
         if n == 0:
             return self.alphabet.empty
-        m = ceil(t * n) - 1  # t lies in the class of m
+        p, q = t.as_integer_ratio()
+        m = -(-p * n // q) - 1  # ceil(t n) - 1: t lies in the class of m
         k = n - m - 1
-        j = ceil((t * n - m) * 2**k)  # 1-based rank of w among the k-bit words
-        return BINARY.word("1" * m + "0" + unrank(BINARY, k, j).text())
+        j = -(-((p * n - m * q) << k) // q)  # ceil((t n - m) 2^k): w's 1-based rank
+        return Word.of_text(BINARY, "1" * m + format(j - 1, f"0{k + 1}b"))
 
     def sample(self, rng: Random, n: int) -> Word:
         """The leading-ones count drawn uniformly, then a uniform suffix."""
@@ -652,7 +656,7 @@ def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:
 
     Enumerated spheres whose masses sum to less than t resolve to their
     last word."""
-    if not 0 < t <= 1:
+    if not 0 < t.numerator <= t.denominator:
         raise ValueError("t must lie in (0, 1]")
     return mu.mu_star_inverse(n, t)
 

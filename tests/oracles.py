@@ -25,13 +25,21 @@ computes another way, kept here so that tests can cross-check the two:
   decoded the whole code (``is_code``, ``decode_instance``) where the
   fast one reads only lengths;
 - ``universal_by_fields``: the universal machine's evaluator reading
-  every field of its input with ``_read_field``, as it did before it
-  matched the code texts of its registry's machines;
+  every field of its input with ``read_field``, which cuts the rest of
+  the text after each field, as both evaluators read fields before the
+  universal one matched the code texts of its registry's machines in
+  place;
 - ``x_prime_scan``: the shortlex brute force over dyadic addresses that
   ``bhp.x_prime``'s prefix construction is checked against;
+- ``x_prime``, ``nu_mu_star_inverse`` and ``uniform_mu_star_inverse``:
+  the dyadic address with its endpoints added, compared and read as
+  ``Fraction``s, and the closed-form inverses of ν and the uniform
+  ensembles with their ceilings taken of ``Fraction`` products, as they
+  were before they became integer arithmetic;
 - ``x_double_prime`` and ``protocol_run``: the compression and the
   decoding protocol with their dyadic thresholds as ``Fraction``
-  comparisons, as they were before those became integer tests;
+  comparisons, as they were before those became integer tests, and
+  the address built by the ``Fraction`` form of ``x_prime``;
 - ``numeral`` and ``red2bh_image``: the numeral built bit by bit through
   the checked ``Alphabet.word``, and the bounded-halting image built
   afresh at every word (guard value, numeral and head), as
@@ -66,9 +74,14 @@ the final state, on a symbol no input holds and no move writes.
 
 The machine code (the answer decoder too), ``scan_numeral``, the body
 of ``nu_mass_text``, ``verify_induced``, the evaluator of ``universal_by_fields``,
-``build_parser`` with ``nonnegative_int`` and the bodies of
-``x_double_prime``, ``protocol_run`` and ``numeral`` are copied verbatim.  Only the imports are new, ``RunResult`` records are
-built directly, not through the static constructors it no longer has,
+``build_parser`` with ``nonnegative_int``, ``read_field`` (once
+``bhp._read_field``), ``x_prime`` and the bodies of the two inverses,
+``x_double_prime``, ``protocol_run`` and ``numeral`` are copied
+verbatim.  Only the imports are new, ``read_field`` calls
+``scan_numeral`` through the ``gclab.bhp`` module (so a wrapper there
+counts its scans) and ``universal_by_fields`` calls it by its new name,
+the ν inverse returns ``BINARY.empty`` where the method returned its
+alphabet's, ``RunResult`` records are built directly, not through the static constructors it no longer has,
 ``_moves`` stands in for ``TuringMachine._delta``, which is now keyed
 by tape digit instead of symbol text, and the evaluator names
 ``gclab``'s own halting search, not the one here.  That evaluator and
@@ -90,19 +103,19 @@ from collections import deque
 from enum import Enum
 from fractions import Fraction
 from functools import cache, partial
+from math import ceil
 from typing import Callable, Optional
 
+from gclab import bhp as gclab_bhp
 from gclab import machine as gclab_machine
 from gclab.bhp import (
     NU,
     _machine_at,
     _protocol_run,
-    _read_field,
     _wrap,
     bh_search,
     guard_inverse,
     machine_index,
-    x_prime,
     xprime_value,
 )
 from gclab.cli import cmd_control_seq, cmd_density, cmd_reduce, cmd_tm, cmd_verify
@@ -121,7 +134,7 @@ from gclab.machine import (
 from gclab.measure import ONE, ZERO, DBHNuEnsemble, HorizonError, SphericalEnsemble, subset_mass
 from gclab.measure import _uniform_mass, invert_mu_star
 from gclab.measure import CheckReport, InducedEnsemble, exact_sum
-from gclab.words import BINARY, Alphabet, Word
+from gclab.words import BINARY, Alphabet, Word, unrank
 
 
 def initial_configuration(machine: TuringMachine, x: Word) -> Configuration:
@@ -442,14 +455,24 @@ def c_of_g_member(guard, u: Word) -> bool:
     return guard_inverse(guard, n) == len(w)
 
 
+def read_field(text: str) -> Optional[tuple[int, str]]:
+    """Read one field "numeral 0" off the front of a code payload: the
+    numeral value and the rest of the text (possibly empty), or None
+    when the field is malformed or lacks its separator."""
+    head = gclab_bhp.scan_numeral(text, 0)  # looked up per call, so a wrapper counts it
+    if head is None or head[1] >= len(text) or text[head[1]] != "0":
+        return None
+    return head[0], text[head[1] + 1 :]
+
+
 def universal_by_fields(registry: list[Machine], run=_protocol_run) -> Search:
     """The universal machine's evaluator on this registry, reading the
     length field and the machine field of a chained input with
-    ``_read_field``; ``run`` is the decoding protocol of chained inputs."""
+    ``read_field``; ``run`` is the decoding protocol of chained inputs."""
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
-        fields = _read_field(v.text())
+        fields = read_field(v.text())
         if fields is None:
             return None
         gamma, rest = fields
@@ -457,7 +480,7 @@ def universal_by_fields(registry: list[Machine], run=_protocol_run) -> Search:
         if machine is not None:  # plain shape: machine-code 0 w
             return gclab_machine._search_halting(machine, BINARY.word(rest), budget)
         # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
-        fields = _read_field(rest)
+        fields = read_field(rest)
         machine = None if fields is None else _machine_at(fields[0], index)
         if machine is None:
             return None
@@ -475,6 +498,44 @@ def x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:
             if lo < xprime_value(text) <= hi:
                 return BINARY.word(text)
     raise AssertionError("no dyadic address found; interval bookkeeping is broken")
+
+
+def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
+    """``bhp.x_prime`` with the endpoints lo = mu_star(x) and hi = lo +
+    mass(x) added, compared and read as ``Fraction``s, and the address's
+    range test lo < value <= hi a ``Fraction`` comparison."""
+    lo = mu.mu_star(x)
+    hi = lo + mu.mass(x)
+    if lo == hi:
+        raise ValueError("x_prime needs mass(x) > 0 (nonempty interval)")
+    k = len(x) + 2
+    a = (lo.numerator << k) // lo.denominator
+    b = (1 << k) - 1 if hi == 1 else (hi.numerator << k) // hi.denominator
+    common = k - (a ^ b).bit_length()
+    if common == k:
+        raise AssertionError("interval endpoints agree too long; mass bound broken")
+    text = "0" + format(a, f"0{k}b")[:common]
+    value = xprime_value(text)
+    if not (lo < value <= hi):
+        raise AssertionError("prefix construction produced a bad dyadic address")
+    return Word.of_text(BINARY, text)
+
+
+def nu_mu_star_inverse(n: int, t: Fraction) -> Word:
+    """``DBHNuEnsemble.mu_star_inverse`` with its ceilings taken of
+    ``Fraction`` products and w unranked."""
+    if n == 0:
+        return BINARY.empty
+    m = ceil(t * n) - 1  # t lies in the class of m
+    k = n - m - 1
+    j = ceil((t * n - m) * 2**k)  # 1-based rank of w among the k-bit words
+    return BINARY.word("1" * m + "0" + unrank(BINARY, k, j).text())
+
+
+def uniform_mu_star_inverse(alphabet: Alphabet, n: int, t: Fraction) -> Word:
+    """``UniformEnsemble.mu_star_inverse`` with its ceiling taken of a
+    ``Fraction`` product."""
+    return unrank(alphabet, n, ceil(t * alphabet.sphere_size(n)))
 
 
 def x_double_prime(mu: SphericalEnsemble, x: Word) -> Word:

@@ -12,6 +12,7 @@ from gclab import (
     Polynomial,
     SphereRangeError,
     TableEnsemble,
+    UniformEnsemble,
     bh_member,
     c_of_g,
     completeness_pipeline,
@@ -419,7 +420,7 @@ def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
     images = [f.apply(x) for n in range(5) for x in BINARY.sphere(n)]
     for image in images + [stage.reduction.apply(BINARY.word("1"))]:
         payload = _payload(image.text())
-        texts += [payload, _read_field(payload)[1]]
+        texts += [payload, oracles.read_field(payload)[1]]
     # a lone trailing marker, "10" followed by more marker pairs
     texts += ["1", "111", "0111", "11111", "1011", "101110", "10" + "11" * 5, "1010"]
     # text that is not binary
@@ -544,6 +545,61 @@ def test_integer_thresholds_match_fraction_oracles(uniform, nu, threshold_table)
     assert {(True, -1), (True, 0), (True, 1), (False, 0)} <= sides
 
 
+def test_integer_addresses_match_the_fraction_oracles(uniform, nu):
+    """x' and the inverse of the cumulative masses, computed on integer
+    pairs, equal their ``Fraction`` forms in ``oracles``: the inverse at
+    every n <= 12 and every dyadic t = j/2^L with L <= 12, class boundary
+    m/n and word boundary, x' at every word of those spheres, under ν and
+    the uniform ensembles over 01 and over three letters (spheres <= 8,
+    where x' mostly fails as the Fraction form does: the masses 3^-n lie
+    below 2^-(n+2))."""
+    abc = UniformEnsemble(Alphabet(("a", "b", "c")))
+    cases = [(nu, 12, oracles.nu_mu_star_inverse),
+             (uniform, 12, partial(oracles.uniform_mu_star_inverse, BINARY)),
+             (abc, 8, partial(oracles.uniform_mu_star_inverse, abc.alphabet))]
+    dyadics = [Fraction(j, 2**12) for j in range(1, 2**12 + 1)]  # every j/2^L, L <= 12
+    failures = set()
+    for mu, top, oracle_inverse in cases:
+        for n in range(top + 1):
+            boundaries = {Fraction(m, n) for m in range(1, n + 1)}
+            boundaries.update(mu.hat_mu(x) for x in mu.alphabet.sphere(n))
+            for t in boundaries.union(dyadics):
+                assert invert_mu_star(mu, n, t) == oracle_inverse(n, t), (mu.kind, n, t)
+            for x in mu.alphabet.sphere(n):
+                got = _outcome(x_prime, mu, x)
+                assert got == _outcome(oracles.x_prime, mu, x), (mu.kind, x.text())
+                failures.add((mu is abc, isinstance(got, type)))
+    assert failures == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_addresses_and_inverses_do_no_fraction_arithmetic(uniform, nu, monkeypatch):
+    """``x_prime`` and ``invert_mu_star`` under ν and the uniform ensemble,
+    at every word and every dyadic t = j/2^8 of the spheres n <= 8, add,
+    subtract, multiply, divide and compare no ``Fraction``: each of those
+    operators, wrapped to count its calls, is called 0 times."""
+    words = [(mu, x) for mu in (nu, uniform) for x in BINARY.ball(8) if mu.mass(x)]
+    points = [(mu, n, Fraction(j, 2**8)) for mu in (nu, uniform)
+              for n in range(9) for j in range(1, 2**8 + 1)]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                 "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__ceil__", "__floor__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *args, name=name, real=real: (
+            calls.append(name), real(*args))[1])
+    for mu, x in words:
+        _outcome(x_prime, mu, x)
+    for mu, n, t in points:
+        invert_mu_star(mu, n, t)
+    integer_calls = list(calls)
+    # the wrappers count: the Fraction forms call them
+    oracles.x_prime(nu, BINARY.word("0"))
+    oracles.nu_mu_star_inverse(3, Fraction(1, 2))
+    monkeypatch.undo()
+    assert integer_calls == []
+    assert {"__add__", "__eq__", "__mul__", "__sub__", "__lt__", "__le__"} <= set(calls)
+
+
 def _even_ones():
     """A virtual decider that halts after |w| steps on the words with an
     even number of ones."""
@@ -579,7 +635,7 @@ def test_protocol_evaluators_match_fraction_oracles(uniform, nu, threshold_table
         machine = red2bh(problem, decider, Polynomial((6, 1, 1)), lambda n: n).machine
         inner = partial(gclab.bhp._search_halting, decider)
         machines = [(machine.evaluator, lambda v, b, mu=mu: oracles.protocol_run(
-            mu, inner, *_read_field(v.text()), b), "")]
+            mu, inner, *oracles.read_field(v.text()), b), "")]
         if mu is nu:
             universal = red2bhu(decider, Polynomial((1, 2)))
             machines.append((universal.machine.evaluator,
@@ -700,6 +756,29 @@ def test_maps_build_one_head_per_length(monkeypatch, threshold_table, find_zero)
         assert guards == [(g, n) for n in range(9)]
         for x, y in zip(BINARY.ball(8), images):
             assert y.text() == oracles.red2bh_image(mu, g, prefix, x).text(), x.text()
+
+
+def test_red2bhu_builds_the_machine_code_once(monkeypatch, find_zero):
+    """``red2bhu`` computes the machine's canonical index and its numeral
+    once, for the code field it writes and the universal machine's
+    registry alike; its images are the oracle's, and its machine runs
+    each of them as ``universal_machine`` does."""
+    indices, numerals = [], []
+    real_index, real_numeral = gclab.bhp.machine_index, gclab.bhp.numeral
+    monkeypatch.setattr(gclab.bhp, "machine_index",
+                        lambda m: indices.append(m) or real_index(m))
+    monkeypatch.setattr(gclab.bhp, "numeral", lambda n: numerals.append(n) or real_numeral(n))
+    stage = red2bhu(find_zero, Polynomial((1, 2)))
+    monkeypatch.undo()
+    assert indices == [find_zero]
+    assert numerals == [machine_index(find_zero)]
+    assert stage.prefix == machine_code(find_zero).text() + "0"
+    U = universal_machine([find_zero])
+    for x in BINARY.ball(4):
+        y = stage.reduction.apply(x)
+        assert y.text() == oracles.red2bh_image(NU, stage.guard, stage.prefix, x).text()
+        payload = BINARY.word(_payload(y.text()))
+        assert stage.machine.evaluator(payload, len(y)) == U.evaluator(payload, len(y))
 
 
 def test_red2bh_uniform_takes_verbatim_branch(contains01_problem, contains01_ntm):
@@ -975,13 +1054,20 @@ def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
     """Chained inputs whose machine field is not a known code text run
     as the field-by-field reference runs them: one bit of the code
     flipped, the code cut short, and the code of a registry machine whose
-    tape alphabet is not binary, which never halts."""
+    tape alphabet is not binary, which never halts.  So do inputs whose
+    code starts one marker pair before or after the end of the length
+    field: over its last marker pair, after an extra pair, and after a
+    length numeral one pair shorter or longer, where the code is matched
+    in place at another offset."""
     ab = load_machine(AB_TABLE)
     code = machine_code(halt1).text()
     mutants, non_binary = [], []
     for x in (BINARY.word("0"), BINARY.word("110")):
         length = numeral(len(x)).text() + "0"
         x2 = x_double_prime(NU, x).text()
+        for shifted in (length[:-3], length[:-3] + "0", length + "10", length + "11",
+                        length[:-1] + "10" + "0", length[:-1] + "11" + "0"):
+            mutants.append(shifted + code + "0" + x2)
         for at in (0, 1, 2, 3, len(code) // 2, len(code) // 2 + 1, len(code) - 1, len(code)):
             field = code + "0"
             mutants.append(length + field[:at] + "10"[int(field[at])] + field[at + 1 :] + x2)
@@ -1086,12 +1172,16 @@ def test_images_read_back_their_fields(uniform, find_zero):
         for x in BINARY.sphere(n):
             image = f.apply(x).text()
             assert len(image) == guard(n)
-            assert _read_field(_payload(image)) == (n, x_double_prime(uniform, x).text())
+            payload = _payload(image)
+            n_read, start = _read_field(payload)
+            assert (n_read, payload[start:]) == (n, x_double_prime(uniform, x).text())
             image = stage.reduction.apply(x).text()
             assert len(image) == stage.guard(n)
-            n_read, rest = _read_field(_payload(image))
+            payload = _payload(image)
+            n_read, start = _read_field(payload)
             assert n_read == n
-            assert _read_field(rest) == (
+            index, end = _read_field(payload, start)
+            assert (index, payload[end:]) == (
                 machine_index(find_zero), x_double_prime(NU, x).text())
 
 

@@ -701,6 +701,15 @@ def test_polynomial_text_with_no_term_exit_2(tmp_path, capsys):
         2, "", "gclab: polynomial '1+' has a sign with no term after it\n")
 
 
+def test_polynomial_exponent_without_caret_exit_2(capsys):
+    """A --poly whose exponent lacks its caret is malformed input, not
+    the polynomial 2n^3."""
+    code, out, err = run_cli(
+        ["control-seq", "--machine", str(DATA / "loop_on_one.json"), "--ensemble", UNIFORM,
+         "--poly", "2n3", "--n-max", "2"], capsys)
+    assert (code, out, err) == (2, "", "gclab: polynomial '2n3' has a malformed term '2n3'\n")
+
+
 _SWAPPED = {"kind": "uniform", "alphabet": "10"}  # "0" and "1" in the other order
 
 

@@ -75,6 +75,28 @@ def test_polynomial_sign_needs_a_term_after_it(text):
     assert parse_polynomial("+1") == Polynomial((1,))
 
 
+@pytest.mark.parametrize("text, term", [("2n3", "2n3"), ("n^^2", "n^^2"), ("n^", "n^"),
+                                        ("nn", "nn"), ("n^-2", "n^"), ("n^1_0", "n^1_0")])
+def test_polynomial_exponent_is_a_caret_and_digits(text, term):
+    """An exponent is read only as ^ followed by digits: "2n3" is not
+    2n^3 and "n^^2" is not n^2, and "n^", "nn" and "n^-2" are refused
+    with the polynomial named, not with ``int()``'s message."""
+    message = f"^polynomial {re.escape(repr(text))} has a malformed term {re.escape(repr(term))}$"
+    with pytest.raises(ValueError, match=message):
+        parse_polynomial(text)
+
+
+def test_polynomial_forms_in_use_parse_as_before():
+    """The guards, densities and bounds of the test fixtures and the
+    benchmark's inputs, and the documented forms, parse as they did."""
+    forms = {"0": (0,), "1": (1,), "5": (5,), "n": (0, 1), "n+1": (1, 1), "n+2": (2, 1),
+             "n+3": (3, 1), "n+4": (4, 1), "n+6": (6, 1), "2n+1": (1, 2), "n^2": (0, 0, 1),
+             "n^2+n+6": (6, 1, 1), "3n^2": (0, 0, 3), "n^0": (1,), "-n+2n": (0, 1),
+             "+1": (1,), " n ^ 2 ": (0, 0, 1)}
+    for text, coeffs in forms.items():
+        assert parse_polynomial(text) == Polynomial(coeffs), text
+
+
 def test_density_full_set(uniform, nu):
     for n in range(6):
         assert subset_mass(uniform, n, lambda x: True) == 1
