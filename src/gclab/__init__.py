@@ -38,6 +38,7 @@ from .measure import (
     TransferredEnsemble,
     UniformEnsemble,
     ensemble_from_spec,
+    invert_mu_star,
     subset_mass,
     verify_induced,
     verify_transfer,
@@ -70,7 +71,6 @@ from .bhp import (
     c_of_g,
     completeness_pipeline,
     encode_instance,
-    invert_mu_star,
     machine_code,
     numeral,
     nu_g,

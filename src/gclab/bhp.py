@@ -12,16 +12,17 @@ throughout:
 * longevity guards and the code family C(g) = {code of (g(|w|), w)},
   which meets each sphere in at most one class, so its sphere mass under
   any binary ensemble is one block mass (1/n under the input ensemble);
-* the self-delimiting interleaved numerals used to embed lengths and
-  machine encodings into code payloads;
+* interleaved numerals, and the image codec on them: ``_head`` and
+  ``_read_length`` write and read the length field, ``_code_field`` and
+  ``_read_field`` the machine-code field;
 * the dyadic compression x -> x'' that equalizes measure: high-mass
-  inputs are replaced by a short dyadic address of their cumulative-mass
-  interval, low-mass inputs are shipped verbatim;
+  inputs become a dyadic address w of their cumulative-mass interval,
+  read as the integer pair (2 int(w) + 1, 2^|w|), low-mass ones verbatim;
 * one stage type for both reductions into bounded halting -- an
   arbitrary binary distributional problem into a purpose-built protocol
   machine, and any machine into an interpreter-backed universal
-  machine -- with one code writer, x -> 1^pad 0 numeral(|x|) 0 prefix
-  x'', and one measure bound, mass(x) / (16 |x|^2 g(|x|) 2^|prefix|);
+  machine -- with one code writer, x -> 1^pad 0 head(|x|, prefix) x'',
+  and one measure bound, mass(x) / (16 |x|^2 g(|x|) 2^|prefix|);
   each stage constructor raises the user's guard until the codes it
   writes fit, so callers pass the guard they were given;
 * the stage checks: each maps every source word once, and membership
@@ -64,7 +65,6 @@ from .measure import (
     block_mass,
     bound_ratio,
     check_lower_bounds,
-    invert_mu_star,
 )
 from .measure import size_inverse as guard_inverse
 from .genericity import Polynomial, parse_polynomial
@@ -235,7 +235,7 @@ def nu_g(g: GuardLike) -> InducedEnsemble:
     )
 
 
-# --- interleaved numerals ----------------------------------------------------
+# --- interleaved numerals and the image codec -------------------------------
 
 
 def numeral(n: int) -> Word:
@@ -273,29 +273,33 @@ def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     return int(text[start + 1 : j : 2], 2), j
 
 
-def _read_field(text: str, start: int = 0) -> Optional[tuple[int, int]]:
-    """Read one field "numeral 0" of a code payload at ``start``, in place.
+def _code_field(index: int) -> str:
+    """The one writer of the machine-code field "numeral(index) 0"."""
+    return numeral(index).text() + "0"
 
-    The inverse of the payloads the reduction maps wrap: returns the
-    numeral value and the index just past its separator, where the rest
-    of the text (possibly empty) starts, or None when the field is
-    malformed or lacks its separator.
-    """
+
+def _read_field(text: str, start: int = 0) -> Optional[tuple[int, int]]:
+    """Read one field "numeral 0" of a code payload at ``start``, in place:
+    the numeral value and the index just past its separator, where the
+    rest of the text (possibly empty) starts, or None when the field is
+    malformed or lacks its separator."""
     head = scan_numeral(text, start)
     if head is None or not text.startswith("0", head[1]):
         return None
     return head[0], head[1] + 1
 
 
+def _head(n: int, prefix: str = "") -> str:
+    """The one writer of the length field: the head "numeral(n) 0 prefix"."""
+    return numeral(n).text() + "0" + prefix
+
+
+def _read_length(text: str) -> Optional[tuple[int, int]]:
+    """The one reader of the length field ``_head`` writes, as ``_read_field``."""
+    return _read_field(text)
+
+
 # --- dyadic interval compression --------------------------------------------
-
-
-def xprime_value(text: str) -> Fraction:
-    """The dyadic value named by a candidate string x0 x1 ... xk:
-    x0 . x1 ... xk 1 in binary, i.e. (2 * int(text, 2) + 1) / 2^len."""
-    if not text or text.strip("01"):
-        raise ValueError("candidate must be a nonempty binary string")
-    return Fraction(2 * int(text, 2) + 1, 2 ** len(text))
 
 
 def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
@@ -370,9 +374,10 @@ def _protocol_run(
     mass test or a failed round-trip check never halts.  Closed-form
     ensembles (uniform and the input ensemble) resolve addresses at
     every length.  Branch 0 ships the candidate input verbatim; branch 1
-    carries a dyadic address which is resolved against the cumulative
-    masses and must round-trip through the address construction.
-    x'' is cut from a binary word, so the candidate is built unchecked.
+    a dyadic address w, in (0, 1] exactly when it starts with 0, inverted
+    as the integer pair (2 int(w) + 1, 2^|w|) and round-tripped through
+    ``x_prime``.  x'' is cut from a binary word, so the candidate is
+    built unchecked.
     """
     if not x2 or budget < n:
         return None
@@ -387,12 +392,9 @@ def _protocol_run(
             if len(w) == n and not _light(mu.mass(candidate), n):
                 return None
         else:
-            if not w:
+            if not w.startswith("0"):  # empty, or a value past 1
                 return None
-            value = xprime_value(w)
-            if not 0 < value.numerator <= value.denominator:
-                return None
-            candidate = invert_mu_star(mu, n, value)
+            candidate = mu.mu_star_inverse(n, 2 * int(w, 2) + 1, 1 << len(w))
             if _light(mu.mass(candidate), n) or x_prime(mu, candidate).text() != w:
                 return None
     except HorizonError:  # past the horizon, or a sphere enumerated past ENUMERATION_CAP
@@ -405,8 +407,8 @@ def _protocol_run(
 
 
 class BHStage(NamedTuple):
-    """One reduction into bounded halting: the map x -> 1^pad 0 numeral(|x|)
-    0 prefix x'', the machine whose bounded halting problem receives it
+    """One reduction into bounded halting: the map x -> 1^pad 0 head(|x|,
+    prefix) x'', the machine whose bounded halting problem receives it
     (None when only the map's measure is checked), the guard (the map's
     size growth), the source measure x'' is computed against, and the
     payload prefix ("" for the first stage, machine-code 0 for the
@@ -461,26 +463,26 @@ def adequate_guard(
 
 
 def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -> Reduction:
-    """The instance map x -> 1^pad 0 numeral(|x|) 0 prefix x'', the one
-    writer of both stages' codes.
+    """The instance map x -> 1^pad 0 head(|x|, prefix) x'', the one writer
+    of both stages' codes.
 
     Images have length exactly guard(|x|), so the guard is the size
     growth; the construction errors out if the guard leaves no room for
     the payload (cannot happen for guards built by ``adequate_guard``).
     A source measure over another alphabet raises ``ValueError``.
-    The image length and the head "numeral(n) 0 prefix" (on the universal
+    The image length and the head ``_head(n, prefix)`` (on the universal
     stage, thousands of letters of machine code) are built once per |x|,
     and each image is one join of the padding, the head and x''.
     """
     if mu.alphabet is not BINARY:
         raise ValueError("reduce to a binary alphabet first")
-    heads: dict[int, tuple[int, str]] = {}  # n -> (guard(n), numeral(n) 0 prefix)
+    heads: dict[int, tuple[int, str]] = {}  # n -> (guard(n), _head(n, prefix))
 
     def apply(x: Word) -> Word:
         n = len(x)
         head = heads.get(n)
         if head is None:
-            head = heads[n] = guard(n), numeral(n).text() + "0" + prefix
+            head = heads[n] = guard(n), _head(n, prefix)
         return _wrap(head[0], head[1], x_double_prime(mu, x).text())
 
     return Reduction(
@@ -518,7 +520,7 @@ def red2bh(
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
         text = v.text()
-        field = _read_field(text)
+        field = _read_length(text)
         return None if field is None else _protocol_run(mu, inner, field[0], text[field[1] :], budget)
 
     machine = VirtualMachine(
@@ -661,7 +663,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
       with slowdown exactly 1: the steps reported are the simulated
       machine's.  Like every virtual machine it reports no final
       configuration.
-    * chained: numeral 0 machine-code 0 x'' -- the decoding protocol for
+    * chained: length 0 machine-code 0 x'' -- the decoding protocol for
       the bounded halting problem of the decoded machine, with the input
       ensemble as the measure: recover the instance from x'' and run the
       bounded membership search.  Costs the decoded length in steps plus
@@ -671,7 +673,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
     Inputs are binary words, as ``bh_search`` passes them, so the fields
     cut from their text are binary and built into words unchecked.
 
-    The code texts "machine-code 0" of the registry's machines are built
+    The code fields ``_code_field`` of the registry's machines are built
     once, so a chained input whose machine field is one of them, as
     every image ``red2bhu`` writes is, skips parsing the thousands of
     letters of that field: a numeral ends at the first separator on a
@@ -680,7 +682,7 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
     length field, and only the short x'' after it is cut from the text.
     """
     index = {machine_index(m): m for m in registry}
-    return _universal(index, {i: numeral(i).text() + "0" for i in index})
+    return _universal(index, {i: _code_field(i) for i in index})
 
 
 def _universal(index: dict[int, Machine], codes: dict[int, str]) -> VirtualMachine:
@@ -691,21 +693,21 @@ def _universal(index: dict[int, Machine], codes: dict[int, str]) -> VirtualMachi
     def evaluator(v: Word, budget: int) -> Optional[int]:
         text = v.text()
         field = _read_field(text)
+        machine = None if field is None else _machine_at(field[0], index)
+        if machine is not None:  # plain shape: machine-code 0 w
+            return _search_halting(machine, Word.of_text(BINARY, text[field[1] :]), budget)
+        field = _read_length(text)  # chained shape: length 0 machine-code 0 x''
         if field is None:
             return None
-        gamma, start = field
-        machine = _machine_at(gamma, index)
-        if machine is not None:  # plain shape: machine-code 0 w
-            return _search_halting(machine, Word.of_text(BINARY, text[start:]), budget)
-        # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
+        n, start = field
         for code, search in known:
             if text.startswith(code, start):
-                return _protocol_run(NU, search, gamma, text[start + len(code) :], budget)
+                return _protocol_run(NU, search, n, text[start + len(code) :], budget)
         field = _read_field(text, start)
         machine = None if field is None else _machine_at(field[0], index)
         if machine is None:
             return None
-        return _protocol_run(NU, partial(bh_search, machine), gamma, text[field[1] :], budget)
+        return _protocol_run(NU, partial(bh_search, machine), n, text[field[1] :], budget)
 
     return VirtualMachine(name="universal", evaluator=evaluator)
 
@@ -715,7 +717,7 @@ def _universal(index: dict[int, Machine], codes: dict[int, str]) -> VirtualMachi
 
 def red2bhu(machine: Machine, g_user: GuardLike) -> BHStage:
     """Bounded halting of a machine into bounded halting of the universal
-    machine: the map x -> 1^pad 0 numeral(|x|) 0 machine-code 0 x'' with
+    machine: the map x -> 1^pad 0 head(|x|, machine-code 0) x'' with
     image length h(|x|) = g(|x|)·s(|x|), s = 1 (the universal machine's
     slowdown), so h is the guard; x'' is computed against the input
     ensemble.
@@ -727,7 +729,7 @@ def red2bhu(machine: Machine, g_user: GuardLike) -> BHStage:
     if not _reads_binary(machine):
         raise ValueError("the machine cannot read binary inputs")
     i = machine_index(machine)
-    prefix = numeral(i).text() + "0"
+    prefix = _code_field(i)
     h = adequate_guard(g_user, extra_payload=len(prefix))
     return BHStage(red2bh_map(NU, h, prefix), _universal({i: machine}, {i: prefix}), h, NU, prefix)
 

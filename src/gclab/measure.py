@@ -272,11 +272,11 @@ class SphericalEnsemble:
         a sphere that sums to 1."""
         return self.mu_star(x) + self.mass(x)
 
-    def mu_star_inverse(self, n: int, t: Fraction) -> Word:
-        """``invert_mu_star`` on this ensemble, for a t already checked
+    def mu_star_inverse(self, n: int, p: int, q: int) -> Word:
+        """``invert_mu_star`` on this ensemble at t = p/q, already checked
         to lie in (0, 1]: a bisection of the enumerated cumulative masses."""
         cum = self._sphere_table(n)
-        return unrank(self.alphabet, n, bisect_left(cum, t, 0, len(cum) - 1) + 1)
+        return unrank(self.alphabet, n, bisect_left(cum, Fraction(p, q), 0, len(cum) - 1) + 1)
 
     def sample(self, rng: Random, n: int) -> Word:
         """One draw from sphere n, read off ``rng``."""
@@ -305,9 +305,8 @@ class UniformEnsemble(SphericalEnsemble):
         self._check_word(x)
         return Fraction(rank_in_sphere(x) - 1, self.alphabet.sphere_size(len(x)))
 
-    def mu_star_inverse(self, n: int, t: Fraction) -> Word:
-        """The word of rank ceil(t |sphere n|), an integer ceiling."""
-        p, q = t.as_integer_ratio()
+    def mu_star_inverse(self, n: int, p: int, q: int) -> Word:
+        """The word of rank ceil(p |sphere n| / q), an integer ceiling."""
         return unrank(self.alphabet, n, -(-p * self.alphabet.sphere_size(n) // q))
 
     def sample(self, rng: Random, n: int) -> Word:
@@ -375,7 +374,7 @@ class TableEnsemble(SphericalEnsemble):
 
     def sample(self, rng: Random, n: int) -> Word:
         """The inverse of the cumulative masses at a 64-bit dyadic."""
-        return invert_mu_star(self, n, Fraction(rng.getrandbits(64) + 1, 1 << 64))  # t in (0, 1]
+        return self.mu_star_inverse(n, rng.getrandbits(64) + 1, 1 << 64)  # t in (0, 1]
 
 
 # 1/(n * 2^|w|), ν's mass on the class (n, |w|), built once per class.
@@ -452,12 +451,11 @@ class DBHNuEnsemble(SphericalEnsemble):
         k = len(text) - zero_at - 1
         return Fraction(zero_at * 2**k + int(text[zero_at:], 2), len(text) * 2**k)
 
-    def mu_star_inverse(self, n: int, t: Fraction) -> Word:
-        """The closed-form inverse in integers: with t = p/q, each ceiling
-        is -(-a // q); "0" w is j - 1 written in k + 1 binary digits."""
+    def mu_star_inverse(self, n: int, p: int, q: int) -> Word:
+        """The closed-form inverse in integers at t = p/q: each ceiling is
+        -(-a // q); "0" w is j - 1 written in k + 1 binary digits."""
         if n == 0:
             return self.alphabet.empty
-        p, q = t.as_integer_ratio()
         m = -(-p * n // q) - 1  # ceil(t n) - 1: t lies in the class of m
         k = n - m - 1
         j = -(-((p * n - m * q) << k) // q)  # ceil((t n - m) 2^k): w's 1-based rank
@@ -652,13 +650,13 @@ def block_mass(mu: SphericalEnsemble, prefix: Sequence[str], n: int) -> Fraction
 
 def invert_mu_star(mu: SphericalEnsemble, n: int, t: Fraction) -> Word:
     """The lexicographically least x in sphere n with
-    mu_star(x) < t <= hat_mu(x); total for t in (0, 1].
-
-    Enumerated spheres whose masses sum to less than t resolve to their
-    last word."""
-    if not 0 < t.numerator <= t.denominator:
+    mu_star(x) < t <= hat_mu(x); total for t in (0, 1], read once as the
+    integer pair p/q.  Enumerated spheres whose masses sum to less than t
+    resolve to their last word."""
+    p, q = t.as_integer_ratio()
+    if not 0 < p <= q:
         raise ValueError("t must lie in (0, 1]")
-    return mu.mu_star_inverse(n, t)
+    return mu.mu_star_inverse(n, p, q)
 
 
 def verify_transfer(reduction, mu: SphericalEnsemble, nu: SphericalEnsemble,

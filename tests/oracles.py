@@ -24,9 +24,11 @@ computes another way, kept here so that tests can cross-check the two:
   scan replaced, and the C(g) membership test ``c_of_g_member`` that
   decoded the whole code (``is_code``, ``decode_instance``) where the
   fast one reads only lengths;
-- ``universal_by_fields``: the universal machine's evaluator reading
-  every field of its input with ``read_field``, which cuts the rest of
-  the text after each field, as both evaluators read fields before the
+- ``read_field`` and ``universal_by_fields``: one field read through the
+  image codec's readers (``bhp._read_length`` for the length field,
+  ``bhp._read_field`` for a machine-code field) with the rest of the
+  text cut after it, and the universal machine's evaluator reading every
+  field of its input that way, as both evaluators read fields before the
   universal one matched the code texts of its registry's machines in
   place;
 - ``x_prime_scan``: the shortlex brute force over dyadic addresses that
@@ -36,14 +38,21 @@ computes another way, kept here so that tests can cross-check the two:
   ``Fraction``s, and the closed-form inverses of ν and the uniform
   ensembles with their ceilings taken of ``Fraction`` products, as they
   were before they became integer arithmetic;
-- ``x_double_prime`` and ``protocol_run``: the compression and the
-  decoding protocol with their dyadic thresholds as ``Fraction``
-  comparisons, as they were before those became integer tests, and
-  the address built by the ``Fraction`` form of ``x_prime``;
-- ``numeral`` and ``red2bh_image``: the numeral built bit by bit through
-  the checked ``Alphabet.word``, and the bounded-halting image built
-  afresh at every word (guard value, numeral and head), as
-  ``bhp.red2bh_map`` built it before it kept one head per length;
+- ``xprime_value``, ``x_double_prime`` and ``protocol_run``: the value
+  of a dyadic address as a checked ``Fraction``, and the compression and
+  the decoding protocol with their dyadic thresholds and the address's
+  range test as ``Fraction`` comparisons and the address built by the
+  ``Fraction`` form of ``x_prime``, as they were before the thresholds
+  became integer tests and the protocol read the address as an integer
+  pair;
+- ``numeral``: the numeral built bit by bit through the checked
+  ``Alphabet.word``.  With ``scan_numeral`` it is the independent
+  reference of the image layout test, the one test that pins the
+  codec's writers and readers against hand-built fields; every other
+  test builds and reads payloads through the codec;
+- ``red2bh_image``: the bounded-halting image built afresh at every
+  word (guard value and the codec's head), as ``bhp.red2bh_map`` built
+  it before it kept one head per length;
 - ``check_lower_bounds``: the pointwise lower-bound check with the
   bound mass / divisor formed, compared and divided as ``Fraction``s at
   every point, as it was before it read verdict and ratio off two
@@ -73,22 +82,22 @@ machines of the benchmark's never-halting families of those names.
 the final state, on a symbol no input holds and no move writes.
 
 The machine code (the answer decoder too), ``scan_numeral``, the body
-of ``nu_mass_text``, ``verify_induced``, the evaluator of ``universal_by_fields``,
-``build_parser`` with ``nonnegative_int``, ``read_field`` (once
-``bhp._read_field``), ``x_prime`` and the bodies of the two inverses,
-``x_double_prime``, ``protocol_run`` and ``numeral`` are copied
-verbatim.  Only the imports are new, ``read_field`` calls
-``scan_numeral`` through the ``gclab.bhp`` module (so a wrapper there
-counts its scans) and ``universal_by_fields`` calls it by its new name,
-the ν inverse returns ``BINARY.empty`` where the method returned its
-alphabet's, ``RunResult`` records are built directly, not through the static constructors it no longer has,
-``_moves`` stands in for ``TuringMachine._delta``, which is now keyed
-by tape digit instead of symbol text, and the evaluator names
-``gclab``'s own halting search, not the one here.  That evaluator and
-the virtual branch of ``_search_halting`` follow the evaluator contract
-of ``VirtualMachine``: halting steps or None, where they once built and
-read ``RunResult``s, and the evaluator reads machine fields with
-``_machine_at``, which now returns None where it raised.
+of ``nu_mass_text``, ``verify_induced``, ``build_parser`` with
+``nonnegative_int``, ``xprime_value``, ``x_prime`` and the bodies of
+the two inverses, ``x_double_prime``, ``protocol_run`` and ``numeral``
+are copied verbatim.  Only the imports are new, the ν inverse returns
+``BINARY.empty`` where the method returned its alphabet's, ``RunResult``
+records are built directly, not through the static constructors it no
+longer has, and ``_moves`` stands in for ``TuringMachine._delta``,
+which is now keyed by tape digit instead of symbol text.  The evaluator
+of ``universal_by_fields`` names ``gclab``'s own halting search, not
+the one here, and reads machine fields with ``_machine_at``, which
+returns None where it once raised; the codec's readers look
+``scan_numeral`` up in the ``gclab.bhp`` module, so a wrapper there
+counts the scans of ``read_field``.  That evaluator and the virtual
+branch of ``_search_halting`` follow the evaluator contract of
+``VirtualMachine``: halting steps or None, where they once built and
+read ``RunResult``s.
 The breadth-first search still returns the halting configuration it
 found next to its depth; a virtual machine reports none, so its result
 carries None in that place.
@@ -106,17 +115,18 @@ from functools import cache, partial
 from math import ceil
 from typing import Callable, Optional
 
-from gclab import bhp as gclab_bhp
 from gclab import machine as gclab_machine
 from gclab.bhp import (
     NU,
+    _head,
     _machine_at,
     _protocol_run,
+    _read_field,
+    _read_length,
     _wrap,
     bh_search,
     guard_inverse,
     machine_index,
-    xprime_value,
 )
 from gclab.cli import cmd_control_seq, cmd_density, cmd_reduce, cmd_tm, cmd_verify
 from gclab.genericity import exceeds_bound
@@ -455,38 +465,47 @@ def c_of_g_member(guard, u: Word) -> bool:
     return guard_inverse(guard, n) == len(w)
 
 
-def read_field(text: str) -> Optional[tuple[int, str]]:
-    """Read one field "numeral 0" off the front of a code payload: the
-    numeral value and the rest of the text (possibly empty), or None
-    when the field is malformed or lacks its separator."""
-    head = gclab_bhp.scan_numeral(text, 0)  # looked up per call, so a wrapper counts it
-    if head is None or head[1] >= len(text) or text[head[1]] != "0":
-        return None
-    return head[0], text[head[1] + 1 :]
+def read_field(text: str, reader: Callable = _read_length) -> Optional[tuple[int, str]]:
+    """Read one field off the front of a code payload with a reader of the
+    image codec, the length field's by default: the field's value and the
+    rest of the text (possibly empty), or None when the field is
+    malformed or lacks its separator."""
+    field = reader(text)
+    return None if field is None else (field[0], text[field[1] :])
 
 
 def universal_by_fields(registry: list[Machine], run=_protocol_run) -> Search:
     """The universal machine's evaluator on this registry, reading the
-    length field and the machine field of a chained input with
-    ``read_field``; ``run`` is the decoding protocol of chained inputs."""
+    machine field of a plain input, and the length field and the machine
+    field of a chained one, with ``read_field``; ``run`` is the decoding
+    protocol of chained inputs."""
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
-        fields = read_field(v.text())
+        text = v.text()
+        fields = read_field(text, _read_field)
+        machine = None if fields is None else _machine_at(fields[0], index)
+        if machine is not None:  # plain shape: machine-code 0 w
+            return gclab_machine._search_halting(machine, BINARY.word(fields[1]), budget)
+        fields = read_field(text)  # chained shape: length 0 machine-code 0 x''
         if fields is None:
             return None
-        gamma, rest = fields
-        machine = _machine_at(gamma, index)
-        if machine is not None:  # plain shape: machine-code 0 w
-            return gclab_machine._search_halting(machine, BINARY.word(rest), budget)
-        # chained shape: numeral 0 machine-code 0 x'', gamma being the numeral
-        fields = read_field(rest)
+        n, rest = fields
+        fields = read_field(rest, _read_field)
         machine = None if fields is None else _machine_at(fields[0], index)
         if machine is None:
             return None
-        return run(NU, partial(bh_search, machine), gamma, fields[1], budget)
+        return run(NU, partial(bh_search, machine), n, fields[1], budget)
 
     return evaluator
+
+
+def xprime_value(text: str) -> Fraction:
+    """The dyadic value named by a candidate string x0 x1 ... xk:
+    x0 . x1 ... xk 1 in binary, i.e. (2 * int(text, 2) + 1) / 2^len."""
+    if not text or text.strip("01"):
+        raise ValueError("candidate must be a nonempty binary string")
+    return Fraction(2 * int(text, 2) + 1, 2 ** len(text))
 
 
 def x_prime_scan(lo: Fraction, hi: Fraction, n: int) -> Word:
@@ -588,9 +607,9 @@ def numeral(n: int) -> Word:
 
 def red2bh_image(mu: SphericalEnsemble, guard, prefix: str, x: Word) -> Word:
     """The image of x under ``bhp.red2bh_map(mu, guard, prefix)``, with
-    its guard value, numeral and payload head built for this word."""
+    its guard value and payload head built for this word."""
     n = len(x)
-    return _wrap(guard(n), numeral(n).text() + "0" + prefix + x_double_prime(mu, x).text())
+    return _wrap(guard(n), _head(n, prefix) + x_double_prime(mu, x).text())
 
 
 def check_lower_bounds(report: CheckReport, points) -> Optional[Fraction]:

@@ -35,10 +35,12 @@ from gclab.bhp import (
     LongevityGuard,
     BHStage,
     NU,
+    _code_field,
+    _head,
     _machine_at,
     _payload,
-    _protocol_run,
     _read_field,
+    _read_length,
     _relaxation_points,
     _WINDOW,
     adequate_guard,
@@ -48,7 +50,6 @@ from gclab.bhp import (
     red2bh_map,
     scan_numeral,
     verify_membership,
-    xprime_value,
 )
 from gclab.cli import main
 from gclab.genericity import parse_polynomial
@@ -278,6 +279,13 @@ def test_guard_invariants():
     assert guard(3) == 7
 
 
+def test_guard_refuses_a_plateau():
+    """A guard that keeps g(n) >= n and g(0) >= 1 but repeats a value is
+    refused: max(n + 1, 5) stays at 5 from n = 0 to n = 4."""
+    with pytest.raises(GuardError, match="not strictly increasing at n=1"):
+        LongevityGuard(lambda n: max(n + 1, 5))
+
+
 def test_guard_inverse():
     g = Polynomial((1, 2))
     assert guard_inverse(g, 3) == 1
@@ -439,13 +447,62 @@ def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
                 scan_numeral_per_bit, text, start), (text, start)
 
 
+# --- the image codec ----------------------------------------------------------
+
+
+def _field_per_bit(text, start=0):
+    """A field "numeral 0" at ``start`` read by the per-bit oracle: the
+    value and the index past the separator, or None."""
+    head = scan_numeral_per_bit(text, start)
+    return None if head is None or not text.startswith("0", head[1]) else (head[0], head[1] + 1)
+
+
+def test_image_layout_against_per_bit_references(uniform, find_zero):
+    """The one test of the image layout, against references the codec
+    does not use: ``oracles.numeral`` writes each field and the per-bit
+    ``oracles.scan_numeral`` reads it.  The head of a length-n image is
+    "numeral(n) 0 prefix" and a machine-code field "numeral(i) 0",
+    pinned on hand-written texts too; every image of |x| <= 5 of both
+    stages is 1^pad 0 head x''; and both readers agree with the per-bit
+    reader on those payloads and on malformed ones: a lone marker, a
+    missing separator, a field cut short or shifted by one letter."""
+    assert (_head(5), _head(0, "11"), _code_field(2)) == ("1110110", "10011", "11100")
+    assert _read_length("1110110" + "01") == (5, 7)
+    assert _read_field("11100" + "1", 0) == (2, 5)
+    indices = list(range(300)) + [machine_index(m) for m in _data_machines()]
+    for i in indices:
+        assert _code_field(i) == oracles.numeral(i).text() + "0"
+        assert _head(i, "01") == oracles.numeral(i).text() + "0" + "01"
+    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    universal = red2bhu(find_zero, Polynomial((1, 2)))
+    code = oracles.numeral(machine_index(find_zero)).text() + "0"
+    stages = [(red2bh_map(uniform, guard), uniform, guard, ""),
+              (universal.reduction, NU, universal.guard, code)]
+    payloads = []
+    for f, mu, g, prefix in stages:
+        for x in BINARY.ball(5):
+            head = oracles.numeral(len(x)).text() + "0" + prefix
+            payload = head + x_double_prime(mu, x).text()
+            assert f.apply(x).text() == "1" * (g(len(x)) - len(payload) - 1) + "0" + payload
+            payloads.append(payload)
+    malformed = ["", "0", "1", "10", "11", "111011", "1110111", "10" + "11" * 5 + "0",
+                 code[:-1], code[1:], "0" + code, "1110110"[1:] + code]
+    for text in payloads + malformed:
+        assert _read_length(text) == _field_per_bit(text), text[:40]
+        after = _field_per_bit(text)
+        for start in {0, 1} | ({after[1] - 1, after[1], after[1] + 1} if after else set()):
+            assert _read_field(text, start) == _field_per_bit(text, start), (text[:40], start)
+
+
 # --- dyadic compression -------------------------------------------------------
 
 
 def test_xprime_value():
-    assert xprime_value("0") == Fraction(1, 2)
-    assert xprime_value("01") == Fraction(3, 4)
-    assert xprime_value("11") == Fraction(7, 4)
+    """The oracles' address value, (2 int(w) + 1) / 2^|w|: the integer pair
+    ``bhp._protocol_run`` inverts, as one ``Fraction``."""
+    assert oracles.xprime_value("0") == Fraction(1, 2)
+    assert oracles.xprime_value("01") == Fraction(3, 4)
+    assert oracles.xprime_value("11") == Fraction(7, 4)
 
 
 @pytest.mark.parametrize("text", ["", "2", "0_1", " 01", "01 ", "0 1", "1\u0661", "\u06610", "+1"])
@@ -454,7 +511,7 @@ def test_xprime_value_rejects_text_that_is_not_binary(text):
     those ``int(text, 2)`` would read: underscores, surrounding blanks,
     other scripts' digits, a sign."""
     with pytest.raises(ValueError, match="nonempty binary string"):
-        xprime_value(text)
+        oracles.xprime_value(text)
 
 
 def test_x_prime_worked_examples(mu2):
@@ -624,10 +681,10 @@ def test_protocol_evaluators_match_fraction_oracles(uniform, nu, threshold_table
     """The protocol machine of ``red2bh`` over ν, the uniform ensemble and
     the threshold table, and the universal machine (chained inputs, over
     ν), give the steps of the oracle protocol, whose mass tests and
-    address range test compare ``Fraction``s, on "numeral(n) 0 [code 0]
-    x''" for each x'' variant of every x <= 10 at the budgets n, 2n - 1
-    and 2n, just short of and at the 2n steps an accepted x of length n
-    takes."""
+    address range test compare ``Fraction``s, on the payload
+    "head(n, [code 0]) x''" for each x'' variant of every x <= 10 at the
+    budgets n, 2n - 1 and 2n, just short of and at the 2n steps an
+    accepted x of length n takes."""
     decider = _even_ones()
     verdicts = set()
     for mu in (uniform, nu, threshold_table):
@@ -642,11 +699,10 @@ def test_protocol_evaluators_match_fraction_oracles(uniform, nu, threshold_table
                              oracles.universal_by_fields([decider], run=oracles.protocol_run),
                              universal.prefix))
         for n in range(11):
-            head = numeral(n).text() + "0"
             for x in BINARY.sphere(n):
                 for x2 in _x2_variants(mu, x):
                     for fast, slow, prefix in machines:
-                        v = BINARY.word(head + prefix + x2)
+                        v = BINARY.word(_head(n, prefix) + x2)
                         for budget in (n, 2 * n - 1, 2 * n):
                             steps = fast(v, budget)
                             assert steps == slow(v, budget), (mu.kind, x.text(), x2, budget)
@@ -735,44 +791,45 @@ def test_red2bh_image_length_is_guard(contains01_problem, contains01_ntm):
 
 
 def test_maps_build_one_head_per_length(monkeypatch, threshold_table, find_zero):
-    """Each stage's map computes the guard value and the numeral of a
-    length once, however many words of that length it maps: applied to
-    every x <= 8, twice, it calls ``numeral`` and the guard once per
-    length, and each image equals the oracle's, built afresh per word."""
+    """Each stage's map computes the guard value and the head of a length
+    once, however many words of that length it maps: applied to every
+    x <= 8, twice, it calls ``_head`` and the guard once per length, and
+    each image equals the oracle's, built afresh per word."""
     guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
     universal = red2bhu(find_zero, Polynomial((1, 2)))
     stages = [(red2bh_map(threshold_table, guard), threshold_table, guard, ""),
               (universal.reduction, NU, universal.guard, universal.prefix)]
-    real_numeral, real_guard = gclab.bhp.numeral, LongevityGuard.__call__
+    real_head, real_guard = gclab.bhp._head, LongevityGuard.__call__
     for f, mu, g, prefix in stages:
-        numerals, guards = [], []
-        monkeypatch.setattr(gclab.bhp, "numeral", lambda n: numerals.append(n) or real_numeral(n))
+        heads, guards = [], []
+        monkeypatch.setattr(gclab.bhp, "_head", lambda n, prefix="": heads.append(n)
+                            or real_head(n, prefix))
         monkeypatch.setattr(LongevityGuard, "__call__",
                             lambda self, n: guards.append((self, n)) or real_guard(self, n))
         images = [f.apply(x) for x in BINARY.ball(8)]
         assert [f.apply(x) for x in BINARY.ball(8)] == images
         monkeypatch.undo()
-        assert numerals == list(range(9))
+        assert heads == list(range(9))
         assert guards == [(g, n) for n in range(9)]
         for x, y in zip(BINARY.ball(8), images):
             assert y.text() == oracles.red2bh_image(mu, g, prefix, x).text(), x.text()
 
 
 def test_red2bhu_builds_the_machine_code_once(monkeypatch, find_zero):
-    """``red2bhu`` computes the machine's canonical index and its numeral
-    once, for the code field it writes and the universal machine's
+    """``red2bhu`` computes the machine's canonical index and its code
+    field once, for the field it writes and the universal machine's
     registry alike; its images are the oracle's, and its machine runs
     each of them as ``universal_machine`` does."""
-    indices, numerals = [], []
-    real_index, real_numeral = gclab.bhp.machine_index, gclab.bhp.numeral
+    indices, fields = [], []
+    real_index, real_field = gclab.bhp.machine_index, gclab.bhp._code_field
     monkeypatch.setattr(gclab.bhp, "machine_index",
                         lambda m: indices.append(m) or real_index(m))
-    monkeypatch.setattr(gclab.bhp, "numeral", lambda n: numerals.append(n) or real_numeral(n))
+    monkeypatch.setattr(gclab.bhp, "_code_field", lambda i: fields.append(i) or real_field(i))
     stage = red2bhu(find_zero, Polynomial((1, 2)))
     monkeypatch.undo()
     assert indices == [find_zero]
-    assert numerals == [machine_index(find_zero)]
-    assert stage.prefix == machine_code(find_zero).text() + "0"
+    assert fields == [machine_index(find_zero)]
+    assert stage.prefix == _code_field(machine_index(find_zero))
     U = universal_machine([find_zero])
     for x in BINARY.ball(4):
         y = stage.reduction.apply(x)
@@ -840,8 +897,7 @@ def test_measure_decrease_catches_corruption(uniform):
 
 def test_machine_code_roundtrip(halt1, loop, find_zero, contains01_ntm):
     for machine in (halt1, loop, find_zero, contains01_ntm):
-        code = machine_code(machine)
-        rebuilt = _machine_at(scan_numeral(code.text(), 0)[0], {})
+        rebuilt = _machine_at(_read_field(machine_code(machine).text() + "0")[0], {})
         assert rebuilt.to_canonical_dict() == machine.to_canonical_dict()
 
 
@@ -859,7 +915,7 @@ def test_virtual_machine_codes_via_registry(contains01_problem, contains01_ntm):
     stage = red2bh(contains01_problem, contains01_ntm,
                    Polynomial((6, 1, 1)), lambda n: n + 1)
     vm = stage.machine
-    index = scan_numeral(machine_code(vm).text(), 0)[0]
+    index = _read_field(machine_code(vm).text() + "0")[0]
     assert _machine_at(index, {machine_index(vm): vm}) is vm
     assert _machine_at(index, {}) is None  # no registry: virtual machines cannot decode
 
@@ -885,7 +941,7 @@ def test_universal_plain_simulation(halt1, loop, find_zero):
     machines = [halt1, loop, find_zero]
     U = universal_machine(machines)
     for machine in machines:
-        prefix = machine_code(machine).text() + "0"
+        prefix = _code_field(machine_index(machine))
         for n in range(5):
             for w in BINARY.sphere(n):
                 payload = BINARY.word(prefix + w.text())
@@ -913,10 +969,10 @@ AB_TABLE = {**HALT1_TABLE, "tape_alphabet": ["a", "b"],
             "delta": [["q0", "_", "q1", "a", "R"]]}
 
 
-def _index_code(payload) -> str:
+def _index_field(payload) -> str:
     """The machine-code field of a payload serialized as a machine index."""
     blob = json.dumps(payload, separators=(",", ":")).encode()
-    return numeral(int.from_bytes(blob, "big")).text()
+    return _code_field(int.from_bytes(blob, "big"))
 
 
 @pytest.mark.parametrize("payload", [
@@ -928,11 +984,11 @@ def _index_code(payload) -> str:
 ])
 def test_universal_fails_closed_on_malformed_tables(halt1, payload, monkeypatch):
     monkeypatch.chdir(Path(__file__).parent.parent)
-    code = _index_code(payload)
-    assert _machine_at(scan_numeral(code, 0)[0], {}) is None
+    field = _index_field(payload)
+    assert _machine_at(_read_field(field)[0], {}) is None
     U = universal_machine([halt1])
-    plain = code + "0" + "1"
-    chained = numeral(1).text() + "0" + code + "0" + "01"
+    plain = field + "1"
+    chained = _head(1, field) + "01"
     for text in (plain, chained):
         assert not halts_within(U, BINARY.word(text), 500)
 
@@ -959,7 +1015,7 @@ def test_machine_codes_may_open_with_json_whitespace():
 
 def test_universal_never_halts_on_non_binary_tables(halt1):
     U = universal_machine([halt1])
-    text = _index_code({"table": AB_TABLE}) + "0" + "1"
+    text = _index_field({"table": AB_TABLE}) + "1"
     assert not halts_within(U, BINARY.word(text), 500)
 
 
@@ -985,10 +1041,11 @@ def _universal_runs_agree(registry, inputs, scans):
 def numeral_scans(monkeypatch):
     """One entry per ``scan_numeral`` call."""
     scans = []
+    real = gclab.bhp.scan_numeral
 
     def counted(text, start):
         scans.append(start)
-        return scan_numeral(text, start)
+        return real(text, start)
 
     monkeypatch.setattr(gclab.bhp, "scan_numeral", counted)
     return scans
@@ -996,16 +1053,17 @@ def numeral_scans(monkeypatch):
 
 def test_universal_matches_known_codes_like_the_field_reader(numeral_scans):
     """The payload of every image ``red2bhu`` writes for the universal
-    bundle, n <= 6, runs as the field-by-field reference runs it, and
-    only its length field is scanned: its machine field is matched as
-    known text."""
+    bundle, n <= 6, runs as the field-by-field reference runs it, with
+    one numeral scan fewer: its machine field is matched as known text,
+    not read."""
     data = Path(__file__).parent / "data"
     bundle = json.loads((data / "universal_bundle.json").read_text())
     machine = load_machine(json.loads((data / bundle["machine"]).read_text()))
     stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
     images = [stage.reduction.apply(x) for x in BINARY.ball(6)]
     payloads = [BINARY.word(_payload(y.text())) for y in images]
-    assert _universal_runs_agree([machine], payloads, numeral_scans) == {(1, 2)}
+    counts = _universal_runs_agree([machine], payloads, numeral_scans)
+    assert {slow - fast for fast, slow in counts} == {1}
     assert any(bh_member(stage.machine, y) for y in images)
 
 
@@ -1060,25 +1118,25 @@ def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
     length numeral one pair shorter or longer, where the code is matched
     in place at another offset."""
     ab = load_machine(AB_TABLE)
-    code = machine_code(halt1).text()
+    field = _code_field(machine_index(halt1))
+    code = field[:-1]
     mutants, non_binary = [], []
     for x in (BINARY.word("0"), BINARY.word("110")):
-        length = numeral(len(x)).text() + "0"
+        length = _head(len(x))
         x2 = x_double_prime(NU, x).text()
         for shifted in (length[:-3], length[:-3] + "0", length + "10", length + "11",
                         length[:-1] + "10" + "0", length[:-1] + "11" + "0"):
-            mutants.append(shifted + code + "0" + x2)
+            mutants.append(shifted + field + x2)
         for at in (0, 1, 2, 3, len(code) // 2, len(code) // 2 + 1, len(code) - 1, len(code)):
-            field = code + "0"
             mutants.append(length + field[:at] + "10"[int(field[at])] + field[at + 1 :] + x2)
         for cut in (1, 2, 3, len(code) // 2):
             mutants.append(length + code[:-cut] + "0" + x2)
             mutants.append(length + code[:-cut] + x2)
-        non_binary.append(length + machine_code(ab).text() + "0" + x2)
+        non_binary.append(length + _code_field(machine_index(ab)) + x2)
     words = [BINARY.word(t) for t in mutants + non_binary]
     assert _universal_runs_agree([halt1, ab], words, numeral_scans)
     U = universal_machine([halt1, ab])
-    honest = numeral(1).text() + "0" + code + "0" + x_double_prime(NU, BINARY.word("0")).text()
+    honest = _head(1, field) + x_double_prime(NU, BINARY.word("0")).text()
     assert halts_within(U, BINARY.word(honest), 64)
     for t in non_binary:
         assert not halts_within(U, BINARY.word(t), 10 * len(t))
@@ -1099,18 +1157,18 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     short = DistributionalProblem("contains01-table", contains01_problem.positive, table)
     table_protocol = red2bh(short, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
     # a claimed length (2) beyond the table's n_max (1), verbatim branch
-    payload = BINARY.word("1110" "0" "0" "00")
+    payload = BINARY.word(_head(2) + "0" + "00")
     assert table_protocol.evaluator(payload, 10) is None
     # the verbatim branch weighs a candidate of the claimed length (3),
     # past the table's n_max (2) under the induced ensembles
     base = {"kind": "table", "n_max": 2, "entries": {
         "0": "1/2", "1": "1/2", "00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
-    payload = BINARY.word(numeral(3).text() + "0" + "0" + "101")
+    payload = BINARY.word(_head(3) + "0" + "101")
     # a candidate of another length (2) than the claimed one (3) is never
     # weighed, so only the claimed length's horizon keeps the decider,
     # which accepts "01", from running: the verdict is the same however
     # the table is wrapped
-    other_length = BINARY.word(numeral(3).text() + "0" + "0" + "01")
+    other_length = BINARY.word(_head(3) + "0" + "01")
     wrapped = [ensemble_from_spec({"kind": "induced", "base": base, "subset": subset})
                for subset in ({"name": "all"}, {"name": "cg", "g": "2n+1"})]
     wrapped.append(ensemble_from_spec(
@@ -1136,13 +1194,12 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     long_problem = DistributionalProblem("contains01-17", contains01_problem.positive, long_table)
     long_protocol = red2bh(long_problem, contains01_ntm, Polynomial((6, 1, 1)),
                            lambda n: n + 1).machine
-    payload = BINARY.word(numeral(17).text() + "0" + "1" + "0")
+    payload = BINARY.word(_head(17) + "1" + "0")
     assert long_protocol.evaluator(payload, 40) is None
     x = BINARY.word("1" * 16 + "0")
     x2 = x_double_prime(NU, x).text()
     assert x2[0] == "1"  # address branch
-    chained = BINARY.word(
-        numeral(17).text() + "0" + machine_code(halt1).text() + "0" + x2)
+    chained = BINARY.word(_head(17, _code_field(machine_index(halt1))) + x2)
     universal = universal_machine([halt1])
     assert universal.evaluator(chained, 17) is None
     halted = universal.evaluator(chained, 18)
@@ -1162,8 +1219,8 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
 
 
 def test_images_read_back_their_fields(uniform, find_zero):
-    """Both maps wrap "numeral(n) 0 [machine-code 0] x''" into a code; the
-    field reader gives n, the machine index and x'' back."""
+    """Both maps wrap "head(n, [machine-code 0]) x''" into a code; the
+    codec's readers give n, the machine index and x'' back."""
     guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
     f = red2bh_map(uniform, guard)
     code_len = len(machine_code(find_zero).text())
@@ -1173,12 +1230,12 @@ def test_images_read_back_their_fields(uniform, find_zero):
             image = f.apply(x).text()
             assert len(image) == guard(n)
             payload = _payload(image)
-            n_read, start = _read_field(payload)
+            n_read, start = _read_length(payload)
             assert (n_read, payload[start:]) == (n, x_double_prime(uniform, x).text())
             image = stage.reduction.apply(x).text()
             assert len(image) == stage.guard(n)
             payload = _payload(image)
-            n_read, start = _read_field(payload)
+            n_read, start = _read_length(payload)
             assert n_read == n
             index, end = _read_field(payload, start)
             assert (index, payload[end:]) == (
@@ -1272,7 +1329,7 @@ def test_universal_faithful_on_plain_codes(halt1, find_zero):
     simulated machine's problem (slowdown 1 keeps budgets aligned)."""
     U = universal_machine([halt1, find_zero])
     for machine in (halt1, find_zero):
-        prefix = machine_code(machine).text() + "0"
+        prefix = _code_field(machine_index(machine))
         for n in range(4):
             for w in BINARY.sphere(n):
                 payload = BINARY.word(prefix + w.text())

@@ -165,10 +165,12 @@ def test_only_the_command_line_reads_files():
 
 
 def test_every_imported_name_is_read():
-    """No module of the package but ``__init__`` (which re-exports)
-    imports a name it never reads, so a deletion leaves no import
-    behind that every command still compiles and runs."""
-    for path in sorted((REPO / "src" / "gclab").glob("*.py")):
+    """No module of the package but ``__init__`` (which re-exports), and
+    no test module, imports a name it never reads, so a deletion leaves
+    no import behind that every command and test still compiles and
+    runs."""
+    paths = sorted((REPO / "src" / "gclab").glob("*.py")) + sorted((REPO / "tests").glob("*.py"))
+    for path in paths:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -345,6 +347,22 @@ def test_control_seq_sample_below_one_exit_2(capsys):
         assert code == 2
         assert out == ""
         assert err == f"gclab: sampling needs at least one sample per sphere, not {count}\n"
+
+
+def test_control_seq_accepts_one_sample(capsys):
+    """--sample 1 is the smallest count accepted: every sphere gets one
+    sampled draw, so each value is 0 or 1 over a denominator of 1."""
+    code, out, err = run_cli(
+        ["control-seq", "--machine", str(DATA / "loop_on_one.json"),
+         "--ensemble", str(DATA / "uniform_ensemble.json"),
+         "--poly", "n", "--n-max", "6", "--sample", "1", "--seed", "5"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(n) for n in range(7)]
+    assert {(row[1], *row[2:3], *row[4:]) for row in rows} == {
+        ("0", "1", "sampled", "1", "5"), ("1", "1", "sampled", "1", "5")}
 
 
 def test_unnormalised_table_exit_2(tmp_path, capsys):

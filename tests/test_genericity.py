@@ -18,7 +18,7 @@ from gclab import (
     sample_sphere,
     subset_mass,
 )
-from gclab.genericity import overrun_mass, parse_polynomial, sphere_stream
+from gclab.genericity import exceeds_bound, overrun_mass, parse_polynomial, sphere_stream
 from gclab.machine import load_machine
 from gclab.measure import HorizonError, InducedEnsemble
 from gclab.bhp import adequate_guard, c_of_g, cg_sphere_mass, subset_from_spec
@@ -201,6 +201,17 @@ def test_sampling_needs_a_positive_sample_count(loop_on_one, uniform):
         with pytest.raises(ValueError, match="at least one sample"):
             control_sequence(loop_on_one, Polynomial((0, 1)), uniform, 3,
                              samples=samples, seed=1)
+
+
+def test_sampling_accepts_one_sample_per_sphere(loop_on_one, uniform):
+    """One sample per sphere is the smallest count sampling accepts: each
+    entry is the verdict on the first draw of its sphere's stream, 0 or 1
+    over one sample."""
+    seq = control_sequence(loop_on_one, Polynomial((0, 1)), uniform, 6, samples=1, seed=5)
+    want = [int(exceeds_bound(loop_on_one, sample_sphere(uniform, n, 8, 5)[0], n))
+            for n in range(7)]
+    assert [tuple(e) for e in seq.entries] == [(n, w, 1, 5) for n, w in enumerate(want)]
+    assert 0 < sum(want) < 7
 
 
 def test_subset_mass_closed_form_has_no_horizon(uniform, nu):
