@@ -693,12 +693,12 @@ def _universal(index: dict[int, Machine], codes: dict[int, str]) -> VirtualMachi
     def evaluator(v: Word, budget: int) -> Optional[int]:
         text = v.text()
         field = _read_field(text)
-        machine = None if field is None else _machine_at(field[0], index)
-        if machine is not None:  # plain shape: machine-code 0 w
-            return _search_halting(machine, Word.of_text(BINARY, text[field[1] :]), budget)
-        field = _read_length(text)  # chained shape: length 0 machine-code 0 x''
         if field is None:
             return None
+        machine = _machine_at(field[0], index)
+        if machine is not None:  # plain shape: machine-code 0 w
+            return _search_halting(machine, Word.of_text(BINARY, text[field[1] :]), budget)
+        # chained shape: length 0 machine-code 0 x'', in the format read above
         n, start = field
         for code, search in known:
             if text.startswith(code, start):

@@ -476,21 +476,21 @@ def read_field(text: str, reader: Callable = _read_length) -> Optional[tuple[int
 
 def universal_by_fields(registry: list[Machine], run=_protocol_run) -> Search:
     """The universal machine's evaluator on this registry, reading the
-    machine field of a plain input, and the length field and the machine
-    field of a chained one, with ``read_field``; ``run`` is the decoding
-    protocol of chained inputs."""
+    first field of its input (the machine field of a plain input, the
+    length field of a chained one) and the machine field of a chained
+    input with ``read_field``; ``run`` is the decoding protocol of
+    chained inputs."""
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
-        text = v.text()
-        fields = read_field(text, _read_field)
-        machine = None if fields is None else _machine_at(fields[0], index)
-        if machine is not None:  # plain shape: machine-code 0 w
-            return gclab_machine._search_halting(machine, BINARY.word(fields[1]), budget)
-        fields = read_field(text)  # chained shape: length 0 machine-code 0 x''
+        fields = read_field(v.text(), _read_field)
         if fields is None:
             return None
         n, rest = fields
+        machine = _machine_at(n, index)
+        if machine is not None:  # plain shape: machine-code 0 w
+            return gclab_machine._search_halting(machine, BINARY.word(rest), budget)
+        # chained shape: length 0 machine-code 0 x'', n being the length
         fields = read_field(rest, _read_field)
         machine = None if fields is None else _machine_at(fields[0], index)
         if machine is None:

@@ -816,20 +816,23 @@ def test_maps_build_one_head_per_length(monkeypatch, threshold_table, find_zero)
 
 
 def test_red2bhu_builds_the_machine_code_once(monkeypatch, find_zero):
-    """``red2bhu`` computes the machine's canonical index and its code
-    field once, for the field it writes and the universal machine's
-    registry alike; its images are the oracle's, and its machine runs
-    each of them as ``universal_machine`` does."""
-    indices, fields = [], []
-    real_index, real_field = gclab.bhp.machine_index, gclab.bhp._code_field
+    """``red2bhu`` computes the machine's canonical index, its numeral
+    (thousands of letters) and its code field once, for the field it
+    writes and the universal machine's registry alike; its images are
+    the oracle's, and its machine runs each of them as
+    ``universal_machine`` does."""
+    indices, writes, fields = [], [], []
+    real_index, real_writer = gclab.bhp.machine_index, gclab.bhp.numeral
+    real_field = gclab.bhp._code_field
     monkeypatch.setattr(gclab.bhp, "machine_index",
                         lambda m: indices.append(m) or real_index(m))
+    monkeypatch.setattr(gclab.bhp, "numeral", lambda i: writes.append(i) or real_writer(i))
     monkeypatch.setattr(gclab.bhp, "_code_field", lambda i: fields.append(i) or real_field(i))
     stage = red2bhu(find_zero, Polynomial((1, 2)))
     monkeypatch.undo()
     assert indices == [find_zero]
-    assert fields == [machine_index(find_zero)]
-    assert stage.prefix == _code_field(machine_index(find_zero))
+    assert writes == fields == [machine_index(find_zero)]
+    assert stage.prefix == machine_code(find_zero).text() + "0"
     U = universal_machine([find_zero])
     for x in BINARY.ball(4):
         y = stage.reduction.apply(x)
@@ -897,7 +900,7 @@ def test_measure_decrease_catches_corruption(uniform):
 
 def test_machine_code_roundtrip(halt1, loop, find_zero, contains01_ntm):
     for machine in (halt1, loop, find_zero, contains01_ntm):
-        rebuilt = _machine_at(_read_field(machine_code(machine).text() + "0")[0], {})
+        rebuilt = _machine_at(_read_field(_code_field(machine_index(machine)))[0], {})
         assert rebuilt.to_canonical_dict() == machine.to_canonical_dict()
 
 
@@ -915,7 +918,7 @@ def test_virtual_machine_codes_via_registry(contains01_problem, contains01_ntm):
     stage = red2bh(contains01_problem, contains01_ntm,
                    Polynomial((6, 1, 1)), lambda n: n + 1)
     vm = stage.machine
-    index = _read_field(machine_code(vm).text() + "0")[0]
+    index = _read_field(_code_field(machine_index(vm)))[0]
     assert _machine_at(index, {machine_index(vm): vm}) is vm
     assert _machine_at(index, {}) is None  # no registry: virtual machines cannot decode
 
@@ -1053,17 +1056,16 @@ def numeral_scans(monkeypatch):
 
 def test_universal_matches_known_codes_like_the_field_reader(numeral_scans):
     """The payload of every image ``red2bhu`` writes for the universal
-    bundle, n <= 6, runs as the field-by-field reference runs it, with
-    one numeral scan fewer: its machine field is matched as known text,
-    not read."""
+    bundle, n <= 6, runs as the field-by-field reference runs it, and
+    only its length field is scanned: its machine field is matched as
+    known text."""
     data = Path(__file__).parent / "data"
     bundle = json.loads((data / "universal_bundle.json").read_text())
     machine = load_machine(json.loads((data / bundle["machine"]).read_text()))
     stage = red2bhu(machine, parse_polynomial(bundle["guard"]))
     images = [stage.reduction.apply(x) for x in BINARY.ball(6)]
     payloads = [BINARY.word(_payload(y.text())) for y in images]
-    counts = _universal_runs_agree([machine], payloads, numeral_scans)
-    assert {slow - fast for fast, slow in counts} == {1}
+    assert _universal_runs_agree([machine], payloads, numeral_scans) == {(1, 2)}
     assert any(bh_member(stage.machine, y) for y in images)
 
 
