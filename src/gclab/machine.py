@@ -31,13 +31,19 @@ takes.  A machine with at most one move per (state, read symbol) has a
 single run, which deterministic runs, and searches whose live part is
 such a machine, walk without storing configurations; two certificates
 of a run that never halts nor breaks end that walk early with the
-verdict an exhausted budget would give.  A run that revisits a
-configuration repeats forever (Brent's cycle check, Brent 1980).  A run
-that comes back to one state with the head on a blank, only blanks
-ahead of it and the cells it went back over unchanged, but the head
-further along the tape, repeats forever shifted (a translated cycle;
-the bbchallenge.org deciders of that name, after Marxen and Buntrock
-1990, "Attacking the Busy Beaver 5").  Since the blank is never
+verdict an exhausted budget would give.  Over a budget of
+``_CERTIFY_OVER`` steps a deterministic run does not walk at all when
+its machine is endless (``TuringMachine._endless``): found forward from
+the initial state, as the live part is found backward from the final
+one, no reachable state is final or lacks a move on some read symbol,
+so no run halts or breaks.  Searches, which hand ``cells_read`` what
+they reach, still walk.  A run that revisits a configuration repeats
+forever (Brent's cycle check, Brent 1980).  A run that comes back to
+one state with the head on a blank, only blanks ahead of it and the
+cells it went back over unchanged, but the head further along the
+tape, repeats forever shifted (a translated cycle; the bbchallenge.org
+deciders of that name, after Marxen and Buntrock 1990, "Attacking the
+Busy Beaver 5").  Since the blank is never
 written, the half of the tape trailing the head has a non-blank digit
 per cell, so both tests are compares of packed integers, and a chain
 step crosses at once the written cells ahead of a state that keeps its
@@ -240,6 +246,20 @@ class TuringMachine(Frozen):
         return TuringMachine(**dict(zip(self._fields, self._values), transitions=kept))
 
     @cached_property
+    def _endless(self) -> bool:
+        """Whether no run can halt or break: found forward from
+        ``initial`` to a fixpoint, no reachable state is ``final`` or
+        lacks a move on some read digit, the blank included."""
+        reached, size = {self.initial}, 0
+        while size < len(reached):
+            size = len(reached)
+            reached.update(m[0] for (q, _), moves in self._delta.items() if q in reached
+                           for m in moves)
+        reads = range(len(self._codec.digit))
+        return self.final not in reached and all(
+            (q, a) in self._delta for q in reached for a in reads)
+
+    @cached_property
     def determinism(self) -> str:
         """"deterministic" (total function), "partial" (at most one choice
         everywhere, but not total), or "nondeterministic"."""
@@ -330,10 +350,12 @@ def step(machine: TuringMachine, config: Packed) -> tuple[Packed, ...]:
     return tuple(out)
 
 
-# Walks with larger budgets try translated-cycle certificates and sweep.
-# Keep it over 100: ``perfbench/run.py``'s self-check ``selfcheck.loop100``
-# pins 100 ``step`` calls on a right-moving run at budget 100, which a
-# certificate ends at step 2 (ROADMAP item 2).
+# It gates all three shortcuts: over this budget a walk tries
+# translated-cycle certificates and sweeps, and a run of an endless
+# machine (``TuringMachine._endless``) ends without a step.  Keep it over
+# 100: ``perfbench/run.py``'s self-check ``selfcheck.loop100`` pins 100
+# ``step`` calls on a run at budget 100 of a right mover, which is
+# endless and which a translated cycle ends at step 2 (ROADMAP item 2).
 _CERTIFY_OVER = 128
 
 
@@ -471,13 +493,18 @@ def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult
     A run that cycles, or over a budget of ``_CERTIFY_OVER`` steps
     repeats shifted along the tape (see ``_walk``), is cut short and
     reported as running out of budget, which it would do at any budget.
-    That result carries neither steps nor a configuration, so it is the
-    one the whole budget gives."""
+    Over that budget a run of an endless machine (``_endless``) is not
+    walked at all, once the machine and the input are checked.  That
+    result carries neither steps nor a configuration, so it is the one
+    the whole budget gives."""
     if machine.determinism == "nondeterministic":
         raise NondeterministicRunError(
             "run_deterministic requires a machine without branching choices"
         )
-    kind, steps, config = _walk(machine, initial_configuration(machine, x), budget)
+    start = initial_configuration(machine, x)
+    if budget > _CERTIFY_OVER and machine._endless:
+        return RunResult("budget", budget=budget)
+    kind, steps, config = _walk(machine, start, budget)
     if kind == "halted":
         return RunResult("halted", steps, machine._codec.snapshot(config))
     if kind == "broke":

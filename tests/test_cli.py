@@ -84,6 +84,35 @@ def test_tm_run_refuses_a_brancher_whose_live_part_is_deterministic(tmp_path, ca
         assert (code, json.loads(out)["halts_within"]) == (0, halts)
 
 
+def test_tm_run_checks_its_input_before_the_endless_certificate(tmp_path, capsys):
+    """A run of a machine that can never halt or break ends at once over
+    a budget of ``_CERTIFY_OVER``, but only after the machine and the
+    input are checked: a symbol outside the sweeper's alphabet and a
+    branching move of the ping-pong fixture are still exit 2, from
+    ``tm run`` and from ``run_deterministic`` alike."""
+    code, out, err = run_cli(
+        ["tm", "run", str(DATA / "sweeper.json"), "012", "--budget", "8000"], capsys)
+    assert (code, out, err) == (2, "", "gclab: symbol '2' not in alphabet\n")
+    sweeper = gclab.machine.load_machine(json.loads((DATA / "sweeper.json").read_text()))
+    assert sweeper._endless
+    with pytest.raises(gclab.machine.MachineFormatError):
+        gclab.machine.run_deterministic(sweeper, Alphabet("012").word("01"), 8000)
+    pingpong = json.loads((DATA / "pingpong.json").read_text())
+    pingpong["delta"].append(["q0", "0", "q0", "1", "R"])
+    path = tmp_path / "branching_pingpong.json"
+    path.write_text(json.dumps(pingpong))
+    machine = gclab.machine.load_machine(pingpong)
+    assert machine.determinism == "nondeterministic" and machine._endless
+    code, out, err = run_cli(["tm", "run", str(path), "01", "--budget", "8000"], capsys)
+    assert (code, out, err) == (2, "", "gclab: run needs a deterministic machine; use halts\n")
+    with pytest.raises(gclab.machine.NondeterministicRunError):
+        gclab.machine.run_deterministic(machine, machine.tape_alphabet.word("01"), 8000)
+    for name in ("sweeper", "sweeper_live"):
+        code, out, _ = run_cli(
+            ["tm", "run", str(DATA / f"{name}.json"), "01", "--budget", "8000"], capsys)
+        assert (code, json.loads(out)) == (0, {"outcome": "budget", "steps": None, "budget": 8000})
+
+
 def test_tm_run_directory_exit_2(tmp_path, capsys):
     code, out, err = run_cli(["tm", "run", str(tmp_path), "0"], capsys)
     assert code == 2

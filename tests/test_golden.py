@@ -23,8 +23,13 @@ deterministic run walked its whole budget unless it revisited a
 configuration, before translated cycles ended a run early.  The two
 sweeper pins were recorded while a walk took one step per cell, before
 a run of written cells was crossed in one packed step; both hash a
-budget verdict with no steps.  So the two-way scanner pin is the one
-that pins the step count and final tape of a swept run: its 2,402
+budget verdict with no steps.  The `tm run` pins of both fixtures now
+end on the endless certificate (``TuringMachine._endless``: no state
+reachable from the initial one is final or lacks a move) without a
+step, and their `tm halts` pins break at once on the live part, so
+the walks they were recorded with are checked in test_machine on the
+fixtures' ``*_live.json`` variants.  So the two-way scanner pin is the
+one that pins the step count and final tape of a swept run: its 2,402
 steps take a handful of ``step`` calls, which
 ``test_machine::test_a_sweeper_crosses_its_cells_in_packed_steps``
 checks, so the pin cannot silently stop covering sweeps.  The brancher
@@ -160,12 +165,14 @@ GOLDEN = {
     ("control-seq", "--machine", ANSWERS, "--ensemble", UNIFORM,
      "--poly", "n", "--n-max", "8", "--sample", "200", "--seed", "5"): (0,
         "8b99e019e59638d32d386913d75d8e880fb765dee7676b07e8eb50b16584ff41"),
-    # a right-drifting bouncer that never halts: a translated cycle
+    # a right-drifting bouncer that never halts (a translated cycle), and
+    # below a sweeper that grows its tape at both ends (no cycle of either
+    # kind): both runs end on the endless certificate, both searches break
+    # at once on a live part with no moves
     ("tm", "run", BOUNCER, "01", "--budget", "8000"): (0,
         "3e545c4306b35ceaeeef1d69954d30c35e5ccf745e2165ecb70e34560b04182d"),
     ("tm", "halts", BOUNCER, "01", "--budget", "8000"): (0,
         "a4247dc1c6b6a03205de312bb06827dc4df9e9a50eb16118a2c8e42c27d1dc97"),
-    # a sweeper that grows its tape at both ends: no cycle of either kind
     ("tm", "run", SWEEPER, "01", "--budget", "8000"): (0,
         "3e545c4306b35ceaeeef1d69954d30c35e5ccf745e2165ecb70e34560b04182d"),
     ("tm", "halts", SWEEPER, "01", "--budget", "8000"): (0,

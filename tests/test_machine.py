@@ -100,31 +100,32 @@ def test_a_cycling_run_stops_early(monkeypatch):
     """The ping-pong machine revisits its configurations from step 2 on:
     the cycle check ends the run and the search long before the budget,
     with the verdict the budget gives.  No state of the fixture can
-    reach its final state, so the search runs on its live variant,
-    which halts only on a 2 that no input holds and no move writes."""
-    pingpong, live = _fixture("pingpong"), _fixture("pingpong_live")
-    assert live._live is live
+    reach its final state, so its run ends on the endless certificate
+    without a step, and the walks run on its live variant, which halts
+    only on a 2 that no input holds and no move writes."""
+    live = _fixture("pingpong_live")
+    assert live._live is live and not live._endless
     calls = _count_steps(monkeypatch, cap=64)
     assert not halts_within(live, live.tape_alphabet.word("0"), 10**9)
     assert 1 < len(calls) <= 64
     calls.clear()
-    assert run_deterministic(pingpong, BINARY.word("0"), 10**9) == (
+    assert run_deterministic(live, live.tape_alphabet.word("0"), 10**9) == (
         RunResult("budget", budget=10**9))
     assert 0 < len(calls) <= 64
 
 
 def test_a_translated_cycle_stops_early(monkeypatch):
     """The bouncer fixture drifts right and never revisits a
-    configuration, so only the translated-cycle certificate ends its
-    run early, and its live variant's search; at a budget within
-    ``_CERTIFY_OVER`` it walks the whole budget."""
+    configuration, so only the translated-cycle certificate ends the
+    run and the search of its live variant early; at a budget within
+    ``_CERTIFY_OVER`` the fixture's run walks the whole budget."""
     bouncer, live = _fixture("bouncer"), _fixture("bouncer_live")
-    assert live._live is live
+    assert live._live is live and not live._endless
     calls = _count_steps(monkeypatch, cap=gclab.machine._CERTIFY_OVER)
     assert not halts_within(live, live.tape_alphabet.word("01"), 10**9)
     assert 1 < len(calls) < 100
     calls.clear()
-    assert run_deterministic(bouncer, BINARY.word("01"), 10**9) == (
+    assert run_deterministic(live, live.tape_alphabet.word("01"), 10**9) == (
         RunResult("budget", budget=10**9))
     assert 0 < len(calls) < 100
     calls.clear()
@@ -135,21 +136,24 @@ def test_a_translated_cycle_stops_early(monkeypatch):
 
 def test_a_sweeper_crosses_its_cells_in_packed_steps(monkeypatch):
     """The sweeper fixture, the benchmark's sweeper family drawn from
-    ``random.Random(4)``, grows its tape at both ends, so no certificate
-    ends its run.  Over a budget of ``_CERTIFY_OVER`` each sweep crosses
-    the written cells in one packed step: its run and its live
-    variant's search at budget 10**6 call ``step`` a few thousand times,
-    not 10**6.  At ``_CERTIFY_OVER`` the walk takes every step.  The
-    halting scanner's golden run on (01101)^240 sweeps too: 2,402 steps
-    in a handful of ``step`` calls."""
+    ``random.Random(4)``, grows its tape at both ends, so no cycle
+    certificate ends a walk of it.  No state of the fixture can reach
+    its final state, so its run ends on the endless certificate, and
+    the walks run on its live variant.  Over a budget of
+    ``_CERTIFY_OVER`` each sweep crosses the written cells in one
+    packed step: the live variant's run and search at budget 10**6 call
+    ``step`` a few thousand times, not 10**6.  At ``_CERTIFY_OVER`` the
+    fixture's walk takes every step.  The halting scanner's golden run
+    on (01101)^240 sweeps too: 2,402 steps in a handful of ``step``
+    calls."""
     sweeper, live = _fixture("sweeper"), _fixture("sweeper_live")
     assert sweeper.to_canonical_dict() == oracles.sweeper(random.Random(4)).to_canonical_dict()
-    assert live._live is live
+    assert live._live is live and not live._endless
     calls = _count_steps(monkeypatch, cap=5000)
     assert not halts_within(live, live.tape_alphabet.word("01"), 10**6)
     assert 1 < len(calls) <= 5000
     calls.clear()
-    assert run_deterministic(sweeper, BINARY.word("01"), 10**6) == (
+    assert run_deterministic(live, live.tape_alphabet.word("01"), 10**6) == (
         RunResult("budget", budget=10**6))
     assert 0 < len(calls) <= 5000
     calls.clear()
@@ -160,6 +164,87 @@ def test_a_sweeper_crosses_its_cells_in_packed_steps(monkeypatch):
     scanned = run_deterministic(_fixture("scanner"), BINARY.word("01101" * 240), 5000)
     assert (scanned.kind, scanned.steps) == ("halted", 2402)
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("name, x", [
+    ("pingpong", "0"), ("bouncer", "01"), ("sweeper", "01"), ("loop", "0")])
+def test_an_endless_run_ends_without_a_step(monkeypatch, name, x):
+    """No state reachable from the initial one of the dead ``pingpong``,
+    ``bouncer`` and ``sweeper`` fixtures, or of ``loop`` (the right mover
+    of the benchmark's ``selfcheck.loop100``), is final or lacks a move,
+    so over a budget of ``_CERTIFY_OVER`` a run ends at once with the
+    budget verdict.  At ``_CERTIFY_OVER`` it walks: every step, but for
+    the ping-pong's cycle, which Brent's check ends at any budget."""
+    machine = _fixture(name)
+    word = machine.tape_alphabet.word(x)
+    assert machine._endless
+    calls = _count_steps(monkeypatch)
+    assert run_deterministic(machine, word, 10**9) == RunResult("budget", budget=10**9)
+    assert calls == []
+    budget = gclab.machine._CERTIFY_OVER
+    assert run_deterministic(machine, word, budget) == RunResult("budget", budget=budget)
+    assert 0 < len(calls) < budget if name == "pingpong" else len(calls) == budget
+
+
+def _endless_variant(rng: random.Random, machine: TuringMachine, variant: int) -> TuringMachine:
+    """``machine`` with every move into its final state q1 sent to a
+    random other state, so q1 is unreachable unless it is initial, and
+    then: 0, nothing more; 1, the blank move of a random state dropped;
+    2, q1 made initial too; 3, a move into q1 added on a new tape symbol
+    "z", which no move writes."""
+    fields = dict(zip(machine._fields, machine._values))
+    others = [q for q in machine.states if q != "q1"]
+    table = [t[:2] + ((rng.choice(others),) if t[2] == "q1" else t[2:3]) + t[3:]
+             for t in machine.transitions]
+    if variant == 1:
+        state = rng.choice(others)
+        table = [t for t in table if t[:2] != (state, machine.blank)]
+    elif variant == 2:
+        fields["initial"] = "q1"
+    elif variant == 3:
+        fields["tape_alphabet"] = Alphabet(machine.tape_alphabet.symbols + ("z",))
+        table.append((rng.choice(others), "z", "q1", machine.tape_alphabet.symbols[0], "R"))
+    fields["transitions"] = tuple(table)
+    return TuringMachine(**fields)
+
+
+def test_endless_runs_match_tuple_oracle(monkeypatch):
+    """On 320 seeded random machines without branching choices, on both
+    tape modes, at budgets from 129 to 3,000, the run agrees with the
+    tuple oracle's, which walks every step.  Most machines have their
+    final state cut off (``_endless_variant``): a total one must end on
+    the endless certificate without a step; one missing a blank move
+    must often break, with the oracle's step count; one whose initial
+    state is final halts at step 0; and one that can reach its final
+    state only on a symbol the run never reads walks to the budget."""
+    rng = random.Random(1936)
+    calls = _count_steps(monkeypatch)
+    seen = {"certified": 0, "broke": 0, "initial final": 0, "never entered": 0}
+    for trial in range(320):
+        kind = ("deterministic", "partial")[trial % 2]
+        tape_mode = ("two-way", "one-end")[trial // 2 % 2]
+        machine = _random_machine(rng, kind, tape_mode, size=2 + trial // 4 % 3)
+        variant = trial // 8 % 5
+        letters = machine.tape_alphabet.symbols  # without variant 3's "z"
+        if variant < 4:
+            machine = _endless_variant(rng, machine, variant)
+        x = machine.tape_alphabet.word(rng.choices(letters, k=rng.randrange(7)))
+        budget = rng.randrange(gclab.machine._CERTIFY_OVER + 1, 3001)
+        expected = oracles.run_deterministic(machine, x, budget)
+        calls.clear()
+        assert run_deterministic(machine, x, budget) == expected, (trial, x)
+        if machine._endless:
+            assert expected.kind == "budget" and calls == [], (trial, x)
+            seen["certified"] += 1
+        elif variant == 1:
+            seen["broke"] += expected.kind == "broke" and expected.steps > 0
+        elif variant == 2:
+            assert expected[:2] == ("halted", 0), (trial, x)
+            seen["initial final"] += 1
+        elif variant == 3:
+            assert expected.kind != "halted", (trial, x)
+            seen["never entered"] += expected.kind == "budget"
+    assert min(seen.values()) >= 20, seen
 
 
 def test_bouncers_are_certified_within_100_steps():
