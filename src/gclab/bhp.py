@@ -9,9 +9,10 @@ all-ones words mass 0.
 On top of the codec this module builds, with exact arithmetic
 throughout:
 
-* longevity guards and the code family C(g) = {code of (g(|w|), w)},
-  which meets each sphere in at most one class, so its sphere mass under
-  any binary ensemble is one block mass (1/n under the input ensemble);
+* longevity guards, maxima of checked terms, and the code family C(g) =
+  {code of (g(|w|), w)}, which meets each sphere in at most one class,
+  so its sphere mass under any binary ensemble is one block mass (1/n
+  under the input ensemble);
 * interleaved numerals, and the image codec on them: ``_head`` and
   ``_read_length`` write and read the length field, ``_code_field`` and
   ``_read_field`` the machine-code field;
@@ -138,47 +139,54 @@ def _reads_binary(machine: Machine) -> bool:
 
 # --- longevity guards and the restricted code family ------------------------
 
-GuardLike = Union["LongevityGuard", Polynomial, Callable[[int], int]]
+GuardLike = Union["LongevityGuard", Polynomial]
 
-#: Guards are checked against their invariants on 0..GUARD_VALIDATION_HORIZON.
-GUARD_VALIDATION_HORIZON = 64
+
+class PayloadEnvelope(NamedTuple):
+    """The guard term n + 2 max(bitlen n, 1) + 6 + extra: room for the
+    length numeral, its separator, x'' and ``extra`` embedded letters."""
+
+    extra: int
+
+    def __call__(self, n: int) -> int:
+        return n + 2 * max(n.bit_length(), 1) + 6 + self.extra
 
 
 class LongevityGuard(Frozen):
-    """A step-bound function g for restricting the halting problem.
+    """A step-bound function g for restricting the halting problem: the
+    maximum of its terms, polynomials and payload envelopes.
 
-    Invariants, checked up to ``GUARD_VALIDATION_HORIZON``: g(n) >= n, g is
-    strictly increasing, and g(0) >= 1 (so codes of every payload length
-    exist).  Guards need not be polynomials; the adequate guards built
-    for the reductions are maxima of a polynomial and length envelopes,
-    stored as callables with a readable form string.
+    Invariants, checked once for every n: g(n) >= n and g strictly
+    increasing, as each term is (a polynomial with nonnegative
+    coefficients exactly when one of degree >= 1 is positive; an
+    envelope always), and g(0) >= 1, so codes of every payload length
+    exist.  Any other term, an opaque callable say, is refused.
     """
 
-    _fields = ("fn", "form")
+    _fields = ("terms", "form")
 
-    def __init__(self, fn: Callable[[int], int], form: str = "g") -> None:
-        self._set(fn, form)
-        prev = None
-        for n in range(GUARD_VALIDATION_HORIZON + 1):
-            v = fn(n)
-            if v < n:
-                raise GuardError(f"guard violates g(n) >= n at n={n}: {v}")
-            if prev is not None and v <= prev:
-                raise GuardError(f"guard is not strictly increasing at n={n}")
-            prev = v
-        if fn(0) < 1:
-            raise GuardError("guard must satisfy g(0) >= 1")
+    def __init__(self, *terms: Union[Polynomial, PayloadEnvelope], form: str = "g") -> None:
+        self._set(terms, form)
+        for term in terms:
+            if not (isinstance(term, PayloadEnvelope)
+                    or isinstance(term, Polynomial) and any(term.coeffs[1:])):
+                raise GuardError(f"guard term {term} is not a strictly increasing polynomial")
+        if self(0) < 1:
+            raise GuardError(f"guard {form} must satisfy g(0) >= 1")
 
     def __call__(self, n: int) -> int:
-        return self.fn(n)
+        best = 0
+        for term in self.terms:
+            value = term(n)
+            if value > best:
+                best = value
+        return best
 
 
 def as_guard(g: GuardLike, form: str = "") -> LongevityGuard:
     if isinstance(g, LongevityGuard):
         return g
-    if isinstance(g, Polynomial):
-        return LongevityGuard(g, form or str(g))
-    return LongevityGuard(g, form or "g")
+    return LongevityGuard(g, form=form or str(g))
 
 
 def c_of_g(g: GuardLike) -> Callable[[Word], bool]:
@@ -434,32 +442,23 @@ class BHStage(NamedTuple):
 
 def adequate_guard(
     g_user: GuardLike,
-    decider_guard: Optional[Callable[[int], int]] = None,
+    decider_guard: Optional[Polynomial] = None,
     extra_payload: int = 0,
 ) -> LongevityGuard:
     """Raise a user guard until codes fit and simulations finish in budget.
 
-    The result is the pointwise maximum of the user guard, the payload
-    envelope n + 2*bitlen(n) + 6 + extra_payload (room for the numeral,
-    separators, and the compressed input, plus the extra embedded payload
-    such as a machine encoding), and n + decider_guard(n) (decode
-    accounting plus the simulated decider's own longevity).  The user
-    guard must itself be a valid guard; corrupt ones fail construction.
+    The result is the maximum of the user guard's terms, the payload
+    envelope with ``extra_payload`` embedded letters (a machine code),
+    and n + decider_guard(n) (decode accounting plus the simulated
+    decider's own longevity).  The user guard is checked alone first.
+    A bare polynomial has no form, so its guard reads "adequate(g)": the
+    form is in the protocol machine's definition, so in its machine code.
     """
-    base = as_guard(g_user).fn
-
-    def fn(n: int) -> int:
-        best = base(n)
-        envelope = n + 2 * max(n.bit_length(), 1) + 6 + extra_payload
-        if envelope > best:
-            best = envelope
-        if decider_guard is not None:
-            need = n + decider_guard(n)
-            if need > best:
-                best = need
-        return best
-
-    return LongevityGuard(fn, f"adequate({getattr(g_user, 'form', 'g')})")
+    terms = [*as_guard(g_user).terms, PayloadEnvelope(extra_payload)]
+    if decider_guard is not None:  # n + decider_guard(n)
+        c0, c1, *higher = decider_guard.coeffs + (0,) * (2 - len(decider_guard.coeffs))
+        terms.append(Polynomial((c0, c1 + 1, *higher)))
+    return LongevityGuard(*terms, form=f"adequate({getattr(g_user, 'form', 'g')})")
 
 
 def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -> Reduction:
@@ -490,7 +489,7 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -
         source=BINARY,
         target=BINARY,
         func=apply,
-        size_growth=guard.fn,
+        size_growth=guard,
     )
 
 
@@ -498,7 +497,7 @@ def red2bh(
     problem: DistributionalProblem,
     decider: Machine,
     g_user: GuardLike,
-    decider_guard: Callable[[int], int],
+    decider_guard: Polynomial,
 ) -> BHStage:
     """Reduce a binary distributional problem to the bounded halting
     problem of a purpose-built protocol machine.
@@ -838,7 +837,7 @@ def completeness_pipeline(
 
     # stage 3: embed the protocol machine into the universal machine, on
     # the first stage's images, whose verdicts stage 1 already computed
-    stage3 = red2bhu(stage1.machine, lambda n: 2 * n + 8)
+    stage3 = red2bhu(stage1.machine, Polynomial((8, 2)))
     report3m = CheckReport("universal:membership", n_max)
     verdicts = {y.text(): member for _, y, member in images}
     pairs3 = list(

@@ -136,7 +136,7 @@ def _bundle_machine(source, bundle: str):
 
 
 def _problem_from_bundle(data: dict, bundle: str) -> tuple[DistributionalProblem, object, object]:
-    """(problem, decider machine, decider guard callable) from a bundle.
+    """(problem, decider machine, decider guard polynomial) from a bundle.
 
     Read inside ``_reading``: a malformed bundle raises ``ValueError``,
     which names the bundle there."""
@@ -173,8 +173,6 @@ def cmd_tm(args) -> int:
         machine = load_machine(_load_json(args.machine))
     word = machine.tape_alphabet.word(args.input)
     if args.action == "run":
-        if machine.determinism == "nondeterministic":
-            raise UsageError("run needs a deterministic machine; use halts")
         result = run_deterministic(machine, word, args.budget)
         payload = {
             "outcome": result.kind,

@@ -498,9 +498,7 @@ def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult
     result carries neither steps nor a configuration, so it is the one
     the whole budget gives."""
     if machine.determinism == "nondeterministic":
-        raise NondeterministicRunError(
-            "run_deterministic requires a machine without branching choices"
-        )
+        raise NondeterministicRunError("run needs a deterministic machine; use halts")
     start = initial_configuration(machine, x)
     if budget > _CERTIFY_OVER and machine._endless:
         return RunResult("budget", budget=budget)

@@ -102,7 +102,7 @@ def _geometric_table():
 
 def test_criterion_03_measure_decrease_bounds():
     started = time.monotonic()
-    guard = adequate_guard(Polynomial((6, 1, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1, 1)), Polynomial((1, 1)))
     table = _geometric_table()
     table.validate()
     headline_ok = True
@@ -168,7 +168,7 @@ def _contains01_problem():
 def test_criterion_04_reduction_membership_preservation():
     started = time.monotonic()
     problem, ntm = _contains01_problem()
-    stage = red2bh(problem, ntm, Polynomial((6, 1, 1)), lambda n: n + 1)
+    stage = red2bh(problem, ntm, Polynomial((6, 1, 1)), Polynomial((1, 1)))
     report = CheckReport("membership-preservation", 5)
     for _ in verify_membership(problem.positive, stage, BINARY.ball(5), report):
         pass
@@ -196,7 +196,7 @@ def test_criterion_05_universal_machine_stage():
     started = time.monotonic()
     machine = _two_state_machine()
     code_len = len(machine_code(machine).text())
-    guard = LongevityGuard(lambda n: n + code_len + 40, form="n+|code|+40")
+    guard = LongevityGuard(Polynomial((code_len + 40, 1)), form="n+|code|+40")
     stage = red2bhu(machine, guard)
     membership = CheckReport("membership-preservation", 8)
     pairs = verify_red2bhu_membership(machine, stage, BINARY.ball(8), membership)

@@ -5,6 +5,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gclab.bhp
 from gclab import (
@@ -148,8 +149,8 @@ def test_nu_sphere_sums_to_16():
 CLASS_GUARDS = (
     as_guard(Polynomial((1, 1))),
     as_guard(Polynomial((1, 2))),
-    LongevityGuard(lambda n: n * n + 1, form="n^2+1"),
-    adequate_guard(Polynomial((6, 1)), lambda n: n + 1),
+    LongevityGuard(Polynomial((1, 0, 1)), form="n^2+1"),
+    adequate_guard(Polynomial((6, 1)), Polynomial((1, 1))),
 )
 
 
@@ -204,8 +205,8 @@ def test_branch_lists_match_a_fraction_oracle(declared, uniform, geometric_table
     geometric-table inputs at |x| <= 5.  Under criterion 03's guard only the
     verbatim branch fails; a stage that declares the smaller guard n+1 for
     the same map fails the address branch too, on the table."""
-    guard = adequate_guard(Polynomial((6, 1, 1)), lambda n: n + 1)
-    stated = guard if declared == "adequate" else LongevityGuard(lambda n: n + 1, "n+1")
+    guard = adequate_guard(Polynomial((6, 1, 1)), Polynomial((1, 1)))
+    stated = guard if declared == "adequate" else LongevityGuard(Polynomial((1, 1)), form="n+1")
     counts = [0, 0]
     for mu in (uniform, geometric_table):
         f = red2bh_map(mu, guard)
@@ -269,21 +270,65 @@ def test_bh_member(halt1, loop, find_zero):
 
 
 def test_guard_invariants():
-    with pytest.raises(GuardError):
-        LongevityGuard(lambda n: n - 1 if n else 0)
-    with pytest.raises(GuardError):
-        LongevityGuard(lambda n: 5)  # not strictly increasing
-    with pytest.raises(GuardError):
-        LongevityGuard(lambda n: n)  # g(0) = 0 leaves no room for codes
+    """Each refusal is read off the coefficients and names its term: a
+    constant and the zero polynomial do not increase, and c0 = 0 leaves
+    g(0) = 0, no room for codes.  A guard that falls below n has no
+    polynomial form: ``Polynomial`` refuses a negative coefficient.  An
+    opaque callable is no guard."""
+    for c in (5, 0):
+        with pytest.raises(GuardError, match=f"^guard term {c} is not a strictly increasing"):
+            LongevityGuard(Polynomial((c,)))
+    with pytest.raises(GuardError, match=r"^guard n must satisfy g\(0\) >= 1$"):
+        as_guard(Polynomial((0, 1)))
+    with pytest.raises(ValueError, match="coefficient -1 is not a nonnegative integer"):
+        Polynomial((-1, 1))
+    with pytest.raises(GuardError, match="is not a strictly increasing polynomial"):
+        as_guard(lambda n: n + 1)  # no terms to read, however it behaves
     guard = as_guard(Polynomial((1, 2)))
     assert guard(3) == 7
 
 
 def test_guard_refuses_a_plateau():
     """A guard that keeps g(n) >= n and g(0) >= 1 but repeats a value is
-    refused: max(n + 1, 5) stays at 5 from n = 0 to n = 4."""
-    with pytest.raises(GuardError, match="not strictly increasing at n=1"):
-        LongevityGuard(lambda n: max(n + 1, 5))
+    refused: max(n + 1, 5) stays at 5 from n = 0 to n = 4, and its
+    constant term is refused."""
+    with pytest.raises(GuardError, match="^guard term 5 is not a strictly increasing polynomial$"):
+        LongevityGuard(Polynomial((1, 1)), Polynomial((5,)))
+
+
+def _closure_guard(user, decider, extra):
+    """The adequate guard written as a maximum of callables: the reference."""
+    def fn(n):
+        return max(user(n), n + 2 * max(n.bit_length(), 1) + 6 + extra, n + decider(n))
+    return fn
+
+
+_COEFFS = st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COEFFS, _COEFFS, st.integers(0, 300))
+def test_guards_hold_their_invariants_at_every_n_to_256(coeffs, decider_coeffs, extra):
+    """A polynomial is a guard exactly when c0 >= 1 and some c_i >= 1 with
+    i >= 1.  Every such guard, and the adequate guard over it with any
+    decider polynomial and embedded payload, has g(n) >= n,
+    g(n + 1) > g(n) and g(0) >= 1 on n <= 256, and the adequate guard
+    takes the values of the reference ``_closure_guard``."""
+    p, decider = Polynomial(coeffs), Polynomial(decider_coeffs)
+    valid = coeffs[0] >= 1 and any(coeffs[1:])
+    try:
+        guard = as_guard(p)
+    except GuardError:
+        assert not valid
+        return
+    assert valid
+    adequate = adequate_guard(p, decider, extra)
+    for g, want in ((guard, p), (adequate, _closure_guard(p, decider, extra))):
+        values = [g(n) for n in range(258)]
+        assert values == [want(n) for n in range(258)]
+        assert values[0] >= 1
+        assert all(v >= n for n, v in enumerate(values))
+        assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_guard_inverse():
@@ -307,7 +352,7 @@ def test_c_of_g_reads_lengths_like_the_decoding_oracle():
     text."""
     guards = [as_guard(Polynomial((1, 1))), as_guard(Polynomial((1, 2))),
               as_guard(Polynomial((1, 0, 1))),
-              adequate_guard(Polynomial((6, 1)), lambda n: n + 1)]
+              adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))]
     for guard in guards:
         member = c_of_g(guard)
         for n in range(13):
@@ -421,10 +466,10 @@ def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
               for rest in ("", "0", "1", "10", "0110")]
     # the payloads the field reader sees: red2bh images, and one universal
     # image (its machine code is a numeral of some 3,000 bits)
-    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))
     f = red2bh_map(uniform, guard)
     code_len = len(machine_code(find_zero).text())
-    stage = red2bhu(find_zero, LongevityGuard(lambda n: n + code_len + 40, form="n+L+40"))
+    stage = red2bhu(find_zero, LongevityGuard(Polynomial((code_len + 40, 1)), form="n+L+40"))
     images = [f.apply(x) for n in range(5) for x in BINARY.sphere(n)]
     for image in images + [stage.reduction.apply(BINARY.word("1"))]:
         payload = _payload(image.text())
@@ -473,7 +518,7 @@ def test_image_layout_against_per_bit_references(uniform, find_zero):
     for i in indices:
         assert _code_field(i) == oracles.numeral(i).text() + "0"
         assert _head(i, "01") == oracles.numeral(i).text() + "0" + "01"
-    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))
     universal = red2bhu(find_zero, Polynomial((1, 2)))
     code = oracles.numeral(machine_index(find_zero)).text() + "0"
     stages = [(red2bh_map(uniform, guard), uniform, guard, ""),
@@ -689,7 +734,7 @@ def test_protocol_evaluators_match_fraction_oracles(uniform, nu, threshold_table
     verdicts = set()
     for mu in (uniform, nu, threshold_table):
         problem = DistributionalProblem("even-ones", lambda x: True, mu)
-        machine = red2bh(problem, decider, Polynomial((6, 1, 1)), lambda n: n).machine
+        machine = red2bh(problem, decider, Polynomial((6, 1, 1)), Polynomial((0, 1))).machine
         inner = partial(gclab.bhp._search_halting, decider)
         machines = [(machine.evaluator, lambda v, b, mu=mu: oracles.protocol_run(
             mu, inner, *oracles.read_field(v.text()), b), "")]
@@ -754,7 +799,7 @@ def test_red2bh_membership_uniform(contains01_problem, contains01_ntm):
     """Membership holds both ways, and each triple carries the stage
     machine's own verdict on its image."""
     stage = red2bh(contains01_problem, contains01_ntm,
-                   Polynomial((6, 1, 1)), lambda n: n + 1)
+                   Polynomial((6, 1, 1)), Polynomial((1, 1)))
     report = CheckReport("membership-preservation", 5)
     for x, y, verdict in verify_membership(contains01_problem.positive, stage,
                                            BINARY.ball(5), report):
@@ -767,7 +812,7 @@ def test_red2bh_refuses_a_non_binary_decider(contains01_problem):
     """A decider over {a, b} cannot read the protocol machine's binary
     candidates, so no stage is built around it."""
     with pytest.raises(ValueError, match="cannot read binary inputs"):
-        red2bh(contains01_problem, load_machine(AB_TABLE), Polynomial((6, 1)), lambda n: n + 1)
+        red2bh(contains01_problem, load_machine(AB_TABLE), Polynomial((6, 1)), Polynomial((1, 1)))
 
 
 def test_red2bhu_refuses_a_non_binary_machine():
@@ -777,14 +822,14 @@ def test_red2bhu_refuses_a_non_binary_machine():
 
 def test_red2bh_membership_table(contains01_table_problem, contains01_ntm):
     stage = red2bh(contains01_table_problem, contains01_ntm,
-                   Polynomial((6, 1, 1)), lambda n: n + 1)
+                   Polynomial((6, 1, 1)), Polynomial((1, 1)))
     report = _membership(contains01_table_problem, stage, 5)
     assert report.passed, report.violations[:5]
 
 
 def test_red2bh_image_length_is_guard(contains01_problem, contains01_ntm):
     stage = red2bh(contains01_problem, contains01_ntm,
-                   Polynomial((6, 1, 1)), lambda n: n + 1)
+                   Polynomial((6, 1, 1)), Polynomial((1, 1)))
     for n in range(6):
         for x in BINARY.sphere(n):
             assert len(stage.reduction.apply(x)) == stage.guard(n)
@@ -795,7 +840,7 @@ def test_maps_build_one_head_per_length(monkeypatch, threshold_table, find_zero)
     once, however many words of that length it maps: applied to every
     x <= 8, twice, it calls ``_head`` and the guard once per length, and
     each image equals the oracle's, built afresh per word."""
-    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))
     universal = red2bhu(find_zero, Polynomial((1, 2)))
     stages = [(red2bh_map(threshold_table, guard), threshold_table, guard, ""),
               (universal.reduction, NU, universal.guard, universal.prefix)]
@@ -843,7 +888,7 @@ def test_red2bhu_builds_the_machine_code_once(monkeypatch, find_zero):
 
 def test_red2bh_uniform_takes_verbatim_branch(contains01_problem, contains01_ntm):
     stage = red2bh(contains01_problem, contains01_ntm,
-                   Polynomial((6, 1, 1)), lambda n: n + 1)
+                   Polynomial((6, 1, 1)), Polynomial((1, 1)))
     for x in BINARY.sphere(3):
         image = stage.reduction.apply(x).text()
         # payload ends with 0x: the verbatim branch ships the input
@@ -851,14 +896,14 @@ def test_red2bh_uniform_takes_verbatim_branch(contains01_problem, contains01_ntm
 
 
 def test_measure_decrease_uniform_and_table(uniform, geometric_table):
-    guard = adequate_guard(Polynomial((6, 1, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1, 1)), Polynomial((1, 1)))
     for mu in (uniform, geometric_table):
         report = _map_measure(mu, guard, 8)
         assert report.passed, report.violations[:5]
 
 
 def test_measure_decrease_table_exercises_both_branches(geometric_table):
-    guard = adequate_guard(Polynomial((6, 1, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1, 1)), Polynomial((1, 1)))
     threshold = {n: Fraction(1, 2**n) for n in range(1, 9)}
     branches = {
         (n, geometric_table.mass(x) > threshold[n])
@@ -872,7 +917,7 @@ def test_measure_decrease_table_exercises_both_branches(geometric_table):
 
 
 def test_measure_decrease_catches_corruption(uniform):
-    guard = adequate_guard(Polynomial((6, 1, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1, 1)), Polynomial((1, 1)))
 
     class TinyGuard:  # deliberately too small a denominator target
         pass
@@ -916,7 +961,7 @@ def test_machine_codes_distinct(halt1, loop, find_zero, contains01_ntm):
 
 def test_virtual_machine_codes_via_registry(contains01_problem, contains01_ntm):
     stage = red2bh(contains01_problem, contains01_ntm,
-                   Polynomial((6, 1, 1)), lambda n: n + 1)
+                   Polynomial((6, 1, 1)), Polynomial((1, 1)))
     vm = stage.machine
     index = _read_field(_code_field(machine_index(vm)))[0]
     assert _machine_at(index, {machine_index(vm): vm}) is vm
@@ -932,7 +977,7 @@ def test_protocol_machines_over_tables_of_other_horizons_differ(contains01_probl
     for n_max in (1, 2):
         problem = DistributionalProblem("contains01-table", contains01_problem.positive,
                                         TableEnsemble(BINARY, entries, n_max=n_max))
-        vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
+        vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), Polynomial((1, 1))).machine
         indexes.add(machine_index(vm))
     assert len(indexes) == 2
 
@@ -1102,7 +1147,7 @@ def test_universal_matches_pipeline_codes_like_the_field_reader(numeral_scans):
     bundle = json.loads(path.read_text())
     problem, decider, decider_guard = _problem_from_bundle(bundle, str(path))
     stage1 = red2bh(problem, decider, parse_polynomial(bundle["guard"]), decider_guard)
-    stage3 = red2bhu(stage1.machine, lambda n: 2 * n + 8)
+    stage3 = red2bhu(stage1.machine, Polynomial((8, 2)))
     images = [stage3.reduction.apply(stage1.reduction.apply(x)) for x in BINARY.ball(4)]
     payloads = [BINARY.word(_payload(y.text())) for y in images]
     counts = _universal_runs_agree([stage1.machine], payloads, numeral_scans)
@@ -1154,10 +1199,10 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     past a table's ``n_max`` never halts, whether the table is bare,
     induced or transferred: each wrapping has the table's ``horizon``."""
     protocol = red2bh(contains01_problem, contains01_ntm,
-                      Polynomial((6, 1, 1)), lambda n: n + 1).machine
+                      Polynomial((6, 1, 1)), Polynomial((1, 1))).machine
     table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=1)
     short = DistributionalProblem("contains01-table", contains01_problem.positive, table)
-    table_protocol = red2bh(short, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
+    table_protocol = red2bh(short, contains01_ntm, Polynomial((6, 1, 1)), Polynomial((1, 1))).machine
     # a claimed length (2) beyond the table's n_max (1), verbatim branch
     payload = BINARY.word(_head(2) + "0" + "00")
     assert table_protocol.evaluator(payload, 10) is None
@@ -1178,7 +1223,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     for mu in [ensemble_from_spec(base)] + wrapped:
         assert mu.horizon == 2, mu.spec()
         problem = DistributionalProblem("contains01-wrapped", contains01_problem.positive, mu)
-        vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), lambda n: n + 1).machine
+        vm = red2bh(problem, contains01_ntm, Polynomial((6, 1, 1)), Polynomial((1, 1))).machine
         assert vm.evaluator(other_length, 40) is None, mu.spec()
         if mu.kind == "induced":
             assert vm.evaluator(payload, 40) is None, mu.spec()
@@ -1195,7 +1240,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     long_table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)}, n_max=17)
     long_problem = DistributionalProblem("contains01-17", contains01_problem.positive, long_table)
     long_protocol = red2bh(long_problem, contains01_ntm, Polynomial((6, 1, 1)),
-                           lambda n: n + 1).machine
+                           Polynomial((1, 1))).machine
     payload = BINARY.word(_head(17) + "1" + "0")
     assert long_protocol.evaluator(payload, 40) is None
     x = BINARY.word("1" * 16 + "0")
@@ -1223,10 +1268,10 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
 def test_images_read_back_their_fields(uniform, find_zero):
     """Both maps wrap "head(n, [machine-code 0]) x''" into a code; the
     codec's readers give n, the machine index and x'' back."""
-    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))
     f = red2bh_map(uniform, guard)
     code_len = len(machine_code(find_zero).text())
-    stage = red2bhu(find_zero, LongevityGuard(lambda n: n + code_len + 40, form="n+L+40"))
+    stage = red2bhu(find_zero, LongevityGuard(Polynomial((code_len + 40, 1)), form="n+L+40"))
     for n in range(5):
         for x in BINARY.sphere(n):
             image = f.apply(x).text()
@@ -1246,7 +1291,7 @@ def test_images_read_back_their_fields(uniform, find_zero):
 
 def test_red2bhu_membership(find_zero):
     code_len = len(machine_code(find_zero).text())
-    guard = LongevityGuard(lambda n: n + code_len + 40, form="n+L+40")
+    guard = LongevityGuard(Polynomial((code_len + 40, 1)), form="n+L+40")
     stage = red2bhu(find_zero, guard)
     report = CheckReport("membership-preservation", 8)
     for _ in verify_red2bhu_membership(find_zero, stage, BINARY.ball(8), report):
@@ -1256,7 +1301,7 @@ def test_red2bhu_membership(find_zero):
 
 def test_red2bhu_image_length(find_zero):
     code_len = len(machine_code(find_zero).text())
-    guard = LongevityGuard(lambda n: n + code_len + 40, form="n+L+40")
+    guard = LongevityGuard(Polynomial((code_len + 40, 1)), form="n+L+40")
     stage = red2bhu(find_zero, guard)
     for n in range(5):
         for x in BINARY.sphere(n):
@@ -1266,7 +1311,7 @@ def test_red2bhu_image_length(find_zero):
 def test_red2bhu_guard_too_small(find_zero):
     """The user guard n+1 leaves no room for the machine code: red2bhu
     raises it until every image fits, while the map alone refuses it."""
-    guard = LongevityGuard(lambda n: n + 1, form="n+1")
+    guard = LongevityGuard(Polynomial((1, 1)), form="n+1")
     stage = red2bhu(find_zero, guard)
     for n in range(5):
         for x in BINARY.sphere(n):
@@ -1285,7 +1330,7 @@ def test_red2bhu_guard_is_the_hand_built_guard(contains01_problem, contains01_nt
                       parse_polynomial("n+1")).machine
     for machine, g in ((load_machine(json.loads((data / bundle["machine"]).read_text())),
                         parse_polynomial(bundle["guard"])),
-                       (protocol, lambda n: 2 * n + 8)):
+                       (protocol, Polynomial((8, 2)))):
         by_hand = adequate_guard(g, extra_payload=len(machine_code(machine).text()) + 1)
         guard = red2bhu(machine, g).guard
         assert [guard(n) for n in range(65)] == [by_hand(n) for n in range(65)]
@@ -1297,7 +1342,7 @@ def test_red2bhu_measure_known_witnesses(find_zero):
     rounding slack vanishes): six witnesses below radius 9, each short by
     at most a factor of 2.  Everywhere else it holds exactly."""
     code_len = len(machine_code(find_zero).text())
-    guard = LongevityGuard(lambda n: n + code_len + 40, form="n+L+40")
+    guard = LongevityGuard(Polynomial((code_len + 40, 1)), form="n+L+40")
     stage = red2bhu(find_zero, guard)
     pairs = ((x, stage.reduction.apply(x)) for x in BINARY.ball(8))
     report = verify_red2bhu_measure(stage, pairs, 8)
@@ -1318,7 +1363,7 @@ def test_red2bh_map_is_change_of_size(uniform):
     from gclab import TransferredEnsemble, verify_cs, verify_size_invariance
     from gclab.bhp import red2bh_map
 
-    guard = adequate_guard(Polynomial((6, 1)), lambda n: n + 1)
+    guard = adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))
     f = red2bh_map(uniform, guard)
     assert verify_size_invariance(f, 3).passed
     pushed = TransferredEnsemble(f, uniform)
@@ -1347,7 +1392,7 @@ def test_universal_faithful_on_plain_codes(halt1, find_zero):
 def test_completeness_pipeline(contains01_problem, contains01_ntm):
     chain = completeness_pipeline(
         contains01_problem,
-        red2bh(contains01_problem, contains01_ntm, Polynomial((6, 1)), lambda n: n + 1),
+        red2bh(contains01_problem, contains01_ntm, Polynomial((6, 1)), Polynomial((1, 1))),
         n_max=4,
     )
     stage_names = [name for name, _ in chain.stages]
@@ -1368,4 +1413,4 @@ def test_pipeline_rejects_bad_guard(contains01_problem, contains01_ntm):
     """The pipeline's first stage is built with the user guard, and a
     corrupt guard fails that construction."""
     with pytest.raises(GuardError):
-        red2bh(contains01_problem, contains01_ntm, lambda n: 0, lambda n: n + 1)
+        red2bh(contains01_problem, contains01_ntm, Polynomial((0,)), Polynomial((1, 1)))

@@ -642,7 +642,41 @@ def test_reduce_pipeline_names_the_bundle_of_a_bad_guard(tmp_path, capsys):
     code, out, err = run_cli(["reduce", "pipeline", str(path), "--n-max", "2"], capsys)
     assert code == 2
     assert out == ""
-    assert err == f"gclab: {path}: guard must satisfy g(0) >= 1\n"
+    assert err == f"gclab: {path}: guard n must satisfy g(0) >= 1\n"
+
+
+@pytest.mark.parametrize("command,guard", [
+    *[(command, guard) for command in (["reduce", "bh"], ["reduce", "pipeline"],
+                                       ["verify", "bh-measure"])
+      for guard in ("5", "n", "0", "2n")],
+    *[(command, guard) for command in (["density"], ["verify", "induced"])
+      for guard in ("n", "5", "0")],
+])
+def test_a_refused_guard_exits_2_naming_its_file(command, guard, tmp_path, capsys):
+    """A guard refused at its coefficients is a usage error that names
+    the file holding it: a bundle's guard for the bounded-halting
+    commands (its own g(0) counts, though the raised guard would cover
+    it), a cg subset's g for the density and induced checks."""
+    if command == ["density"]:
+        path = tmp_path / "subset.json"
+        path.write_text(json.dumps({"name": "cg", "g": guard}))
+        argv = [*command, "--ensemble", str(DATA / "nu_ensemble.json"), "--subset", str(path)]
+    elif command == ["verify", "induced"]:
+        fixture = json.loads((DATA / "induced_fixture.json").read_text())
+        fixture["subset"]["g"] = fixture["candidate"]["subset"]["g"] = guard
+        path = tmp_path / "induced.json"
+        path.write_text(json.dumps(fixture))
+        argv = [*command, str(path)]
+    else:
+        bundle = json.loads((DATA / "toy_bundle.json").read_text())
+        bundle["guard"] = guard
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        shutil.copy(DATA / "contains01.json", tmp_path)
+        argv = [*command, str(path)]
+    code, out, err = run_cli([*argv, "--n-max", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gclab: {path}: ") and err.count("\n") == 1
 
 
 def test_reduce_pipeline_runs_the_protocol_machine_once_per_image(capsys, monkeypatch):

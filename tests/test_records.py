@@ -127,7 +127,7 @@ def _frozen_records():
     return [
         (BINARY, "symbols"),
         (Polynomial((1, 1)), "coeffs"),
-        (guard, "fn"),
+        (guard, "terms"),
         (_machine("halt1"), "states"),
         (VirtualMachine("v", lambda x, budget: None), "name"),
         (Configuration("q", (), ()), "state"),
@@ -168,7 +168,7 @@ def test_keyword_construction():
     entry = SequenceEntry(3, q, samples=8, seed=1)
     assert (entry.n, entry.value, entry.samples, entry.seed) == (3, q, 8, 1)
     assert SequenceEntry(2, q).samples == 0 and SequenceEntry(2, q).seed is None
-    guard = LongevityGuard(lambda n: n + 1, form="n+1")
+    guard = LongevityGuard(Polynomial((1, 1)), form="n+1")
     stage = BHStage(identity_reduction(BINARY), None, guard, UniformEnsemble(BINARY))
     assert stage.prefix == "" and guard.form == "n+1" and guard(3) == 4
     report = CheckReport("c", 2, [Violation("w", "1", "0")])
