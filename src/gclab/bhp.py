@@ -13,9 +13,10 @@ throughout:
   {code of (g(|w|), w)}, which meets each sphere in at most one class,
   so its sphere mass under any binary ensemble is one block mass (1/n
   under the input ensemble);
-* interleaved numerals, and the image codec on them: ``_head`` and
-  ``_read_length`` write and read the length field, ``_code_field`` and
-  ``_read_field`` the machine-code field;
+* interleaved numerals, "10" | "1" b ("1" b)* with a nonzero first bit
+  b, and the image codec on them: ``_head`` and ``_read_length`` write
+  and read the length field, ``_code_field`` and ``_read_field`` the
+  machine-code field;
 * the dyadic compression x -> x'' that equalizes measure: high-mass
   inputs become a dyadic address w of their cumulative-mass interval,
   read as the integer pair (2 int(w) + 1, 2^|w|), low-mass ones verbatim;
@@ -42,6 +43,7 @@ every check exact and finite.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
@@ -255,29 +257,21 @@ def numeral(n: int) -> Word:
     return Word.of_text(BINARY, "1" + "1".join(bin(n)[2:]))
 
 
-_WINDOW = 64  # markers scan_numeral reads before it reads the rest
-_FULL_WINDOW = "1" * _WINDOW
+_NUMERAL = re.compile("10|1[^0](?:1.)*", re.S)
 
 
 def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
     """Parse a numeral at ``start``; return (value, end index) or None.
 
-    A numeral is a maximal run of marker pairs "1b"; it ends where the
-    next character is a field separator "0" or the string ends.  The
-    markers are every other character from ``start``; their leading run
-    of ones is the numeral, and its bits sit between them.  A window of
-    ``_WINDOW`` markers is read first; only one that is all ones reads
-    the rest.
+    A numeral is a maximal run of marker pairs "1b", "10" | "1" b ("1" b)*
+    with a nonzero first b.  It ends where the next character is a field
+    separator "0" or the string ends, so a "1" right after the one match
+    (a last marker with no bit, or a pair after "10") means no numeral.
     """
-    markers = text[start : start + 2 * _WINDOW : 2]
-    if markers == _FULL_WINDOW:
-        markers = text[start::2]
-    count = len(markers) - len(markers.lstrip("1"))
-    j = start + 2 * count
-    if count == 0 or j > len(text):
-        return None  # no marker, or a last marker with no bit after it
-    if count > 1 and text[start + 1] == "0":
-        return None  # leading bit of a nonzero numeral must be 1
+    match = _NUMERAL.match(text, start)
+    if match is None or text.startswith("1", match.end()):
+        return None
+    j = match.end()
     return int(text[start + 1 : j : 2], 2), j
 
 
@@ -327,7 +321,7 @@ def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
     otherwise.  The first k = |x| + 2 digits of each endpoint are read as
     one integer, so the common prefix is the top k - bitlen(a ^ b) digits
     of either.  No ``Fraction`` arithmetic: the endpoints are integer pairs
-    (hi unreduced), and (lo, hi] holds the address by cross products.
+    (hi unreduced), and (lo, hi] holds the address by construction.
     """
     lo, lo_den = mu.mu_star(x).as_integer_ratio()
     mass, mass_den = mu.mass(x).as_integer_ratio()
@@ -340,9 +334,9 @@ def x_prime(mu: SphericalEnsemble, x: Word) -> Word:
     common = k - (a ^ b).bit_length()
     if common == k:
         raise AssertionError("interval endpoints agree too long; mass bound broken")
+    # a and b first differ right after their common prefix P, a with 0 and b with 1,
+    # so lo < (a + 1) / 2^k <= (2P + 1) / 2^(common + 1) <= b / 2^k <= hi
     v, e = 2 * (a >> (k - common)) + 1, common + 1
-    if not (lo << e < v * lo_den and v * hi_den <= hi << e):
-        raise AssertionError("prefix construction produced a bad dyadic address")
     return Word.of_text(BINARY, format(v >> 1, f"0{e}b"))
 
 
@@ -508,8 +502,9 @@ def red2bh(
     decodes the payload, recovers the original input (inverting the
     cumulative masses on the dyadic-address branch), rejects payloads
     whose mass tests or round-trip checks fail by never halting, and
-    otherwise simulates the decider.  A decider that cannot read binary
-    inputs raises ``ValueError`` here, so the protocol machine never does.
+    otherwise simulates the decider; a word over another alphabet never
+    halts.  A decider that cannot read binary inputs raises
+    ``ValueError`` here, so the protocol machine never does.
     """
     if not _reads_binary(decider):
         raise ValueError("the decider cannot read binary inputs")
@@ -518,6 +513,8 @@ def red2bh(
     inner = partial(_search_halting, decider)
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
+        if v.alphabet is not BINARY:
+            return None
         text = v.text()
         field = _read_length(text)
         return None if field is None else _protocol_run(mu, inner, field[0], text[field[1] :], budget)
@@ -668,9 +665,9 @@ def universal_machine(registry: list[Machine]) -> VirtualMachine:
       bounded membership search.  Costs the decoded length in steps plus
       the simulated steps.
 
-    Anything else (including undecodable machine fields) never halts.
-    Inputs are binary words, as ``bh_search`` passes them, so the fields
-    cut from their text are binary and built into words unchecked.
+    Anything else (including undecodable machine fields and words over
+    another alphabet) never halts.  A binary word's fields are binary,
+    so they are built into words unchecked.
 
     The code fields ``_code_field`` of the registry's machines are built
     once, so a chained input whose machine field is one of them, as
@@ -690,6 +687,8 @@ def _universal(index: dict[int, Machine], codes: dict[int, str]) -> VirtualMachi
              for i, m in index.items() if _reads_binary(m)]
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
+        if v.alphabet is not BINARY:
+            return None
         text = v.text()
         field = _read_field(text)
         if field is None:

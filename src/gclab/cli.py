@@ -87,12 +87,11 @@ def _reading(path: str):
 
 
 def _sequence_svg(entries) -> str:
-    """A fixed-style line plot of float values against the radius."""
+    """A fixed-style line plot of float values against the radius (every
+    sequence has an entry for sphere 0, so there is always a point)."""
     width, height, margin = 480, 320, 40
     xs = [e.n for e in entries]
     ys = [float(e.value) for e in entries]
-    if not xs:
-        raise UsageError("nothing to plot")
     x_span = max(xs) - min(xs) or 1
     y_top = max(max(ys), 1e-12)
     points = []

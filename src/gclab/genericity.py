@@ -63,14 +63,12 @@ class Polynomial(Frozen):
 
 
 def parse_polynomial(source) -> Polynomial:
-    """Accept a Polynomial, a list [c0, c1, ...] of integer coefficients,
-    or a short string like "2n+1", "n^2+n+6", "5".  A string with no term
+    """Accept a list [c0, c1, ...] of integer coefficients or a short
+    string like "2n+1", "n^2+n+6", "5".  A string with no term
     ("", " " or "+") is refused with ``ValueError``; "0" is the zero
     polynomial.  Past one leading sign ("-n+2n"), a sign with no term
     after it ("1+", "1++2") is refused too, and so is any term but c, cn
     or cn^k, c an optional integer and k digits ("2n3", "n^^2", "nn")."""
-    if isinstance(source, Polynomial):
-        return source
     if isinstance(source, (list, tuple)):
         return Polynomial(tuple(source))
     text = str(source).replace(" ", "")

@@ -122,10 +122,6 @@ class Alphabet(Frozen):
         """Build a word from an iterable of symbols or a string: its
         characters over single-character symbols, else its comma-separated
         symbols, as ``Word.text`` writes them."""
-        if isinstance(letters, Word):
-            if letters.alphabet is not self:
-                raise AlphabetMismatchError("word belongs to a different alphabet")
-            return letters
         if isinstance(letters, str) and not self._separator:
             bad = letters.translate(self._not_symbols)
             if bad:

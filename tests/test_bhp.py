@@ -43,7 +43,6 @@ from gclab.bhp import (
     _read_field,
     _read_length,
     _relaxation_points,
-    _WINDOW,
     adequate_guard,
     as_guard,
     guard_inverse,
@@ -99,6 +98,10 @@ def test_encode_instance_examples():
     assert encode_instance(2, BINARY.word("1")).text() == "01"
     with pytest.raises(ValueError):
         encode_instance(2, BINARY.word("01"))
+    # a word over another alphabet is refused, even one spelled in 0 and 1
+    for word in (Alphabet("012").word("2"), Alphabet("10").word("01")):
+        with pytest.raises(ValueError, match="instances are binary words"):
+            encode_instance(5, word)
 
 
 def test_payload_examples():
@@ -478,10 +481,9 @@ def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
     texts += ["1", "111", "0111", "11111", "1011", "101110", "10" + "11" * 5, "1010"]
     # text that is not binary
     texts += ["12", "1a10", "1 1", "11 1", "1_10", "111_10", "1-1", "1\u0661", "2", "x1"]
-    # numerals just under, at and just over the scan's window (63 to 66
-    # bits), alone and followed by a separator and more text
-    assert _WINDOW == 64
-    for bits in range(_WINDOW - 1, _WINDOW + 3):
+    # numerals of 63 to 66 bits, alone and followed by a separator and
+    # more text
+    for bits in range(63, 67):
         for n in (1 << bits - 1, (1 << bits) - 1, rng.getrandbits(bits - 1) | 1 << bits - 1):
             text = numeral(n).text()
             assert scan_numeral(text, 0) == (n, 2 * bits)
@@ -490,6 +492,12 @@ def test_scan_numeral_matches_per_bit_oracle(uniform, find_zero):
         for start in range(len(text) + 3):
             assert _outcome(scan_numeral, text, start) == _outcome(
                 scan_numeral_per_bit, text, start), (text, start)
+    # "10" (a zero) followed by a 3,000-bit numeral is no numeral, and the
+    # numeral after it reads as itself
+    n = rng.getrandbits(2999) | 1 << 2999
+    text = "10" + numeral(n).text()
+    assert scan_numeral(text, 0) is None is scan_numeral_per_bit(text, 0)
+    assert scan_numeral(text, 2) == (n, len(text)) == scan_numeral_per_bit(text, 2)
 
 
 # --- the image codec ----------------------------------------------------------
@@ -1190,12 +1198,14 @@ def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
 
 
 def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contains01_ntm):
-    """On every word up to length 10 the universal machine and two
-    protocol machines, over a uniform and over a table problem, are
-    halting searches: each returns None or its steps within the budget,
-    without raising, and steps it returns it returns again at every
-    larger budget.  So are protocol machines over an ensemble induced on
-    a table, whose masses stop at the table's ``n_max``.  A claimed length
+    """On every binary word up to length 10 and every word over {0, 1, 2}
+    up to length 8, the universal machine and three protocol machines,
+    over a uniform, a table and an induced problem, are halting searches:
+    each returns None or its steps within the budget, without raising,
+    and steps it returns it returns again at every larger budget.  A word
+    that is not over the binary alphabet never halts.  Protocol machines
+    over an ensemble induced on a table, whose masses stop at the table's
+    ``n_max``, keep the contract too.  A claimed length
     past a table's ``n_max`` never halts, whether the table is bare,
     induced or transferred: each wrapping has the table's ``horizon``."""
     protocol = red2bh(contains01_problem, contains01_ntm,
@@ -1252,17 +1262,27 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     halted = universal.evaluator(chained, 18)
     assert halted == 18
     assert universal.evaluator(chained, 64) == halted
-    for vm in (universal_machine([halt1]), protocol, table_protocol):
-        for n in range(11):
-            for v in BINARY.sphere(n):
-                halted = None
-                for budget in (0, 1, 2, 4, 8, 16, 32):
-                    result = vm.evaluator(v, budget)
-                    if halted is not None:
-                        assert result == halted, (vm.name, v.text(), budget)
-                    elif result is not None:
-                        assert isinstance(result, int) and 0 <= result <= budget
-                        halted = result
+    induced_protocol = red2bh(
+        DistributionalProblem("contains01-induced", contains01_problem.positive, wrapped[1]),
+        contains01_ntm, Polynomial((6, 1, 1)), Polynomial((1, 1))).machine
+    # every binary word up to length 10, and every word over {0, 1, 2} up
+    # to length 8 ("12" and "10002", say, once raised from the numeral
+    # reader and the tape codec)
+    ternary = Alphabet("012")
+    words = [*BINARY.ball(10), *ternary.ball(8)]
+    assert len(words) == 2047 + 9841
+    for vm in (universal_machine([halt1]), protocol, table_protocol, induced_protocol):
+        for v in words:
+            halted = None
+            for budget in (0, 1, 2, 4, 8, 16, 32):
+                result = vm.evaluator(v, budget)
+                if halted is not None:
+                    assert result == halted, (vm.name, v.text(), budget)
+                elif result is not None:
+                    assert isinstance(result, int) and 0 <= result <= budget
+                    halted = result
+            if v.alphabet is ternary:
+                assert halted is None, (vm.name, v.text())
 
 
 def test_images_read_back_their_fields(uniform, find_zero):

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,37 @@ def test_machine_with_bad_answer_symbols_names_the_file(markers, tmp_path, capsy
     assert code == 2
     assert out == ""
     assert err.startswith(f"gclab: {bad}: ") and "answer symbol" in err and err.count("\n") == 1
+
+
+_HALT1_DELTA = [["q0", "0", "q1", "0", "R"]]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"tape_alphabet": ["0"]}, "tape alphabet needs at least 2 symbols"),
+    ({"blank": "0"}, "blank must not be a tape-alphabet symbol"),
+    ({"states": ["q0", "q1", "q0"]}, "duplicate state names"),
+    ({"tape": "sideways"}, "unknown tape mode 'sideways'"),
+    ({"delta": _HALT1_DELTA + [["q0", "1", "q1", "1"]]},
+     "malformed transition ('q0', '1', 'q1', '1')"),
+    ({"delta": _HALT1_DELTA + [["q0", "1", "q9", "1", "R"]]},
+     "transition ('q0', '1', 'q9', '1', 'R') references unknown state"),
+    ({"delta": _HALT1_DELTA + [["q0", "2", "q1", "1", "R"]]},
+     "transition ('q0', '2', 'q1', '1', 'R') reads unknown symbol"),
+    ({"delta": _HALT1_DELTA + [["q0", "1", "q1", "1", "S"]]},
+     "transition ('q0', '1', 'q1', '1', 'S') has bad direction"),
+    ({"yes_symbol": "2", "no_symbol": "0"}, "answer symbol '2' not in alphabet"),
+    (None, "a machine description is a JSON object"),
+], ids=["one-symbol", "blank-inside", "duplicate-states", "sideways", "four-fields",
+        "unknown-state", "unknown-read", "direction-S", "answer-outside", "json-list"])
+def test_tm_run_refuses_a_malformed_machine_naming_the_file(change, message, tmp_path, capsys):
+    """Every format refusal of a machine file is exit 2 with the file
+    named and the refusal's own message: one line, no traceback.  None
+    of the refusals is another one's fallback."""
+    machine = json.loads((DATA / "halt1.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([machine] if change is None else {**machine, **change}))
+    code, out, err = run_cli(["tm", "run", str(bad), "0"], capsys)
+    assert (code, out, err) == (2, "", f"gclab: {bad}: {message}\n")
 
 
 def test_missing_machine_file_exit_2(capsys):
@@ -289,6 +321,25 @@ def test_density_full_set_all_ones(tmp_path, capsys):
     assert code == 0
     for row in out.strip().splitlines()[1:]:
         assert row.split(",")[1:3] == ["1", "1"]
+
+
+def test_density_of_the_doubling_image_is_a_fibonacci_ratio(tmp_path, capsys):
+    """The image {00, 1}* of the doubling homomorphism holds F(n+1) words
+    of length n (F(1) = F(2) = 1), so its uniform density is F(n+1)/2^n."""
+    subset = tmp_path / "image41.json"
+    subset.write_text(json.dumps({"name": "image41"}))
+    code, out, _ = run_cli(
+        ["density", "--ensemble", str(DATA / "uniform_ensemble.json"),
+         "--subset", str(subset), "--n-max", "10"],
+        capsys,
+    )
+    assert code == 0
+    fib = [1, 1]  # F(n+1) at index n
+    while len(fib) < 11:
+        fib.append(fib[-1] + fib[-2])
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert [Fraction(int(num), int(den)) for _, num, den, *_ in rows] == [
+        Fraction(fib[n], 2**n) for n in range(11)]
 
 
 def test_control_seq_deterministic_output(tmp_path, capsys):
@@ -631,6 +682,24 @@ def test_reduce_pipeline_bundle(capsys):
     payload = json.loads(out)
     assert payload["passed"]
     assert len(payload["stages"]) == 6
+
+
+@pytest.mark.parametrize("n_max, horizon, truncated_at", [
+    ("4", 16, None), ("5", 17, 17), ("6", 18, 17)])
+def test_reduce_pipeline_reports_where_the_relaxation_stopped(n_max, horizon, truncated_at,
+                                                              capsys):
+    """The relaxation stage checks every sphere up to g(n_max), the toy
+    bundle's guard value, but no sphere past ``ENUMERATION_CAP`` (16):
+    at n_max 5 and 6 it stops at sphere 17 and says so.  No other stage
+    truncates."""
+    code, out, _ = run_cli(
+        ["reduce", "pipeline", str(DATA / "toy_bundle.json"), "--n-max", n_max], capsys)
+    assert code == 0
+    stages = {s["stage"]: s for s in json.loads(out)["stages"]}
+    relax = stages.pop("relax-restriction:measure")
+    assert (relax["horizon"], relax["details"].get("truncated_at")) == (horizon, truncated_at)
+    assert relax["passed"]
+    assert not any("truncated_at" in s["details"] for s in stages.values())
 
 
 def test_reduce_pipeline_names_the_bundle_of_a_bad_guard(tmp_path, capsys):

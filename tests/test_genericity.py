@@ -46,6 +46,12 @@ def test_polynomial_rejects_negative():
         Polynomial((-1, 2))
 
 
+@pytest.mark.parametrize("coeffs", [(), []])
+def test_polynomial_needs_a_coefficient(coeffs):
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        parse_polynomial(coeffs)
+
+
 @pytest.mark.parametrize("entry", [1.5, 2.0, True, "2"])
 def test_coefficient_list_entries_must_be_integers(entry):
     """A coefficient list is read as it is: an entry that is not an

@@ -809,6 +809,17 @@ def test_vm_budget_doubling_property(text, budget):
         assert _search_halting(vm, w, 2 * budget) == first
 
 
+@pytest.mark.parametrize("delta", [(), (("q", "0", "q", "0", "R"), ("q", "0", "q", "1", "R"))],
+                         ids=["no-move", "branching"])
+def test_a_negative_budget_halts_nothing(delta):
+    """A machine that starts in its final state halts in 0 steps: within
+    every budget from 0 up, and within no negative one."""
+    machine = TuringMachine(states=("q",), initial="q", final="q", tape_alphabet=BINARY,
+                            blank="_", transitions=delta)
+    for x in (BINARY.empty, BINARY.word("01")):
+        assert [_search_halting(machine, x, b) for b in (-1, 0, 1)] == [None, 0, 0]
+
+
 def test_search_rejects_an_evaluator_past_its_budget():
     """A virtual machine's result counts only if its steps fit the
     budget: an evaluator that claims one step more than it was given

@@ -584,6 +584,19 @@ def test_inlined_alphabet_checks_raise_as_before(index, nu):
             ensemble.mass(word)
 
 
+def test_check_word_refuses_a_word_over_another_alphabet(nu):
+    """The masses and cumulative masses that call ``_check_word`` refuse
+    a word over another alphabet, here "0" and "1" in the other order,
+    which they would otherwise weigh as a binary word."""
+    table = TableEnsemble(BINARY, {"0": Fraction(1, 2), "1": Fraction(1, 2)})
+    induced = InducedEnsemble(UniformEnsemble(BINARY), example41_image_member)
+    word = Word.of_text(Alphabet(("1", "0")), "1")
+    for weigh in (table.mass, induced.mass, table.mu_star, UniformEnsemble(BINARY).mu_star,
+                  nu.mu_star):
+        with pytest.raises(AlphabetMismatchError, match="^word is over a different alphabet$"):
+            weigh(word)
+
+
 @pytest.mark.parametrize("n_max", [-1, True, 1.0, "1"])
 def test_table_n_max_must_be_a_nonnegative_int(n_max):
     """A negative n_max would define the table nowhere, and True would

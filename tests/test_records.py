@@ -85,6 +85,16 @@ def test_equal_fields_make_equal_records():
     assert config == Configuration("q", ("0",), ()) and hash(config) == hash(("q", ("0",), ()))
 
 
+def test_records_and_words_differ_from_other_types():
+    """A record or a word is unequal to a value of another type, its own
+    fields or text included, and the comparison raises nothing."""
+    cases = [(Polynomial((1, 2)), ((1, 2),)), (Polynomial((1,)), 1), (BINARY, ("0", "1")),
+             (_machine("halt1"), None), (BINARY.word("01"), "01"), (BINARY.word("01"), ("0", "1"))]
+    for value, other in cases:
+        assert value != other and not value == other
+        assert other != value and not other == value
+
+
 def test_each_alphabet_is_one_object():
     assert Alphabet(tuple("01")) is BINARY and Alphabet(["0", "1"]) is BINARY
     assert Alphabet(("a", "b")) is Alphabet("ab") and Alphabet("ab") is not Alphabet("ba")

@@ -31,9 +31,14 @@ def test_apply_examples():
 
 
 def test_apply_alphabet_mismatch():
+    """``apply`` refuses an input over another alphabet before mapping it,
+    and an image over another alphabet after."""
     abc = Alphabet(("a", "b", "c"))
-    with pytest.raises(AlphabetMismatchError):
+    with pytest.raises(AlphabetMismatchError, match="input over wrong alphabet"):
         identity_reduction(BINARY).apply(abc.word("a"))
+    stray = example41_reduction()._replace(func=lambda x: abc.word("a"))
+    with pytest.raises(AlphabetMismatchError, match="image over wrong alphabet"):
+        stray.apply(BINARY.word("0"))
 
 
 def test_example41_fails_size_invariance():
@@ -123,6 +128,10 @@ def test_to_binary_membership_preservation():
             assert image.positive(f.apply(x)) == problem.positive(x)
     # non-image words of achieved spheres are negative
     assert not image.positive(BINARY.word("1111"))  # rank 16 > 3^2
+    # and so is every word of a sphere no source sphere reaches: growth
+    # takes k = 1, 2, 3 to 2, 4, 5 bits, so none to 3
+    assert [f.size_growth(k) for k in range(4)] == [0, 2, 4, 5]
+    assert not any(image.positive(y) for y in BINARY.sphere(3))
 
 
 def test_verify_cm_identity():
@@ -157,6 +166,17 @@ def test_check_control_transfer_identity(find_zero):
     assert report.passed
     for row in report.details["spheres"]:
         assert row["left"] == row["right"]
+
+
+def test_check_control_transfer_needs_a_size_growth(find_zero):
+    """The doubling homomorphism declares no size growth, so there is no
+    image sphere to compare with: the check fails on that alone."""
+    mu = UniformEnsemble(BINARY)
+    report = check_control_transfer(find_zero, example41_reduction(),
+                                    Polynomial((1, 1)), mu, mu, 3)
+    assert not report.passed
+    assert [v.to_dict() for v in report.violations] == [
+        {"witness": "size growth", "expected": "declared", "actual": "missing"}]
 
 
 def test_check_control_transfer_cs_pair(find_zero):

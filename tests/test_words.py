@@ -58,6 +58,15 @@ def test_unrank_range_errors():
         unrank(BINARY, 2, 5)
 
 
+def test_a_negative_radius_is_refused_as_one():
+    """A sphere of negative radius is refused for what it is, not for a
+    rank it cannot hold or a repeat count ``itertools`` refuses."""
+    with pytest.raises(SphereRangeError, match="radius must be nonnegative"):
+        list(BINARY.sphere(-1))
+    with pytest.raises(SphereRangeError, match="radius must be nonnegative"):
+        unrank(BINARY, -1, 1)
+
+
 @pytest.mark.parametrize("symbols", ["01", "ab", "abc", "abcd"])
 def test_ball_enumerates_shortlex_order(symbols):
     """Spheres by length, each in lex order: within a sphere rank counts
