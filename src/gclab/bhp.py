@@ -14,9 +14,9 @@ throughout:
   so its sphere mass under any binary ensemble is one block mass (1/n
   under the input ensemble);
 * interleaved numerals, "10" | "1" b ("1" b)* with a nonzero first bit
-  b, and the image codec on them: ``_head`` and ``_read_length`` write
-  and read the length field, ``_code_field`` and ``_read_field`` the
-  machine-code field;
+  b, and the image codec on them: one field writer, ``_code_field``,
+  and one field reader, ``_read_field``, for the length field and the
+  machine-code field alike;
 * the dyadic compression x -> x'' that equalizes measure: high-mass
   inputs become a dyadic address w of their cumulative-mass interval,
   read as the integer pair (2 int(w) + 1, 2^|w|), low-mass ones verbatim;
@@ -276,7 +276,8 @@ def scan_numeral(text: str, start: int) -> Optional[tuple[int, int]]:
 
 
 def _code_field(index: int) -> str:
-    """The one writer of the machine-code field "numeral(index) 0"."""
+    """The one writer of an image field "numeral(index) 0": the length
+    field and the machine-code field."""
     return numeral(index).text() + "0"
 
 
@@ -289,16 +290,6 @@ def _read_field(text: str, start: int = 0) -> Optional[tuple[int, int]]:
     if head is None or not text.startswith("0", head[1]):
         return None
     return head[0], head[1] + 1
-
-
-def _head(n: int, prefix: str = "") -> str:
-    """The one writer of the length field: the head "numeral(n) 0 prefix"."""
-    return numeral(n).text() + "0" + prefix
-
-
-def _read_length(text: str) -> Optional[tuple[int, int]]:
-    """The one reader of the length field ``_head`` writes, as ``_read_field``."""
-    return _read_field(text)
 
 
 # --- dyadic interval compression --------------------------------------------
@@ -463,19 +454,21 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -
     growth; the construction errors out if the guard leaves no room for
     the payload (cannot happen for guards built by ``adequate_guard``).
     A source measure over another alphabet raises ``ValueError``.
-    The image length and the head ``_head(n, prefix)`` (on the universal
-    stage, thousands of letters of machine code) are built once per |x|,
-    and each image is one join of the padding, the head and x''.
+    The head ``_code_field(n) + prefix`` (every field from the one field
+    writer, read back by the one field reader ``_read_field``; thousands
+    of letters on the universal stage) and the image length are built
+    once per |x|, and each image is one join of the padding, the head
+    and x''.
     """
     if mu.alphabet is not BINARY:
         raise ValueError("reduce to a binary alphabet first")
-    heads: dict[int, tuple[int, str]] = {}  # n -> (guard(n), _head(n, prefix))
+    heads: dict[int, tuple[int, str]] = {}  # n -> (guard(n), _code_field(n) + prefix)
 
     def apply(x: Word) -> Word:
         n = len(x)
         head = heads.get(n)
         if head is None:
-            head = heads[n] = guard(n), _head(n, prefix)
+            head = heads[n] = guard(n), _code_field(n) + prefix
         return _wrap(head[0], head[1], x_double_prime(mu, x).text())
 
     return Reduction(
@@ -516,7 +509,7 @@ def red2bh(
         if v.alphabet is not BINARY:
             return None
         text = v.text()
-        field = _read_length(text)
+        field = _read_field(text)
         return None if field is None else _protocol_run(mu, inner, field[0], text[field[1] :], budget)
 
     machine = VirtualMachine(
@@ -621,11 +614,11 @@ def machine_code(machine: Machine) -> Word:
 def _machine_at(index: int, registry: dict[int, Machine]) -> Optional[Machine]:
     """The machine with this canonical index, if it can read binary
     inputs: a registry hit, else the table machine it serializes.
-    Anything else is None: an index that is not UTF-8 JSON, JSON without
-    a "table" (virtual machines decode via the registry only), a table
-    ``load_machine`` refuses (anything but a well-formed object: a
-    string is not read as a path), or a tape alphabet other than the
-    binary one."""
+    Anything else is None: an index that is not UTF-8 JSON or nests
+    deeper than the JSON parser goes, JSON without a "table" (virtual
+    machines decode via the registry only), a table ``load_machine``
+    refuses (anything but a well-formed object: a string is not read as
+    a path), or a tape alphabet other than the binary one."""
     machine = registry.get(index)
     if machine is None:
         size = (index.bit_length() + 7) // 8
@@ -636,7 +629,7 @@ def _machine_at(index: int, registry: dict[int, Machine]) -> Optional[Machine]:
             blob = index.to_bytes(size, "big")
             # decoded first: json.loads on bytes would also read UTF-16 and UTF-32
             payload = json.loads(blob.decode())
-        except ValueError:  # UnicodeDecodeError and JSONDecodeError
+        except (ValueError, RecursionError):  # UnicodeDecodeError, JSONDecodeError
             return None
         table = payload.get("table") if isinstance(payload, dict) else None
         try:

@@ -64,10 +64,11 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     """The JSON of the file at ``path``, the one reader of input files: a
-    file that cannot be read or is not UTF-8 JSON is a usage error naming it."""
+    file that cannot be read, is not UTF-8 JSON or nests deeper than the
+    parser goes (``RecursionError``) is a usage error naming it."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 

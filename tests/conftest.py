@@ -1,4 +1,5 @@
 import itertools
+import signal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,33 @@ from gclab import (
     halts_within,
 )
 from gclab.measure import DBHNuEnsemble
+
+# Per-test wall-clock limit: a search that never ends fails its own test
+# instead of hanging the suite.  The slowest test takes about 2 s.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past ``TEST_TIME_LIMIT_S``.  Not an
+    ``Exception`` nor pytest's ``Failed``, both of which hypothesis
+    catches and shrinks on, rerunning the hung example with no alarm left."""
+
+
+def _time_out(signum, frame):
+    raise TimeLimitExceeded(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Run each test's call phase under a one-shot ``SIGALRM`` timer,
+    cancelled when the call returns or raises."""
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

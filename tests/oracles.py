@@ -24,13 +24,13 @@ computes another way, kept here so that tests can cross-check the two:
   scan replaced, and the C(g) membership test ``c_of_g_member`` that
   decoded the whole code (``is_code``, ``decode_instance``) where the
   fast one reads only lengths;
-- ``read_field`` and ``universal_by_fields``: one field read through the
-  image codec's readers (``bhp._read_length`` for the length field,
-  ``bhp._read_field`` for a machine-code field) with the rest of the
-  text cut after it, and the universal machine's evaluator reading every
-  field of its input that way, as both evaluators read fields before the
-  universal one matched the code texts of its registry's machines in
-  place;
+- ``read_field`` and ``universal_by_fields``: one field, a length or a
+  machine code, read through the image codec's one field reader
+  ``bhp._read_field`` (its one field writer is ``bhp._code_field``) with
+  the rest of the text cut after it, and the universal machine's
+  evaluator reading every field of its input that way, as both
+  evaluators read fields before the universal one matched the code
+  texts of its registry's machines in place;
 - ``x_prime_scan``: the shortlex brute force over dyadic addresses that
   ``bhp.x_prime``'s prefix construction is checked against;
 - ``x_prime``, ``nu_mu_star_inverse`` and ``uniform_mu_star_inverse``:
@@ -48,11 +48,11 @@ computes another way, kept here so that tests can cross-check the two:
 - ``numeral``: the numeral built bit by bit through the checked
   ``Alphabet.word``.  With ``scan_numeral`` it is the independent
   reference of the image layout test, the one test that pins the
-  codec's writers and readers against hand-built fields; every other
+  codec's field writer and reader against hand-built fields; every other
   test builds and reads payloads through the codec;
 - ``red2bh_image``: the bounded-halting image built afresh at every
-  word (guard value and the codec's head), as ``bhp.red2bh_map`` built
-  it before it kept one head per length;
+  word (guard value and the head ``_code_field(n) + prefix``), as
+  ``bhp.red2bh_map`` built it before it kept one head per length;
 - ``check_lower_bounds``: the pointwise lower-bound check with the
   bound mass / divisor formed, compared and divided as ``Fraction``s at
   every point, as it was before it read verdict and ratio off two
@@ -92,7 +92,7 @@ longer has, and ``_moves`` stands in for ``TuringMachine._delta``,
 which is now keyed by tape digit instead of symbol text.  The evaluator
 of ``universal_by_fields`` names ``gclab``'s own halting search, not
 the one here, and reads machine fields with ``_machine_at``, which
-returns None where it once raised; the codec's readers look
+returns None where it once raised; the codec's field reader looks
 ``scan_numeral`` up in the ``gclab.bhp`` module, so a wrapper there
 counts the scans of ``read_field``.  That evaluator and the virtual
 branch of ``_search_halting`` follow the evaluator contract of
@@ -118,11 +118,10 @@ from typing import Callable, Optional
 from gclab import machine as gclab_machine
 from gclab.bhp import (
     NU,
-    _head,
+    _code_field,
     _machine_at,
     _protocol_run,
     _read_field,
-    _read_length,
     _wrap,
     bh_search,
     guard_inverse,
@@ -463,12 +462,12 @@ def c_of_g_member(guard, u: Word) -> bool:
     return guard_inverse(guard, n) == len(w)
 
 
-def read_field(text: str, reader: Callable = _read_length) -> Optional[tuple[int, str]]:
-    """Read one field off the front of a code payload with a reader of the
-    image codec, the length field's by default: the field's value and the
-    rest of the text (possibly empty), or None when the field is
-    malformed or lacks its separator."""
-    field = reader(text)
+def read_field(text: str) -> Optional[tuple[int, str]]:
+    """Read one field off the front of a code payload with the image
+    codec's one field reader: the field's value and the rest of the text
+    (possibly empty), or None when the field is malformed or lacks its
+    separator."""
+    field = _read_field(text)
     return None if field is None else (field[0], text[field[1] :])
 
 
@@ -481,7 +480,7 @@ def universal_by_fields(registry: list[Machine], run=_protocol_run) -> Search:
     index: dict[int, Machine] = {machine_index(m): m for m in registry}
 
     def evaluator(v: Word, budget: int) -> Optional[int]:
-        fields = read_field(v.text(), _read_field)
+        fields = read_field(v.text())
         if fields is None:
             return None
         n, rest = fields
@@ -489,7 +488,7 @@ def universal_by_fields(registry: list[Machine], run=_protocol_run) -> Search:
         if machine is not None:  # plain shape: machine-code 0 w
             return gclab_machine._search_halting(machine, BINARY.word(rest), budget)
         # chained shape: length 0 machine-code 0 x'', n being the length
-        fields = read_field(rest, _read_field)
+        fields = read_field(rest)
         machine = None if fields is None else _machine_at(fields[0], index)
         if machine is None:
             return None
@@ -607,7 +606,7 @@ def red2bh_image(mu: SphericalEnsemble, guard, prefix: str, x: Word) -> Word:
     """The image of x under ``bhp.red2bh_map(mu, guard, prefix)``, with
     its guard value and payload head built for this word."""
     n = len(x)
-    return _wrap(guard(n), _head(n, prefix) + x_double_prime(mu, x).text())
+    return _wrap(guard(n), _code_field(n) + prefix + x_double_prime(mu, x).text())
 
 
 def check_lower_bounds(report: CheckReport, points) -> Optional[Fraction]:

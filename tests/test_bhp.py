@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,11 +38,9 @@ from gclab.bhp import (
     BHStage,
     NU,
     _code_field,
-    _head,
     _machine_at,
     _payload,
     _read_field,
-    _read_length,
     _relaxation_points,
     adequate_guard,
     as_guard,
@@ -188,6 +187,26 @@ def test_failing_class_reports_each_word():
                 assert (got, per_class.violations) == (want, per_word.violations)
                 failed += len(per_word.violations)
     assert failed > 0
+
+
+def test_relaxation_points_weigh_each_passing_class_once():
+    """With every class passing (d = m + 1, stage 2's density, on C(2n+1))
+    ``_relaxation_points`` yields the m + 1 classes of each sphere m <= 16
+    as m + 1 points, each class's lex-least word, not every word of the
+    sphere.  A failing class (d = 1: C(2n+1)'s class 1^k 0 {0,1}^k in
+    sphere 2k + 1, k >= 1) yields its words in lex order, in its place."""
+    restricted = nu_g(Polynomial((1, 2)))
+    for m in range(17):
+        classes = list(NU.classes(m))
+        points = [y.text() for y, *_ in _relaxation_points(restricted, m, m + 1)]
+        assert points == [prefix + "0" * k for prefix, k in classes]
+        assert len(points) == m + 1
+        planted = "1" * (m // 2) + "0" if m % 2 and m > 1 else None
+        want = []
+        for prefix, k in classes:
+            words = BINARY.sphere(k) if prefix == planted else [BINARY.word("0" * k)]
+            want += [prefix + w.text() for w in words]
+        assert [y.text() for y, *_ in _relaxation_points(restricted, m, 1)] == want
 
 
 def test_nu_keeps_no_sphere_tables(capsys):
@@ -516,16 +535,17 @@ def test_image_layout_against_per_bit_references(uniform, find_zero):
     ``oracles.scan_numeral`` reads it.  The head of a length-n image is
     "numeral(n) 0 prefix" and a machine-code field "numeral(i) 0",
     pinned on hand-written texts too; every image of |x| <= 5 of both
-    stages is 1^pad 0 head x''; and both readers agree with the per-bit
-    reader on those payloads and on malformed ones: a lone marker, a
-    missing separator, a field cut short or shifted by one letter."""
-    assert (_head(5), _head(0, "11"), _code_field(2)) == ("1110110", "10011", "11100")
-    assert _read_length("1110110" + "01") == (5, 7)
+    stages is 1^pad 0 head x''; and the field reader agrees with the
+    per-bit reader on both fields of those payloads and on malformed
+    ones: a lone marker, a missing separator, a field cut short or
+    shifted by one letter."""
+    assert (_code_field(5), _code_field(0) + "11", _code_field(2)) == (
+        "1110110", "10011", "11100")
+    assert _read_field("1110110" + "01") == (5, 7)
     assert _read_field("11100" + "1", 0) == (2, 5)
     indices = list(range(300)) + [machine_index(m) for m in _data_machines()]
     for i in indices:
         assert _code_field(i) == oracles.numeral(i).text() + "0"
-        assert _head(i, "01") == oracles.numeral(i).text() + "0" + "01"
     guard = adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))
     universal = red2bhu(find_zero, Polynomial((1, 2)))
     code = oracles.numeral(machine_index(find_zero)).text() + "0"
@@ -541,7 +561,6 @@ def test_image_layout_against_per_bit_references(uniform, find_zero):
     malformed = ["", "0", "1", "10", "11", "111011", "1110111", "10" + "11" * 5 + "0",
                  code[:-1], code[1:], "0" + code, "1110110"[1:] + code]
     for text in payloads + malformed:
-        assert _read_length(text) == _field_per_bit(text), text[:40]
         after = _field_per_bit(text)
         for start in {0, 1} | ({after[1] - 1, after[1], after[1] + 1} if after else set()):
             assert _read_field(text, start) == _field_per_bit(text, start), (text[:40], start)
@@ -755,7 +774,7 @@ def test_protocol_evaluators_match_fraction_oracles(uniform, nu, threshold_table
             for x in BINARY.sphere(n):
                 for x2 in _x2_variants(mu, x):
                     for fast, slow, prefix in machines:
-                        v = BINARY.word(_head(n, prefix) + x2)
+                        v = BINARY.word(_code_field(n) + prefix + x2)
                         for budget in (n, 2 * n - 1, 2 * n):
                             steps = fast(v, budget)
                             assert steps == slow(v, budget), (mu.kind, x.text(), x2, budget)
@@ -846,17 +865,18 @@ def test_red2bh_image_length_is_guard(contains01_problem, contains01_ntm):
 def test_maps_build_one_head_per_length(monkeypatch, threshold_table, find_zero):
     """Each stage's map computes the guard value and the head of a length
     once, however many words of that length it maps: applied to every
-    x <= 8, twice, it calls ``_head`` and the guard once per length, and
-    each image equals the oracle's, built afresh per word."""
+    x <= 8, twice, it calls ``_code_field`` and the guard once per
+    length (``red2bhu`` writes its machine field before the map is first
+    applied), and each image equals the oracle's, built afresh per word."""
     guard = adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))
     universal = red2bhu(find_zero, Polynomial((1, 2)))
     stages = [(red2bh_map(threshold_table, guard), threshold_table, guard, ""),
               (universal.reduction, NU, universal.guard, universal.prefix)]
-    real_head, real_guard = gclab.bhp._head, LongevityGuard.__call__
+    real_field, real_guard = gclab.bhp._code_field, LongevityGuard.__call__
     for f, mu, g, prefix in stages:
         heads, guards = [], []
-        monkeypatch.setattr(gclab.bhp, "_head", lambda n, prefix="": heads.append(n)
-                            or real_head(n, prefix))
+        monkeypatch.setattr(gclab.bhp, "_code_field", lambda n: heads.append(n)
+                            or real_field(n))
         monkeypatch.setattr(LongevityGuard, "__call__",
                             lambda self, n: guards.append((self, n)) or real_guard(self, n))
         images = [f.apply(x) for x in BINARY.ball(8)]
@@ -1044,9 +1064,42 @@ def test_universal_fails_closed_on_malformed_tables(halt1, payload, monkeypatch)
     assert _machine_at(_read_field(field)[0], {}) is None
     U = universal_machine([halt1])
     plain = field + "1"
-    chained = _head(1, field) + "01"
+    chained = _code_field(1) + field + "01"
     for text in (plain, chained):
         assert not halts_within(U, BINARY.word(text), 500)
+
+
+def test_universal_returns_none_on_a_machine_field_nested_past_the_parser(halt1):
+    """A machine field whose JSON nests 100,000 deep, past the parser's
+    depth on every supported Python, makes ``json.loads`` raise
+    ``RecursionError``: the universal evaluator returns None on it, as a
+    plain input and as a chained one, and raises nothing."""
+    field = _code_field(int.from_bytes(b'{"table":' + b"[" * 100_000, "big"))
+    assert _machine_at(_read_field(field)[0], {}) is None
+    U = universal_machine([halt1])
+    for text in (field + "0", _code_field(1) + field + "01"):
+        assert U.evaluator(BINARY.word(text), 500) is None
+
+
+def test_length_fields_are_never_parsed_as_json(monkeypatch, capsys):
+    """``reduce universal`` on the universal bundle, |x| <= 7, runs every
+    image on the universal machine, which looks up each length field with
+    ``_machine_at``; a length's first byte is no "{" nor JSON whitespace,
+    so none reaches ``json.loads``, and the known machine field is matched
+    as text."""
+    parsed, looked_up = [], []
+    loads, machine_at = json.loads, gclab.bhp._machine_at
+    monkeypatch.setattr(gclab.bhp, "json", SimpleNamespace(
+        dumps=json.dumps, loads=lambda s: parsed.append(s) or loads(s)))
+    monkeypatch.setattr(gclab.bhp, "_machine_at",
+                        lambda i, registry: looked_up.append(i) or machine_at(i, registry))
+    data = Path(__file__).parent / "data"
+    # a verdict either way (criterion 05's witnesses fail), not a usage error
+    assert main(["reduce", "universal", str(data / "universal_bundle.json"),
+                 "--n-max", "7"]) in (0, 1)
+    capsys.readouterr()
+    assert set(looked_up) == set(range(8))
+    assert parsed == []
 
 
 def test_machine_codes_are_utf8_json():
@@ -1177,7 +1230,7 @@ def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
     code = field[:-1]
     mutants, non_binary = [], []
     for x in (BINARY.word("0"), BINARY.word("110")):
-        length = _head(len(x))
+        length = _code_field(len(x))
         x2 = x_double_prime(NU, x).text()
         for shifted in (length[:-3], length[:-3] + "0", length + "10", length + "11",
                         length[:-1] + "10" + "0", length[:-1] + "11" + "0"):
@@ -1191,7 +1244,7 @@ def test_universal_mutant_codes_run_like_the_field_reader(halt1, numeral_scans):
     words = [BINARY.word(t) for t in mutants + non_binary]
     assert _universal_runs_agree([halt1, ab], words, numeral_scans)
     U = universal_machine([halt1, ab])
-    honest = _head(1, field) + x_double_prime(NU, BINARY.word("0")).text()
+    honest = _code_field(1) + field + x_double_prime(NU, BINARY.word("0")).text()
     assert halts_within(U, BINARY.word(honest), 64)
     for t in non_binary:
         assert not halts_within(U, BINARY.word(t), 10 * len(t))
@@ -1214,18 +1267,18 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     short = DistributionalProblem("contains01-table", contains01_problem.positive, table)
     table_protocol = red2bh(short, contains01_ntm, Polynomial((6, 1, 1)), Polynomial((1, 1))).machine
     # a claimed length (2) beyond the table's n_max (1), verbatim branch
-    payload = BINARY.word(_head(2) + "0" + "00")
+    payload = BINARY.word(_code_field(2) + "0" + "00")
     assert table_protocol.evaluator(payload, 10) is None
     # the verbatim branch weighs a candidate of the claimed length (3),
     # past the table's n_max (2) under the induced ensembles
     base = {"kind": "table", "n_max": 2, "entries": {
         "0": "1/2", "1": "1/2", "00": "1/4", "01": "1/4", "10": "1/4", "11": "1/4"}}
-    payload = BINARY.word(_head(3) + "0" + "101")
+    payload = BINARY.word(_code_field(3) + "0" + "101")
     # a candidate of another length (2) than the claimed one (3) is never
     # weighed, so only the claimed length's horizon keeps the decider,
     # which accepts "01", from running: the verdict is the same however
     # the table is wrapped
-    other_length = BINARY.word(_head(3) + "0" + "01")
+    other_length = BINARY.word(_code_field(3) + "0" + "01")
     wrapped = [ensemble_from_spec({"kind": "induced", "base": base, "subset": subset})
                for subset in ({"name": "all"}, {"name": "cg", "g": "2n+1"})]
     wrapped.append(ensemble_from_spec(
@@ -1251,12 +1304,12 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
     long_problem = DistributionalProblem("contains01-17", contains01_problem.positive, long_table)
     long_protocol = red2bh(long_problem, contains01_ntm, Polynomial((6, 1, 1)),
                            Polynomial((1, 1))).machine
-    payload = BINARY.word(_head(17) + "1" + "0")
+    payload = BINARY.word(_code_field(17) + "1" + "0")
     assert long_protocol.evaluator(payload, 40) is None
     x = BINARY.word("1" * 16 + "0")
     x2 = x_double_prime(NU, x).text()
     assert x2[0] == "1"  # address branch
-    chained = BINARY.word(_head(17, _code_field(machine_index(halt1))) + x2)
+    chained = BINARY.word(_code_field(17) + _code_field(machine_index(halt1)) + x2)
     universal = universal_machine([halt1])
     assert universal.evaluator(chained, 17) is None
     halted = universal.evaluator(chained, 18)
@@ -1287,7 +1340,7 @@ def test_virtual_machines_keep_their_contract(halt1, contains01_problem, contain
 
 def test_images_read_back_their_fields(uniform, find_zero):
     """Both maps wrap "head(n, [machine-code 0]) x''" into a code; the
-    codec's readers give n, the machine index and x'' back."""
+    field reader gives n, the machine index and x'' back."""
     guard = adequate_guard(Polynomial((6, 1)), Polynomial((1, 1)))
     f = red2bh_map(uniform, guard)
     code_len = len(machine_code(find_zero).text())
@@ -1297,12 +1350,12 @@ def test_images_read_back_their_fields(uniform, find_zero):
             image = f.apply(x).text()
             assert len(image) == guard(n)
             payload = _payload(image)
-            n_read, start = _read_length(payload)
+            n_read, start = _read_field(payload)
             assert (n_read, payload[start:]) == (n, x_double_prime(uniform, x).text())
             image = stage.reduction.apply(x).text()
             assert len(image) == stage.guard(n)
             payload = _payload(image)
-            n_read, start = _read_length(payload)
+            n_read, start = _read_field(payload)
             assert n_read == n
             index, end = _read_field(payload, start)
             assert (index, payload[end:]) == (

@@ -212,6 +212,23 @@ def test_a_file_that_is_not_utf8_is_named(command, tmp_path, capsys):
     assert err.startswith(f"gclab: cannot read {bad}: ") and "utf-8" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["tm", "run", "{}", "0"],
+    ["density", "--ensemble", "{}", "--subset", str(DATA / "cg_subset.json"), "--n-max", "2"],
+], ids=lambda argv: argv[0])
+def test_json_nested_past_the_parser_is_named(command, tmp_path, capsys):
+    """JSON nested 100,000 deep, past the parser's depth on every
+    supported Python, is a usage error naming the file (exit 2, no
+    traceback), not a ``RecursionError``."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli([str(deep) if a == "{}" else a for a in command], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gclab: cannot read {deep}: ")
+    assert "Traceback" not in err
+
+
 def test_only_the_command_line_reads_files():
     """Every input file is read by ``cli._load_json``: no other module
     opens a file, so no word a machine decodes can name one to read."""
