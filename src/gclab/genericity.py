@@ -18,9 +18,10 @@ from __future__ import annotations
 import io
 import random
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
-from .machine import Machine, VirtualMachine, cells_read, min_deciding_steps
+from .machine import Machine, TuringMachine, VirtualMachine, cells_read, min_deciding_steps
 from .measure import SphericalEnsemble, block_mass, exact_sum, subset_mass
 from .words import Frozen, Word
 
@@ -168,15 +169,22 @@ def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) ->
     letters = (symbols[0],) * n
     while letters is not None:
         x = Word(alphabet, letters)
-        seen: set = set()
-        overruns = min_deciding_steps(machine, x, bound, seen=seen) is None
-        r = cells_read(machine, seen, n)
+        overruns, r = _read_verdict(machine, x, bound)
         if overruns and r == n:  # a block of one word
             masses.append(mu.mass(x))
         elif overruns:
             masses.append(block_mass(mu, letters[:r], n))
         letters = _next_block(letters, r, successor, symbols[0])
     return exact_sum(masses)
+
+
+def _read_verdict(machine: TuringMachine, x: Word, bound: int) -> tuple[bool, int]:
+    """``exceeds_bound(machine, x, bound)`` by one search, and the number r
+    of leading cells it read (``cells_read``): every word of x's sphere
+    that starts with x[:r] gets the same verdict."""
+    seen: set = set()
+    overruns = min_deciding_steps(machine, x, bound, seen=seen) is None
+    return overruns, cells_read(machine, seen, len(x))
 
 
 def _next_block(letters: tuple, r: int, successor: dict, pad: str) -> Optional[tuple]:
@@ -201,9 +209,9 @@ def control_sequence(
 
     With ``samples`` None each sphere is summed exactly by
     ``overrun_mass``.  Otherwise ``samples`` inputs per sphere are drawn
-    from mu with the seeded per-sphere stream, and the empirical overrun
+    from mu as one batch by ``sample_sphere``, and the empirical overrun
     fraction is reported (an exact rational with denominator
-    ``samples``).
+    ``samples``).  Either way a table machine is searched once per read prefix.
     """
     seq = DensitySequence()
     if samples is None:
@@ -215,9 +223,16 @@ def control_sequence(
     if seed is None:
         raise ValueError("sampling requires a seed")
     for n in range(n_max + 1):
-        bound = p(n)
+        bound, hits, r, prefix = p(n), 0, 0, None
         draws = sample_sphere(mu, n, samples, seed)
-        hits = sum(1 for x in draws if exceeds_bound(machine, x, bound))
+        if isinstance(machine, VirtualMachine):  # asked per draw, as in ``overrun_mass``
+            hits = sum(exceeds_bound(machine, x, bound) for x in draws)
+        else:  # sorted, the draws that start with a search's read prefix follow it
+            for x in sorted(draws, key=attrgetter("letters")):
+                if x.letters[:r] != prefix:
+                    overruns, r = _read_verdict(machine, x, bound)
+                    prefix = x.letters[:r]
+                hits += overruns
         seq.entries.append(SequenceEntry(n, Fraction(hits, samples), samples, seed))
     return seq
 
@@ -243,9 +258,8 @@ def sphere_stream(seed: int, n: int) -> random.Random:
 
 
 def sample_sphere(mu: SphericalEnsemble, n: int, count: int, seed: int) -> list[Word]:
-    """``count`` independent draws from sphere n of mu, each made by
-    ``mu.sample`` on the one stream of (seed, n), so reproducible per
-    (seed, n).  The uniform, bounded-halting and table ensembles have
-    samplers; the other kinds raise ``HorizonError``."""
-    rng = sphere_stream(seed, n)
-    return [mu.sample(rng, n) for _ in range(count)]
+    """``count`` independent draws from sphere n of mu, read as one batch
+    by ``mu.samples`` off the sphere's own stream of (seed, n), so
+    reproducible per (seed, n).  The uniform, bounded-halting and table
+    ensembles have samplers; the other kinds raise ``HorizonError``."""
+    return mu.samples(sphere_stream(seed, n), n, count)

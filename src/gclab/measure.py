@@ -11,8 +11,8 @@ ensemble (mass 1/(|u| * 2^|w|) on code words 1^m 0 w, mass 1 on the
 empty word, mass 0 on 1^k), transfers along size-invariant maps, and
 conditionals induced by a decidable subset.  ``verify_transfer`` and
 ``verify_induced`` recompute the defining equations by brute-force
-enumeration and report exact mismatches.  The uniform, table and
-bounded-halting ensembles each draw their own samples with ``sample``.
+enumeration and report exact mismatches.  ``samples`` draws a sphere's
+samples as one batch off that sphere's own stream, in one pass for uniform.
 
 Two limits bound what an ensemble can answer.  Its ``horizon`` is the
 largest radius up to which ``mass`` is defined (None for every radius;
@@ -51,7 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, groupby, repeat, tee
+from itertools import accumulate, chain, groupby, islice, repeat, tee
 from operator import itemgetter, truediv
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -211,8 +211,8 @@ def check_lower_bounds(
 class SphericalEnsemble:
     """Base class: per-sphere probability masses with exact arithmetic.
 
-    Subclasses implement ``mass``, and ``sample`` where they have a
-    sampler.  The defaults of ``sphere_sum``, ``mu_star`` and
+    Subclasses implement ``mass``, and ``sample`` or ``samples`` where
+    they have a sampler.  The defaults of ``sphere_sum``, ``mu_star`` and
     ``mu_star_inverse`` enumerate the sphere and respect
     ``ENUMERATION_CAP``; subclasses with closed forms override them.
     ``sphere_sum`` calls ``mass`` on every word of the sphere and adds
@@ -282,6 +282,10 @@ class SphericalEnsemble:
         """One draw from sphere n, read off ``rng``."""
         raise HorizonError(f"no sampler for ensemble kind {self.kind!r}")
 
+    def samples(self, rng: Random, n: int, count: int) -> list[Word]:
+        """``count`` draws from sphere n, read off ``rng`` one after another."""
+        return [self.sample(rng, n) for _ in range(count)]
+
     def spec(self) -> dict:
         return {"kind": self.kind, "alphabet": "".join(self.alphabet.symbols)}
 
@@ -290,6 +294,7 @@ class UniformEnsemble(SphericalEnsemble):
     """Equal mass on every word of each sphere; all quantities closed-form."""
 
     kind = "uniform"
+    _READ_CHUNK = 1 << 16  # the most outputs ``samples`` reads at once
 
     def mass(self, x: Word) -> Fraction:
         # no helper call per word: the check inlined, the length off the held form
@@ -309,10 +314,38 @@ class UniformEnsemble(SphericalEnsemble):
         """The word of rank ceil(p |sphere n| / q), an integer ceiling."""
         return unrank(self.alphabet, n, -(-p * self.alphabet.sphere_size(n) // q))
 
-    def sample(self, rng: Random, n: int) -> Word:
-        """n letters, each drawn directly."""
-        symbols = self.alphabet.symbols
-        return Word(self.alphabet, tuple(symbols[rng.randrange(len(symbols))] for _ in range(n)))
+    def samples(self, rng: Random, n: int, count: int) -> list[Word]:
+        """``count`` words of n letters ``rng.randrange(size)``, in one pass.
+
+        ``randrange(size)`` calls ``getrandbits(k)``, k = size.bit_length(),
+        until the value is below size; for k <= 32 a call takes one 32-bit
+        output and returns its top k bits, and ``getrandbits(32 m)`` the
+        next m outputs, the first lowest.  So for size <= 255 the letters
+        are the outputs' top bytes b in order, those with b >> (8 - k) >=
+        size deleted, read in chunks of at most ``_READ_CHUNK`` outputs;
+        b stands for the letter ``symbols[b >> (8 - k)]``.  Reading past
+        the batch is harmless: the stream is the sphere's own.  Larger
+        alphabets make the same calls one at a time (``_draws_below``)."""
+        symbols, size, total = self.alphabet.symbols, self._size, n * count
+        if size > 255:
+            kept: Sequence[int] = list(_draws_below(rng, size, total))
+            letter = symbols.__getitem__
+        else:
+            shift, kept = 8 - size.bit_length(), bytearray()
+            spread = chain.from_iterable(map(repeat, symbols, repeat(1 << shift)))
+            letter = tuple(spread).__getitem__  # byte b -> symbols[b >> shift]
+            reject = bytes(range(size << shift, 256))
+            while len(kept) < total:  # about as many outputs as the batch still needs
+                m = min(self._READ_CHUNK, ((total - len(kept)) << 8 - shift) // size + 16)
+                top = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+                kept += top.translate(None, reject)
+        return [Word(self.alphabet, tuple(map(letter, kept[i * n:i * n + n])))
+                for i in range(count)]
+
+
+def _draws_below(rng: Random, size: int, count: int) -> Iterator[int]:
+    """``count`` draws of ``rng.randrange(size)``, no Python frame per draw."""
+    return islice(filter(size.__gt__, map(rng.getrandbits, repeat(size.bit_length()))), count)
 
 
 class TableEnsemble(SphericalEnsemble):
@@ -466,8 +499,8 @@ class DBHNuEnsemble(SphericalEnsemble):
         if n == 0:
             return self.alphabet.empty
         m = rng.randrange(n)
-        w = "".join(str(rng.randrange(2)) for _ in range(n - m - 1))
-        return self.alphabet.word("1" * m + "0" + w)
+        w = "".join(map("01".__getitem__, _draws_below(rng, 2, n - m - 1)))
+        return Word.of_text(BINARY, "1" * m + "0" + w)
 
     def spec(self) -> dict:
         return {"kind": "dbh_nu"}

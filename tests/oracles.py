@@ -71,6 +71,12 @@ computes another way, kept here so that tests can cross-check the two:
   with a fresh ``Fraction`` division and comparison at every word, as
   they were before points sharing one mass object shared one quotient
   and one verdict;
+- ``uniform_draw`` and ``nu_draw``: one draw from a sphere with one
+  ``randrange`` per letter (ν: the leading-ones count, then one per
+  suffix bit), and ``sampled_control_sequence`` with one
+  ``exceeds_bound`` call per draw, as sampling was before a sphere's
+  draws were read in one batch and a table machine's draws shared the
+  verdict of their read prefix;
 - ``build_parser`` (with its ``nonnegative_int`` type): the ``argparse``
   command line that ``cli.parse_args`` and its table ``cli.COMMANDS``
   replaced; every valid argv must give both the same namespace.
@@ -128,7 +134,7 @@ from gclab.bhp import (
     machine_index,
 )
 from gclab.cli import cmd_control_seq, cmd_density, cmd_reduce, cmd_tm, cmd_verify
-from gclab.genericity import exceeds_bound
+from gclab.genericity import exceeds_bound, sample_sphere
 from gclab.machine import (
     RIGHT,
     Configuration,
@@ -627,6 +633,29 @@ def check_lower_bounds(report: CheckReport, points) -> Optional[Fraction]:
 def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) -> Fraction:
     """mu_n{x : the machine overruns ``bound`` on x}, one search per word."""
     return subset_mass(mu, n, lambda x: exceeds_bound(machine, x, bound))
+
+
+def uniform_draw(alphabet: Alphabet, rng: random.Random, n: int) -> Word:
+    """n letters, each drawn directly."""
+    symbols = alphabet.symbols
+    return Word(alphabet, tuple(symbols[rng.randrange(len(symbols))] for _ in range(n)))
+
+
+def nu_draw(rng: random.Random, n: int) -> Word:
+    """The leading-ones count drawn uniformly, then a uniform suffix."""
+    if n == 0:
+        return BINARY.empty
+    m = rng.randrange(n)
+    w = "".join(str(rng.randrange(2)) for _ in range(n - m - 1))
+    return BINARY.word("1" * m + "0" + w)
+
+
+def sampled_control_sequence(machine: Machine, p, mu: SphericalEnsemble, n_max: int,
+                             samples: int, seed: int) -> list[Fraction]:
+    """The sampled control sequence's values, one search per draw."""
+    return [Fraction(sum(exceeds_bound(machine, x, p(n))
+                         for x in sample_sphere(mu, n, samples, seed)), samples)
+            for n in range(n_max + 1)]
 
 
 def random_machine(rng: random.Random, kind: str, tape_mode: str, symbols: tuple[str, ...],

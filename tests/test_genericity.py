@@ -363,3 +363,97 @@ def test_overrun_mass_matches_per_word_oracle(nu, geometric_table):
             for bound in (n // 2, n + 2, gclab.machine._CERTIFY_OVER + 1 + n):
                 assert overrun_mass(machine, mu, n, bound) == \
                     oracles.overrun_mass(machine, mu, n, bound), (trial, n, bound)
+
+
+def _alphabet_of(size: int) -> Alphabet:
+    """``size`` one-character symbols: digits, then letters, then CJK."""
+    head = "0123456789abcdefghijklmnopqrstuvwxyz"
+    return Alphabet(tuple(head[:size]) + tuple(chr(0x4E00 + i) for i in range(size - len(head))))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 26, 255, 256, 300])
+@pytest.mark.parametrize("n", [0, 1, 5, 33, 130])
+def test_uniform_batches_are_the_per_letter_draws(size, n):
+    """A sphere's uniform batch is the draws of one ``randrange(size)`` per
+    letter in turn off the sphere's stream, on both sides of the byte
+    path (up to 255 symbols) and the lazy one (256 and more)."""
+    mu = UniformEnsemble(_alphabet_of(size))
+    for seed in (0, 5, 4242):
+        for count in (1, 2, 7, 64):
+            rng = sphere_stream(seed, n)
+            want = [oracles.uniform_draw(mu.alphabet, rng, n) for _ in range(count)]
+            assert sample_sphere(mu, n, count, seed) == want, (seed, count)
+
+
+def test_a_uniform_batch_longer_than_a_read_chunk():
+    """A batch of more letters than one chunk of outputs is read in several
+    chunks, which join into the per-letter draws."""
+    mu = UniformEnsemble(_alphabet_of(3))
+    n, count = 130, UniformEnsemble._READ_CHUNK // 130 + 40
+    assert n * count * 4 // 3 > UniformEnsemble._READ_CHUNK  # 3 letters keep 3 outputs in 4
+    rng = sphere_stream(11, n)
+    assert sample_sphere(mu, n, count, 11) == [oracles.uniform_draw(mu.alphabet, rng, n)
+                                               for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 33, 130])
+def test_nu_batches_are_the_per_bit_draws(nu, n):
+    """ν's draws are its leading-ones count, then one ``randrange(2)`` per
+    suffix bit, off the sphere's stream."""
+    for seed in (0, 5, 4242):
+        for count in (1, 2, 7, 64):
+            rng = sphere_stream(seed, n)
+            want = [oracles.nu_draw(rng, n) for _ in range(count)]
+            assert sample_sphere(nu, n, count, seed) == want, (seed, count)
+
+
+def _fixture(name: str):
+    return load_machine(json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text()))
+
+
+def test_sampled_sequence_matches_one_search_per_draw(nu, loop_on_one):
+    """Draws that share a read prefix share its verdict: the sampled
+    control sequence equals one ``exceeds_bound`` call per draw, for
+    seeded random machines (deterministic, branching, with and without
+    the answer convention), the fixtures, and a virtual machine, under
+    uniform over two and three letters and ν, at n <= 20."""
+    rng = random.Random(4711)
+    binary, ternary = UniformEnsemble(BINARY), UniformEnsemble(_alphabet_of(3))
+    machines = [(machine, mu) for machine in (_fixture("scanner"), _fixture("answer_decider"),
+                                              loop_on_one) for mu in (binary, nu)]
+    machines += [(_fixture(name), ternary) for name in ("sweeper_live", "bouncer_live")]
+    for trial in range(24):
+        mu = (binary, nu, ternary)[trial % 3]
+        kind = ("deterministic", "partial", "nondeterministic")[trial // 3 % 3]
+        machines.append((oracles.random_machine(rng, kind, ("two-way", "one-end")[trial % 2],
+                                                mu.alphabet.symbols, "_", rng.randrange(1, 4),
+                                                answers=trial // 9 % 2 == 1), mu))
+
+    def even_ones(x, budget):
+        return len(x) if x.text().count("1") % 2 == 0 else None
+
+    machines.append((gclab.machine.VirtualMachine("even-ones", even_ones), binary))
+    polys = (Polynomial((0, 1)), Polynomial((2, 0, 1)), Polynomial((3,)))
+    for i, (machine, mu) in enumerate(machines):
+        p, seed = polys[i % 3], 100 + i
+        seq = control_sequence(machine, p, mu, 20, samples=40, seed=seed)
+        want = oracles.sampled_control_sequence(machine, p, mu, 20, 40, seed)
+        assert [e.value for e in seq.entries] == want, (i, machine)
+
+
+def test_sampled_sequence_searches_once_per_read_prefix(uniform, monkeypatch):
+    """The bouncer fixture reads one cell of any input, so a sphere's
+    draws need at most two searches, one per first letter, where a
+    search per draw took eight."""
+    bouncer = _fixture("bouncer")
+    searches: dict[int, int] = {}
+    original = gclab.machine._search_halting
+
+    def counted(machine, x, budget, **kwargs):
+        searches[len(x)] = searches.get(len(x), 0) + 1
+        return original(machine, x, budget, **kwargs)
+
+    monkeypatch.setattr(gclab.machine, "_search_halting", counted)
+    seq = control_sequence(bouncer, parse_polynomial("n^2"), uniform, 32, samples=8, seed=1)
+    assert [e.value for e in seq.entries] == [1] * 33
+    assert sorted(searches) == list(range(33)) and max(searches.values()) <= 2

@@ -15,7 +15,12 @@ with Fraction-by-Fraction sphere sums, per-call masses and a size
 inverse per transferred word, before sums were taken per denominator.
 The sampled control sequence under ν was recorded with the samplers
 chosen by ensemble class in ``genericity.sample_sphere``, before each
-ensemble drew its own samples.  The two answer-convention pins were
+ensemble drew its own samples.  The three sampled pins up to n = 24 and
+64 (a three-letter uniform draw rejects one output in four) were
+recorded while every draw was made one letter at a time and searched
+on its own, before a sphere's samples were one batch read off its
+stream and a sampled sequence searched once per read prefix, as an
+exact one does.  The two answer-convention pins were
 recorded while searches decoded each halting configuration to a symbol
 tuple for ``decode_answer``, before the convention became one test on
 the packed tape.  The two bouncer pins were recorded while every
@@ -61,6 +66,7 @@ TOY = "tests/data/toy_bundle.json"
 ANSWERS = "tests/data/answer_decider.json"
 BOUNCER = "tests/data/bouncer.json"
 SWEEPER = "tests/data/sweeper.json"
+UNIFORM3 = "tests/data/uniform3_ensemble.json"
 BRANCHER = "tests/data/brancher.json"
 
 # Long tapes: every other `tm run` pin ends in "budget" or after one step,
@@ -157,6 +163,17 @@ GOLDEN = {
     ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", NU,
      "--poly", "n", "--n-max", "6", "--sample", "50", "--seed", "3"): (0,
         "95bc1fb10ab404c18d72520369599d689951244cba80928d73550b3bfdb0fb0f"),
+    # sampled spheres past the enumeration cap: the sweeper's verdicts follow
+    # its letters (it starts 1, 1, 1/2, 7/10), and loop_on_one reads one cell
+    ("control-seq", "--machine", "tests/data/sweeper_live.json", "--ensemble", UNIFORM3,
+     "--poly", "n^2", "--n-max", "24", "--sample", "20", "--seed", "3"): (0,
+        "29fab2ce3e0ad13043f4a7ed5845984bc12a04db8ac82dd1a878edf45425edd8"),
+    ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", UNIFORM,
+     "--poly", "n", "--n-max", "64", "--sample", "50", "--seed", "7"): (0,
+        "b15f97256caeb97a2ce38d16fd7867680c5702e698749ac6d66776539276859e"),
+    ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", NU,
+     "--poly", "n", "--n-max", "64", "--sample", "50", "--seed", "7"): (0,
+        "3fed457ff24b739bd1333412e5b8872dbc48539ae981c26b06e58c7234632772"),
     # a branching decider whose halts are DontKnow, Yes, No and undecodable
     # tapes; without its answer symbols spheres 2 and 3 read 1/2, not 3/4
     ("control-seq", "--machine", ANSWERS, "--ensemble", UNIFORM,
