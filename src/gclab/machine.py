@@ -43,12 +43,10 @@ one state with the head on a blank, only blanks ahead of it and the
 cells it went back over unchanged, but the head further along the
 tape, repeats forever shifted (a translated cycle; the bbchallenge.org
 deciders of that name, after Marxen and Buntrock 1990, "Attacking the
-Busy Beaver 5").  Since the blank is never
-written, the half of the tape trailing the head has a non-blank digit
-per cell, so both tests are compares of packed integers, and a chain
-step crosses at once the written cells ahead of a state that keeps its
-state and way on each (``_walk``).  A walk that records every
-configuration it reaches (``cells_read``) takes all three too.
+Busy Beaver 5").  Since the blank is never written, the half of the tape
+trailing the head has a non-blank digit per cell, so both tests are
+compares of packed integers (``_walk``).  A walk that records every
+configuration it reaches (``cells_read``) takes both too.
 
 Besides transition-table machines there are "virtual" machines: a host
 procedure that is itself a halting search, mapping (input word, step
@@ -59,7 +57,7 @@ are realized as virtual machines.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -216,22 +214,6 @@ class TuringMachine(Frozen):
         }
 
     @cached_property
-    def _sweeps(self) -> dict[str, Callable[[Packed, int], tuple[Packed, int]]]:
-        """The sweep (``_sweeper``) of each state whose one move on every
-        non-blank digit stays in the state and goes one way; none unless
-        cells are 2 bits wide (two or three symbols besides the blank)."""
-        codec, sweeps = self._codec, {}
-        if codec.width != 2:
-            return sweeps
-        for q in self.states:
-            moves = [self._delta.get((q, a), ()) for a in range(1, len(codec.digit))]
-            for way in (RIGHT, LEFT):
-                if all(len(m) == 1 and m[0][::2] == (q, way) for m in moves):
-                    edge = way == LEFT and self.tape_mode == "one-end"
-                    sweeps[q] = _sweeper((0,) + tuple(m[0][1] for m in moves), way == RIGHT, edge)
-        return sweeps
-
-    @cached_property
     def _live(self) -> TuringMachine:
         """The machine without its moves into dead states, found backward
         from ``final`` to a fixpoint as an automaton's useless states are
@@ -350,12 +332,12 @@ def step(machine: TuringMachine, config: Packed) -> tuple[Packed, ...]:
     return tuple(out)
 
 
-# It gates all three shortcuts: over this budget a walk tries
-# translated-cycle certificates and sweeps, and a run of an endless
-# machine (``TuringMachine._endless``) ends without a step.  Keep it over
-# 100: ``perfbench/run.py``'s self-check ``selfcheck.loop100`` pins 100
-# ``step`` calls on a run at budget 100 of a right mover, which is
-# endless and which a translated cycle ends at step 2 (ROADMAP item 2).
+# It gates both shortcuts: over this budget a walk tries translated-cycle
+# certificates, and a run of an endless machine (``TuringMachine._endless``)
+# ends without a step.  Keep it over 100: ``perfbench/run.py``'s self-check
+# ``selfcheck.loop100`` pins 100 ``step`` calls on a run at budget 100 of a
+# right mover, which is endless and which a translated cycle ends at step 2
+# (ROADMAP item 2).
 _CERTIFY_OVER = 128
 
 
@@ -370,35 +352,6 @@ def _translated(first: int, last: int, elapsed: int, width: int) -> bool:
     return 0 < ahead and back < cells and not (first ^ last) & ((1 << back * width) - 1)
 
 
-@cache
-def _sweeper(
-    writes: tuple[int, ...], rightward: bool, edge: bool
-) -> Callable[[Packed, int], tuple[Packed, int]]:
-    """The sweep, on 2-bit cells, of a state whose one move on each
-    written digit d writes ``writes[d]`` and goes right if ``rightward``,
-    else left: (configuration with a written head cell, limit) ->
-    (landing, cells crossed, at most ``limit`` and, with ``edge``, not
-    past the edge cell of a one-end tape).  A byte table maps the four
-    digits of a byte and reverses them.  Cached: a process builds each
-    table once."""
-    digits = writes + (0,) * (4 - len(writes))
-    pairs = [hi | lo << 2 for hi in digits for lo in digits]  # mapped and swapped
-    table = bytes(hi | lo << 4 for hi in pairs for lo in pairs)
-
-    def sweep(config: Packed, limit: int) -> tuple[Packed, int]:
-        state, left, right = config
-        ahead, behind = (right, left) if rightward else (left << 2 | right & 3, right >> 2)
-        cells = min(limit, -(-ahead.bit_length() // 2) - edge)
-        size, bits = -(-cells // 4), cells * 2
-        mapped = (ahead & ((1 << bits) - 1)).to_bytes(size, "little").translate(table)
-        behind = behind << bits | int.from_bytes(mapped, "big") >> size * 8 - bits
-        ahead >>= bits
-        landing = (behind, ahead) if rightward else (ahead >> 2, behind << 2 | ahead & 3)
-        return (state, *landing), cells
-
-    return sweep
-
-
 def _walk(
     machine: TuringMachine, config: Packed, budget: int, seen: Optional[set[Packed]] = None
 ) -> tuple[str, int, Packed]:
@@ -410,9 +363,7 @@ def _walk(
     configuration with a mark moved to the current one whenever the
     steps since the last move reach a power of two (Brent 1980, "An
     improved Monte Carlo factorization algorithm").  ``seen``, when
-    given, receives every configuration the run reaches up to its end,
-    but of a sweep (below) only the landing; ``cells_read`` says why r
-    stays exact.
+    given, receives every configuration the run reaches up to its end.
 
     A walk with a budget over ``_CERTIFY_OVER`` also stops a run that
     repeats shifted along the tape (a translated cycle, as the
@@ -434,16 +385,10 @@ def _walk(
     such time after each Brent mark, and nothing is tracked per step.
     On a one-end tape the head stays off the edge, and the left drift
     never applies: the cell at the edge is written as the head first
-    leaves it.  Such a walk also sweeps: in a state that keeps its state
-    and way on every written digit (``TuringMachine._sweeps``), the head
-    crosses the written cells ahead in one chain step, up to the blank
-    at the far end, the budget, or the edge cell of a one-end tape.  The
-    checks run on the landing, as landings repeat if the run does, and a
-    head on a written cell is no anchor.  ``cells_read`` stays exact
-    under either shortcut (see there)."""
+    leaves it.  ``cells_read`` stays exact under either certificate (see
+    there)."""
     final = machine.final
     width, mask = machine._codec.width, machine._codec.mask
-    sweeps = machine._sweeps if budget > _CERTIFY_OVER else {}
     mark, power, lag, anchor = config, 1, 0, None
     steps = 0
     if seen is not None:
@@ -453,16 +398,11 @@ def _walk(
             return "halted", steps, config
         if steps >= budget:
             return "budget", steps, config
-        sweep = sweeps and config[2] & mask and sweeps.get(config[0])
-        if sweep and (swept := sweep(config, budget - steps))[1]:
-            config, crossed = swept
-            steps += crossed
-        else:
-            succ = step(machine, config)  # the module global, so tracers see each step
-            if not succ:
-                return "broke", steps, config
-            config = succ[0]
-            steps += 1
+        succ = step(machine, config)  # the module global, so tracers see each step
+        if not succ:
+            return "broke", steps, config
+        config = succ[0]
+        steps += 1
         if seen is not None:
             seen.add(config)
         if config == mark:
@@ -538,9 +478,8 @@ def _search_halting(
     ``accept``, when given, reads each packed halting configuration (the
     answer convention tests its left half and the digit under the head);
     without it every halting configuration counts.  ``seen``, when given,
-    receives every packed configuration the search generates, but of a
-    walk's sweep only the landing (see ``cells_read`` for why r stays
-    exact).
+    receives every packed configuration the search generates (see
+    ``cells_read``).
     """
     if budget < 0:
         return None
@@ -637,8 +576,6 @@ def cells_read(machine: TuringMachine, seen: set[Packed], n: int) -> int:
     smaller right half: a cycle only revisits, a run drifting right is
     certified with ``right == 0`` (so r = n already), and a run drifting
     left holds d more cells in each right half than one period earlier.
-    A rightward sweep lands on its least right half, and a leftward one
-    starts on it.
     """
     width = machine._codec.width
     unread = (min(map(itemgetter(2), seen)).bit_length() + width - 1) // width

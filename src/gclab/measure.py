@@ -241,6 +241,7 @@ class SphericalEnsemble:
     def _check_cap(self, n: int) -> None:
         if n > ENUMERATION_CAP:
             raise HorizonError(f"sphere {n} exceeds enumeration cap {ENUMERATION_CAP}")
+        self._check_horizon(n)
 
     def _check_horizon(self, n: int) -> None:
         if self.horizon is not None and n > self.horizon:

@@ -209,14 +209,15 @@ def _bits_needed(count: int) -> int:
 def binary_map(sigma: Alphabet) -> Reduction:
     """The change-of-size map from sigma onto the binary alphabet.
 
-    One-letter alphabets map a^k to 0^k.  Two-letter ones pass through
-    the identity.  Larger alphabets map the rank-r word of each sphere k
+    One-letter alphabets map a^k to 0^k.  ``BINARY`` passes through the
+    identity.  Every other alphabet maps the rank-r word of each sphere k
     to the rank-r word of the binary sphere that is just big enough
     (ceil(k * log2 |alphabet|) bits), which is injective and
-    rank-preserving.  All three set ``rank_preserving``.
+    rank-preserving; a two-letter one maps letter for letter.  All three
+    set ``rank_preserving``.
     """
     size = sigma.size
-    if size == 2:
+    if sigma is BINARY:
         return identity_reduction(sigma)
     if size == 1:
         return Reduction("unary-to-binary", sigma, BINARY,
@@ -243,14 +244,15 @@ def binary_map(sigma: Alphabet) -> Reduction:
 def to_binary(problem: DistributionalProblem) -> tuple[Reduction, DistributionalProblem]:
     """Rebuild a problem over the binary alphabet along ``binary_map``.
 
-    Binary problems pass through unchanged.  Otherwise image membership
+    Problems over ``BINARY`` pass through unchanged, as the same object;
+    a problem over any other two letters is rebuilt too.  Image membership
     is decided by inverting the rank (the binary words past the last
     rank, and all but 0^k on the unary map, are outside), and the image
     measure is the transfer of the source measure.
     """
     sigma = problem.measure.alphabet
     f = binary_map(sigma)
-    if sigma.size == 2:
+    if sigma is BINARY:
         return f, problem
 
     def member(y: Word) -> bool:

@@ -446,6 +446,22 @@ def test_control_seq_sample_below_one_exit_2(capsys):
         assert err == f"gclab: sampling needs at least one sample per sphere, not {count}\n"
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "transferred", "reduction": {"kind": "identity", "alphabet": "01"},
+     "base": {"kind": "uniform", "alphabet": "01"}},
+    {"kind": "induced", "base": {"kind": "dbh_nu"}, "subset": {"name": "cg", "g": "n+1"}},
+], ids=["transferred", "induced"])
+def test_control_seq_sample_without_a_sampler_exit_2(spec, tmp_path, capsys):
+    """Past the enumeration cap only the uniform, ν and table ensembles
+    can be sampled; any other is a usage error, not a crash."""
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        ["control-seq", "--machine", str(DATA / "loop_on_one.json"), "--ensemble", str(path),
+         "--poly", "n", "--n-max", "20", "--sample", "5", "--seed", "1"], capsys)
+    assert (code, out, err) == (2, "", f"gclab: no sampler for ensemble kind {spec['kind']!r}\n")
+
+
 def test_control_seq_accepts_one_sample(capsys):
     """--sample 1 is the smallest count accepted: every sphere gets one
     sampled draw, so each value is 0 or 1 over a denominator of 1."""
@@ -492,6 +508,18 @@ def test_density_past_a_tables_horizon_exit_2(subset, tmp_path, capsys):
     subset_file.write_text(json.dumps(subset))
     code, out, err = run_cli(["density", "--ensemble", str(table), "--subset", str(subset_file),
                               "--n-max", "2"], capsys)
+    assert (code, out, err) == (2, "", "gclab: table ensemble is only defined up to n=1\n")
+
+
+@pytest.mark.parametrize("machine", ["halt1", "loop"])
+def test_control_seq_past_a_tables_horizon_exit_2(machine, tmp_path, capsys):
+    """Nor has it an exact control sequence past sphere 1, whether the
+    machine overruns (``loop``) or never does (``halt1``, whose overrun
+    mass would read 0)."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({**_HALVES, "n_max": 1}))
+    code, out, err = run_cli(["control-seq", "--machine", str(DATA / f"{machine}.json"),
+                              "--ensemble", str(table), "--poly", "n+1", "--n-max", "5"], capsys)
     assert (code, out, err) == (2, "", "gclab: table ensemble is only defined up to n=1\n")
 
 
@@ -657,6 +685,24 @@ def test_words_a_machine_cannot_read_name_the_file(argv, spec, tmp_path, capsys)
     assert err.startswith(f"gclab: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,spec,message", [
+    (["density", "--ensemble", "INPUT", "--subset", CG], {"kind": "gaussian"},
+     "unknown ensemble kind 'gaussian'"),
+    (["density", "--ensemble", UNIFORM, "--subset", "INPUT"], {"name": "primes"},
+     "unknown subset 'primes'"),
+    (["verify", "cs", "INPUT"], {"reduction": {"kind": "rot13"}, "mu": _BINARY_MEASURE,
+                                 "nu": _BINARY_MEASURE}, "unknown reduction kind 'rot13'"),
+], ids=["ensemble", "subset", "reduction"])
+def test_unknown_kind_names_the_file(argv, spec, message, tmp_path, capsys):
+    """An ensemble kind, subset name or reduction kind that gclab does not
+    know is a usage error that names the file it was read from."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli([str(path) if a == "INPUT" else a for a in argv]
+                             + ["--n-max", "2"], capsys)
+    assert (code, out, err) == (2, "", f"gclab: {path}: {message}\n")
+
+
 def test_fixture_missing_a_field_names_file_and_field(tmp_path, capsys):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps({"base": {"kind": "dbh_nu"}, "candidate": {"kind": "dbh_nu"}}))
@@ -670,6 +716,19 @@ def test_verify_nu_sums(capsys):
     code, out, _ = run_cli(["verify", "nu-sums", "--n-max", "16"], capsys)
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+def test_verify_nu_sums_names_a_sphere_that_is_off(capsys, monkeypatch):
+    """A ν whose sphere 3 summed to 7/8 fails the check, exit 1, on that
+    sphere alone."""
+    real = gclab.bhp.NU.sphere_sum
+    monkeypatch.setattr(gclab.bhp.NU, "sphere_sum",
+                        lambda n: real(n) - Fraction(1, 2**n) if n == 3 else real(n))
+    code, out, _ = run_cli(["verify", "nu-sums", "--n-max", "5"], capsys)
+    payload = json.loads(out)
+    assert (code, payload["passed"]) == (1, False)
+    assert [(v["witness"], v["expected"], v["actual"]) for v in payload["violations"]] == [
+        ("sphere 3", "1", "7/8")]
 
 
 def test_verify_cs_good_fixture(capsys, monkeypatch):
@@ -1005,6 +1064,19 @@ def test_reduce_to_binary_bundle(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"gclab: {bundle}: ") and err.count("\n") == 1
+
+
+def test_reduce_to_binary_over_two_other_letters(tmp_path, capsys):
+    """A bundle over {a, b} is rebuilt over 01 letter for letter."""
+    bundle = tmp_path / "ab_bundle.json"
+    bundle.write_text(json.dumps({"problem": {
+        "measure": {"kind": "uniform", "alphabet": "ab"}, "members": {"regex": "a*"}}}))
+    code, out, err = run_cli(["reduce", "to-binary", str(bundle), "--n-max", "2"], capsys)
+    payload = json.loads(out)
+    assert (code, err, payload["passed"]) == (0, "", True)
+    assert payload["details"]["size_growth"] == {"0": 0, "1": 1, "2": 2}
+    assert payload["details"]["sample_map"] == {
+        "": "", "a": "0", "b": "1", "aa": "00", "ab": "01", "ba": "10", "bb": "11"}
 
 
 def test_reduce_universal_reports_known_witnesses(capsys):

@@ -320,10 +320,18 @@ def test_cg_sphere_mass_matches_per_word_oracle(uniform, nu, geometric_table):
     assert raised  # the table stops at 10, and n+1 reaches 11 and 12
 
 
-def test_sphere_masses_past_the_horizon_raise_on_every_sphere(geometric_table):
+def _even_ones(x, budget):
+    """A virtual machine's evaluator: halts in |x| steps on the words
+    with an even count of ones, runs forever on the rest."""
+    return len(x) if x.text().count("1") % 2 == 0 else None
+
+
+def test_sphere_masses_past_the_horizon_raise_on_every_sphere(geometric_table, halt1, loop):
     """Past the table's n_max of 10, every sphere raises the table's own
     HorizonError, whether its subset mass is enumerated or closed-form
-    and whether or not the subset meets the sphere."""
+    and whether or not the subset meets the sphere; so does the overrun
+    mass of a table machine that overruns (``loop``) or never does
+    (``halt1``), and of a virtual machine."""
     with pytest.raises(HorizonError) as want:
         geometric_table.mass(BINARY.word("0" * 11))
     message = f"^{re.escape(str(want.value))}$"
@@ -335,6 +343,9 @@ def test_sphere_masses_past_the_horizon_raise_on_every_sphere(geometric_table):
         for g in CG_GUARDS:
             with pytest.raises(HorizonError, match=message):
                 cg_sphere_mass(g, geometric_table)(n)
+        for machine in (halt1, loop, gclab.machine.VirtualMachine("even-ones", _even_ones)):
+            with pytest.raises(HorizonError, match=message):
+                overrun_mass(machine, geometric_table, n, n + 1)
     assert subset_mass(geometric_table, 10, lambda x: False) == 0
 
 
@@ -363,6 +374,20 @@ def test_overrun_mass_matches_per_word_oracle(nu, geometric_table):
             for bound in (n // 2, n + 2, gclab.machine._CERTIFY_OVER + 1 + n):
                 assert overrun_mass(machine, mu, n, bound) == \
                     oracles.overrun_mass(machine, mu, n, bound), (trial, n, bound)
+
+
+def test_overrun_mass_of_a_virtual_machine_is_its_per_word_sum(nu, geometric_table):
+    """A virtual machine is asked word by word: its overrun mass is the
+    mass of the sphere's words its evaluator gives no steps within the
+    bound, on every sphere up to 10, under uniform, ν and a table."""
+    machine = gclab.machine.VirtualMachine("even-ones", _even_ones)
+    for mu in (UniformEnsemble(BINARY), nu, geometric_table):
+        for n in range(11):
+            for bound in (n - 1, n):
+                want = sum((mu.mass(x) for x in BINARY.sphere(n)
+                            if _even_ones(x, bound) is None or _even_ones(x, bound) > bound),
+                           Fraction(0))
+                assert overrun_mass(machine, mu, n, bound) == want, (mu.kind, n, bound)
 
 
 def _alphabet_of(size: int) -> Alphabet:
@@ -429,10 +454,7 @@ def test_sampled_sequence_matches_one_search_per_draw(nu, loop_on_one):
                                                 mu.alphabet.symbols, "_", rng.randrange(1, 4),
                                                 answers=trial // 9 % 2 == 1), mu))
 
-    def even_ones(x, budget):
-        return len(x) if x.text().count("1") % 2 == 0 else None
-
-    machines.append((gclab.machine.VirtualMachine("even-ones", even_ones), binary))
+    machines.append((gclab.machine.VirtualMachine("even-ones", _even_ones), binary))
     polys = (Polynomial((0, 1)), Polynomial((2, 0, 1)), Polynomial((3,)))
     for i, (machine, mu) in enumerate(machines):
         p, seed = polys[i % 3], 100 + i

@@ -26,18 +26,16 @@ tuple for ``decode_answer``, before the convention became one test on
 the packed tape.  The two bouncer pins were recorded while every
 deterministic run walked its whole budget unless it revisited a
 configuration, before translated cycles ended a run early.  The two
-sweeper pins were recorded while a walk took one step per cell, before
-a run of written cells was crossed in one packed step; both hash a
-budget verdict with no steps.  The `tm run` pins of both fixtures now
-end on the endless certificate (``TuringMachine._endless``: no state
-reachable from the initial one is final or lacks a move) without a
-step, and their `tm halts` pins break at once on the live part, so
-the walks they were recorded with are checked in test_machine on the
-fixtures' ``*_live.json`` variants.  So the two-way scanner pin is the
-one that pins the step count and final tape of a swept run: its 2,402
-steps take a handful of ``step`` calls, which
-``test_machine::test_a_sweeper_crosses_its_cells_in_packed_steps``
-checks, so the pin cannot silently stop covering sweeps.  The brancher
+sweeper pins were recorded while a walk took one step per cell, as it
+does again; both hash a budget verdict with no steps.  The `tm run`
+pins of both fixtures now end on the endless certificate
+(``TuringMachine._endless``: no state reachable from the initial one is
+final or lacks a move) without a step, and their `tm halts` pins break
+at once on the live part, so the walks they were recorded with are
+checked in test_machine on the fixtures' ``*_live.json`` variants.  The
+two-way scanner pin is the one that pins the step count and final tape
+of a long run: ``test_machine::test_a_sweeper_walks_every_step`` checks
+that its 2,402 steps take 2,402 ``step`` calls.  The brancher
 pin was recorded while a branching machine's search was a breadth-first
 search of all its moves, before moves into states with no path to the
 final state were dropped from every search.  The failing rank-to-binary

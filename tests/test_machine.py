@@ -134,28 +134,26 @@ def test_a_translated_cycle_stops_early(monkeypatch):
     assert len(calls) == budget
 
 
-def test_a_sweeper_crosses_its_cells_in_packed_steps(monkeypatch):
+def test_a_sweeper_walks_every_step(monkeypatch):
     """The sweeper fixture, the benchmark's sweeper family drawn from
     ``random.Random(4)``, grows its tape at both ends, so no cycle
     certificate ends a walk of it.  No state of the fixture can reach
     its final state, so its run ends on the endless certificate, and
-    the walks run on its live variant.  Over a budget of
-    ``_CERTIFY_OVER`` each sweep crosses the written cells in one
-    packed step: the live variant's run and search at budget 10**6 call
-    ``step`` a few thousand times, not 10**6.  At ``_CERTIFY_OVER`` the
-    fixture's walk takes every step.  The halting scanner's golden run
-    on (01101)^240 sweeps too: 2,402 steps in a handful of ``step``
-    calls."""
+    the walks run on its live variant: its run and its search at budget
+    10**5 each call ``step`` once per step, 10**5 times.  At
+    ``_CERTIFY_OVER`` the fixture's walk takes every step too.  So does
+    the halting scanner's golden run on (01101)^240: 2,402 steps in
+    2,402 ``step`` calls."""
     sweeper, live = _fixture("sweeper"), _fixture("sweeper_live")
     assert sweeper.to_canonical_dict() == oracles.sweeper(random.Random(4)).to_canonical_dict()
     assert live._live is live and not live._endless
-    calls = _count_steps(monkeypatch, cap=5000)
-    assert not halts_within(live, live.tape_alphabet.word("01"), 10**6)
-    assert 1 < len(calls) <= 5000
+    calls = _count_steps(monkeypatch)
+    assert not halts_within(live, live.tape_alphabet.word("01"), 10**5)
+    assert len(calls) == 10**5
     calls.clear()
-    assert run_deterministic(live, live.tape_alphabet.word("01"), 10**6) == (
-        RunResult("budget", budget=10**6))
-    assert 0 < len(calls) <= 5000
+    assert run_deterministic(live, live.tape_alphabet.word("01"), 10**5) == (
+        RunResult("budget", budget=10**5))
+    assert len(calls) == 10**5
     calls.clear()
     budget = gclab.machine._CERTIFY_OVER
     assert run_deterministic(sweeper, BINARY.word("01"), budget).kind == "budget"
@@ -163,7 +161,7 @@ def test_a_sweeper_crosses_its_cells_in_packed_steps(monkeypatch):
     calls.clear()
     scanned = run_deterministic(_fixture("scanner"), BINARY.word("01101" * 240), 5000)
     assert (scanned.kind, scanned.steps) == ("halted", 2402)
-    assert len(calls) <= 4
+    assert len(calls) == 2402
 
 
 @pytest.mark.parametrize("name, x", [
@@ -381,7 +379,7 @@ def _with_sweeps(rng: random.Random, machine: TuringMachine, pair: bool) -> Turi
     return TuringMachine(**fields)
 
 
-def test_sweeps_match_tuple_oracle(monkeypatch):
+def test_sweeping_machines_match_tuple_oracle(monkeypatch):
     """On 200 seeded random machines without branching choices, some of
     whose states sweep, on both tape modes, with 2-7 tape symbols (cells
     2 and 3 bits wide), at budgets from 129 to 3,000 and on inputs of up
@@ -389,17 +387,15 @@ def test_sweeps_match_tuple_oracle(monkeypatch):
     search and the deciding search agree with the tuple oracle, which
     walks every step.  A walk that collects ``seen`` reaches only
     configurations of the oracle's walk of as many steps, and reads as
-    many cells; it never steps past its budget.  Sweeps must cross a run
-    of cells in many walks on each tape mode: the walk counts more steps
-    than it calls ``step``.  They do so only on 2-bit cells; the 3-bit
-    machines take single steps and must agree too."""
+    many cells; it never steps past its budget.  Each walk calls
+    ``step`` once per step, plus once when it breaks, on cells of either
+    width."""
     rng = random.Random(1990)
     calls = _count_steps(monkeypatch)
-    swept, widths = {"two-way": 0, "one-end": 0}, set()
     for trial in range(200):
         kind = ("deterministic", "partial")[trial % 2]
         tape_mode = ("two-way", "one-end")[trial // 2 % 2]
-        size = (2, 3, 2, 3, 2, 3, 4, 5, 6, 7)[trial // 4 % 10]  # 2-bit cells sweep
+        size = (2, 3, 2, 3, 2, 3, 4, 5, 6, 7)[trial // 4 % 10]
         machine = _with_sweeps(rng, _random_machine(rng, kind, tape_mode, size), pair=trial % 3 == 2)
         budget = rng.randrange(gclab.machine._CERTIFY_OVER + 1, 3001)
         x = machine.tape_alphabet.word(
@@ -413,16 +409,13 @@ def test_sweeps_match_tuple_oracle(monkeypatch):
             oracles.min_deciding_steps(machine, x, budget) if halted else None), (trial, x)
         seen = set()
         calls.clear()
-        steps = _walk(machine, initial_configuration(machine, x), budget, seen)[1]
+        end, steps, _ = _walk(machine, initial_configuration(machine, x), budget, seen)
         assert steps <= budget, (trial, x)
-        if steps > len(calls):
-            swept[tape_mode] += 1
-            widths.add(machine._codec.width)
+        assert len(calls) == steps + (end == "broke"), (trial, x)
         reached = _oracle_walk(machine, x, steps)
         assert seen <= reached, (trial, x)
         assert cells_read(machine, seen, len(x)) == cells_read(machine, reached, len(x)), \
             (trial, x)
-    assert min(swept.values()) >= 20 and widths == {2}, (swept, widths)
 
 
 def test_the_live_part_drops_the_moves_into_dead_states(halt1, contains01_ntm):

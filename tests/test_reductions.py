@@ -95,6 +95,31 @@ def test_to_binary_rank_preservation():
                 assert rank_in_sphere(f.apply(x)) == rank_in_sphere(x)
 
 
+@pytest.mark.parametrize("symbols", [("a", "b"), ("1", "0")])
+def test_to_binary_rebuilds_every_other_two_letter_problem(symbols):
+    """A problem over two letters other than ``BINARY`` is rebuilt over
+    ``BINARY`` letter for letter: growth k, ranks kept, image membership
+    tracking the source, and a verified change of size."""
+    sigma = Alphabet(symbols)
+    problem = DistributionalProblem(
+        "first", lambda x: x.letters[:1] == symbols[:1], UniformEnsemble(sigma))
+    f, image = to_binary(problem)
+    assert f.target is BINARY and image.measure.alphabet is BINARY
+    assert f.rank_preserving and [f.size_growth(k) for k in range(7)] == list(range(7))
+    for n in range(7):
+        for x in sigma.sphere(n):
+            assert rank_in_sphere(f.apply(x)) == rank_in_sphere(x)
+            assert image.positive(f.apply(x)) == problem.positive(x)
+    assert f.apply(sigma.word(symbols[::-1])).text() == "10"
+    assert verify_cs(f, problem.measure, image.measure, 6).passed
+
+
+def test_to_binary_passes_a_binary_problem_through():
+    problem = DistributionalProblem("all", lambda x: True, UniformEnsemble(BINARY))
+    f, image = to_binary(problem)
+    assert image is problem and f.name == "identity"
+
+
 def test_rank_map_matches_unrank():
     """The rank-to-binary map writes rank - 1 in growth(k) bits: the word
     that the per-digit ``unrank`` builds, on every word up to k = 6."""

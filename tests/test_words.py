@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from gclab.genericity import Polynomial
 from gclab.words import (
     Alphabet,
     AlphabetMismatchError,
@@ -15,6 +16,18 @@ from gclab.words import (
 
 ABC = Alphabet(("a", "b", "c"))
 GREEK = Alphabet(("α", "β", "γ"))
+
+
+def test_frozen_fields_cannot_be_assigned_or_deleted():
+    """An ``Alphabet`` and a ``Polynomial`` refuse to assign or delete a
+    field, declared or not, and keep their values."""
+    poly = Polynomial((1, 2))
+    for record, name in ((ABC, "symbols"), (poly, "coeffs"), (ABC, "other")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
+            delattr(record, name)
+    assert ABC.symbols == ("a", "b", "c") and poly.coeffs == (1, 2)
 
 
 def test_alphabet_rejects_duplicates():
