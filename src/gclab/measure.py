@@ -26,10 +26,11 @@ but the uniform one, enumerate their spheres, up to ``ENUMERATION_CAP``.
 Enumerated sums still call ``mass`` on every word, but add the terms by
 ``exact_sum``: numerators as integers, one total per denominator, and a
 run of equal terms once.  The uniform and bounded-halting masses are
-shared values, one ``Fraction`` per sphere or class, so a sum over a
-sphere builds almost none; their ``mass``, and a transferred ensemble's,
-make no helper call per word.  Pointwise checks hand ``check_lower_bounds``
-undivided masses; it decides a run of equal points once, by ``bound_ratio``.
+shared values, one ``Fraction`` per sphere or class read off sparse
+per-length tables, so a sum over a sphere builds almost none; their
+``mass``, and a transferred ensemble's, make no helper call per word.
+Pointwise checks hand ``check_lower_bounds`` undivided masses; it
+decides a run of equal points once, by ``bound_ratio``.
 Equal values share a comparison; one shared object only makes it free.
 
 The transfer of mu along f assigns to a target word y the total mu-mass
@@ -113,8 +114,16 @@ def per_run(fn: Callable) -> Callable:
 @cache
 def _uniform_mass(size: int, n: int) -> Fraction:
     """size^-n, the mass of each word of sphere n under the uniform
-    measure of a size-letter alphabet; one shared value per sphere."""
+    measure of a size-letter alphabet; one shared value per sphere.  The
+    one constructor of a uniform mass: it fills the sparse per-length
+    tables that ``UniformEnsemble.mass`` reads, so every path hands out
+    the same object for (size, n)."""
     return Fraction(1, size**n)
+
+
+# size -> {n: _uniform_mass(size, n)} for the spheres weighed, one row
+# per alphabet size, shared by the uniform ensembles of that size
+_UNIFORM_MASSES: dict[int, dict[int, Fraction]] = {}
 
 
 def size_inverse(fn: Callable[[int], int], m: int) -> Optional[int]:
@@ -297,12 +306,22 @@ class UniformEnsemble(SphericalEnsemble):
     kind = "uniform"
     _READ_CHUNK = 1 << 16  # the most outputs ``samples`` reads at once
 
+    def __init__(self, alphabet: Alphabet):
+        super().__init__(alphabet)
+        self._masses = _UNIFORM_MASSES.setdefault(self._size, {})
+
     def mass(self, x: Word) -> Fraction:
-        # no helper call per word: the check inlined, the length off the held form
+        # no helper call per word: the check inlined, the length off the
+        # held form, the mass read off the shared per-length table
         if x.alphabet is not self.alphabet:
             raise AlphabetMismatchError("word is over a different alphabet")
         held = x._letters
-        return _uniform_mass(self._size, len(x._text if held is None else held))
+        n = len(x._text if held is None else held)
+        try:
+            return self._masses[n]
+        except KeyError:  # a sphere not weighed before
+            q = self._masses[n] = _uniform_mass(self._size, n)
+            return q
 
     def sphere_sum(self, n: int) -> Fraction:
         return ONE
@@ -411,10 +430,13 @@ class TableEnsemble(SphericalEnsemble):
         return self.mu_star_inverse(n, rng.getrandbits(64) + 1, 1 << 64)  # t in (0, 1]
 
 
-# 1/(n * 2^|w|), ν's mass on the class (n, |w|), built once per class.
+# n -> {|w|: 1/(n * 2^|w|)}, ν's mass on the class (n, |w|), built once
+# per class.  Sparse: a length gets a row when one of its words is first
+# weighed, and the row holds only the classes weighed, so a code
+# thousands of letters long adds one entry, not a row of n.
 # Module-level, so ``DBHNuEnsemble.mass`` also works when another
 # ensemble class borrows it.
-_NU_CLASS_MASSES: dict[tuple[int, int], Fraction] = {}
+_NU_CLASS_MASSES: dict[int, dict[int, Fraction]] = {}
 
 
 class DBHNuEnsemble(SphericalEnsemble):
@@ -436,7 +458,8 @@ class DBHNuEnsemble(SphericalEnsemble):
     ``mass`` reads the length and the class (the first zero) straight
     off whichever form the word holds, with no helper call, so sphere
     words stay letter tuples and bounded-halting images stay text.  It
-    returns one shared Fraction per class, so ``exact_sum`` adds each
+    returns one shared Fraction per class, read off the sparse
+    per-length table ``_NU_CLASS_MASSES``, so ``exact_sum`` adds each
     run of a class's words once.
     """
 
@@ -460,10 +483,11 @@ class DBHNuEnsemble(SphericalEnsemble):
             k = n - 1 - held.index("0")  # |w|
         except ValueError:  # 1^n
             return ZERO
-        q = _NU_CLASS_MASSES.get((n, k))
-        if q is None:
-            q = _NU_CLASS_MASSES[n, k] = Fraction(1, n << k)
-        return q
+        try:
+            return _NU_CLASS_MASSES[n][k]
+        except KeyError:  # a class not weighed before
+            q = _NU_CLASS_MASSES.setdefault(n, {})[k] = Fraction(1, n << k)
+            return q
 
     @staticmethod
     def classes(n: int) -> Iterator[tuple[str, int]]:

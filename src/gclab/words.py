@@ -17,8 +17,8 @@ its letters.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator
 
 
@@ -140,16 +140,17 @@ class Alphabet(Frozen):
         return Word(self, ())
 
     def sphere(self, n: int) -> Iterator["Word"]:
-        """All words of length n in lexicographic order."""
+        """An iterator over the words of length n in lexicographic order:
+        one C-level map of ``Word`` over the letter tuples, with no
+        generator frame per word.  A negative radius is refused at the
+        call, before any iteration."""
         if n < 0:
             raise SphereRangeError("sphere radius must be nonnegative")
-        for combo in itertools.product(self.symbols, repeat=n):
-            yield Word(self, combo)
+        return map(Word, repeat(self), product(self.symbols, repeat=n))
 
     def ball(self, n_max: int) -> Iterator["Word"]:
         """All words of length at most n_max, sphere by sphere."""
-        for n in range(n_max + 1):
-            yield from self.sphere(n)
+        return chain.from_iterable(map(self.sphere, range(n_max + 1)))
 
     def sphere_size(self, n: int) -> int:
         return self.size**n
@@ -216,12 +217,11 @@ class Word:
     def text(self) -> str:
         """Serialize the word: concatenation for single-character symbols,
         comma-joined otherwise."""
-        try:
-            return self._text
-        except AttributeError:  # built from letters
+        text = getattr(self, "_text", None)  # None, and nothing raised, if built from letters
+        if text is None:
             text = self.alphabet._separator.join(self._letters)
             _set_text(self, text)
-            return text
+        return text
 
     def __str__(self) -> str:
         return self.text()

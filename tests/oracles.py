@@ -77,6 +77,10 @@ computes another way, kept here so that tests can cross-check the two:
   ``exceeds_bound`` call per draw, as sampling was before a sphere's
   draws were read in one batch and a table machine's draws shared the
   verdict of their read prefix;
+- ``lex_sphere``: a sphere's letter tuples built one letter at a time,
+  each word's extensions in symbol order after it, as the plain
+  reference for the lex order ``Alphabet.sphere`` reads off
+  ``itertools.product``;
 - ``build_parser`` (with its ``nonnegative_int`` type): the ``argparse``
   command line that ``cli.parse_args`` and its table ``cli.COMMANDS``
   replaced; every valid argv must give both the same namespace.
@@ -359,6 +363,13 @@ def nu_mass_text(x: Word) -> Fraction:
         return ZERO
     w_len = len(text) - zero_at - 1
     return Fraction(1, len(text) * 2**w_len)
+
+
+def lex_sphere(alphabet: Alphabet, n: int) -> list[tuple[str, ...]]:
+    """The letter tuples of sphere n in lex order, built by recursion."""
+    if n == 0:
+        return [()]
+    return [(*w, s) for w in lex_sphere(alphabet, n - 1) for s in alphabet.symbols]
 
 
 def fraction_sum(masses) -> Fraction:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gclab.bhp
+import gclab.measure
 from gclab import (
     BINARY,
     Polynomial,
@@ -141,6 +142,25 @@ def test_nu_mass_matches_text_oracle():
     for y in images:
         assert NU.mass(y) == nu_mass_text(y) > 0, y.text()
         assert y._letters is None
+
+
+def test_weighing_a_long_code_adds_one_class_mass(monkeypatch):
+    """ν's class masses are sparse: weighing one universal-stage image,
+    thousands of letters long, into an empty table adds the one class
+    weighed, not a row of a slot per class of its length.  A uniform
+    ensemble weighing a word of that length adds one entry too."""
+    data = Path(__file__).parent / "data"
+    bundle = json.loads((data / "universal_bundle.json").read_text())
+    machine = load_machine(json.loads((data / bundle["machine"]).read_text()))
+    y = red2bhu(machine, parse_polynomial(bundle["guard"])).reduction.apply(BINARY.word("0110"))
+    n, k = len(y), len(y) - 1 - y.text().index("0")
+    assert n > 1000
+    monkeypatch.setattr(gclab.measure, "_NU_CLASS_MASSES", {})
+    assert NU.mass(y) == Fraction(1, n << k)
+    assert gclab.measure._NU_CLASS_MASSES == {n: {k: NU.mass(y)}}
+    monkeypatch.setattr(gclab.measure, "_UNIFORM_MASSES", {})
+    assert UniformEnsemble(BINARY).mass(y) == Fraction(1, 2**n)
+    assert gclab.measure._UNIFORM_MASSES == {2: {n: Fraction(1, 2**n)}}
 
 
 def test_nu_sphere_sums_to_16():

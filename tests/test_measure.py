@@ -21,7 +21,7 @@ from gclab import (
     verify_induced,
     verify_transfer,
 )
-from gclab.bhp import subset_from_spec
+from gclab.bhp import NU, subset_from_spec
 from gclab.measure import (
     CheckReport,
     HorizonError,
@@ -30,6 +30,7 @@ from gclab.measure import (
     TransferredEnsemble,
     ZERO,
     _pushforward,
+    _uniform_mass,
     block_mass,
     check_lower_bounds,
     exact_sum,
@@ -79,6 +80,32 @@ def test_dbh_nu_masses(nu):
     assert nu.mass(BINARY.empty) == 1
     assert nu.sphere_sum(0) == 1
     assert nu.sphere_sum(3) == 1
+
+
+def test_class_masses_are_shared_values(nu):
+    """At every n <= 40, on a word of each ν class and a uniform word over
+    two and three letters, each built as letters and as text: ν's mass
+    is 1/(n 2^|w|), as the text oracle reads it, and the uniform mass is
+    size^-n.  Every call for one class returns one object: both forms,
+    two ν instances, two uniform instances and ``_uniform_mass``."""
+    rng = random.Random(49)
+    ternary = Alphabet(("a", "b", "c"))
+    for n in range(41):
+        for m in range(n + 1):  # the class 1^m 0 w, |w| = n - m - 1, or 1^n
+            tail = "0" + "".join(rng.choices("01", k=n - m - 1)) if m < n else ""
+            text = "1" * m + tail
+            forms = Word(BINARY, tuple(text)), Word.of_text(BINARY, text)
+            want = Fraction(1, n << (n - m - 1)) if m < n else ZERO if n else ONE
+            q = nu.mass(forms[0])
+            assert q == want == oracles.nu_mass_text(forms[0])
+            assert all(mu.mass(x) is q for mu in (nu, NU) for x in forms)
+        for alphabet in (BINARY, ternary):
+            text = "".join(rng.choices(alphabet.symbols, k=n))
+            forms = Word(alphabet, tuple(text)), Word.of_text(alphabet, text)
+            pair = UniformEnsemble(alphabet), UniformEnsemble(alphabet)
+            q = _uniform_mass(alphabet.size, n)
+            assert q == Fraction(1, alphabet.size**n)
+            assert all(mu.mass(x) is q for mu in pair for x in forms)
 
 
 def test_sphere_sums_equal_one_everywhere(uniform, nu, geometric_table, worked_table,

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +14,11 @@ from gclab.words import (
     Word,
     unrank,
 )
+from oracles import lex_sphere
 
 ABC = Alphabet(("a", "b", "c"))
 GREEK = Alphabet(("α", "β", "γ"))
+PAIR = Alphabet(("ab", "c"))
 
 
 def test_frozen_fields_cannot_be_assigned_or_deleted():
@@ -73,9 +76,10 @@ def test_unrank_range_errors():
 
 def test_a_negative_radius_is_refused_as_one():
     """A sphere of negative radius is refused for what it is, not for a
-    rank it cannot hold or a repeat count ``itertools`` refuses."""
+    rank it cannot hold or a repeat count ``itertools`` refuses, and at
+    the call, before its iterator is read."""
     with pytest.raises(SphereRangeError, match="radius must be nonnegative"):
-        list(BINARY.sphere(-1))
+        BINARY.sphere(-1)
     with pytest.raises(SphereRangeError, match="radius must be nonnegative"):
         unrank(BINARY, -1, 1)
 
@@ -175,3 +179,57 @@ def test_length_reads_the_held_form(case):
     from_text, from_letters = alphabet.word("".join(symbols)), alphabet.word(tuple(symbols))
     assert len(from_text) == len(from_letters) == len(symbols)
     assert from_text._letters is None
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet(("0",)), BINARY, ABC, PAIR],
+                         ids=lambda a: ",".join(a.symbols))
+def test_sphere_words_are_the_lex_words(alphabet):
+    """Up to n = 6 a sphere yields the recursive lex oracle's words, which
+    are also the ``unrank`` words in rank order, each equal to and hashing
+    like the same word built from its text."""
+    for n in range(7):
+        words = list(alphabet.sphere(n))
+        assert [w.letters for w in words] == lex_sphere(alphabet, n)
+        assert words == [unrank(alphabet, n, k) for k in range(1, len(words) + 1)]
+        for w in words:
+            text = alphabet._separator.join(w.letters)
+            built = (alphabet.word(text) if alphabet._separator
+                     else Word.of_text(alphabet, text))
+            assert w == built and hash(w) == hash(built)
+            assert w.alphabet is alphabet and type(w.letters) is tuple
+
+
+def _exception_events(fn) -> list[str]:
+    """The "exception" events ``sys.settrace`` reports in the frames of
+    ``Word.text`` while fn runs (the "call" event goes to the global
+    trace function, so a traced frame shows as its "return")."""
+    events: list[str] = []
+
+    def local(frame, event, arg):
+        events.append(event)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is Word.text.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    assert "return" in events
+    return [e for e in events if e == "exception"]
+
+
+@pytest.mark.parametrize("alphabet", [BINARY, ABC, GREEK, PAIR],
+                         ids=lambda a: ",".join(a.symbols))
+def test_a_letter_built_word_derives_its_text_once_without_raising(alphabet):
+    """``text()`` on a letter-built word returns the join of its letters
+    and keeps it, and raises nothing inside, on first use or after."""
+    letters = tuple(random.Random(len(alphabet.symbols)).choices(alphabet.symbols, k=9))
+    w = Word(alphabet, letters)
+    assert _exception_events(w.text) == []
+    assert w.text() == alphabet._separator.join(letters)
+    assert w.text() is w.text()
+    assert _exception_events(w.text) == []
