@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate, chain, groupby, islice, repeat, tee
 from operator import itemgetter, truediv
 from random import Random
@@ -111,19 +110,23 @@ def per_run(fn: Callable) -> Callable:
     return call
 
 
-@cache
+# size -> {n: size^-n} for the spheres weighed, one row per alphabet
+# size, filled only by ``_uniform_mass`` and read directly by the uniform
+# and transferred ensembles of that size
+_UNIFORM_MASSES: dict[int, dict[int, Fraction]] = {}
+
+
 def _uniform_mass(size: int, n: int) -> Fraction:
     """size^-n, the mass of each word of sphere n under the uniform
     measure of a size-letter alphabet; one shared value per sphere.  The
-    one constructor of a uniform mass: it fills the sparse per-length
-    tables that ``UniformEnsemble.mass`` reads, so every path hands out
-    the same object for (size, n)."""
-    return Fraction(1, size**n)
-
-
-# size -> {n: _uniform_mass(size, n)} for the spheres weighed, one row
-# per alphabet size, shared by the uniform ensembles of that size
-_UNIFORM_MASSES: dict[int, dict[int, Fraction]] = {}
+    one constructor of a uniform mass and the only filler of the sparse
+    table ``_UNIFORM_MASSES``, so every path hands out the same object
+    for (size, n)."""
+    row = _UNIFORM_MASSES.setdefault(size, {})
+    q = row.get(n)
+    if q is None:
+        q = row[n] = Fraction(1, size**n)
+    return q
 
 
 def size_inverse(fn: Callable[[int], int], m: int) -> Optional[int]:
@@ -320,8 +323,7 @@ class UniformEnsemble(SphericalEnsemble):
         try:
             return self._masses[n]
         except KeyError:  # a sphere not weighed before
-            q = self._masses[n] = _uniform_mass(self._size, n)
-            return q
+            return _uniform_mass(self._size, n)
 
     def sphere_sum(self, n: int) -> Fraction:
         return ONE
@@ -581,6 +583,7 @@ class TransferredEnsemble(SphericalEnsemble):
         if base.horizon is not None:
             self.horizon = reduction.size_growth(base.horizon)
         self._images: dict[int, Optional[dict[tuple, Fraction]]] = {}
+        self._uniform = _UNIFORM_MASSES.setdefault(self._size, {})
 
     def _image_masses(self, m: int) -> Optional[dict[tuple, Fraction]]:
         """Base mass of each image of length m, keyed by its letters, or
@@ -612,8 +615,11 @@ class TransferredEnsemble(SphericalEnsemble):
             images = self._images[m]
         except KeyError:
             images = self._image_masses(m)
-        if images is None:
-            return _uniform_mass(self._size, m)
+        if images is None:  # the uniform filler, off the shared row
+            try:
+                return self._uniform[m]
+            except KeyError:  # a sphere not weighed before
+                return _uniform_mass(self._size, m)
         return images.get(y.letters if letters is None else letters, ZERO)
 
     def spec(self) -> dict:

@@ -157,10 +157,10 @@ def test_weighing_a_long_code_adds_one_class_mass(monkeypatch):
     assert n > 1000
     monkeypatch.setattr(gclab.measure, "_NU_CLASS_MASSES", {})
     assert NU.mass(y) == Fraction(1, n << k)
-    assert gclab.measure._NU_CLASS_MASSES == {n: {k: NU.mass(y)}}
+    assert sum(map(len, gclab.measure._NU_CLASS_MASSES.values())) == 1
     monkeypatch.setattr(gclab.measure, "_UNIFORM_MASSES", {})
     assert UniformEnsemble(BINARY).mass(y) == Fraction(1, 2**n)
-    assert gclab.measure._UNIFORM_MASSES == {2: {n: Fraction(1, 2**n)}}
+    assert sum(map(len, gclab.measure._UNIFORM_MASSES.values())) == 1
 
 
 def test_nu_sphere_sums_to_16():
