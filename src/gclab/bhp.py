@@ -233,16 +233,17 @@ def cg_sphere_mass(g: GuardLike, mu: SphericalEnsemble) -> Callable[[int], Fract
     return mass
 
 
+def _cg(guard: LongevityGuard, base: Optional[SphericalEnsemble]) -> tuple:
+    """C(g) as an induced ensemble's (subset, label, closed): its sphere
+    mass is closed-form under a ``base`` over the alphabet "01"."""
+    closed = cg_sphere_mass(guard, base) if base is not None and base.alphabet is BINARY else None
+    return c_of_g(guard), f"C({guard.form})", closed
+
+
 def nu_g(g: GuardLike) -> InducedEnsemble:
     """The input ensemble conditioned on C(g), with the closed-form
     denominator registered."""
-    guard = as_guard(g)
-    return InducedEnsemble(
-        NU,
-        c_of_g(guard),
-        label=f"C({guard.form})",
-        closed=cg_sphere_mass(guard, NU),
-    )
+    return InducedEnsemble(NU, *_cg(as_guard(g), NU))
 
 
 # --- interleaved numerals and the image codec -------------------------------
@@ -873,9 +874,7 @@ def subset_from_spec(spec: dict, base: Optional[SphericalEnsemble] = None):
     """
     name = spec["name"]
     if name == "cg":
-        guard = as_guard(parse_polynomial(spec["g"]), form=str(spec["g"]))
-        closed = cg_sphere_mass(guard, base) if base is not None and base.alphabet is BINARY else None
-        return c_of_g(guard), f"C({guard.form})", closed
+        return _cg(as_guard(parse_polynomial(spec["g"]), form=str(spec["g"])), base)
     if name == "image41":
         return example41_image_member, "image{00,1}*", None
     if name == "all":

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
-from .machine import Machine, TuringMachine, VirtualMachine, cells_read, min_deciding_steps
+from .machine import Machine, VirtualMachine, cells_read, min_deciding_steps
 from .measure import SphericalEnsemble, block_mass, exact_sum, subset_mass
 from .words import Frozen, Word
 
@@ -147,20 +147,18 @@ def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) ->
     """mu_n{x : ``exceeds_bound(machine, x, bound)``}, exactly, up to
     ``ENUMERATION_CAP``: the one overrun-mass sum.
 
-    A table machine's search reads a prefix x[:r] of its input (see
-    ``cells_read``), so every word of sphere n that starts with it gets
-    the same search and verdict, and those words form one lex block.
+    A machine's search reads a prefix x[:r] of its input (see
+    ``_read_verdict``), so every word of sphere n that starts with it
+    gets the same search and verdict, and those words form one lex block.
     The sphere is walked in lex order with one search per block: the
     next word searched is the first after the block, the lex successor
     of the read prefix padded with the first letter.  The walk always
     lands on the first word of a block: a word inside a block shares its
     prefix with the word before it, which would then have read the same
     cells and covered it.  Each overrunning block is weighed by
-    ``block_mass``.  Virtual machines are asked word by word through
-    ``subset_mass``.
+    ``block_mass``; a block of one word, such as each block of a
+    virtual machine, by its ``mass``.
     """
-    if isinstance(machine, VirtualMachine):
-        return subset_mass(mu, n, lambda x: exceeds_bound(machine, x, bound))
     mu._check_cap(n)
     alphabet = mu.alphabet
     symbols = alphabet.symbols
@@ -178,10 +176,13 @@ def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) ->
     return exact_sum(masses)
 
 
-def _read_verdict(machine: TuringMachine, x: Word, bound: int) -> tuple[bool, int]:
+def _read_verdict(machine: Machine, x: Word, bound: int) -> tuple[bool, int]:
     """``exceeds_bound(machine, x, bound)`` by one search, and the number r
-    of leading cells it read (``cells_read``): every word of x's sphere
-    that starts with x[:r] gets the same verdict."""
+    of leading cells it read: every word of x's sphere that starts with
+    x[:r] gets the same verdict.  A table machine's r is ``cells_read``;
+    a virtual machine's evaluator reads the whole word, so r = |x|."""
+    if isinstance(machine, VirtualMachine):
+        return exceeds_bound(machine, x, bound), len(x)
     seen: set = set()
     overruns = min_deciding_steps(machine, x, bound, seen=seen) is None
     return overruns, cells_read(machine, seen, len(x))
@@ -211,7 +212,7 @@ def control_sequence(
     ``overrun_mass``.  Otherwise ``samples`` inputs per sphere are drawn
     from mu as one batch by ``sample_sphere``, and the empirical overrun
     fraction is reported (an exact rational with denominator
-    ``samples``).  Either way a table machine is searched once per read prefix.
+    ``samples``).  Either way a machine is searched once per read prefix.
     """
     seq = DensitySequence()
     if samples is None:
@@ -224,15 +225,12 @@ def control_sequence(
         raise ValueError("sampling requires a seed")
     for n in range(n_max + 1):
         bound, hits, r, prefix = p(n), 0, 0, None
-        draws = sample_sphere(mu, n, samples, seed)
-        if isinstance(machine, VirtualMachine):  # asked per draw, as in ``overrun_mass``
-            hits = sum(exceeds_bound(machine, x, bound) for x in draws)
-        else:  # sorted, the draws that start with a search's read prefix follow it
-            for x in sorted(draws, key=attrgetter("letters")):
-                if x.letters[:r] != prefix:
-                    overruns, r = _read_verdict(machine, x, bound)
-                    prefix = x.letters[:r]
-                hits += overruns
+        # sorted, the draws that start with a search's read prefix follow it
+        for x in sorted(sample_sphere(mu, n, samples, seed), key=attrgetter("letters")):
+            if x.letters[:r] != prefix:
+                overruns, r = _read_verdict(machine, x, bound)
+                prefix = x.letters[:r]
+            hits += overruns
         seq.entries.append(SequenceEntry(n, Fraction(hits, samples), samples, seed))
     return seq
 

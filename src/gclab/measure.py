@@ -223,8 +223,8 @@ def check_lower_bounds(
 class SphericalEnsemble:
     """Base class: per-sphere probability masses with exact arithmetic.
 
-    Subclasses implement ``mass``, and ``sample`` or ``samples`` where
-    they have a sampler.  The defaults of ``sphere_sum``, ``mu_star`` and
+    Subclasses implement ``mass``, and ``samples`` where they have a
+    sampler.  The defaults of ``sphere_sum``, ``mu_star`` and
     ``mu_star_inverse`` enumerate the sphere and respect
     ``ENUMERATION_CAP``; subclasses with closed forms override them.
     ``sphere_sum`` calls ``mass`` on every word of the sphere and adds
@@ -291,13 +291,9 @@ class SphericalEnsemble:
         cum = self._sphere_table(n)
         return unrank(self.alphabet, n, bisect_left(cum, Fraction(p, q), 0, len(cum) - 1) + 1)
 
-    def sample(self, rng: Random, n: int) -> Word:
-        """One draw from sphere n, read off ``rng``."""
-        raise HorizonError(f"no sampler for ensemble kind {self.kind!r}")
-
     def samples(self, rng: Random, n: int, count: int) -> list[Word]:
         """``count`` draws from sphere n, read off ``rng`` one after another."""
-        return [self.sample(rng, n) for _ in range(count)]
+        raise HorizonError(f"no sampler for ensemble kind {self.kind!r}")
 
     def spec(self) -> dict:
         return {"kind": self.kind, "alphabet": "".join(self.alphabet.symbols)}
@@ -427,9 +423,9 @@ class TableEnsemble(SphericalEnsemble):
             "n_max": self.horizon,
         }
 
-    def sample(self, rng: Random, n: int) -> Word:
-        """The inverse of the cumulative masses at a 64-bit dyadic."""
-        return self.mu_star_inverse(n, rng.getrandbits(64) + 1, 1 << 64)  # t in (0, 1]
+    def samples(self, rng: Random, n: int, count: int) -> list[Word]:
+        """Each draw the inverse of the cumulative masses at a 64-bit dyadic in (0, 1]."""
+        return [self.mu_star_inverse(n, rng.getrandbits(64) + 1, 1 << 64) for _ in range(count)]
 
 
 # n -> {|w|: 1/(n * 2^|w|)}, ν's mass on the class (n, |w|), built once
@@ -521,13 +517,16 @@ class DBHNuEnsemble(SphericalEnsemble):
         j = -(-((p * n - m * q) << k) // q)  # ceil((t n - m) 2^k): w's 1-based rank
         return Word.of_text(BINARY, "1" * m + format(j - 1, f"0{k + 1}b"))
 
-    def sample(self, rng: Random, n: int) -> Word:
-        """The leading-ones count drawn uniformly, then a uniform suffix."""
+    def samples(self, rng: Random, n: int, count: int) -> list[Word]:
+        """Per draw, the leading-ones count drawn uniformly, then a uniform suffix."""
         if n == 0:
-            return self.alphabet.empty
-        m = rng.randrange(n)
-        w = "".join(map("01".__getitem__, _draws_below(rng, 2, n - m - 1)))
-        return Word.of_text(BINARY, "1" * m + "0" + w)
+            return [self.alphabet.empty] * count
+        draws = []
+        for _ in range(count):
+            m = rng.randrange(n)
+            w = "".join(map("01".__getitem__, _draws_below(rng, 2, n - m - 1)))
+            draws.append(Word.of_text(BINARY, "1" * m + "0" + w))
+        return draws
 
     def spec(self) -> dict:
         return {"kind": "dbh_nu"}
@@ -567,6 +566,7 @@ class TransferredEnsemble(SphericalEnsemble):
     target length is inverted once: its image masses are cached, or
     None when no source sphere reaches it.  The horizon is the image
     size of the base's horizon, past which ``mass`` raises ``HorizonError``.
+    A base over another alphabet than the map's source is refused.
     """
 
     kind = "transferred"
@@ -577,6 +577,9 @@ class TransferredEnsemble(SphericalEnsemble):
                 f"{reduction.name}: no size-growth declared; transfer needs a "
                 "size-invariant map"
             )
+        if base.alphabet is not reduction.source:
+            raise AlphabetMismatchError(
+                f"{reduction.name}: base ensemble over another alphabet than the map's source")
         super().__init__(reduction.target)
         self.reduction = reduction
         self.base = base

@@ -95,7 +95,7 @@ def example41_reduction() -> Reduction:
     """
 
     def apply(x: Word) -> Word:
-        return BINARY.word("".join("00" if s == "0" else "1" for s in x.letters))
+        return Word.of_text(BINARY, "".join("00" if s == "0" else "1" for s in x.letters))
 
     return Reduction(
         name="double-zero-homomorphism",
@@ -221,7 +221,7 @@ def binary_map(sigma: Alphabet) -> Reduction:
         return identity_reduction(sigma)
     if size == 1:
         return Reduction("unary-to-binary", sigma, BINARY,
-                         lambda x: BINARY.word("0" * len(x)), lambda n: n, True)
+                         lambda x: Word.of_text(BINARY, "0" * len(x)), lambda n: n, True)
 
     def growth(k: int) -> int:
         return _bits_needed(size**k) if k >= 1 else 0

@@ -9,10 +9,9 @@ constructions.
 
 A word keeps the form it was built from: the letter tuple, or, over an
 alphabet whose symbols are all one character, the text.  The other form
-is derived the first time it is asked for, and then kept, so a code
-built from text (the bounded-halting images, thousands of letters long)
-is checked once and never becomes a letter tuple unless someone reads
-its letters.
+is derived the first time it is asked for, and then kept, so a code the
+package writes as text (the bounded-halting images, thousands of letters
+long) never becomes a letter tuple unless someone reads its letters.
 """
 
 from __future__ import annotations
@@ -112,22 +111,11 @@ class Alphabet(Frozen):
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
 
-    @cached_property
-    def _not_symbols(self) -> dict[int, None]:
-        """A ``str.translate`` table deleting every symbol: what is left of
-        a text is its foreign characters."""
-        return str.maketrans("", "", "".join(self.symbols))
-
     def word(self, letters) -> "Word":
-        """Build a word from an iterable of symbols or a string: its
-        characters over single-character symbols, else its comma-separated
-        symbols, as ``Word.text`` writes them."""
-        if isinstance(letters, str) and not self._separator:
-            bad = letters.translate(self._not_symbols)
-            if bad:
-                raise AlphabetMismatchError(f"symbol {bad[0]!r} not in alphabet")
-            return Word.of_text(self, letters)
-        if isinstance(letters, str):
+        """Build a checked word from an iterable of symbols or a string read
+        as its letters: its characters over single-character symbols, else
+        its comma-separated symbols, as ``Word.text`` writes them."""
+        if isinstance(letters, str) and self._separator:
             letters = letters.split(",") if letters else ()
         ws = tuple(letters)
         if not self._index.keys() >= set(ws):
@@ -176,8 +164,8 @@ class Word:
 
     @classmethod
     def of_text(cls, alphabet: Alphabet, text: str) -> "Word":
-        """The word spelled by ``text`` over an alphabet of one-character
-        symbols, unchecked: ``Alphabet.word`` is the checked way in."""
+        """The word held as ``text`` over one-character symbols, unchecked,
+        for the codes the package writes: ``Alphabet.word`` checks input."""
         w = object.__new__(cls)
         _set_alphabet(w, alphabet)
         _set_letters(w, None)

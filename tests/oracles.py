@@ -73,7 +73,8 @@ computes another way, kept here so that tests can cross-check the two:
   and one verdict;
 - ``uniform_draw`` and ``nu_draw``: one draw from a sphere with one
   ``randrange`` per letter (ν: the leading-ones count, then one per
-  suffix bit), and ``sampled_control_sequence`` with one
+  suffix bit); ``table_draw``: one 64-bit dyadic per draw, inverted by
+  a walk over the sphere's masses in lex order; and ``sampled_control_sequence`` with one
   ``exceeds_bound`` call per draw, as sampling was before a sphere's
   draws were read in one batch and a table machine's draws shared the
   verdict of their read prefix;
@@ -659,6 +660,17 @@ def nu_draw(rng: random.Random, n: int) -> Word:
     m = rng.randrange(n)
     w = "".join(str(rng.randrange(2)) for _ in range(n - m - 1))
     return BINARY.word("1" * m + "0" + w)
+
+
+def table_draw(mu: SphericalEnsemble, rng: random.Random, n: int) -> Word:
+    """The first word of sphere n, in lex order, whose cumulative mass
+    reaches one 64-bit dyadic t in (0, 1]; the last word if none does."""
+    t, total, word = Fraction(rng.getrandbits(64) + 1, 1 << 64), Fraction(0), None
+    for word in mu.alphabet.sphere(n):
+        total += mu.mass(word)
+        if total >= t:
+            break
+    return word
 
 
 def sampled_control_sequence(machine: Machine, p, mu: SphericalEnsemble, n_max: int,

@@ -295,6 +295,34 @@ def test_stage_one_weighs_each_source_word_once(monkeypatch):
     assert len(weighed) == 126
 
 
+def test_stage_four_weighs_each_code_by_its_conditional_mass(monkeypatch):
+    """Stage 4 of the pipeline on the toy bundle at n <= 2 weighs each of
+    its three honest restricted codes z, its last points, by its mass
+    conditioned on the universal stage's own C(h), which carries ν-mass
+    1/|z| in z's sphere: |z| ν(z).  Conditioned on the stage-1 guard's
+    family instead, the first code weighs 0: that family meets its
+    sphere, but not the code."""
+    from gclab.cli import _problem_from_bundle
+
+    path = Path(__file__).parent / "data" / "toy_bundle.json"
+    bundle = json.loads(path.read_text())
+    problem, decider, decider_guard = _problem_from_bundle(bundle, str(path))
+    stage = red2bh(problem, decider, parse_polynomial(bundle["guard"]), decider_guard)
+    checked = {}
+    check = gclab.bhp.check_lower_bounds
+
+    def capture(report, points):
+        checked[report.check] = points = list(points)
+        return check(report, points)
+
+    monkeypatch.setattr(gclab.bhp, "check_lower_bounds", capture)
+    completeness_pipeline(problem, stage, n_max=2)
+    points = checked["relax-universal-restriction"]
+    assert len(points) > 3  # the final images, then the honest codes
+    for z, got, mass, _ in points[-3:]:
+        assert got == NU.mass(z) != 0 and mass == len(z) * got, z.text()
+
+
 def test_bh_member(halt1, loop, find_zero):
     assert bh_member(halt1, BINARY.word("110"))  # budget 3, halts in 1
     assert not bh_member(loop, BINARY.word("110"))

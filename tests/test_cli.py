@@ -984,6 +984,26 @@ def test_verify_transfer_stops_at_the_candidates_horizon(tmp_path, capsys):
             2, "", "gclab: transferred ensemble is only defined up to n=2\n")
 
 
+@pytest.mark.parametrize("subset", ["all", "image41"])
+def test_a_transfer_of_a_base_over_another_alphabet_exit_2(subset, tmp_path, capsys):
+    """A transferred ensemble whose base is not over its map's source
+    alphabet is refused when its file is read, naming the file, whether or
+    not a command weighs its words: ``density`` under a closed-form subset
+    and under one that needs masses, and ``verify transfer``."""
+    bad = {"kind": "transferred", "reduction": {"kind": "identity", "alphabet": "ab"},
+           "base": {"kind": "dbh_nu"}}
+    ensemble, subset_path, fixture = (tmp_path / name for name in ("e.json", "s.json", "f.json"))
+    ensemble.write_text(json.dumps(bad))
+    subset_path.write_text(json.dumps({"name": subset}))
+    fixture.write_text(json.dumps({"reduction": bad["reduction"], "candidate": bad,
+                                   "base": {"kind": "uniform", "alphabet": "ab"}}))
+    message = "identity: base ensemble over another alphabet than the map's source\n"
+    assert run_cli(["density", "--ensemble", str(ensemble), "--subset", str(subset_path),
+                    "--n-max", "3"], capsys) == (2, "", f"gclab: {ensemble}: {message}")
+    assert run_cli(["verify", "transfer", str(fixture), "--n-max", "3"], capsys) == (
+        2, "", f"gclab: {fixture}: {message}")
+
+
 def _doubled_pushforward(pushforward):
     def doubled(*args):
         return {key: 2 * q for key, q in pushforward(*args).items()}

@@ -432,6 +432,17 @@ def test_nu_batches_are_the_per_bit_draws(nu, n):
             assert sample_sphere(nu, n, count, seed) == want, (seed, count)
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, 10])
+def test_table_batches_are_the_per_dyadic_draws(geometric_table, n):
+    """A table's draws are one 64-bit dyadic each off the sphere's stream,
+    inverted through the table's cumulative masses."""
+    for seed in (0, 5, 4242):
+        for count in (1, 2, 7, 64):
+            rng = sphere_stream(seed, n)
+            want = [oracles.table_draw(geometric_table, rng, n) for _ in range(count)]
+            assert sample_sphere(geometric_table, n, count, seed) == want, (seed, count)
+
+
 def _fixture(name: str):
     return load_machine(json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text()))
 

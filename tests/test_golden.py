@@ -15,7 +15,10 @@ with Fraction-by-Fraction sphere sums, per-call masses and a size
 inverse per transferred word, before sums were taken per denominator.
 The sampled control sequence under ν was recorded with the samplers
 chosen by ensemble class in ``genericity.sample_sphere``, before each
-ensemble drew its own samples.  The three sampled pins up to n = 24 and
+ensemble drew its own samples.  The sampled sequence under a table was
+recorded while the base ensemble drew a batch through a per-draw
+``sample`` hook, before ``samples`` became an ensemble's one sampler
+hook.  The three sampled pins up to n = 24 and
 64 (a three-letter uniform draw rejects one output in four) were
 recorded while every draw was made one letter at a time and searched
 on its own, before a sphere's samples were one batch read off its
@@ -66,6 +69,7 @@ BOUNCER = "tests/data/bouncer.json"
 SWEEPER = "tests/data/sweeper.json"
 UNIFORM3 = "tests/data/uniform3_ensemble.json"
 BRANCHER = "tests/data/brancher.json"
+TABLE = "tests/data/table_ensemble.json"
 
 # Long tapes: every other `tm run` pin ends in "budget" or after one step,
 # so these are the ones that pin a long final configuration.
@@ -161,6 +165,10 @@ GOLDEN = {
     ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", NU,
      "--poly", "n", "--n-max", "6", "--sample", "50", "--seed", "3"): (0,
         "95bc1fb10ab404c18d72520369599d689951244cba80928d73550b3bfdb0fb0f"),
+    # a table's sampler stream: one 64-bit dyadic a draw, up to its n_max of 3
+    ("control-seq", "--machine", LOOP_ON_ONE, "--ensemble", TABLE,
+     "--poly", "n", "--n-max", "3", "--sample", "50", "--seed", "3"): (0,
+        "a9f510f009ad2864eb10c9618bdb72260e3d708edb8baff5cf2c801adc9e29d0"),
     # sampled spheres past the enumeration cap: the sweeper's verdicts follow
     # its letters (it starts 1, 1, 1/2, 7/10), and loop_on_one reads one cell
     ("control-seq", "--machine", "tests/data/sweeper_live.json", "--ensemble", UNIFORM3,

@@ -135,7 +135,7 @@ def test_multicharacter_symbols_serialize_with_commas():
 
 def test_a_word_built_from_text_keeps_that_text():
     s = "".join(random.Random(5000).choice("01") for _ in range(5000))
-    w = BINARY.word(s)
+    w = Word.of_text(BINARY, s)
     assert w.text() is s
     assert len(w) == 5000 and w.letters == tuple(s)
 
@@ -149,7 +149,7 @@ def test_text_and_letter_forms_cannot_be_told_apart(case):
 
     def pair():
         # fresh words, so each check meets the text form before it derives letters
-        return alphabet.word(text), alphabet.word(tuple(symbols))
+        return Word.of_text(alphabet, text), alphabet.word(tuple(symbols))
 
     for a, b in (pair(), pair()[::-1]):
         assert a == b and not a != b
@@ -176,7 +176,7 @@ def test_length_reads_the_held_form(case):
     """``len`` agrees on the two forms of a word, and leaves a word built
     from text without a letter tuple."""
     alphabet, symbols = case
-    from_text, from_letters = alphabet.word("".join(symbols)), alphabet.word(tuple(symbols))
+    from_text, from_letters = Word.of_text(alphabet, "".join(symbols)), alphabet.word(tuple(symbols))
     assert len(from_text) == len(from_letters) == len(symbols)
     assert from_text._letters is None
 
