@@ -233,7 +233,7 @@ def cg_sphere_mass(g: GuardLike, mu: SphericalEnsemble) -> Callable[[int], Fract
     return mass
 
 
-def _cg(guard: LongevityGuard, base: Optional[SphericalEnsemble]) -> tuple:
+def _cg_subset(guard: LongevityGuard, base: Optional[SphericalEnsemble]) -> tuple:
     """C(g) as an induced ensemble's (subset, label, closed): its sphere
     mass is closed-form under a ``base`` over the alphabet "01"."""
     closed = cg_sphere_mass(guard, base) if base is not None and base.alphabet is BINARY else None
@@ -243,7 +243,7 @@ def _cg(guard: LongevityGuard, base: Optional[SphericalEnsemble]) -> tuple:
 def nu_g(g: GuardLike) -> InducedEnsemble:
     """The input ensemble conditioned on C(g), with the closed-form
     denominator registered."""
-    return InducedEnsemble(NU, *_cg(as_guard(g), NU))
+    return InducedEnsemble(NU, *_cg_subset(as_guard(g), NU))
 
 
 # --- interleaved numerals and the image codec -------------------------------
@@ -874,7 +874,7 @@ def subset_from_spec(spec: dict, base: Optional[SphericalEnsemble] = None):
     """
     name = spec["name"]
     if name == "cg":
-        return _cg(as_guard(parse_polynomial(spec["g"]), form=str(spec["g"])), base)
+        return _cg_subset(as_guard(parse_polynomial(spec["g"]), form=str(spec["g"])), base)
     if name == "image41":
         return example41_image_member, "image{00,1}*", None
     if name == "all":

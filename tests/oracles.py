@@ -74,10 +74,10 @@ computes another way, kept here so that tests can cross-check the two:
 - ``uniform_draw`` and ``nu_draw``: one draw from a sphere with one
   ``randrange`` per letter (ν: the leading-ones count, then one per
   suffix bit); ``table_draw``: one 64-bit dyadic per draw, inverted by
-  a walk over the sphere's masses in lex order; and ``sampled_control_sequence`` with one
-  ``exceeds_bound`` call per draw, as sampling was before a sphere's
-  draws were read in one batch and a table machine's draws shared the
-  verdict of their read prefix;
+  a walk over the sphere's masses in lex order; and
+  ``sampled_control_sequence`` with one ``exceeds_bound`` call per
+  draw, as sampling was before a sphere's draws were read in one batch
+  and a table machine's draws shared the verdict of their read prefix;
 - ``lex_sphere``: a sphere's letter tuples built one letter at a time,
   each word's extensions in symbol order after it, as the plain
   reference for the lex order ``Alphabet.sphere`` reads off

@@ -16,8 +16,8 @@ inverse per transferred word, before sums were taken per denominator.
 The sampled control sequence under ν was recorded with the samplers
 chosen by ensemble class in ``genericity.sample_sphere``, before each
 ensemble drew its own samples.  The sampled sequence under a table was
-recorded while the base ensemble drew a batch through a per-draw
-``sample`` hook, before ``samples`` became an ensemble's one sampler
+recorded while ``SphericalEnsemble.samples`` called a table's per-draw
+``sample``, before ``samples`` became every ensemble's one sampler
 hook.  The three sampled pins up to n = 24 and
 64 (a three-letter uniform draw rejects one output in four) were
 recorded while every draw was made one letter at a time and searched
