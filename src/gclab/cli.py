@@ -31,7 +31,7 @@ from .machine import (
 )
 from .measure import ensemble_from_spec
 from .reductions import DistributionalProblem
-from .words import BINARY
+from .words import BINARY, AlphabetMismatchError
 
 # Import-time objects live as long as the process: keep them out of every collection.
 gc.freeze()
@@ -302,27 +302,26 @@ def cmd_verify(args) -> int:
         raise UsageError(f"verify {args.check} needs a fixture file")
     _require_cap(args.n_max, measure.ENUMERATION_CAP, "verification")
     data = _load_json(args.fixture)
-    if args.check == "transfer":
+    if args.check in ("transfer", "cs", "cm"):  # a map and an ensemble on each side of it
+        source, target = ("base", "candidate") if args.check == "transfer" else ("mu", "nu")
         with _reading(args.fixture):
             f = reductions.reduction_from_spec(data["reduction"])
-            base = ensemble_from_spec(data["base"])
-            candidate = ensemble_from_spec(data["candidate"])
-        return _report_exit(measure.verify_transfer(f, base, candidate, args.n_max), args)
+            mu, nu = ensemble_from_spec(data[source]), ensemble_from_spec(data[target])
+            if mu.alphabet is not f.source or nu.alphabet is not f.target:
+                raise AlphabetMismatchError(
+                    f"{source} must be over {f.name}'s source alphabet, {target} over its target")
+            d = (parse_polynomial(data["d"]),) if args.check == "cm" else ()  # cm's density
+        verify = {"transfer": measure.verify_transfer, "cs": reductions.verify_cs,
+                  "cm": reductions.verify_cm}[args.check]
+        return _report_exit(verify(f, mu, nu, *d, args.n_max), args)
     if args.check == "induced":
         with _reading(args.fixture):
             base = ensemble_from_spec(data["base"])
             subset, _, _ = bhp.subset_from_spec(data["subset"])
             candidate = ensemble_from_spec(data["candidate"])
+            if candidate.alphabet is not base.alphabet:
+                raise AlphabetMismatchError("candidate must be over the base's alphabet")
         return _report_exit(measure.verify_induced(base, subset, candidate, args.n_max), args)
-    if args.check in ("cs", "cm"):
-        with _reading(args.fixture):
-            f = reductions.reduction_from_spec(data["reduction"])
-            mu = ensemble_from_spec(data["mu"])
-            nu = ensemble_from_spec(data["nu"])
-            d = parse_polynomial(data["d"]) if args.check == "cm" else None
-        report = (reductions.verify_cs(f, mu, nu, args.n_max) if d is None
-                  else reductions.verify_cm(f, mu, nu, d, args.n_max))
-        return _report_exit(report, args)
     if args.check == "bh-measure":
         with _reading(args.fixture):
             problem, _, decider_guard = _problem_from_bundle(data, args.fixture)

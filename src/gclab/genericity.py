@@ -177,14 +177,14 @@ def overrun_mass(machine: Machine, mu: SphericalEnsemble, n: int, bound: int) ->
 
 
 def _read_verdict(machine: Machine, x: Word, bound: int) -> tuple[bool, int]:
-    """``exceeds_bound(machine, x, bound)`` by one search, and the number r
-    of leading cells it read: every word of x's sphere that starts with
-    x[:r] gets the same verdict.  A table machine's r is ``cells_read``;
-    a virtual machine's evaluator reads the whole word, so r = |x|."""
-    if isinstance(machine, VirtualMachine):
-        return exceeds_bound(machine, x, bound), len(x)
+    """``exceeds_bound(machine, x, bound)`` by one search for every machine,
+    and the number r of leading cells it read: every word of x's sphere that
+    starts with x[:r] gets the same verdict.  A table machine's r is
+    ``cells_read``; a virtual machine's evaluator reads all of x, so r = |x|."""
     seen: set = set()
     overruns = min_deciding_steps(machine, x, bound, seen=seen) is None
+    if isinstance(machine, VirtualMachine):
+        return overruns, len(x)
     return overruns, cells_read(machine, seen, len(x))
 
 

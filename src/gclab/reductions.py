@@ -201,18 +201,14 @@ def verify_cm(
     return report
 
 
-def _bits_needed(count: int) -> int:
-    """Smallest m with 2^m >= count (count >= 1)."""
-    return (count - 1).bit_length()
-
-
 def binary_map(sigma: Alphabet) -> Reduction:
     """The change-of-size map from sigma onto the binary alphabet.
 
     One-letter alphabets map a^k to 0^k.  ``BINARY`` passes through the
     identity.  Every other alphabet maps the rank-r word of each sphere k
-    to the rank-r word of the binary sphere that is just big enough
-    (ceil(k * log2 |alphabet|) bits), which is injective and
+    to the rank-r word of the binary sphere that is just big enough: its
+    length, the least m with 2^m >= |alphabet|^k, is the bit length of
+    |alphabet|^k - 1, which is 0 at k = 0.  The map is injective and
     rank-preserving; a two-letter one maps letter for letter.  All three
     set ``rank_preserving``.
     """
@@ -224,7 +220,7 @@ def binary_map(sigma: Alphabet) -> Reduction:
                          lambda x: Word.of_text(BINARY, "0" * len(x)), lambda n: n, True)
 
     def growth(k: int) -> int:
-        return _bits_needed(size**k) if k >= 1 else 0
+        return (size**k - 1).bit_length()
 
     @cache
     def digits(k: int) -> str:

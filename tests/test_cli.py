@@ -950,12 +950,46 @@ _SWAPPED = {"kind": "uniform", "alphabet": "10"}  # "0" and "1" in the other ord
 ], ids=["uniform", "dbh_nu", "transferred", "uniform-text"])
 def test_verify_cm_exits_2_on_an_image_over_another_alphabet(reduction, mu, nu, tmp_path,
                                                              capsys):
-    """The target ensemble weighs an image over another alphabet: its
-    alphabet check raises, and the command exits 2 with that message."""
+    """A target ensemble over another alphabet than the map's target is
+    refused when the fixture is read: the command exits 2 naming the file."""
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps({"reduction": reduction, "mu": mu, "nu": nu, "d": "1"}))
     code, out, err = run_cli(["verify", "cm", str(fixture), "--n-max", "2"], capsys)
-    assert (code, out, err) == (2, "", "gclab: word is over a different alphabet\n")
+    name = "identity" if reduction["kind"] == "identity" else "unary-to-binary"
+    assert (code, out, err) == (2, "", f"gclab: {fixture}: mu must be over {name}'s source "
+                                       "alphabet, nu over its target\n")
+
+
+_AB = {"kind": "uniform", "alphabet": "ab"}
+
+
+@pytest.mark.parametrize("check", ["transfer", "cs", "cm"])
+@pytest.mark.parametrize("source, target", [
+    ({"kind": "dbh_nu"}, _AB),  # the source side over 01, not the map's ab
+    (_AB, {"kind": "uniform", "alphabet": "01"}),  # the target side over 01
+], ids=["source", "target"])
+def test_verify_refuses_ensembles_that_do_not_fit_the_map(check, source, target, tmp_path,
+                                                          capsys):
+    """A map fixture's source-side ensemble must be over the map's source
+    alphabet and its target-side one over the map's target: otherwise the
+    command exits 2 naming the file, rather than reporting violations on
+    words the map never reaches (exit 1) or failing with no file named."""
+    keys = ("base", "candidate") if check == "transfer" else ("mu", "nu")
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"reduction": {"kind": "identity", "alphabet": "ab"},
+                                   keys[0]: source, keys[1]: target, "d": "1"}))
+    assert run_cli(["verify", check, str(fixture), "--n-max", "1"], capsys) == (
+        2, "", f"gclab: {fixture}: {keys[0]} must be over identity's source alphabet, "
+               f"{keys[1]} over its target\n")
+
+
+def test_verify_induced_refuses_a_candidate_over_another_alphabet(tmp_path, capsys):
+    """An induced fixture's candidate must be over its base's alphabet."""
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"base": {"kind": "uniform", "alphabet": "01"},
+                                   "subset": {"name": "cg", "g": "n+1"}, "candidate": _AB}))
+    assert run_cli(["verify", "induced", str(fixture), "--n-max", "1"], capsys) == (
+        2, "", f"gclab: {fixture}: candidate must be over the base's alphabet\n")
 
 
 def test_verify_transfer_fixture(capsys):

@@ -21,6 +21,7 @@ from gclab import (
     verify_induced,
     verify_transfer,
 )
+from gclab import measure
 from gclab.bhp import NU, subset_from_spec
 from gclab.measure import (
     CheckReport,
@@ -219,6 +220,18 @@ def test_transfer_filler_on_unachieved_spheres():
     # sizes achieved by the map: 0, 2, 4, 5, 7, 8...; radius 3 is filler
     assert f.size_growth(1) == 2 and f.size_growth(2) == 4
     assert image.measure.mass(BINARY.word("101")) == Fraction(1, 8)
+
+
+def test_transfer_fills_the_shared_row_on_a_filler_length_not_weighed_before(monkeypatch):
+    """The first weighing of a filler length, with the shared uniform row
+    still empty, fills that row through ``_uniform_mass``: the mass is the
+    very object every later path hands out, and it is the row's one entry."""
+    monkeypatch.setattr(measure, "_UNIFORM_MASSES", {})
+    abc = Alphabet(("a", "b", "c"))
+    transferred = TransferredEnsemble(binary_map(abc), UniformEnsemble(abc))
+    q = transferred.mass(BINARY.word("101"))  # growths 0, 2, 4, 5: no sphere maps to 3
+    assert q == Fraction(1, 8) and q is measure._uniform_mass(2, 3)
+    assert measure._UNIFORM_MASSES[2] == {3: q}
 
 
 def test_transfer_injective_uniform():

@@ -122,10 +122,17 @@ def test_to_binary_passes_a_binary_problem_through():
 
 def test_rank_map_matches_unrank():
     """The rank-to-binary map writes rank - 1 in growth(k) bits: the word
-    that the per-digit ``unrank`` builds, on every word up to k = 6."""
+    that the per-digit ``unrank`` builds, on every word up to k = 6.  Its
+    growth(k) is the least m with 2^m >= size^k, found by counting up, at
+    every k up to 40."""
     for size in (3, 4, 5, 8):
         sigma = Alphabet(tuple("abcdefgh"[:size]))
         f, _ = to_binary(DistributionalProblem("toy", lambda x: True, UniformEnsemble(sigma)))
+        for k in range(41):
+            m = 0
+            while 2**m < size**k:
+                m += 1
+            assert f.size_growth(k) == m, (size, k)
         for k in range(7):
             g = f.size_growth(k)
             for rank, x in enumerate(sigma.sphere(k), start=1):
