@@ -72,7 +72,7 @@ from .measure import (
 from .measure import size_inverse as guard_inverse
 from .genericity import Polynomial, parse_polynomial
 from .reductions import DistributionalProblem, Reduction, example41_image_member
-from .words import BINARY, Frozen, Word
+from .words import BINARY, AlphabetMismatchError, Frozen, Word
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -216,7 +216,8 @@ def c_of_g(g: GuardLike) -> Callable[[Word], bool]:
 
 
 def cg_sphere_mass(g: GuardLike, mu: SphericalEnsemble) -> Callable[[int], Fraction]:
-    """The mu-mass of C(g) in sphere n, mu being over the alphabet "01".
+    """The mu-mass of C(g) in sphere n, mu being over the letters 0 and 1,
+    in either order.
 
     C(g) meets sphere n only when n = g(k), and then in the one class
     1^(n-k-1) 0 {0,1}^k, a lex block weighed by ``block_mass``: closed-form,
@@ -233,11 +234,10 @@ def cg_sphere_mass(g: GuardLike, mu: SphericalEnsemble) -> Callable[[int], Fract
     return mass
 
 
-def _cg_subset(guard: LongevityGuard, base: Optional[SphericalEnsemble]) -> tuple:
-    """C(g) as an induced ensemble's (subset, label, closed): its sphere
-    mass is closed-form under a ``base`` over the alphabet "01"."""
-    closed = cg_sphere_mass(guard, base) if base is not None and base.alphabet is BINARY else None
-    return c_of_g(guard), f"C({guard.form})", closed
+def _cg_subset(guard: LongevityGuard, base: SphericalEnsemble) -> tuple:
+    """C(g) as an induced ensemble's (subset, label, closed) over ``base``,
+    whose letters are 0 and 1 in either order."""
+    return c_of_g(guard), f"C({guard.form})", cg_sphere_mass(guard, base)
 
 
 def nu_g(g: GuardLike) -> InducedEnsemble:
@@ -861,18 +861,20 @@ def completeness_pipeline(
 # --- subset registry for ensemble specs --------------------------------------
 
 
-def subset_from_spec(spec: dict, base: Optional[SphericalEnsemble] = None):
-    """Named word predicates for induced-ensemble descriptions.
+def subset_from_spec(spec: dict, base: SphericalEnsemble):
+    """Named word predicates for induced-ensemble descriptions over ``base``.
 
     {"name": "cg", "g": "2n+1"} -> the restricted code family;
     {"name": "image41"} -> the image of the doubling homomorphism;
     {"name": "all"} -> everything.
 
-    Returns (predicate, label, sphere mass or None).  The restricted
-    family's ``cg_sphere_mass`` is attached whenever ``base`` is over the
-    binary alphabet "01"; other alphabets fall back to testing every word.
+    Returns (predicate, label, sphere mass or None).  The first two are
+    sets of words over 0 and 1: a ``base`` over other letters raises
+    ``AlphabetMismatchError``.
     """
     name = spec["name"]
+    if name in ("cg", "image41") and sorted(base.alphabet.symbols) != ["0", "1"]:
+        raise AlphabetMismatchError(f"subset {name} is a set of words over 0 and 1")
     if name == "cg":
         return _cg_subset(as_guard(parse_polynomial(spec["g"]), form=str(spec["g"])), base)
     if name == "image41":

@@ -24,7 +24,6 @@ from types import SimpleNamespace
 from . import bhp, genericity, measure, reductions
 from .genericity import parse_polynomial
 from .machine import (
-    MachineFormatError,
     halts_within,
     load_machine,
     run_deterministic,
@@ -266,25 +265,21 @@ def cmd_reduce(args) -> int:
             guard = parse_polynomial(data.get("guard", "n+6"))
             stage = bhp.red2bh(problem, decider, guard, decider_guard)
         if pipeline:
-            chain = bhp.completeness_pipeline(problem, stage, n_max=args.n_max)
-            _write_output(json.dumps(chain.to_dict(), indent=2) + "\n", args.out)
-            return 0 if chain.passed else 1
+            return _report_exit(bhp.completeness_pipeline(problem, stage, n_max=args.n_max), args)
         membership = measure.CheckReport("membership-preservation", args.n_max)
         pairs = bhp.verify_membership(
             problem.positive, stage, problem.measure.alphabet.ball(args.n_max), membership
         )
         return _stage_exit(membership, bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
-    if args.construction == "universal":
-        _require_cap(args.n_max, 8, "universal-stage")
-        with _reading(args.bundle):
-            machine = _bundle_machine(data["machine"], args.bundle)
-            stage = bhp.red2bhu(machine, parse_polynomial(data.get("guard", "n+6")))
-        membership = measure.CheckReport("membership-preservation", args.n_max)
-        pairs = bhp.verify_red2bhu_membership(
-            machine, stage, BINARY.ball(args.n_max), membership
-        )
-        return _stage_exit(membership, bhp.verify_red2bhu_measure(stage, pairs, args.n_max), args)
-    raise UsageError(f"unknown construction {args.construction!r}")
+    _require_cap(args.n_max, 8, "universal-stage")  # the parser admits no other construction
+    with _reading(args.bundle):
+        machine = _bundle_machine(data["machine"], args.bundle)
+        stage = bhp.red2bhu(machine, parse_polynomial(data.get("guard", "n+6")))
+    membership = measure.CheckReport("membership-preservation", args.n_max)
+    pairs = bhp.verify_red2bhu_membership(
+        machine, stage, BINARY.ball(args.n_max), membership
+    )
+    return _stage_exit(membership, bhp.verify_red2bhu_measure(stage, pairs, args.n_max), args)
 
 
 def cmd_verify(args) -> int:
@@ -317,22 +312,20 @@ def cmd_verify(args) -> int:
     if args.check == "induced":
         with _reading(args.fixture):
             base = ensemble_from_spec(data["base"])
-            subset, _, _ = bhp.subset_from_spec(data["subset"])
+            subset, _, _ = bhp.subset_from_spec(data["subset"], base)
             candidate = ensemble_from_spec(data["candidate"])
             if candidate.alphabet is not base.alphabet:
                 raise AlphabetMismatchError("candidate must be over the base's alphabet")
         return _report_exit(measure.verify_induced(base, subset, candidate, args.n_max), args)
-    if args.check == "bh-measure":
-        with _reading(args.fixture):
-            problem, _, decider_guard = _problem_from_bundle(data, args.fixture)
-            guard = bhp.adequate_guard(
-                parse_polynomial(data.get("guard", "n+6")), decider_guard
-            )
-            f = bhp.red2bh_map(problem.measure, guard)
-        stage = bhp.BHStage(f, None, guard, problem.measure)
-        pairs = ((x, f.apply(x)) for x in problem.measure.alphabet.ball(args.n_max))
-        return _report_exit(bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
-    raise UsageError(f"unknown check {args.check!r}")
+    with _reading(args.fixture):  # bh-measure, the parser admitting no other check
+        problem, _, decider_guard = _problem_from_bundle(data, args.fixture)
+        guard = bhp.adequate_guard(
+            parse_polynomial(data.get("guard", "n+6")), decider_guard
+        )
+        f = bhp.red2bh_map(problem.measure, guard)
+    stage = bhp.BHStage(f, None, guard, problem.measure)
+    pairs = ((x, f.apply(x)) for x in problem.measure.alphabet.ball(args.n_max))
+    return _report_exit(bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
 
 
 def nonnegative_int(text: str) -> int:
@@ -433,8 +426,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except (UsageError, MachineFormatError, FileNotFoundError, KeyError,
-            ValueError) as exc:
+    except (UsageError, FileNotFoundError, KeyError, ValueError) as exc:
         sys.stderr.write(f"gclab: {exc}\n")
         return 2
 

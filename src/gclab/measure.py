@@ -240,7 +240,6 @@ class SphericalEnsemble:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._size = alphabet.size  # read per word by the uniform masses
         self._tables: dict[int, list[Fraction]] = {}
 
     def mass(self, x: Word) -> Fraction:
@@ -307,7 +306,7 @@ class UniformEnsemble(SphericalEnsemble):
 
     def __init__(self, alphabet: Alphabet):
         super().__init__(alphabet)
-        self._masses = _UNIFORM_MASSES.setdefault(self._size, {})
+        self._masses = _UNIFORM_MASSES.setdefault(self.alphabet.size, {})
 
     def mass(self, x: Word) -> Fraction:
         # no helper call per word: the check inlined, the length off the
@@ -319,7 +318,7 @@ class UniformEnsemble(SphericalEnsemble):
         try:
             return self._masses[n]
         except KeyError:  # a sphere not weighed before
-            return _uniform_mass(self._size, n)
+            return _uniform_mass(self.alphabet.size, n)
 
     def sphere_sum(self, n: int) -> Fraction:
         return ONE
@@ -344,7 +343,7 @@ class UniformEnsemble(SphericalEnsemble):
         b stands for the letter ``symbols[b >> (8 - k)]``.  Reading past
         the batch is harmless: the stream is the sphere's own.  Larger
         alphabets make the same calls one at a time (``_draws_below``)."""
-        symbols, size, total = self.alphabet.symbols, self._size, n * count
+        symbols, size, total = self.alphabet.symbols, self.alphabet.size, n * count
         if size > 255:
             kept: Sequence[int] = list(_draws_below(rng, size, total))
             letter = symbols.__getitem__
@@ -586,7 +585,7 @@ class TransferredEnsemble(SphericalEnsemble):
         if base.horizon is not None:
             self.horizon = reduction.size_growth(base.horizon)
         self._images: dict[int, Optional[dict[tuple, Fraction]]] = {}
-        self._uniform = _UNIFORM_MASSES.setdefault(self._size, {})
+        self._uniform = _UNIFORM_MASSES.setdefault(self.alphabet.size, {})
 
     def _image_masses(self, m: int) -> Optional[dict[tuple, Fraction]]:
         """Base mass of each image of length m, keyed by its letters, or
@@ -622,13 +621,13 @@ class TransferredEnsemble(SphericalEnsemble):
             try:
                 return self._uniform[m]
             except KeyError:  # a sphere not weighed before
-                return _uniform_mass(self._size, m)
+                return _uniform_mass(self.alphabet.size, m)
         return images.get(y.letters if letters is None else letters, ZERO)
 
     def spec(self) -> dict:
         return {
             "kind": "transferred",
-            "reduction": getattr(self.reduction, "name", "?"),
+            "reduction": self.reduction.name,
             "base": self.base.spec(),
         }
 

@@ -992,6 +992,49 @@ def test_verify_induced_refuses_a_candidate_over_another_alphabet(tmp_path, caps
         2, "", f"gclab: {fixture}: candidate must be over the base's alphabet\n")
 
 
+@pytest.mark.parametrize("letters", ["abc", "012"])
+@pytest.mark.parametrize("subset", [{"name": "cg", "g": "n+1"}, {"name": "image41"}])
+def test_a_binary_subset_under_a_base_over_other_letters_exit_2(subset, letters, tmp_path,
+                                                                 capsys):
+    """C(g) and the doubling image are sets of words over 0 and 1.  Read
+    under a base over other letters, by ``density``, ``verify induced`` or
+    an induced ensemble spec, the subset is refused, naming the file it is
+    read from; it is not weighed as empty, nor as its words with no other
+    letter.  The machine reads the ensemble's letters, so nothing else
+    stops ``control-seq``."""
+    base = {"kind": "uniform", "alphabet": letters}
+    machine = json.loads((DATA / "halt1.json").read_text())
+    machine.update(tape_alphabet=list(letters),
+                   delta=[["q0", s, "q1", letters[0], "R"] for s in [*letters, "_"]])
+    files = {name: tmp_path / f"{name}.json" for name in
+             ("base", "subset", "fixture", "induced", "machine")}
+    for name, spec in (("base", base), ("subset", subset), ("machine", machine),
+                       ("fixture", {"base": base, "subset": subset, "candidate": base}),
+                       ("induced", {"kind": "induced", "base": base, "subset": subset})):
+        files[name].write_text(json.dumps(spec))
+    message = f"subset {subset['name']} is a set of words over 0 and 1\n"
+    assert run_cli(["density", "--ensemble", str(files["base"]), "--subset",
+                    str(files["subset"]), "--n-max", "3"], capsys) == (
+        2, "", f"gclab: {files['subset']}: {message}")
+    assert run_cli(["verify", "induced", str(files["fixture"]), "--n-max", "3"], capsys) == (
+        2, "", f"gclab: {files['fixture']}: {message}")
+    assert run_cli(["control-seq", "--machine", str(files["machine"]), "--ensemble",
+                    str(files["induced"]), "--poly", "n+1", "--n-max", "3"], capsys) == (
+        2, "", f"gclab: {files['induced']}: {message}")
+
+
+def test_verify_induced_over_the_reversed_binary_alphabet(tmp_path, capsys):
+    """Over "10" C(g)'s sphere mass is its closed form, one lex block in
+    either letter order, and the conditioning it induces passes the
+    word-by-word check."""
+    base, subset = {"kind": "uniform", "alphabet": "10"}, {"name": "cg", "g": "n+1"}
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"base": base, "subset": subset, "candidate": {
+        "kind": "induced", "base": base, "subset": subset}}))
+    code, out, _ = run_cli(["verify", "induced", str(fixture), "--n-max", "12"], capsys)
+    assert code == 0 and json.loads(out)["passed"]
+
+
 def test_verify_transfer_fixture(capsys):
     code, out, _ = run_cli(
         ["verify", "transfer", str(DATA / "transfer_fixture.json"), "--n-max", "4"],

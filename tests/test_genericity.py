@@ -11,6 +11,8 @@ import pytest
 from gclab import (
     BINARY,
     Alphabet,
+    AlphabetMismatchError,
+    TableEnsemble,
     UniformEnsemble,
     Polynomial,
     control_sequence,
@@ -286,14 +288,15 @@ def test_csv_schema(uniform, halt1):
 
 def test_density_cg_closed_form_on_binary_bases_only(uniform):
     # under the uniform measure the family's density is its counting
-    # measure, weighed as one block; bases over other alphabets, "10"
-    # included, test every word
+    # measure, weighed as one block over "01" and "10" alike; a base over
+    # other letters is refused
     spec = {"name": "cg", "g": "2n+1"}
-    member, _, closed = subset_from_spec(spec, uniform)
-    assert closed(3) == subset_mass(uniform, 3, member) == Fraction(2, 8)
-    assert closed(5) == subset_mass(uniform, 5, member) == Fraction(4, 32)
-    for symbols in (("1", "0"), ("0", "1", "2")):
-        assert subset_from_spec(spec, UniformEnsemble(Alphabet(symbols)))[2] is None
+    for mu in (uniform, UniformEnsemble(Alphabet("10"))):
+        member, _, closed = subset_from_spec(spec, mu)
+        assert closed(3) == subset_mass(mu, 3, member) == Fraction(2, 8)
+        assert closed(5) == subset_mass(mu, 5, member) == Fraction(4, 32)
+    with pytest.raises(AlphabetMismatchError, match="^subset cg is a set of words over 0 and 1$"):
+        subset_from_spec(spec, UniformEnsemble(Alphabet("012")))
 
 
 CG_GUARDS = (Polynomial((1, 1)), Polynomial((4, 1)), Polynomial((1, 2)),
@@ -302,10 +305,13 @@ CG_GUARDS = (Polynomial((1, 1)), Polynomial((4, 1)), Polynomial((1, 2)),
 
 def test_cg_sphere_mass_matches_per_word_oracle(uniform, nu, geometric_table):
     """C(g)'s one class per sphere weighs what testing every word of the
-    sphere weighs, at every n <= 12, under uniform, ν and a table; past
-    the table's n_max both raise the same HorizonError."""
+    sphere weighs, at every n <= 12, under uniform, ν and a table, and
+    under uniform and a table over "10", whose lex order reverses the
+    letters; past a table's n_max both raise the same HorizonError."""
     raised = 0
-    for mu in (uniform, nu, geometric_table):
+    reversed_letters = Alphabet("10")
+    reversed_table = TableEnsemble(reversed_letters, geometric_table.entries, n_max=10)
+    for mu in (uniform, nu, geometric_table, UniformEnsemble(reversed_letters), reversed_table):
         for g in CG_GUARDS:
             closed, member = cg_sphere_mass(g, mu), c_of_g(g)
             for n in range(13):
