@@ -483,7 +483,7 @@ def red2bh_map(mu: SphericalEnsemble, guard: LongevityGuard, prefix: str = "") -
 
 def red2bh(
     problem: DistributionalProblem,
-    decider: Machine,
+    decider: Optional[Machine],
     g_user: GuardLike,
     decider_guard: Polynomial,
 ) -> BHStage:
@@ -498,7 +498,8 @@ def red2bh(
     whose mass tests or round-trip checks fail by never halting, and
     otherwise simulates the decider; a word over another alphabet never
     halts.  A decider that cannot read binary inputs raises
-    ``ValueError`` here, so the protocol machine never does.
+    ``ValueError`` here, so the protocol machine never does; a ``None``
+    decider gives a map-only stage (no machine).
     """
     if not _reads_binary(decider):
         raise ValueError("the decider cannot read binary inputs")
@@ -513,7 +514,7 @@ def red2bh(
         field = _read_field(text)
         return None if field is None else _protocol_run(mu, inner, field[0], text[field[1] :], budget)
 
-    machine = VirtualMachine(
+    machine = None if decider is None else VirtualMachine(
         name=f"bh-protocol[{problem.name}]",
         evaluator=evaluator,
         definition={

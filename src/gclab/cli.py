@@ -319,11 +319,8 @@ def cmd_verify(args) -> int:
         return _report_exit(measure.verify_induced(base, subset, candidate, args.n_max), args)
     with _reading(args.fixture):  # bh-measure, the parser admitting no other check
         problem, _, decider_guard = _problem_from_bundle(data, args.fixture)
-        guard = bhp.adequate_guard(
-            parse_polynomial(data.get("guard", "n+6")), decider_guard
-        )
-        f = bhp.red2bh_map(problem.measure, guard)
-    stage = bhp.BHStage(f, None, guard, problem.measure)
+        stage = bhp.red2bh(problem, None, parse_polynomial(data.get("guard", "n+6")), decider_guard)
+    f = stage.reduction
     pairs = ((x, f.apply(x)) for x in problem.measure.alphabet.ball(args.n_max))
     return _report_exit(bhp.verify_measure_decrease(stage, pairs, args.n_max), args)
 

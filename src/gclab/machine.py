@@ -242,14 +242,9 @@ class TuringMachine(Frozen):
             (q, a) in self._delta for q in reached for a in reads)
 
     @cached_property
-    def determinism(self) -> str:
-        """"deterministic" (total function), "partial" (at most one choice
-        everywhere, but not total), or "nondeterministic"."""
-        if any(len(v) > 1 for v in self._delta.values()):
-            return "nondeterministic"
-        reads = range(len(self._codec.digit))
-        total = all((q, a) in self._delta for q in self.states for a in reads)
-        return "deterministic" if total else "partial"
+    def branching(self) -> bool:
+        """Whether some (state, read symbol) has more than one move."""
+        return any(len(v) > 1 for v in self._delta.values())
 
     @property
     def has_answer_convention(self) -> bool:
@@ -337,7 +332,7 @@ def step(machine: TuringMachine, config: Packed) -> tuple[Packed, ...]:
 # ends without a step.  Keep it over 100: ``perfbench/run.py``'s self-check
 # ``selfcheck.loop100`` pins 100 ``step`` calls on a run at budget 100 of a
 # right mover, which is endless and which a translated cycle ends at step 2
-# (ROADMAP item 2).
+# (ROADMAP item 3).
 _CERTIFY_OVER = 128
 
 
@@ -437,7 +432,7 @@ def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult
     walked at all, once the machine and the input are checked.  That
     result carries neither steps nor a configuration, so it is the one
     the whole budget gives."""
-    if machine.determinism == "nondeterministic":
+    if machine.branching:
         raise NondeterministicRunError("run needs a deterministic machine; use halts")
     start = initial_configuration(machine, x)
     if budget > _CERTIFY_OVER and machine._endless:
@@ -488,7 +483,7 @@ def _search_halting(
         return steps if steps is not None and steps <= budget else None
     start = initial_configuration(machine, x)
     machine = machine._live
-    if machine.determinism != "nondeterministic":
+    if not machine.branching:
         kind, steps, config = _walk(machine, start, budget, seen)
         if kind == "halted" and (accept is None or accept(config)):
             return steps
@@ -591,7 +586,7 @@ def load_machine(data: dict) -> TuringMachine:
          "yes_symbol": "1", "no_symbol": "0",
          "delta": [["q0", "0", "q1", "1", "R"], ...]}
 
-    The deterministic/partial/nondeterministic flag is inferred from delta.
+    Whether the machine branches is read off delta.
     Anything but a dict, a file path too, and every malformed description
     raise ``MachineFormatError``: the command line reads machine files as
     it reads every input file (``cli._load_json``).

@@ -367,7 +367,7 @@ def _draws_below(rng: Random, size: int, count: int) -> Iterator[int]:
 
 class TableEnsemble(SphericalEnsemble):
     """Finite table of nonzero masses, keyed by word text; a mass is
-    anything ``Fraction`` reads, such as a spec's "1/2".
+    anything but a bool that ``Fraction`` reads, such as a spec's "1/2".
 
     Absent entries are zero.  The radius-0 sphere defaults to mass 1 on
     the empty word unless the table overrides it.  The ``horizon`` is the
@@ -386,6 +386,8 @@ class TableEnsemble(SphericalEnsemble):
         self.entries = {}
         for key, value in entries.items():
             try:
+                if isinstance(value, bool):  # JSON true is no mass, though Fraction reads 1
+                    raise ValueError
                 self.entries[key] = Fraction(value)
             except (ArithmeticError, ValueError):  # "1/0", "x", an infinite or NaN float
                 raise ValueError(f"mass {value!r} for {key!r} is not a finite rational") from None

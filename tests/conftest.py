@@ -1,6 +1,8 @@
 import itertools
+import json
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from gclab import (
     UniformEnsemble,
     halts_within,
 )
+from gclab.machine import load_machine
 from gclab.measure import DBHNuEnsemble
 
 # Per-test wall-clock limit: a search that never ends fails its own test
@@ -42,12 +45,17 @@ def pytest_runtest_call(item):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _data_machine(name: str) -> TuringMachine:
+    """The machine of ``tests/data/<name>.json``, as the CLI tests read it."""
+    return load_machine(json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text()))
+
+
 @pytest.fixture(scope="session")
 def halt1():
     """Halts in exactly one step on every input (including the empty one).
 
-    The final-state rows never fire but make the table a total function,
-    so the machine classifies as fully deterministic.
+    The final-state rows never fire.  They stay so that this table and
+    its machine index differ from those of ``tests/data/halt1.json``.
     """
     return TuringMachine(
         states=("q0", "q1"),
@@ -69,18 +77,7 @@ def halt1():
 @pytest.fixture(scope="session")
 def loop():
     """Never halts: scans right forever."""
-    return TuringMachine(
-        states=("q0", "q1"),
-        initial="q0",
-        final="q1",
-        tape_alphabet=BINARY,
-        blank="_",
-        transitions=(
-            ("q0", "0", "q0", "0", "R"),
-            ("q0", "1", "q0", "1", "R"),
-            ("q0", "_", "q0", "0", "R"),
-        ),
-    )
+    return _data_machine("loop")
 
 
 @pytest.fixture(scope="session")
@@ -121,36 +118,14 @@ def contains01_ntm():
     computations exist exactly on words containing "01", and every
     halting computation takes at most |x| steps.
     """
-    return TuringMachine(
-        states=("q0", "q2", "q1"),
-        initial="q0",
-        final="q1",
-        tape_alphabet=BINARY,
-        blank="_",
-        transitions=(
-            ("q0", "0", "q0", "0", "R"),
-            ("q0", "1", "q0", "1", "R"),
-            ("q0", "0", "q2", "0", "R"),
-            ("q2", "1", "q1", "1", "R"),
-        ),
-    )
+    return _data_machine("contains01")
 
 
 @pytest.fixture(scope="session")
 def loop_on_one():
     """Halts in one step on inputs starting with 0, loops on a leading 1,
     breaks on the empty word."""
-    return TuringMachine(
-        states=("q0", "q1"),
-        initial="q0",
-        final="q1",
-        tape_alphabet=BINARY,
-        blank="_",
-        transitions=(
-            ("q0", "0", "q1", "0", "R"),
-            ("q0", "1", "q0", "1", "L"),
-        ),
-    )
+    return _data_machine("loop_on_one")
 
 
 @pytest.fixture(scope="session")

@@ -211,7 +211,7 @@ def step(machine: TuringMachine, config: Configuration) -> tuple[Configuration, 
 
 def run_deterministic(machine: TuringMachine, x: Word, budget: int) -> RunResult:
     """Run a (possibly partial) deterministic machine from (initial, empty, x)."""
-    if machine.determinism == "nondeterministic":
+    if machine.branching:
         raise NondeterministicRunError("run needs a deterministic machine; use halts")
     config = initial_configuration(machine, x)
     steps = 0

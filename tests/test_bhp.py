@@ -890,6 +890,23 @@ def test_red2bh_refuses_a_non_binary_decider(contains01_problem):
         red2bh(contains01_problem, load_machine(AB_TABLE), Polynomial((6, 1)), Polynomial((1, 1)))
 
 
+def test_red2bh_without_a_decider_builds_the_map_alone():
+    """A ``None`` decider gives the map-only stage that ``verify
+    bh-measure`` checks: no machine, and on every word of length <= 5 the
+    image of the stage built around the toy bundle's decider."""
+    from gclab.cli import _problem_from_bundle
+
+    path = Path(__file__).parent / "data" / "toy_bundle.json"
+    bundle = json.loads(path.read_text())
+    problem, decider, decider_guard = _problem_from_bundle(bundle, str(path))
+    g = parse_polynomial(bundle["guard"])
+    bare, stage = (red2bh(problem, m, g, decider_guard) for m in (None, decider))
+    assert bare.machine is None and stage.machine is not None
+    assert (bare.guard.form, bare.mu, bare.prefix) == (stage.guard.form, stage.mu, stage.prefix)
+    for x in BINARY.ball(5):
+        assert bare.reduction.apply(x) == stage.reduction.apply(x), x.text()
+
+
 def test_red2bhu_refuses_a_non_binary_machine():
     with pytest.raises(ValueError, match="cannot read binary inputs"):
         red2bhu(load_machine(AB_TABLE), Polynomial((6, 1)))

@@ -74,12 +74,11 @@ def test_tm_run_refuses_a_brancher_whose_live_part_is_deterministic(tmp_path, ca
     path = tmp_path / "live_brancher.json"
     path.write_text(json.dumps(oracles.live_brancher(brancher).to_canonical_dict()))
     machine = gclab.machine.load_machine(json.loads(path.read_text()))
-    assert machine.determinism == "nondeterministic"
-    assert machine._live.determinism == "partial"
+    assert machine.branching and not machine._live.branching
     for word in ("01", ""):
         code, out, err = run_cli(["tm", "run", str(path), word, "--budget", "10"], capsys)
         assert (code, out, err) == (2, "", "gclab: run needs a deterministic machine; use halts\n")
-    assert machine.determinism == "nondeterministic"
+    assert machine.branching
     for word, halts in (("01", False), ("2", True)):
         code, out, _ = run_cli(["tm", "halts", str(path), word, "--budget", "1000000000"], capsys)
         assert (code, json.loads(out)["halts_within"]) == (0, halts)
@@ -103,7 +102,7 @@ def test_tm_run_checks_its_input_before_the_endless_certificate(tmp_path, capsys
     path = tmp_path / "branching_pingpong.json"
     path.write_text(json.dumps(pingpong))
     machine = gclab.machine.load_machine(pingpong)
-    assert machine.determinism == "nondeterministic" and machine._endless
+    assert machine.branching and machine._endless
     code, out, err = run_cli(["tm", "run", str(path), "01", "--budget", "8000"], capsys)
     assert (code, out, err) == (2, "", "gclab: run needs a deterministic machine; use halts\n")
     with pytest.raises(gclab.machine.NondeterministicRunError):
@@ -603,14 +602,15 @@ def test_spec_of_the_wrong_shape_exit_2(command, spec, tmp_path, capsys):
     assert err.startswith(f"gclab: {path}: malformed spec: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("mass", ["1/0", float("inf"), float("nan"), "half"],
-                         ids=["zero-denominator", "infinity", "nan", "no-number"])
+@pytest.mark.parametrize("mass", ["1/0", float("inf"), float("nan"), "half", True],
+                         ids=["zero-denominator", "infinity", "nan", "no-number", "bool"])
 @pytest.mark.parametrize("command", ["density", "reduce bh"])
 def test_table_mass_that_is_no_finite_rational_exit_2(mass, command, tmp_path, capsys):
     """A table mass "1/0" or JSON's Infinity, which once crashed the
-    command, or NaN or a text that is no number, in an ensemble spec or a
-    bundle's measure is a usage error naming the file and the entry (exit
-    1 is reserved for a failed verification)."""
+    command, or NaN or a text that is no number, or JSON's true, which
+    ``Fraction`` reads as 1, in an ensemble spec or a bundle's measure is
+    a usage error naming the file and the entry (exit 1 is reserved for a
+    failed verification)."""
     table = {"kind": "table", "alphabet": "01", "entries": {"0": mass, "1": "1/2"}}
     path = tmp_path / "spec.json"
     if command == "density":
@@ -683,6 +683,22 @@ def test_words_a_machine_cannot_read_name_the_file(argv, spec, tmp_path, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith(f"gclab: {path}: ") and err.count("\n") == 1
+
+
+def test_bh_measure_reads_no_decider(tmp_path, capsys):
+    """``verify bh-measure`` checks the map alone, so a bundle whose
+    decider is over {a, b} gets the report of the same bundle without a
+    decider, byte for byte, while ``reduce bh``, which runs the decider,
+    refuses it."""
+    bare, ab = tmp_path / "bare.json", tmp_path / "ab.json"
+    bare.write_text(json.dumps({"problem": _BINARY_PROBLEM}))
+    ab.write_text(json.dumps({"problem": _BINARY_PROBLEM, "decider": _AB_MACHINE}))
+    want = run_cli(["verify", "bh-measure", str(bare), "--n-max", "4"], capsys)
+    assert want[0] == 0 and json.loads(want[1])["passed"]
+    assert run_cli(["verify", "bh-measure", str(ab), "--n-max", "4"], capsys) == want
+    code, out, err = run_cli(["reduce", "bh", str(ab), "--n-max", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"gclab: {ab}: the decider cannot read binary inputs\n"
 
 
 @pytest.mark.parametrize("argv,spec,message", [

@@ -34,10 +34,11 @@ from oracles import Answer, AnswerDecodeError, decode_answer
 DATA = Path(__file__).parent / "data"
 
 
-def test_determinism_classification(halt1, find_zero, contains01_ntm):
-    assert halt1.determinism == "deterministic"
-    assert find_zero.determinism == "partial"
-    assert contains01_ntm.determinism == "nondeterministic"
+def test_branching_classification(halt1, find_zero, contains01_ntm):
+    """A machine branches when some state and read symbol have two moves;
+    a partial table, such as find_zero's, does not."""
+    assert not halt1.branching and not find_zero.branching
+    assert contains01_ntm.branching
 
 
 def test_step_singleton_for_deterministic(halt1):
@@ -435,7 +436,7 @@ def test_the_live_part_drops_the_moves_into_dead_states(halt1, contains01_ntm):
         assert live.transitions == tuple(t for t in machine.transitions if t[2] != "dead")
         assert (live.states, live.tape_alphabet, live.blank) == (
             machine.states, machine.tape_alphabet, machine.blank)
-        assert (machine.determinism, live.determinism) == ("nondeterministic", "partial")
+        assert machine.branching and not live.branching
     for machine in (halt1, contains01_ntm):
         assert machine._live is machine
 
@@ -692,8 +693,7 @@ def test_packed_core_matches_tuple_oracle():
         machine = _random_machine(rng, kind, tape_mode, size=2 + trial // 6 % 6)
         widths.add(machine._codec.width)
         # the frontier of a nondeterministic search grows exponentially
-        budget = rng.randrange(11) if machine.determinism == "nondeterministic" \
-            else rng.randrange(200)
+        budget = rng.randrange(11) if machine.branching else rng.randrange(200)
         for _ in range(3):
             x = machine.tape_alphabet.word(rng.choices(machine.tape_alphabet.symbols, k=rng.randrange(7)))
             found = _search_halting(machine, x, budget)
@@ -701,10 +701,10 @@ def test_packed_core_matches_tuple_oracle():
             deciding = min_deciding_steps(machine, x, budget)
             assert deciding == oracles.min_deciding_steps(machine, x, budget), (trial, x)
             dont_know += machine.has_answer_convention and deciding != found
-            if machine.determinism != "nondeterministic":
+            if not machine.branching:
                 result = run_deterministic(machine, x, budget)
                 assert result == oracles.run_deterministic(machine, x, budget), (trial, x)
-            halted[machine.determinism] += found is not None
+            halted[kind] += found is not None
         # a 200-step walk along the first successor, so that long tapes,
         # which rarely halt, are compared too: the successors' states at
         # every step, their whole tapes at every 16th step and at the end
@@ -836,7 +836,7 @@ def test_loader_roundtrip(tmp_path, find_zero):
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(payload))
     loaded = load_machine(json.loads(path.read_text()))
-    assert loaded.determinism == "partial"
+    assert not loaded.branching
     assert loaded.to_canonical_dict()["delta"] == find_zero.to_canonical_dict()["delta"]
 
 

@@ -646,6 +646,14 @@ def test_table_n_max_must_be_a_nonnegative_int(n_max):
     assert TableEnsemble(BINARY, {"0": "1/2", "1": "1/2"}, n_max=0).spec()["n_max"] == 0
 
 
+@pytest.mark.parametrize("mass", [True, False])
+def test_table_mass_must_not_be_a_bool(mass):
+    """JSON's true and false are no masses, though ``Fraction`` reads
+    them as 1 and 0: a table of them would be valid, of density 1."""
+    with pytest.raises(ValueError, match=f"^mass {mass!r} for '0' is not a finite rational$"):
+        TableEnsemble(BINARY, {"0": mass, "1": not mass})
+
+
 def test_validate_catches_a_sphere_short_by_two_to_the_minus_40():
     short = Fraction(1, 8) - Fraction(1, 2**40)
     entries = {"0": Fraction(1, 2), "1": Fraction(1, 2),
